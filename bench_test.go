@@ -18,7 +18,6 @@ import (
 	"gputopo/internal/job"
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/profile"
-	"gputopo/internal/sched"
 	"gputopo/internal/schedcore"
 	"gputopo/internal/schedcore/domains"
 	"gputopo/internal/schedcore/placecache"
@@ -110,7 +109,7 @@ func BenchmarkFig8Prototype(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		speedup = mp.ByPolicy(sched.BestFit).Makespan / mp.ByPolicy(sched.TopoAwareP).Makespan
+		speedup = mp.ByPolicy(schedcore.BestFit).Makespan / mp.ByPolicy(schedcore.TopoAwareP).Makespan
 	}
 	b.ReportMetric(speedup, "topoP-vs-BF-speedup")
 }
@@ -147,7 +146,7 @@ func BenchmarkFig10Scenario1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		viol = float64(mp.ByPolicy(sched.TopoAwareP).SLOViolations())
+		viol = float64(mp.ByPolicy(schedcore.TopoAwareP).SLOViolations())
 	}
 	b.ReportMetric(viol, "topoP-SLO-violations")
 }
@@ -167,7 +166,7 @@ func BenchmarkFig11Scenario2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		viol = float64(mp.ByPolicy(sched.TopoAwareP).SLOViolations())
+		viol = float64(mp.ByPolicy(schedcore.TopoAwareP).SLOViolations())
 	}
 	b.ReportMetric(viol, "topoP-SLO-violations")
 }
@@ -177,23 +176,23 @@ func BenchmarkFig11Scenario2(b *testing.B) {
 // reports ≈3s on their hardware vs ≈0.45s greedy; the reproduced quantity
 // is the topo/greedy ratio, visible against the FCFS benchmark below).
 func BenchmarkOverheadDecisionTopoAware(b *testing.B) {
-	benchDecision(b, sched.TopoAware)
+	benchDecision(b, schedcore.TopoAware)
 }
 
 // BenchmarkOverheadDecisionFCFS is the greedy counterpart of the decision
 // overhead comparison.
 func BenchmarkOverheadDecisionFCFS(b *testing.B) {
-	benchDecision(b, sched.FCFS)
+	benchDecision(b, schedcore.FCFS)
 }
 
 // BenchmarkOverheadDecisionBestFit measures Best-Fit's decision cost.
 func BenchmarkOverheadDecisionBestFit(b *testing.B) {
-	benchDecision(b, sched.BestFit)
+	benchDecision(b, schedcore.BestFit)
 }
 
 // benchDecision measures one placement decision on a 1000-machine cluster
 // with a realistic allocation level (≈50% of GPUs busy).
-func benchDecision(b *testing.B, policy sched.Policy) {
+func benchDecision(b *testing.B, policy schedcore.Policy) {
 	topo := topology.Cluster(1000, topology.KindMinsky)
 	st := cluster.NewState(topo)
 	occupant := perfmodel.Traits{Model: perfmodel.AlexNet, Class: 1, GPUs: 2}
@@ -211,7 +210,7 @@ func benchDecision(b *testing.B, policy sched.Policy) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := sched.New(policy, st, mapper)
+		s := schedcore.New(policy, st, mapper)
 		j := job.New("bench", perfmodel.AlexNet, 4, 2, 0.5, 0)
 		if err := s.Submit(j); err != nil {
 			b.Fatal(err)
@@ -304,42 +303,30 @@ func BenchmarkPlaceCacheHit(b *testing.B) {
 
 // BenchmarkScheduleSteadyState measures one steady-state scheduling
 // round through the schedcore engine at scenario-2 scale (1000 minsky
-// machines, ≈50% busy), with the placement cache on and off. The churn
-// loop places and releases the same job shape, so the cache-on variant
-// runs at its steady hit rate — the ratio between the two subbenchmarks
-// is the memoization speedup CI gates end to end via the cachebench
-// sweep grid.
+// machines, ≈50% busy). The churn loop places and releases the same job
+// shape, so the placement cache runs at its steady hit rate.
 func BenchmarkScheduleSteadyState(b *testing.B) {
-	for _, cacheOn := range []bool{true, false} {
-		name := "cache=on"
-		if !cacheOn {
-			name = "cache=off"
+	topo, st := halfBusyCluster(b, 1000)
+	mapper, err := core.NewMapper(profile.Generate(topo, 4), core.DefaultWeights())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := schedcore.New(schedcore.TopoAware, st, mapper)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := job.New("bench", perfmodel.AlexNet, 4, 2, 0.5, 0)
+		if err := c.Submit(j); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			topo, st := halfBusyCluster(b, 1000)
-			mapper, err := core.NewMapper(profile.Generate(topo, 4), core.DefaultWeights())
-			if err != nil {
-				b.Fatal(err)
-			}
-			c := schedcore.New(schedcore.TopoAware, st, mapper)
-			c.SetPlaceCache(cacheOn)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j := job.New("bench", perfmodel.AlexNet, 4, 2, 0.5, 0)
-				if err := c.Submit(j); err != nil {
-					b.Fatal(err)
-				}
-				ds := c.Schedule()
-				if len(ds) != 1 || ds[0].Postponed {
-					b.Fatal("placement failed")
-				}
-				b.StopTimer()
-				if err := c.Release("bench"); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
+		ds := c.Schedule()
+		if len(ds) != 1 || ds[0].Postponed {
+			b.Fatal("placement failed")
+		}
+		b.StopTimer()
+		if err := c.Release("bench"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 
@@ -429,7 +416,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := simulator.Run(simulator.Config{Topology: topo, Policy: sched.TopoAwareP}, jobs); err != nil {
+		if _, err := simulator.Run(simulator.Config{Topology: topo, Policy: schedcore.TopoAwareP}, jobs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -440,7 +427,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkPrototypeEngine(b *testing.B) {
 	topo := topology.Power8Minsky()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunPrototype(PrototypeConfig{Topology: topo, Policy: sched.TopoAwareP}, workload.Table1()); err != nil {
+		if _, err := RunPrototype(PrototypeConfig{Topology: topo, Policy: schedcore.TopoAwareP}, workload.Table1()); err != nil {
 			b.Fatal(err)
 		}
 	}

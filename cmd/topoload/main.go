@@ -67,7 +67,6 @@ type config struct {
 	hold       time.Duration
 	retries    int
 	maxQueue   int
-	noCache    bool
 	logPath    string
 	name       string
 	out        string
@@ -92,14 +91,12 @@ func main() {
 	flag.DurationVar(&cfg.hold, "hold", 20*time.Millisecond, "how long a placed job runs before release")
 	flag.IntVar(&cfg.retries, "retries", 8, "client retry budget for 429 admission rejections")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 0, "in-process server admission limit (0: unlimited)")
-	placeCache := flag.Bool("place-cache", true, "enable the in-process server's placement cache (placements are identical either way)")
 	flag.StringVar(&cfg.logPath, "log", "", "in-process server event-log path (empty: in-memory)")
 	flag.StringVar(&cfg.name, "name", "", "bench entry name (default serve/<topology>/<policy>)")
 	flag.StringVar(&cfg.out, "o", "BENCH_serve.json", "bench artifact path (empty: don't write)")
 	flag.BoolVar(&cfg.appendTo, "append", false, "merge into an existing artifact instead of overwriting")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the summary")
 	flag.Parse()
-	cfg.noCache = !*placeCache
 	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "topoload:", err)
 		os.Exit(1)
@@ -132,7 +129,6 @@ func run(cfg config, w io.Writer) error {
 		srv, err := serve.New(serve.Config{
 			Spec: spec, Policy: pol, Discipline: cfg.disc, Preemption: cfg.preempt,
 			LogPath: cfg.logPath, MaxQueue: cfg.maxQueue,
-			DisablePlaceCache: cfg.noCache,
 		})
 		if err != nil {
 			return err

@@ -59,10 +59,9 @@ func main() {
 		fsyncEv  = flag.Int("fsync-every", 0, "group-commit fsync once every N batches instead of every batch (0/1: every batch; >1 trades the durability of up to N-1 acked batches for latency)")
 		drainFor = flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests on SIGTERM")
 		quietOff = flag.Bool("quiet", false, "suppress the startup banner")
-		plCache  = flag.Bool("place-cache", true, "memoize placement decisions across canonically-equivalent subproblems (placements are identical either way)")
 	)
 	flag.Parse()
-	if err := run(*addr, *topoArg, *policy, *disc, *preempt, *logPath, *maxQueue, *snapshot, *fsyncEv, *drainFor, *quietOff, !*plCache); err != nil {
+	if err := run(*addr, *topoArg, *policy, *disc, *preempt, *logPath, *maxQueue, *snapshot, *fsyncEv, *drainFor, *quietOff); err != nil {
 		fmt.Fprintln(os.Stderr, "toposerve:", err)
 		os.Exit(1)
 	}
@@ -78,7 +77,7 @@ type engine interface {
 	Durable() bool
 }
 
-func run(addr, topoArg, policyName, discipline string, preempt bool, logPath string, maxQueue, snapshotEvery, fsyncEvery int, drainFor time.Duration, quiet, noPlaceCache bool) error {
+func run(addr, topoArg, policyName, discipline string, preempt bool, logPath string, maxQueue, snapshotEvery, fsyncEvery int, drainFor time.Duration, quiet bool) error {
 	spec, err := sweep.ParseTopologyArg(topoArg)
 	if err != nil {
 		return err
@@ -88,15 +87,14 @@ func run(addr, topoArg, policyName, discipline string, preempt bool, logPath str
 		return err
 	}
 	cfg := serve.Config{
-		Spec:              spec,
-		Policy:            pol,
-		Discipline:        discipline,
-		Preemption:        preempt,
-		LogPath:           logPath,
-		MaxQueue:          maxQueue,
-		SnapshotEvery:     snapshotEvery,
-		FsyncEvery:        fsyncEvery,
-		DisablePlaceCache: noPlaceCache,
+		Spec:          spec,
+		Policy:        pol,
+		Discipline:    discipline,
+		Preemption:    preempt,
+		LogPath:       logPath,
+		MaxQueue:      maxQueue,
+		SnapshotEvery: snapshotEvery,
+		FsyncEvery:    fsyncEvery,
 	}
 	var srv engine
 	sharding := ""

@@ -65,7 +65,6 @@ func main() {
 		diffB    = flag.Bool("diff-bench", false, "perf-diff two bench artifacts: toposweep -diff-bench -tol 0.5 old.json new.json; exits 2 on regression beyond tolerance")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this path")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (after the sweep) to this path")
-		plCache  = flag.Bool("place-cache", true, "canonical-shape placement cache; -place-cache=false re-runs the mapper on every decision (deterministic metrics are identical either way — the cache-bench CI job measures the wall-clock ratio)")
 	)
 	flag.Parse()
 
@@ -106,7 +105,7 @@ func main() {
 			benchName: *benchNm, benchAppend: *benchApp,
 			cpuProfile: *cpuProf, memProfile: *memProf,
 			smoke: *smoke, seed: *seed, seedSet: seedSet, quiet: *quiet,
-			workers: *workers, noPlaceCache: !*plCache,
+			workers: *workers,
 		}
 		if err := run(os.Stdout, *gridName, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "toposweep:", err)
@@ -227,7 +226,6 @@ type runOpts struct {
 	benchAppend            bool
 	cpuProfile, memProfile string
 	smoke, seedSet, quiet  bool
-	noPlaceCache           bool
 	seed                   uint64
 }
 
@@ -245,7 +243,7 @@ func run(w io.Writer, gridName string, o runOpts) error {
 		return err
 	}
 
-	opt := sweep.Options{Workers: o.workers, DisablePlaceCache: o.noPlaceCache}
+	opt := sweep.Options{Workers: o.workers}
 	if !o.quiet {
 		total := len(grid.Points())
 		last := -1

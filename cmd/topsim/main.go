@@ -15,7 +15,7 @@ import (
 
 	"gputopo/internal/job"
 	"gputopo/internal/metrics"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/topology"
 	"gputopo/internal/trace"
@@ -70,15 +70,15 @@ func run(machines, jobCount int, policyName string, seed uint64, rate float64, t
 		}
 	}
 
-	var policies []sched.Policy
+	var policies []schedcore.Policy
 	if policyName == "all" {
-		policies = sched.AllPolicies()
+		policies = schedcore.AllPolicies()
 	} else {
-		p, err := sched.ParsePolicy(policyName)
+		p, err := schedcore.ParsePolicy(policyName)
 		if err != nil {
 			return err
 		}
-		policies = []sched.Policy{p}
+		policies = []schedcore.Policy{p}
 	}
 
 	var results []*simulator.Result

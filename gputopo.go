@@ -38,7 +38,7 @@ import (
 	"gputopo/internal/jobgraph"
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/profile"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/topology"
 	"gputopo/internal/trace"
@@ -57,7 +57,7 @@ type (
 	// Weights are the utility/objective α coefficients.
 	Weights = core.Weights
 	// Policy is a scheduling policy.
-	Policy = sched.Policy
+	Policy = schedcore.Policy
 	// NN identifies a neural network model.
 	NN = perfmodel.NN
 	// BatchClass buckets batch sizes (tiny/small/medium/big).
@@ -82,10 +82,10 @@ type (
 
 // Scheduling policies (§5.2).
 const (
-	FCFS       = sched.FCFS
-	BestFit    = sched.BestFit
-	TopoAware  = sched.TopoAware
-	TopoAwareP = sched.TopoAwareP
+	FCFS       = schedcore.FCFS
+	BestFit    = schedcore.BestFit
+	TopoAware  = schedcore.TopoAware
+	TopoAwareP = schedcore.TopoAwareP
 )
 
 // Neural network models (§2).
@@ -160,4 +160,4 @@ func GenerateWorkload(cfg WorkloadConfig, topo *Topology) ([]*Job, error) {
 
 // AllPolicies lists every scheduling policy in the paper's presentation
 // order (BF, FCFS, TOPO-AWARE, TOPO-AWARE-P).
-func AllPolicies() []Policy { return sched.AllPolicies() }
+func AllPolicies() []Policy { return schedcore.AllPolicies() }

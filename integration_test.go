@@ -12,7 +12,7 @@ import (
 	"gputopo/internal/manifest"
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/profile"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/stats"
 	"gputopo/internal/topology"
@@ -207,7 +207,7 @@ func TestSchedulerConservationInvariant(t *testing.T) {
 			return false
 		}
 		st := cluster.NewState(topo)
-		s := sched.New(sched.TopoAwareP, st, mapper)
+		s := schedcore.New(schedcore.TopoAwareP, st, mapper)
 		placed := map[string]bool{}
 		id := 0
 		for step := 0; step < 40; step++ {
@@ -262,7 +262,7 @@ func TestSimulatorMatchesHandComputedScenario(t *testing.T) {
 	a.Iterations = 10
 	b := job.New("b", perfmodel.AlexNet, 128, 4, 0.0, 1)
 	b.Iterations = 10
-	res, err := simulator.Run(simulator.Config{Topology: topo, Policy: sched.FCFS}, []*job.Job{a, b})
+	res, err := simulator.Run(simulator.Config{Topology: topo, Policy: schedcore.FCFS}, []*job.Job{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 	"gputopo/internal/job"
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/profile"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/stats"
 	"gputopo/internal/topology"
@@ -32,7 +32,7 @@ import (
 // Config parameterizes a prototype run.
 type Config struct {
 	Topology     *topology.Topology
-	Policy       sched.Policy
+	Policy       schedcore.Policy
 	Weights      core.Weights
 	Profiles     *profile.Store
 	ComputeScale float64
@@ -129,7 +129,7 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 	}
 
 	st := cluster.NewState(cfg.Topology)
-	scheduler := sched.New(cfg.Policy, st, mapper)
+	scheduler := schedcore.New(cfg.Policy, st, mapper)
 	rng := stats.NewRNG(cfg.Seed)
 
 	e := &protoEngine{
@@ -199,7 +199,7 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 
 type protoEngine struct {
 	cfg       Config
-	scheduler *sched.Scheduler
+	scheduler *schedcore.Core
 	events    iterHeap
 	seq       int
 	now       float64

@@ -6,7 +6,7 @@ import (
 
 	"gputopo/internal/job"
 	"gputopo/internal/perfmodel"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/topology"
 	"gputopo/internal/workload"
@@ -29,7 +29,7 @@ func TestSoloJobDuration(t *testing.T) {
 	topo := topology.Power8Minsky()
 	j := job.New("solo", perfmodel.AlexNet, 1, 2, 0.5, 0)
 	j.Iterations = 500
-	res, err := Run(Config{Topology: topo, Policy: sched.TopoAware}, []*job.Job{j})
+	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSoloJobDuration(t *testing.T) {
 // noise (Figure 9).
 func TestValidationAgainstSimulator(t *testing.T) {
 	topo := topology.Power8Minsky()
-	for _, pol := range sched.AllPolicies() {
+	for _, pol := range schedcore.AllPolicies() {
 		proto, err := Run(Config{Topology: topo, Policy: pol}, workload.Table1())
 		if err != nil {
 			t.Fatalf("%v proto: %v", pol, err)
@@ -82,7 +82,7 @@ func TestBandwidthSeriesShape(t *testing.T) {
 	for _, b := range []int{1, 128} {
 		j := job.New("bw", perfmodel.AlexNet, b, 2, 0.5, 0)
 		j.Iterations = 300
-		res, err := Run(Config{Topology: topo, Policy: sched.TopoAware}, []*job.Job{j})
+		res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{j})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestBandwidthWindowsCoverRun(t *testing.T) {
 	topo := topology.Power8Minsky()
 	j := job.New("w", perfmodel.AlexNet, 1, 2, 0.5, 0)
 	j.Iterations = 1000 // ≈78s
-	res, err := Run(Config{Topology: topo, Policy: sched.TopoAware, WindowSize: 1}, []*job.Job{j})
+	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, WindowSize: 1}, []*job.Job{j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestInterferenceAtIterationGranularity(t *testing.T) {
 	a.Iterations = 500
 	b := job.New("b", perfmodel.AlexNet, 1, 2, 0.0, 0)
 	b.Iterations = 500
-	res, err := Run(Config{Topology: topo, Policy: sched.TopoAware}, []*job.Job{a, b})
+	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,18 +151,18 @@ func TestJitterReproducible(t *testing.T) {
 		j.Iterations = 200
 		return []*job.Job{j}
 	}
-	r1, err := Run(Config{Topology: topo, Policy: sched.TopoAware, JitterStddev: 0.02, Seed: 11}, mk())
+	r1, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, JitterStddev: 0.02, Seed: 11}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(Config{Topology: topo, Policy: sched.TopoAware, JitterStddev: 0.02, Seed: 11}, mk())
+	r2, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, JitterStddev: 0.02, Seed: 11}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Makespan != r2.Makespan {
 		t.Fatal("same seed produced different runs")
 	}
-	r3, err := Run(Config{Topology: topo, Policy: sched.TopoAware, JitterStddev: 0.02, Seed: 12}, mk())
+	r3, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, JitterStddev: 0.02, Seed: 12}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestPostponementCountsPropagate(t *testing.T) {
 	topo := topology.Power8Minsky()
 	// Six jobs on one machine force queueing; postponement counts appear
 	// in the results for the delayed jobs.
-	res, err := Run(Config{Topology: topo, Policy: sched.TopoAwareP}, workload.Table1())
+	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAwareP}, workload.Table1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestDuplicateJobIDsRejected(t *testing.T) {
 	topo := topology.Power8Minsky()
 	a := job.New("dup", perfmodel.AlexNet, 1, 1, 0.3, 0)
 	b := job.New("dup", perfmodel.AlexNet, 1, 1, 0.3, 1)
-	if _, err := Run(Config{Topology: topo, Policy: sched.FCFS}, []*job.Job{a, b}); err == nil {
+	if _, err := Run(Config{Topology: topo, Policy: schedcore.FCFS}, []*job.Job{a, b}); err == nil {
 		t.Fatal("duplicate job IDs accepted")
 	}
 }

@@ -50,13 +50,6 @@ type State struct {
 	freeMachines  int
 	maxFreeDirty  bool
 
-	// epoch is a monotonic version counter bumped by every Allocate and
-	// Release. A placement attempt is a pure function of the state, so a
-	// scheduler can memoize "job X could not be placed at epoch E" and
-	// skip re-evaluating X until the epoch moves — the version-gated
-	// rescheduling that keeps scenario-2 queue depths cheap.
-	epoch uint64
-
 	// shapeStatic caches the topology's per-machine static shape strings
 	// (topology.MachineShape), built once on the first fingerprint request
 	// and shared read-only between clones. fp holds the lazily maintained
@@ -204,7 +197,6 @@ func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits per
 	}
 	s.allocs[jobID] = alloc
 	s.maxFreeDirty = true
-	s.epoch++
 	return nil
 }
 
@@ -233,15 +225,8 @@ func (s *State) Release(jobID string) error {
 	}
 	delete(s.allocs, jobID)
 	s.maxFreeDirty = true
-	s.epoch++
 	return nil
 }
-
-// Epoch returns the state's monotonic version: it changes exactly when an
-// Allocate or Release mutates the allocation state. Two placement
-// evaluations at the same epoch see the same state and therefore decide
-// identically.
-func (s *State) Epoch() uint64 { return s.epoch }
 
 // Allocation returns the allocation of jobID, or nil.
 func (s *State) Allocation(jobID string) *Allocation {
@@ -476,7 +461,6 @@ func (s *State) Clone() *State {
 		maxFree:       s.maxFree,
 		freeMachines:  s.freeMachines,
 		maxFreeDirty:  s.maxFreeDirty,
-		epoch:         s.epoch,
 		shapeStatic:   s.shapeStatic, // immutable once built; shared
 	}
 	if s.fp != nil {
@@ -531,7 +515,6 @@ func (s *State) CopyFrom(src *State) {
 	s.maxFree = src.maxFree
 	s.freeMachines = src.freeMachines
 	s.maxFreeDirty = src.maxFreeDirty
-	s.epoch = src.epoch
 	s.shapeStatic = src.shapeStatic
 	if src.fp == nil {
 		s.fp = nil

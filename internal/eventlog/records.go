@@ -90,7 +90,6 @@ type SnapStats struct {
 	Placements     int   `json:"placements"`
 	Postponements  int   `json:"postponements"`
 	SLOViolations  int   `json:"slo_violations"`
-	GateSkips      int   `json:"gate_skips"`
 	WakeSkips      int   `json:"wake_skips"`
 	Preemptions    int   `json:"preemptions,omitempty"`
 	Evictions      int   `json:"evictions,omitempty"`

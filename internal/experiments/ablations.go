@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"gputopo/internal/metrics"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/sweep"
 	"gputopo/internal/topology"
 )
@@ -44,7 +44,7 @@ func LevelWeightAblation(socketWeights []float64) ([]WeightAblationRow, error) {
 	rep, err := sweep.Run(sweep.Grid{
 		Name:       "levelweights",
 		Source:     sweep.SourceTable1,
-		Policies:   []sched.Policy{sched.TopoAwareP},
+		Policies:   []schedcore.Policy{schedcore.TopoAwareP},
 		Topologies: specs,
 		Seeds:      []uint64{0},
 	}, sweep.Options{})
@@ -95,7 +95,7 @@ func AlphaSweep(alphas []float64, jobs, machines int, seed uint64) ([]AlphaRow, 
 	}
 	rep, err := sweep.Run(sweep.Grid{
 		Name:     "alpha",
-		Policies: []sched.Policy{sched.TopoAwareP},
+		Policies: []schedcore.Policy{schedcore.TopoAwareP},
 		Machines: []int{machines},
 		Jobs:     []int{jobs},
 		AlphasCC: alphas,
@@ -150,7 +150,7 @@ func ThresholdSweep(thresholds []float64, jobs, machines int, seed uint64) ([]Th
 	}
 	rep, err := sweep.Run(sweep.Grid{
 		Name:       "threshold",
-		Policies:   []sched.Policy{sched.TopoAwareP},
+		Policies:   []schedcore.Policy{schedcore.TopoAwareP},
 		Machines:   []int{machines},
 		Jobs:       []int{jobs},
 		Thresholds: thresholds,

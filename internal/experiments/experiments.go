@@ -14,7 +14,7 @@ import (
 	"gputopo/internal/jobgraph"
 	"gputopo/internal/metrics"
 	"gputopo/internal/perfmodel"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/sweep"
 	"gputopo/internal/topology"
@@ -135,7 +135,7 @@ func Fig5Bandwidth(seed uint64) ([]Fig5Series, error) {
 		}
 		res, err := caffesim.Run(caffesim.Config{
 			Topology: topo,
-			Policy:   sched.TopoAware,
+			Policy:   schedcore.TopoAware,
 			Seed:     seed,
 		}, []*job.Job{j})
 		if err != nil {
@@ -265,11 +265,11 @@ func RenderPCIe(rows []PCIeRow) string {
 
 // MultiPolicy holds the four-policy comparison of one scenario.
 type MultiPolicy struct {
-	Results []*simulator.Result // in sched.AllPolicies() order
+	Results []*simulator.Result // in schedcore.AllPolicies() order
 }
 
 // ByPolicy returns the result for the given policy.
-func (m *MultiPolicy) ByPolicy(p sched.Policy) *simulator.Result {
+func (m *MultiPolicy) ByPolicy(p schedcore.Policy) *simulator.Result {
 	for _, r := range m.Results {
 		if r.Policy == p {
 			return r
@@ -282,7 +282,7 @@ func (m *MultiPolicy) ByPolicy(p sched.Policy) *simulator.Result {
 // paper's presentation order.
 func multiPolicyFrom(rep *sweep.Report) *MultiPolicy {
 	out := &MultiPolicy{}
-	for _, pol := range sched.AllPolicies() {
+	for _, pol := range schedcore.AllPolicies() {
 		if pr := rep.ByPolicy(pol); pr != nil {
 			out.Results = append(out.Results, pr.Sim)
 		}
@@ -294,7 +294,7 @@ func multiPolicyFrom(rep *sweep.Report) *MultiPolicy {
 // job workload on one Minsky machine under all four policies, executed at
 // iteration granularity by the prototype engine — a one-cell sweep over
 // the policy axis.
-func Fig8Prototype(seed uint64) (*MultiPolicy, map[sched.Policy]*caffesim.Result, error) {
+func Fig8Prototype(seed uint64) (*MultiPolicy, map[schedcore.Policy]*caffesim.Result, error) {
 	rep, err := sweep.Run(sweep.Grid{
 		Name:   "fig8",
 		Source: sweep.SourceTable1,
@@ -304,8 +304,8 @@ func Fig8Prototype(seed uint64) (*MultiPolicy, map[sched.Policy]*caffesim.Result
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig8: %w", err)
 	}
-	protos := map[sched.Policy]*caffesim.Result{}
-	for _, pol := range sched.AllPolicies() {
+	protos := map[schedcore.Policy]*caffesim.Result{}
+	for _, pol := range schedcore.AllPolicies() {
 		if pr := rep.ByPolicy(pol); pr != nil {
 			protos[pol] = pr.Proto
 		}

@@ -6,7 +6,7 @@ import (
 
 	"gputopo/internal/jobgraph"
 	"gputopo/internal/perfmodel"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 )
 
 // These tests assert the *shape* of every reproduced figure — who wins, by
@@ -158,8 +158,8 @@ func TestFig8Shape(t *testing.T) {
 	if len(mp.Results) != 4 || len(protos) != 4 {
 		t.Fatal("missing policies")
 	}
-	bf := mp.ByPolicy(sched.BestFit)
-	tp := mp.ByPolicy(sched.TopoAwareP)
+	bf := mp.ByPolicy(schedcore.BestFit)
+	tp := mp.ByPolicy(schedcore.TopoAwareP)
 	if tp.SLOViolations() != 0 {
 		t.Fatalf("TOPO-AWARE-P violations = %d", tp.SLOViolations())
 	}
@@ -204,12 +204,12 @@ func TestScenarioShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp := mp.ByPolicy(sched.TopoAwareP)
+	tp := mp.ByPolicy(schedcore.TopoAwareP)
 	if tp.SLOViolations() != 0 {
 		t.Fatalf("TOPO-AWARE-P violations = %d", tp.SLOViolations())
 	}
 	for _, r := range mp.Results {
-		if r.Policy == sched.TopoAwareP {
+		if r.Policy == schedcore.TopoAwareP {
 			continue
 		}
 		if r.SLOViolations() == 0 {
@@ -239,7 +239,7 @@ func TestOverheadShape(t *testing.T) {
 	var greedy, topo float64
 	for _, r := range rows {
 		switch r.Policy {
-		case sched.FCFS, sched.BestFit:
+		case schedcore.FCFS, schedcore.BestFit:
 			greedy += float64(r.MeanDecision)
 		default:
 			topo += float64(r.MeanDecision)

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"gputopo/internal/metrics"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/topology"
 	"gputopo/internal/workload"
@@ -14,7 +14,7 @@ import (
 
 // OverheadRow is one policy's scheduling-decision cost (§5.5.3).
 type OverheadRow struct {
-	Policy       sched.Policy
+	Policy       schedcore.Policy
 	MeanDecision time.Duration
 	MaxDecision  time.Duration
 	Decisions    int
@@ -32,7 +32,7 @@ func Overhead(jobs, machines int, seed uint64) ([]OverheadRow, error) {
 		return nil, err
 	}
 	var rows []OverheadRow
-	for _, pol := range sched.AllPolicies() {
+	for _, pol := range schedcore.AllPolicies() {
 		res, err := simulator.Run(simulator.Config{Topology: topo, Policy: pol}, stream)
 		if err != nil {
 			return nil, fmt.Errorf("overhead %s: %w", pol, err)
@@ -62,7 +62,7 @@ func RenderOverhead(rows []OverheadRow) string {
 			fmt.Sprintf("%d", r.Decisions),
 		})
 		switch r.Policy {
-		case sched.FCFS, sched.BestFit:
+		case schedcore.FCFS, schedcore.BestFit:
 			greedy += r.MeanDecision
 			greedyN++
 		default:
@@ -101,7 +101,7 @@ func RenderFig8(mp *MultiPolicy) string {
 // ValidationRow compares prototype and simulator outcomes for one policy
 // (§5.4, Figure 9).
 type ValidationRow struct {
-	Policy            sched.Policy
+	Policy            schedcore.Policy
 	PrototypeMakespan float64
 	SimulatorMakespan float64
 	RelativeError     float64

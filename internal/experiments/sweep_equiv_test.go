@@ -5,7 +5,7 @@ import (
 
 	"gputopo/internal/caffesim"
 	"gputopo/internal/core"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/topology"
 	"gputopo/internal/workload"
@@ -28,7 +28,7 @@ func legacyScenario(jobs, machines int, seed uint64) (*MultiPolicy, error) {
 		return nil, err
 	}
 	out := &MultiPolicy{}
-	for _, pol := range sched.AllPolicies() {
+	for _, pol := range schedcore.AllPolicies() {
 		res, err := simulator.Run(simulator.Config{Topology: topo, Policy: pol}, stream)
 		if err != nil {
 			return nil, err
@@ -41,7 +41,7 @@ func legacyScenario(jobs, machines int, seed uint64) (*MultiPolicy, error) {
 func legacyFig9(seed uint64) (*MultiPolicy, error) {
 	topo := topology.Power8Minsky()
 	out := &MultiPolicy{}
-	for _, pol := range sched.AllPolicies() {
+	for _, pol := range schedcore.AllPolicies() {
 		res, err := simulator.Run(simulator.Config{
 			Topology:       topo,
 			Policy:         pol,
@@ -56,10 +56,10 @@ func legacyFig9(seed uint64) (*MultiPolicy, error) {
 	return out, nil
 }
 
-func legacyFig8(seed uint64) (map[sched.Policy]*caffesim.Result, error) {
+func legacyFig8(seed uint64) (map[schedcore.Policy]*caffesim.Result, error) {
 	topo := topology.Power8Minsky()
-	protos := map[sched.Policy]*caffesim.Result{}
-	for _, pol := range sched.AllPolicies() {
+	protos := map[schedcore.Policy]*caffesim.Result{}
+	for _, pol := range schedcore.AllPolicies() {
 		res, err := caffesim.Run(caffesim.Config{
 			Topology: topo,
 			Policy:   pol,
@@ -84,7 +84,7 @@ func legacyAlphaSweep(alphas []float64, jobs, machines int, seed uint64) ([]Alph
 		rest := (1 - a) / 2
 		res, err := simulator.Run(simulator.Config{
 			Topology: topo,
-			Policy:   sched.TopoAwareP,
+			Policy:   schedcore.TopoAwareP,
 			Weights:  core.Weights{CommCost: a, Interference: rest, Fragmentation: rest},
 		}, stream)
 		if err != nil {
@@ -115,7 +115,7 @@ func legacyThresholdSweep(thresholds []float64, jobs, machines int, seed uint64)
 		}
 		res, err := simulator.Run(simulator.Config{
 			Topology: topo,
-			Policy:   sched.TopoAwareP,
+			Policy:   schedcore.TopoAwareP,
 		}, stream)
 		if err != nil {
 			return nil, err
@@ -136,7 +136,7 @@ func legacyLevelWeightAblation(socketWeights []float64) ([]WeightAblationRow, er
 		topo := topology.Power8MinskyWeights(topology.LevelWeights{Socket: w})
 		res, err := simulator.Run(simulator.Config{
 			Topology: topo,
-			Policy:   sched.TopoAwareP,
+			Policy:   schedcore.TopoAwareP,
 		}, workload.Table1())
 		if err != nil {
 			return nil, err
@@ -221,7 +221,7 @@ func TestFig8MatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range sched.AllPolicies() {
+	for _, pol := range schedcore.AllPolicies() {
 		sameResult(t, "fig8", &protos[pol].Result, &want[pol].Result)
 		if len(protos[pol].Bandwidth) != len(want[pol].Bandwidth) {
 			t.Fatalf("fig8/%v: bandwidth series changed", pol)

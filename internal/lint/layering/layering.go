@@ -64,7 +64,6 @@ var Ranks = map[string]Layer{
 
 	"gputopo/internal/schedcore/domains": {650, "scheduling domains"},
 
-	"gputopo/internal/sched":              {700, "scheduling adapter"},
 	"gputopo/internal/schedcore/difftest": {700, "scheduling reference"},
 
 	"gputopo/internal/simulator": {800, "engines"},

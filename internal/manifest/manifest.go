@@ -19,7 +19,7 @@ import (
 	"gputopo/internal/job"
 	"gputopo/internal/jobgraph"
 	"gputopo/internal/perfmodel"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/topology"
 )
@@ -115,7 +115,7 @@ func (e *Experiment) Validate() error {
 		return err
 	}
 	for _, a := range e.Algorithms {
-		if _, err := sched.ParsePolicy(a.Name); err != nil {
+		if _, err := schedcore.ParsePolicy(a.Name); err != nil {
 			return err
 		}
 		if _, err := a.weights(); err != nil {
@@ -215,7 +215,7 @@ func (e *Experiment) Run() ([]RunResult, error) {
 	}
 	var out []RunResult
 	for _, a := range e.Algorithms {
-		policy, err := sched.ParsePolicy(a.Name)
+		policy, err := schedcore.ParsePolicy(a.Name)
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/topology"
 	"gputopo/internal/workload"
@@ -14,7 +14,7 @@ func table1Results(t *testing.T) []*simulator.Result {
 	t.Helper()
 	topo := topology.Power8Minsky()
 	var out []*simulator.Result
-	for _, pol := range sched.AllPolicies() {
+	for _, pol := range schedcore.AllPolicies() {
 		res, err := simulator.Run(simulator.Config{Topology: topo, Policy: pol}, workload.Table1())
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +125,7 @@ func TestTimelineRendering(t *testing.T) {
 func TestCompareRuns(t *testing.T) {
 	results := table1Results(t)
 	out := CompareRuns(results)
-	for _, pol := range sched.AllPolicies() {
+	for _, pol := range schedcore.AllPolicies() {
 		if !strings.Contains(out, pol.String()) {
 			t.Fatalf("comparison missing %v:\n%s", pol, out)
 		}

@@ -1,6 +1,7 @@
 package schedcore
 
 import (
+	"reflect"
 	"testing"
 
 	"gputopo/internal/topology"
@@ -9,75 +10,37 @@ import (
 // TestPlaceCacheHitsAcrossEquivalentMachines: a homogeneous fleet fed
 // identical jobs is the cache's home turf — after the first machine is
 // solved, every further identical subproblem must replay from the
-// cache, and the decisions must be the same as an uncached core's.
+// cache, and every decision must equal what the uncached placer (the
+// differential reference's arithmetic) computes on the same state.
 func TestPlaceCacheHitsAcrossEquivalentMachines(t *testing.T) {
-	topo := topology.Cluster(8, topology.KindMinsky)
-	cached := newSchedWith(t, TopoAware, topo)
-	uncached := newSchedWith(t, TopoAware, topo)
-	uncached.SetPlaceCache(false)
+	s := newSchedWith(t, TopoAware, topology.Cluster(8, topology.KindMinsky))
+	uncached := NewPlacer(TopoAware, s.State(), s.mapper)
 
 	for i := 0; i < 16; i++ {
 		j := mkJob(jobID(i), 16, 2, 0, float64(i))
-		if err := cached.Submit(j); err != nil {
+		want, _ := uncached.Attempt(j)
+		if want == nil {
+			t.Fatalf("round %d: uncached placer found no placement", i)
+		}
+		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
-		if err := uncached.Submit(mkJob(jobID(i), 16, 2, 0, float64(i))); err != nil {
-			t.Fatal(err)
+		ds := s.Schedule()
+		if len(ds) != 1 || ds[0].Postponed {
+			t.Fatalf("round %d: want one placement, got %+v", i, ds)
 		}
-		want := placedIDs(uncached.Schedule())
-		got := placedIDs(cached.Schedule())
-		if len(got) != len(want) || (len(got) == 1 && got[0] != want[0]) {
-			t.Fatalf("round %d: cached %v, uncached %v", i, got, want)
-		}
-	}
-	cd := cached.State()
-	ud := uncached.State()
-	for _, id := range ud.Jobs() {
-		ca, ua := cd.Allocation(id), ud.Allocation(id)
-		if ca == nil {
-			t.Fatalf("job %s missing under cache", id)
-		}
-		for k := range ua.GPUs {
-			if ca.GPUs[k] != ua.GPUs[k] {
-				t.Fatalf("job %s placed on %v cached vs %v uncached", id, ca.GPUs, ua.GPUs)
-			}
+		if got := ds[0].Placement; !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: cached %+v, uncached %+v", i, got, want)
 		}
 	}
 
-	st := cached.Stats()
-	if st.PlaceCacheHits == 0 {
+	if st := s.Stats(); st.PlaceCacheHits == 0 {
 		t.Fatalf("no cache hits on a homogeneous fleet of identical jobs: %+v", st)
-	}
-	if us := uncached.Stats(); us.PlaceCacheHits != 0 || us.PlaceCacheMisses != 0 {
-		t.Fatalf("disabled cache reported traffic: %+v", us)
 	}
 }
 
 func jobID(i int) string {
 	return string([]byte{'j', byte('a' + i/26), byte('a' + i%26)})
-}
-
-func TestSetPlaceCacheToggle(t *testing.T) {
-	s := newSchedWith(t, TopoAware, topology.Power8Minsky())
-	if s.PlaceCache() == nil {
-		t.Fatal("cache must default on")
-	}
-	s.SetPlaceCache(false)
-	if s.PlaceCache() != nil || s.place.cache != nil {
-		t.Fatal("SetPlaceCache(false) left a cache wired")
-	}
-	_ = s.Submit(mkJob("a", 16, 2, 0, 0))
-	if ids := placedIDs(s.Schedule()); len(ids) != 1 {
-		t.Fatalf("placements with cache off: %v", ids)
-	}
-	s.SetPlaceCache(true)
-	if s.PlaceCache() == nil || s.place.cache == nil {
-		t.Fatal("SetPlaceCache(true) did not rewire")
-	}
-	_ = s.Submit(mkJob("b", 16, 2, 0, 1))
-	if ids := placedIDs(s.Schedule()); len(ids) != 1 {
-		t.Fatalf("placements with cache back on: %v", ids)
-	}
 }
 
 // TestVictimSearchAllocs pins the preemption satellite: evaluating a

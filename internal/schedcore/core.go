@@ -1,6 +1,6 @@
 // Package schedcore is the driver-agnostic scheduling core of §4.4
-// (Algorithm 1): queue management, the epoch-gated placement loop, the
-// wake-up index and the four placement policies of §5, behind a small
+// (Algorithm 1): queue management, the placement loop, the wake-up
+// index and the four placement policies of §5, behind a small
 // Core API (Submit / Release / Schedule / Stats) with a pluggable Clock
 // and QueueDiscipline.
 //
@@ -46,9 +46,9 @@ type Decision struct {
 	Time float64
 	// Postponements, set on placement decisions only, is the number of
 	// scheduling rounds the job waited in the queue before this
-	// placement. It is computed from the round counters, so it is
-	// identical whether the wake-up index skipped the job's doomed
-	// re-evaluations or a full queue walk replayed them.
+	// placement. Under TOPO-AWARE-P it is computed from the round
+	// counters, so rounds the wake-up index left the job parked count
+	// exactly like rounds that examined and postponed it.
 	Postponements int
 	// Evictions lists the running jobs this placement preempted, in
 	// eviction order. Non-empty only under SetPreemption(true) when the
@@ -64,17 +64,13 @@ type Stats struct {
 	Placements    int
 	Postponements int
 	SLOViolations int
-	// GateSkips counts queued jobs whose placement evaluation was skipped
-	// because the cluster epoch had not moved since their last failed
-	// attempt (version-gated rescheduling). Each skip replays the memoized
-	// postponement decision instead of re-running the placement policy.
-	GateSkips int
+	GateSkips     int // always 0 (the version gate is gone); kept because the frozen cmd/topoperf reads it
 	// WakeSkips counts queued jobs the wake-up index left parked during a
 	// Schedule call: capacity-blocked jobs whose wake-up key (the smallest
 	// free-GPU count that could unblock them) the cluster had not reached,
 	// so no decision record was materialized for them at all. They still
-	// count as Postponements — the aggregate stays identical to a full
-	// queue walk — but cost O(1) in bulk instead of O(1) each.
+	// count as Postponements — one per parked job per round, as the naive
+	// reference counts them — but cost O(1) in bulk instead of O(1) each.
 	WakeSkips int
 	// Preemptions counts placements that went through the preemption
 	// path (evicting at least one victim); Evictions counts the victims
@@ -88,10 +84,28 @@ type Stats struct {
 	// internal/schedcore/placecache). A hit replays a cached mapper
 	// decision through a GPU relabeling instead of re-running the DRB
 	// recursion; the counters never influence decisions, only the
-	// observability surfaces. All zero when the cache is disabled.
+	// observability surfaces.
 	PlaceCacheHits      int
 	PlaceCacheMisses    int
 	PlaceCacheEvictions int
+}
+
+// Add folds o into s — shards into a merged result, a snapshot base into
+// the live counters. Counters and DecisionTime sum; MaxDecision, a
+// worst case rather than a total, takes the larger.
+func (s *Stats) Add(o Stats) {
+	s.Decisions += o.Decisions
+	s.Placements += o.Placements
+	s.Postponements += o.Postponements
+	s.SLOViolations += o.SLOViolations
+	s.WakeSkips += o.WakeSkips
+	s.Preemptions += o.Preemptions
+	s.Evictions += o.Evictions
+	s.DecisionTime += o.DecisionTime
+	s.MaxDecision = max(s.MaxDecision, o.MaxDecision)
+	s.PlaceCacheHits += o.PlaceCacheHits
+	s.PlaceCacheMisses += o.PlaceCacheMisses
+	s.PlaceCacheEvictions += o.PlaceCacheEvictions
 }
 
 // MeanDecisionTime returns the average time per placement decision.
@@ -100,16 +114,6 @@ func (s Stats) MeanDecisionTime() time.Duration {
 		return 0
 	}
 	return s.DecisionTime / time.Duration(s.Decisions)
-}
-
-// failedAttempt memoizes the outcome of a failed placement attempt: the
-// cluster epoch it was evaluated at and the postponement reason it
-// produced. Until an Allocate or Release moves the epoch, re-evaluating
-// the job is guaranteed to reproduce exactly this decision, so the
-// scheduler replays it instead of re-running the placement policy.
-type failedAttempt struct {
-	epoch  uint64
-	reason string
 }
 
 // entry is one queued job plus the bookkeeping the core keeps per job:
@@ -136,17 +140,18 @@ type Core struct {
 	clock  Clock
 	disc   QueueDiscipline
 
-	// queue is the single ordered wait list of the full-walk path: the
-	// in-order policies (FCFS, BF, TOPO-AWARE), and TOPO-AWARE-P with the
-	// wake-up index disabled. Kept sorted by the discipline (§4.4:
-	// arrival order avoids starvation).
+	// queue holds the waiting jobs every round looks at, sorted by the
+	// discipline (§4.4: arrival order avoids starvation). For the in-order
+	// policies (FCFS, BF, TOPO-AWARE) that is the whole wait list. Under
+	// TOPO-AWARE-P it is the active part of the wake-up index: new
+	// submissions and jobs whose last failure was a placement-policy
+	// outcome (low utility, constraint infeasibility) rather than raw
+	// capacity — the place cache is what makes re-asking them cheap while
+	// the state stands still.
 	queue []entry
 
-	// Wake-up index (TOPO-AWARE-P with the index enabled). active holds
-	// the jobs that must be re-examined whenever the cluster state moves:
-	// new submissions and jobs whose last failure was a placement-policy
-	// outcome (low utility, constraint infeasibility) rather than raw
-	// capacity. parkedSingle/parkedMulti hold the capacity-blocked jobs,
+	// Wake-up index (TOPO-AWARE-P only; empty otherwise).
+	// parkedSingle/parkedMulti hold the capacity-blocked jobs,
 	// bucketed by their wake-up key — the smallest free-GPU count
 	// (largest-free-machine count for single-node jobs, cluster-wide
 	// count for multi-node ones) that could possibly unblock them — as
@@ -154,11 +159,9 @@ type Core struct {
 	// the capacity its key demands is actually there, so a release
 	// reschedules O(affected) jobs instead of waking (and re-parking)
 	// whole buckets or walking the whole queue.
-	active       []entry
 	parkedSingle map[int]*entryHeap
 	parkedMulti  map[int]*entryHeap
 	nParked      int
-	indexOff     bool
 
 	seq    int // next submission sequence number
 	rounds int // completed Schedule calls
@@ -166,9 +169,9 @@ type Core struct {
 	// place evaluates the placement policies against the live state; the
 	// preemption path evaluates victim sets with victimPlacer over the
 	// pooled victimScratch clone. cache is the shared placement-decision
-	// cache both placers consult (nil when disabled): keys are pure
-	// functions of the state being evaluated, so live-state and
-	// victim-clone evaluations can safely share entries.
+	// cache both placers consult: keys are pure functions of the state
+	// being evaluated, so live-state and victim-clone evaluations can
+	// safely share entries.
 	place         placer
 	cache         *placecache.Cache
 	victimScratch *cluster.State
@@ -190,11 +193,6 @@ type Core struct {
 	evictedInRound bool
 
 	stats Stats
-	// lastFailed holds the version-gate memo per queued job ID. Entries
-	// are dropped when the job places (it leaves the queue). gateOff
-	// disables the gate — only the on/off equivalence tests use it.
-	lastFailed map[string]failedAttempt
-	gateOff    bool
 
 	// decBuf and decPtrs are the reusable decision buffers: at scenario-2
 	// queue depths every event produces many postponement decisions, and
@@ -203,7 +201,7 @@ type Core struct {
 	// Schedule call.
 	decBuf  []Decision
 	decPtrs []*Decision
-	// evalScratch double-buffers the active list across indexed Schedule
+	// evalScratch double-buffers the queue across indexed Schedule
 	// rounds. Its contents are dead once the owning call returns.
 	evalScratch []entry
 }
@@ -221,19 +219,18 @@ func WithQueueDiscipline(d QueueDiscipline) Option { return func(c *Core) { c.di
 // required for the topology-aware policies and used by the greedy ones
 // only to score their decisions for the metrics.
 func New(policy Policy, state *cluster.State, mapper *core.Mapper, opts ...Option) *Core {
+	cache := placecache.New(0)
 	// The parked buckets materialize lazily on the first park: only
 	// TOPO-AWARE-P ever uses them, and a scheduler-per-decision
 	// micro-benchmark should not pay for maps it never touches.
 	c := &Core{
-		policy:     policy,
-		state:      state,
-		mapper:     mapper,
-		lastFailed: map[string]failedAttempt{},
-		running:    map[string]*job.Job{},
-		place:      placer{policy: policy, state: state, mapper: mapper},
-		cache:      placecache.New(0),
+		policy:  policy,
+		state:   state,
+		mapper:  mapper,
+		running: map[string]*job.Job{},
+		place:   placer{policy: policy, state: state, mapper: mapper, cache: cache},
+		cache:   cache,
 	}
-	c.place.cache = c.cache
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -246,72 +243,10 @@ func New(policy Policy, state *cluster.State, mapper *core.Mapper, opts ...Optio
 	return c
 }
 
-// SetEpochGate toggles the version-gated rescheduling (on by default).
-// Gating never changes decisions — a placement attempt is a deterministic
-// function of the cluster state, and the gate only skips attempts whose
-// state provably has not changed — so the switch exists for the
-// equivalence tests that prove exactly that, and as an escape hatch.
-func (c *Core) SetEpochGate(enabled bool) { c.gateOff = !enabled }
-
-// SetWakeIndex toggles the wake-up index (on by default; only
-// TOPO-AWARE-P uses it — the in-order policies stop at the first blocked
-// job, so their walks are already O(affected)). Like the epoch gate, the
-// index never changes aggregate results: the equivalence tests prove
-// artifacts byte-identical either way. Toggling mid-run migrates the
-// queued jobs between the two representations.
-func (c *Core) SetWakeIndex(enabled bool) {
-	if c.indexOff == !enabled {
-		return
-	}
-	wasIndexed := c.indexed()
-	c.indexOff = !enabled
-	if c.policy != TopoAwareP {
-		return
-	}
-	if wasIndexed && !c.indexed() {
-		// Flush active + parked back into the single queue.
-		c.queue = append(c.queue, c.active...)
-		c.active = c.active[:0]
-		for g, h := range c.parkedSingle {
-			c.queue = append(c.queue, h.es...)
-			delete(c.parkedSingle, g)
-		}
-		for g, h := range c.parkedMulti {
-			c.queue = append(c.queue, h.es...)
-			delete(c.parkedMulti, g)
-		}
-		c.nParked = 0
-		c.sortEntries(c.queue)
-	} else if !wasIndexed && c.indexed() {
-		c.active = append(c.active, c.queue...)
-		c.queue = c.queue[:0]
-		c.sortEntries(c.active)
-	}
-}
-
-// SetPlaceCache toggles the placement-decision cache (on by default).
-// Like the epoch gate and the wake-up index, the cache never changes
-// decisions — a hit replays the exact mapper decision the key's state
-// would recompute, through a GPU relabeling — so the switch exists for
-// the equivalence tests that prove exactly that, and as an escape
-// hatch. Toggling drops any cached state.
-func (c *Core) SetPlaceCache(enabled bool) {
-	if enabled {
-		c.cache = placecache.New(0)
-	} else {
-		c.cache = nil
-	}
-	c.place.cache = c.cache
-	c.victimPlacer.cache = c.cache
-}
-
-// PlaceCache returns the core's placement-decision cache (nil when
-// disabled) — the sharded serving tests reach it to assert shared-cache
-// behavior under -race.
-func (c *Core) PlaceCache() *placecache.Cache { return c.cache }
-
-// indexed reports whether the wake-up index drives Schedule.
-func (c *Core) indexed() bool { return c.policy == TopoAwareP && !c.indexOff }
+// indexed reports whether the wake-up index drives Schedule: TOPO-AWARE-P
+// is the one policy that walks past a blocked job. The in-order policies
+// stop at the first one, so their walks are already O(affected).
+func (c *Core) indexed() bool { return c.policy == TopoAwareP }
 
 // Discipline returns the name of the queue discipline ordering the wait
 // queue.
@@ -327,12 +262,10 @@ func (c *Core) State() *cluster.State { return c.state }
 // placement-cache counters merged in from the live cache.
 func (c *Core) Stats() Stats {
 	st := c.stats
-	if c.cache != nil {
-		cs := c.cache.Stats()
-		st.PlaceCacheHits = cs.Hits
-		st.PlaceCacheMisses = cs.Misses
-		st.PlaceCacheEvictions = cs.Evictions
-	}
+	cs := c.cache.Stats()
+	st.PlaceCacheHits = cs.Hits
+	st.PlaceCacheMisses = cs.Misses
+	st.PlaceCacheEvictions = cs.Evictions
 	return st
 }
 
@@ -351,10 +284,6 @@ func (c *Core) entryCmp(a, b entry) int {
 		return 1
 	}
 	return a.seq - b.seq
-}
-
-func (c *Core) sortEntries(es []entry) {
-	slices.SortFunc(es, c.entryCmp)
 }
 
 // insertOrdered appends e, re-sorting only when e is out of order — jobs
@@ -376,43 +305,35 @@ func (c *Core) Submit(j *job.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
-	e := entry{job: j, seq: c.seq, enterRound: c.rounds}
-	c.seq++
-	if c.indexed() {
-		// New jobs are always active: they have never been evaluated, so
-		// no wake-up key is known for them yet.
-		c.active = c.insertOrdered(c.active, e)
-	} else {
-		c.queue = c.insertOrdered(c.queue, e)
-	}
+	c.enqueue(j)
 	return nil
 }
 
-// QueueLen returns the number of waiting jobs.
-func (c *Core) QueueLen() int {
-	if c.indexed() {
-		return len(c.active) + c.nParked
-	}
-	return len(c.queue)
+// enqueue adds j to the queue as a fresh submission. Under the wake-up
+// index a new job is never parked: it has not been evaluated yet, so no
+// wake-up key is known for it.
+func (c *Core) enqueue(j *job.Job) {
+	c.queue = c.insertOrdered(c.queue, entry{job: j, seq: c.seq, enterRound: c.rounds})
+	c.seq++
 }
 
-// Queued returns the waiting jobs in queue order. Under the wake-up
-// index this merges the active and parked sets (O(n log n)); it is a
+// QueueLen returns the number of waiting jobs.
+func (c *Core) QueueLen() int { return len(c.queue) + c.nParked }
+
+// Queued returns the waiting jobs in queue order. With jobs parked in
+// the wake-up index this merges them back in (O(n log n)); it is a
 // reporting accessor, not a hot path.
 func (c *Core) Queued() []*job.Job {
-	var es []entry
-	if c.indexed() {
-		es = make([]entry, 0, c.QueueLen())
-		es = append(es, c.active...)
+	es := c.queue
+	if c.nParked > 0 {
+		es = append(make([]entry, 0, c.QueueLen()), c.queue...)
 		for _, h := range c.parkedSingle {
 			es = append(es, h.es...)
 		}
 		for _, h := range c.parkedMulti {
 			es = append(es, h.es...)
 		}
-		c.sortEntries(es)
-	} else {
-		es = c.queue
+		slices.SortFunc(es, c.entryCmp)
 	}
 	out := make([]*job.Job, len(es))
 	for i, e := range es {
@@ -467,16 +388,9 @@ func (c *Core) Withdraw(jobID string) bool {
 		}
 		return false
 	}
-	found := false
-	if c.indexed() {
-		if c.active, found = remove(c.active); !found {
-			found = removeParked(c.parkedSingle) || removeParked(c.parkedMulti)
-		}
-	} else {
-		c.queue, found = remove(c.queue)
-	}
-	if found {
-		delete(c.lastFailed, jobID)
+	var found bool
+	if c.queue, found = remove(c.queue); !found {
+		found = removeParked(c.parkedSingle) || removeParked(c.parkedMulti)
 	}
 	return found
 }
@@ -488,18 +402,14 @@ func (c *Core) Withdraw(jobID string) bool {
 // on capacity, preserving FIFO fairness; TOPO-AWARE-P skips postponed
 // jobs and continues (out-of-order execution, §4.4).
 //
-// Version gate: a failed attempt is memoized with the cluster epoch it
-// saw. While the epoch stands still the attempt would reproduce the exact
-// same postponement, so the gate replays the memoized decision instead of
-// re-running the placement policy.
-//
 // Wake-up index (TOPO-AWARE-P): capacity-blocked jobs are parked under
 // the smallest free-GPU count that could unblock them and are not even
 // visited — much less given decision records — until the cluster reaches
-// it, making events O(affected) instead of O(queue). Parked-and-skipped
+// it, making events O(affected) instead of O(waiting). Parked-and-skipped
 // jobs still count as postponements in bulk, so Stats (and every
-// artifact metric) is bit-identical with the index on or off; only the
-// returned decision stream omits their replayed records.
+// artifact metric) equals what a walk over the whole queue would
+// produce — the differential harness's naive reference is that walk;
+// only the returned decision stream omits their no-capacity records.
 //
 // The returned slice and the decisions it points to are reused by the
 // next Schedule call — consume them before scheduling again (the
@@ -525,12 +435,11 @@ func (c *Core) Schedule() []*Decision {
 	return c.decPtrs
 }
 
-// waited returns the placement-decision postponement count for e: the
-// number of completed scheduling rounds the job sat in the queue. For
-// TOPO-AWARE-P a full walk emits exactly one postponement decision per
-// queued job per round, so this equals the emitted count; the in-order
-// policies skip the jobs behind a blocked head, so they report the
-// explicitly emitted count instead.
+// waited returns the placement-decision postponement count for e. Under
+// TOPO-AWARE-P every queued job is postponed once per round (examined or
+// left parked), so it is the number of completed scheduling rounds the
+// job sat in the queue; the in-order policies never reach the jobs behind
+// a blocked head, so they report the explicitly emitted count instead.
 func (c *Core) waited(e *entry) int {
 	if c.policy == TopoAwareP {
 		return c.rounds - 1 - e.enterRound
@@ -538,50 +447,40 @@ func (c *Core) waited(e *entry) int {
 	return e.postponed
 }
 
-// scheduleWalk is the full-queue path: the in-order policies, and
-// TOPO-AWARE-P with the wake-up index disabled. Surviving jobs are
-// compacted into the queue's own backing array: keep < idx always holds,
-// so the write never clobbers an unread entry.
+// scheduleWalk is the in-order path (FCFS, BF, TOPO-AWARE): examine the
+// head of the queue until one blocks. The survivors slide to the front of
+// the queue's own backing array.
 func (c *Core) scheduleWalk(now float64) {
-	keep := 0
-	blocked := false
-	for idx := range c.queue {
-		e := &c.queue[idx]
-		if blocked {
-			keep += copy(c.queue[keep:], c.queue[idx:])
-			break
-		}
-		placed := c.examine(e, now)
-		if !placed {
-			c.queue[keep] = *e
-			keep++
-			if c.policy != TopoAwareP {
-				blocked = true
-			}
-		}
+	placed := 0
+	for placed < len(c.queue) && c.examine(&c.queue[placed], now) {
+		placed++
 	}
+	if placed == 0 {
+		return
+	}
+	keep := copy(c.queue, c.queue[placed:])
 	// Clear the dropped tail so placed jobs do not linger in the backing
 	// array and keep their allocations reachable.
-	for i := keep; i < len(c.queue); i++ {
-		c.queue[i] = entry{}
-	}
+	clear(c.queue[keep:])
 	c.queue = c.queue[:keep]
 }
 
 // scheduleIndexed is the wake-up-index path (TOPO-AWARE-P only). It
-// merge-walks the active list against the heads of the parked buckets in
+// merge-walks the queue against the heads of the parked buckets in
 // exact queue order, but consults a bucket only while the capacity its
 // wake-up key demands is actually there — so a parked job is popped only
 // when its availableResources gate is about to pass, and a release event
-// costs O(active + unblocked) instead of O(queue).
+// costs O(active + unblocked) instead of O(waiting).
 //
-// Decision-equivalence: capacity only shrinks during the walk (Schedule
-// never releases), so a bucket whose key exceeds the current capacity is
-// guaranteed to fail the O(1) gate at this and every later position of a
-// full walk — its jobs would each receive a rubber-stamp no-capacity
-// postponement and stay queued. The index skips materializing those
-// records and accounts them in bulk, which keeps Stats (and every
-// artifact metric) bit-identical to the full walk.
+// Decision-equivalence with a walk over the whole queue (what the
+// differential harness's naive reference does): capacity only shrinks
+// during the walk (Schedule never releases), so a bucket whose key
+// exceeds the current capacity is guaranteed to fail the O(1) gate at
+// this and every later position of a full walk — its jobs would each
+// receive a rubber-stamp no-capacity postponement and stay queued. The
+// index skips materializing those records and accounts them in bulk,
+// which keeps Stats (and every artifact metric) bit-identical to the
+// full walk.
 //
 // Preemption is the one event that grows capacity mid-round, and it
 // breaks the only-shrinks invariant in exactly one way: an eviction can
@@ -611,8 +510,8 @@ func (c *Core) scheduleIndexed(now float64) {
 		var bestHeap *entryHeap
 		var bestKey int
 		var bestSingle bool
-		if ai < len(c.active) {
-			best = &c.active[ai]
+		if ai < len(c.queue) {
+			best = &c.queue[ai]
 		}
 		consider := func(h *entryHeap, key int, single bool) {
 			if head := h.peek(); best == nil || c.entryCmp(*head, *best) < 0 {
@@ -653,14 +552,14 @@ func (c *Core) scheduleIndexed(now float64) {
 				continue
 			}
 		} else {
-			e = c.active[ai]
+			e = c.queue[ai]
 			ai++
 		}
 		watermark, haveMark = e, true
 		if !c.examine(&e, now) {
 			// A popped bucket entry passed its capacity gate by
-			// construction, so examine either placed it or moved it to the
-			// memo'd active set; an active entry may also have just parked
+			// construction, so examine either placed it or left it for the
+			// active set; an active entry may also have just parked
 			// itself (examine pushed it into a — now ineligible — bucket).
 			if !e.parked {
 				next = append(next, e)
@@ -668,11 +567,11 @@ func (c *Core) scheduleIndexed(now float64) {
 		}
 	}
 	// Zero the recycled buffer before swapping so placed jobs do not
-	// linger reachable through its backing array (the walk path clears
-	// its dropped tail for the same reason).
-	old := c.active
+	// linger reachable through its backing array (the in-order path
+	// clears its dropped tail for the same reason).
+	old := c.queue
 	clear(old)
-	c.active, c.evalScratch = next, old[:0]
+	c.queue, c.evalScratch = next, old[:0]
 
 	// Entries deferred by the watermark check re-park under their
 	// original wake-up keys, exactly as the full walk leaves them queued.
@@ -683,8 +582,8 @@ func (c *Core) scheduleIndexed(now float64) {
 	c.deferred = c.deferred[:0]
 
 	// Bulk accounting for the jobs the index never visited: a full walk
-	// would have given each one a no-capacity (or replayed) postponement
-	// decision this round. Every visited job appended exactly one
+	// would have given each one a no-capacity postponement decision this
+	// round. Every visited job appended exactly one
 	// decision, so the skip count falls out of the buffer length.
 	// Deferred entries land here too — the walk's record for them was
 	// issued before the eviction, at their original queue position.
@@ -694,9 +593,9 @@ func (c *Core) scheduleIndexed(now float64) {
 }
 
 // examine runs the per-job step of Algorithm 1 on e: the O(1)
-// availableResources gate, the epoch-gate memo, and the placement policy.
-// It appends the job's decision to decBuf and updates stats. A job that
-// does not place stays with its caller — the walk path compacts the
+// availableResources gate, then the placement policy. It appends the
+// job's decision to decBuf and updates stats. A job that does not place
+// stays with its caller — the in-order path keeps it at the head of the
 // queue, the indexed path keeps non-parked survivors active — except
 // that under the index a capacity-blocked job is filed straight into its
 // wake-up bucket here (and e.parked tells the caller so). Returns true
@@ -733,16 +632,6 @@ func (c *Core) examine(e *entry, now float64) bool {
 		return false
 	}
 
-	if memo, ok := c.lastFailed[j.ID]; !c.gateOff && ok && memo.epoch == c.state.Epoch() {
-		// Version gate hit: nothing changed since this job last failed
-		// to place, so replay the memoized postponement verbatim.
-		c.stats.GateSkips++
-		c.stats.Postponements++
-		e.postponed++
-		c.decBuf = append(c.decBuf, Decision{Job: j, Postponed: true, Reason: memo.reason, Time: now})
-		return false
-	}
-
 	start := time.Now() //lint:ignore wallclock decision-latency instrumentation, the documented exception: elapsed feeds Stats only, never scheduling decisions
 	d := c.tryPlace(j)
 	elapsed := time.Since(start) //lint:ignore wallclock decision-latency instrumentation, the documented exception
@@ -755,20 +644,14 @@ func (c *Core) examine(e *entry, now float64) bool {
 	if d.Postponed {
 		// The gate passed but placement still failed (fragmentation,
 		// bandwidth, DRB infeasibility): eviction can fix those too.
-		// Attempting it before the memo is what keeps the version gate
-		// sound under preemption — a memo now means "placement AND
-		// preemption both failed at this epoch", and both are
-		// deterministic functions of the cluster state.
 		if d.Reason == "no-capacity" && c.preemptEligible(j) && c.preemptAndPlace(e, now) {
 			return true
 		}
-		c.lastFailed[j.ID] = failedAttempt{epoch: c.state.Epoch(), reason: d.Reason}
 		c.stats.Postponements++
 		e.postponed++
 		c.decBuf = append(c.decBuf, d)
 		return false
 	}
-	delete(c.lastFailed, j.ID)
 	c.stats.Placements++
 	if d.SLOViolated {
 		c.stats.SLOViolations++

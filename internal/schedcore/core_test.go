@@ -1,7 +1,9 @@
 package schedcore
 
 import (
+	"encoding/json"
 	"testing"
+	"time"
 
 	"gputopo/internal/cluster"
 	"gputopo/internal/core"
@@ -45,6 +47,25 @@ func TestPolicyStringAndParse(t *testing.T) {
 	}
 	if len(AllPolicies()) != 4 {
 		t.Fatal("expected four policies")
+	}
+}
+
+// TestPolicyJSONRoundTrip keeps the sweep-artifact encoding stable: a
+// policy marshals as its figure name.
+func TestPolicyJSONRoundTrip(t *testing.T) {
+	for _, p := range AllPolicies() {
+		js, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Policy
+		if err := json.Unmarshal(js, &back); err != nil || back != p {
+			t.Fatalf("round trip %v via %s: %v, %v", p, js, back, err)
+		}
+	}
+	var p Policy
+	if err := json.Unmarshal([]byte(`"bogus"`), &p); err == nil {
+		t.Fatal("unknown policy name decoded")
 	}
 }
 
@@ -257,6 +278,41 @@ func TestScheduleStats(t *testing.T) {
 	var zero Stats
 	if zero.MeanDecisionTime() != 0 {
 		t.Fatal("zero stats mean decision time should be 0")
+	}
+}
+
+// TestStatsAdd pins the merge semantics shards and snapshot bases rely
+// on: counters and DecisionTime sum, MaxDecision takes the larger side.
+func TestStatsAdd(t *testing.T) {
+	a := Stats{
+		Decisions: 1, Placements: 2, Postponements: 3, SLOViolations: 4, WakeSkips: 5,
+		Preemptions: 6, Evictions: 7, DecisionTime: 8 * time.Millisecond, MaxDecision: 2 * time.Millisecond,
+		PlaceCacheHits: 9, PlaceCacheMisses: 10, PlaceCacheEvictions: 11,
+	}
+	b := Stats{
+		Decisions: 10, Placements: 20, Postponements: 30, SLOViolations: 40, WakeSkips: 50,
+		Preemptions: 60, Evictions: 70, DecisionTime: 80 * time.Millisecond, MaxDecision: time.Millisecond,
+		PlaceCacheHits: 90, PlaceCacheMisses: 100, PlaceCacheEvictions: 110,
+	}
+	sum := Stats{
+		Decisions: 11, Placements: 22, Postponements: 33, SLOViolations: 44, WakeSkips: 55,
+		Preemptions: 66, Evictions: 77, DecisionTime: 88 * time.Millisecond,
+		PlaceCacheHits: 99, PlaceCacheMisses: 110, PlaceCacheEvictions: 121,
+	}
+	sum.MaxDecision = 2 * time.Millisecond // the larger of the two, not 3ms
+	for _, tc := range []struct {
+		name              string
+		into, other, want Stats
+	}{
+		{"larger max on the receiver", a, b, sum},
+		{"larger max on the argument", b, a, sum},
+		{"zero is the identity", a, Stats{}, a},
+	} {
+		got := tc.into
+		got.Add(tc.other)
+		if got != tc.want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 

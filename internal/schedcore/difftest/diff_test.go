@@ -9,59 +9,37 @@ import (
 	"gputopo/internal/core"
 	"gputopo/internal/profile"
 	"gputopo/internal/schedcore"
+	"gputopo/internal/topology"
 )
 
-// coreConfigs are the fast-path configurations of the real Core the
-// reference must match placement-for-placement. The epoch gate, the
-// wake-up index and the placement cache are documented as never
-// changing decisions; this is where that claim gets falsified if it is
-// ever wrong. (The reference itself runs cache-off, so every cached
-// configuration is compared against uncached arithmetic.)
-var coreConfigs = []struct {
-	name               string
-	gate, index, cache bool
-}{
-	{"gate+index+cache", true, true, true},
-	{"gate+index", true, true, false},
-	{"gate+cache", true, false, true},
-	{"gate", true, false, false},
-	{"index+cache", false, true, true},
-	{"index", false, true, false},
-	{"cache", false, false, true},
-	{"plain", false, false, false},
-}
-
-// schedUnder builds a real Core over its own fresh substrate for the
-// trace's configuration.
-func schedUnder(t *testing.T, tr *Trace, gate, index, cache bool) *schedcore.Core {
+// coreOver builds the real Core for the trace's configuration over a
+// fresh state of topo (the trace's whole fleet, or one domain's slice of
+// it). There is one Core to build: the wake-up index and the placement
+// cache are not options, so the configuration that ships is the only one
+// there is.
+func coreOver(t *testing.T, tr *Trace, topo *topology.Topology, disc schedcore.QueueDiscipline) *schedcore.Core {
 	t.Helper()
-	disc, err := schedcore.ParseDiscipline(tr.Discipline)
+	mapper, err := core.NewMapper(profile.Generate(topo, topo.NumGPUs()), core.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapper, err := core.NewMapper(profile.Generate(tr.Topology, tr.Topology.NumGPUs()), core.DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := schedcore.New(tr.Policy, cluster.NewState(tr.Topology), mapper, schedcore.WithQueueDiscipline(disc))
-	c.SetEpochGate(gate)
-	c.SetWakeIndex(index)
-	c.SetPlaceCache(cache)
+	c := schedcore.New(tr.Policy, cluster.NewState(topo), mapper, schedcore.WithQueueDiscipline(disc))
 	c.SetPreemption(tr.Preempt)
 	return c
 }
 
 // reduce projects a Core round onto the reference's Placement identity:
-// placement decisions only, in decision order, with their eviction
-// lists. Postponement records are not compared — the wake-up index
-// legitimately materializes none for parked jobs.
+// placement decisions only, in decision order, with their waited-round
+// counts and eviction lists. Postponement records are not compared one
+// by one — the wake-up index legitimately materializes none for parked
+// jobs — but their running total is (checkRound).
 func reduce(decs []*schedcore.Decision) []Placement {
 	var out []Placement
 	for _, d := range decs {
 		if d.Postponed {
 			continue
 		}
-		p := Placement{JobID: d.Job.ID, GPUs: d.Placement.GPUs, Utility: d.Placement.Utility}
+		p := Placement{JobID: d.Job.ID, GPUs: d.Placement.GPUs, Utility: d.Placement.Utility, Waited: d.Postponements}
 		for _, ev := range d.Evictions {
 			p.Evictions = append(p.Evictions, EvictionRec{JobID: ev.Job.ID, GPUs: ev.GPUs})
 		}
@@ -79,9 +57,64 @@ func queuedIDs(c *schedcore.Core) []string {
 	return ids
 }
 
-// runTrace drives one trace through the reference and every Core
-// configuration, comparing placements, queue order and running set
-// after every round.
+// checkRound runs one scheduling round on both sides and compares the
+// placements (with each one's waited-round count), the queue order, the
+// running set and the postponement total. The total is what pins the
+// index's bulk accounting: a parked job gets no decision record, so its
+// postponement exists only in that counter.
+func checkRound(t *testing.T, tr *Trace, where string, ref *Reference, c *schedcore.Core) {
+	t.Helper()
+	want := ref.Schedule()
+	got := reduce(c.Schedule())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %s: placements diverged\n ref:  %+v\n core: %+v", tr, where, want, got)
+	}
+	if gotQ, wantQ := queuedIDs(c), ref.Queued(); !reflect.DeepEqual(gotQ, wantQ) {
+		t.Fatalf("%s %s: queue diverged\n ref:  %v\n core: %v", tr, where, wantQ, gotQ)
+	}
+	if gotR, wantR := c.Running(), ref.Running(); !reflect.DeepEqual(gotR, wantR) {
+		t.Fatalf("%s %s: running set diverged\n ref:  %v\n core: %v", tr, where, wantR, gotR)
+	}
+	if gotP, wantP := c.Stats().Postponements, ref.Postponements(); gotP != wantP {
+		t.Fatalf("%s %s: postponement total diverged: ref %d, core %d", tr, where, wantP, gotP)
+	}
+}
+
+// drain keeps scheduling over releases until everything finishes, so
+// traces also cover the tail where parked jobs wake as capacity frees.
+func drain(t *testing.T, tr *Trace, where string, ref *Reference, c *schedcore.Core) {
+	t.Helper()
+	for guard := 0; ; guard++ {
+		if guard > 10*len(tr.Events) {
+			t.Fatalf("%s %s: did not converge: queue=%v running=%v", tr, where, ref.Queued(), ref.Running())
+		}
+		run := ref.Running()
+		if len(run) == 0 && len(ref.Queued()) == 0 {
+			return
+		}
+		if len(run) > 0 {
+			id := run[0]
+			if err := ref.Release(id); err != nil {
+				t.Fatalf("%s %s: reference release %s: %v", tr, where, id, err)
+			}
+			if err := c.Release(id); err != nil {
+				t.Fatalf("%s %s: core release %s: %v", tr, where, id, err)
+			}
+		} else {
+			// Nothing runs but jobs still wait: they can never place (e.g.
+			// a multi-node job larger than the cluster). Withdraw the head.
+			id := ref.Queued()[0]
+			ref.Withdraw(id)
+			if !c.Withdraw(id) {
+				t.Fatalf("%s %s: core withdraw %s: not queued", tr, where, id)
+			}
+		}
+		checkRound(t, tr, where, ref, c)
+	}
+}
+
+// runTrace drives one trace through the reference and the Core,
+// comparing them after every round.
 func runTrace(t *testing.T, tr *Trace) {
 	t.Helper()
 	disc, err := schedcore.ParseDiscipline(tr.Discipline)
@@ -92,116 +125,42 @@ func runTrace(t *testing.T, tr *Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cores := make([]*schedcore.Core, len(coreConfigs))
-	for i, cc := range coreConfigs {
-		cores[i] = schedUnder(t, tr, cc.gate, cc.index, cc.cache)
-	}
+	c := coreOver(t, tr, tr.Topology, disc)
 
 	for step, ev := range tr.Events {
+		where := fmt.Sprintf("step %d", step)
 		switch ev.Kind {
 		case Submit:
 			if err := ref.Submit(CloneJob(ev.Job)); err != nil {
-				t.Fatalf("%s step %d: reference submit %s: %v", tr, step, ev.Job.ID, err)
+				t.Fatalf("%s %s: reference submit %s: %v", tr, where, ev.Job.ID, err)
 			}
-			for i, c := range cores {
-				if err := c.Submit(CloneJob(ev.Job)); err != nil {
-					t.Fatalf("%s step %d: %s submit %s: %v", tr, step, coreConfigs[i].name, ev.Job.ID, err)
-				}
+			if err := c.Submit(CloneJob(ev.Job)); err != nil {
+				t.Fatalf("%s %s: core submit %s: %v", tr, where, ev.Job.ID, err)
 			}
 		case Remove:
 			// Resolve against the reference; the equality invariant makes
-			// the resolution identical on every core, and the per-core
-			// checks below fail loudly if it ever is not.
+			// the resolution identical on the core, and the checks below
+			// fail loudly if it ever is not.
 			switch {
 			case contains(ref.Running(), ev.Target):
 				if err := ref.Release(ev.Target); err != nil {
-					t.Fatalf("%s step %d: reference release %s: %v", tr, step, ev.Target, err)
+					t.Fatalf("%s %s: reference release %s: %v", tr, where, ev.Target, err)
 				}
-				for i, c := range cores {
-					if err := c.Release(ev.Target); err != nil {
-						t.Fatalf("%s step %d: %s release %s: %v", tr, step, coreConfigs[i].name, ev.Target, err)
-					}
+				if err := c.Release(ev.Target); err != nil {
+					t.Fatalf("%s %s: core release %s: %v", tr, where, ev.Target, err)
 				}
 			case contains(ref.Queued(), ev.Target):
 				ref.Withdraw(ev.Target)
-				for i, c := range cores {
-					if !c.Withdraw(ev.Target) {
-						t.Fatalf("%s step %d: %s withdraw %s: not queued", tr, step, coreConfigs[i].name, ev.Target)
-					}
+				if !c.Withdraw(ev.Target) {
+					t.Fatalf("%s %s: core withdraw %s: not queued", tr, where, ev.Target)
 				}
 			default:
 				continue // already released or withdrawn earlier
 			}
 		}
-
-		want := ref.Schedule()
-		wantQ, wantR := ref.Queued(), ref.Running()
-		for i, c := range cores {
-			got := reduce(c.Schedule())
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s step %d: %s placements diverged\n ref:  %+v\n core: %+v",
-					tr, step, coreConfigs[i].name, want, got)
-			}
-			if gotQ := queuedIDs(c); !reflect.DeepEqual(gotQ, wantQ) {
-				t.Fatalf("%s step %d: %s queue diverged\n ref:  %v\n core: %v",
-					tr, step, coreConfigs[i].name, wantQ, gotQ)
-			}
-			if gotR := c.Running(); !reflect.DeepEqual(gotR, wantR) {
-				t.Fatalf("%s step %d: %s running set diverged\n ref:  %v\n core: %v",
-					tr, step, coreConfigs[i].name, wantR, gotR)
-			}
-		}
+		checkRound(t, tr, where, ref, c)
 	}
-
-	// Drain: keep scheduling over releases until everything finishes, so
-	// traces also cover the tail where parked jobs wake as capacity frees.
-	for guard := 0; ; guard++ {
-		if guard > 10*len(tr.Events) {
-			t.Fatalf("%s: drain did not converge: queue=%v running=%v", tr, ref.Queued(), ref.Running())
-		}
-		run := ref.Running()
-		if len(run) == 0 && len(ref.Queued()) == 0 {
-			break
-		}
-		if len(run) > 0 {
-			id := run[0]
-			if err := ref.Release(id); err != nil {
-				t.Fatalf("%s drain: reference release %s: %v", tr, id, err)
-			}
-			for i, c := range cores {
-				if err := c.Release(id); err != nil {
-					t.Fatalf("%s drain: %s release %s: %v", tr, coreConfigs[i].name, id, err)
-				}
-			}
-		} else {
-			// Nothing runs but jobs still wait: they can never place (e.g.
-			// a multi-node job larger than the cluster). Withdraw the head.
-			id := ref.Queued()[0]
-			ref.Withdraw(id)
-			for i, c := range cores {
-				if !c.Withdraw(id) {
-					t.Fatalf("%s drain: %s withdraw %s: not queued", tr, coreConfigs[i].name, id)
-				}
-			}
-		}
-		want := ref.Schedule()
-		wantQ, wantR := ref.Queued(), ref.Running()
-		for i, c := range cores {
-			got := reduce(c.Schedule())
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s drain: %s placements diverged\n ref:  %+v\n core: %+v",
-					tr, coreConfigs[i].name, want, got)
-			}
-			if gotQ := queuedIDs(c); !reflect.DeepEqual(gotQ, wantQ) {
-				t.Fatalf("%s drain: %s queue diverged\n ref:  %v\n core: %v",
-					tr, coreConfigs[i].name, wantQ, gotQ)
-			}
-			if gotR := c.Running(); !reflect.DeepEqual(gotR, wantR) {
-				t.Fatalf("%s drain: %s running set diverged\n ref:  %v\n core: %v",
-					tr, coreConfigs[i].name, wantR, gotR)
-			}
-		}
-	}
+	drain(t, tr, "drain", ref, c)
 }
 
 func contains(ids []string, id string) bool {
@@ -214,10 +173,11 @@ func contains(ids []string, id string) bool {
 }
 
 // TestDifferentialTraces is the harness: ≥1000 seeded random traces,
-// each run through the naive reference and the real Core under all four
-// gate/index configurations, with placements, queue order and running
-// sets compared after every scheduling round. Seeds are the subtest
-// names, so a failure reproduces with -run 'TestDifferentialTraces/seed0042'.
+// each run through the naive reference and the real Core, with
+// placements, waited-round counts, queue order, running sets and the
+// postponement total compared after every scheduling round. Seeds are
+// the subtest names, so a failure reproduces with
+// -run 'TestDifferentialTraces/seed0042'.
 func TestDifferentialTraces(t *testing.T) {
 	n := 1000
 	if testing.Short() {

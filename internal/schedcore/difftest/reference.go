@@ -1,18 +1,20 @@
 // Package difftest is the differential proving ground for the scheduling
 // core: a deliberately naive reference scheduler that re-implements the
 // §4.4 queue mechanics from scratch — full stable re-sort and full queue
-// walk every round, no epoch gate, no wake-up index, no incremental
+// walk every round, no wake-up index, no placement cache, no incremental
 // anything — plus a seeded randomized trace generator. The harness
 // (diff_test.go) drives thousands of traces through the reference and
-// through the real Core under every gate/index configuration and demands
-// placement-for-placement equality.
+// through the real Core and demands placement-for-placement equality,
+// down to the postponement accounting.
 //
 // The reference shares exactly one piece of code with the Core: the
 // placement-policy arithmetic, via the exported schedcore.Placer facade.
 // That sharing is deliberate — Eq. 1 scoring is covered by its own unit
 // tests, and re-deriving the mapper here would make every diff chase
-// floating-point deltas instead of the queue, gating, wake-index and
-// preemption bookkeeping this harness exists to falsify.
+// floating-point deltas instead of the queue, wake-index, place cache
+// and preemption bookkeeping this harness exists to falsify. The
+// reference's placer is the uncached one, so the Core's cached decisions
+// are always compared against plain mapper arithmetic.
 package difftest
 
 import (
@@ -35,6 +37,9 @@ type Placement struct {
 	JobID   string
 	GPUs    []int
 	Utility float64
+	// Waited is the number of rounds that examined the job and left it
+	// queued before this placement.
+	Waited int
 	// Evictions lists the victims this placement preempted, in eviction
 	// order, as (victim ID, freed GPU positions) pairs.
 	Evictions []EvictionRec
@@ -47,10 +52,11 @@ type EvictionRec struct {
 }
 
 // refEntry is one queued job plus its submission sequence (the
-// discipline's tie-break).
+// discipline's tie-break) and the rounds it has been postponed.
 type refEntry struct {
-	job *job.Job
-	seq int
+	job    *job.Job
+	seq    int
+	waited int
 }
 
 // Reference is the naive scheduler. It maintains a single slice as the
@@ -67,6 +73,9 @@ type Reference struct {
 	queue   []refEntry
 	running map[string]*job.Job
 	seq     int
+	// postponements counts, over all rounds, the jobs a round examined
+	// and left queued.
+	postponements int
 }
 
 // NewReference builds a reference scheduler over a fresh state for the
@@ -128,6 +137,10 @@ func (r *Reference) Queued() []string {
 	return ids
 }
 
+// Postponements returns the running total of (job, round) pairs in which
+// a round examined the job and left it queued.
+func (r *Reference) Postponements() int { return r.postponements }
+
 // Running returns the running job IDs, sorted.
 func (r *Reference) Running() []string {
 	ids := make([]string, 0, len(r.running))
@@ -163,6 +176,8 @@ func (r *Reference) Schedule() []Placement {
 		}
 		p, evs, ok := r.examine(e.job, &victims)
 		if !ok {
+			e.waited++
+			r.postponements++
 			keep = append(keep, e)
 			// The in-order policies preserve FIFO fairness: the first job
 			// that fails to place blocks everything behind it.
@@ -171,7 +186,7 @@ func (r *Reference) Schedule() []Placement {
 			}
 			continue
 		}
-		placements = append(placements, Placement{JobID: e.job.ID, GPUs: p.GPUs, Utility: p.Utility, Evictions: evs})
+		placements = append(placements, Placement{JobID: e.job.ID, GPUs: p.GPUs, Utility: p.Utility, Waited: e.waited, Evictions: evs})
 	}
 	r.queue = keep
 	for _, v := range victims {

@@ -2,42 +2,19 @@ package difftest
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
-	"gputopo/internal/cluster"
-	"gputopo/internal/core"
-	"gputopo/internal/profile"
 	"gputopo/internal/schedcore"
 	"gputopo/internal/schedcore/domains"
 	"gputopo/internal/topology"
 )
 
 // shardedDomain is one scheduling domain of a sharded trace run: the
-// real Core and the naive reference over the same fleet slice, plus the
-// cluster state backing the router's live free counters.
+// real Core (whose cluster state backs the router's live free counters)
+// and the naive reference over the same fleet slice.
 type shardedDomain struct {
-	core  *schedcore.Core
-	ref   *Reference
-	state *cluster.State
-}
-
-// checkDomain runs one scheduling round on domain d through both sides
-// and compares placements, queue order and running set.
-func (sd *shardedDomain) checkDomain(t *testing.T, tr *Trace, d int, where string) {
-	t.Helper()
-	want := sd.ref.Schedule()
-	wantQ, wantR := sd.ref.Queued(), sd.ref.Running()
-	got := reduce(sd.core.Schedule())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s %s: domain %d placements diverged\n ref:  %+v\n core: %+v", tr, where, d, want, got)
-	}
-	if gotQ := queuedIDs(sd.core); !reflect.DeepEqual(gotQ, wantQ) {
-		t.Fatalf("%s %s: domain %d queue diverged\n ref:  %v\n core: %v", tr, where, d, wantQ, gotQ)
-	}
-	if gotR := sd.core.Running(); !reflect.DeepEqual(gotR, wantR) {
-		t.Fatalf("%s %s: domain %d running set diverged\n ref:  %v\n core: %v", tr, where, d, wantR, gotR)
-	}
+	core *schedcore.Core
+	ref  *Reference
 }
 
 // runShardedTrace drives one trace through the sharded decomposition:
@@ -65,17 +42,11 @@ func runShardedTrace(t *testing.T, tr *Trace) map[int]int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapper, err := core.NewMapper(profile.Generate(sub, sub.NumGPUs()), core.DefaultWeights())
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := cluster.NewState(sub)
-		c := schedcore.New(tr.Policy, st, mapper, schedcore.WithQueueDiscipline(disc))
-		c.SetPreemption(tr.Preempt)
-		doms[d] = &shardedDomain{core: c, ref: ref, state: st}
+		doms[d] = &shardedDomain{core: coreOver(t, tr, sub, disc), ref: ref}
 	}
 	router := domains.NewRouter(caps, func(d int) (int, int, int) {
-		return doms[d].state.FreeGPUCount(), doms[d].state.MaxFreeGPUs(), doms[d].state.FreeMachines()
+		st := doms[d].core.State()
+		return st.FreeGPUCount(), st.MaxFreeGPUs(), st.FreeMachines()
 	})
 
 	routed := map[int]int{}
@@ -95,7 +66,7 @@ func runShardedTrace(t *testing.T, tr *Trace) map[int]int {
 			if err := doms[d].core.Submit(CloneJob(ev.Job)); err != nil {
 				t.Fatalf("%s %s: domain %d core submit %s: %v", tr, where, d, ev.Job.ID, err)
 			}
-			doms[d].checkDomain(t, tr, d, where)
+			checkRound(t, tr, fmt.Sprintf("%s domain %d", where, d), doms[d].ref, doms[d].core)
 		case Remove:
 			// The Remove follows the target to its home domain — the same
 			// lookup the serving layer performs — and resolves there.
@@ -122,37 +93,13 @@ func runShardedTrace(t *testing.T, tr *Trace) map[int]int {
 				continue // evicted-then-removed or already gone
 			}
 			router.Unbind(ev.Target)
-			sd.checkDomain(t, tr, d, where)
+			checkRound(t, tr, fmt.Sprintf("%s domain %d", where, d), sd.ref, sd.core)
 		}
 	}
 
 	// Drain every domain independently, as in the unsharded harness.
 	for d, sd := range doms {
-		for guard := 0; ; guard++ {
-			if guard > 10*len(tr.Events) {
-				t.Fatalf("%s: domain %d drain did not converge: queue=%v running=%v", tr, d, sd.ref.Queued(), sd.ref.Running())
-			}
-			run := sd.ref.Running()
-			if len(run) == 0 && len(sd.ref.Queued()) == 0 {
-				break
-			}
-			if len(run) > 0 {
-				id := run[0]
-				if err := sd.ref.Release(id); err != nil {
-					t.Fatalf("%s drain: domain %d reference release %s: %v", tr, d, id, err)
-				}
-				if err := sd.core.Release(id); err != nil {
-					t.Fatalf("%s drain: domain %d core release %s: %v", tr, d, id, err)
-				}
-			} else {
-				id := sd.ref.Queued()[0]
-				sd.ref.Withdraw(id)
-				if !sd.core.Withdraw(id) {
-					t.Fatalf("%s drain: domain %d core withdraw %s: not queued", tr, d, id)
-				}
-			}
-			sd.checkDomain(t, tr, d, "drain")
-		}
+		drain(t, tr, fmt.Sprintf("drain domain %d", d), sd.ref, sd.core)
 	}
 	return routed
 }

@@ -56,7 +56,6 @@ func (c *Core) preemptAndPlace(e *entry, now float64) bool {
 	if elapsed > c.stats.MaxDecision {
 		c.stats.MaxDecision = elapsed
 	}
-	delete(c.lastFailed, e.job.ID)
 	c.stats.Placements++
 	c.stats.Preemptions++
 	c.stats.Evictions += len(d.Evictions)
@@ -86,14 +85,13 @@ func (c *Core) tryPreempt(j *job.Job) (Decision, bool) {
 			panic(fmt.Sprintf("schedcore: evicting %s: %v", v.ID, err))
 		}
 		delete(c.running, v.ID)
-		delete(c.lastFailed, v.ID)
 	}
 	c.evictedInRound = true
 	c.pendingRequeue = append(c.pendingRequeue, victims...)
 
 	// Re-running the policy on the live state must reproduce the clone
-	// evaluation bit for bit: placement reads only allocations, never the
-	// epoch, and Clone copies allocations exactly. A divergence here
+	// evaluation bit for bit: placement reads only allocations, and Clone
+	// copies allocations exactly. A divergence here
 	// means the evaluation and commit saw different cluster states — a
 	// bug, not a recoverable condition.
 	placement, reason := c.place.attempt(j)
@@ -260,20 +258,10 @@ func (c *Core) selectVictims(j *job.Job) ([]*job.Job, float64) {
 // requeueVictims re-enqueues the round's evicted jobs after dispatch:
 // each victim re-enters the queue as a fresh submission (new sequence
 // number, postponement accounting restarted at the current round), in
-// eviction order, so the walk and indexed paths rebuild identical queue
-// orders.
+// eviction order.
 func (c *Core) requeueVictims() {
-	if len(c.pendingRequeue) == 0 {
-		return
-	}
 	for _, v := range c.pendingRequeue {
-		e := entry{job: v, seq: c.seq, enterRound: c.rounds}
-		c.seq++
-		if c.indexed() {
-			c.active = c.insertOrdered(c.active, e)
-		} else {
-			c.queue = c.insertOrdered(c.queue, e)
-		}
+		c.enqueue(v)
 	}
 	c.pendingRequeue = c.pendingRequeue[:0]
 }

@@ -208,60 +208,3 @@ func TestPreemptionMultiNode(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
-
-// TestPreemptionWalkIndexEquivalence runs one scripted mixed-priority
-// session under all four gate/wake-index configurations and demands
-// identical placement streams — the compact, deterministic cousin of the
-// randomized difftest harness.
-func TestPreemptionWalkIndexEquivalence(t *testing.T) {
-	type round struct {
-		submit   []*job.Job
-		release  []string
-		expected []string // placed IDs, in order
-	}
-	script := func() []round {
-		return []round{
-			{submit: []*job.Job{mkPrioJob("l1", 2, 0, 0), mkPrioJob("l2", 2, 0, 1), mkPrioJob("l3", 2, 0, 2), mkPrioJob("l4", 2, 0, 3)}},
-			{submit: []*job.Job{mkPrioJob("h1", 2, 1, 4), mkPrioJob("h2", 4, 2, 5)}},
-			{release: []string{"h1"}},
-			{submit: []*job.Job{mkPrioJob("l5", 1, 0, 6)}},
-			{release: []string{"h2"}},
-		}
-	}
-	var baseline [][]string
-	for i, cfg := range []struct{ gate, index bool }{{true, true}, {true, false}, {false, true}, {false, false}} {
-		topo := topology.Cluster(2, topology.KindMinsky)
-		s := newSchedWith(t, TopoAwareP, topo, WithQueueDiscipline(PriorityThenArrival()))
-		s.SetPreemption(true)
-		s.SetEpochGate(cfg.gate)
-		s.SetWakeIndex(cfg.index)
-		var got [][]string
-		for _, r := range script() {
-			for _, j := range r.submit {
-				if err := s.Submit(j); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, id := range r.release {
-				if err := s.Release(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got = append(got, placedIDs(s.Schedule()))
-		}
-		if i == 0 {
-			baseline = got
-			continue
-		}
-		for ri := range baseline {
-			if len(baseline[ri]) != len(got[ri]) {
-				t.Fatalf("config %+v round %d: %v vs %v", cfg, ri, got[ri], baseline[ri])
-			}
-			for k := range baseline[ri] {
-				if baseline[ri][k] != got[ri][k] {
-					t.Fatalf("config %+v round %d: %v vs %v", cfg, ri, got[ri], baseline[ri])
-				}
-			}
-		}
-	}
-}

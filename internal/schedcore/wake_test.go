@@ -84,7 +84,7 @@ func TestWakeIndexPartialReleaseOnDegradedMachine(t *testing.T) {
 // the first (by queue order) is popped and takes the freed GPUs; the
 // second is never even visited — its bucket turned ineligible the moment
 // the capacity was consumed — and is accounted as a bulk postponement,
-// exactly the aggregate a full walk produces.
+// exactly the aggregate a walk over the whole queue produces.
 func TestWakeIndexSharedKey(t *testing.T) {
 	s := newSched(t, TopoAwareP, topology.Power8Minsky())
 	if err := s.State().Allocate("x", []int{0, 1}, 0, perfmodel.Traits{}); err != nil {
@@ -135,83 +135,8 @@ func TestWakeIndexSharedKey(t *testing.T) {
 	}
 }
 
-// TestWakeIndexWithEpochGateDisabled pins the interaction of the two
-// mechanisms: with the gate off, active jobs (low-utility postponed) are
-// re-evaluated every round — the index must not memoize them — while
-// capacity-parked jobs are still legitimately skipped, because parking
-// derives from the O(1) capacity check, not from the epoch memo.
-func TestWakeIndexWithEpochGateDisabled(t *testing.T) {
-	s := newSched(t, TopoAwareP, topology.Power8Minsky())
-	s.SetEpochGate(false)
-	// blocker keeps the cluster non-idle; picky postpones on low utility
-	// and stays active; hungry is capacity-parked (needs 4, only 2 free).
-	if err := s.Submit(mkJob("blocker", 1, 1, 0.0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	s.Schedule()
-	_ = s.Submit(mkJob("picky", 1, 2, 0.99, 1))
-	_ = s.Submit(mkJob("hungry", 1, 4, 0.0, 2))
-	ds := s.Schedule()
-	if len(ds) != 2 || !ds[0].Postponed || !ds[1].Postponed {
-		t.Fatalf("want two postponements, got %+v", ds)
-	}
-	base := s.Stats()
-	for i := 0; i < 3; i++ {
-		ds := s.Schedule()
-		// Only the active job is re-examined; the parked one is skipped.
-		if len(ds) != 1 || ds[0].Job.ID != "picky" || ds[0].Reason != "low-utility" {
-			t.Fatalf("round %d: decisions %+v", i, ds)
-		}
-	}
-	st := s.Stats()
-	if st.Decisions != base.Decisions+3 {
-		t.Fatalf("gate off must re-decide the active job each round: %d -> %d", base.Decisions, st.Decisions)
-	}
-	if st.GateSkips != 0 {
-		t.Fatalf("disabled gate recorded %d skips", st.GateSkips)
-	}
-	if st.WakeSkips != base.WakeSkips+3 {
-		t.Fatalf("WakeSkips = %d, want %d", st.WakeSkips, base.WakeSkips+3)
-	}
-}
-
-// TestSetWakeIndexMigratesQueue toggles the index off mid-run: parked
-// and active jobs must merge back into one discipline-ordered queue and
-// the full walk must emit decisions for all of them again.
-func TestSetWakeIndexMigratesQueue(t *testing.T) {
-	s := newSched(t, TopoAwareP, topology.Power8Minsky())
-	if err := s.State().Allocate("occ", []int{0, 1, 2, 3}, 0, perfmodel.Traits{}); err != nil {
-		t.Fatal(err)
-	}
-	_ = s.Submit(mkJob("a", 1, 2, 0.0, 0))
-	_ = s.Submit(mkJob("b", 1, 1, 0.0, 1))
-	s.Schedule() // both parked
-	if ds := s.Schedule(); len(ds) != 0 {
-		t.Fatalf("parked jobs produced decisions %+v", ds)
-	}
-	s.SetWakeIndex(false)
-	q := s.Queued()
-	if len(q) != 2 || q[0].ID != "a" || q[1].ID != "b" {
-		t.Fatalf("queue after toggle = %v", q)
-	}
-	ds := s.Schedule()
-	if len(ds) != 2 {
-		t.Fatalf("full walk must decide every queued job, got %+v", ds)
-	}
-	// Toggling back on restores the indexed behavior (jobs re-park on the
-	// next round's capacity checks).
-	s.SetWakeIndex(true)
-	s.Schedule() // evaluates (all active after migration), re-parks
-	if ds := s.Schedule(); len(ds) != 0 {
-		t.Fatalf("re-enabled index still walking: %+v", ds)
-	}
-	if s.QueueLen() != 2 {
-		t.Fatalf("queue = %d, want 2", s.QueueLen())
-	}
-}
-
 // TestWithdrawRemovesQueuedJob covers the serving front-end's cancel
-// path across the queue representations.
+// path for parked, active and in-order queued jobs.
 func TestWithdrawRemovesQueuedJob(t *testing.T) {
 	s := newSched(t, TopoAwareP, topology.Power8Minsky())
 	if err := s.State().Allocate("occ", []int{0, 1, 2, 3}, 0, perfmodel.Traits{}); err != nil {
@@ -239,14 +164,14 @@ func TestWithdrawRemovesQueuedJob(t *testing.T) {
 	if len(ds) != 1 || ds[0].Job.ID != "active" || ds[0].Postponed {
 		t.Fatalf("want only the surviving job placed, got %+v", ds)
 	}
-	// Withdraw on the full-walk representation too.
+	// Withdraw under an in-order policy too.
 	w := newSched(t, FCFS, topology.Power8Minsky())
 	if err := w.State().Allocate("occ", []int{0, 1, 2, 3}, 0, perfmodel.Traits{}); err != nil {
 		t.Fatal(err)
 	}
 	_ = w.Submit(mkJob("q", 1, 1, 0.0, 0))
 	if !w.Withdraw("q") || w.QueueLen() != 0 {
-		t.Fatal("walk-mode withdraw failed")
+		t.Fatal("in-order withdraw failed")
 	}
 }
 

@@ -197,7 +197,6 @@ func (s *Server) stateSnapshot() serveapi.StateResponse {
 			Placements:      stats.Placements,
 			Postponements:   stats.Postponements,
 			SLOViolations:   stats.SLOViolations,
-			GateSkips:       stats.GateSkips,
 			WakeSkips:       stats.WakeSkips,
 			Preemptions:     stats.Preemptions,
 			Evictions:       stats.Evictions,
@@ -206,17 +205,14 @@ func (s *Server) stateSnapshot() serveapi.StateResponse {
 			TotalDecisionMs: float64(stats.DecisionTime) / float64(time.Millisecond),
 		},
 		Log: s.logStats(),
-	}
-	if s.core.PlaceCache() != nil {
-		// Live core counters, not combinedStats: the cache runs cold
-		// after a recovery, so its traffic is volatile by design and
-		// never folds into the durable statsBase.
-		live := s.core.Stats()
-		resp.PlaceCache = &serveapi.PlaceCacheStats{
-			Hits:      live.PlaceCacheHits,
-			Misses:    live.PlaceCacheMisses,
-			Evictions: live.PlaceCacheEvictions,
-		}
+		// The cache runs cold after a recovery, so its traffic is
+		// volatile by design: statsBase carries none, and these are the
+		// live core's counters.
+		PlaceCache: &serveapi.PlaceCacheStats{
+			Hits:      stats.PlaceCacheHits,
+			Misses:    stats.PlaceCacheMisses,
+			Evictions: stats.PlaceCacheEvictions,
+		},
 	}
 	for _, id := range st.Jobs() {
 		resp.Running = append(resp.Running, serveapi.RunningEntry{ID: id, GPUs: st.Allocation(id).GPUs})

@@ -392,7 +392,6 @@ func (ms *MultiServer) mergeStates(states []serveapi.StateResponse) serveapi.Sta
 	var fragWeighted float64
 	var agg serveapi.LogStats
 	var cacheAgg serveapi.PlaceCacheStats
-	anyCache := false
 	for d, st := range states {
 		out.Machines += st.Machines
 		out.GPUs += st.GPUs
@@ -406,7 +405,6 @@ func (ms *MultiServer) mergeStates(states []serveapi.StateResponse) serveapi.Sta
 		out.Stats.Placements += st.Stats.Placements
 		out.Stats.Postponements += st.Stats.Postponements
 		out.Stats.SLOViolations += st.Stats.SLOViolations
-		out.Stats.GateSkips += st.Stats.GateSkips
 		out.Stats.WakeSkips += st.Stats.WakeSkips
 		out.Stats.Preemptions += st.Stats.Preemptions
 		out.Stats.Evictions += st.Stats.Evictions
@@ -431,12 +429,9 @@ func (ms *MultiServer) mergeStates(states []serveapi.StateResponse) serveapi.Sta
 			agg.ReplayedAtBoot += st.Log.ReplayedAtBoot
 			agg.Syncs += st.Log.Syncs
 		}
-		if st.PlaceCache != nil {
-			anyCache = true
-			cacheAgg.Hits += st.PlaceCache.Hits
-			cacheAgg.Misses += st.PlaceCache.Misses
-			cacheAgg.Evictions += st.PlaceCache.Evictions
-		}
+		cacheAgg.Hits += st.PlaceCache.Hits
+		cacheAgg.Misses += st.PlaceCache.Misses
+		cacheAgg.Evictions += st.PlaceCache.Evictions
 		out.Domains = append(out.Domains, serveapi.DomainState{
 			Domain:     d,
 			Topology:   st.Topology,
@@ -460,8 +455,6 @@ func (ms *MultiServer) mergeStates(states []serveapi.StateResponse) serveapi.Sta
 	if ms.Durable() {
 		out.Log = &agg
 	}
-	if anyCache {
-		out.PlaceCache = &cacheAgg
-	}
+	out.PlaceCache = &cacheAgg
 	return out
 }

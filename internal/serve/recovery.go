@@ -119,7 +119,6 @@ func (s *Server) restoreSnapshot(sn *eventlog.Snapshot) error {
 		Placements:    sn.Stats.Placements,
 		Postponements: sn.Stats.Postponements,
 		SLOViolations: sn.Stats.SLOViolations,
-		GateSkips:     sn.Stats.GateSkips,
 		WakeSkips:     sn.Stats.WakeSkips,
 		Preemptions:   sn.Stats.Preemptions,
 		Evictions:     sn.Stats.Evictions,
@@ -185,7 +184,6 @@ func (s *Server) writeSnapshot(now float64) {
 			Placements:     stats.Placements,
 			Postponements:  stats.Postponements,
 			SLOViolations:  stats.SLOViolations,
-			GateSkips:      stats.GateSkips,
 			WakeSkips:      stats.WakeSkips,
 			Preemptions:    stats.Preemptions,
 			Evictions:      stats.Evictions,

@@ -95,11 +95,6 @@ type Config struct {
 	// log, so time stays monotonic across restarts. Nil = wall time
 	// since start.
 	Now func() float64
-	// DisablePlaceCache turns off the canonical-shape placement cache.
-	// Decisions are identical either way, so — unlike Discipline and
-	// Preemption — the switch may differ between a log's writer and its
-	// replayer without diverging.
-	DisablePlaceCache bool
 }
 
 // Server drives one scheduling core against one physical topology. All
@@ -232,9 +227,6 @@ func New(cfg Config) (*Server, error) {
 		schedcore.WithClock(clk), schedcore.WithQueueDiscipline(disc))
 	if cfg.Preemption {
 		sched.SetPreemption(true)
-	}
-	if cfg.DisablePlaceCache {
-		sched.SetPlaceCache(false)
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -667,22 +659,12 @@ func (s *Server) commit() error {
 	return nil
 }
 
-// combinedStats merges the live core's counters with the snapshot base.
+// combinedStats merges the live core's counters with the snapshot base
+// (which carries no place cache traffic: the cache runs cold after a
+// recovery).
 func (s *Server) combinedStats() schedcore.Stats {
 	cur := s.core.Stats()
-	b := s.statsBase
-	cur.Decisions += b.Decisions
-	cur.Placements += b.Placements
-	cur.Postponements += b.Postponements
-	cur.SLOViolations += b.SLOViolations
-	cur.GateSkips += b.GateSkips
-	cur.WakeSkips += b.WakeSkips
-	cur.Preemptions += b.Preemptions
-	cur.Evictions += b.Evictions
-	cur.DecisionTime += b.DecisionTime
-	if b.MaxDecision > cur.MaxDecision {
-		cur.MaxDecision = b.MaxDecision
-	}
+	cur.Add(s.statsBase)
 	return cur
 }
 

@@ -242,10 +242,10 @@ type StateResponse struct {
 	// absent on a single-core server. The top-level fields aggregate
 	// across domains.
 	Domains []DomainState `json:"domains,omitempty"`
-	// PlaceCache is the placement-decision cache's traffic (nil when the
-	// cache is disabled). Volatile: a recovery replays the log against a
-	// cold cache, so the counters — unlike every SchedStats counter — are
-	// not reproduced across a restart.
+	// PlaceCache is the placement-decision cache's traffic. Volatile: a
+	// recovery replays the log against a cold cache, so the counters —
+	// unlike every SchedStats counter — are not reproduced across a
+	// restart.
 	PlaceCache *PlaceCacheStats `json:"place_cache,omitempty"`
 }
 
@@ -324,7 +324,7 @@ type SchedStats struct {
 	Placements      int     `json:"placements"`
 	Postponements   int     `json:"postponements"`
 	SLOViolations   int     `json:"slo_violations"`
-	GateSkips       int     `json:"gate_skips"`
+	GateSkips       int     `json:"gate_skips"` // always 0 (the version gate is gone); kept because the frozen cmd/topoperf reads it
 	WakeSkips       int     `json:"wake_skips"`
 	Preemptions     int     `json:"preemptions,omitempty"`
 	Evictions       int     `json:"evictions,omitempty"`

@@ -59,7 +59,7 @@ func TestWireRoundTrip(t *testing.T) {
 			Bandwidth: []BandwidthEntry{{Machine: 0, FreeGBs: 64}},
 			Stats: SchedStats{
 				Decisions: 9, Placements: 4, Postponements: 5, SLOViolations: 1,
-				GateSkips: 2, WakeSkips: 3, MeanDecisionUs: 12.5, MaxDecisionUs: 80, TotalDecisionMs: 0.5,
+				WakeSkips: 3, MeanDecisionUs: 12.5, MaxDecisionUs: 80, TotalDecisionMs: 0.5,
 			},
 			Decisions: 9, Fragments: 1.25, Discipline: "fifo-arrival",
 			PlaceCache: &PlaceCacheStats{Hits: 12, Misses: 7, Evictions: 1},
@@ -243,7 +243,7 @@ func TestClearVolatile(t *testing.T) {
 	// The placement cache replays cold after a restart, so its counters
 	// are volatile too — top-level and per-domain.
 	if s.PlaceCache != nil || s.Domains[0].PlaceCache != nil {
-		t.Fatalf("place-cache counters survive: %+v", s)
+		t.Fatalf("place cache counters survive: %+v", s)
 	}
 	if s.FreeGPUs != 3 || s.Stats.Decisions != 9 || s.Domains[0].GPUs != 8 {
 		t.Fatalf("durable fields clobbered: %+v", s)

@@ -171,22 +171,7 @@ func mergeShardResults(cfg Config, results []*Result, gpuMaps [][]int) *Result {
 		if len(r.Samples) > maxSamples {
 			maxSamples = len(r.Samples)
 		}
-		s := &merged.SchedStats
-		s.Decisions += r.SchedStats.Decisions
-		s.Placements += r.SchedStats.Placements
-		s.Postponements += r.SchedStats.Postponements
-		s.SLOViolations += r.SchedStats.SLOViolations
-		s.GateSkips += r.SchedStats.GateSkips
-		s.WakeSkips += r.SchedStats.WakeSkips
-		s.Preemptions += r.SchedStats.Preemptions
-		s.Evictions += r.SchedStats.Evictions
-		s.PlaceCacheHits += r.SchedStats.PlaceCacheHits
-		s.PlaceCacheMisses += r.SchedStats.PlaceCacheMisses
-		s.PlaceCacheEvictions += r.SchedStats.PlaceCacheEvictions
-		s.DecisionTime += r.SchedStats.DecisionTime
-		if r.SchedStats.MaxDecision > s.MaxDecision {
-			s.MaxDecision = r.SchedStats.MaxDecision
-		}
+		merged.SchedStats.Add(r.SchedStats)
 	}
 	slices.SortFunc(merged.Jobs, func(a, b JobResult) int {
 		return strings.Compare(a.Job.ID, b.Job.ID)

@@ -6,7 +6,7 @@ import (
 
 	"gputopo/internal/job"
 	"gputopo/internal/perfmodel"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/topology"
 	"gputopo/internal/workload"
 )
@@ -29,7 +29,7 @@ func TestSoloJobRunsAtIdealTime(t *testing.T) {
 	topo := topology.Power8Minsky()
 	j := job.New("solo", perfmodel.AlexNet, 1, 2, 0.5, 0)
 	j.Iterations = 100
-	res, err := Run(Config{Topology: topo, Policy: sched.TopoAware}, []*job.Job{j})
+	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCrossMachineJobsDoNotInterfere(t *testing.T) {
 	a.Iterations = 100
 	b := job.New("b", perfmodel.AlexNet, 1, 4, 0.0, 0)
 	b.Iterations = 100
-	res, err := Run(Config{Topology: topo, Policy: sched.TopoAware}, []*job.Job{a, b})
+	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCoLocatedJobsInterfereMatchingFig6(t *testing.T) {
 	a.Iterations = 1000
 	b := job.New("b", perfmodel.AlexNet, 1, 2, 0.0, 0)
 	b.Iterations = 1000
-	res, err := Run(Config{Topology: topo, Policy: sched.TopoAware}, []*job.Job{a, b})
+	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestInterferenceEndsWhenCoRunnerFinishes(t *testing.T) {
 	long.Iterations = 2000
 	short := job.New("short", perfmodel.AlexNet, 1, 2, 0.0, 0)
 	short.Iterations = 200
-	res, err := Run(Config{Topology: topo, Policy: sched.TopoAware}, []*job.Job{long, short})
+	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{long, short})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestQueueedJobWaits(t *testing.T) {
 	first.Iterations = 50
 	second := job.New("second", perfmodel.AlexNet, 128, 4, 0.0, 1)
 	second.Iterations = 50
-	res, err := Run(Config{Topology: topo, Policy: sched.FCFS}, []*job.Job{first, second})
+	res, err := Run(Config{Topology: topo, Policy: schedcore.FCFS}, []*job.Job{first, second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Run(Config{Topology: topo, Policy: sched.TopoAwareP, Seed: 5}, jobs)
+	r1, err := Run(Config{Topology: topo, Policy: schedcore.TopoAwareP, Seed: 5}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(Config{Topology: topo, Policy: sched.TopoAwareP, Seed: 5}, jobs)
+	r2, err := Run(Config{Topology: topo, Policy: schedcore.TopoAwareP, Seed: 5}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestJitterChangesRuntimesButNotPlacements(t *testing.T) {
 		j.Iterations = 500
 		return []*job.Job{j}
 	}
-	base, err := Run(Config{Topology: topo, Policy: sched.TopoAware}, mk())
+	base, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	jit, err := Run(Config{Topology: topo, Policy: sched.TopoAware, JitterStddev: 0.05, Seed: 3}, mk())
+	jit, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, JitterStddev: 0.05, Seed: 3}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,17 +186,17 @@ func TestTable1Regression(t *testing.T) {
 	// policies beat the greedy ones by ≈1.2-1.3x in cumulative time with
 	// zero SLO violations and fully P2P multi-GPU placements.
 	topo := topology.Power8Minsky()
-	results := map[sched.Policy]*Result{}
-	for _, pol := range sched.AllPolicies() {
+	results := map[schedcore.Policy]*Result{}
+	for _, pol := range schedcore.AllPolicies() {
 		res, err := Run(Config{Topology: topo, Policy: pol}, workload.Table1())
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
 		results[pol] = res
 	}
-	bf := results[sched.BestFit]
-	fc := results[sched.FCFS]
-	tp := results[sched.TopoAwareP]
+	bf := results[schedcore.BestFit]
+	fc := results[schedcore.FCFS]
+	tp := results[schedcore.TopoAwareP]
 
 	if bf.SLOViolations() < 2 {
 		t.Fatalf("BF violations = %d, want >= 2", bf.SLOViolations())
@@ -234,7 +234,7 @@ func TestSamples(t *testing.T) {
 	topo := topology.Power8Minsky()
 	j := job.New("j", perfmodel.AlexNet, 1, 2, 0.5, 0)
 	j.Iterations = 1000
-	res, err := Run(Config{Topology: topo, Policy: sched.TopoAware, SampleInterval: 5}, []*job.Job{j})
+	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, SampleInterval: 5}, []*job.Job{j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestSamples(t *testing.T) {
 
 func TestTimelineIntervals(t *testing.T) {
 	topo := topology.Power8Minsky()
-	res, err := Run(Config{Topology: topo, Policy: sched.FCFS}, workload.Table1())
+	res, err := Run(Config{Topology: topo, Policy: schedcore.FCFS}, workload.Table1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestTimelineIntervals(t *testing.T) {
 
 func TestResultAggregates(t *testing.T) {
 	topo := topology.Power8Minsky()
-	res, err := Run(Config{Topology: topo, Policy: sched.BestFit}, workload.Table1())
+	res, err := Run(Config{Topology: topo, Policy: schedcore.BestFit}, workload.Table1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestDuplicateJobIDsRejected(t *testing.T) {
 	topo := topology.Power8Minsky()
 	a := job.New("dup", perfmodel.AlexNet, 1, 1, 0.3, 0)
 	b := job.New("dup", perfmodel.AlexNet, 1, 1, 0.3, 1)
-	if _, err := Run(Config{Topology: topo, Policy: sched.FCFS}, []*job.Job{a, b}); err == nil {
+	if _, err := Run(Config{Topology: topo, Policy: schedcore.FCFS}, []*job.Job{a, b}); err == nil {
 		t.Fatal("duplicate job IDs accepted")
 	}
 }

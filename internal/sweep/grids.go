@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/topology"
 )
 
@@ -75,7 +75,7 @@ var namedGrids = map[string]struct {
 		build: func(seed uint64) Grid {
 			return Grid{
 				Name:       "alpha",
-				Policies:   []sched.Policy{sched.TopoAwareP},
+				Policies:   []schedcore.Policy{schedcore.TopoAwareP},
 				Topologies: []TopologySpec{{Builder: "minsky"}},
 				Machines:   []int{5},
 				Jobs:       []int{100},
@@ -90,7 +90,7 @@ var namedGrids = map[string]struct {
 		build: func(seed uint64) Grid {
 			return Grid{
 				Name:       "threshold",
-				Policies:   []sched.Policy{sched.TopoAwareP},
+				Policies:   []schedcore.Policy{schedcore.TopoAwareP},
 				Topologies: []TopologySpec{{Builder: "minsky"}},
 				Machines:   []int{5},
 				Jobs:       []int{100},
@@ -157,7 +157,7 @@ var namedGrids = map[string]struct {
 		build: func(seed uint64) Grid {
 			return Grid{
 				Name:     "priority",
-				Policies: []sched.Policy{sched.TopoAwareP},
+				Policies: []schedcore.Policy{schedcore.TopoAwareP},
 				// Two machines keep the cluster contended enough that the
 				// disciplines actually diverge: priority jobs must overtake
 				// (and, preemptively, evict) to win their wait-time edge on
@@ -176,7 +176,7 @@ var namedGrids = map[string]struct {
 		build: func(seed uint64) Grid {
 			return Grid{
 				Name:     "sharded",
-				Policies: []sched.Policy{sched.TopoAware, sched.TopoAwareP},
+				Policies: []schedcore.Policy{schedcore.TopoAware, schedcore.TopoAwareP},
 				// One homogeneous fleet (hash and block split it 4 ways;
 				// kind degenerates to a single domain) and one mixed fleet
 				// (kind gives one domain per machine generation), so the
@@ -189,28 +189,6 @@ var namedGrids = map[string]struct {
 				Domains:        []string{"", "hash:4", "block:4", "kind"},
 				Jobs:           []int{60},
 				Replicas:       2,
-				BaseSeed:       seed,
-				RatePerMachine: 2,
-			}
-		},
-	},
-	"cachebench": {
-		desc: "placement-cache speedup point: TOPO-AWARE × minsky:1000 × 2000 jobs × 3 replicas (scenario-2 scale; run twice with -place-cache on/off and compare elapsed)",
-		build: func(seed uint64) Grid {
-			return Grid{
-				Name: "cachebench",
-				// One policy, one big homogeneous point: 200 identical
-				// minsky machines mean almost every single-node subproblem
-				// the candidate sweep evaluates repeats across machines and
-				// rounds, which is exactly the regime the canonical-shape
-				// cache accelerates. Heterogeneous fleets split the key
-				// space per machine shape and hit less — the hetero grid
-				// already covers correctness there.
-				Policies:       []sched.Policy{sched.TopoAware},
-				Topologies:     []TopologySpec{{Builder: "minsky"}},
-				Machines:       []int{1000},
-				Jobs:           []int{2000},
-				Replicas:       3,
 				BaseSeed:       seed,
 				RatePerMachine: 2,
 			}
@@ -229,7 +207,7 @@ var namedGrids = map[string]struct {
 			return Grid{
 				Name:       "levelweights",
 				Source:     SourceTable1,
-				Policies:   []sched.Policy{sched.TopoAwareP},
+				Policies:   []schedcore.Policy{schedcore.TopoAwareP},
 				Topologies: specs,
 				BaseSeed:   seed,
 			}

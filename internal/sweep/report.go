@@ -10,7 +10,7 @@ import (
 
 	"gputopo/internal/caffesim"
 	"gputopo/internal/metrics"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/stats"
 )
@@ -77,20 +77,20 @@ func newPointResult(p Point, out *RunOutput) PointResult {
 // CellSummary aggregates the seed replicas of one grid cell (all axes
 // except the replica) with descriptive statistics from internal/stats.
 type CellSummary struct {
-	Engine        Engine        `json:"engine"`
-	Source        Source        `json:"source"`
-	Policy        sched.Policy  `json:"policy"`
-	Topology      TopologySpec  `json:"topology"`
-	Machines      int           `json:"machines"`
-	Jobs          int           `json:"jobs"`
-	AlphaCC       float64       `json:"alpha_cc"`
-	Threshold     float64       `json:"threshold"`
-	Replicas      int           `json:"replicas"`
-	Makespan      stats.Summary `json:"makespan_s"`
-	MeanQoS       stats.Summary `json:"mean_slowdown_qos"`
-	MeanQoSWait   stats.Summary `json:"mean_slowdown_qos_wait"`
-	TotalWait     stats.Summary `json:"total_wait_s"`
-	SLOViolations stats.Summary `json:"slo_violations"`
+	Engine        Engine           `json:"engine"`
+	Source        Source           `json:"source"`
+	Policy        schedcore.Policy `json:"policy"`
+	Topology      TopologySpec     `json:"topology"`
+	Machines      int              `json:"machines"`
+	Jobs          int              `json:"jobs"`
+	AlphaCC       float64          `json:"alpha_cc"`
+	Threshold     float64          `json:"threshold"`
+	Replicas      int              `json:"replicas"`
+	Makespan      stats.Summary    `json:"makespan_s"`
+	MeanQoS       stats.Summary    `json:"mean_slowdown_qos"`
+	MeanQoSWait   stats.Summary    `json:"mean_slowdown_qos_wait"`
+	TotalWait     stats.Summary    `json:"total_wait_s"`
+	SLOViolations stats.Summary    `json:"slo_violations"`
 	// Discipline and the priority-class summaries appear only for cells
 	// whose points set them, so pre-priority artifacts round-trip
 	// byte-identically.
@@ -184,7 +184,7 @@ type Report struct {
 // policy axis varied) that is the cell's result for the policy; on a
 // multi-cell grid it is merely the first matching point, so callers
 // comparing policies across cells should walk Points or Cells instead.
-func (r *Report) ByPolicy(pol sched.Policy) *PointResult {
+func (r *Report) ByPolicy(pol schedcore.Policy) *PointResult {
 	for i := range r.Points {
 		if r.Points[i].Policy == pol {
 			return &r.Points[i]

@@ -6,7 +6,7 @@ import (
 	"regexp"
 	"testing"
 
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 )
 
 func TestParseTopologyArgDomains(t *testing.T) {
@@ -210,7 +210,7 @@ func TestGoldenShardedBaseline(t *testing.T) {
 func TestShardedDeterminismAcrossWorkerCounts(t *testing.T) {
 	g := Grid{
 		Name:           "shard-det",
-		Policies:       []sched.Policy{sched.TopoAwareP},
+		Policies:       []schedcore.Policy{schedcore.TopoAwareP},
 		Topologies:     []TopologySpec{{Builder: "minsky"}},
 		Machines:       []int{6},
 		Jobs:           []int{40},

@@ -87,23 +87,9 @@ func (c *substrateCache) substrate(ts TopologySpec, machines int, standalone boo
 	return e.topo, e.profiles, e.err
 }
 
-// runner is the default point runner: it resolves the point's substrate
-// through the cache and executes the selected engine.
-func (c *substrateCache) runner(p Point) (*RunOutput, error) {
-	return c.runPoint(p, schedTweaks{})
-}
-
-// schedTweaks bundles the scheduler escape hatches the equivalence tests
-// thread through runPoint; production runs always use the zero value.
-type schedTweaks struct {
-	disableEpochGate  bool
-	disableWakeIndex  bool
-	disablePlaceCache bool
-}
-
-// runPoint materializes the point's workload on the cached substrate and
-// runs the engine.
-func (c *substrateCache) runPoint(p Point, tweaks schedTweaks) (*RunOutput, error) {
+// runPoint is the default point runner: it materializes the point's
+// workload on the cached substrate and runs the selected engine.
+func (c *substrateCache) runPoint(p Point) (*RunOutput, error) {
 	var topo *topology.Topology
 	var profiles *profile.Store
 	var jobs []*job.Job
@@ -160,18 +146,15 @@ func (c *substrateCache) runPoint(p Point, tweaks schedTweaks) (*RunOutput, erro
 	switch p.Engine {
 	case EngineSim:
 		simCfg := simulator.Config{
-			Topology:          topo,
-			Policy:            p.Policy,
-			Weights:           weights,
-			Profiles:          profiles,
-			Seed:              p.Seed,
-			SampleInterval:    p.grid.SampleInterval,
-			JitterStddev:      p.grid.JitterStddev,
-			DisableEpochGate:  tweaks.disableEpochGate,
-			DisableWakeIndex:  tweaks.disableWakeIndex,
-			DisablePlaceCache: tweaks.disablePlaceCache,
-			Discipline:        disc,
-			EnablePreemption:  preempt,
+			Topology:         topo,
+			Policy:           p.Policy,
+			Weights:          weights,
+			Profiles:         profiles,
+			Seed:             p.Seed,
+			SampleInterval:   p.grid.SampleInterval,
+			JitterStddev:     p.grid.JitterStddev,
+			Discipline:       disc,
+			EnablePreemption: preempt,
 		}
 		if p.Topology.Domains != "" {
 			if p.Source != SourceGenerated {

@@ -90,189 +90,3 @@ func TestSharedSubstrateManyWorkers(t *testing.T) {
 		t.Fatal("1-worker and 8-worker artifacts differ on a shared substrate")
 	}
 }
-
-// TestEpochGateEquivalence runs grids with the version gate on (default)
-// and off and requires byte-identical artifacts: the gate may only skip
-// placement evaluations whose outcome is already determined, never change
-// one. Both a homogeneous scenario-1-style grid and a heterogeneous mix
-// grid are covered; all four policies are in the default policy set, so
-// the blocked/out-of-order queue paths are all exercised.
-func TestEpochGateEquivalence(t *testing.T) {
-	grids := []struct {
-		grid Grid
-		// expectSkips marks grids congested enough that the gate provably
-		// fires (high postponement thresholds force low-utility postpones,
-		// the only walk-surviving memo source — capacity-doomed jobs are
-		// screened by the O(1) availableResources gate before tryPlace).
-		expectSkips bool
-	}{
-		{
-			grid: Grid{
-				Name:           "gate-equiv-scenario1",
-				Machines:       []int{3},
-				Jobs:           []int{150},
-				Thresholds:     []float64{0.9},
-				Replicas:       1,
-				BaseSeed:       42,
-				RatePerMachine: 8,
-			},
-			expectSkips: true,
-		},
-		{
-			grid: Grid{
-				Name: "gate-equiv-hetero",
-				Topologies: []TopologySpec{
-					{Mix: []MixEntry{{Kind: "minsky", Count: 1}, {Kind: "dgx1", Count: 1}}},
-				},
-				Jobs:     []int{40},
-				Replicas: 2,
-				BaseSeed: 7,
-			},
-		},
-	}
-	for _, tc := range grids {
-		grid, expectSkips := tc.grid, tc.expectSkips
-		t.Run(grid.Name, func(t *testing.T) {
-			gated, err := Run(grid, Options{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ungatedCache := newSubstrateCache()
-			ungated, err := Run(grid, Options{
-				Workers: 4,
-				Runner: func(p Point) (*RunOutput, error) {
-					return ungatedCache.runPoint(p, schedTweaks{disableEpochGate: true})
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			jsGated, err := gated.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			jsUngated, err := ungated.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(jsGated, jsUngated) {
-				t.Fatal("gated and ungated artifacts differ — the version gate changed a decision")
-			}
-			csvGated, csvUngated := gated.CSV(), ungated.CSV()
-			if !bytes.Equal(csvGated, csvUngated) {
-				t.Fatal("gated and ungated CSV artifacts differ")
-			}
-			// On grids engineered for it the gate must actually fire, or
-			// the equivalence above proves nothing.
-			skips := 0
-			for _, pr := range gated.Points {
-				skips += pr.Sim.SchedStats.GateSkips
-			}
-			if expectSkips && skips == 0 {
-				t.Fatal("version gate never fired; grid not congested enough to exercise it")
-			}
-			for _, pr := range ungated.Points {
-				if pr.Sim.SchedStats.GateSkips != 0 {
-					t.Fatal("ungated run recorded gate skips")
-				}
-			}
-		})
-	}
-}
-
-// TestWakeIndexEquivalence runs grids with the wake-up index on (the
-// default) and off and requires byte-identical JSON and CSV artifacts:
-// the index may only skip visiting queued jobs whose availableResources
-// gate provably cannot pass — it must never change a placement, a
-// timing, or an aggregate postponement count. A congested scenario-1
-// style grid (deep capacity-blocked queues, the index's target workload)
-// and a heterogeneous mix grid are covered; the scenario-1 grid must
-// actually record wake skips or the equivalence proves nothing.
-func TestWakeIndexEquivalence(t *testing.T) {
-	grids := []struct {
-		grid Grid
-		// expectSkips marks grids congested enough that parked jobs
-		// provably stay parked across events.
-		expectSkips bool
-	}{
-		{
-			grid: Grid{
-				Name:           "wake-equiv-scenario1",
-				Machines:       []int{3},
-				Jobs:           []int{150},
-				Replicas:       1,
-				BaseSeed:       42,
-				RatePerMachine: 8,
-			},
-			expectSkips: true,
-		},
-		{
-			grid: Grid{
-				Name: "wake-equiv-hetero",
-				Topologies: []TopologySpec{
-					{Mix: []MixEntry{{Kind: "minsky", Count: 1}, {Kind: "dgx1", Count: 1}}},
-				},
-				Jobs:     []int{40},
-				Replicas: 2,
-				BaseSeed: 7,
-			},
-		},
-	}
-	for _, tc := range grids {
-		grid, expectSkips := tc.grid, tc.expectSkips
-		t.Run(grid.Name, func(t *testing.T) {
-			indexed, err := Run(grid, Options{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			walkedCache := newSubstrateCache()
-			walked, err := Run(grid, Options{
-				Workers: 4,
-				Runner: func(p Point) (*RunOutput, error) {
-					return walkedCache.runPoint(p, schedTweaks{disableWakeIndex: true})
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			jsIndexed, err := indexed.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			jsWalked, err := walked.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(jsIndexed, jsWalked) {
-				t.Fatal("indexed and full-walk artifacts differ — the wake-up index changed a decision")
-			}
-			if !bytes.Equal(indexed.CSV(), walked.CSV()) {
-				t.Fatal("indexed and full-walk CSV artifacts differ")
-			}
-			skips := 0
-			for _, pr := range indexed.Points {
-				skips += pr.Sim.SchedStats.WakeSkips
-			}
-			if expectSkips && skips == 0 {
-				t.Fatal("wake-up index never skipped a parked job; grid not congested enough to exercise it")
-			}
-			for _, pr := range walked.Points {
-				if pr.Sim.SchedStats.WakeSkips != 0 {
-					t.Fatal("full-walk run recorded wake skips")
-				}
-			}
-			// The per-job postponement counts (not part of the serialized
-			// artifact) must also agree: the index derives them from round
-			// counters instead of materialized decisions.
-			for i := range indexed.Points {
-				a, b := indexed.Points[i].Sim.Jobs, walked.Points[i].Sim.Jobs
-				for k := range a {
-					if a[k].Postponements != b[k].Postponements {
-						t.Fatalf("point %d job %s: postponements %d (indexed) vs %d (walk)",
-							i, a[k].Job.ID, a[k].Postponements, b[k].Postponements)
-					}
-				}
-			}
-		})
-	}
-}

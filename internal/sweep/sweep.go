@@ -22,7 +22,7 @@ import (
 	"sync/atomic"
 
 	"gputopo/internal/caffesim"
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/stats"
 )
@@ -124,8 +124,8 @@ type Grid struct {
 	// Engine and Source apply to every point.
 	Engine Engine `json:"engine"`
 	Source Source `json:"source"`
-	// Policies defaults to sched.AllPolicies().
-	Policies []sched.Policy `json:"policies,omitempty"`
+	// Policies defaults to schedcore.AllPolicies().
+	Policies []schedcore.Policy `json:"policies,omitempty"`
 	// Topologies is the topology axis: each spec names a builder, an
 	// optional pinned machine count and optional level-weight overrides.
 	// Empty defaults to one zero spec — a Minsky cluster sized by the
@@ -181,7 +181,7 @@ type Grid struct {
 // withDefaults fills neutral values for unspecified axes.
 func (g Grid) withDefaults() Grid {
 	if len(g.Policies) == 0 {
-		g.Policies = sched.AllPolicies()
+		g.Policies = schedcore.AllPolicies()
 	}
 	if len(g.Topologies) == 0 {
 		g.Topologies = []TopologySpec{{}}
@@ -215,17 +215,17 @@ func (g Grid) withDefaults() Grid {
 // field needed to reproduce the run is embedded — including the derived
 // seed — so execution order cannot influence the result.
 type Point struct {
-	Index     int          `json:"index"`
-	Engine    Engine       `json:"engine"`
-	Source    Source       `json:"source"`
-	Policy    sched.Policy `json:"policy"`
-	Topology  TopologySpec `json:"topology"`
-	Machines  int          `json:"machines"`
-	Jobs      int          `json:"jobs"`
-	AlphaCC   float64      `json:"alpha_cc"`
-	Threshold float64      `json:"threshold"`
-	Replica   int          `json:"replica"`
-	Seed      uint64       `json:"seed"`
+	Index     int              `json:"index"`
+	Engine    Engine           `json:"engine"`
+	Source    Source           `json:"source"`
+	Policy    schedcore.Policy `json:"policy"`
+	Topology  TopologySpec     `json:"topology"`
+	Machines  int              `json:"machines"`
+	Jobs      int              `json:"jobs"`
+	AlphaCC   float64          `json:"alpha_cc"`
+	Threshold float64          `json:"threshold"`
+	Replica   int              `json:"replica"`
+	Seed      uint64           `json:"seed"`
 	// Discipline is the queue-discipline axis value; empty (the default
 	// FIFO) is omitted so pre-discipline artifacts parse and re-serialize
 	// unchanged.
@@ -244,7 +244,7 @@ func (p Point) cellKey() string {
 	return cellKeyOf(p.Engine, p.Source, p.Policy, p.Topology, p.Machines, p.Jobs, p.AlphaCC, p.Threshold, p.Discipline)
 }
 
-func cellKeyOf(e Engine, s Source, pol sched.Policy, ts TopologySpec, machines, jobs int, alpha, th float64, disc string) string {
+func cellKeyOf(e Engine, s Source, pol schedcore.Policy, ts TopologySpec, machines, jobs int, alpha, th float64, disc string) string {
 	k := fmt.Sprintf("%s/%s/%s/%s/m%d/j%d/a%g/t%g",
 		e, s, pol, ts.Key(), machines, jobs, alpha, th)
 	if disc != "" {
@@ -341,12 +341,6 @@ type Options struct {
 	// Progress, when non-nil, is called after each completed point with
 	// the number done so far and the total. Calls are serialized.
 	Progress func(done, total int)
-	// DisablePlaceCache runs the default runner's simulations without
-	// the canonical-shape placement cache. Deterministic metrics are
-	// identical either way; the cache-bench CI job uses the switch to
-	// measure the on-vs-off wall-clock ratio. Ignored when Runner is
-	// set.
-	DisablePlaceCache bool
 }
 
 // ForEach runs fn(0..n-1) across a pool of at most workers goroutines
@@ -410,9 +404,7 @@ func Run(g Grid, opt Options) (*Report, error) {
 		// Run's points: a grid's points overwhelmingly reuse a handful of
 		// distinct topologies, and both the topology and its profile store
 		// are immutable once built (see newSubstrateCache).
-		c := newSubstrateCache()
-		tweaks := schedTweaks{disablePlaceCache: opt.DisablePlaceCache}
-		runner = func(p Point) (*RunOutput, error) { return c.runPoint(p, tweaks) }
+		runner = newSubstrateCache().runPoint
 	}
 	results := make([]PointResult, len(points))
 	var mu sync.Mutex

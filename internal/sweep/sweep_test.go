@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/stats"
 )
 
@@ -177,7 +177,7 @@ func TestProtoEngineSweep(t *testing.T) {
 			t.Fatalf("point %d finished %d jobs, want 6 (Table 1)", p.Index, p.JobsFinished)
 		}
 	}
-	if rep.ByPolicy(sched.TopoAwareP) == nil {
+	if rep.ByPolicy(schedcore.TopoAwareP) == nil {
 		t.Fatal("ByPolicy lookup failed")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"gputopo/internal/sched"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/topology"
 	"gputopo/internal/workload"
@@ -36,7 +36,7 @@ func TestFromJobsReplayRoundTrip(t *testing.T) {
 
 func TestFromRunRecordsOutcomes(t *testing.T) {
 	topo := topology.Power8Minsky()
-	res, err := simulator.Run(simulator.Config{Topology: topo, Policy: sched.TopoAwareP}, workload.Table1())
+	res, err := simulator.Run(simulator.Config{Topology: topo, Policy: schedcore.TopoAwareP}, workload.Table1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestReplayedTraceSimulatesIdentically(t *testing.T) {
 	// Record a run, replay the trace, and verify the simulation repeats
 	// exactly — the trace-driven workflow of §5.3.
 	topo := topology.Power8Minsky()
-	original, err := simulator.Run(simulator.Config{Topology: topo, Policy: sched.FCFS}, workload.Table1())
+	original, err := simulator.Run(simulator.Config{Topology: topo, Policy: schedcore.FCFS}, workload.Table1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestReplayedTraceSimulatesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := simulator.Run(simulator.Config{Topology: topo, Policy: sched.FCFS}, jobs)
+	replayed, err := simulator.Run(simulator.Config{Topology: topo, Policy: schedcore.FCFS}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestReplayedTraceSimulatesIdentically(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	topo := topology.Power8Minsky()
-	res, err := simulator.Run(simulator.Config{Topology: topo, Policy: sched.FCFS}, workload.Table1())
+	res, err := simulator.Run(simulator.Config{Topology: topo, Policy: schedcore.FCFS}, workload.Table1())
 	if err != nil {
 		t.Fatal(err)
 	}
