@@ -122,28 +122,11 @@ func run(cfg config, w io.Writer) error {
 
 	base := cfg.url
 	if base == "" {
-		pol, err := schedcore.ParsePolicy(cfg.policy)
-		if err != nil {
+		var stop func()
+		if base, stop, err = startInProcess(cfg, spec); err != nil {
 			return err
 		}
-		srv, err := serve.New(serve.Config{
-			Spec: spec, Policy: pol, Discipline: cfg.disc, Preemption: cfg.preempt,
-			LogPath: cfg.logPath, MaxQueue: cfg.maxQueue,
-		})
-		if err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go httpSrv.Serve(ln)
-		defer func() {
-			httpSrv.Close()
-			srv.Close()
-		}()
-		base = "http://" + ln.Addr().String()
+		defer stop()
 	}
 
 	c := client.New(base, client.WithMaxRetries(cfg.retries))
@@ -186,6 +169,34 @@ func run(cfg config, w io.Writer) error {
 		return err
 	}
 	return os.WriteFile(cfg.out, js, 0o644)
+}
+
+// startInProcess serves the spec — split into scheduling domains when
+// it carries a /domains[...] suffix — on a loopback listener and returns
+// its base URL and the shutdown function.
+func startInProcess(cfg config, spec sweep.TopologySpec) (base string, stop func(), err error) {
+	pol, err := schedcore.ParsePolicy(cfg.policy)
+	if err != nil {
+		return "", nil, err
+	}
+	srv, err := serve.New(serve.Config{
+		Spec: spec, Policy: pol, Discipline: cfg.disc, Preemption: cfg.preempt,
+		LogPath: cfg.logPath, MaxQueue: cfg.maxQueue,
+	})
+	if err != nil {
+		return "", nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		srv.Close()
+		return "", nil, err
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
+	go httpSrv.Serve(ln)
+	return "http://" + ln.Addr().String(), func() {
+		httpSrv.Close()
+		srv.Close()
+	}, nil
 }
 
 // drive runs the submit phase — closed-loop by default, open-loop when

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"gputopo/internal/serveapi/client"
 	"gputopo/internal/sweep"
 )
 
@@ -192,5 +194,60 @@ func TestPercentileMs(t *testing.T) {
 	}
 	if got := percentileMs(nil, 50); got != 0 {
 		t.Fatalf("empty percentile = %v", got)
+	}
+}
+
+// TestRunInProcessHonoursDomains: an in-process -topology with a
+// /domains[...] suffix must serve that many scheduling domains — the
+// state carries one entry per domain and each journals to its own log —
+// not the split's key over one unsharded core.
+func TestRunInProcessHonoursDomains(t *testing.T) {
+	dir := t.TempDir()
+	cfg := config{
+		topoArg: "minsky:4/domains[hash:2]",
+		policy:  "topo-p",
+		jobs:    20,
+		seed:    42,
+		rate:    10,
+		workers: 4,
+		hold:    time.Millisecond,
+		retries: 8,
+		logPath: filepath.Join(dir, "events.log"),
+		quiet:   true,
+	}
+	spec, err := sweep.ParseTopologyArg(cfg.topoArg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, stop, err := startInProcess(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := client.New(base).State(context.Background())
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Topology != cfg.topoArg || st.GPUs != 16 || len(st.Domains) != 2 {
+		t.Fatalf("in-process state: topology %q, %d GPUs, domains %+v", st.Topology, st.GPUs, st.Domains)
+	}
+	for _, ds := range st.Domains {
+		if ds.Topology != "minsky:2" || ds.GPUs != 8 {
+			t.Fatalf("domain %d: %+v", ds.Domain, ds)
+		}
+	}
+
+	// The full run drives both domains and leaves one log each.
+	var buf bytes.Buffer
+	if err := run(cfg, &buf); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, name := range []string{"events.log.d0", "events.log.d1"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("per-domain log missing: %v", err)
+		}
+	}
+	if _, err := os.Stat(cfg.logPath); err == nil {
+		t.Fatal("a split run wrote the unsplit log name")
 	}
 }

@@ -21,9 +21,10 @@
 // "mix[...]" heterogeneous clusters including degraded "minsky-1g"
 // kinds, and "matrix[file]" discovered machines), so a substrate from
 // any sweep artifact can be served verbatim. A "/domains[...]" suffix
-// (e.g. "minsky:8/domains[hash:4]") shards the cluster into scheduling
-// domains: one single-writer loop and one event log per domain, with a
-// placement router on top (docs/sharding.md). See docs/serving.md.
+// (e.g. "minsky:8/domains[hash:4]") splits the cluster into scheduling
+// domains: one single-writer loop and one event log per domain behind
+// the same placement router an unsplit cluster's one domain sits behind
+// (docs/sharding.md). See docs/serving.md.
 //
 // SIGTERM/SIGINT drain gracefully: new submissions get 503 (draining),
 // in-flight requests finish, a final snapshot bounds the next start's
@@ -67,15 +68,10 @@ func main() {
 	}
 }
 
-// engine is the surface main needs from either serving engine — the
-// single-core serve.Server or the sharded serve.MultiServer.
-type engine interface {
-	Handler() http.Handler
-	BeginDrain()
-	Close() error
-	Replayed() int
-	Durable() bool
-}
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a slow or stalled connection cannot hold a
+// goroutine forever.
+const readHeaderTimeout = 10 * time.Second
 
 func run(addr, topoArg, policyName, discipline string, preempt bool, logPath string, maxQueue, snapshotEvery, fsyncEvery int, drainFor time.Duration, quiet bool) error {
 	spec, err := sweep.ParseTopologyArg(topoArg)
@@ -96,31 +92,19 @@ func run(addr, topoArg, policyName, discipline string, preempt bool, logPath str
 		SnapshotEvery: snapshotEvery,
 		FsyncEvery:    fsyncEvery,
 	}
-	var srv engine
-	sharding := ""
-	if spec.Domains != "" {
-		ms, err := serve.NewMulti(cfg)
-		if err != nil {
-			return err
-		}
-		srv = ms
-		sharding = fmt.Sprintf(", %d domains", ms.Domains())
-	} else {
-		s, err := serve.New(cfg)
-		if err != nil {
-			return err
-		}
-		srv = s
+	srv, err := serve.New(cfg)
+	if err != nil {
+		return err
 	}
 	if !quiet {
 		durable := "in-memory"
 		if srv.Durable() {
 			durable = fmt.Sprintf("log %s (%d records replayed)", logPath, srv.Replayed())
 		}
-		fmt.Printf("toposerve: %s under %s on %s, %s%s\n", spec.Key(), pol, addr, durable, sharding)
+		fmt.Printf("toposerve: %s under %s on %s, %s, domains: %d\n", spec.Key(), pol, addr, durable, srv.Domains())
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	serveErr := make(chan error, 1)

@@ -50,6 +50,7 @@ func runShardedTrace(t *testing.T, tr *Trace) map[int]int {
 	})
 
 	routed := map[int]int{}
+	home := map[string]int{}
 	for step, ev := range tr.Events {
 		where := fmt.Sprintf("step %d", step)
 		switch ev.Kind {
@@ -59,7 +60,7 @@ func runShardedTrace(t *testing.T, tr *Trace) map[int]int {
 				t.Fatalf("%s %s: route %s: %v", tr, where, ev.Job.ID, err)
 			}
 			routed[d]++
-			router.Bind(ev.Job.ID, d)
+			home[ev.Job.ID] = d
 			if err := doms[d].ref.Submit(CloneJob(ev.Job)); err != nil {
 				t.Fatalf("%s %s: domain %d reference submit %s: %v", tr, where, d, ev.Job.ID, err)
 			}
@@ -70,7 +71,7 @@ func runShardedTrace(t *testing.T, tr *Trace) map[int]int {
 		case Remove:
 			// The Remove follows the target to its home domain — the same
 			// lookup the serving layer performs — and resolves there.
-			d, ok := router.Home(ev.Target)
+			d, ok := home[ev.Target]
 			if !ok {
 				continue
 			}
@@ -89,10 +90,10 @@ func runShardedTrace(t *testing.T, tr *Trace) map[int]int {
 					t.Fatalf("%s %s: domain %d core withdraw %s: not queued", tr, where, d, ev.Target)
 				}
 			default:
-				router.Unbind(ev.Target)
+				delete(home, ev.Target)
 				continue // evicted-then-removed or already gone
 			}
-			router.Unbind(ev.Target)
+			delete(home, ev.Target)
 			checkRound(t, tr, fmt.Sprintf("%s domain %d", where, d), sd.ref, sd.core)
 		}
 	}

@@ -176,13 +176,4 @@ func TestRouterPrefersSeatsNowAndSpills(t *testing.T) {
 	if _, err := r.Route(mkJob("c", 5, true, false)); err == nil {
 		t.Fatal("inadmissible job routed")
 	}
-
-	r.Bind("a", 1)
-	if d, ok := r.Home("a"); !ok || d != 1 {
-		t.Fatalf("Home(a) = %d, %v", d, ok)
-	}
-	r.Unbind("a")
-	if _, ok := r.Home("a"); ok {
-		t.Fatal("Unbind left the binding")
-	}
 }

@@ -15,21 +15,19 @@ import (
 // and no cross-loop synchronization.
 type FreeFunc func(domain int) (freeGPUs, maxFreeOnMachine, freeMachines int)
 
-// Router picks a domain per submission over live free-GPU counters and
-// remembers each job's home domain so releases and withdrawals find
-// their way back. It is not concurrency-safe: the serving layer calls
-// it from one dispatch goroutine, matching the single-writer discipline
-// of the cores underneath.
+// Router picks a domain per submission over live free-GPU counters.
+// Routing is all it does: which domain a job ended up in is the caller's
+// to remember, next to whatever else it tracks per job. A Router holds
+// no mutable state; Route is as concurrency-safe as its FreeFunc.
 type Router struct {
 	caps []Capacity
 	free FreeFunc
-	home map[string]int
 }
 
 // NewRouter builds a router over the domains' capacities and the live
 // counter source.
 func NewRouter(caps []Capacity, free FreeFunc) *Router {
-	return &Router{caps: caps, free: free, home: map[string]int{}}
+	return &Router{caps: caps, free: free}
 }
 
 // Domains returns the domain count.
@@ -68,15 +66,3 @@ func (r *Router) Route(j *job.Job) (int, error) {
 	}
 	return -1, fmt.Errorf("domains: job %s (gpus=%d single_node=%v anti_collocate=%v) is admissible in no domain", j.ID, j.GPUs, j.SingleNode, j.AntiCollocate)
 }
-
-// Bind records the job's home domain after a successful submit.
-func (r *Router) Bind(jobID string, domain int) { r.home[jobID] = domain }
-
-// Home returns the job's recorded domain.
-func (r *Router) Home(jobID string) (int, bool) {
-	d, ok := r.home[jobID]
-	return d, ok
-}
-
-// Unbind forgets a finished or withdrawn job.
-func (r *Router) Unbind(jobID string) { delete(r.home, jobID) }

@@ -41,7 +41,7 @@ func TestStateExposesPlaceCache(t *testing.T) {
 // each domain reports its own counters and the top-level block is their
 // sum, mirroring how Decisions and Preemptions aggregate.
 func TestMultiServerPlaceCacheAggregation(t *testing.T) {
-	_, _, c := startMulti(t, Config{
+	_, c := startServer(t, Config{
 		Spec: specArg(t, "minsky:4/domains[hash:2]"), Policy: schedcore.TopoAwareP,
 	})
 	ctx := ctxT(t)
@@ -81,7 +81,7 @@ func TestMultiServerPlaceCacheAggregation(t *testing.T) {
 // proves no cross-domain or reader path touches a cache without
 // synchronization.
 func TestMultiServerPlaceCacheConcurrent(t *testing.T) {
-	_, _, c := startMulti(t, Config{
+	_, c := startServer(t, Config{
 		Spec: specArg(t, "minsky:8/domains[hash:4]"), Policy: schedcore.TopoAwareP,
 		Discipline: "priority", Preemption: true,
 	})

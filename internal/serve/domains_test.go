@@ -15,23 +15,6 @@ import (
 	"gputopo/internal/workload"
 )
 
-// startMulti builds a sharded MultiServer plus httptest wrapper and the
-// typed client.
-func startMulti(t *testing.T, cfg Config) (*MultiServer, *httptest.Server, *client.Client) {
-	t.Helper()
-	ms, err := NewMulti(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(ms.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ms.Close()
-	})
-	c := client.New(ts.URL)
-	return ms, ts, c
-}
-
 // domainDecisions fetches one domain's decision page through the wire
 // (the domain cursor is a query parameter the typed client doesn't
 // carry).
@@ -63,7 +46,7 @@ func itoa(n int) string {
 // is seated, and every wire-visible GPU index must be a cluster-wide
 // coordinate, not a domain-local one.
 func TestMultiServerShardedEndToEnd(t *testing.T) {
-	ms, ts, c := startMulti(t, Config{
+	ms, c := startServer(t, Config{
 		Spec: specArg(t, "minsky:4/domains[hash:2]"), Policy: schedcore.TopoAwareP,
 	})
 	if ms.Domains() != 2 {
@@ -169,7 +152,7 @@ func TestMultiServerShardedEndToEnd(t *testing.T) {
 	}
 	total := 0
 	for d := 0; d < 2; d++ {
-		dr := domainDecisions(t, ts.URL, d)
+		dr := domainDecisions(t, baseURL(c), d)
 		if len(dr.Decisions) == 0 {
 			t.Fatalf("domain %d logged no decisions", d)
 		}
@@ -185,7 +168,7 @@ func TestMultiServerShardedEndToEnd(t *testing.T) {
 	if total < 5 {
 		t.Fatalf("%d decisions across domains, want at least the 5 placements", total)
 	}
-	if resp, err := http.Get(ts.URL + "/v1/decisions?domain=7"); err != nil || resp.StatusCode != http.StatusBadRequest {
+	if resp, err := http.Get(baseURL(c) + "/v1/decisions?domain=7"); err != nil || resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range domain: %v %v", resp.StatusCode, err)
 	} else {
 		resp.Body.Close()
@@ -196,7 +179,7 @@ func TestMultiServerShardedEndToEnd(t *testing.T) {
 // cluster-wide namespace, so concurrent-looking submissions across
 // domains can never collide.
 func TestMultiServerGeneratedIDsUnique(t *testing.T) {
-	_, _, c := startMulti(t, Config{
+	_, c := startServer(t, Config{
 		Spec: specArg(t, "minsky:4/domains[hash:4]"), Policy: schedcore.TopoAwareP,
 	})
 	ctx := ctxT(t)
@@ -232,7 +215,7 @@ func TestMultiServerKillRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms1, err := NewMulti(cfg)
+	ms1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +263,7 @@ func TestMultiServerKillRestartRecovery(t *testing.T) {
 		}
 	}
 
-	ms2, err := NewMulti(cfg)
+	ms2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -333,7 +316,7 @@ func TestMultiServerKillRestartRecovery(t *testing.T) {
 		t.Fatalf("pre-crash running job %s: %+v", st1.Running[0].ID, rel)
 	}
 
-	// The recovered MultiServer keeps routing: one more submit, then a
+	// The recovered server keeps routing: one more submit, then a
 	// graceful close snapshots every domain and bounds the next replay to
 	// one record per domain.
 	if _, err := c2.SubmitJob(ctx, serveapi.JobRequest{ID: "post-crash", GPUs: 1}); err != nil {
@@ -345,7 +328,7 @@ func TestMultiServerKillRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms3, err := NewMulti(cfg)
+	ms3, err := New(cfg)
 	if err != nil {
 		t.Fatalf("post-snapshot recovery failed: %v", err)
 	}
@@ -361,20 +344,12 @@ func TestMultiServerKillRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestMultiServerRejectsUnsharded: a spec without domains[...] must go
-// through New, not NewMulti.
-func TestMultiServerRejectsUnsharded(t *testing.T) {
-	if _, err := NewMulti(Config{Spec: specArg(t, "minsky:2"), Policy: schedcore.TopoAwareP}); err == nil {
-		t.Fatal("NewMulti accepted an unsharded spec")
-	}
-}
-
 // TestMultiServerStateLogAggregation: with durable domains the merged
 // state carries both the per-domain log gauges and their cluster-wide
 // aggregate.
 func TestMultiServerStateLogAggregation(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "events.log")
-	_, _, c := startMulti(t, Config{
+	_, c := startServer(t, Config{
 		Spec: specArg(t, "minsky:2/domains[hash:2]"), Policy: schedcore.TopoAwareP,
 		LogPath: logPath, SnapshotEvery: -1,
 	})

@@ -3,16 +3,19 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
-	"gputopo/internal/perfmodel"
+	"gputopo/internal/schedcore"
 	"gputopo/internal/serveapi"
 )
 
 // Handler wires the /v1 HTTP API. Every response body is a serveapi
-// type; every non-2xx response is the uniform error envelope.
+// type; every non-2xx response is the uniform error envelope; every GPU
+// and machine index on the wire is cluster-wide.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -26,53 +29,115 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleSubmit is POST /v1/jobs: decode, fast-fail obvious rejects,
-// then enqueue into the batching loop and answer with this job's
-// decision once its record is durable.
+func writeShutDown(w http.ResponseWriter) {
+	serveapi.WriteError(w, http.StatusServiceUnavailable, serveapi.CodeDraining, "server is shut down")
+}
+
+// handleSubmit is POST /v1/jobs: decode, resolve the ID in the
+// cluster-wide namespace, pick the domain by the admissible
+// free-capacity heuristic, enqueue into that domain's batching loop and
+// answer with this job's decision once its record is durable.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req serveapi.JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		serveapi.WriteError(w, http.StatusBadRequest, serveapi.CodeInvalidJSON, "invalid job JSON: %v", err)
 		return
 	}
-	// Model parse is read-only: reject before taking a loop slot. The
-	// loop re-validates the full job either way.
-	if req.Model != "" {
-		if _, err := perfmodel.ParseNN(req.Model); err != nil {
-			serveapi.WriteError(w, http.StatusBadRequest, serveapi.CodeInvalidJob, "%v", err)
-			return
-		}
-	}
 	if s.draining.Load() {
 		serveapi.WriteError(w, http.StatusServiceUnavailable, serveapi.CodeDraining, "server is draining; not admitting jobs")
 		return
 	}
-	o := &op{kind: opSubmit, req: req, done: make(chan struct{})}
-	if !s.submit(o) {
-		serveapi.WriteError(w, http.StatusServiceUnavailable, serveapi.CodeDraining, "server is shut down")
+	o, d, no := s.route(req)
+	if no != nil {
+		serveapi.WriteError(w, no.status, no.code, "%v", no.err)
 		return
 	}
-	if o.errCode != "" {
-		if o.errCode == serveapi.CodeQueueFull {
-			serveapi.WriteRetryAfter(w, o.retryAfter, "%s", o.errMsg)
-			return
-		}
+	ok := s.doms[d].submit(o)
+
+	s.mu.Lock()
+	delete(s.pending, o.id)
+	if o.accepted {
+		s.home[o.id] = d
+	}
+	s.mu.Unlock()
+
+	switch {
+	case !ok:
+		writeShutDown(w)
+	case o.errCode == serveapi.CodeQueueFull:
+		serveapi.WriteRetryAfter(w, o.retryAfter, "%s", o.errMsg)
+	case o.errCode != "":
 		serveapi.WriteError(w, o.status, o.errCode, "%s", o.errMsg)
-		return
+	default:
+		o.jobResp.GPUs = s.globalGPUs(d, o.jobResp.GPUs)
+		serveapi.WriteJSON(w, o.jobResp)
 	}
-	serveapi.WriteJSON(w, o.jobResp)
 }
 
-// handleRelease is DELETE /v1/jobs/{id}: release a running job (the
-// batch's round lets waiting jobs take the freed GPUs) or withdraw a
-// queued one. Releases are allowed while draining so work can finish.
+// refusal is a submission the front answers itself, before any domain
+// sees it.
+type refusal struct {
+	status int
+	code   string
+	err    error
+}
+
+// route resolves the request's ID, materializes the job — once: the
+// same *job.Job passes the admissibility check here and enters the
+// domain's core — and picks its domain, marking the ID in flight.
+func (s *Server) route(req serveapi.JobRequest) (*op, int, *refusal) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	taken := func(id string) bool {
+		_, homed := s.home[id]
+		return homed || s.pending[id]
+	}
+	if req.ID == "" {
+		// Generated IDs follow one monotonic counter, skipping IDs a
+		// client claimed explicitly.
+		for req.ID == "" || taken(req.ID) {
+			s.seq++
+			req.ID = "job-" + strconv.Itoa(s.seq)
+		}
+	} else if taken(req.ID) {
+		return nil, 0, &refusal{http.StatusConflict, serveapi.CodeJobExists, fmt.Errorf("job %s already exists", req.ID)}
+	}
+	j, err := serveapi.JobSpec{JobRequest: req}.Job()
+	if err != nil {
+		return nil, 0, &refusal{http.StatusBadRequest, serveapi.CodeInvalidJob, err}
+	}
+	d, err := s.router.Route(j)
+	if err != nil {
+		return nil, 0, &refusal{http.StatusBadRequest, serveapi.CodeInvalidJob, err}
+	}
+	s.pending[j.ID] = true
+	return submitOp(j), d, nil
+}
+
+// handleRelease is DELETE /v1/jobs/{id}: forward to the job's home
+// domain, which releases a running job (the batch's round lets waiting
+// jobs take the freed GPUs) or withdraws a queued one. Releases are
+// allowed while draining so work can finish.
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	o := &op{kind: opRelease, id: r.PathValue("id"), done: make(chan struct{})}
-	if !s.submit(o) {
-		serveapi.WriteError(w, http.StatusServiceUnavailable, serveapi.CodeDraining, "server is shut down")
+	id := r.PathValue("id")
+	s.mu.Lock()
+	d, ok := s.home[id]
+	s.mu.Unlock()
+	if !ok {
+		serveapi.WriteError(w, http.StatusNotFound, serveapi.CodeJobNotFound, "no queued or running job %q", id)
 		return
+	}
+	o := releaseOp(id)
+	if !s.doms[d].submit(o) {
+		writeShutDown(w)
+		return
+	}
+	if o.accepted {
+		s.mu.Lock()
+		delete(s.home, id)
+		s.mu.Unlock()
 	}
 	if o.errCode != "" {
 		serveapi.WriteError(w, o.status, o.errCode, "%s", o.errMsg)
@@ -81,150 +146,131 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	serveapi.WriteJSON(w, o.relResp)
 }
 
-// handleDecisions is GET /v1/decisions?after=S&limit=N: cursor-paged
-// reads of the decision ring, oldest first, with explicit truncation
-// reporting when the cursor points below the ring's surviving window.
-func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
-	limit := decisionLogCap
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			serveapi.WriteError(w, http.StatusBadRequest, serveapi.CodeInvalidParam, "limit %q must be an integer >= 1", q)
-			return
-		}
-		if n < limit {
-			limit = n
-		}
+// intParam reads an optional integer query parameter in [min, max],
+// answering invalid_param itself when it is out of range.
+func intParam(w http.ResponseWriter, r *http.Request, name string, def, min, max int, want string) (int, bool) {
+	q := r.URL.Query().Get(name)
+	if q == "" {
+		return def, true
 	}
-	after := 0
-	if q := r.URL.Query().Get("after"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			serveapi.WriteError(w, http.StatusBadRequest, serveapi.CodeInvalidParam, "after %q must be an integer >= 0", q)
-			return
-		}
-		after = n
+	n, err := strconv.Atoi(q)
+	if err != nil || n < min || n > max {
+		serveapi.WriteError(w, http.StatusBadRequest, serveapi.CodeInvalidParam, "%s %q must be an integer %s", name, q, want)
+		return 0, false
+	}
+	return n, true
+}
+
+// handleDecisions is GET /v1/decisions?domain=D&after=S&limit=N:
+// cursor-paged reads of one domain's decision ring, oldest first, with
+// explicit truncation reporting when the cursor points below the ring's
+// surviving window. Domains journal and sequence decisions
+// independently, so the cursor is per domain; D defaults to 0, the only
+// domain of an unsplit server.
+func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
+	d, ok := intParam(w, r, "domain", 0, 0, len(s.doms)-1, fmt.Sprintf("in [0,%d)", len(s.doms)))
+	if !ok {
+		return
+	}
+	limit, ok := intParam(w, r, "limit", decisionLogCap, 1, math.MaxInt, ">= 1")
+	if !ok {
+		return
+	}
+	after, ok := intParam(w, r, "after", 0, 0, math.MaxInt, ">= 0")
+	if !ok {
+		return
 	}
 	var resp serveapi.DecisionsResponse
-	if !s.do(func() { resp = s.decisionsPage(after, limit) }) {
-		serveapi.WriteError(w, http.StatusServiceUnavailable, serveapi.CodeDraining, "server is shut down")
+	if !s.doms[d].do(func() { resp = s.doms[d].decisionsPage(after, min(limit, decisionLogCap)) }) {
+		writeShutDown(w)
 		return
+	}
+	for i := range resp.Decisions {
+		resp.Decisions[i].GPUs = s.globalGPUs(d, resp.Decisions[i].GPUs)
 	}
 	serveapi.WriteJSON(w, resp)
 }
 
-// decisionsPage builds one page: records with seq > after, oldest
-// first, at most limit. Runs on the writer goroutine.
-func (s *Server) decisionsPage(after, limit int) serveapi.DecisionsResponse {
-	resp := serveapi.DecisionsResponse{Decisions: []serveapi.DecisionRecord{}, NextAfter: after}
-	n := len(s.decisions)
-	if n == 0 {
-		return resp
-	}
-	oldest := s.decisions[s.decHead%n].Seq
-	resp.OldestSeq = oldest
-	resp.LatestSeq = s.decSeq
-	// Records in (after, oldest) were dropped from the ring: the cursor
-	// missed them, and the client deserves to know rather than silently
-	// skipping the gap.
-	resp.Truncated = after < oldest-1
-	start := 0
-	if after >= oldest {
-		start = after - oldest + 1
-	}
-	for i := start; i < n && len(resp.Decisions) < limit; i++ {
-		resp.Decisions = append(resp.Decisions, s.decisions[(s.decHead+i)%n])
-	}
-	if len(resp.Decisions) > 0 {
-		resp.NextAfter = resp.Decisions[len(resp.Decisions)-1].Seq
-	}
-	return resp
-}
-
-// handleState is GET /v1/state.
+// handleState is GET /v1/state: every domain's snapshot merged into one
+// cluster-wide response. Each snapshot is taken on its own loop, so the
+// merge is not atomic across domains.
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	var resp serveapi.StateResponse
-	ok := s.do(func() { resp = s.stateSnapshot() })
-	if !ok {
-		serveapi.WriteError(w, http.StatusServiceUnavailable, serveapi.CodeDraining, "server is shut down")
-		return
+	snaps := make([]domainState, len(s.doms))
+	for d, dom := range s.doms {
+		if !dom.do(func() { snaps[d] = dom.snapshot() }) {
+			writeShutDown(w)
+			return
+		}
 	}
-	serveapi.WriteJSON(w, resp)
+	serveapi.WriteJSON(w, s.mergeStates(snaps))
 }
 
-// logStats gauges the event log (nil when in-memory). Runs on the
-// writer goroutine.
-func (s *Server) logStats() *serveapi.LogStats {
-	if s.log == nil {
-		return nil
-	}
-	return &serveapi.LogStats{
-		Records:            s.log.Records(),
-		SinceSnapshot:      s.log.SinceRewrite(),
-		BytesSinceSnapshot: s.log.BytesSinceRewrite(),
-		Snapshots:          s.snapshots,
-		ReplayedAtBoot:     s.replayed,
-		Syncs:              s.log.Syncs(),
-	}
-}
-
-// stateSnapshot assembles the full GET /v1/state response. Must run on
-// the writer goroutine; the sharded MultiServer calls it per domain and
-// merges.
-func (s *Server) stateSnapshot() serveapi.StateResponse {
-	st := s.core.State()
-	topo := st.Topology()
-	stats := s.combinedStats()
-	resp := serveapi.StateResponse{
-		Topology:   s.topoKey,
-		Policy:     s.core.Policy().String(),
-		Machines:   topo.NumMachines(),
-		GPUs:       topo.NumGPUs(),
-		FreeGPUs:   st.FreeGPUCount(),
+// mergeStates folds the per-domain snapshots into the cluster view:
+// counters sum, the clock is the furthest domain's, fragmentation is
+// GPU-weighted, and machine/GPU indices translate to global positions.
+// A lone domain's numbers pass through bit-exact: the scheduler counters
+// are summed as schedcore.Stats and rendered once, and the GPU weight of
+// a lone domain is exactly 1.
+func (s *Server) mergeStates(snaps []domainState) serveapi.StateResponse {
+	out := serveapi.StateResponse{
+		Topology:   s.cfg.Spec.Key(),
+		Policy:     s.cfg.Policy.String(),
 		UptimeSec:  time.Since(s.started).Seconds(),
-		ClockSec:   s.now(),
-		Durable:    s.log != nil,
+		Durable:    s.Durable(),
 		Draining:   s.draining.Load(),
 		MaxQueue:   s.cfg.MaxQueue,
 		Running:    []serveapi.RunningEntry{},
 		Queue:      []serveapi.QueuedEntry{},
-		Fragments:  st.Fragmentation(),
-		Decisions:  len(s.decisions),
-		Discipline: s.core.Discipline(),
-		Preemption: s.core.PreemptionEnabled(),
-		Stats: serveapi.SchedStats{
-			Decisions:       stats.Decisions,
-			Placements:      stats.Placements,
-			Postponements:   stats.Postponements,
-			SLOViolations:   stats.SLOViolations,
-			WakeSkips:       stats.WakeSkips,
-			Preemptions:     stats.Preemptions,
-			Evictions:       stats.Evictions,
-			MeanDecisionUs:  float64(stats.MeanDecisionTime()) / float64(time.Microsecond),
-			MaxDecisionUs:   float64(stats.MaxDecision) / float64(time.Microsecond),
-			TotalDecisionMs: float64(stats.DecisionTime) / float64(time.Millisecond),
-		},
-		Log: s.logStats(),
-		// The cache runs cold after a recovery, so its traffic is
-		// volatile by design: statsBase carries none, and these are the
-		// live core's counters.
-		PlaceCache: &serveapi.PlaceCacheStats{
-			Hits:      stats.PlaceCacheHits,
-			Misses:    stats.PlaceCacheMisses,
-			Evictions: stats.PlaceCacheEvictions,
-		},
+		Discipline: s.discipline,
+		Preemption: s.cfg.Preemption,
 	}
-	for _, id := range st.Jobs() {
-		resp.Running = append(resp.Running, serveapi.RunningEntry{ID: id, GPUs: st.Allocation(id).GPUs})
+	var stats schedcore.Stats
+	var logs serveapi.LogStats
+	for d, sn := range snaps {
+		ds := sn.DomainState
+		ds.Domain = d
+		out.Machines += ds.Machines
+		out.GPUs += ds.GPUs
+		out.FreeGPUs += ds.FreeGPUs
+		out.Decisions += ds.Decisions
+		out.ClockSec = max(out.ClockSec, sn.clock)
+		out.Fragments += sn.fragments * (float64(ds.GPUs) / float64(s.gpus))
+		stats.Add(sn.stats)
+		for _, re := range sn.running {
+			out.Running = append(out.Running, serveapi.RunningEntry{ID: re.ID, GPUs: s.globalGPUs(d, re.GPUs)})
+		}
+		out.Queue = append(out.Queue, sn.queue...)
+		for k, free := range sn.busFree {
+			out.Bandwidth = append(out.Bandwidth, serveapi.BandwidthEntry{Machine: s.machines[d][k], FreeGBs: free})
+		}
+		if l := ds.Log; l != nil {
+			logs.Records += l.Records
+			logs.SinceSnapshot += l.SinceSnapshot
+			logs.BytesSinceSnapshot += l.BytesSinceSnapshot
+			logs.Snapshots += l.Snapshots
+			logs.ReplayedAtBoot += l.ReplayedAtBoot
+			logs.Syncs += l.Syncs
+		}
+		if s.split {
+			out.Domains = append(out.Domains, ds)
+		}
 	}
-	for _, qj := range s.core.Queued() {
-		resp.Queue = append(resp.Queue, serveapi.QueuedEntry{
-			ID: qj.ID, GPUs: qj.GPUs, MinUtility: qj.MinUtility, Arrival: qj.Arrival,
-			Priority: qj.Priority,
-		})
+	slices.SortFunc(out.Bandwidth, func(a, b serveapi.BandwidthEntry) int { return a.Machine - b.Machine })
+	out.Stats = serveapi.SchedStats{
+		Decisions:       stats.Decisions,
+		Placements:      stats.Placements,
+		Postponements:   stats.Postponements,
+		SLOViolations:   stats.SLOViolations,
+		WakeSkips:       stats.WakeSkips,
+		Preemptions:     stats.Preemptions,
+		Evictions:       stats.Evictions,
+		MeanDecisionUs:  float64(stats.MeanDecisionTime()) / float64(time.Microsecond),
+		MaxDecisionUs:   float64(stats.MaxDecision) / float64(time.Microsecond),
+		TotalDecisionMs: float64(stats.DecisionTime) / float64(time.Millisecond),
 	}
-	for m := 0; m < topo.NumMachines(); m++ {
-		resp.Bandwidth = append(resp.Bandwidth, serveapi.BandwidthEntry{Machine: m, FreeGBs: st.FreeBusBandwidth(m)})
+	if s.Durable() {
+		out.Log = &logs
 	}
-	return resp
+	out.PlaceCache = placeCacheStats(stats)
+	return out
 }

@@ -230,7 +230,7 @@ func TestSnapshotEveryBoundsReplay(t *testing.T) {
 		}
 	}
 	var since int
-	srv.do(func() { since = srv.log.SinceRewrite() })
+	srv.doms[0].do(func() { since = srv.doms[0].log.SinceRewrite() })
 	if since >= n {
 		t.Fatalf("log never snapshotted: %d records since rewrite after %d ops", since, n)
 	}
@@ -248,9 +248,9 @@ func TestSnapshotEveryBoundsReplay(t *testing.T) {
 		t.Fatalf("replay not bounded: %d records", srv2.Replayed())
 	}
 	var queued, running int
-	srv2.do(func() {
-		queued = srv2.core.QueueLen()
-		running = len(srv2.core.State().Jobs())
+	srv2.doms[0].do(func() {
+		queued = srv2.doms[0].core.QueueLen()
+		running = len(srv2.doms[0].core.State().Jobs())
 	})
 	if running+queued != n {
 		t.Fatalf("recovered %d running + %d queued, want %d total", running, queued, n)
@@ -326,7 +326,7 @@ func TestReplayToleratesTornBatch(t *testing.T) {
 	}
 	defer srv.Close()
 	var running int
-	srv.do(func() { running = len(srv.core.State().Jobs()) })
+	srv.doms[0].do(func() { running = len(srv.doms[0].core.State().Jobs()) })
 	if running != 1 {
 		t.Fatalf("t1 not recovered as running: %d jobs", running)
 	}
@@ -442,7 +442,7 @@ func TestFsyncEveryBatchesSyncs(t *testing.T) {
 	}
 	defer srv.Close()
 	var total int
-	srv.do(func() { total = srv.core.QueueLen() + len(srv.core.State().Jobs()) })
+	srv.doms[0].do(func() { total = srv.doms[0].core.QueueLen() + len(srv.doms[0].core.State().Jobs()) })
 	if total != 8 {
 		t.Fatalf("recovered %d jobs under FsyncEvery, want 8", total)
 	}

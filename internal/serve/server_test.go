@@ -24,8 +24,9 @@ import (
 	"gputopo/internal/workload"
 )
 
-// startServer builds a Server and wraps it in httptest plus the typed
-// client every test drives the API through.
+// startServer builds a Server — unsplit or split, as the spec says — and
+// wraps it in httptest plus the typed client every test drives the API
+// through; baseURL(c) is the raw endpoint.
 func startServer(t *testing.T, cfg Config) (*Server, *client.Client) {
 	t.Helper()
 	if cfg.Spec.Key() == "" {
@@ -336,15 +337,15 @@ func TestDecisionsPagination(t *testing.T) {
 func TestDecisionRingWraps(t *testing.T) {
 	srv, c := startServer(t, Config{Spec: specArg(t, "minsky:1"), Policy: schedcore.TopoAwareP})
 	ctx := ctxT(t)
-	srv.do(func() {
+	srv.doms[0].do(func() {
 		for i := 0; i < decisionLogCap+10; i++ {
-			srv.decSeq++
-			r := serveapi.DecisionRecord{Seq: srv.decSeq, JobID: "ring"}
-			if len(srv.decisions) == decisionLogCap {
-				srv.decisions[srv.decHead] = r
-				srv.decHead = (srv.decHead + 1) % decisionLogCap
+			srv.doms[0].decSeq++
+			r := serveapi.DecisionRecord{Seq: srv.doms[0].decSeq, JobID: "ring"}
+			if len(srv.doms[0].decisions) == decisionLogCap {
+				srv.doms[0].decisions[srv.doms[0].decHead] = r
+				srv.doms[0].decHead = (srv.doms[0].decHead + 1) % decisionLogCap
 			} else {
-				srv.decisions = append(srv.decisions, r)
+				srv.doms[0].decisions = append(srv.doms[0].decisions, r)
 			}
 		}
 	})
@@ -460,17 +461,17 @@ func TestServerConcurrentSubmissions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var running, queued, free, gpus, owned, batches, batchedOps int
-	srv.do(func() {
-		st := srv.core.State()
+	srv.doms[0].do(func() {
+		st := srv.doms[0].core.State()
 		running = len(st.Jobs())
-		queued = srv.core.QueueLen()
+		queued = srv.doms[0].core.QueueLen()
 		free = st.FreeGPUCount()
 		gpus = st.Topology().NumGPUs()
 		for _, id := range st.Jobs() {
 			owned += len(st.Allocation(id).GPUs)
 		}
-		batches = srv.batches
-		batchedOps = srv.batchedOps
+		batches = srv.doms[0].batches
+		batchedOps = srv.doms[0].batchedOps
 	})
 	if running+queued != n {
 		t.Fatalf("running %d + queued %d != submitted %d", running, queued, n)
@@ -496,13 +497,13 @@ func TestBatchingAmortizesSchedule(t *testing.T) {
 	const n = 8
 	batch := make([]*op, n)
 	for i := range batch {
-		batch[i] = &op{
-			kind: opSubmit,
-			req:  serveapi.JobRequest{ID: fmt.Sprintf("b%d", i), GPUs: 1, BatchSize: 1},
-			done: make(chan struct{}),
+		j, err := serveapi.JobSpec{JobRequest: serveapi.JobRequest{ID: fmt.Sprintf("b%d", i), GPUs: 1, BatchSize: 1}}.Job()
+		if err != nil {
+			t.Fatal(err)
 		}
+		batch[i] = submitOp(j)
 	}
-	srv.do(func() { srv.processBatch(batch) })
+	srv.doms[0].do(func() { srv.doms[0].processBatch(batch) })
 	placed := 0
 	for _, o := range batch {
 		select {
@@ -521,7 +522,7 @@ func TestBatchingAmortizesSchedule(t *testing.T) {
 		t.Fatalf("placed %d of %d", placed, n)
 	}
 	var batches int
-	srv.do(func() { batches = srv.batches })
+	srv.doms[0].do(func() { batches = srv.doms[0].batches })
 	if batches != 1 {
 		t.Fatalf("batches = %d, want 1", batches)
 	}
