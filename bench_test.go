@@ -8,6 +8,7 @@
 package gputopo
 
 import (
+	"fmt"
 	"testing"
 
 	"gputopo/internal/cluster"
@@ -304,7 +305,7 @@ func BenchmarkPlaceCacheHit(b *testing.B) {
 // BenchmarkScheduleSteadyState measures one steady-state scheduling
 // round through the schedcore engine at scenario-2 scale (1000 minsky
 // machines, ≈50% busy). The churn loop places and releases the same job
-// shape, so the placement cache runs at its steady hit rate.
+// shape, so every class of the sweep is a placement-cache hit.
 func BenchmarkScheduleSteadyState(b *testing.B) {
 	topo, st := halfBusyCluster(b, 1000)
 	mapper, err := core.NewMapper(profile.Generate(topo, 4), core.DefaultWeights())
@@ -327,6 +328,48 @@ func BenchmarkScheduleSteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// BenchmarkCandidateSweep measures one steady-state TOPO-AWARE decision
+// at about 80% occupancy on a small and a large fleet. The candidate sweep
+// evaluates one machine per distinct shape class, so time and allocations
+// per decision should follow the class count — which an occupancy level
+// bounds — and not the sixteen-fold difference in hosts.
+func BenchmarkCandidateSweep(b *testing.B) {
+	for _, machines := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("minsky:%d", machines), func(b *testing.B) {
+			topo := topology.Cluster(machines, topology.KindMinsky)
+			mapper, err := core.NewMapper(profile.Generate(topo, 4), core.DefaultWeights())
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := schedcore.New(schedcore.TopoAware, cluster.NewState(topo), mapper)
+			decide := func(id string, i int) {
+				// The policy spreads, so whole machines run out long before
+				// GPUs do: ask for no more than one machine still offers.
+				gpus := min([]int{1, 2, 4, 2, 1}[i%5], c.State().MaxFreeGPUs())
+				j := job.New(id, perfmodel.NN(i%3), 1<<(i%6), gpus, 0, 0)
+				if err := c.Submit(j); err != nil {
+					b.Fatal(err)
+				}
+				if ds := c.Schedule(); len(ds) != 1 || ds[0].Postponed {
+					b.Fatal("placement failed")
+				}
+			}
+			for i := 0; c.State().FreeGPUCount() > topo.NumGPUs()/5; i++ {
+				decide(fmt.Sprintf("fill-%d", i), i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decide("bench", i)
+				b.StopTimer()
+				if err := c.Release("bench"); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,13 +37,13 @@ type State struct {
 	// the t_bw <= p_bw constraint (§4.3). Two X-Bus-connected sockets give
 	// the default.
 	busCapacity float64
-	busUsed     map[int]float64 // machine -> committed GB/s
+	busUsed     []float64 // machine -> committed GB/s
 
 	// Incremental bookkeeping so large-cluster simulations avoid full
 	// scans: free GPUs per machine, the Eq. 5 fragmentation sum, and
 	// lazily recomputed per-machine gauges (largest free-GPU count on one
 	// machine, count of machines with any free GPU).
-	freeOnMachine map[int]int
+	freeOnMachine []int
 	freeTotal     int
 	fragSum       float64 // Σ over sockets of freeGPUs/totalGPUs
 	socketCount   int
@@ -50,16 +51,13 @@ type State struct {
 	freeMachines  int
 	maxFreeDirty  bool
 
-	// shapeStatic caches the topology's per-machine static shape strings
-	// (topology.MachineShape), built once on the first fingerprint request
-	// and shared read-only between clones. fp holds the lazily maintained
-	// per-machine placement fingerprints for the placement-decision cache:
-	// "" marks a machine dirty, Allocate/Release invalidate only the
-	// machines whose GPUs they touch (same lazy style as FreeMachines),
-	// and MachineFingerprint recomputes on demand. Fingerprints are never
+	// fp holds the lazily maintained per-machine placement fingerprints
+	// for the candidate sweep and the placement-decision cache: "" marks a
+	// machine dirty, Allocate/Release invalidate only the machines whose
+	// GPUs they touch (same lazy style as FreeMachines), and
+	// MachineFingerprint recomputes on demand. Fingerprints are never
 	// empty by construction, so "" is unambiguous.
-	shapeStatic []string
-	fp          []string
+	fp []string
 }
 
 // NewState returns an empty allocation state for the topology.
@@ -69,8 +67,8 @@ func NewState(topo *topology.Topology) *State {
 		owner:         make([]string, topo.NumGPUs()),
 		allocs:        make(map[string]*Allocation),
 		busCapacity:   2 * topology.BandwidthXBus,
-		busUsed:       make(map[int]float64),
-		freeOnMachine: make(map[int]int),
+		busUsed:       make([]float64, topo.NumMachines()),
+		freeOnMachine: make([]int, topo.NumMachines()),
 	}
 	for m := 0; m < topo.NumMachines(); m++ {
 		k := len(topo.GPUsOfMachine(m))
@@ -167,15 +165,13 @@ func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits per
 	if len(gpus) == 0 {
 		return fmt.Errorf("cluster: job %s requests no GPUs", jobID)
 	}
-	seen := map[int]bool{}
-	for _, pos := range gpus {
+	for i, pos := range gpus {
 		if pos < 0 || pos >= len(s.owner) {
 			return fmt.Errorf("cluster: GPU position %d out of range", pos)
 		}
-		if seen[pos] {
+		if slices.Contains(gpus[:i], pos) {
 			return fmt.Errorf("cluster: duplicate GPU position %d", pos)
 		}
-		seen[pos] = true
 		if s.owner[pos] != "" {
 			return fmt.Errorf("cluster: GPU %d already owned by %s", pos, s.owner[pos])
 		}
@@ -220,7 +216,7 @@ func (s *State) Release(jobID string) error {
 	for _, m := range s.machinesOf(alloc.GPUs) {
 		s.busUsed[m] -= alloc.Bandwidth
 		if s.busUsed[m] < 1e-9 {
-			delete(s.busUsed, m)
+			s.busUsed[m] = 0 // drop the float residue of an emptied bus
 		}
 	}
 	delete(s.allocs, jobID)
@@ -260,14 +256,12 @@ func (s *State) JobsOnMachine(m int) []string {
 	return out
 }
 
-// machinesOf returns the distinct machine indices spanned by positions.
+// machinesOf returns the distinct machine indices spanned by positions,
+// ascending.
 func (s *State) machinesOf(gpus []int) []int {
-	seen := map[int]bool{}
 	var out []int
 	for _, pos := range gpus {
-		m := s.topo.GPU(pos).Machine
-		if !seen[m] {
-			seen[m] = true
+		if m := s.topo.GPU(pos).Machine; !slices.Contains(out, m) {
 			out = append(out, m)
 		}
 	}
@@ -376,13 +370,6 @@ func (s *State) FreeMachines() int {
 // matters. Maintained lazily — Allocate/Release dirty only the machines
 // they touch, recomputation is O(free² + jobs·free) on a single machine.
 func (s *State) MachineFingerprint(m int) string {
-	if s.shapeStatic == nil {
-		shapes := make([]string, s.topo.NumMachines())
-		for i := range shapes {
-			shapes[i] = s.topo.MachineShape(i)
-		}
-		s.shapeStatic = shapes
-	}
 	if s.fp == nil {
 		s.fp = make([]string, s.topo.NumMachines())
 	}
@@ -395,7 +382,7 @@ func (s *State) MachineFingerprint(m int) string {
 // computeFingerprint builds machine m's fingerprint from scratch.
 func (s *State) computeFingerprint(m int) string {
 	var sb strings.Builder
-	sb.WriteString(s.shapeStatic[m])
+	sb.WriteString(s.topo.MachineShape(m))
 	var freeBuf [8]int
 	free := s.AppendFreeGPUsOnMachine(freeBuf[:0], m)
 	fmt.Fprintf(&sb, "|f%d", len(free))
@@ -453,21 +440,17 @@ func (s *State) Clone() *State {
 		owner:         append([]string(nil), s.owner...),
 		allocs:        make(map[string]*Allocation, len(s.allocs)),
 		busCapacity:   s.busCapacity,
-		busUsed:       make(map[int]float64, len(s.busUsed)),
-		freeOnMachine: make(map[int]int, len(s.freeOnMachine)),
+		busUsed:       slices.Clone(s.busUsed),
+		freeOnMachine: slices.Clone(s.freeOnMachine),
 		freeTotal:     s.freeTotal,
 		fragSum:       s.fragSum,
 		socketCount:   s.socketCount,
 		maxFree:       s.maxFree,
 		freeMachines:  s.freeMachines,
 		maxFreeDirty:  s.maxFreeDirty,
-		shapeStatic:   s.shapeStatic, // immutable once built; shared
 	}
 	if s.fp != nil {
 		c.fp = append([]string(nil), s.fp...)
-	}
-	for m, v := range s.freeOnMachine {
-		c.freeOnMachine[m] = v
 	}
 	for id, a := range s.allocs {
 		c.allocs[id] = &Allocation{
@@ -476,9 +459,6 @@ func (s *State) Clone() *State {
 			Bandwidth: a.Bandwidth,
 			Traits:    a.Traits,
 		}
-	}
-	for m, v := range s.busUsed {
-		c.busUsed[m] = v
 	}
 	return c
 }
@@ -501,21 +481,14 @@ func (s *State) CopyFrom(src *State) {
 		s.allocs[id] = a
 	}
 	s.busCapacity = src.busCapacity
-	clear(s.busUsed)
-	for m, v := range src.busUsed {
-		s.busUsed[m] = v
-	}
-	clear(s.freeOnMachine)
-	for m, v := range src.freeOnMachine {
-		s.freeOnMachine[m] = v
-	}
+	copy(s.busUsed, src.busUsed)
+	copy(s.freeOnMachine, src.freeOnMachine)
 	s.freeTotal = src.freeTotal
 	s.fragSum = src.fragSum
 	s.socketCount = src.socketCount
 	s.maxFree = src.maxFree
 	s.freeMachines = src.freeMachines
 	s.maxFreeDirty = src.maxFreeDirty
-	s.shapeStatic = src.shapeStatic
 	if src.fp == nil {
 		s.fp = nil
 	} else {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -162,6 +163,27 @@ func TestBusBandwidthAccounting(t *testing.T) {
 	}
 	if got := st.FreeBusBandwidth(0); math.Abs(got-cap0) > 1e-9 {
 		t.Fatalf("free bandwidth after release = %v", got)
+	}
+}
+
+// TestBusResidueIsDropped: releases in a different order than the
+// allocations leave a float residue on the bus (0.1+0.2+0.3-0.1-0.2-0.3
+// is not 0); an emptied bus must read exactly its capacity again, or the
+// t_bw <= p_bw filter would drift with history.
+func TestBusResidueIsDropped(t *testing.T) {
+	st := NewState(topology.Power8Minsky())
+	for i, bw := range []float64{0.1, 0.2, 0.3} {
+		if err := st.Allocate(fmt.Sprintf("j%d", i), []int{i}, bw, traits()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := st.Release(fmt.Sprintf("j%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := st.FreeBusBandwidth(0); got != st.BusCapacity() {
+		t.Fatalf("free bandwidth of an emptied bus = %v, want exactly %v", got, st.BusCapacity())
 	}
 }
 

@@ -88,17 +88,18 @@ func (m *Mapper) Place(j *job.Job, st *cluster.State, candidates []int) (*Placem
 		return nil, err
 	}
 
-	alloc := make([]int, 0, j.GPUs)
 	for task, gpu := range d.assignment {
 		if gpu < 0 {
 			release()
 			return nil, fmt.Errorf("core: task %d of job %s left unmapped", task, j.ID)
 		}
-		alloc = append(alloc, gpu)
 	}
+	// The task -> GPU order is spent: sort the assignment in place into
+	// the ascending allocation Score copies out.
+	slices.Sort(d.assignment)
+	pl := m.Score(j, st, d.assignment)
 	release()
-	sort.Ints(alloc)
-	return m.Score(j, st, alloc), nil
+	return pl, nil
 }
 
 // placeAntiCollocated implements the §4.4 anti-collocation policy: "if a
@@ -181,8 +182,25 @@ type drbRun struct {
 	tasksScratch []int        // Place: initial task list
 	gpusScratch  []int        // Place: sorted candidate copy
 	affinity     *graph.Graph // physicalGraphBiPartition: reused affinity graph
+	fmWork       fm.Workspace // physicalGraphBiPartition: FM buffers and side array
 	sideScratch  []int8       // jobGraphBiPartition: task -> side, -1 unassigned
 	orderScratch []int        // jobGraphBiPartition: degree-ordered tasks
+	// arena backs the GPU halves and task halves of every live recursion
+	// level. They nest with the recursion — a level's halves die when its
+	// two children return — so recurse rewinds to its entry mark.
+	arena []int
+}
+
+// take returns n ints of arena scratch, valid until the arena is rewound
+// below its current length. Growing moves the arena to a fresh backing
+// array; slices taken earlier keep the old one.
+func (d *drbRun) take(n int) []int {
+	off := len(d.arena)
+	if off+n > cap(d.arena) {
+		d.arena = make([]int, off, 2*cap(d.arena)+n)
+	}
+	d.arena = d.arena[:off+n]
+	return d.arena[off : off+n : off+n]
 }
 
 var drbPool = sync.Pool{New: func() interface{} { return &drbRun{affinity: graph.New()} }}
@@ -203,15 +221,17 @@ func (d *drbRun) recurse(tasks, gpus []int) error {
 		d.assignment[tasks[0]] = gpus[0]
 		return nil
 	}
+	mark := len(d.arena)
 	p0, p1 := d.physicalGraphBiPartition(gpus)
 	a0, a1, err := d.jobGraphBiPartition(tasks, p0, p1)
-	if err != nil {
-		return err
+	if err == nil {
+		err = d.recurse(a0, p0)
 	}
-	if err := d.recurse(a0, p0); err != nil {
-		return err
+	if err == nil {
+		err = d.recurse(a1, p1)
 	}
-	return d.recurse(a1, p1)
+	d.arena = d.arena[:mark]
+	return err
 }
 
 // physicalGraphBiPartition splits the GPU set into two balanced halves
@@ -236,7 +256,15 @@ func (d *drbRun) physicalGraphBiPartition(gpus []int) (p0, p1 []int) {
 			g.AddEdge(i, k, 1/dist)
 		}
 	}
-	res := fm.Bipartition(g, fm.Options{})
+	res := d.fmWork.Bipartition(g, fm.Options{})
+	n0 := 0
+	for _, sd := range res.Side {
+		if sd == 0 {
+			n0++
+		}
+	}
+	buf := d.take(len(gpus))
+	p0, p1 = buf[:0:n0], buf[n0:n0]
 	for i, pos := range gpus {
 		if res.Side[i] == 0 {
 			p0 = append(p0, pos)
@@ -284,6 +312,7 @@ func (d *drbRun) jobGraphBiPartition(tasks, p0, p1 []int) (a0, a1 []int, err err
 		side = append(side, -1)
 	}
 	d.sideScratch = side
+	a0, a1 = d.take(len(tasks))[:0], d.take(len(tasks))[:0]
 	for _, task := range order {
 		u0 := d.sideUtility(task, 0, p0, p1, side)
 		u1 := d.sideUtility(task, 1, p0, p1, side)

@@ -14,6 +14,7 @@ package fm
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"gputopo/internal/graph"
@@ -50,8 +51,44 @@ type Result struct {
 // runs FM passes until no pass improves the cut. It panics only on
 // malformed seed indices; an empty graph yields an empty Result.
 func Bipartition(g *graph.Graph, opt Options) Result {
+	w := wsPool.Get().(*Workspace)
+	res := w.Bipartition(g, opt)
+	res.Side = slices.Clone(res.Side)
+	wsPool.Put(w)
+	return res
+}
+
+// Workspace carries the per-Bipartition views of the graph plus the pass
+// scratch buffers and the result's side array, all reused from one call
+// to the next. The zero value is ready to use; a Workspace serves one
+// goroutine. The DRB mapper partitions thousands of tiny graphs per
+// simulation and the scratch buffers dwarf the actual work, so it owns
+// one per recursion state; the package-level Bipartition draws from a
+// pool.
+type Workspace struct {
+	edges   []graph.Edge
+	inc     [][]inc
+	incFlat []inc
+	side    []int
+	locked  []bool
+	// fmPass scratch.
+	moved    []bool
+	gains    []float64
+	sequence []int
+}
+
+var wsPool = sync.Pool{New: func() interface{} { return &Workspace{} }}
+
+// Bipartition is the package-level Bipartition computed in w's buffers:
+// the returned Result.Side aliases them and is valid until w's next call.
+func (w *Workspace) Bipartition(g *graph.Graph, opt Options) Result {
 	n := g.NumVertices()
-	res := Result{Side: make([]int, n)}
+	side, locked := w.side[:0], w.locked[:0]
+	for v := 0; v < n; v++ {
+		side, locked = append(side, 0), append(locked, false)
+	}
+	w.side, w.locked = side, locked
+	res := Result{Side: side}
 	if n == 0 {
 		return res
 	}
@@ -59,7 +96,6 @@ func Bipartition(g *graph.Graph, opt Options) Result {
 		opt.MaxPasses = 8
 	}
 
-	locked := make([]bool, n)
 	for _, v := range opt.Seed0 {
 		res.Side[v] = 0
 		locked[v] = true
@@ -101,10 +137,7 @@ func Bipartition(g *graph.Graph, opt Options) Result {
 	// Edges/Neighbors/EdgeWeight copies out of the graph per call was the
 	// dominant allocation source of the DRB mapper. Summation orders are
 	// preserved exactly (edge list stays (U,V)-sorted, incidence stays in
-	// adjacency insertion order), so results are bit-identical. The
-	// workspace itself is pooled: DRB partitions thousands of tiny graphs
-	// per simulation and the scratch buffers dwarf the actual work.
-	w := wsPool.Get().(*workspace)
+	// adjacency insertion order), so results are bit-identical.
 	w.load(g)
 
 	res.CutWeight = w.cutWeight(res.Side)
@@ -116,28 +149,13 @@ func Bipartition(g *graph.Graph, opt Options) Result {
 		}
 		res.CutWeight = newCut
 	}
-	wsPool.Put(w)
 	return res
 }
-
-// workspace carries the per-Bipartition views of the graph plus the pass
-// scratch buffers, all reused across Bipartition calls via wsPool.
-type workspace struct {
-	edges   []graph.Edge
-	inc     [][]inc
-	incFlat []inc
-	// fmPass scratch.
-	moved    []bool
-	gains    []float64
-	sequence []int
-}
-
-var wsPool = sync.Pool{New: func() interface{} { return &workspace{} }}
 
 // load (re)fills the workspace from the graph: the (U,V)-sorted edge list
 // and per-vertex (neighbor, weight) incidence lists in insertion order,
 // backed by one flat buffer.
-func (w *workspace) load(g *graph.Graph) {
+func (w *Workspace) load(g *graph.Graph) {
 	n := g.NumVertices()
 	w.edges = g.AppendEdges(w.edges[:0])
 	w.incFlat = w.incFlat[:0]
@@ -164,7 +182,7 @@ func (w *workspace) load(g *graph.Graph) {
 // vertex (respecting balance), lock it, and record the running best
 // configuration; finally roll back to that best prefix. Returns whether the
 // cut strictly improved and the resulting cut weight.
-func (w *workspace) fmPass(side []int, pinned []bool, maxDiff int) (bool, float64) {
+func (w *Workspace) fmPass(side []int, pinned []bool, maxDiff int) (bool, float64) {
 	n := len(w.inc)
 	moved := w.moved[:0]
 	gains := w.gains[:0]
@@ -258,7 +276,7 @@ func (w *workspace) fmPass(side []int, pinned []bool, maxDiff int) (bool, float6
 // side: (external incident weight) - (internal incident weight). With
 // parallel edges each one contributes its own weight; the topology and
 // job graphs partitioned here never create them.
-func (w *workspace) gain(side []int, v int) float64 {
+func (w *Workspace) gain(side []int, v int) float64 {
 	var external, internal float64
 	for _, e := range w.inc[v] {
 		if side[e.to] == side[v] {
@@ -277,7 +295,7 @@ type inc struct {
 
 // cutWeight returns the total weight of edges crossing the partition,
 // summed in (U,V)-sorted edge order.
-func (w *workspace) cutWeight(side []int) float64 {
+func (w *Workspace) cutWeight(side []int) float64 {
 	var cut float64
 	for _, e := range w.edges {
 		if side[e.U] != side[e.V] {
@@ -289,7 +307,7 @@ func (w *workspace) cutWeight(side []int) float64 {
 
 // CutWeight exposes the cut metric for tests and ablation benchmarks.
 func CutWeight(g *graph.Graph, side []int) float64 {
-	w := workspace{edges: g.Edges()}
+	w := Workspace{edges: g.Edges()}
 	return w.cutWeight(side)
 }
 
@@ -305,7 +323,7 @@ func ExhaustiveBipartition(g *graph.Graph, maxDiff int) Result {
 	if maxDiff < 1 {
 		maxDiff = 1
 	}
-	w := workspace{edges: g.Edges()}
+	w := Workspace{edges: g.Edges()}
 	bestCut := math.Inf(1)
 	bestMask := uint64(0)
 	for mask := uint64(0); mask < 1<<(n-1); mask++ {

@@ -181,7 +181,7 @@ func TestGainComputation(t *testing.T) {
 	side := []int{0, 0, 1, 1}
 	// Moving 0 to side 1: edge (0,1) becomes external (-2), edge (0,2)
 	// becomes internal (+3): gain = 3 - 2 = 1.
-	var w workspace
+	var w Workspace
 	w.load(g)
 	if got := w.gain(side, 0); got != 1 {
 		t.Fatalf("gain = %v, want 1", got)

@@ -195,6 +195,20 @@ func (g *Graph) WeightedDegree(v int) float64 {
 	return sum
 }
 
+// MaxEdgeWeight returns the largest edge weight, 0 for a graph with no
+// positive edge. It walks the adjacency in place.
+func (g *Graph) MaxEdgeWeight() float64 {
+	var max float64
+	for _, hs := range g.adj {
+		for _, h := range hs {
+			if h.w > max {
+				max = h.w
+			}
+		}
+	}
+	return max
+}
+
 // TotalWeight returns the sum of all edge weights.
 func (g *Graph) TotalWeight() float64 {
 	var sum float64

@@ -211,15 +211,7 @@ func (jg *Graph) TotalWeight() float64 { return jg.g.TotalWeight() }
 // CommIntensity returns the maximum edge weight — the job-level
 // communication intensity used to scale the communication term of the
 // utility function (0 for single-task jobs, which never communicate).
-func (jg *Graph) CommIntensity() float64 {
-	var max float64
-	for _, e := range jg.g.Edges() {
-		if e.Weight > max {
-			max = e.Weight
-		}
-	}
-	return max
-}
+func (jg *Graph) CommIntensity() float64 { return jg.g.MaxEdgeWeight() }
 
 // Normalized returns a copy of the graph with every edge weight divided by
 // the given total machine bandwidth, implementing §4.1.1: "this weight is

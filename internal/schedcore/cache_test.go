@@ -7,16 +7,19 @@ import (
 	"gputopo/internal/topology"
 )
 
-// TestPlaceCacheHitsAcrossEquivalentMachines: a homogeneous fleet fed
-// identical jobs is the cache's home turf — after the first machine is
-// solved, every further identical subproblem must replay from the
-// cache, and every decision must equal what the uncached placer (the
-// differential reference's arithmetic) computes on the same state.
+// TestPlaceCacheHitsAcrossEquivalentMachines: on a homogeneous fleet fed
+// identical jobs every decision must equal what the uncached placer (the
+// differential reference's arithmetic) computes on the same state. The
+// class sweep asks the LRU once per distinct machine shape, so equivalent
+// machines inside one decision no longer count as hits; a hit is a
+// decision finding the state as an earlier one left it — here, a job
+// released and an identical one submitted.
 func TestPlaceCacheHitsAcrossEquivalentMachines(t *testing.T) {
 	s := newSchedWith(t, TopoAware, topology.Cluster(8, topology.KindMinsky))
 	uncached := NewPlacer(TopoAware, s.State(), s.mapper)
 
-	for i := 0; i < 16; i++ {
+	place := func(i int) {
+		t.Helper()
 		j := mkJob(jobID(i), 16, 2, 0, float64(i))
 		want, _ := uncached.Attempt(j)
 		if want == nil {
@@ -33,9 +36,18 @@ func TestPlaceCacheHitsAcrossEquivalentMachines(t *testing.T) {
 			t.Fatalf("round %d: cached %+v, uncached %+v", i, got, want)
 		}
 	}
-
+	for i := 0; i < 16; i++ {
+		place(i)
+	}
+	if st := s.Stats(); st.PlaceCacheHits != 0 {
+		t.Fatalf("16 decisions on 16 distinct states hit the LRU: %+v", st)
+	}
+	if err := s.Release(jobID(15)); err != nil {
+		t.Fatal(err)
+	}
+	place(16) // the state round 15 saw, the same job signature
 	if st := s.Stats(); st.PlaceCacheHits == 0 {
-		t.Fatalf("no cache hits on a homogeneous fleet of identical jobs: %+v", st)
+		t.Fatalf("replaying a decision on an unchanged state missed: %+v", st)
 	}
 }
 

@@ -83,8 +83,10 @@ type Stats struct {
 	// Placement-cache traffic (canonical-shape memoization; see
 	// internal/schedcore/placecache). A hit replays a cached mapper
 	// decision through a GPU relabeling instead of re-running the DRB
-	// recursion; the counters never influence decisions, only the
-	// observability surfaces.
+	// recursion. The candidate sweep asks once per machine shape class,
+	// so these are LRU lookups only: a hit is a decision finding the
+	// state as an earlier one left it. The counters never influence
+	// decisions, only the observability surfaces.
 	PlaceCacheHits      int
 	PlaceCacheMisses    int
 	PlaceCacheEvictions int

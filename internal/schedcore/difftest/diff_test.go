@@ -9,6 +9,7 @@ import (
 	"gputopo/internal/core"
 	"gputopo/internal/profile"
 	"gputopo/internal/schedcore"
+	"gputopo/internal/schedcore/placecache"
 	"gputopo/internal/topology"
 )
 
@@ -172,95 +173,134 @@ func contains(ids []string, id string) bool {
 	return false
 }
 
+// family is one seeded trace population.
+type family struct {
+	name        string // subtest name prefix, followed by the seed
+	gen         func(seed uint64) *Trace
+	full, short int // traces per run, and per -short run
+}
+
+// families: NewTrace's one- and two-machine fleets, and NewFleetTrace's
+// six-to-eight-machine fleets with custom communication graphs, where a
+// candidate sweep has equal-shape machines to fold.
+var families = []family{
+	{"seed", NewTrace, 1000, 100},
+	{"fleet", NewFleetTrace, 300, 40},
+}
+
+func (f family) count() int {
+	if testing.Short() {
+		return f.short
+	}
+	return f.full
+}
+
 // TestDifferentialTraces is the harness: ≥1000 seeded random traces,
 // each run through the naive reference and the real Core, with
 // placements, waited-round counts, queue order, running sets and the
-// postponement total compared after every scheduling round. Seeds are
-// the subtest names, so a failure reproduces with
-// -run 'TestDifferentialTraces/seed0042'.
+// postponement total compared after every scheduling round. Family and
+// seed are the subtest names, so a failure reproduces with
+// -run 'TestDifferentialTraces/seed0042' (or /fleet0042).
 func TestDifferentialTraces(t *testing.T) {
-	n := 1000
-	if testing.Short() {
-		n = 100
-	}
-	for seed := 0; seed < n; seed++ {
-		tr := NewTrace(uint64(seed))
-		t.Run(fmt.Sprintf("seed%04d", seed), func(t *testing.T) {
-			t.Parallel()
-			runTrace(t, tr)
-		})
+	for _, fam := range families {
+		for seed := 0; seed < fam.count(); seed++ {
+			tr := fam.gen(uint64(seed))
+			t.Run(fmt.Sprintf("%s%04d", fam.name, seed), func(t *testing.T) {
+				t.Parallel()
+				runTrace(t, tr)
+			})
+		}
 	}
 }
 
-// TestTraceCoverage guards the harness against vacuity: the seeded
+// TestTraceCoverage guards the harness against vacuity: each seeded
 // trace population must actually exercise every policy, both
 // disciplines, preemption with real evictions, and multi-node jobs —
 // otherwise a regression in one of those paths could slip through a
-// green differential run.
+// green differential run. The fleet family must besides cover each of
+// its fleets and carry custom communication graphs.
 func TestTraceCoverage(t *testing.T) {
-	n := 1000
-	if testing.Short() {
-		n = 100
-	}
-	policies := map[schedcore.Policy]int{}
-	var priority, preempt, multiNode, evictions int
-	for seed := 0; seed < n; seed++ {
-		tr := NewTrace(uint64(seed))
-		policies[tr.Policy]++
-		if tr.Discipline == "priority" {
-			priority++
-		}
-		if tr.Preempt {
-			preempt++
-		}
-		for _, ev := range tr.Events {
-			if ev.Kind == Submit && !ev.Job.SingleNode {
-				multiNode++
+	for _, fam := range families {
+		n := fam.count()
+		policies := map[schedcore.Policy]int{}
+		fleets := map[string]int{}
+		var priority, preempt, multiNode, customGraph, evictions int
+		for seed := 0; seed < n; seed++ {
+			tr := fam.gen(uint64(seed))
+			policies[tr.Policy]++
+			fleets[tr.TopoName]++
+			if tr.Discipline == "priority" {
+				priority++
 			}
-		}
-		if !tr.Preempt {
-			continue
-		}
-		disc, err := schedcore.ParseDiscipline(tr.Discipline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := NewReference(tr.Policy, tr.Topology, disc, tr.Preempt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range tr.Events {
-			switch ev.Kind {
-			case Submit:
-				if err := ref.Submit(CloneJob(ev.Job)); err != nil {
-					t.Fatal(err)
+			if tr.Preempt {
+				preempt++
+			}
+			for _, ev := range tr.Events {
+				if ev.Kind != Submit {
+					continue
 				}
-			case Remove:
-				if contains(ref.Running(), ev.Target) {
-					if err := ref.Release(ev.Target); err != nil {
+				if !ev.Job.SingleNode {
+					multiNode++
+				}
+				if _, plain := placecache.JobSig(ev.Job); !plain {
+					customGraph++
+				}
+			}
+			if !tr.Preempt {
+				continue
+			}
+			disc, err := schedcore.ParseDiscipline(tr.Discipline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewReference(tr.Policy, tr.Topology, disc, tr.Preempt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range tr.Events {
+				switch ev.Kind {
+				case Submit:
+					if err := ref.Submit(CloneJob(ev.Job)); err != nil {
 						t.Fatal(err)
 					}
-				} else {
-					ref.Withdraw(ev.Target)
+				case Remove:
+					if contains(ref.Running(), ev.Target) {
+						if err := ref.Release(ev.Target); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						ref.Withdraw(ev.Target)
+					}
+				}
+				for _, p := range ref.Schedule() {
+					evictions += len(p.Evictions)
 				}
 			}
-			for _, p := range ref.Schedule() {
-				evictions += len(p.Evictions)
+		}
+		for _, pol := range []schedcore.Policy{schedcore.FCFS, schedcore.BestFit, schedcore.TopoAware, schedcore.TopoAwareP} {
+			if policies[pol] < n/20 {
+				t.Errorf("%s traces: policy %s underrepresented: %d of %d traces", fam.name, pol, policies[pol], n)
 			}
 		}
-	}
-	for _, pol := range []schedcore.Policy{schedcore.FCFS, schedcore.BestFit, schedcore.TopoAware, schedcore.TopoAwareP} {
-		if policies[pol] < n/20 {
-			t.Errorf("policy %s underrepresented: %d of %d traces", pol, policies[pol], n)
+		if priority < n/4 || preempt < n/4 {
+			t.Errorf("%s traces: config mix too thin: priority=%d preempt=%d of %d", fam.name, priority, preempt, n)
 		}
-	}
-	if priority < n/4 || preempt < n/4 {
-		t.Errorf("config mix too thin: priority=%d preempt=%d of %d", priority, preempt, n)
-	}
-	if multiNode < n {
-		t.Errorf("multi-node submissions too rare: %d across %d traces", multiNode, n)
-	}
-	if evictions < n/20 {
-		t.Errorf("preemption path barely exercised: %d evictions across %d traces", evictions, n)
+		if multiNode < n {
+			t.Errorf("%s traces: multi-node submissions too rare: %d across %d traces", fam.name, multiNode, n)
+		}
+		if evictions < n/20 {
+			t.Errorf("%s traces: preemption path barely exercised: %d evictions across %d traces", fam.name, evictions, n)
+		}
+		if fam.name != "fleet" {
+			continue
+		}
+		for _, fleet := range []string{"minsky:8", "pcie:6", "mix[minsky:3+dgx1:1+pcie:3]"} {
+			if fleets[fleet] < n/6 {
+				t.Errorf("fleet %s underrepresented: %d of %d traces", fleet, fleets[fleet], n)
+			}
+		}
+		if customGraph < 2*n {
+			t.Errorf("custom communication graphs too rare: %d across %d traces", customGraph, n)
+		}
 	}
 }

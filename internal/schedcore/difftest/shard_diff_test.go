@@ -6,7 +6,6 @@ import (
 
 	"gputopo/internal/schedcore"
 	"gputopo/internal/schedcore/domains"
-	"gputopo/internal/topology"
 )
 
 // shardedDomain is one scheduling domain of a sharded trace run: the
@@ -36,7 +35,7 @@ func runShardedTrace(t *testing.T, tr *Trace) map[int]int {
 	doms := make([]*shardedDomain, len(groups))
 	caps := make([]domains.Capacity, len(groups))
 	for d, g := range groups {
-		sub := topology.Cluster(len(g), tr.Kind)
+		sub := tr.SubTopology(g)
 		caps[d] = domains.CapacityOf(sub)
 		ref, err := NewReference(tr.Policy, sub, disc, tr.Preempt)
 		if err != nil {
@@ -106,32 +105,31 @@ func runShardedTrace(t *testing.T, tr *Trace) map[int]int {
 }
 
 // TestShardedDifferentialTraces extends the differential harness to the
-// sharded decomposition: every multi-machine trace the generator marks
-// with Domains > 1 runs through the router + per-domain cores against
+// sharded decomposition: every trace either generator marks with
+// Domains > 1 runs through the router + per-domain cores against
 // per-domain references. The coverage tail guards against vacuity —
-// the population must shard a healthy fraction of traces and actually
+// each family must shard a healthy fraction of its traces and actually
 // route jobs to more than one domain.
 func TestShardedDifferentialTraces(t *testing.T) {
-	n := 1000
-	if testing.Short() {
-		n = 100
-	}
-	sharded, spread := 0, 0
-	for seed := 0; seed < n; seed++ {
-		tr := NewTrace(uint64(seed))
-		if tr.Domains < 2 {
-			continue
+	for _, fam := range families {
+		n := fam.count()
+		sharded, spread := 0, 0
+		for seed := 0; seed < n; seed++ {
+			tr := fam.gen(uint64(seed))
+			if tr.Domains < 2 {
+				continue
+			}
+			sharded++
+			routed := runShardedTrace(t, tr)
+			if len(routed) > 1 {
+				spread++
+			}
 		}
-		sharded++
-		routed := runShardedTrace(t, tr)
-		if len(routed) > 1 {
-			spread++
+		if sharded < n/8 {
+			t.Errorf("%s traces: sharded traces underrepresented: %d of %d", fam.name, sharded, n)
 		}
-	}
-	if sharded < n/8 {
-		t.Errorf("sharded traces underrepresented: %d of %d", sharded, n)
-	}
-	if spread < sharded/2 {
-		t.Errorf("router barely spreads: only %d of %d sharded traces hit 2+ domains", spread, sharded)
+		if spread < sharded/2 {
+			t.Errorf("%s traces: router barely spreads: only %d of %d sharded traces hit 2+ domains", fam.name, spread, sharded)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 // Package placecache memoizes placement decisions across equivalent
 // subproblems. The paper's Eq. 1 mapper is a pure function of (job,
-// cluster state, candidate GPU set); on a large homogeneous fleet the
-// scheduler solves the same subproblem thousands of times — identical
-// jobs landing on machines whose free-GPU sets are pairwise equivalent
-// up to relabeling. The cache keys each evaluation by a canonical
+// cluster state, candidate GPU set), and a scheduler meets the same
+// subproblem again whenever a decision finds the state as an earlier one
+// left it — a postponed job re-asked, a victim-set trial, a release
+// followed by an identical submit. (Equivalent machines inside one
+// decision never reach the cache: the candidate sweep folds them by
+// fingerprint first.) The cache keys each evaluation by a canonical
 // fingerprint of everything the mapper can observe and stores the
 // decision as *slot indices* into the candidate list plus the scored
 // quality terms. A hit replays the slots onto the concrete machine's
@@ -114,26 +116,28 @@ func MultiHostKey(sig string, st *cluster.State, hosts []int) Key {
 	}
 }
 
-// SlotsOf converts a placement's GPU positions into slot indices within
-// the ascending candidate list — the relabeling-independent payload the
-// cache stores. Returns false if any GPU is not a candidate (a mapper
-// bug; callers skip caching rather than corrupt it).
-func SlotsOf(candidates, gpus []int) ([]int, bool) {
-	slots := make([]int, len(gpus))
-	for i, g := range gpus {
+// SlotsOf appends to dst the slot indices of a placement's GPU positions
+// within the ascending candidate list — the relabeling-independent
+// payload the cache stores — and returns the extended slice. Returns
+// false if any GPU is not a candidate (a mapper bug; callers skip the
+// decision rather than corrupt the cache).
+func SlotsOf(dst, candidates, gpus []int) ([]int, bool) {
+	for _, g := range gpus {
 		idx, ok := slices.BinarySearch(candidates, g)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
-		slots[i] = idx
+		dst = append(dst, idx)
 	}
-	return slots, true
+	return dst, true
 }
 
 // DefaultCapacity bounds the LRU when New is given a non-positive
-// capacity. A scenario-2 fleet cycles through a few hundred distinct
-// (job class × machine occupancy) shapes; 4096 holds them with room
-// for fragmentation-context variants.
+// capacity. The key carries the bits of the cluster-wide FragSum, so an
+// entry can only be asked for again while the state stands still
+// (TOPO-AWARE-P re-asks, victim-set trials); 4096 entries is a few
+// decisions' worth of classes on a scenario-2 fleet — docs/performance.md
+// has the measured traffic.
 const DefaultCapacity = 4096
 
 // Stats counts cache traffic since creation.
@@ -193,8 +197,10 @@ func New(capacity int) *Cache {
 }
 
 // Lookup returns the cached decision for k: the slot indices and scored
-// terms of the placement, or negative=true for a remembered
-// deterministic infeasibility. The returned slice must not be mutated.
+// terms of the placement, or negative=true (and nil slots) for a
+// remembered deterministic infeasibility. The returned slice is the
+// entry's own: it must not be mutated, and it is only valid until the
+// next Store, which may recycle the entry.
 func (c *Cache) Lookup(k Key) (slots []int, score Score, negative, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -206,35 +212,39 @@ func (c *Cache) Lookup(k Key) (slots []int, score Score, negative, ok bool) {
 	c.stats.Hits++
 	c.ll.MoveToFront(el)
 	e := el.Value.(*entry)
-	return e.slots, e.score, e.negative, true
+	if e.negative {
+		return nil, e.score, true, true
+	}
+	return e.slots, e.score, false, true
 }
 
 // Store records the decision for k, copying slots. negative marks a
 // deterministic placement failure (e.g. anti-collocation machine
 // shortage) so the failure is replayed without re-running the mapper.
+// At capacity the least recently used entry is recycled in place — its
+// list element, entry and slot slice take the new decision — so a full
+// cache stores without allocating.
 func (c *Cache) Store(k Key, slots []int, score Score, negative bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, found := c.items[k]; found {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*entry)
-		e.slots = append(e.slots[:0], slots...)
-		e.score = score
-		e.negative = negative
+	el, found := c.items[k]
+	switch {
+	case found:
+	case c.ll.Len() >= c.cap:
+		el = c.ll.Back()
+		delete(c.items, el.Value.(*entry).key)
+		c.stats.Evictions++
+		c.items[k] = el
+	default:
+		c.items[k] = c.ll.PushFront(&entry{key: k, slots: append([]int(nil), slots...), score: score, negative: negative})
 		return
 	}
-	c.items[k] = c.ll.PushFront(&entry{
-		key:      k,
-		slots:    append([]int(nil), slots...),
-		score:    score,
-		negative: negative,
-	})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*entry).key)
-		c.stats.Evictions++
-	}
+	c.ll.MoveToFront(el)
+	e := el.Value.(*entry)
+	e.key = k
+	e.slots = append(e.slots[:0], slots...)
+	e.score = score
+	e.negative = negative
 }
 
 // Len returns the number of cached decisions.

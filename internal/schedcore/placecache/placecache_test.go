@@ -81,11 +81,15 @@ func TestJobSig(t *testing.T) {
 
 func TestSlotsOf(t *testing.T) {
 	cands := []int{3, 5, 8, 9, 12}
-	slots, ok := SlotsOf(cands, []int{8, 3, 12})
+	scratch := make([]int, 0, 8)
+	slots, ok := SlotsOf(scratch, cands, []int{8, 3, 12})
 	if !ok || !reflect.DeepEqual(slots, []int{2, 0, 4}) {
 		t.Fatalf("SlotsOf = %v, %v", slots, ok)
 	}
-	if _, ok := SlotsOf(cands, []int{7}); ok {
+	if &slots[0] != &scratch[:1][0] {
+		t.Fatal("SlotsOf must fill the caller's scratch, not allocate")
+	}
+	if _, ok := SlotsOf(nil, cands, []int{7}); ok {
 		t.Fatal("non-candidate GPU must not resolve")
 	}
 }
@@ -121,6 +125,43 @@ func TestCacheLRU(t *testing.T) {
 	src[0] = 99
 	if slots, score, negative, _ := c.Lookup(k(3)); negative || score != sc(0.75) || !reflect.DeepEqual(slots, []int{4, 5}) {
 		t.Fatalf("updated entry = %v %+v (negative=%v)", slots, score, negative)
+	}
+}
+
+// TestStoreAtCapacityRecycles: a full cache takes a new decision into
+// the evicted entry — list element, entry and slot slice — so the store
+// allocates nothing, whether the evicted or the stored entry is negative
+// or not.
+func TestStoreAtCapacityRecycles(t *testing.T) {
+	c := New(4)
+	keys := make([]Key, 64)
+	for i := range keys {
+		keys[i] = Key{Job: "j", Frag: uint64(i), Shape: "s"}
+	}
+	slots := []int{0, 1, 2, 3}
+	for _, k := range keys[:4] {
+		c.Store(k, slots, Score{Utility: 0.5}, false)
+	}
+	i := 4
+	allocs := testing.AllocsPerRun(200, func() {
+		k := keys[i%len(keys)]
+		negative := i%3 == 0
+		if negative {
+			c.Store(k, nil, Score{}, true)
+		} else {
+			c.Store(k, slots[:1+i%4], Score{Utility: float64(i)}, false)
+		}
+		got, score, neg, ok := c.Lookup(k)
+		if !ok || neg != negative || (negative && got != nil) || (!negative && (len(got) != 1+i%4 || score.Utility != float64(i))) {
+			t.Fatalf("store %d reads back (%v, %+v, %v, %v)", i, got, score, neg, ok)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Store at capacity allocates %v objects", allocs)
+	}
+	if st := c.Stats(); c.Len() != 4 || st.Evictions != i-4 {
+		t.Fatalf("Len %d, %+v after %d stores over capacity", c.Len(), st, i-4)
 	}
 }
 

@@ -15,12 +15,20 @@ func TestStateExposesPlaceCache(t *testing.T) {
 	_, c := startServer(t, Config{Spec: specArg(t, "minsky:2"), Policy: schedcore.TopoAware})
 	ctx := ctxT(t)
 
-	// Identical 2-GPU jobs against identical machines: the second
-	// placement of each round is a canonical-shape hit.
+	// The class sweep asks the cache once per distinct machine shape, so
+	// a hit needs a decision that finds the state as an earlier one left
+	// it: place four identical 2-GPU jobs, release the last, submit it
+	// again.
 	for i := 0; i < 4; i++ {
 		if _, err := c.SubmitJob(ctx, serveapi.JobRequest{ID: fmt.Sprintf("j%d", i), GPUs: 2}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := c.ReleaseJob(ctx, "j3"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SubmitJob(ctx, serveapi.JobRequest{ID: "j4", GPUs: 2}); err != nil {
+		t.Fatal(err)
 	}
 	st, err := c.State(ctx)
 	if err != nil {
@@ -30,10 +38,10 @@ func TestStateExposesPlaceCache(t *testing.T) {
 		t.Fatal("server omits place_cache from /v1/state")
 	}
 	if st.PlaceCache.Misses == 0 {
-		t.Fatalf("no cache traffic after 4 topo-aware placements: %+v", st.PlaceCache)
+		t.Fatalf("no cache traffic after 5 topo-aware placements: %+v", st.PlaceCache)
 	}
 	if st.PlaceCache.Hits == 0 {
-		t.Fatalf("identical jobs on identical machines never hit: %+v", st.PlaceCache)
+		t.Fatalf("an identical job on an unchanged state never hit: %+v", st.PlaceCache)
 	}
 }
 

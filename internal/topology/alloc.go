@@ -164,7 +164,7 @@ func (t *Topology) seedCandidates() []int {
 	var seeds []int
 	seen := map[string]int{}
 	for mi := range t.machineStart {
-		sig := t.machineShape(mi)
+		sig := t.MachineShape(mi)
 		if seen[sig] >= 2 {
 			continue
 		}
@@ -180,18 +180,25 @@ func (t *Topology) seedCandidates() []int {
 	return seeds
 }
 
-// MachineShape exposes machineShape: the static fingerprint of machine
-// mi covering everything a placement evaluation can observe about the
-// empty machine — GPU count, network attachment, the full intra-machine
-// distance matrix and the per-GPU root-attachment costs. Machines with
-// equal shapes are interchangeable under GPU relabeling; the placement
-// cache builds its per-machine keys on top of this.
-func (t *Topology) MachineShape(mi int) string { return t.machineShape(mi) }
+// MachineShape returns the static fingerprint of machine mi covering
+// everything a placement evaluation or the extremal search can observe
+// about the empty machine — GPU count, network attachment, the full
+// intra-machine distance matrix and the per-GPU root-attachment costs.
+// Machines with equal shapes are interchangeable under GPU relabeling; the
+// placement cache builds its per-machine keys on top of this. The shapes
+// of all machines are built once per topology, on first use: a topology
+// is shared by every cluster state, sweep point and shard over it.
+func (t *Topology) MachineShape(mi int) string {
+	t.shapeOnce.Do(func() {
+		t.shapes = make([]string, len(t.machineStart))
+		for i := range t.shapes {
+			t.shapes[i] = t.machineShape(i)
+		}
+	})
+	return t.shapes[mi]
+}
 
-// machineShape fingerprints machine mi by everything the extremal search
-// can observe: its intra-machine distance matrix and its attachment costs
-// toward the network root. Machines with equal shapes are interchangeable
-// for allocation purposes.
+// machineShape builds machine mi's shape string.
 func (t *Topology) machineShape(mi int) string {
 	start := t.machineStart[mi]
 	end := len(t.gpus)

@@ -165,6 +165,9 @@ type Topology struct {
 	adj     [][]adjEdge
 	adjOnce sync.Once
 
+	shapes    []string // MachineShape memo, per machine order index
+	shapeOnce sync.Once
+
 	// Extreme pair distances, precomputed at Build time so the placement
 	// hot path (core.sideUtility calls MinPairDistance per recursion step)
 	// reads two floats instead of re-scanning every GPU of the cluster.
