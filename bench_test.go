@@ -21,7 +21,6 @@ import (
 	"gputopo/internal/profile"
 	"gputopo/internal/schedcore"
 	"gputopo/internal/schedcore/domains"
-	"gputopo/internal/schedcore/placecache"
 	"gputopo/internal/simulator"
 	"gputopo/internal/topology"
 	"gputopo/internal/workload"
@@ -281,31 +280,11 @@ func BenchmarkRouterRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkPlaceCacheHit measures the memoized fast path in isolation:
-// canonical key construction over a live (fingerprint-warm) state plus
-// the LRU lookup. This is the per-candidate cost a cache hit pays in
-// place of a full DRB mapping.
-func BenchmarkPlaceCacheHit(b *testing.B) {
-	_, st := halfBusyCluster(b, 100)
-	j := job.New("bench", perfmodel.AlexNet, 4, 2, 0.5, 0)
-	sig, ok := placecache.JobSig(j)
-	if !ok {
-		b.Fatal("benchmark job not cacheable")
-	}
-	c := placecache.New(0)
-	c.Store(placecache.SingleHostKey(sig, st, 1), []int{0, 1}, placecache.Score{Utility: 0.5}, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, hit := c.Lookup(placecache.SingleHostKey(sig, st, 1)); !hit {
-			b.Fatal("warm key missed")
-		}
-	}
-}
-
 // BenchmarkScheduleSteadyState measures one steady-state scheduling
 // round through the schedcore engine at scenario-2 scale (1000 minsky
 // machines, ≈50% busy). The churn loop places and releases the same job
-// shape, so every class of the sweep is a placement-cache hit.
+// shape, so every round sweeps the same two shape classes: one mapper run
+// each, whatever the machine count.
 func BenchmarkScheduleSteadyState(b *testing.B) {
 	topo, st := halfBusyCluster(b, 1000)
 	mapper, err := core.NewMapper(profile.Generate(topo, 4), core.DefaultWeights())

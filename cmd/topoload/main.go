@@ -135,7 +135,7 @@ func run(cfg config, w io.Writer) error {
 		return fmt.Errorf("server at %s not healthy: %w", base, err)
 	}
 
-	sb, pc, err := drive(ctx, c, jobs, cfg)
+	sb, err := drive(ctx, c, jobs, cfg)
 	if err != nil {
 		return err
 	}
@@ -145,10 +145,6 @@ func run(cfg config, w io.Writer) error {
 			sb.Name, sb.Jobs, sb.ElapsedSec, sb.JobsPerSec, sb.Placed, sb.Errors, sb.Retries429)
 		fmt.Fprintf(w, "topoload: placement latency p50=%.2fms p95=%.2fms p99=%.2fms, %d decisions (%.0f/s)\n",
 			sb.LatencyP50Ms, sb.LatencyP95Ms, sb.LatencyP99Ms, sb.Decisions, sb.DecisionsPerSec)
-		if pc != nil {
-			fmt.Fprintf(w, "topoload: place cache %d hits / %d misses / %d evictions\n",
-				pc.Hits, pc.Misses, pc.Evictions)
-		}
 	}
 	if cfg.out == "" {
 		return nil
@@ -200,10 +196,8 @@ func startInProcess(cfg config, spec sweep.TopologySpec) (base string, stop func
 }
 
 // drive runs the submit phase — closed-loop by default, open-loop when
-// -submit-rate is set — and assembles the bench entry plus the server's
-// placement-cache counters (nil when the cache is off or the server
-// predates them).
-func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (sweep.ServeBench, *serveapi.PlaceCacheStats, error) {
+// -submit-rate is set — and assembles the bench entry.
+func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (sweep.ServeBench, error) {
 	var (
 		mu        sync.Mutex
 		latencies []time.Duration
@@ -250,7 +244,7 @@ func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (
 		// goroutine whether or not earlier requests have returned.
 		offsets, err := arrivalOffsets(len(jobs), cfg)
 		if err != nil {
-			return sweep.ServeBench{}, nil, err
+			return sweep.ServeBench{}, err
 		}
 		for i, j := range jobs {
 			wg.Add(1)
@@ -284,7 +278,7 @@ func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (
 
 	st, err := c.State(ctx)
 	if err != nil {
-		return sweep.ServeBench{}, nil, err
+		return sweep.ServeBench{}, err
 	}
 	_, retries := c.Stats()
 
@@ -313,7 +307,7 @@ func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (
 	sb.LatencyP50Ms = percentileMs(latencies, 50)
 	sb.LatencyP95Ms = percentileMs(latencies, 95)
 	sb.LatencyP99Ms = percentileMs(latencies, 99)
-	return sb, st.PlaceCache, nil
+	return sb, nil
 }
 
 // arrivalOffsets returns each job's scheduled submit time as an offset

@@ -52,11 +52,10 @@ type State struct {
 	maxFreeDirty  bool
 
 	// fp holds the lazily maintained per-machine placement fingerprints
-	// for the candidate sweep and the placement-decision cache: "" marks a
-	// machine dirty, Allocate/Release invalidate only the machines whose
-	// GPUs they touch (same lazy style as FreeMachines), and
-	// MachineFingerprint recomputes on demand. Fingerprints are never
-	// empty by construction, so "" is unambiguous.
+	// for the candidate sweep: "" marks a machine dirty, Allocate/Release
+	// invalidate only the machines whose GPUs they touch (same lazy style
+	// as FreeMachines), and MachineFingerprint recomputes on demand.
+	// Fingerprints are never empty by construction, so "" is unambiguous.
 	fp []string
 }
 
@@ -283,11 +282,9 @@ func (s *State) Fragmentation() float64 {
 }
 
 // FragSum returns the raw Eq. 5 numerator: Σ over sockets of the free
-// fraction, before the division by the socket count. The placement cache
-// keys on its exact bits rather than on Fragmentation() — the division
-// can round two distinct sums onto the same quotient, and a placement
-// evaluation reads the sum (through FragmentationAfter), not the
-// quotient.
+// fraction, before the division by the socket count. Its only caller is
+// the benchmark-pinned package placecache, which keys on its exact bits;
+// it goes when that package does.
 func (s *State) FragSum() float64 { return s.fragSum }
 
 // FragmentationAfter returns Eq. 5 evaluated as if the given (free,

@@ -148,8 +148,8 @@ func TestFingerprintCloneAndCopyFrom(t *testing.T) {
 // fingerprint soundness invariant: the incrementally maintained
 // fingerprint of every machine always equals the from-scratch
 // fingerprint of a fresh state holding the same allocations. A
-// divergence here is exactly a placement-cache correctness bug — a key
-// that misdescribes its state.
+// divergence here is exactly a candidate-sweep correctness bug — two
+// machines folded into one class that the mapper would score apart.
 func FuzzShapeFingerprint(f *testing.F) {
 	f.Add("minsky:2+minsky-1g:1+dgx1:1", []byte{0, 2, 1, 3, 0x80, 7, 0, 1})
 	f.Add("minsky:3", []byte{4, 4, 4, 0x81})

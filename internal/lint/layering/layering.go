@@ -54,10 +54,9 @@ var Ranks = map[string]Layer{
 	"gputopo/internal/cluster": {400, "scheduling"},
 	"gputopo/internal/profile": {400, "models"},
 
-	"gputopo/internal/core":                 {500, "scheduling"},
-	"gputopo/internal/workload":             {500, "evaluation"},
-	"gputopo/internal/serveapi":             {500, "serving wire types"},
-	"gputopo/internal/schedcore/placecache": {500, "placement memoization"},
+	"gputopo/internal/core":     {500, "scheduling"},
+	"gputopo/internal/workload": {500, "evaluation"},
+	"gputopo/internal/serveapi": {500, "serving wire types"},
 
 	"gputopo/internal/schedcore": {600, "scheduling core"},
 	"gputopo/internal/eventlog":  {600, "serving durability"},
@@ -81,6 +80,11 @@ var Ranks = map[string]Layer{
 	"gputopo/internal/serveapi/client": {1100, "front-ends"},
 
 	"gputopo": {1150, "public facade"},
+
+	// The scheduler no longer uses the place cache; only the frozen
+	// cmd/topoperf compiles against it. Ranked above every product package
+	// so that importing it again is a layering violation.
+	"gputopo/internal/schedcore/placecache": {1195, "benchmark-pinned residue"},
 }
 
 // PrefixRanks places whole subtrees. Binaries and examples sit above
@@ -104,9 +108,8 @@ var IntraPrefixes = []string{"gputopo/internal/lint"}
 // scheduling core performs no I/O by contract (docs/architecture.md,
 // "The scheduling core is pure and single-writer").
 var ForbiddenStd = map[string][]string{
-	"gputopo/internal/schedcore":            {"os", "io", "net", "net/http", "bufio", "os/exec", "syscall"},
-	"gputopo/internal/schedcore/domains":    {"os", "io", "net", "net/http", "bufio", "os/exec", "syscall"},
-	"gputopo/internal/schedcore/placecache": {"os", "io", "net", "net/http", "bufio", "os/exec", "syscall"},
+	"gputopo/internal/schedcore":         {"os", "io", "net", "net/http", "bufio", "os/exec", "syscall"},
+	"gputopo/internal/schedcore/domains": {"os", "io", "net", "net/http", "bufio", "os/exec", "syscall"},
 }
 
 func run(pass *analysis.Pass) error {

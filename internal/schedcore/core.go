@@ -24,7 +24,6 @@ import (
 	"gputopo/internal/core"
 	"gputopo/internal/job"
 	"gputopo/internal/perfmodel"
-	"gputopo/internal/schedcore/placecache"
 )
 
 // Decision records the outcome of one placement attempt.
@@ -80,13 +79,8 @@ type Stats struct {
 	Evictions    int
 	DecisionTime time.Duration // total time spent deciding
 	MaxDecision  time.Duration
-	// Placement-cache traffic (canonical-shape memoization; see
-	// internal/schedcore/placecache). A hit replays a cached mapper
-	// decision through a GPU relabeling instead of re-running the DRB
-	// recursion. The candidate sweep asks once per machine shape class,
-	// so these are LRU lookups only: a hit is a decision finding the
-	// state as an earlier one left it. The counters never influence
-	// decisions, only the observability surfaces.
+	// Always 0, like GateSkips (the place-cache LRU is gone); kept because
+	// the frozen cmd/topoperf reads them.
 	PlaceCacheHits      int
 	PlaceCacheMisses    int
 	PlaceCacheEvictions int
@@ -105,9 +99,6 @@ func (s *Stats) Add(o Stats) {
 	s.Evictions += o.Evictions
 	s.DecisionTime += o.DecisionTime
 	s.MaxDecision = max(s.MaxDecision, o.MaxDecision)
-	s.PlaceCacheHits += o.PlaceCacheHits
-	s.PlaceCacheMisses += o.PlaceCacheMisses
-	s.PlaceCacheEvictions += o.PlaceCacheEvictions
 }
 
 // MeanDecisionTime returns the average time per placement decision.
@@ -148,8 +139,7 @@ type Core struct {
 	// TOPO-AWARE-P it is the active part of the wake-up index: new
 	// submissions and jobs whose last failure was a placement-policy
 	// outcome (low utility, constraint infeasibility) rather than raw
-	// capacity — the place cache is what makes re-asking them cheap while
-	// the state stands still.
+	// capacity.
 	queue []entry
 
 	// Wake-up index (TOPO-AWARE-P only; empty otherwise).
@@ -170,12 +160,8 @@ type Core struct {
 
 	// place evaluates the placement policies against the live state; the
 	// preemption path evaluates victim sets with victimPlacer over the
-	// pooled victimScratch clone. cache is the shared placement-decision
-	// cache both placers consult: keys are pure functions of the state
-	// being evaluated, so live-state and victim-clone evaluations can
-	// safely share entries.
+	// pooled victimScratch clone.
 	place         placer
-	cache         *placecache.Cache
 	victimScratch *cluster.State
 	victimPlacer  placer
 
@@ -221,7 +207,6 @@ func WithQueueDiscipline(d QueueDiscipline) Option { return func(c *Core) { c.di
 // required for the topology-aware policies and used by the greedy ones
 // only to score their decisions for the metrics.
 func New(policy Policy, state *cluster.State, mapper *core.Mapper, opts ...Option) *Core {
-	cache := placecache.New(0)
 	// The parked buckets materialize lazily on the first park: only
 	// TOPO-AWARE-P ever uses them, and a scheduler-per-decision
 	// micro-benchmark should not pay for maps it never touches.
@@ -230,8 +215,7 @@ func New(policy Policy, state *cluster.State, mapper *core.Mapper, opts ...Optio
 		state:   state,
 		mapper:  mapper,
 		running: map[string]*job.Job{},
-		place:   placer{policy: policy, state: state, mapper: mapper, cache: cache},
-		cache:   cache,
+		place:   placer{policy: policy, state: state, mapper: mapper},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -260,16 +244,8 @@ func (c *Core) Policy() Policy { return c.policy }
 // State returns the cluster allocation state the core mutates.
 func (c *Core) State() *cluster.State { return c.state }
 
-// Stats returns a copy of the accumulated statistics, with the
-// placement-cache counters merged in from the live cache.
-func (c *Core) Stats() Stats {
-	st := c.stats
-	cs := c.cache.Stats()
-	st.PlaceCacheHits = cs.Hits
-	st.PlaceCacheMisses = cs.Misses
-	st.PlaceCacheEvictions = cs.Evictions
-	return st
-}
+// Stats returns a copy of the accumulated statistics.
+func (c *Core) Stats() Stats { return c.stats }
 
 // Now returns the core's clock reading — virtual time under a
 // ManualClock driver, wall seconds under WallClock.
@@ -373,7 +349,9 @@ func (c *Core) Withdraw(jobID string) bool {
 	remove := func(es []entry) ([]entry, bool) {
 		for i := range es {
 			if es[i].job.ID == jobID {
-				return append(es[:i], es[i+1:]...), true
+				// slices.Delete zeroes the vacated tail slot, so the withdrawn
+				// job does not linger reachable in the backing array.
+				return slices.Delete(es, i, i+1), true
 			}
 		}
 		return es, false

@@ -28,6 +28,18 @@ func newSchedWith(t *testing.T, policy Policy, topo *topology.Topology, opts ...
 	return New(policy, st, m, opts...)
 }
 
+// mapperUpTo4 builds a mapper profiled for jobs of at most four GPUs —
+// newSchedWith profiles every size up to the whole cluster, which is
+// minutes on a hundred-machine fleet.
+func mapperUpTo4(t *testing.T, topo *topology.Topology) *core.Mapper {
+	t.Helper()
+	m, err := core.NewMapper(profile.Generate(topo, 4), core.DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func mkJob(id string, batch, gpus int, minU, arrival float64) *job.Job {
 	return job.New(id, perfmodel.AlexNet, batch, gpus, minU, arrival)
 }
@@ -240,6 +252,60 @@ func TestTopoAwarePIdleClusterEscape(t *testing.T) {
 	}
 }
 
+// TestClusterIdleIsConstantTime: TOPO-AWARE-P asks for the idle-cluster
+// escape on every low-utility re-decision, so the answer must come from
+// the state's counters — listing the running jobs allocates (and sorts)
+// a slice as long as the cluster is busy.
+func TestClusterIdleIsConstantTime(t *testing.T) {
+	topo := topology.Cluster(128, topology.KindMinsky)
+	st := cluster.NewState(topo)
+	for i := 0; i < 400; i++ {
+		if err := st.Allocate(jobID(i), []int{i}, 0, perfmodel.Traits{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := placer{policy: TopoAwareP, state: st, mapper: mapperUpTo4(t, topo)}
+	j := mkJob("picky", 1, 2, 0.999, 0)
+	if pl, reason := p.attempt(j); pl != nil || reason != "low-utility" {
+		t.Fatalf("busy cluster: attempt = %+v, %q, want a low-utility postponement", pl, reason)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if p.clusterIdle() {
+			t.Fatal("a cluster with 400 running jobs reads idle")
+		}
+	}); n != 0 {
+		t.Fatalf("clusterIdle allocates %v objects with 400 jobs running", n)
+	}
+	for i := 0; i < 400; i++ {
+		if err := st.Release(jobID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pl, _ := p.attempt(j); pl == nil || !p.clusterIdle() {
+		t.Fatal("idle-cluster escape did not fire once every job was released")
+	}
+}
+
+// TestWithdrawClearsVacatedSlot: removing a queued job must not leave it
+// reachable past the queue's length in the backing array.
+func TestWithdrawClearsVacatedSlot(t *testing.T) {
+	s := newSched(t, FCFS, topology.Power8Minsky())
+	for i, id := range []string{"a", "b", "c"} {
+		if err := s.Submit(mkJob(id, 1, 1, 0, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Withdraw("b") {
+		t.Fatal("queued job not withdrawn")
+	}
+	if got := s.Queued(); len(got) != 2 || got[0].ID != "a" || got[1].ID != "c" {
+		t.Fatalf("queue after withdraw = %v", got)
+	}
+	if tail := s.queue[:3][2]; tail != (entry{}) {
+		t.Fatalf("vacated slot still holds %+v", tail)
+	}
+}
+
 func TestReleaseFreesResources(t *testing.T) {
 	s := newSched(t, FCFS, topology.Power8Minsky())
 	_ = s.Submit(mkJob("a", 1, 4, 0.0, 0))
@@ -287,17 +353,14 @@ func TestStatsAdd(t *testing.T) {
 	a := Stats{
 		Decisions: 1, Placements: 2, Postponements: 3, SLOViolations: 4, WakeSkips: 5,
 		Preemptions: 6, Evictions: 7, DecisionTime: 8 * time.Millisecond, MaxDecision: 2 * time.Millisecond,
-		PlaceCacheHits: 9, PlaceCacheMisses: 10, PlaceCacheEvictions: 11,
 	}
 	b := Stats{
 		Decisions: 10, Placements: 20, Postponements: 30, SLOViolations: 40, WakeSkips: 50,
 		Preemptions: 60, Evictions: 70, DecisionTime: 80 * time.Millisecond, MaxDecision: time.Millisecond,
-		PlaceCacheHits: 90, PlaceCacheMisses: 100, PlaceCacheEvictions: 110,
 	}
 	sum := Stats{
 		Decisions: 11, Placements: 22, Postponements: 33, SLOViolations: 44, WakeSkips: 55,
 		Preemptions: 66, Evictions: 77, DecisionTime: 88 * time.Millisecond,
-		PlaceCacheHits: 99, PlaceCacheMisses: 110, PlaceCacheEvictions: 121,
 	}
 	sum.MaxDecision = 2 * time.Millisecond // the larger of the two, not 3ms
 	for _, tc := range []struct {

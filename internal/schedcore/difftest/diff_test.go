@@ -7,17 +7,17 @@ import (
 
 	"gputopo/internal/cluster"
 	"gputopo/internal/core"
+	"gputopo/internal/jobgraph"
 	"gputopo/internal/profile"
 	"gputopo/internal/schedcore"
-	"gputopo/internal/schedcore/placecache"
 	"gputopo/internal/topology"
 )
 
 // coreOver builds the real Core for the trace's configuration over a
 // fresh state of topo (the trace's whole fleet, or one domain's slice of
-// it). There is one Core to build: the wake-up index and the placement
-// cache are not options, so the configuration that ships is the only one
-// there is.
+// it). There is one Core to build: the wake-up index and the class fold
+// are not options, so the configuration that ships is the only one there
+// is.
 func coreOver(t *testing.T, tr *Trace, topo *topology.Topology, disc schedcore.QueueDiscipline) *schedcore.Core {
 	t.Helper()
 	mapper, err := core.NewMapper(profile.Generate(topo, topo.NumGPUs()), core.DefaultWeights())
@@ -242,7 +242,7 @@ func TestTraceCoverage(t *testing.T) {
 				if !ev.Job.SingleNode {
 					multiNode++
 				}
-				if _, plain := placecache.JobSig(ev.Job); !plain {
+				if j := ev.Job; j.CommGraph() != jobgraph.SharedAllToAll(j.GPUs, j.Class().CommWeight()) {
 					customGraph++
 				}
 			}

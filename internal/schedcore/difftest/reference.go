@@ -1,7 +1,7 @@
 // Package difftest is the differential proving ground for the scheduling
 // core: a deliberately naive reference scheduler that re-implements the
 // §4.4 queue mechanics from scratch — full stable re-sort and full queue
-// walk every round, no wake-up index, no placement cache, no incremental
+// walk every round, no wake-up index, no class fold, no incremental
 // anything — plus a seeded randomized trace generator. The harness
 // (diff_test.go) drives thousands of traces through the reference and
 // through the real Core and demands placement-for-placement equality,
@@ -11,10 +11,11 @@
 // placement-policy arithmetic, via the exported schedcore.Placer facade.
 // That sharing is deliberate — Eq. 1 scoring is covered by its own unit
 // tests, and re-deriving the mapper here would make every diff chase
-// floating-point deltas instead of the queue, wake-index, place cache
+// floating-point deltas instead of the queue, wake-index, class-fold
 // and preemption bookkeeping this harness exists to falsify. The
-// reference's placer is the uncached one, so the Core's cached decisions
-// are always compared against plain mapper arithmetic.
+// reference's placer (schedcore.NewPlacer) evaluates every host, so the
+// Core's one-host-per-fingerprint sweep is always compared against the
+// per-machine one.
 package difftest
 
 import (

@@ -1,14 +1,12 @@
 package schedcore
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
 	"gputopo/internal/cluster"
 	"gputopo/internal/core"
 	"gputopo/internal/job"
-	"gputopo/internal/schedcore/placecache"
 )
 
 // placer evaluates the placement policies of §5 against one cluster
@@ -25,24 +23,13 @@ type placer struct {
 	// lists; their contents are dead once the owning call returns.
 	freeScratch []int
 	hostScratch []int
-	// cache memoizes mapper decisions across equivalent subproblems.
-	// Only the TOPO-AWARE paths consult it — FCFS and Best-Fit pick GPUs
-	// greedily and only Score the pick, which is already cheap. A nil
-	// cache (NewPlacer) selects the naive per-machine sweep the
-	// differential reference compares against.
-	cache *placecache.Cache
-	// classSeen, slotScratch and bestSlots serve the class sweep: the
-	// machine fingerprints one decision has already evaluated, the slots
-	// of the evaluation in hand and those of the best class so far.
-	classSeen   map[string]struct{}
-	slotScratch []int
-	bestSlots   []int
+	// classSeen holds the machine fingerprints the TOPO-AWARE single-node
+	// sweep of one decision has already evaluated. perMachine turns that
+	// skip off: NewPlacer sets it, so the differential reference evaluates
+	// every host and a wrong fold shows up as a divergence.
+	classSeen  map[string]struct{}
+	perMachine bool
 }
-
-// errInfeasible reports a deterministic mapper failure, fresh or replayed
-// from the cache (Place is a pure function of the key, so its errors are
-// part of the decision). Callers only branch on err != nil.
-var errInfeasible = errors.New("sched: placement infeasible")
 
 // attempt runs the placement policy on the job and applies the
 // TOPO-AWARE-P low-utility postponement rule. It returns the chosen
@@ -71,8 +58,12 @@ func (p *placer) attempt(j *job.Job) (*core.Placement, string) {
 	return placement, ""
 }
 
-// clusterIdle reports whether no job is currently running.
-func (p *placer) clusterIdle() bool { return len(p.state.Jobs()) == 0 }
+// clusterIdle reports whether no job is currently running. Allocate
+// rejects an empty GPU list, so every running job holds a GPU and the
+// free count alone answers it.
+func (p *placer) clusterIdle() bool {
+	return p.state.FreeGPUCount() == p.state.Topology().NumGPUs()
+}
 
 // placeFCFS is the First-Come-First-Served baseline of §5.2: the job at
 // the head of the FIFO queue receives the first free GPUs in index order,
@@ -204,6 +195,14 @@ func (p *placer) bestFitGPUs(machine, n int) []int {
 // constraints (Algorithm 1), then run the DRB mapper over each candidate
 // host (or over the whole candidate set for multi-node jobs) and keep the
 // highest-utility solution.
+//
+// The single-node sweep skips a host whose cluster.State.MachineFingerprint
+// this decision has already evaluated: within a decision the job and the
+// cluster-wide fragmentation sum are fixed, so equal fingerprints present
+// the mapper with the same subproblem up to an order-preserving relabeling
+// of the free GPUs and score identically. Hosts are met in ascending order
+// and a later one wins only on strictly higher utility, so the lowest
+// machine of the best class is the winner with or without the skip.
 func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 	hosts := p.filterHosts(j)
 	if len(hosts) == 0 {
@@ -219,23 +218,22 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 		if len(candidates) < j.GPUs {
 			return nil, fmt.Errorf("sched: %d candidate GPUs for request of %d", len(candidates), j.GPUs)
 		}
-		if p.cache != nil {
-			if sig, cacheable := placecache.JobSig(j); cacheable {
-				slots, score, ok := p.evaluate(j, placecache.MultiHostKey(sig, p.state, hosts), true, candidates)
-				if !ok {
-					return nil, errInfeasible
-				}
-				return materialize(candidates, slots, score), nil
-			}
-		}
 		return p.mapper.Place(j, p.state, candidates)
 	}
 
-	if p.cache != nil {
-		return p.sweepClasses(j, hosts)
+	if p.classSeen == nil {
+		p.classSeen = make(map[string]struct{})
 	}
+	clear(p.classSeen)
 	var best *core.Placement
 	for _, m := range hosts {
+		if !p.perMachine {
+			fp := p.state.MachineFingerprint(m)
+			if _, seen := p.classSeen[fp]; seen {
+				continue
+			}
+			p.classSeen[fp] = struct{}{}
+		}
 		free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], m)
 		p.freeScratch = free
 		pl, err := p.mapper.Place(j, p.state, free)
@@ -250,122 +248,6 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 		return nil, fmt.Errorf("sched: DRB found no feasible mapping for %s", j.ID)
 	}
 	return best, nil
-}
-
-// sweepClasses is the single-node candidate sweep of a cached placer. Two
-// hosts with equal cluster.State.MachineFingerprint present the mapper
-// with the same subproblem up to an order-preserving relabeling of their
-// free GPUs (the job and the cluster-wide fragmentation sum are fixed
-// within one decision), so they score identically and only the
-// lowest-index machine of each fingerprint class is evaluated. Classes
-// are met in ascending order of that representative and a later class
-// wins only on strictly higher utility, which is the per-machine sweep's
-// own rule: the chosen machine, GPUs and terms are the ones it would
-// return. Classes compare on the scored terms alone; one Placement is
-// built, for the winner.
-func (p *placer) sweepClasses(j *job.Job, hosts []int) (*core.Placement, error) {
-	// A custom communication graph has no signature, so its evaluations
-	// bypass the LRU — but the job is as fixed within the sweep as any
-	// other, so the fold holds for it too.
-	sig, cacheable := placecache.JobSig(j)
-	if p.classSeen == nil {
-		p.classSeen = make(map[string]struct{})
-	}
-	clear(p.classSeen)
-	winner := -1
-	var best placecache.Score
-	for _, m := range hosts {
-		fp := p.state.MachineFingerprint(m)
-		if _, seen := p.classSeen[fp]; seen {
-			continue
-		}
-		p.classSeen[fp] = struct{}{}
-		free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], m)
-		p.freeScratch = free
-		var key placecache.Key
-		if cacheable {
-			key = placecache.SingleHostKey(sig, p.state, m)
-		}
-		slots, score, ok := p.evaluate(j, key, cacheable, free)
-		if !ok {
-			continue
-		}
-		if winner < 0 || score.Utility > best.Utility {
-			winner, best = m, score
-			p.bestSlots = append(p.bestSlots[:0], slots...)
-		}
-	}
-	if winner < 0 {
-		return nil, fmt.Errorf("sched: DRB found no feasible mapping for %s", j.ID)
-	}
-	free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], winner)
-	p.freeScratch = free
-	return materialize(free, p.bestSlots, best), nil
-}
-
-// evaluate answers one mapper subproblem over candidates (ascending; free
-// lists are) as slot indices into candidates plus the scored terms: the
-// cache's entry for key when cacheable and present, else the mapper's
-// decision, stored for the next asker — deterministic failures included
-// (negative entries): Place is a pure function of the key's inputs, so
-// "no feasible mapping here" is as cacheable as a mapping. Every term is
-// a pure function of the key (placecache.Score documents why), so a hit
-// is bit-for-bit the miss it replays. ok is false when the subproblem is
-// infeasible. The slots are only valid until the next evaluate.
-func (p *placer) evaluate(j *job.Job, key placecache.Key, cacheable bool, candidates []int) (slots []int, score placecache.Score, ok bool) {
-	if cacheable {
-		if slots, score, negative, hit := p.cache.Lookup(key); hit {
-			if negative {
-				return nil, score, false
-			}
-			// Defensive: a corrupt entry falls through to a miss.
-			if len(slots) == j.GPUs && slices.Max(slots) < len(candidates) && slices.Min(slots) >= 0 {
-				return slots, score, true
-			}
-		}
-	}
-	pl, err := p.mapper.Place(j, p.state, candidates)
-	if err != nil {
-		if cacheable {
-			p.cache.Store(key, nil, placecache.Score{}, true)
-		}
-		return nil, placecache.Score{}, false
-	}
-	// Place draws GPUs from candidates only, so the conversion cannot fail
-	// short of a mapper bug; such a decision is dropped, never stored.
-	if p.slotScratch, ok = placecache.SlotsOf(p.slotScratch[:0], candidates, pl.GPUs); !ok {
-		return nil, placecache.Score{}, false
-	}
-	score = placecache.Score{
-		Utility:       pl.Utility,
-		CommCost:      pl.CommCost,
-		Interference:  pl.Interference,
-		Fragmentation: pl.Fragmentation,
-		P2P:           pl.P2P,
-		BusDemand:     pl.BusDemand,
-	}
-	if cacheable {
-		p.cache.Store(key, p.slotScratch, score, false)
-	}
-	return p.slotScratch, score, true
-}
-
-// materialize relabels stored slot indices onto the concrete candidates
-// and rebuilds the Placement from the stored quality terms.
-func materialize(candidates, slots []int, score placecache.Score) *core.Placement {
-	gpus := make([]int, len(slots))
-	for i, sl := range slots {
-		gpus[i] = candidates[sl]
-	}
-	return &core.Placement{
-		GPUs:          gpus,
-		Utility:       score.Utility,
-		CommCost:      score.CommCost,
-		Interference:  score.Interference,
-		Fragmentation: score.Fragmentation,
-		P2P:           score.P2P,
-		BusDemand:     score.BusDemand,
-	}
 }
 
 // filterHosts implements filterHostsByConstraints (Algorithm 1): machines
@@ -397,7 +279,7 @@ type Placer struct{ p placer }
 
 // NewPlacer returns a placement evaluator for the policy over the state.
 func NewPlacer(policy Policy, state *cluster.State, mapper *core.Mapper) *Placer {
-	return &Placer{p: placer{policy: policy, state: state, mapper: mapper}}
+	return &Placer{p: placer{policy: policy, state: state, mapper: mapper, perMachine: true}}
 }
 
 // Attempt evaluates the policy on the job without committing. It returns

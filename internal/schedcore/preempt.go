@@ -175,13 +175,11 @@ func (c *Core) selectVictims(j *job.Job) ([]*job.Job, float64) {
 	// set must both pass the capacity gate and actually place (bandwidth
 	// and mapper constraints can still reject it). Pooling (CopyFrom
 	// instead of Clone, one placer with persistent scratch buffers)
-	// makes a rejected candidate prefix allocation-free; sharing the
-	// core's placement cache is sound because cache keys are pure
-	// functions of the state under evaluation, clone or not.
+	// makes a rejected candidate prefix allocation-free.
 	evaluate := func(victims []*job.Job, machine int) {
 		if c.victimScratch == nil {
 			c.victimScratch = c.state.Clone()
-			c.victimPlacer = placer{policy: c.policy, mapper: c.mapper, cache: c.cache}
+			c.victimPlacer = placer{policy: c.policy, mapper: c.mapper}
 		} else {
 			c.victimScratch.CopyFrom(c.state)
 		}

@@ -527,9 +527,7 @@ func (d *domain) commit() error {
 	return nil
 }
 
-// combinedStats merges the live core's counters with the snapshot base
-// (which carries no place cache traffic: the cache runs cold after a
-// recovery).
+// combinedStats merges the live core's counters with the snapshot base.
 func (d *domain) combinedStats() schedcore.Stats {
 	cur := d.core.Stats()
 	cur.Add(d.statsBase)
@@ -577,13 +575,6 @@ type domainState struct {
 	busFree   []float64 // free bus bandwidth by local machine
 }
 
-// placeCacheStats renders the cache traffic of a stats block. The cache
-// runs cold after a recovery, so its traffic is volatile by design:
-// statsBase carries none, and these are the live core's counters.
-func placeCacheStats(st schedcore.Stats) *serveapi.PlaceCacheStats {
-	return &serveapi.PlaceCacheStats{Hits: st.PlaceCacheHits, Misses: st.PlaceCacheMisses, Evictions: st.PlaceCacheEvictions}
-}
-
 // snapshot captures the domain's state. Must run on the writer
 // goroutine.
 func (d *domain) snapshot() domainState {
@@ -603,7 +594,6 @@ func (d *domain) snapshot() domainState {
 		fragments: st.Fragmentation(),
 		stats:     d.combinedStats(),
 	}
-	sn.PlaceCache = placeCacheStats(sn.stats)
 	if d.log != nil {
 		sn.Log = &serveapi.LogStats{
 			Records:            d.log.Records(),

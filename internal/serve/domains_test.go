@@ -2,11 +2,13 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"gputopo/internal/schedcore"
@@ -386,5 +388,60 @@ func TestMultiServerStateLogAggregation(t *testing.T) {
 	sort.Ints(counts)
 	if counts[0] == 0 {
 		t.Fatalf("router starved a domain: %v", counts)
+	}
+}
+
+// TestMultiServerPlaceCacheConcurrent hammers a sharded server with
+// concurrent submits, releases and state polls — the one concurrent
+// sharded load run under -race in CI — and checks that no job was lost
+// or duplicated on the way. (Named for the place cache it was written to
+// guard; ROADMAP item 2 retires the TestMultiServer* names together.)
+func TestMultiServerPlaceCacheConcurrent(t *testing.T) {
+	_, c := startServer(t, Config{
+		Spec: specArg(t, "minsky:8/domains[hash:4]"), Policy: schedcore.TopoAwareP,
+		Discipline: "priority", Preemption: true,
+	})
+	ctx := ctxT(t)
+
+	const workers = 8
+	const perWorker = 24
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				id := fmt.Sprintf("w%d-j%d", w, i)
+				jr, err := c.SubmitJob(ctx, serveapi.JobRequest{ID: id, GPUs: 1 + i%4, Priority: i % 2})
+				if err != nil {
+					t.Errorf("submit %s: %v", id, err)
+					return
+				}
+				if jr.Status == "placed" && i%3 == 0 {
+					if _, err := c.ReleaseJob(ctx, id); err != nil {
+						t.Errorf("release %s: %v", id, err)
+						return
+					}
+				}
+				if i%5 == 0 {
+					if _, err := c.State(ctx); err != nil {
+						t.Errorf("state: %v", err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	st, err := c.State(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A job that runs or ran was placed once more than it was evicted; a
+	// queued one was evicted as often as it was placed.
+	if got := st.Stats.Placements - st.Stats.Evictions + len(st.Queue); got != workers*perWorker {
+		t.Fatalf("%d placements - %d evictions + %d queued = %d, want the %d jobs submitted",
+			st.Stats.Placements, st.Stats.Evictions, len(st.Queue), got, workers*perWorker)
 	}
 }

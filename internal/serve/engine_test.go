@@ -182,3 +182,28 @@ func TestGlobalGPUMapsMatchClusterTopology(t *testing.T) {
 		srv.Close()
 	}
 }
+
+// TestStateCarriesNoPlaceCache pins a deliberate wire change: the
+// place-cache LRU is gone from the scheduler, and with it the
+// "place_cache" object of /v1/state — top level and per domain, unsplit
+// and split.
+func TestStateCarriesNoPlaceCache(t *testing.T) {
+	for _, topo := range []string{"minsky:2", "minsky:4/domains[hash:2]"} {
+		_, c := startServer(t, Config{Spec: specArg(t, topo), Policy: schedcore.TopoAwareP})
+		for _, id := range []string{"a", "b"} {
+			if _, err := c.SubmitJob(ctxT(t), serveapi.JobRequest{ID: id, GPUs: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		status, body := getBody(t, baseURL(c)+"/v1/state")
+		if status != http.StatusOK || !bytes.Contains(body, []byte(`"free_gpus"`)) {
+			t.Fatalf("%s: state: %d %s", topo, status, body)
+		}
+		if split := strings.Contains(topo, "/domains"); split != bytes.Contains(body, []byte(`"domains"`)) {
+			t.Fatalf("%s: domains array presence, want %v: %s", topo, split, body)
+		}
+		if bytes.Contains(body, []byte("place_cache")) {
+			t.Fatalf("%s: /v1/state still carries place_cache: %s", topo, body)
+		}
+	}
+}

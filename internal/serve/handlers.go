@@ -271,6 +271,5 @@ func (s *Server) mergeStates(snaps []domainState) serveapi.StateResponse {
 	if s.Durable() {
 		out.Log = &logs
 	}
-	out.PlaceCache = placeCacheStats(stats)
 	return out
 }

@@ -242,14 +242,14 @@ type StateResponse struct {
 	// absent on a single-core server. The top-level fields aggregate
 	// across domains.
 	Domains []DomainState `json:"domains,omitempty"`
-	// PlaceCache is the placement-decision cache's traffic. Volatile: a
-	// recovery replays the log against a cold cache, so the counters —
-	// unlike every SchedStats counter — are not reproduced across a
-	// restart.
+	// PlaceCache is never set (the place-cache LRU is gone), so
+	// "place_cache" no longer appears on the wire; kept because the frozen
+	// cmd/topoperf reads it.
 	PlaceCache *PlaceCacheStats `json:"place_cache,omitempty"`
 }
 
-// PlaceCacheStats is the placement cache's hit/miss/eviction gauge set.
+// PlaceCacheStats is the type of the never-set StateResponse.PlaceCache;
+// the frozen cmd/topoperf is its only user.
 type PlaceCacheStats struct {
 	Hits      int `json:"hits"`
 	Misses    int `json:"misses"`
@@ -290,9 +290,6 @@ type DomainState struct {
 	// Log is the domain's own event log gauge (each domain journals and
 	// replays independently); nil when in-memory.
 	Log *LogStats `json:"log,omitempty"`
-	// PlaceCache is the domain core's own cache traffic; volatile like
-	// the top-level gauge.
-	PlaceCache *PlaceCacheStats `json:"place_cache,omitempty"`
 }
 
 // RunningEntry is one running job in the state snapshot.
@@ -346,10 +343,8 @@ func (s *StateResponse) ClearVolatile() {
 	s.Stats.MaxDecisionUs = 0
 	s.Stats.TotalDecisionMs = 0
 	s.Log = nil
-	s.PlaceCache = nil
 	for i := range s.Domains {
 		s.Domains[i].Log = nil
-		s.Domains[i].PlaceCache = nil
 	}
 }
 

@@ -62,7 +62,6 @@ func TestWireRoundTrip(t *testing.T) {
 				WakeSkips: 3, MeanDecisionUs: 12.5, MaxDecisionUs: 80, TotalDecisionMs: 0.5,
 			},
 			Decisions: 9, Fragments: 1.25, Discipline: "fifo-arrival",
-			PlaceCache: &PlaceCacheStats{Hits: 12, Misses: 7, Evictions: 1},
 		}, func() any { return &StateResponse{} }},
 		{"state_response_sharded", &StateResponse{
 			Topology: "minsky:4/domains[hash:2]", Policy: "TOPO-AWARE-P", Machines: 4, GPUs: 16,
@@ -70,12 +69,10 @@ func TestWireRoundTrip(t *testing.T) {
 				Records: 40, SinceSnapshot: 8, BytesSinceSnapshot: 4096,
 				Snapshots: 2, ReplayedAtBoot: 11, Syncs: 13,
 			},
-			PlaceCache: &PlaceCacheStats{Hits: 30, Misses: 14, Evictions: 2},
 			Domains: []DomainState{
 				{Domain: 0, Topology: "minsky:2", Machines: 2, GPUs: 8, FreeGPUs: 5,
 					Running: 2, Queued: 1, Decisions: 20,
-					Log:        &LogStats{Records: 20, SinceSnapshot: 4, BytesSinceSnapshot: 2048, Snapshots: 1, ReplayedAtBoot: 6, Syncs: 7},
-					PlaceCache: &PlaceCacheStats{Hits: 20, Misses: 9, Evictions: 2}},
+					Log: &LogStats{Records: 20, SinceSnapshot: 4, BytesSinceSnapshot: 2048, Snapshots: 1, ReplayedAtBoot: 6, Syncs: 7}},
 				{Domain: 1, Topology: "minsky:2", Machines: 2, GPUs: 8, FreeGPUs: 8},
 			},
 		}, func() any { return &StateResponse{} }},
@@ -223,11 +220,10 @@ func TestWriteHelpers(t *testing.T) {
 func TestClearVolatile(t *testing.T) {
 	s := StateResponse{
 		UptimeSec: 5, ClockSec: 6, FreeGPUs: 3,
-		Stats:      SchedStats{Decisions: 9, MeanDecisionUs: 1, MaxDecisionUs: 2, TotalDecisionMs: 3},
-		Log:        &LogStats{Records: 4, Syncs: 2},
-		PlaceCache: &PlaceCacheStats{Hits: 5, Misses: 3},
+		Stats: SchedStats{Decisions: 9, MeanDecisionUs: 1, MaxDecisionUs: 2, TotalDecisionMs: 3},
+		Log:   &LogStats{Records: 4, Syncs: 2},
 		Domains: []DomainState{
-			{Domain: 0, GPUs: 8, Log: &LogStats{Records: 2}, PlaceCache: &PlaceCacheStats{Hits: 1}},
+			{Domain: 0, GPUs: 8, Log: &LogStats{Records: 2}},
 		},
 	}
 	s.ClearVolatile()
@@ -239,11 +235,6 @@ func TestClearVolatile(t *testing.T) {
 	// zero), so restart byte-pinning must not see them.
 	if s.Log != nil || s.Domains[0].Log != nil {
 		t.Fatalf("log gauges survive: %+v", s)
-	}
-	// The placement cache replays cold after a restart, so its counters
-	// are volatile too — top-level and per-domain.
-	if s.PlaceCache != nil || s.Domains[0].PlaceCache != nil {
-		t.Fatalf("place cache counters survive: %+v", s)
 	}
 	if s.FreeGPUs != 3 || s.Stats.Decisions != 9 || s.Domains[0].GPUs != 8 {
 		t.Fatalf("durable fields clobbered: %+v", s)
