@@ -428,6 +428,86 @@ func BenchmarkDRBPlacement(b *testing.B) {
 	}
 }
 
+// BenchmarkMapperPlace measures one DRB mapping with its utility scoring
+// on a single machine at three occupancies. The interference term walks
+// the machine's resident table once per side score, so the cost should
+// grow gently with the residents and allocations per placement not at all.
+func BenchmarkMapperPlace(b *testing.B) {
+	for _, tc := range []struct {
+		name      string
+		topo      *topology.Topology
+		residents int // one-GPU jobs on GPUs 0..residents-1
+		gpus      int // size of the job placed on what is left
+	}{
+		{"minsky-empty", topology.Power8Minsky(), 0, 2},
+		{"minsky-3-residents", topology.Power8Minsky(), 3, 1},
+		{"dgx1-5-residents", topology.DGX1(), 5, 2},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			st := cluster.NewState(tc.topo)
+			for i := 0; i < tc.residents; i++ {
+				tr := perfmodel.Traits{Model: perfmodel.NN(i % 3), Class: 1, GPUs: 1}
+				if err := st.Allocate(jobName(i), []int{i}, 1, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			mapper, err := core.NewMapper(profile.Generate(tc.topo, 4), core.DefaultWeights())
+			if err != nil {
+				b.Fatal(err)
+			}
+			j := job.New("bench", perfmodel.AlexNet, 1, tc.gpus, 0.5, 0)
+			free := st.FreeGPUs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mapper.Place(j, st, free); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSubmitDeepQueue measures one out-of-order Submit into a queue
+// of 15000 waiting jobs — sim-contended's depth — under each discipline:
+// a search for the job's place and one shift of the entries behind it.
+func BenchmarkSubmitDeepQueue(b *testing.B) {
+	const depth = 15000
+	for _, name := range []string{"fifo", "priority"} {
+		b.Run(name, func(b *testing.B) {
+			disc, err := schedcore.ParseDiscipline(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			topo := topology.Power8Minsky()
+			mapper, err := core.NewMapper(profile.Generate(topo, 4), core.DefaultWeights())
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := schedcore.New(schedcore.FCFS, cluster.NewState(topo), mapper, schedcore.WithQueueDiscipline(disc))
+			for i := 0; i < depth; i++ {
+				j := job.New(fmt.Sprintf("q%d", i), perfmodel.AlexNet, 4, 1, 0, float64(i))
+				j.Priority = i % 3
+				if err := c.Submit(j); err != nil {
+					b.Fatal(err)
+				}
+			}
+			late := job.New("late", perfmodel.AlexNet, 4, 1, 0, depth/2)
+			late.Priority = 1
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Submit(late); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if !c.Withdraw("late") {
+					b.Fatal("late job not queued")
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
 // BenchmarkSimulatorThroughput measures simulated jobs per second of the
 // trace-driven engine at scenario-1 scale.
 func BenchmarkSimulatorThroughput(b *testing.B) {

@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/topology"
@@ -25,6 +25,16 @@ type Allocation struct {
 	// later placement decisions can predict co-location slowdowns
 	// against the jobs already running (§4.2).
 	Traits perfmodel.Traits
+}
+
+// Resident is one row of a machine's resident table: a job holding at
+// least one GPU on that machine.
+type Resident struct {
+	Alloc *Allocation
+	// Sockets ORs topology.SocketBit over the job's GPUs on the machine:
+	// a GPU there shares a socket with the job exactly when its own bit is
+	// in the mask.
+	Sockets uint64
 }
 
 // State is the mutable allocation state over an immutable topology.
@@ -56,7 +66,17 @@ type State struct {
 	// invalidate only the machines whose GPUs they touch (same lazy style
 	// as FreeMachines), and MachineFingerprint recomputes on demand.
 	// Fingerprints are never empty by construction, so "" is unambiguous.
-	fp []string
+	fp    []string
+	fpBuf []byte // computeFingerprint's formatting scratch
+
+	// residents[m] is machine m's resident table — the jobs with a GPU
+	// there, sorted by job ID: the co-runners Eq. 4 sums over, in the
+	// order it sums them. A view of the owner table, rebuilt lazily and in
+	// place when residentOK[m] is false; touch dirties it together with
+	// fp[m]. Each State owns its row buffers outright (Clone and CopyFrom
+	// never hand them over), since a rebuild overwrites them.
+	residents  [][]Resident
+	residentOK []bool
 }
 
 // NewState returns an empty allocation state for the topology.
@@ -68,6 +88,8 @@ func NewState(topo *topology.Topology) *State {
 		busCapacity:   2 * topology.BandwidthXBus,
 		busUsed:       make([]float64, topo.NumMachines()),
 		freeOnMachine: make([]int, topo.NumMachines()),
+		residents:     make([][]Resident, topo.NumMachines()),
+		residentOK:    make([]bool, topo.NumMachines()),
 	}
 	for m := 0; m < topo.NumMachines(); m++ {
 		k := len(topo.GPUsOfMachine(m))
@@ -179,13 +201,11 @@ func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits per
 	sort.Ints(alloc.GPUs)
 	for _, pos := range alloc.GPUs {
 		s.owner[pos] = jobID
-		nd := s.topo.GPU(pos)
-		s.freeOnMachine[nd.Machine]--
+		m := s.topo.MachineOf(pos)
+		s.freeOnMachine[m]--
 		s.freeTotal--
-		s.fragSum -= 1 / float64(len(s.topo.GPUsOfSocket(nd.Machine, nd.Socket)))
-		if s.fp != nil {
-			s.fp[nd.Machine] = ""
-		}
+		s.fragSum -= 1 / float64(s.topo.SocketSize(pos))
+		s.touch(m)
 	}
 	for _, m := range s.machinesOf(alloc.GPUs) {
 		s.busUsed[m] += bandwidth
@@ -204,13 +224,11 @@ func (s *State) Release(jobID string) error {
 	}
 	for _, pos := range alloc.GPUs {
 		s.owner[pos] = ""
-		nd := s.topo.GPU(pos)
-		s.freeOnMachine[nd.Machine]++
+		m := s.topo.MachineOf(pos)
+		s.freeOnMachine[m]++
 		s.freeTotal++
-		s.fragSum += 1 / float64(len(s.topo.GPUsOfSocket(nd.Machine, nd.Socket)))
-		if s.fp != nil {
-			s.fp[nd.Machine] = ""
-		}
+		s.fragSum += 1 / float64(s.topo.SocketSize(pos))
+		s.touch(m)
 	}
 	for _, m := range s.machinesOf(alloc.GPUs) {
 		s.busUsed[m] -= alloc.Bandwidth
@@ -238,21 +256,85 @@ func (s *State) Jobs() []string {
 	return out
 }
 
-// JobsOnMachine returns the IDs of jobs with at least one GPU on machine
-// m, sorted.
-func (s *State) JobsOnMachine(m int) []string {
-	seen := map[string]bool{}
+// touch marks machine m's lazily derived views — its placement
+// fingerprint and its resident table — stale. Allocate and Release call it
+// for every machine whose GPUs they change.
+func (s *State) touch(m int) {
+	if s.fp != nil {
+		s.fp[m] = ""
+	}
+	s.residentOK[m] = false
+}
+
+// Residents returns machine m's resident table: one row per job with a
+// GPU on m, sorted by job ID. The slice is the state's own buffer — valid
+// until the state next changes (Allocate, Release, CopyFrom into it), and
+// not to be mutated.
+func (s *State) Residents(m int) []Resident {
+	if !s.residentOK[m] {
+		s.rebuildResidents(m)
+	}
+	return s.residents[m]
+}
+
+// rebuildResidents derives machine m's resident table from the owner
+// table, into the row's existing buffer.
+func (s *State) rebuildResidents(m int) {
+	rs := s.residents[m][:0]
 	for _, pos := range s.topo.GPUsOfMachine(m) {
-		if o := s.owner[pos]; o != "" && !seen[o] {
-			seen[o] = true
+		id := s.owner[pos]
+		if id == "" {
+			continue
+		}
+		i := 0
+		for i < len(rs) && rs[i].Alloc.JobID < id {
+			i++
+		}
+		if i == len(rs) || rs[i].Alloc.JobID != id {
+			rs = slices.Insert(rs, i, Resident{Alloc: s.allocs[id]})
+		}
+		rs[i].Sockets |= s.topo.SocketBit(pos)
+	}
+	s.residents[m], s.residentOK[m] = rs, true
+}
+
+// CheckInvariants recomputes the state's derived views from the owner
+// table and reports the first one that diverged. It covers the resident
+// tables: on every machine the rows are exactly the jobs owning a GPU
+// there, in sorted-ID order, each with this state's own Allocation and the
+// socket mask topology.SameSocket yields position by position. It is a
+// test and diagnosis aid — O(GPUs · job size), allocating — not a hot
+// path.
+func (s *State) CheckInvariants() error {
+	for m := 0; m < s.topo.NumMachines(); m++ {
+		gpus := s.topo.GPUsOfMachine(m)
+		var ids []string
+		for _, pos := range gpus {
+			if o := s.owner[pos]; o != "" && !slices.Contains(ids, o) {
+				ids = append(ids, o)
+			}
+		}
+		slices.Sort(ids)
+		rs := s.Residents(m)
+		if len(rs) != len(ids) {
+			return fmt.Errorf("cluster: machine %d: resident table has %d rows, owner table has jobs %v", m, len(rs), ids)
+		}
+		for i, r := range rs {
+			if r.Alloc == nil || r.Alloc != s.allocs[ids[i]] {
+				return fmt.Errorf("cluster: machine %d: resident row %d is not this state's allocation of %s", m, i, ids[i])
+			}
+			var want uint64
+			for _, pos := range gpus {
+				if slices.ContainsFunc(r.Alloc.GPUs, func(g int) bool { return s.topo.SameSocket(pos, g) }) {
+					want |= s.topo.SocketBit(pos)
+				}
+			}
+			if r.Sockets != want {
+				return fmt.Errorf("cluster: machine %d: job %s socket mask %#x, SameSocket gives %#x", m, ids[i], r.Sockets, want)
+			}
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return nil
 }
 
 // machinesOf returns the distinct machine indices spanned by positions,
@@ -260,7 +342,7 @@ func (s *State) JobsOnMachine(m int) []string {
 func (s *State) machinesOf(gpus []int) []int {
 	var out []int
 	for _, pos := range gpus {
-		if m := s.topo.GPU(pos).Machine; !slices.Contains(out, m) {
+		if m := s.topo.MachineOf(pos); !slices.Contains(out, m) {
 			out = append(out, m)
 		}
 	}
@@ -296,8 +378,7 @@ func (s *State) FragmentationAfter(gpus []int) float64 {
 	}
 	delta := 0.0
 	for _, pos := range gpus {
-		nd := s.topo.GPU(pos)
-		delta += 1 / float64(len(s.topo.GPUsOfSocket(nd.Machine, nd.Socket)))
+		delta += 1 / float64(s.topo.SocketSize(pos))
 	}
 	frag := (s.fragSum - delta) / float64(s.socketCount)
 	if frag < 0 {
@@ -376,43 +457,51 @@ func (s *State) MachineFingerprint(m int) string {
 	return s.fp[m]
 }
 
-// computeFingerprint builds machine m's fingerprint from scratch.
+// computeFingerprint builds machine m's fingerprint from scratch, in the
+// state's formatting scratch: the returned string is the one allocation.
+// Numbers are written as fmt's %d and %g write them.
 func (s *State) computeFingerprint(m int) string {
-	var sb strings.Builder
-	sb.WriteString(s.topo.MachineShape(m))
+	b := append(s.fpBuf[:0], s.topo.MachineShape(m)...)
 	var freeBuf [8]int
 	free := s.AppendFreeGPUsOnMachine(freeBuf[:0], m)
-	fmt.Fprintf(&sb, "|f%d", len(free))
+	b = append(b, "|f"...)
+	b = strconv.AppendInt(b, int64(len(free)), 10)
 	for i, a := range free {
-		for _, b := range free[i+1:] {
-			fmt.Fprintf(&sb, ",%g", s.topo.Distance(a, b))
+		for _, c := range free[i+1:] {
+			b = append(b, ',')
+			b = strconv.AppendFloat(b, s.topo.Distance(a, c), 'g', -1, 64)
 		}
 	}
-	sb.WriteString(";s")
+	b = append(b, ";s"...)
 	for _, pos := range free {
-		nd := s.topo.GPU(pos)
-		fmt.Fprintf(&sb, ",%d", len(s.topo.GPUsOfSocket(nd.Machine, nd.Socket)))
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(s.topo.SocketSize(pos)), 10)
 	}
-	sb.WriteString(";r")
+	b = append(b, ";r"...)
 	for _, pos := range free {
-		fmt.Fprintf(&sb, ",%g", s.topo.RootDistance(pos))
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, s.topo.RootDistance(pos), 'g', -1, 64)
 	}
-	for _, id := range s.JobsOnMachine(m) {
-		alloc := s.allocs[id]
-		t := alloc.Traits
-		fmt.Fprintf(&sb, ";j%d.%d.%d.%d:", int(t.Model), int(t.Class), t.GPUs, int(t.Mode))
+	for _, r := range s.Residents(m) {
+		t := r.Alloc.Traits
+		b = append(b, ";j"...)
+		for i, v := range [...]int{int(t.Model), int(t.Class), t.GPUs, int(t.Mode)} {
+			if i > 0 {
+				b = append(b, '.')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, ':')
 		for _, pos := range free {
 			share := byte('0')
-			for _, og := range alloc.GPUs {
-				if s.topo.SameSocket(pos, og) {
-					share = '1'
-					break
-				}
+			if r.Sockets&s.topo.SocketBit(pos) != 0 {
+				share = '1'
 			}
-			sb.WriteByte(share)
+			b = append(b, share)
 		}
 	}
-	return sb.String()
+	s.fpBuf = b
+	return string(b)
 }
 
 // Utilization returns the fraction of GPUs currently allocated.
@@ -445,6 +534,10 @@ func (s *State) Clone() *State {
 		maxFree:       s.maxFree,
 		freeMachines:  s.freeMachines,
 		maxFreeDirty:  s.maxFreeDirty,
+		// The clone's allocations are its own copies, so its resident
+		// tables start stale and rebuild against them on first use.
+		residents:  make([][]Resident, len(s.residents)),
+		residentOK: make([]bool, len(s.residentOK)),
 	}
 	if s.fp != nil {
 		c.fp = append([]string(nil), s.fp...)
@@ -491,4 +584,7 @@ func (s *State) CopyFrom(src *State) {
 	} else {
 		s.fp = append(s.fp[:0], src.fp...)
 	}
+	// Stale, not copied: a what-if state reads the rows of the few
+	// machines it places on, and rebuilds those into its own buffers.
+	clear(s.residentOK)
 }

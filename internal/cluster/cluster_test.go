@@ -87,11 +87,11 @@ func TestFreeGPUsAndMachines(t *testing.T) {
 	if used := st.UsedGPUsOnMachine(0); len(used) != 2 {
 		t.Fatalf("machine 0 used = %v", used)
 	}
-	if jobs := st.JobsOnMachine(0); len(jobs) != 1 || jobs[0] != "j1" {
-		t.Fatalf("jobs on machine 0 = %v", jobs)
+	if rs := st.Residents(0); len(rs) != 1 || rs[0].Alloc != st.Allocation("j1") || rs[0].Sockets != 1 {
+		t.Fatalf("residents of machine 0 = %+v", rs)
 	}
-	if jobs := st.JobsOnMachine(1); len(jobs) != 0 {
-		t.Fatalf("jobs on machine 1 = %v", jobs)
+	if rs := st.Residents(1); len(rs) != 0 {
+		t.Fatalf("residents of machine 1 = %+v", rs)
 	}
 	if ms := st.MachinesOf([]int{0, 5}); len(ms) != 2 {
 		t.Fatalf("machines of cross allocation = %v", ms)

@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"gputopo/internal/jobgraph"
@@ -65,6 +68,89 @@ func checkFingerprints(t *testing.T, s *State, context string) {
 		if got := s.MachineFingerprint(m); got != want[m] {
 			t.Fatalf("%s: machine %d incremental fingerprint diverged from scratch recompute\n inc:     %q\n scratch: %q",
 				context, m, got, want[m])
+		}
+	}
+}
+
+// fingerprintFmt is computeFingerprint as it was written before the
+// resident table: a fmt verb per field, and the machine's jobs found by
+// scanning its owners and matching sockets GPU by GPU. Fingerprints key
+// the candidate sweep's class fold, so the strconv formatter has to
+// reproduce these bytes exactly.
+func fingerprintFmt(s *State, m int) string {
+	var sb strings.Builder
+	sb.WriteString(s.topo.MachineShape(m))
+	free := s.FreeGPUsOnMachine(m)
+	fmt.Fprintf(&sb, "|f%d", len(free))
+	for i, a := range free {
+		for _, b := range free[i+1:] {
+			fmt.Fprintf(&sb, ",%g", s.topo.Distance(a, b))
+		}
+	}
+	sb.WriteString(";s")
+	for _, pos := range free {
+		nd := s.topo.GPU(pos)
+		fmt.Fprintf(&sb, ",%d", len(s.topo.GPUsOfSocket(nd.Machine, nd.Socket)))
+	}
+	sb.WriteString(";r")
+	for _, pos := range free {
+		fmt.Fprintf(&sb, ",%g", s.topo.RootDistance(pos))
+	}
+	var ids []string
+	for _, pos := range s.topo.GPUsOfMachine(m) {
+		ids = append(ids, s.owner[pos])
+	}
+	slices.Sort(ids)
+	for _, id := range slices.Compact(ids) {
+		if id == "" {
+			continue
+		}
+		alloc := s.allocs[id]
+		t := alloc.Traits
+		fmt.Fprintf(&sb, ";j%d.%d.%d.%d:", int(t.Model), int(t.Class), t.GPUs, int(t.Mode))
+		for _, pos := range free {
+			share := byte('0')
+			for _, og := range alloc.GPUs {
+				if s.topo.SameSocket(pos, og) {
+					share = '1'
+					break
+				}
+			}
+			sb.WriteByte(share)
+		}
+	}
+	return sb.String()
+}
+
+// checkFingerprintBytes holds every machine's fingerprint to the fmt
+// formatter's.
+func checkFingerprintBytes(t *testing.T, s *State, context string) {
+	t.Helper()
+	for m := 0; m < s.Topology().NumMachines(); m++ {
+		if got, want := s.MachineFingerprint(m), fingerprintFmt(s, m); got != want {
+			t.Fatalf("%s: machine %d fingerprint bytes changed\n now:  %q\n was:  %q", context, m, got, want)
+		}
+	}
+}
+
+func TestFingerprintBytesUnchanged(t *testing.T) {
+	fleets := map[string]*State{
+		"bare minsky": NewState(topology.Power8Minsky()), // no network root
+		"bare dgx1":   NewState(topology.DGX1()),
+	}
+	for _, mix := range []string{"pcie:1", "minsky:2+minsky-1g:1+dgx1:1", "dgx1-2g:2+pcie:2"} {
+		fleets[mix] = fpState(t, mix)
+	}
+	for name, s := range fleets {
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		checkFingerprintBytes(t, s, name+" empty")
+		for step := 0; step < 150; step++ {
+			if rng.Intn(3) > 0 {
+				randomAllocate(t, rng, s, jobName(step))
+			} else {
+				randomRelease(t, rng, s)
+			}
+			checkFingerprintBytes(t, s, fmt.Sprintf("%s step %d", name, step))
 		}
 	}
 }
@@ -222,5 +308,6 @@ func FuzzShapeFingerprint(f *testing.F) {
 				t.Fatalf("machine %d: incremental %q != scratch %q", m, got, want[m])
 			}
 		}
+		checkFingerprintBytes(t, s, "after the op sequence")
 	})
 }

@@ -1,0 +1,109 @@
+package cluster
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"gputopo/internal/perfmodel"
+)
+
+// randomAllocate places a job on one to four random free GPUs — anywhere
+// in the cluster, so some jobs span machines — with random traits.
+func randomAllocate(t *testing.T, rng *rand.Rand, s *State, id string) {
+	t.Helper()
+	free := s.FreeGPUs()
+	if len(free) == 0 {
+		return
+	}
+	rng.Shuffle(len(free), func(i, k int) { free[i], free[k] = free[k], free[i] })
+	gpus := free[:min(1+rng.Intn(4), len(free))]
+	if rng.Intn(3) > 0 {
+		// Mostly single-machine jobs, as the schedulers place them.
+		onOne := s.FreeGPUsOnMachine(s.Topology().GPU(gpus[0]).Machine)
+		gpus = onOne[:min(len(gpus), len(onOne))]
+	}
+	tr := perfmodel.Traits{
+		Model: perfmodel.NN(rng.Intn(perfmodel.NumNN)),
+		Class: jobClass(rng.Intn(8)),
+		GPUs:  len(gpus),
+		Mode:  perfmodel.Parallelism(rng.Intn(2)),
+	}
+	if err := s.Allocate(id, gpus, float64(rng.Intn(5)), tr); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func randomRelease(t *testing.T, rng *rand.Rand, s *State) {
+	t.Helper()
+	if ids := s.Jobs(); len(ids) > 0 {
+		if err := s.Release(ids[rng.Intn(len(ids))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestResidentsMatchScratch drives random Allocate/Release/Clone/CopyFrom
+// sequences over a primary state and two what-if states taken from it,
+// and after every step holds every machine's resident table, on all
+// three, to the from-scratch derivation (owner scan + SameSocket). All
+// three are checked each time, so a row buffer shared across Clone or
+// CopyFrom shows as soon as one side rebuilds it.
+func TestResidentsMatchScratch(t *testing.T) {
+	for _, mix := range []string{"minsky:3", "dgx1:2", "pcie:2", "minsky:2+minsky-1g:1+dgx1:1+pcie:1"} {
+		for seed := int64(0); seed < 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			primary := fpState(t, mix)
+			states := []*State{primary, primary.Clone(), primary.Clone()}
+			check := func(step int, op string) {
+				t.Helper()
+				for i, s := range states {
+					if err := s.CheckInvariants(); err != nil {
+						t.Fatalf("%s seed %d step %d (%s), state %d: %v", mix, seed, step, op, i, err)
+					}
+				}
+			}
+			check(-1, "empty")
+			for step := 0; step < 120; step++ {
+				s := states[rng.Intn(len(states))]
+				var op string
+				switch r := rng.Intn(10); {
+				case r < 5:
+					op = "allocate"
+					randomAllocate(t, rng, s, fmt.Sprintf("j%03d", step))
+				case r < 8:
+					op = "release"
+					randomRelease(t, rng, s)
+				case r < 9:
+					op = "clone"
+					states[1+rng.Intn(2)] = primary.Clone()
+				default:
+					op = "copyfrom"
+					states[1+rng.Intn(2)].CopyFrom(primary)
+				}
+				check(step, op)
+			}
+		}
+	}
+}
+
+// TestResidentRebuildAllocatesNothing: once a row's buffer has held the
+// machine's residents, dirtying and rebuilding it is allocation-free.
+func TestResidentRebuildAllocatesNothing(t *testing.T) {
+	s := fpState(t, "dgx1:1")
+	tr := perfmodel.Traits{Model: perfmodel.AlexNet, Class: 1, GPUs: 2, Mode: perfmodel.DataParallel}
+	for i := 0; i < 4; i++ {
+		if err := s.Allocate(jobName(i), []int{2 * i, 2*i + 1}, 1, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Residents(0)
+	if n := testing.AllocsPerRun(100, func() {
+		s.touch(0)
+		if len(s.Residents(0)) != 4 {
+			t.Fatal("resident rows lost")
+		}
+	}); n != 0 {
+		t.Fatalf("rebuilding a warmed resident row allocates %v times", n)
+	}
+}

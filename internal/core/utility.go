@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"gputopo/internal/cluster"
 	"gputopo/internal/job"
@@ -102,52 +101,89 @@ func utilityTerms(j *job.Job, gpus []int, st *cluster.State, profiles *profile.S
 
 // predictInterference gathers the co-runners sharing sockets or machines
 // with the candidate GPUs and returns the profile-predicted slowdown
-// factor I >= 1 (Eq. 4). Only jobs on the candidate's machines are
-// examined, so the cost is independent of cluster size. The enumeration
-// walks the owner table directly — machines ascending, job IDs sorted
-// within a machine, cross-machine duplicates skipped — reproducing
-// exactly the (machine, id) order the former MachinesOf/JobsOnMachine
-// implementation summed co-runner terms in, without their per-call map
-// and slice allocations (this sits on the innermost DRB scoring path).
+// factor I >= 1 (Eq. 4). Only jobs on the candidates' machines are
+// examined, so the cost is independent of cluster size. The co-runners
+// come from the cluster state's resident tables — machines ascending, job
+// IDs sorted within a machine — which is the order Eq. 4's terms are
+// summed in; a co-runner shares a socket with the candidates when the
+// socket masks of the two intersect on some machine. Each co-runner adds
+// sensitivity(victim) · pressure(co-runner) · locality factor, with the
+// factor convention fixed so that "less interference" means a value
+// closer to 1: as printed, Eq. 4 computes the reciprocal solo/collocated
+// ratio; we use collocated/solo so that minimizing interference and
+// maximizing utility agree. This sits on the innermost DRB scoring path
+// and allocates nothing.
 func predictInterference(j *job.Job, gpus []int, st *cluster.State, profiles *profile.Store) float64 {
 	topo := st.Topology()
-	var machineBuf [8]int
-	machines := machineBuf[:0]
+	var siteBuf [8]site
+	sites := siteBuf[:0]
 	for _, pos := range gpus {
-		m := topo.GPU(pos).Machine
-		if !slices.Contains(machines, m) {
-			machines = append(machines, m)
+		m := topo.MachineOf(pos)
+		i := 0
+		for i < len(sites) && sites[i].machine < m {
+			i++
 		}
+		if i == len(sites) || sites[i].machine != m {
+			// slices.Insert, spelled out: the generic call cost an eighth
+			// of this function in the scenario-2 profile.
+			sites = append(sites, site{})
+			copy(sites[i+1:], sites[i:])
+			sites[i] = site{machine: m}
+		}
+		sites[i].sockets |= topo.SocketBit(pos)
 	}
-	slices.Sort(machines)
 
-	var idBuf [16]string
-	ids := idBuf[:0]
-	for _, m := range machines {
-		start := len(ids)
-		for _, pos := range topo.GPUsOfMachine(m) {
-			if o := st.Owner(pos); o != "" && !slices.Contains(ids, o) {
-				ids = append(ids, o)
+	sens := profiles.Sensitivity(j.Traits())
+	var sum float64
+	for i, at := range sites {
+		for _, r := range st.Residents(at.machine) {
+			locality := perfmodel.SameMachine
+			if r.Sockets&at.sockets != 0 {
+				locality = perfmodel.SameSocket
 			}
-		}
-		slices.Sort(ids[start:])
-	}
-
-	var coBuf [16]profile.CoRunner
-	coRunners := coBuf[:0]
-	for _, other := range ids {
-		alloc := st.Allocation(other)
-		locality := perfmodel.SameMachine
-		for _, g := range gpus {
-			for _, og := range alloc.GPUs {
-				if topo.SameSocket(g, og) {
+			if len(sites) > 1 {
+				counted, shares := elsewhere(st, sites, i, r.Alloc)
+				if counted {
+					continue
+				}
+				if shares {
 					locality = perfmodel.SameSocket
 				}
 			}
+			sum += sens * profiles.Pressure(r.Alloc.Traits) * perfmodel.LocalityFactor(locality)
 		}
-		coRunners = append(coRunners, profile.CoRunner{Traits: alloc.Traits, Locality: locality})
 	}
-	return profiles.PredictInterference(j.Traits(), coRunners)
+	return 1 + perfmodel.CapSlowdown(sum)
+}
+
+// site is one machine under a candidate GPU set and the sockets the
+// candidates occupy there (topology.SocketBit).
+type site struct {
+	machine int
+	sockets uint64
+}
+
+// elsewhere looks a resident of sites[i]'s machine up on the candidates'
+// other machines. A job spanning several of them is one co-runner: it is
+// counted at the first (counted reports an earlier site holds it), and it
+// shares a socket with the candidates if it does on any (shares reports a
+// later site where it does).
+func elsewhere(st *cluster.State, sites []site, i int, alloc *cluster.Allocation) (counted, shares bool) {
+	for k, other := range sites {
+		if k == i {
+			continue
+		}
+		for _, o := range st.Residents(other.machine) {
+			if o.Alloc != alloc {
+				continue
+			}
+			if k < i {
+				return true, false
+			}
+			shares = shares || o.Sockets&other.sockets != 0
+		}
+	}
+	return false, shares
 }
 
 // Utility combines the three terms into the overall placement utility.

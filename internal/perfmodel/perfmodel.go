@@ -300,11 +300,11 @@ const (
 	DifferentMachine
 )
 
-// localityFactor scales interference: jobs sharing a socket contend for
+// LocalityFactor scales interference: jobs sharing a socket contend for
 // the CPU-GPU links and local DRAM (2x the cross-socket baseline), jobs on
 // the same machine share the X-Bus and memory subsystem (the Figure 6
 // calibration point), and jobs on different machines do not interfere.
-func localityFactor(l Locality) float64 {
+func LocalityFactor(l Locality) float64 {
 	switch l {
 	case SameSocket:
 		return 2.0
@@ -369,7 +369,7 @@ func Pressure(t Traits) float64 {
 // locality. Multiple co-runners accumulate additively; callers should cap
 // the total with CapSlowdown.
 func CoLocationSlowdown(victim, other Traits, l Locality) float64 {
-	return Sensitivity(victim) * Pressure(other) * localityFactor(l)
+	return Sensitivity(victim) * Pressure(other) * LocalityFactor(l)
 }
 
 // MaxSlowdown caps the accumulated co-location slowdown: beyond ~1.5x the

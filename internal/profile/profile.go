@@ -50,6 +50,31 @@ type Entry struct {
 // Store holds the profiles of all known workload classes.
 type Store struct {
 	entries map[Key]Entry
+	// dense mirrors the interference parameters of the entries whose key
+	// is in range — every model and batch class, GPU counts up to
+	// denseGPUs — so the placement hot path reads them without hashing a
+	// Key. Add keeps it in step with entries.
+	dense [perfmodel.NumNN][denseClasses][denseGPUs + 1]denseParams
+}
+
+const (
+	denseClasses = int(jobgraph.BatchBig) + 1
+	denseGPUs    = 16
+)
+
+// denseParams is one dense cell: an entry's interference parameters, ok
+// when the entry exists.
+type denseParams struct {
+	sens, pres float64
+	ok         bool
+}
+
+// denseCell returns the dense cell of k, or nil when k is out of range.
+func (s *Store) denseCell(k Key) *denseParams {
+	if k.Model < 0 || k.Model >= perfmodel.NumNN || k.Class < 0 || int(k.Class) >= denseClasses || k.GPUs < 0 || k.GPUs > denseGPUs {
+		return nil
+	}
+	return &s.dense[k.Model][k.Class][k.GPUs]
 }
 
 // NewStore returns an empty profile store.
@@ -101,17 +126,25 @@ func placementExtremes(topo *topology.Topology, m perfmodel.NN, batch, g int) (b
 }
 
 // Add inserts or replaces an entry.
-func (s *Store) Add(e Entry) { s.entries[e.Key] = e }
+func (s *Store) Add(e Entry) {
+	s.entries[e.Key] = e
+	if c := s.denseCell(e.Key); c != nil {
+		*c = denseParams{sens: e.Sensitivity, pres: e.Pressure, ok: true}
+	}
+}
 
 // Lookup returns the entry for the key. Unknown classes fall back to a
 // prediction from the nearest known class (same model and GPU count,
-// closest batch class) — the paper's "performance prediction for unknown
-// jobs using the models from known applications" (§4.2).
+// closest batch class, the lower one when two are equally close) — the
+// paper's "performance prediction for unknown jobs using the models from
+// known applications" (§4.2).
 func (s *Store) Lookup(k Key) (Entry, bool) {
 	if e, ok := s.entries[k]; ok {
 		return e, true
 	}
-	// Nearest batch class with same model and GPU count.
+	// Nearest batch class with same model and GPU count. The map is
+	// ranged in no particular order, so the minimum is taken over
+	// (distance, class): a unique key, hence one answer.
 	bestDist := -1
 	var best Entry
 	for have, e := range s.entries {
@@ -122,7 +155,7 @@ func (s *Store) Lookup(k Key) (Entry, bool) {
 		if d < 0 {
 			d = -d
 		}
-		if bestDist == -1 || d < bestDist {
+		if bestDist == -1 || d < bestDist || (d == bestDist && have.Class < best.Key.Class) {
 			bestDist, best = d, e
 		}
 	}
@@ -155,42 +188,33 @@ func (s *Store) Entries() []Entry {
 	return out
 }
 
-// CoRunner pairs a co-scheduled job's traits with its locality relative to
-// the victim whose interference is being predicted.
-type CoRunner struct {
-	Traits   perfmodel.Traits
-	Locality perfmodel.Locality
+// interferenceParams returns the stored sensitivity and pressure of the
+// job's workload class — Lookup's answer, read from the dense table when
+// the key is there — or the performance model's own when the store knows
+// no class of the job's model and GPU count.
+func (s *Store) interferenceParams(t perfmodel.Traits) (sens, pres float64) {
+	k := KeyOf(t)
+	if c := s.denseCell(k); c != nil && c.ok {
+		return c.sens, c.pres
+	}
+	if e, ok := s.Lookup(k); ok {
+		return e.Sensitivity, e.Pressure
+	}
+	return perfmodel.Sensitivity(t), perfmodel.Pressure(t)
 }
 
-// PredictInterference implements the interference estimate of Eq. 4 with
-// the factor convention fixed so that "less interference" means a value
-// closer to 1: it returns the predicted slowdown factor I >= 1 of the
-// victim when co-located with the given co-runners, using the stored
-// sensitivity and pressure parameters. (As printed, Eq. 4 computes the
-// reciprocal solo/collocated ratio; we use collocated/solo so that
-// minimizing interference and maximizing utility agree — see DESIGN.md.)
-func (s *Store) PredictInterference(victim perfmodel.Traits, coRunners []CoRunner) float64 {
-	ve, ok := s.Lookup(KeyOf(victim))
-	sens := perfmodel.Sensitivity(victim)
-	if ok {
-		sens = ve.Sensitivity
-	}
-	var sum float64
-	for _, c := range coRunners {
-		pres := perfmodel.Pressure(c.Traits)
-		if ce, ok := s.Lookup(KeyOf(c.Traits)); ok {
-			pres = ce.Pressure
-		}
-		f := 0.0
-		switch c.Locality {
-		case perfmodel.SameSocket:
-			f = 2.0
-		case perfmodel.SameMachine:
-			f = 1.0
-		}
-		sum += sens * pres * f
-	}
-	return 1 + perfmodel.CapSlowdown(sum)
+// Sensitivity returns how strongly a job with the given traits suffers
+// co-location interference, per its profile.
+func (s *Store) Sensitivity(t perfmodel.Traits) float64 {
+	sens, _ := s.interferenceParams(t)
+	return sens
+}
+
+// Pressure returns how much co-location interference a job with the given
+// traits causes, per its profile.
+func (s *Store) Pressure(t perfmodel.Traits) float64 {
+	_, pres := s.interferenceParams(t)
+	return pres
 }
 
 // MarshalJSON serializes the store as a sorted entry list.
@@ -204,9 +228,9 @@ func (s *Store) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &entries); err != nil {
 		return fmt.Errorf("profile: %w", err)
 	}
-	s.entries = make(map[Key]Entry, len(entries))
+	*s = Store{entries: make(map[Key]Entry, len(entries))}
 	for _, e := range entries {
-		s.entries[e.Key] = e
+		s.Add(e)
 	}
 	return nil
 }

@@ -70,53 +70,6 @@ func TestLookupFallbackNearestClass(t *testing.T) {
 	}
 }
 
-func TestPredictInterference(t *testing.T) {
-	s := Generate(topology.Power8Minsky(), 4)
-	victim := perfmodel.Traits{Model: perfmodel.AlexNet, Class: jobgraph.BatchTiny, GPUs: 2}
-	causer := perfmodel.Traits{Model: perfmodel.AlexNet, Class: jobgraph.BatchTiny, GPUs: 2}
-
-	if got := s.PredictInterference(victim, nil); got != 1 {
-		t.Fatalf("no co-runners: I = %v, want 1", got)
-	}
-	same := s.PredictInterference(victim, []CoRunner{{Traits: causer, Locality: perfmodel.SameMachine}})
-	if same <= 1 {
-		t.Fatalf("same-machine interference = %v, want > 1", same)
-	}
-	sock := s.PredictInterference(victim, []CoRunner{{Traits: causer, Locality: perfmodel.SameSocket}})
-	if sock <= same {
-		t.Fatal("same-socket interference should exceed same-machine")
-	}
-	far := s.PredictInterference(victim, []CoRunner{{Traits: causer, Locality: perfmodel.DifferentMachine}})
-	if far != 1 {
-		t.Fatalf("different-machine interference = %v, want 1", far)
-	}
-	// The Figure 6 anchor: tiny+tiny on the same machine ≈ 1.30.
-	if same < 1.25 || same > 1.35 {
-		t.Fatalf("tiny+tiny same-machine I = %v, want ≈1.30", same)
-	}
-}
-
-func TestPredictInterferenceAccumulatesAndCaps(t *testing.T) {
-	s := Generate(topology.Power8Minsky(), 4)
-	victim := perfmodel.Traits{Model: perfmodel.AlexNet, Class: jobgraph.BatchTiny, GPUs: 2}
-	causer := CoRunner{
-		Traits:   perfmodel.Traits{Model: perfmodel.AlexNet, Class: jobgraph.BatchTiny, GPUs: 2},
-		Locality: perfmodel.SameSocket,
-	}
-	one := s.PredictInterference(victim, []CoRunner{causer})
-	two := s.PredictInterference(victim, []CoRunner{causer, causer})
-	if two <= one {
-		t.Fatal("two co-runners should interfere more than one")
-	}
-	many := make([]CoRunner, 50)
-	for i := range many {
-		many[i] = causer
-	}
-	if got := s.PredictInterference(victim, many); got > 1+perfmodel.MaxSlowdown+1e-9 {
-		t.Fatalf("interference uncapped: %v", got)
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	s := Generate(topology.Power8Minsky(), 2)
 	data, err := json.Marshal(s)
@@ -175,5 +128,64 @@ func TestGoogLeNetProfilesLessSensitive(t *testing.T) {
 	}
 	if goog.Pressure >= alex.Pressure {
 		t.Fatal("GoogLeNet should cause less pressure than AlexNet")
+	}
+}
+
+// TestLookupFallbackTieIsLowerClass: with classes 0 and 2 known and 1
+// asked, both are one step away. The answer once followed Go's map
+// iteration order; run under -count=50 to see that it no longer does.
+func TestLookupFallbackTieIsLowerClass(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		s := NewStore()
+		s.Add(Entry{Key: Key{Model: perfmodel.AlexNet, Class: jobgraph.BatchMedium, GPUs: 2}, Sensitivity: 0.2, Pressure: 0.2})
+		s.Add(Entry{Key: Key{Model: perfmodel.AlexNet, Class: jobgraph.BatchTiny, GPUs: 2}, Sensitivity: 0.9, Pressure: 0.9})
+		e, ok := s.Lookup(Key{Model: perfmodel.AlexNet, Class: jobgraph.BatchSmall, GPUs: 2})
+		if !ok || e.Sensitivity != 0.9 {
+			t.Fatalf("store %d: tie resolved to %+v (ok=%v), want the tiny-class entry", i, e, ok)
+		}
+	}
+}
+
+// TestInterferenceParamsMatchLookup holds Sensitivity and Pressure — the
+// dense table, then the map, then the performance model — to what Lookup
+// plus the model fallback answer, for keys inside the dense range, beyond
+// it, absent with a neighbour class, and wholly unknown.
+func TestInterferenceParamsMatchLookup(t *testing.T) {
+	// Every generated class but one, so its neighbours answer for it, and
+	// one entry overwritten, so a replacement is what the dense table holds.
+	s := NewStore()
+	for _, e := range Generate(topology.Cluster(6, topology.KindMinsky), 20).Entries() {
+		if e.Key != (Key{Model: perfmodel.CaffeRef, Class: jobgraph.BatchSmall, GPUs: 2}) {
+			s.Add(e)
+		}
+	}
+	s.Add(Entry{Key: Key{Model: perfmodel.GoogLeNet, Class: jobgraph.BatchBig, GPUs: 3}, Sensitivity: 0.123, Pressure: 0.456})
+
+	var back Store
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, st := range map[string]*Store{"built": s, "reloaded": &back, "empty": NewStore()} {
+		for m := perfmodel.NN(0); m < perfmodel.NumNN; m++ {
+			for c := jobgraph.BatchTiny; c <= jobgraph.BatchBig; c++ {
+				for g := 0; g <= 22; g++ {
+					for _, mode := range []perfmodel.Parallelism{perfmodel.DataParallel, perfmodel.ModelParallel} {
+						tr := perfmodel.Traits{Model: m, Class: c, GPUs: g, Mode: mode}
+						wantS, wantP := perfmodel.Sensitivity(tr), perfmodel.Pressure(tr)
+						if e, ok := st.Lookup(KeyOf(tr)); ok {
+							wantS, wantP = e.Sensitivity, e.Pressure
+						}
+						if gotS, gotP := st.Sensitivity(tr), st.Pressure(tr); gotS != wantS || gotP != wantP {
+							t.Fatalf("%s store, %+v: got (%v, %v), Lookup gives (%v, %v)", name, tr, gotS, gotP, wantS, wantP)
+						}
+					}
+				}
+			}
+		}
 	}
 }

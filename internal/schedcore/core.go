@@ -264,18 +264,15 @@ func (c *Core) entryCmp(a, b entry) int {
 	return a.seq - b.seq
 }
 
-// insertOrdered appends e, re-sorting only when e is out of order — jobs
-// arriving in discipline order (the common case, driven by event loops
-// and monotonic wall clocks) insert in O(1).
+// insertOrdered inserts e behind every entry it does not precede: before
+// the first queued job the discipline serves strictly after e's. The queue
+// is sorted that way already and ties keep submission order, so this is
+// where a stable sort of the appended queue would put e; a job arriving in
+// discipline order (the common case, driven by event loops and monotonic
+// wall clocks) lands at the end.
 func (c *Core) insertOrdered(q []entry, e entry) []entry {
-	needSort := len(q) > 0 && c.disc.Less(e.job, q[len(q)-1].job)
-	q = append(q, e)
-	if needSort {
-		sort.SliceStable(q, func(i, k int) bool {
-			return c.disc.Less(q[i].job, q[k].job)
-		})
-	}
-	return q
+	i := sort.Search(len(q), func(i int) bool { return c.disc.Less(e.job, q[i].job) })
+	return slices.Insert(q, i, e)
 }
 
 // Submit enqueues a job.

@@ -2,6 +2,10 @@ package schedcore
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -442,5 +446,31 @@ func TestCapacityGateSkipsEvaluation(t *testing.T) {
 	}
 	if s.Stats().Postponements != 1 {
 		t.Fatal("gated job not counted as postponed")
+	}
+}
+
+// TestInsertOrderedEqualsStableSort pins insertOrdered to the definition
+// it replaced: append, then stable-sort the whole queue by the
+// discipline. Arrivals and priorities are drawn from few values so ties,
+// where submission order decides, are the common case.
+func TestInsertOrderedEqualsStableSort(t *testing.T) {
+	for _, disc := range []QueueDiscipline{FIFOByArrival(), PriorityThenArrival()} {
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := &Core{disc: disc}
+			var got, want []entry
+			for seq := 0; seq < 300; seq++ {
+				j := mkJob(fmt.Sprintf("j%d", seq), 4, 1, 0, float64(rng.Intn(12)))
+				j.Priority = rng.Intn(3)
+				e := entry{job: j, seq: seq}
+				got = c.insertOrdered(got, e)
+				want = append(want, e)
+				sort.SliceStable(want, func(i, k int) bool { return disc.Less(want[i].job, want[k].job) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s seed %d: queues diverged inserting %s (arrival %v, priority %d)",
+						disc.Name(), seed, j.ID, j.Arrival, j.Priority)
+				}
+			}
+		}
 	}
 }

@@ -60,7 +60,8 @@ func queuedIDs(c *schedcore.Core) []string {
 
 // checkRound runs one scheduling round on both sides and compares the
 // placements (with each one's waited-round count), the queue order, the
-// running set and the postponement total. The total is what pins the
+// running set and the postponement total, then checks the invariants of
+// the core's cluster state. The total is what pins the
 // index's bulk accounting: a parked job gets no decision record, so its
 // postponement exists only in that counter.
 func checkRound(t *testing.T, tr *Trace, where string, ref *Reference, c *schedcore.Core) {
@@ -78,6 +79,12 @@ func checkRound(t *testing.T, tr *Trace, where string, ref *Reference, c *schedc
 	}
 	if gotP, wantP := c.Stats().Postponements, ref.Postponements(); gotP != wantP {
 		t.Fatalf("%s %s: postponement total diverged: ref %d, core %d", tr, where, wantP, gotP)
+	}
+	// The reference scores with the mapper's own arithmetic, resident
+	// tables included, so a table gone stale would mislead both sides
+	// alike: hold the core's live state to its owner table directly.
+	if err := c.State().CheckInvariants(); err != nil {
+		t.Fatalf("%s %s: %v", tr, where, err)
 	}
 }
 

@@ -140,7 +140,7 @@ func parseMatrixLayout(text string) (*matrixLayout, error) {
 			lay.socketOf[i] = s
 		}
 		lay.numSockets = len(seen)
-		return lay, nil
+		return lay.checkSockets()
 	}
 
 	// No affinity column: union-find over "same socket" relations
@@ -175,6 +175,15 @@ func parseMatrixLayout(text string) (*matrixLayout, error) {
 		lay.socketOf[i] = rootSocket[r]
 	}
 	lay.numSockets = len(rootSocket)
+	return lay.checkSockets()
+}
+
+// checkSockets rejects a layout with more sockets than one machine's
+// socket mask holds (Topology.SocketBit).
+func (lay *matrixLayout) checkSockets() (*matrixLayout, error) {
+	if lay.numSockets > MaxSocketsPerMachine {
+		return nil, fmt.Errorf("topology: matrix describes %d sockets, at most %d per machine are supported", lay.numSockets, MaxSocketsPerMachine)
+	}
 	return lay, nil
 }
 

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -269,6 +270,34 @@ func TestParseMatrixErrors(t *testing.T) {
 		if _, err := ParseMatrix(m); err == nil {
 			t.Fatalf("case %q: expected error", name)
 		}
+	}
+}
+
+// TestParseMatrixTooManySockets: a socket mask is one word per machine,
+// so a dump describing more sockets than that is refused, not mis-masked.
+func TestParseMatrixTooManySockets(t *testing.T) {
+	matrix := func(n int) string {
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, " GPU%d", i)
+		}
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "\nGPU%d", i)
+			for k := 0; k < n; k++ {
+				if k == i {
+					sb.WriteString(" X")
+				} else {
+					sb.WriteString(" SYS")
+				}
+			}
+		}
+		return sb.String()
+	}
+	if topo, err := ParseMatrix(matrix(MaxSocketsPerMachine)); err != nil || len(topo.Sockets(0)) != MaxSocketsPerMachine {
+		t.Fatalf("%d one-GPU sockets: %v", MaxSocketsPerMachine, err)
+	}
+	if _, err := ParseMatrix(matrix(MaxSocketsPerMachine + 1)); err == nil {
+		t.Fatalf("%d sockets on one machine accepted", MaxSocketsPerMachine+1)
 	}
 }
 

@@ -14,6 +14,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -161,6 +162,13 @@ type Topology struct {
 	machineGPUs    map[int][]int
 	socketGPUs     map[socketKey][]int
 	machineSockets map[int][]int
+	// Dense per-GPU views of the node and socket tables for the placement
+	// hot path: the position's machine (Node.Machine), the GPU count of
+	// its socket, and the bit of that socket's ordinal within the machine
+	// (ascending socket index).
+	gpuMachine []int
+	socketSize []int
+	socketBit  []uint64
 
 	adj     [][]adjEdge
 	adjOnce sync.Once
@@ -290,6 +298,10 @@ func (t *Topology) GPUPosition(nodeID int) int {
 // GPU returns the node metadata of the GPU at position pos.
 func (t *Topology) GPU(pos int) Node { return t.nodes[t.gpus[pos]] }
 
+// MachineOf returns the machine of the GPU at position pos:
+// GPU(pos).Machine, read from a dense table.
+func (t *Topology) MachineOf(pos int) int { return t.gpuMachine[pos] }
+
 // GPUsOfMachine returns the GPU positions belonging to machine m. The
 // returned slice is shared and must not be mutated.
 func (t *Topology) GPUsOfMachine(m int) []int {
@@ -313,6 +325,20 @@ func (t *Topology) Sockets(m int) []int {
 
 // NumSockets returns the total socket count across all machines.
 func (t *Topology) NumSockets() int { return len(t.socketGPUs) }
+
+// MaxSocketsPerMachine bounds the sockets of one machine: SocketBit packs
+// a machine's sockets into one word.
+const MaxSocketsPerMachine = 64
+
+// SocketSize returns the number of GPUs on the socket of the GPU at pos —
+// len(GPUsOfSocket) of its (machine, socket) without the map read.
+func (t *Topology) SocketSize(pos int) int { return t.socketSize[pos] }
+
+// SocketBit returns the one-bit mask of the socket of the GPU at pos
+// within its machine: two GPUs of one machine share a socket exactly when
+// their bits are equal, so a set of GPUs on a machine ORs into the mask of
+// the sockets it occupies there. Bits of different machines do not compare.
+func (t *Topology) SocketBit(pos int) uint64 { return t.socketBit[pos] }
 
 // Distance returns the shortest-path topological distance between the GPUs
 // at positions a and b (0 when a == b). This realizes the path-distance
@@ -545,8 +571,21 @@ func (t *Topology) computeMatrices() {
 		}
 		t.socketGPUs[k] = append(t.socketGPUs[k], pos)
 	}
-	for m := range t.machineSockets {
-		sort.Ints(t.machineSockets[m])
+	for m, sockets := range t.machineSockets {
+		sort.Ints(sockets)
+		if len(sockets) > MaxSocketsPerMachine {
+			panic(fmt.Sprintf("topology: machine %d has %d sockets, at most %d are supported", m, len(sockets), MaxSocketsPerMachine))
+		}
+	}
+	t.gpuMachine = make([]int, len(t.gpus))
+	t.socketSize = make([]int, len(t.gpus))
+	t.socketBit = make([]uint64, len(t.gpus))
+	for pos, id := range t.gpus {
+		nd := t.nodes[id]
+		t.gpuMachine[pos] = nd.Machine
+		t.socketSize[pos] = len(t.socketGPUs[socketKey{nd.Machine, nd.Socket}])
+		ord, _ := slices.BinarySearch(t.machineSockets[nd.Machine], nd.Socket)
+		t.socketBit[pos] = 1 << ord
 	}
 
 	n := len(t.gpus)

@@ -443,3 +443,37 @@ func TestLevelAndLinkStrings(t *testing.T) {
 		t.Fatal("unknown values must still render")
 	}
 }
+
+// TestDenseSocketTables holds MachineOf, SocketSize and SocketBit, the
+// per-position tables the placement hot path reads, to the node- and
+// map-backed definitions: the position's machine, the GPU count of its
+// socket, and a bit two GPUs of a machine share exactly when SameSocket
+// says so.
+func TestDenseSocketTables(t *testing.T) {
+	fleet, err := HeterogeneousCluster([]MachineSpec{
+		{Kind: KindMinsky, Count: 2}, {Kind: KindDGX1, Count: 1}, {Kind: KindPCIeBox, Count: 1},
+		{Kind: KindMinsky, Count: 1, Failed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []*Topology{Power8Minsky(), DGX1(), PCIeBox(), fleet} {
+		for a := 0; a < topo.NumGPUs(); a++ {
+			nd := topo.GPU(a)
+			if got := topo.MachineOf(a); got != nd.Machine {
+				t.Fatalf("%s: MachineOf(%d) = %d, node says %d", topo.Name, a, got, nd.Machine)
+			}
+			if got, want := topo.SocketSize(a), len(topo.GPUsOfSocket(nd.Machine, nd.Socket)); got != want {
+				t.Fatalf("%s: SocketSize(%d) = %d, socket holds %d GPUs", topo.Name, a, got, want)
+			}
+			if bit := topo.SocketBit(a); bit == 0 || bit&(bit-1) != 0 {
+				t.Fatalf("%s: SocketBit(%d) = %#x, want one bit", topo.Name, a, bit)
+			}
+			for _, b := range topo.GPUsOfMachine(nd.Machine) {
+				if got, want := topo.SocketBit(a) == topo.SocketBit(b), topo.SameSocket(a, b); got != want {
+					t.Fatalf("%s: GPUs %d and %d: equal socket bits %v, SameSocket %v", topo.Name, a, b, got, want)
+				}
+			}
+		}
+	}
+}
