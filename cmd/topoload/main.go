@@ -1,5 +1,5 @@
 // Command topoload is the load harness for toposerve: it drives a
-// workloadgen-style job stream at the /v1 HTTP API through the typed
+// §5.3-generator job stream at the /v1 HTTP API through the typed
 // client (internal/serveapi/client), measures the placement-decision
 // round trip at the client, and writes a BENCH_serve.json artifact
 // (the sweep bench schema's serving section) that toposweep -diff-bench

@@ -31,13 +31,10 @@ import (
 
 // Config parameterizes a prototype run.
 type Config struct {
-	Topology     *topology.Topology
-	Policy       schedcore.Policy
-	Weights      core.Weights
-	Profiles     *profile.Store
-	ComputeScale float64
-	// WindowSize is the bandwidth sampling window in seconds (default 1).
-	WindowSize float64
+	Topology *topology.Topology
+	Policy   schedcore.Policy
+	Weights  core.Weights
+	Profiles *profile.Store
 	// JitterStddev perturbs each iteration's duration (relative Gaussian),
 	// reproducing run-to-run variability; 0 disables.
 	JitterStddev float64
@@ -90,6 +87,7 @@ func (h *iterHeap) Pop() interface{} {
 
 type runningJob struct {
 	job       *job.Job
+	alloc     *cluster.Allocation // its row in protoEngine.launched
 	gpus      []int
 	remaining int
 	start     float64
@@ -101,27 +99,26 @@ type runningJob struct {
 	iterBytes float64 // bytes moved over the interconnect per iteration
 }
 
+const (
+	// computeScale is perfmodel's compute-time inflation: 1 = the
+	// P100-class GPUs of the prototype's machines.
+	computeScale = 1
+	// windowSize is the bandwidth sampling window in seconds, the
+	// nvidia-smi polling period of §5.1.
+	windowSize = 1.0
+)
+
 // Run executes the prototype at iteration granularity.
 func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("caffesim: nil topology")
-	}
-	if cfg.ComputeScale == 0 {
-		cfg.ComputeScale = 1
-	}
-	if cfg.WindowSize == 0 {
-		cfg.WindowSize = 1
 	}
 	zero := core.Weights{}
 	if cfg.Weights == zero {
 		cfg.Weights = core.DefaultWeights()
 	}
 	if cfg.Profiles == nil {
-		maxGPUs := cfg.Topology.NumGPUs()
-		if maxGPUs > 8 {
-			maxGPUs = 8
-		}
-		cfg.Profiles = profile.Generate(cfg.Topology, maxGPUs)
+		cfg.Profiles = profile.Default(cfg.Topology)
 	}
 	mapper, err := core.NewMapper(cfg.Profiles, cfg.Weights)
 	if err != nil {
@@ -134,6 +131,7 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 
 	e := &protoEngine{
 		cfg:       cfg,
+		launched:  cluster.NewState(cfg.Topology),
 		scheduler: scheduler,
 		running:   map[string]*runningJob{},
 		windows:   map[string]map[int]float64{},
@@ -188,8 +186,8 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 		pts := make([]BandwidthPoint, 0, maxW-minW+1)
 		for w := minW; w <= maxW; w++ {
 			pts = append(pts, BandwidthPoint{
-				Time: float64(w) * cfg.WindowSize,
-				GBs:  wins[w] / cfg.WindowSize / 1e9,
+				Time: float64(w) * windowSize,
+				GBs:  wins[w] / windowSize / 1e9,
 			})
 		}
 		res.Bandwidth[id] = pts
@@ -198,7 +196,14 @@ func Run(cfg Config, jobs []*job.Job) (*Result, error) {
 }
 
 type protoEngine struct {
-	cfg       Config
+	cfg Config
+	// launched holds the jobs whose processes have started: the core's
+	// cluster state, lagging inside a scheduling round. The prototype forks
+	// a round's placements one at a time and times each job's first
+	// iteration against the co-runners launched before it, so the core's
+	// own state — which already holds the whole round — is not the one to
+	// ask.
+	launched  *cluster.State
 	scheduler *schedcore.Core
 	events    iterHeap
 	seq       int
@@ -231,7 +236,9 @@ func (e *protoEngine) loop(total int) error {
 			if err := e.scheduler.Submit(ev.job); err != nil {
 				return err
 			}
-			e.runScheduler()
+			if err := e.runScheduler(); err != nil {
+				return err
+			}
 		case 0: // iteration end
 			r, ok := e.running[ev.id]
 			if !ok {
@@ -243,7 +250,9 @@ func (e *protoEngine) loop(total int) error {
 				if err := e.finish(r); err != nil {
 					return err
 				}
-				e.runScheduler()
+				if err := e.runScheduler(); err != nil {
+					return err
+				}
 			} else {
 				e.armIteration(r)
 			}
@@ -255,16 +264,20 @@ func (e *protoEngine) loop(total int) error {
 	return nil
 }
 
-func (e *protoEngine) runScheduler() {
+func (e *protoEngine) runScheduler() error {
 	for _, d := range e.scheduler.Schedule() {
 		if d.Postponed {
 			continue
 		}
 		j := d.Job
-		base := perfmodel.IterationTimeMode(j.Model, j.BatchSize, e.cfg.Topology, d.Placement.GPUs, e.cfg.ComputeScale, j.Parallelism)
+		if err := e.launched.Allocate(j.ID, d.Placement.GPUs, d.Placement.BusDemand, j.Traits()); err != nil {
+			return err
+		}
+		base := perfmodel.IterationTimeMode(j.Model, j.BatchSize, e.cfg.Topology, d.Placement.GPUs, computeScale, j.Parallelism)
 		spec := perfmodel.GetSpec(j.Model)
 		r := &runningJob{
 			job:       j,
+			alloc:     e.launched.Allocation(j.ID),
 			gpus:      d.Placement.GPUs,
 			remaining: j.Iterations,
 			start:     e.now,
@@ -278,12 +291,15 @@ func (e *protoEngine) runScheduler() {
 		e.running[j.ID] = r
 		e.armIteration(r)
 	}
+	return nil
 }
 
 // armIteration schedules the end of the job's next iteration, whose
-// duration reflects the co-location interference at its start.
+// duration reflects the co-location interference at its start — the same
+// cluster.State.Slowdown the trace-driven simulator rates jobs by, over
+// the jobs launched so far.
 func (e *protoEngine) armIteration(r *runningJob) {
-	d := r.baseIter * (1 + e.interferenceOn(r))
+	d := r.baseIter * (1 + e.launched.Slowdown(r.alloc))
 	if e.cfg.JitterStddev > 0 {
 		f := e.rng.Normal(1, e.cfg.JitterStddev)
 		if f < 0.5 {
@@ -297,7 +313,7 @@ func (e *protoEngine) armIteration(r *runningJob) {
 // accountIteration credits the iteration's interconnect bytes to the
 // sampling window containing its completion time.
 func (e *protoEngine) accountIteration(r *runningJob) {
-	w := int(e.now / e.cfg.WindowSize)
+	w := int(e.now / windowSize)
 	wins := e.windows[r.job.ID]
 	if wins == nil {
 		wins = map[int]float64{}
@@ -306,42 +322,11 @@ func (e *protoEngine) accountIteration(r *runningJob) {
 	wins[w] += r.iterBytes
 }
 
-func (e *protoEngine) interferenceOn(victim *runningJob) float64 {
-	topo := e.cfg.Topology
-	// Sum co-runner slowdowns in sorted ID order: float addition is not
-	// associative, so map iteration order would otherwise leak into every
-	// iteration duration and break bit-identical reproducibility.
-	ids := make([]string, 0, len(e.running))
-	for id := range e.running {
-		if id != victim.job.ID {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	var sum float64
-	for _, id := range ids {
-		other := e.running[id]
-		locality := perfmodel.DifferentMachine
-		for _, g := range victim.gpus {
-			for _, og := range other.gpus {
-				switch {
-				case topo.SameSocket(g, og):
-					locality = perfmodel.SameSocket
-				case topo.SameMachine(g, og) && locality != perfmodel.SameSocket:
-					locality = perfmodel.SameMachine
-				}
-			}
-		}
-		if locality == perfmodel.DifferentMachine {
-			continue
-		}
-		sum += perfmodel.CoLocationSlowdown(victim.job.Traits(), other.job.Traits(), locality)
-	}
-	return perfmodel.CapSlowdown(sum)
-}
-
 func (e *protoEngine) finish(r *runningJob) error {
 	if err := e.scheduler.Release(r.job.ID); err != nil {
+		return err
+	}
+	if err := e.launched.Release(r.job.ID); err != nil {
 		return err
 	}
 	delete(e.running, r.job.ID)
@@ -355,7 +340,7 @@ func (e *protoEngine) finish(r *runningJob) error {
 		g = n
 	}
 	ideal := float64(r.job.Iterations) *
-		perfmodel.IterationTimeMode(r.job.Model, r.job.BatchSize, topo, topo.BestAllocation(g), e.cfg.ComputeScale, r.job.Parallelism)
+		perfmodel.IterationTimeMode(r.job.Model, r.job.BatchSize, topo, topo.BestAllocation(g), computeScale, r.job.Parallelism)
 	run := e.now - r.start
 	e.results = append(e.results, simulator.JobResult{
 		Job:             r.job,

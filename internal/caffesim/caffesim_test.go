@@ -1,6 +1,9 @@
 package caffesim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -111,7 +114,7 @@ func TestBandwidthWindowsCoverRun(t *testing.T) {
 	topo := topology.Power8Minsky()
 	j := job.New("w", perfmodel.AlexNet, 1, 2, 0.5, 0)
 	j.Iterations = 1000 // ≈78s
-	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, WindowSize: 1}, []*job.Job{j})
+	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +197,47 @@ func TestDuplicateJobIDsRejected(t *testing.T) {
 	b := job.New("dup", perfmodel.AlexNet, 1, 1, 0.3, 1)
 	if _, err := Run(Config{Topology: topo, Policy: schedcore.FCFS}, []*job.Job{a, b}); err == nil {
 		t.Fatal("duplicate job IDs accepted")
+	}
+}
+
+// protoEngineDigest is the SHA-256 TestProtoEngineDigest expects, recorded
+// at commit 26e6334 — before the engine's interference term moved onto
+// cluster.State.Slowdown. Never re-record it to make a failure go away: a
+// mismatch means some iteration's duration changed in at least one bit.
+const protoEngineDigest = "79ec735892c0c036639a27c1f3872ae6a05130347f8377b51c68472d82d70508"
+
+// TestProtoEngineDigest pins the prototype engine's full output — per-job
+// results, timeline, scheduler counters, bandwidth windows — on Table 1
+// and on a jittered 40-job generated stream over two machines, under every
+// policy. No sweep golden runs this engine, so this is its bit-identity
+// referee.
+func TestProtoEngineDigest(t *testing.T) {
+	two := topology.Cluster(2, topology.KindMinsky)
+	stream, err := workload.Generate(workload.GenConfig{Jobs: 40, Seed: 42}, two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, pol := range schedcore.AllPolicies() {
+		for _, c := range []struct {
+			cfg  Config
+			jobs []*job.Job
+		}{
+			{Config{Topology: topology.Power8Minsky(), Policy: pol}, workload.Table1()},
+			{Config{Topology: two, Policy: pol, JitterStddev: 0.05, Seed: 42}, stream},
+		} {
+			res, err := Run(c.cfg, c.jobs)
+			if err != nil {
+				t.Fatalf("%v: %v", pol, err)
+			}
+			// Wall-clock measurements, the only nondeterministic fields.
+			res.SchedStats.DecisionTime, res.SchedStats.MaxDecision = 0, 0
+			if err := json.NewEncoder(h).Encode(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != protoEngineDigest {
+		t.Fatalf("prototype engine output digest %s, recorded %s", got, protoEngineDigest)
 	}
 }

@@ -155,17 +155,6 @@ func (s *State) AppendFreeGPUsOnMachine(buf []int, m int) []int {
 	return buf
 }
 
-// UsedGPUsOnMachine returns the allocated GPU positions of machine m.
-func (s *State) UsedGPUsOnMachine(m int) []int {
-	var out []int
-	for _, pos := range s.topo.GPUsOfMachine(m) {
-		if s.owner[pos] != "" {
-			out = append(out, pos)
-		}
-	}
-	return out
-}
-
 // FreeBusBandwidth returns the uncommitted shared-bus bandwidth of machine
 // m — the p_bw side of the constraint t_bw <= p_bw.
 func (s *State) FreeBusBandwidth(m int) float64 {
@@ -296,6 +285,55 @@ func (s *State) rebuildResidents(m int) {
 		rs[i].Sockets |= s.topo.SocketBit(pos)
 	}
 	s.residents[m], s.residentOK[m] = rs, true
+}
+
+// Slowdown returns the fractional slowdown the running job a currently
+// suffers from the jobs sharing its machines — Figure 6's co-location
+// model, perfmodel.CapSlowdown(Σ CoLocationSlowdown), the one both
+// simulation engines stretch iteration times by. Every co-runner counts
+// once, in job-ID order (float addition is not associative, and this is
+// the order the engines have always summed in), at SameSocket locality
+// when it shares a socket with a on any machine and SameMachine
+// otherwise. a must be this state's own allocation (Allocation, or a
+// Residents row). Allocation-free.
+func (s *State) Slowdown(a *Allocation) float64 {
+	var sum float64
+	for last := ""; ; {
+		// Find the co-runner with the smallest ID above last. a.GPUs
+		// ascends and positions are machine-major, so each of a's machines
+		// is one run of it; a machine's rows ascend by ID, so its candidate
+		// is the first row past last.
+		var next *Allocation
+		sameSocket := false
+		for i := 0; i < len(a.GPUs); {
+			m := s.topo.MachineOf(a.GPUs[i])
+			var mine uint64
+			for ; i < len(a.GPUs) && s.topo.MachineOf(a.GPUs[i]) == m; i++ {
+				mine |= s.topo.SocketBit(a.GPUs[i])
+			}
+			for _, r := range s.Residents(m) {
+				if r.Alloc == a || r.Alloc.JobID <= last {
+					continue
+				}
+				if next == nil || r.Alloc.JobID < next.JobID {
+					next, sameSocket = r.Alloc, false
+				}
+				if r.Alloc == next && r.Sockets&mine != 0 {
+					sameSocket = true
+				}
+				break
+			}
+		}
+		if next == nil {
+			return perfmodel.CapSlowdown(sum)
+		}
+		locality := perfmodel.SameMachine
+		if sameSocket {
+			locality = perfmodel.SameSocket
+		}
+		sum += perfmodel.CoLocationSlowdown(a.Traits, next.Traits, locality)
+		last = next.JobID
+	}
 }
 
 // CheckInvariants recomputes the state's derived views from the owner
@@ -502,20 +540,6 @@ func (s *State) computeFingerprint(m int) string {
 	}
 	s.fpBuf = b
 	return string(b)
-}
-
-// Utilization returns the fraction of GPUs currently allocated.
-func (s *State) Utilization() float64 {
-	if len(s.owner) == 0 {
-		return 0
-	}
-	used := 0
-	for _, o := range s.owner {
-		if o != "" {
-			used++
-		}
-	}
-	return float64(used) / float64(len(s.owner))
 }
 
 // Clone returns a deep copy of the allocation state sharing the topology.

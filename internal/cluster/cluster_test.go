@@ -84,9 +84,6 @@ func TestFreeGPUsAndMachines(t *testing.T) {
 	if got := len(st.FreeGPUsOnMachine(1)); got != 4 {
 		t.Fatalf("machine 1 free = %d", got)
 	}
-	if used := st.UsedGPUsOnMachine(0); len(used) != 2 {
-		t.Fatalf("machine 0 used = %v", used)
-	}
 	if rs := st.Residents(0); len(rs) != 1 || rs[0].Alloc != st.Allocation("j1") || rs[0].Sockets != 1 {
 		t.Fatalf("residents of machine 0 = %+v", rs)
 	}
@@ -204,19 +201,6 @@ func TestSetBusCapacity(t *testing.T) {
 	st.SetBusCapacity(100)
 	if st.BusCapacity() != 100 || st.FreeBusBandwidth(0) != 100 {
 		t.Fatal("SetBusCapacity not applied")
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	st := NewState(topology.Power8Minsky())
-	if st.Utilization() != 0 {
-		t.Fatal("empty utilization nonzero")
-	}
-	if err := st.Allocate("j1", []int{0, 1}, 0, traits()); err != nil {
-		t.Fatal(err)
-	}
-	if st.Utilization() != 0.5 {
-		t.Fatalf("utilization = %v", st.Utilization())
 	}
 }
 

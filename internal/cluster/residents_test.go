@@ -23,14 +23,18 @@ func randomAllocate(t *testing.T, rng *rand.Rand, s *State, id string) {
 		onOne := s.FreeGPUsOnMachine(s.Topology().GPU(gpus[0]).Machine)
 		gpus = onOne[:min(len(gpus), len(onOne))]
 	}
-	tr := perfmodel.Traits{
-		Model: perfmodel.NN(rng.Intn(perfmodel.NumNN)),
-		Class: jobClass(rng.Intn(8)),
-		GPUs:  len(gpus),
-		Mode:  perfmodel.Parallelism(rng.Intn(2)),
-	}
+	tr := randomTraits(rng, len(gpus))
 	if err := s.Allocate(id, gpus, float64(rng.Intn(5)), tr); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func randomTraits(rng *rand.Rand, gpus int) perfmodel.Traits {
+	return perfmodel.Traits{
+		Model: perfmodel.NN(rng.Intn(perfmodel.NumNN)),
+		Class: jobClass(rng.Intn(8)),
+		GPUs:  gpus,
+		Mode:  perfmodel.Parallelism(rng.Intn(2)),
 	}
 }
 

@@ -98,6 +98,16 @@ func Generate(topo *topology.Topology, maxGPUs int) *Store {
 	return s
 }
 
+// Default returns the store every driver — both simulation engines, the
+// sweep substrate cache, the serving domains — schedules a topology with
+// when it is handed none: profiles for jobs of up to eight GPUs (the
+// largest single machine modeled, the DGX-1) or as many as the topology
+// has. Sensitivity and Pressure answer larger requests from the
+// performance model.
+func Default(topo *topology.Topology) *Store {
+	return Generate(topo, min(8, topo.NumGPUs()))
+}
+
 func makeEntry(topo *topology.Topology, m perfmodel.NN, c jobgraph.BatchClass, g int) Entry {
 	t := perfmodel.Traits{Model: m, Class: c, GPUs: g}
 	best, worst := placementExtremes(topo, m, c.Size(), g)

@@ -238,9 +238,6 @@ func (c *Core) indexed() bool { return c.policy == TopoAwareP }
 // queue.
 func (c *Core) Discipline() string { return c.disc.Name() }
 
-// Policy returns the core's placement policy.
-func (c *Core) Policy() Policy { return c.policy }
-
 // State returns the cluster allocation state the core mutates.
 func (c *Core) State() *cluster.State { return c.state }
 

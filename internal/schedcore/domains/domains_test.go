@@ -1,6 +1,7 @@
 package domains
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
@@ -175,5 +176,102 @@ func TestRouterPrefersSeatsNowAndSpills(t *testing.T) {
 	// Inadmissible everywhere is an error, not a queue.
 	if _, err := r.Route(mkJob("c", 5, true, false)); err == nil {
 		t.Fatal("inadmissible job routed")
+	}
+}
+
+// TestGPUMaps holds the one local→global GPU map (the sharded simulator's
+// merge and the server's wire translation both read it) to what zipping
+// each domain machine's GPU list against the cluster-wide topology gives —
+// the topology GPUMaps itself never sees.
+func TestGPUMaps(t *testing.T) {
+	mix := func(s string) *topology.Topology {
+		t.Helper()
+		specs, err := topology.ParseMix(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := topology.HeterogeneousCluster(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	matrix, err := os.ReadFile("../../../examples/sweeps/dgx1.matrix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped := func(n int) *topology.Topology {
+		t.Helper()
+		topo, err := topology.MatrixCluster(string(matrix), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	minsky := func(n int) *topology.Topology { return topology.Cluster(n, topology.KindMinsky) }
+
+	for _, tc := range []struct {
+		name     string
+		global   *topology.Topology
+		split    string
+		kinds    []string
+		local    func(group []int) *topology.Topology
+		identity []bool
+	}{
+		{"minsky:8/hash:4", minsky(8), "hash:4", nil,
+			func(g []int) *topology.Topology { return minsky(len(g)) },
+			[]bool{false, false, false, false}},
+		{"mix[minsky:2+dgx1:2]/kind", mix("minsky:2+dgx1:2"), "kind", []string{"minsky", "minsky", "dgx1", "dgx1"},
+			func(g []int) *topology.Topology { return mix(map[int]string{0: "minsky:2", 2: "dgx1:2"}[g[0]]) },
+			[]bool{true, false}},
+		{"matrix_file x3/hash:2", stamped(3), "hash:2", nil,
+			func(g []int) *topology.Topology { return stamped(len(g)) },
+			[]bool{false, false}},
+		{"minsky:3 unsplit", minsky(3), "", nil,
+			func(g []int) *topology.Topology { return minsky(len(g)) },
+			[]bool{true}},
+	} {
+		sp, err := Parse(tc.split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, err := sp.Partition(tc.global.NumMachines(), tc.kinds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		locals := make([]*topology.Topology, len(groups))
+		for d, g := range groups {
+			locals[d] = tc.local(g)
+		}
+		maps, err := GPUMaps(locals, groups)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for d, local := range locals {
+			want := make([]int, local.NumGPUs())
+			for k, gm := range groups[d] {
+				for i, pos := range local.GPUsOfMachine(k) {
+					want[pos] = tc.global.GPUsOfMachine(gm)[i]
+				}
+			}
+			if (maps[d] == nil) != tc.identity[d] {
+				t.Fatalf("%s domain %d: nil map = %v, want identity = %v", tc.name, d, maps[d] == nil, tc.identity[d])
+			}
+			if got := GlobalGPUs(maps[d], seq(local.NumGPUs())); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s domain %d: map %v, zipping against the cluster topology gives %v", tc.name, d, got, want)
+			}
+		}
+	}
+
+	two := []*topology.Topology{minsky(2), minsky(1)}
+	for name, machines := range map[string][][]int{
+		"machine count differs from the topology's": {{0}, {1}},
+		"global index out of range":                 {{0, 3}, {1}},
+		"machine in two domains":                    {{0, 1}, {1}},
+		"fewer lists than domains":                  {{0, 1, 2}},
+	} {
+		if _, err := GPUMaps(two, machines); err == nil {
+			t.Fatalf("%s: accepted %v", name, machines)
+		}
 	}
 }

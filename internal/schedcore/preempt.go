@@ -28,9 +28,6 @@ type Eviction struct {
 // byte-identical.
 func (c *Core) SetPreemption(enabled bool) { c.preemptOn = enabled }
 
-// PreemptionEnabled reports whether the preemption path is active.
-func (c *Core) PreemptionEnabled() bool { return c.preemptOn }
-
 // preemptEligible reports whether j may attempt preemption: the path is
 // enabled and the job's priority is positive. Restricting eligibility to
 // positive priorities is what keeps the wake-up index sound — only

@@ -129,7 +129,7 @@ func newDomain(cfg Config, disc schedcore.QueueDiscipline, draining *atomic.Bool
 	if err != nil {
 		return nil, err
 	}
-	mapper, err := core.NewMapper(profile.Generate(topo, min(topo.NumGPUs(), 8)), core.DefaultWeights())
+	mapper, err := core.NewMapper(profile.Default(topo), core.DefaultWeights())
 	if err != nil {
 		return nil, err
 	}

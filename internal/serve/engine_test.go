@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gputopo/internal/schedcore"
+	"gputopo/internal/schedcore/domains"
 	"gputopo/internal/serveapi"
 	"gputopo/internal/serveapi/client"
 )
@@ -165,7 +166,7 @@ func TestGlobalGPUMapsMatchClusterTopology(t *testing.T) {
 			for i := range locals {
 				locals[i] = i
 			}
-			if got := srv.globalGPUs(d, locals); !slices.Equal(got, want) {
+			if got := domains.GlobalGPUs(srv.gpuMaps[d], locals); !slices.Equal(got, want) {
 				t.Fatalf("%s domain %d: map %v, cluster topology says %v", arg, d, got, want)
 			}
 			if (srv.gpuMaps[d] == nil) != slices.Equal(want, locals) {

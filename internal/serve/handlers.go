@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gputopo/internal/schedcore"
+	"gputopo/internal/schedcore/domains"
 	"gputopo/internal/serveapi"
 )
 
@@ -71,7 +72,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case o.errCode != "":
 		serveapi.WriteError(w, o.status, o.errCode, "%s", o.errMsg)
 	default:
-		o.jobResp.GPUs = s.globalGPUs(d, o.jobResp.GPUs)
+		o.jobResp.GPUs = domains.GlobalGPUs(s.gpuMaps[d], o.jobResp.GPUs)
 		serveapi.WriteJSON(w, o.jobResp)
 	}
 }
@@ -186,7 +187,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i := range resp.Decisions {
-		resp.Decisions[i].GPUs = s.globalGPUs(d, resp.Decisions[i].GPUs)
+		resp.Decisions[i].GPUs = domains.GlobalGPUs(s.gpuMaps[d], resp.Decisions[i].GPUs)
 	}
 	serveapi.WriteJSON(w, resp)
 }
@@ -237,7 +238,7 @@ func (s *Server) mergeStates(snaps []domainState) serveapi.StateResponse {
 		out.Fragments += sn.fragments * (float64(ds.GPUs) / float64(s.gpus))
 		stats.Add(sn.stats)
 		for _, re := range sn.running {
-			out.Running = append(out.Running, serveapi.RunningEntry{ID: re.ID, GPUs: s.globalGPUs(d, re.GPUs)})
+			out.Running = append(out.Running, serveapi.RunningEntry{ID: re.ID, GPUs: domains.GlobalGPUs(s.gpuMaps[d], re.GPUs)})
 		}
 		out.Queue = append(out.Queue, sn.queue...)
 		for k, free := range sn.busFree {

@@ -40,6 +40,7 @@ import (
 	"gputopo/internal/schedcore"
 	"gputopo/internal/schedcore/domains"
 	"gputopo/internal/sweep"
+	"gputopo/internal/topology"
 )
 
 const (
@@ -126,9 +127,9 @@ type Server struct {
 	gpus       int // cluster-wide GPU count
 
 	// machines[d] holds the global machine indices domain d owns;
-	// gpuMaps[d] maps the domain's local GPU positions to global ones so
-	// every wire-visible placement uses cluster-wide coordinates. A nil
-	// map is the identity (always so for an unsplit spec).
+	// gpuMaps[d] (domains.GPUMaps) maps the domain's local GPU positions
+	// to global ones so every wire-visible placement uses cluster-wide
+	// coordinates.
 	machines [][]int
 	gpuMaps  [][]int
 
@@ -174,6 +175,7 @@ func New(cfg Config) (*Server, error) {
 		pending:    map[string]bool{},
 	}
 	caps := make([]domains.Capacity, len(subs))
+	topos := make([]*topology.Topology, len(subs))
 	for d, sub := range subs {
 		dcfg := cfg
 		dcfg.Spec = sub
@@ -186,7 +188,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: domain %d (%s): %w", d, sub.Key(), err)
 		}
 		s.doms = append(s.doms, dom)
-		caps[d] = domains.CapacityOf(dom.topo)
+		caps[d], topos[d] = domains.CapacityOf(dom.topo), dom.topo
 		s.gpus += dom.topo.NumGPUs()
 		// Recovery rebuilds the routing state the per-domain replays
 		// cannot: the home map and the generated-ID counter live up here,
@@ -208,7 +210,10 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 	}
-	s.gpuMaps = globalGPUMaps(s.doms, groups)
+	if s.gpuMaps, err = domains.GPUMaps(topos, groups); err != nil {
+		s.Kill()
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	s.router = domains.NewRouter(caps, func(d int) (int, int, int) { return s.doms[d].freeCounters() })
 	s.started = time.Now()
 	return s, nil
@@ -216,57 +221,6 @@ func New(cfg Config) (*Server, error) {
 
 // NewMulti is New; cmd/topoperf (frozen) is its only caller.
 func NewMulti(cfg Config) (*Server, error) { return New(cfg) }
-
-// globalGPUMaps builds each domain's local → global GPU position map.
-// Cluster builders lay GPUs out machine by machine in machine order, so
-// a machine's first global position is the GPU count of the machines
-// before it — the cluster-wide topology never has to be built. A domain
-// whose map comes out as the identity gets nil.
-func globalGPUMaps(doms []*domain, groups [][]int) [][]int {
-	machines := 0
-	for _, g := range groups {
-		machines += len(g)
-	}
-	first := make([]int, machines+1) // first[m+1] - first[m] = GPUs of global machine m
-	for d, dom := range doms {
-		for k, m := range groups[d] {
-			first[m+1] = len(dom.topo.GPUsOfMachine(k))
-		}
-	}
-	for m := 0; m < machines; m++ {
-		first[m+1] += first[m]
-	}
-	maps := make([][]int, len(doms))
-	for d, dom := range doms {
-		gm := make([]int, dom.topo.NumGPUs())
-		identity := true
-		for k, m := range groups[d] {
-			for i, local := range dom.topo.GPUsOfMachine(k) {
-				gm[local] = first[m] + i
-				identity = identity && gm[local] == local
-			}
-		}
-		if !identity {
-			maps[d] = gm
-		}
-	}
-	return maps
-}
-
-// globalGPUs translates a domain's local GPU positions to cluster-wide
-// indices. Under the identity map the input is returned as is; otherwise
-// a fresh slice (ring records must not be mutated).
-func (s *Server) globalGPUs(d int, gpus []int) []int {
-	gm := s.gpuMaps[d]
-	if gm == nil || len(gpus) == 0 {
-		return gpus
-	}
-	out := make([]int, len(gpus))
-	for i, g := range gpus {
-		out[i] = gm[g]
-	}
-	return out
-}
 
 // Domains returns the number of scheduling domains (1 for an unsplit
 // spec).

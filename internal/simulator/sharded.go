@@ -35,11 +35,11 @@ type Shard struct {
 // so the merged artifact is byte-identical at any worker count, the same
 // contract the sweep engine's ForEach honors.
 //
-// cfg.Topology must be the global topology the shards partition; it
-// anchors the local→global GPU translation and job generation, so a
-// 1-domain split runs the exact configuration of the unsharded engine
-// (same substrate, same seed, identity GPU map) and reproduces its
-// result byte for byte — TestShardedOneDomainIdentical pins that.
+// cfg.Topology must be the global topology the shards partition — the one
+// jobs were generated against and results are numbered in — so a 1-domain
+// split runs the exact configuration of the unsharded engine (same
+// substrate, same seed, identity GPU map) and reproduces its result byte
+// for byte — TestShardedOneDomainIdentical pins that.
 // Multi-domain runs derive one jitter stream per domain from cfg.Seed.
 func RunSharded(cfg Config, shards []Shard, jobs []*job.Job, workers int) (*Result, error) {
 	if cfg.Topology == nil {
@@ -49,17 +49,27 @@ func RunSharded(cfg Config, shards []Shard, jobs []*job.Job, workers int) (*Resu
 		return nil, fmt.Errorf("simulator: sharded run needs at least one domain")
 	}
 	caps := make([]domains.Capacity, len(shards))
-	gpuMaps := make([][]int, len(shards))
+	topos := make([]*topology.Topology, len(shards))
+	machines := make([][]int, len(shards))
 	for d, sh := range shards {
 		if sh.Topology == nil {
 			return nil, fmt.Errorf("simulator: domain %d: nil topology", d)
 		}
-		caps[d] = domains.CapacityOf(sh.Topology)
-		gmap, err := shardGPUMap(cfg.Topology, sh)
-		if err != nil {
-			return nil, fmt.Errorf("simulator: domain %d: %w", d, err)
+		caps[d], topos[d], machines[d] = domains.CapacityOf(sh.Topology), sh.Topology, sh.Machines
+	}
+	gpuMaps, err := domains.GPUMaps(topos, machines)
+	if err != nil {
+		return nil, fmt.Errorf("simulator: %w", err)
+	}
+	// The maps number GPUs as the shards' own machine shapes dictate;
+	// results are reported against cfg.Topology, so the two must agree
+	// machine by machine.
+	for d, sh := range shards {
+		for k, gm := range sh.Machines {
+			if local, global := len(sh.Topology.GPUsOfMachine(k)), len(cfg.Topology.GPUsOfMachine(gm)); local != global {
+				return nil, fmt.Errorf("simulator: domain %d: machine shape mismatch: local machine %d has %d GPUs, global machine %d has %d", d, k, local, gm, global)
+			}
 		}
-		gpuMaps[d] = gmap
 	}
 	assign, err := domains.RouteStatic(caps, jobs)
 	if err != nil {
@@ -114,42 +124,6 @@ func RunSharded(cfg Config, shards []Shard, jobs []*job.Job, workers int) (*Resu
 	return mergeShardResults(cfg, results, gpuMaps), nil
 }
 
-// shardGPUMap pairs each local GPU position with its global counterpart
-// by walking the domain's machines in local order and zipping the two
-// per-machine GPU lists, which is robust to any per-machine enumeration
-// as long as local and global machines share a shape.
-func shardGPUMap(global *topology.Topology, sh Shard) ([]int, error) {
-	if sh.Topology.NumMachines() != len(sh.Machines) {
-		return nil, fmt.Errorf("topology has %d machines, %d global indices given", sh.Topology.NumMachines(), len(sh.Machines))
-	}
-	gmap := make([]int, sh.Topology.NumGPUs())
-	for k, gm := range sh.Machines {
-		if gm < 0 || gm >= global.NumMachines() {
-			return nil, fmt.Errorf("global machine index %d out of range (%d machines)", gm, global.NumMachines())
-		}
-		local := sh.Topology.GPUsOfMachine(k)
-		glob := global.GPUsOfMachine(gm)
-		if len(local) != len(glob) {
-			return nil, fmt.Errorf("machine shape mismatch: local machine %d has %d GPUs, global machine %d has %d", k, len(local), gm, len(glob))
-		}
-		for i := range local {
-			gmap[local[i]] = glob[i]
-		}
-	}
-	return gmap, nil
-}
-
-// remapGPUs translates a placement's GPU list into global numbering,
-// preserving order (anti-collocated placements are utility-ranked, not
-// sorted, and the identity map must be a byte-level no-op).
-func remapGPUs(gmap []int, gpus []int) []int {
-	out := make([]int, len(gpus))
-	for i, g := range gpus {
-		out[i] = gmap[g]
-	}
-	return out
-}
-
 // mergeShardResults folds per-domain results into one global Result
 // under the engine's ordering contracts.
 func mergeShardResults(cfg Config, results []*Result, gpuMaps [][]int) *Result {
@@ -158,11 +132,11 @@ func mergeShardResults(cfg Config, results []*Result, gpuMaps [][]int) *Result {
 	for d, r := range results {
 		gmap := gpuMaps[d]
 		for _, jr := range r.Jobs {
-			jr.GPUs = remapGPUs(gmap, jr.GPUs)
+			jr.GPUs = domains.GlobalGPUs(gmap, jr.GPUs)
 			merged.Jobs = append(merged.Jobs, jr)
 		}
 		for _, iv := range r.Timeline {
-			iv.GPUs = remapGPUs(gmap, iv.GPUs)
+			iv.GPUs = domains.GlobalGPUs(gmap, iv.GPUs)
 			merged.Timeline = append(merged.Timeline, iv)
 		}
 		if r.Makespan > merged.Makespan {

@@ -59,8 +59,8 @@ func newSubstrateCache() *substrateCache {
 }
 
 // substrate returns the shared (topology, profiles) pair for the spec,
-// building it on first use. The profile store mirrors what the engines
-// would generate themselves when Config.Profiles is nil, so cached and
+// building it on first use. The profile store is profile.Default, the one
+// the engines build themselves when Config.Profiles is nil, so cached and
 // uncached runs are bit-identical.
 func (c *substrateCache) substrate(ts TopologySpec, machines int, standalone bool) (*topology.Topology, *profile.Store, error) {
 	key := substrateKey{topo: ts.Key(), specDir: ts.specDir, machines: machines, standalone: standalone}
@@ -76,13 +76,9 @@ func (c *substrateCache) substrate(ts TopologySpec, machines int, standalone boo
 		if e.err != nil {
 			return
 		}
-		maxGPUs := e.topo.NumGPUs()
-		if maxGPUs > 8 {
-			maxGPUs = 8
-		}
 		// Pre-warms the topology's extreme-allocation memos as a side
 		// effect, so workers start from a fully materialized substrate.
-		e.profiles = profile.Generate(e.topo, maxGPUs)
+		e.profiles = profile.Default(e.topo)
 	})
 	return e.topo, e.profiles, e.err
 }
