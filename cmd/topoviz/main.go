@@ -1,13 +1,16 @@
 // Command topoviz renders the physical GPU topologies: the hierarchy tree
 // with link annotations, the nvidia-smi-style connectivity matrix, and the
 // GPU-to-GPU distance/bandwidth tables the scheduler reasons over.
+// -topology takes the syntax toposerve, topoload and sweep cell keys share
+// (sweep.ParseTopologyArg); a single machine is built standalone, without
+// a network root.
 //
-//	topoviz -topo minsky
-//	topoviz -topo dgx1 -matrix
-//	topoviz -topo cluster -machines 3
-//	topoviz -mix minsky:2+dgx1:1
-//	topoviz -parse matrix.txt
-//	topoviz -parse matrix.txt -machines 4
+//	topoviz -topology minsky
+//	topoviz -topology dgx1 -matrix
+//	topoviz -topology minsky:3
+//	topoviz -topology 'mix[minsky:2+dgx1:1]'
+//	topoviz -topology 'matrix[file.matrix]'
+//	topoviz -topology 'matrix[file.matrix]:4'
 package main
 
 import (
@@ -15,61 +18,31 @@ import (
 	"fmt"
 	"os"
 
-	"gputopo/internal/topology"
+	"gputopo/internal/sweep"
 )
 
 func main() {
-	topoName := flag.String("topo", "minsky", "topology: minsky, dgx1, pcie, cluster")
-	machines := flag.Int("machines", 0, "machine count: for -topo cluster (default 2) and -parse (default 1, >1 stamps the parsed machine into a cluster)")
-	matrix := flag.Bool("matrix", false, "print the nvidia-smi-style connectivity matrix")
-	parse := flag.String("parse", "", "parse a connectivity-matrix file instead of building")
-	mix := flag.String("mix", "", "build a heterogeneous cluster from builder:count pairs, e.g. minsky:2+dgx1:1 (overrides -topo)")
+	topology := flag.String("topology", "minsky", "topology in cell-key syntax: minsky, dgx1:4, mix[minsky:2+dgx1:1], matrix[file.matrix]:3")
+	matrix := flag.Bool("matrix", false, "print the nvidia-smi-style connectivity matrix (single machines only; a matrix[...] machine always prints it)")
 	flag.Parse()
 
-	if err := run(*topoName, *machines, *matrix, *parse, *mix); err != nil {
+	if err := run(*topology, *matrix); err != nil {
 		fmt.Fprintln(os.Stderr, "topoviz:", err)
 		os.Exit(1)
 	}
 }
 
-func run(topoName string, machines int, matrix bool, parse, mix string) error {
-	var topo *topology.Topology
-	switch {
-	case parse != "":
-		data, err := os.ReadFile(parse)
-		if err != nil {
-			return err
-		}
-		if machines > 1 {
-			topo, err = topology.MatrixCluster(string(data), machines)
-		} else {
-			topo, err = topology.ParseMatrix(string(data))
-		}
-		if err != nil {
-			return err
-		}
-	case mix != "":
-		specs, err := topology.ParseMix(mix)
-		if err != nil {
-			return err
-		}
-		topo, err = topology.HeterogeneousCluster(specs)
-		if err != nil {
-			return err
-		}
-	case topoName == "minsky":
-		topo = topology.Power8Minsky()
-	case topoName == "dgx1":
-		topo = topology.DGX1()
-	case topoName == "pcie":
-		topo = topology.PCIeBox()
-	case topoName == "cluster":
-		if machines < 1 {
-			machines = 2
-		}
-		topo = topology.Cluster(machines, topology.KindMinsky)
-	default:
-		return fmt.Errorf("unknown topology %q", topoName)
+func run(spec string, matrix bool) error {
+	ts, err := sweep.ParseTopologyArg(spec)
+	if err != nil {
+		return err
+	}
+	if ts.Domains != "" {
+		return fmt.Errorf("topology %q: a scheduling-domain split has no rendering; drop the /domains[...] segment", spec)
+	}
+	topo, err := ts.Build(ts.Machines, true)
+	if err != nil {
+		return err
 	}
 
 	fmt.Println(topo.RenderTree())
@@ -78,7 +51,7 @@ func run(topoName string, machines int, matrix bool, parse, mix string) error {
 		// would render as SYS and parse back as one machine.
 		return fmt.Errorf("-matrix renders single machines only; %s has %d machines", topo.Name, topo.NumMachines())
 	}
-	if matrix || (parse != "" && topo.NumMachines() == 1) {
+	if matrix || (ts.MatrixFile != "" && topo.NumMachines() == 1) {
 		fmt.Println(topo.RenderMatrix())
 	}
 

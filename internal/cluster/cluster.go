@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -337,21 +338,58 @@ func (s *State) Slowdown(a *Allocation) float64 {
 }
 
 // CheckInvariants recomputes the state's derived views from the owner
-// table and reports the first one that diverged. It covers the resident
-// tables: on every machine the rows are exactly the jobs owning a GPU
-// there, in sorted-ID order, each with this state's own Allocation and the
-// socket mask topology.SameSocket yields position by position. It is a
-// test and diagnosis aid — O(GPUs · job size), allocating — not a hot
-// path.
+// table and reports the first one that diverged. Per machine: the free
+// count, the committed bus bandwidth (the jobs there, each counted once),
+// the placement fingerprint unless it is marked stale, and the resident
+// table — its rows are exactly the jobs owning a GPU there, in sorted-ID
+// order, each with this state's own Allocation and the socket mask
+// topology.SameSocket yields position by position. Over the cluster: the
+// free total, MaxFreeGPUs, FreeMachines and Eq. 5's Fragmentation. The
+// two float sums are maintained incrementally and compare within 1e-9.
+// It is a test and diagnosis aid — O(GPUs · job size), allocating — not a
+// hot path.
 func (s *State) CheckInvariants() error {
+	const tol = 1e-9
+	freeTotal, maxFree, freeMachines, sockets := 0, 0, 0, 0
+	fragSum := 0.0
 	for m := 0; m < s.topo.NumMachines(); m++ {
 		gpus := s.topo.GPUsOfMachine(m)
 		var ids []string
+		free, bus := 0, 0.0
 		for _, pos := range gpus {
-			if o := s.owner[pos]; o != "" && !slices.Contains(ids, o) {
+			switch o := s.owner[pos]; {
+			case o == "":
+				free++
+			case s.allocs[o] == nil:
+				return fmt.Errorf("cluster: GPU %d is owned by %s, which has no allocation", pos, o)
+			case !slices.Contains(ids, o):
 				ids = append(ids, o)
+				bus += s.allocs[o].Bandwidth
 			}
 		}
+		if s.freeOnMachine[m] != free {
+			return fmt.Errorf("cluster: machine %d: free count %d, owner table has %d free GPUs", m, s.freeOnMachine[m], free)
+		}
+		if math.Abs(s.busUsed[m]-bus) > tol {
+			return fmt.Errorf("cluster: machine %d: %g GB/s of bus committed, jobs %v commit %g", m, s.busUsed[m], ids, bus)
+		}
+		freeTotal += free
+		maxFree = max(maxFree, free)
+		if free > 0 {
+			freeMachines++
+		}
+		for _, sk := range s.topo.Sockets(m) {
+			on := s.topo.GPUsOfSocket(m, sk)
+			freeOn := 0
+			for _, pos := range on {
+				if s.owner[pos] == "" {
+					freeOn++
+				}
+			}
+			fragSum += float64(freeOn) / float64(len(on))
+			sockets++
+		}
+
 		slices.Sort(ids)
 		rs := s.Residents(m)
 		if len(rs) != len(ids) {
@@ -371,6 +409,21 @@ func (s *State) CheckInvariants() error {
 				return fmt.Errorf("cluster: machine %d: job %s socket mask %#x, SameSocket gives %#x", m, ids[i], r.Sockets, want)
 			}
 		}
+		if s.fp != nil && s.fp[m] != "" && s.fp[m] != s.computeFingerprint(m) {
+			return fmt.Errorf("cluster: machine %d: fingerprint is not marked stale but differs from a fresh one", m)
+		}
+	}
+	if s.freeTotal != freeTotal {
+		return fmt.Errorf("cluster: free total %d, owner table has %d free GPUs", s.freeTotal, freeTotal)
+	}
+	if got := s.MaxFreeGPUs(); got != maxFree {
+		return fmt.Errorf("cluster: MaxFreeGPUs %d, owner table gives %d", got, maxFree)
+	}
+	if got := s.FreeMachines(); got != freeMachines {
+		return fmt.Errorf("cluster: FreeMachines %d, owner table gives %d", got, freeMachines)
+	}
+	if want := fragSum / float64(max(sockets, 1)); math.Abs(s.Fragmentation()-want) > tol {
+		return fmt.Errorf("cluster: Fragmentation %g, owner table gives %g over %d sockets", s.Fragmentation(), want, sockets)
 	}
 	return nil
 }

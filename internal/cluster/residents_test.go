@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gputopo/internal/perfmodel"
@@ -109,5 +110,46 @@ func TestResidentRebuildAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("rebuilding a warmed resident row allocates %v times", n)
+	}
+}
+
+// TestCheckInvariantsCatchesEachTable corrupts one machine-indexed table
+// at a time on a populated state and demands CheckInvariants name it:
+// the check is only worth calling after every difftest round if no table
+// can drift behind it.
+func TestCheckInvariantsCatchesEachTable(t *testing.T) {
+	s := fpState(t, "minsky:2+minsky-1g:1+dgx1:1")
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 6; i++ {
+		randomAllocate(t, rng, s, jobName(i))
+	}
+	for m := 0; m < s.Topology().NumMachines(); m++ {
+		s.MachineFingerprint(m)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		table   string
+		corrupt func() (restore func())
+		want    string
+	}{
+		{"freeOnMachine", func() func() { s.freeOnMachine[1]++; return func() { s.freeOnMachine[1]-- } }, "machine 1: free count"},
+		{"freeTotal", func() func() { s.freeTotal--; return func() { s.freeTotal++ } }, "free total"},
+		{"busUsed", func() func() { s.busUsed[0] += 0.5; return func() { s.busUsed[0] -= 0.5 } }, "machine 0:"},
+		{"fragSum", func() func() { s.fragSum += 0.25; return func() { s.fragSum -= 0.25 } }, "Fragmentation"},
+		{"maxFree", func() func() { old := s.maxFree; s.maxFree = old + 1; return func() { s.maxFree = old } }, "MaxFreeGPUs"},
+		{"freeMachines", func() func() { old := s.freeMachines; s.freeMachines = old + 1; return func() { s.freeMachines = old } }, "FreeMachines"},
+		{"fp", func() func() { old := s.fp[2]; s.fp[2] = s.fp[3]; return func() { s.fp[2] = old } }, "machine 2: fingerprint"},
+	} {
+		restore := tc.corrupt()
+		err := s.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("corrupted %s: CheckInvariants = %v, want an error naming %q", tc.table, err, tc.want)
+		}
+		restore()
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("restored %s: %v", tc.table, err)
+		}
 	}
 }

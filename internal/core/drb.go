@@ -110,7 +110,7 @@ func (m *Mapper) placeAntiCollocated(j *job.Job, st *cluster.State, candidates [
 	topo := st.Topology()
 	bestPerMachine := map[int]int{}
 	for _, pos := range candidates {
-		mi := topo.GPU(pos).Machine
+		mi := topo.MachineOf(pos)
 		cur, ok := bestPerMachine[mi]
 		if !ok {
 			bestPerMachine[mi] = pos

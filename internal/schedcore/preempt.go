@@ -207,7 +207,7 @@ func (c *Core) selectVictims(j *job.Job) ([]*job.Job, float64) {
 		gpuCountOn := func(v *job.Job, m int) int {
 			n := 0
 			for _, pos := range c.state.Allocation(v.ID).GPUs {
-				if topo.GPU(pos).Machine == m {
+				if topo.MachineOf(pos) == m {
 					n++
 				}
 			}

@@ -34,14 +34,11 @@ func (t *Topology) WorstAllocation(g int) []int {
 
 // BestCommCost returns the pairwise-distance sum of the best allocation of
 // g GPUs (0 for g < 2). The value is memoized with the allocation, so hot
-// callers (utilityTerms scores one per placement candidate) pay a map
-// lookup, not an O(g²) distance sum.
+// callers (utilityTerms scores one per placement candidate) pay a slice
+// read, not an O(g²) distance sum.
 func (t *Topology) BestCommCost(g int) float64 {
 	if g < 2 {
 		return 0
-	}
-	if n := len(t.gpus); g > n {
-		g = n
 	}
 	return t.extremeEntryFor(g, false).cost
 }
@@ -51,9 +48,6 @@ func (t *Topology) BestCommCost(g int) float64 {
 func (t *Topology) WorstCommCost(g int) float64 {
 	if g < 2 {
 		return 0
-	}
-	if n := len(t.gpus); g > n {
-		g = n
 	}
 	return t.extremeEntryFor(g, true).cost
 }
@@ -69,29 +63,19 @@ func (t *Topology) extremeAllocation(g int, maximize bool) []int {
 	if g <= 0 {
 		return nil
 	}
-	if n := len(t.gpus); g > n {
-		g = n
-	}
 	return t.extremeEntryFor(g, maximize).set
 }
 
-// extremeEntryFor returns the fully initialized memo entry for size g
-// (g already clamped to [1, NumGPUs]). The topology mutex only guards the
-// map; the expensive greedy search runs inside the entry's sync.Once, so
-// concurrent readers sharing the topology block on the entry being built
-// rather than serializing unrelated sizes — and never race on the maps.
+// extremeEntryFor returns the fully initialized memo entry for size
+// g >= 1, clamped to NumGPUs. The greedy search runs inside the entry's
+// sync.Once, so concurrent readers sharing the topology block on the entry
+// being built and on nothing else.
 func (t *Topology) extremeEntryFor(g int, maximize bool) *extremeEntry {
-	t.mu.Lock()
-	cache := t.extremeMin
+	g = min(g, len(t.gpus))
+	e := &t.extreme[0][g]
 	if maximize {
-		cache = t.extremeMax
+		e = &t.extreme[1][g]
 	}
-	e, ok := cache[g]
-	if !ok {
-		e = &extremeEntry{}
-		cache[g] = e
-	}
-	t.mu.Unlock()
 	e.once.Do(func() {
 		e.set = t.searchExtreme(g, maximize)
 		e.cost = t.PairwiseDistance(e.set)
@@ -103,11 +87,7 @@ func (t *Topology) extremeEntryFor(g int, maximize bool) *extremeEntry {
 func (t *Topology) searchExtreme(g int, maximize bool) []int {
 	n := len(t.gpus)
 	if g == n {
-		result := make([]int, n)
-		for i := range result {
-			result[i] = i
-		}
-		return result
+		return t.positions
 	}
 	bestScore := 0.0
 	var bestSet []int
@@ -153,29 +133,18 @@ func (t *Topology) searchExtreme(g int, maximize bool) []int {
 // allocation inside the odd machine, which a first-two-machines-only
 // heuristic can never reach.
 func (t *Topology) seedCandidates() []int {
-	n := len(t.gpus)
-	if len(t.machineStart) <= 2 || n <= 16 {
-		seeds := make([]int, n)
-		for i := range seeds {
-			seeds[i] = i
-		}
-		return seeds
+	if len(t.machines) <= 2 || len(t.gpus) <= 16 {
+		return t.positions
 	}
 	var seeds []int
 	seen := map[string]int{}
-	for mi := range t.machineStart {
+	for mi := range t.machines {
 		sig := t.MachineShape(mi)
 		if seen[sig] >= 2 {
 			continue
 		}
 		seen[sig]++
-		end := n
-		if mi+1 < len(t.machineStart) {
-			end = t.machineStart[mi+1]
-		}
-		for pos := t.machineStart[mi]; pos < end; pos++ {
-			seeds = append(seeds, pos)
-		}
+		seeds = append(seeds, t.GPUsOfMachine(mi)...)
 	}
 	return seeds
 }
@@ -190,7 +159,7 @@ func (t *Topology) seedCandidates() []int {
 // is shared by every cluster state, sweep point and shard over it.
 func (t *Topology) MachineShape(mi int) string {
 	t.shapeOnce.Do(func() {
-		t.shapes = make([]string, len(t.machineStart))
+		t.shapes = make([]string, len(t.machines))
 		for i := range t.shapes {
 			t.shapes[i] = t.machineShape(i)
 		}
@@ -200,20 +169,16 @@ func (t *Topology) MachineShape(mi int) string {
 
 // machineShape builds machine mi's shape string.
 func (t *Topology) machineShape(mi int) string {
-	start := t.machineStart[mi]
-	end := len(t.gpus)
-	if mi+1 < len(t.machineStart) {
-		end = t.machineStart[mi+1]
-	}
+	gpus := t.GPUsOfMachine(mi)
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "k%d;net%g", end-start, t.netDist[mi])
+	fmt.Fprintf(&sb, "k%d;net%g", len(gpus), t.netDist[mi])
 	for _, row := range t.intraDist[mi] {
 		for _, d := range row {
 			fmt.Fprintf(&sb, ",%g", d)
 		}
 	}
 	sb.WriteString(";root")
-	for pos := start; pos < end; pos++ {
+	for _, pos := range gpus {
 		fmt.Fprintf(&sb, ",%g", t.toRootDist[pos])
 	}
 	return sb.String()

@@ -56,117 +56,133 @@ func (w LevelWeights) orDefault() LevelWeights {
 func Power8Minsky() *Topology { return Power8MinskyWeights(DefaultWeights()) }
 
 // Power8MinskyWeights is Power8Minsky with custom level weights.
-func Power8MinskyWeights(w LevelWeights) *Topology {
-	b := NewBuilder("Power8-Minsky")
-	b.SetRoutingPenalty(3.5)
-	addMinskyMachine(b, 0, w.orDefault(), -1, 0)
-	return b.Build()
-}
-
-// addMinskyMachine appends one Minsky machine (index m) to the builder.
-// If netID >= 0 the machine vertex is linked to that network vertex.
-// failed removes that many GPUs from the top of the index range (a
-// degraded machine; see DegradedMachine).
-func addMinskyMachine(b *Builder, m int, w LevelWeights, netID, failed int) {
-	mID := b.AddNode(LevelMachine, fmt.Sprintf("M%d", m), m, -1, -1)
-	if netID >= 0 {
-		b.AddLink(netID, mID, LinkNetwork, BandwidthNetwork, w.Machine)
-	}
-	keep := 4 - failed
-	for s := 0; s < 2; s++ {
-		sID := b.AddNode(LevelSocket, fmt.Sprintf("M%d/S%d", m, s), m, s, -1)
-		b.AddLink(mID, sID, LinkXBus, BandwidthXBus, w.Socket)
-		g0, g1 := -1, -1
-		if 2*s < keep {
-			g0 = b.AddNode(LevelGPU, fmt.Sprintf("M%d/GPU%d", m, 2*s), m, s, 2*s)
-		}
-		if 2*s+1 < keep {
-			g1 = b.AddNode(LevelGPU, fmt.Sprintf("M%d/GPU%d", m, 2*s+1), m, s, 2*s+1)
-		}
-		// Dual NVLink GPU-to-GPU within the socket and GPU-to-CPU.
-		if g0 >= 0 && g1 >= 0 {
-			b.AddLink(g0, g1, LinkNVLink2, BandwidthNVLink2, w.GPUPeer)
-		}
-		if g0 >= 0 {
-			b.AddLink(g0, sID, LinkNVLink2, BandwidthNVLink2, w.GPULink)
-		}
-		if g1 >= 0 {
-			b.AddLink(g1, sID, LinkNVLink2, BandwidthNVLink2, w.GPULink)
-		}
-	}
-}
+func Power8MinskyWeights(w LevelWeights) *Topology { return mustMachine(KindMinsky, w) }
 
 // PCIeBox builds the PCIe-Gen3 comparison machine of §3.2: the same
 // two-socket, four-GPU layout but with K80-class GPUs attached through
 // PCIe switches instead of NVLink. Its routing penalty is lower (2.5 vs
 // the NVLink machine's 3.5) because transfers were already staged over
 // PCIe, matching the smaller pack-vs-spread gap measured on that machine.
-func PCIeBox() *Topology { return PCIeBoxWeights(DefaultWeights()) }
-
-// PCIeBoxWeights is PCIeBox with custom level weights.
-func PCIeBoxWeights(w LevelWeights) *Topology {
-	w = w.orDefault()
-	b := NewBuilder("Power8-PCIe")
-	b.SetRoutingPenalty(2.5)
-	m := 0
-	mID := b.AddNode(LevelMachine, "M0", m, -1, -1)
-	for s := 0; s < 2; s++ {
-		sID := b.AddNode(LevelSocket, fmt.Sprintf("M0/S%d", s), m, s, -1)
-		b.AddLink(mID, sID, LinkXBus, BandwidthXBus, w.Socket)
-		swID := b.AddNode(LevelSwitch, fmt.Sprintf("M0/SW%d", s), m, s, -1)
-		b.AddLink(sID, swID, LinkPCIe, BandwidthPCIe, w.Switch)
-		for k := 0; k < 2; k++ {
-			idx := 2*s + k
-			g := b.AddNode(LevelGPU, fmt.Sprintf("M0/GPU%d", idx), m, s, idx)
-			b.AddLink(g, swID, LinkPCIe, BandwidthPCIe, w.GPULink)
-		}
-	}
-	return b.Build()
-}
+func PCIeBox() *Topology { return mustMachine(KindPCIeBox, DefaultWeights()) }
 
 // DGX1 builds the NVIDIA DGX-1 of Figure 1: eight P100s in a hybrid
 // cube-mesh of single-lane NVLinks (the 12 cube edges plus the diagonals of
 // two faces), each GPU also hanging off a PCIe switch (two GPUs per switch,
 // two switches per socket).
-func DGX1() *Topology { return DGX1Weights(DefaultWeights()) }
+func DGX1() *Topology { return mustMachine(KindDGX1, DefaultWeights()) }
 
-// DGX1Weights is DGX1 with custom level weights.
-func DGX1Weights(w LevelWeights) *Topology {
-	w = w.orDefault()
-	b := NewBuilder("DGX-1")
-	b.SetRoutingPenalty(3.5)
-	m := 0
-	mID := b.AddNode(LevelMachine, "M0", m, -1, -1)
-	var sw [4]int
-	for s := 0; s < 2; s++ {
-		sID := b.AddNode(LevelSocket, fmt.Sprintf("M0/S%d", s), m, s, -1)
-		b.AddLink(mID, sID, LinkXBus, BandwidthXBus, w.Socket)
-		for k := 0; k < 2; k++ {
-			swIdx := 2*s + k
-			sw[swIdx] = b.AddNode(LevelSwitch, fmt.Sprintf("M0/SW%d", swIdx), m, s, -1)
-			b.AddLink(sID, sw[swIdx], LinkPCIe, BandwidthPCIe, w.Switch)
-		}
+func mustMachine(kind MachineKind, w LevelWeights) *Topology {
+	t, err := Machine(kind, w)
+	if err != nil {
+		panic(err)
 	}
-	var gpu [8]int
-	for i := 0; i < 8; i++ {
-		s := i / 4
-		gpu[i] = b.AddNode(LevelGPU, fmt.Sprintf("M0/GPU%d", i), m, s, i)
-		b.AddLink(gpu[i], sw[i/2], LinkPCIe, BandwidthPCIe, w.GPULink)
+	return t
+}
+
+// routingPenalty is the staging penalty of a machine class, chosen here
+// and nowhere else: systems with NVLink stage routed transfers through
+// host memory (3.5), while all-PCIe systems already paid the staging cost
+// (2.5, §3.2). A built and a discovered version of the same machine, and a
+// cluster and its machines, therefore score allocations alike.
+func routingPenalty(nvlink bool) float64 {
+	if nvlink {
+		return 3.5
 	}
-	// Hybrid cube-mesh NVLink edges: cube edges + two face diagonals.
-	nvPairs := [][2]int{
-		// Top face (socket 0) ring and bottom face (socket 1) ring.
-		{0, 1}, {1, 3}, {3, 2}, {2, 0},
-		{4, 5}, {5, 7}, {7, 6}, {6, 4},
-		// Vertical cube edges.
-		{0, 4}, {1, 5}, {2, 6}, {3, 7},
-		// Diagonals of two faces.
-		{0, 3}, {1, 2}, {4, 7}, {5, 6},
+	return 2.5
+}
+
+// assemble builds a topology of n machines, machine m added by
+// stamp(b, m, netID): under one network root, or — standalone — a single
+// machine with no network vertex (netID -1).
+func assemble(name string, nvlink bool, n int, standalone bool, stamp func(b *Builder, m, netID int)) *Topology {
+	b := NewBuilder(name).SetRoutingPenalty(routingPenalty(nvlink))
+	netID := -1
+	if !standalone {
+		netID = b.AddNode(LevelNetwork, "Net", -1, -1, -1)
 	}
-	for _, p := range nvPairs {
-		b.AddLink(gpu[p[0]], gpu[p[1]], LinkNVLink, BandwidthNVLink, w.GPUPeer)
+	for m := 0; m < n; m++ {
+		stamp(b, m, netID)
 	}
 	return b.Build()
+}
+
+// addMachineVertex appends machine m's vertex, linked to the network
+// vertex netID when >= 0.
+func addMachineVertex(b *Builder, m int, w LevelWeights, netID int) int {
+	mID := b.AddNode(LevelMachine, fmt.Sprintf("M%d", m), m, -1, -1)
+	if netID >= 0 {
+		b.AddLink(netID, mID, LinkNetwork, BandwidthNetwork, w.Machine)
+	}
+	return mID
+}
+
+// dgx1NVLinks are the DGX-1's hybrid cube-mesh NVLink edges.
+var dgx1NVLinks = [...][2]int{
+	// Top face (socket 0) ring and bottom face (socket 1) ring.
+	{0, 1}, {1, 3}, {3, 2}, {2, 0},
+	{4, 5}, {5, 7}, {7, 6}, {6, 4},
+	// Vertical cube edges.
+	{0, 4}, {1, 5}, {2, 6}, {3, 7},
+	// Diagonals of two faces.
+	{0, 3}, {1, 2}, {4, 7}, {5, 6},
+}
+
+// addMachine appends machine m of the given kind to the builder, its
+// machine vertex linked to netID when >= 0. failed removes that many GPUs
+// (and their links) from the top of the index range — a degraded machine,
+// see DegradedMachine; sockets and switches stay even when left empty.
+func addMachine(b *Builder, m int, kind MachineKind, w LevelWeights, netID, failed int) {
+	mID := addMachineVertex(b, m, w, netID)
+	keep := kindTable[kind].gpus - failed
+	node := func(level Level, label string, i, socket, index int) int {
+		return b.AddNode(level, fmt.Sprintf("M%d/%s%d", m, label, i), m, socket, index)
+	}
+	var sw [4]int // DGX-1 only
+	for s := 0; s < 2; s++ {
+		sID := node(LevelSocket, "S", s, s, -1)
+		b.AddLink(mID, sID, LinkXBus, BandwidthXBus, w.Socket)
+		switch kind {
+		case KindMinsky:
+			// Dual-lane NVLink between the socket's two GPUs and from
+			// each of them to the CPU.
+			gpus := make([]int, 0, 2)
+			for idx := 2 * s; idx < min(2*s+2, keep); idx++ {
+				gpus = append(gpus, node(LevelGPU, "GPU", idx, s, idx))
+			}
+			if len(gpus) == 2 {
+				b.AddLink(gpus[0], gpus[1], LinkNVLink2, BandwidthNVLink2, w.GPUPeer)
+			}
+			for _, g := range gpus {
+				b.AddLink(g, sID, LinkNVLink2, BandwidthNVLink2, w.GPULink)
+			}
+		case KindPCIeBox:
+			// One PCIe switch per socket, two GPUs behind it.
+			swID := node(LevelSwitch, "SW", s, s, -1)
+			b.AddLink(sID, swID, LinkPCIe, BandwidthPCIe, w.Switch)
+			for idx := 2 * s; idx < min(2*s+2, keep); idx++ {
+				g := node(LevelGPU, "GPU", idx, s, idx)
+				b.AddLink(g, swID, LinkPCIe, BandwidthPCIe, w.GPULink)
+			}
+		case KindDGX1:
+			// Two PCIe switches per socket; the GPUs follow both sockets.
+			for swIdx := 2 * s; swIdx < 2*s+2; swIdx++ {
+				sw[swIdx] = node(LevelSwitch, "SW", swIdx, s, -1)
+				b.AddLink(sID, sw[swIdx], LinkPCIe, BandwidthPCIe, w.Switch)
+			}
+		}
+	}
+	if kind == KindDGX1 {
+		var gpu [8]int
+		for i := 0; i < keep; i++ {
+			gpu[i] = node(LevelGPU, "GPU", i, i/4, i)
+			b.AddLink(gpu[i], sw[i/2], LinkPCIe, BandwidthPCIe, w.GPULink)
+		}
+		for _, p := range dgx1NVLinks {
+			if p[0] < keep && p[1] < keep {
+				b.AddLink(gpu[p[0]], gpu[p[1]], LinkNVLink, BandwidthNVLink, w.GPUPeer)
+			}
+		}
+	}
 }
 
 // MachineKind selects the per-machine layout for cluster topologies.
@@ -179,19 +195,29 @@ const (
 	KindPCIeBox
 )
 
+// kindTable holds what the package knows of each kind besides its layout
+// (addMachine): the canonical builder name, the standalone machine's
+// topology name, the suffix of a homogeneous cluster's name, the healthy
+// GPU count, and whether the GPUs attach over NVLink (see routingPenalty).
+var kindTable = [...]struct {
+	name, title, cluster string
+	gpus                 int
+	nvlink               bool
+}{
+	KindMinsky:  {"minsky", "Power8-Minsky", "Minsky", 4, true},
+	KindDGX1:    {"dgx1", "DGX-1", "DGX1", 8, true},
+	KindPCIeBox: {"pcie", "Power8-PCIe", "PCIe", 4, false},
+}
+
+func (k MachineKind) valid() bool { return k >= 0 && int(k) < len(kindTable) }
+
 // String returns the canonical builder name ("minsky", "dgx1", "pcie")
 // accepted by ParseMachineKind and by sweep topology specs.
 func (k MachineKind) String() string {
-	switch k {
-	case KindMinsky:
-		return "minsky"
-	case KindDGX1:
-		return "dgx1"
-	case KindPCIeBox:
-		return "pcie"
-	default:
+	if !k.valid() {
 		return fmt.Sprintf("MachineKind(%d)", int(k))
 	}
+	return kindTable[k].name
 }
 
 // ParseMachineKind maps a builder name to its MachineKind. It accepts the
@@ -217,24 +243,7 @@ func MachineKindNames() []string {
 // Machine builds a single standalone machine of the given kind (no network
 // root) with custom level weights — the Table 1 / prototype substrate.
 func Machine(kind MachineKind, w LevelWeights) (*Topology, error) {
-	switch kind {
-	case KindMinsky:
-		return Power8MinskyWeights(w), nil
-	case KindDGX1:
-		return DGX1Weights(w), nil
-	case KindPCIeBox:
-		return PCIeBoxWeights(w), nil
-	default:
-		return nil, fmt.Errorf("topology: unknown machine kind %v", kind)
-	}
-}
-
-// kindGPUs returns the healthy GPU count of a machine kind.
-func (k MachineKind) kindGPUs() int {
-	if k == KindDGX1 {
-		return 8
-	}
-	return 4
+	return standaloneMachine(kind, 0, w)
 }
 
 // DegradedMachine builds a standalone machine of the given kind with
@@ -245,50 +254,32 @@ func (k MachineKind) kindGPUs() int {
 // take: the extremal-allocation search treats a degraded machine as its
 // own machine shape (see seedCandidates).
 func DegradedMachine(kind MachineKind, failedGPUs int) (*Topology, error) {
-	return DegradedMachineWeights(kind, failedGPUs, DefaultWeights())
+	return standaloneMachine(kind, failedGPUs, DefaultWeights())
 }
 
-// DegradedMachineWeights is DegradedMachine with custom level weights.
-func DegradedMachineWeights(kind MachineKind, failedGPUs int, w LevelWeights) (*Topology, error) {
-	if err := validateFailed(kind, failedGPUs); err != nil {
+func standaloneMachine(kind MachineKind, failed int, w LevelWeights) (*Topology, error) {
+	if err := validateFailed(kind, failed); err != nil {
 		return nil, err
 	}
-	if failedGPUs == 0 {
-		return Machine(kind, w)
+	name := kindTable[kind].title
+	if failed > 0 {
+		name = fmt.Sprintf("%s-%dg", name, failed)
 	}
 	w = w.orDefault()
-	b := NewBuilder(fmt.Sprintf("%s-%dg", kindTitle(kind), failedGPUs))
-	if kind.usesNVLink() {
-		b.SetRoutingPenalty(3.5)
-	} else {
-		b.SetRoutingPenalty(2.5)
-	}
-	if kind == KindMinsky {
-		addMinskyMachine(b, 0, w, -1, failedGPUs)
-	} else {
-		addClusterMachine(b, 0, kind, w, -1, failedGPUs)
-	}
-	return b.Build(), nil
+	return assemble(name, kindTable[kind].nvlink, 1, true, func(b *Builder, m, netID int) {
+		addMachine(b, m, kind, w, netID, failed)
+	}), nil
 }
 
-// kindTitle is the display name used in degraded-machine topology names.
-func kindTitle(kind MachineKind) string {
-	switch kind {
-	case KindMinsky:
-		return "Power8-Minsky"
-	case KindDGX1:
-		return "DGX-1"
-	default:
-		return "Power8-PCIe"
-	}
-}
-
-// validateFailed checks a degraded-GPU count against the kind's size: at
-// least one GPU must survive.
+// validateFailed checks a machine kind and a degraded-GPU count against
+// the kind's size: at least one GPU must survive.
 func validateFailed(kind MachineKind, failed int) error {
-	if failed < 0 || failed >= kind.kindGPUs() {
+	if !kind.valid() {
+		return fmt.Errorf("topology: unknown machine kind %v", kind)
+	}
+	if gpus := kindTable[kind].gpus; failed < 0 || failed >= gpus {
 		return fmt.Errorf("topology: %s has %d GPUs; failed count %d must be in [0, %d]",
-			kind, kind.kindGPUs(), failed, kind.kindGPUs()-1)
+			kind, gpus, failed, gpus-1)
 	}
 	return nil
 }
@@ -296,7 +287,8 @@ func validateFailed(kind MachineKind, failed int) error {
 // Cluster builds a homogeneous cluster of n machines joined by a network
 // vertex. The simulated large-scale scenarios of §5.5 use Minsky machines
 // ("all simulated machines are homogeneous and follow the hardware topology
-// described in Section 3.1").
+// described in Section 3.1"); DGX-1 and PCIe clusters are provided for
+// completeness.
 func Cluster(n int, kind MachineKind) *Topology {
 	return ClusterWeights(n, kind, DefaultWeights())
 }
@@ -304,45 +296,11 @@ func Cluster(n int, kind MachineKind) *Topology {
 // ClusterWeights is Cluster with custom level weights.
 func ClusterWeights(n int, kind MachineKind, w LevelWeights) *Topology {
 	w = w.orDefault()
-	name := fmt.Sprintf("Cluster-%dx", n)
-	b := NewBuilder(name)
-	switch kind {
-	case KindMinsky:
-		b.t.Name += "Minsky"
-		b.SetRoutingPenalty(3.5)
-	case KindDGX1:
-		b.t.Name += "DGX1"
-		b.SetRoutingPenalty(3.5)
-	case KindPCIeBox:
-		b.t.Name += "PCIe"
-		b.SetRoutingPenalty(2.5)
-	}
-	netID := b.AddNode(LevelNetwork, "Net", -1, -1, -1)
-	for m := 0; m < n; m++ {
-		addMachineOfKind(b, m, kind, w, netID, 0)
-	}
-	return b.Build()
+	name := fmt.Sprintf("Cluster-%dx%s", n, kindTable[kind].cluster)
+	return assemble(name, kindTable[kind].nvlink, n, false, func(b *Builder, m, netID int) {
+		addMachine(b, m, kind, w, netID, 0)
+	})
 }
-
-// addMachineOfKind appends one machine of the given kind to the builder,
-// with failed GPUs removed from the top of its index range.
-func addMachineOfKind(b *Builder, m int, kind MachineKind, w LevelWeights, netID, failed int) {
-	switch kind {
-	case KindMinsky:
-		addMinskyMachine(b, m, w, netID, failed)
-	case KindDGX1, KindPCIeBox:
-		// For cluster simulations the paper uses Minsky nodes; DGX-1
-		// and PCIe clusters are provided for completeness.
-		addClusterMachine(b, m, kind, w, netID, failed)
-	}
-}
-
-// usesNVLink reports whether the machine kind attaches GPUs over NVLink.
-// It decides the routing penalty of mixed clusters: NVLink machines stage
-// routed transfers through host memory (penalty 3.5), while all-PCIe
-// systems already paid the staging cost (2.5, matching PCIeBox — see
-// §3.2).
-func (k MachineKind) usesNVLink() bool { return k != KindPCIeBox }
 
 // MachineSpec is one run of identical machines inside a heterogeneous
 // cluster: Count machines of the given Kind, each with Failed GPUs
@@ -441,88 +399,22 @@ func HeterogeneousClusterWeights(specs []MachineSpec, w LevelWeights) (*Topology
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("topology: heterogeneous cluster needs at least one machine spec")
 	}
-	w = w.orDefault()
-	b := NewBuilder("Cluster-" + MixString(specs))
-	penalty := 2.5
+	var machines []MachineSpec // the spec of machine m
+	nvlink := false
 	for _, s := range specs {
-		switch s.Kind {
-		case KindMinsky, KindDGX1, KindPCIeBox:
-		default:
-			return nil, fmt.Errorf("topology: unknown machine kind %v in mix", s.Kind)
+		if err := validateFailed(s.Kind, s.Failed); err != nil {
+			return nil, err
 		}
 		if s.Count < 1 {
 			return nil, fmt.Errorf("topology: machine spec %s:%d needs a count >= 1", s.Kind, s.Count)
 		}
-		if err := validateFailed(s.Kind, s.Failed); err != nil {
-			return nil, err
-		}
-		if s.Kind.usesNVLink() {
-			penalty = 3.5
-		}
-	}
-	b.SetRoutingPenalty(penalty)
-	netID := b.AddNode(LevelNetwork, "Net", -1, -1, -1)
-	m := 0
-	for _, s := range specs {
+		nvlink = nvlink || kindTable[s.Kind].nvlink
 		for i := 0; i < s.Count; i++ {
-			addMachineOfKind(b, m, s.Kind, w, netID, s.Failed)
-			m++
+			machines = append(machines, s)
 		}
 	}
-	return b.Build(), nil
-}
-
-func addClusterMachine(b *Builder, m int, kind MachineKind, w LevelWeights, netID, failed int) {
-	mID := b.AddNode(LevelMachine, fmt.Sprintf("M%d", m), m, -1, -1)
-	if netID >= 0 {
-		b.AddLink(netID, mID, LinkNetwork, BandwidthNetwork, w.Machine)
-	}
-	switch kind {
-	case KindPCIeBox:
-		keep := 4 - failed
-		for s := 0; s < 2; s++ {
-			sID := b.AddNode(LevelSocket, fmt.Sprintf("M%d/S%d", m, s), m, s, -1)
-			b.AddLink(mID, sID, LinkXBus, BandwidthXBus, w.Socket)
-			swID := b.AddNode(LevelSwitch, fmt.Sprintf("M%d/SW%d", m, s), m, s, -1)
-			b.AddLink(sID, swID, LinkPCIe, BandwidthPCIe, w.Switch)
-			for k := 0; k < 2; k++ {
-				idx := 2*s + k
-				if idx >= keep {
-					continue
-				}
-				g := b.AddNode(LevelGPU, fmt.Sprintf("M%d/GPU%d", m, idx), m, s, idx)
-				b.AddLink(g, swID, LinkPCIe, BandwidthPCIe, w.GPULink)
-			}
-		}
-	case KindDGX1:
-		keep := 8 - failed
-		var sw [4]int
-		for s := 0; s < 2; s++ {
-			sID := b.AddNode(LevelSocket, fmt.Sprintf("M%d/S%d", m, s), m, s, -1)
-			b.AddLink(mID, sID, LinkXBus, BandwidthXBus, w.Socket)
-			for k := 0; k < 2; k++ {
-				swIdx := 2*s + k
-				sw[swIdx] = b.AddNode(LevelSwitch, fmt.Sprintf("M%d/SW%d", m, swIdx), m, s, -1)
-				b.AddLink(sID, sw[swIdx], LinkPCIe, BandwidthPCIe, w.Switch)
-			}
-		}
-		var gpu [8]int
-		for i := 0; i < keep; i++ {
-			s := i / 4
-			gpu[i] = b.AddNode(LevelGPU, fmt.Sprintf("M%d/GPU%d", m, i), m, s, i)
-			b.AddLink(gpu[i], sw[i/2], LinkPCIe, BandwidthPCIe, w.GPULink)
-		}
-		nvPairs := [][2]int{
-			{0, 1}, {1, 3}, {3, 2}, {2, 0},
-			{4, 5}, {5, 7}, {7, 6}, {6, 4},
-			{0, 4}, {1, 5}, {2, 6}, {3, 7},
-			{0, 3}, {1, 2}, {4, 7}, {5, 6},
-		}
-		for _, p := range nvPairs {
-			if p[0] >= keep || p[1] >= keep {
-				continue
-			}
-			b.AddLink(gpu[p[0]], gpu[p[1]], LinkNVLink, BandwidthNVLink, w.GPUPeer)
-		}
-	}
+	w = w.orDefault()
+	return assemble("Cluster-"+MixString(specs), nvlink, len(machines), false, func(b *Builder, m, netID int) {
+		addMachine(b, m, machines[m].Kind, w, netID, machines[m].Failed)
+	}), nil
 }

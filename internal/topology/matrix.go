@@ -41,7 +41,7 @@ type matrixLayout struct {
 	tokens     [][]string
 	socketOf   []int
 	numSockets int
-	hasNVLink  bool // any NV1/NV2 token — decides the routing penalty
+	hasNVLink  bool // any NV1/NV2 token — decides the routing penalty (routingPenalty)
 }
 
 // parseMatrixLayout validates an nvidia-smi-style connectivity matrix.
@@ -187,18 +187,6 @@ func (lay *matrixLayout) checkSockets() (*matrixLayout, error) {
 	return lay, nil
 }
 
-// routingPenalty infers the staging penalty of the discovered machine
-// class: NVLink systems behave like the Minsky/DGX-1 builders (3.5), while
-// all-PCIe systems already staged transfers over PCIe and match PCIeBox
-// (2.5, §3.2). Without this, the discovered and built versions of the same
-// machine would score allocations differently.
-func (lay *matrixLayout) routingPenalty() float64 {
-	if lay.hasNVLink {
-		return 3.5
-	}
-	return 2.5
-}
-
 // stamp appends one machine with this layout to the builder (machine index
 // m, linked to netID when >= 0). GPUs behind a shared PIX switch hang off
 // one switch vertex; GPUs with NV2 peers take an NVLink2 host link
@@ -208,10 +196,7 @@ func (lay *matrixLayout) routingPenalty() float64 {
 // attach straight to their socket over PCIe.
 func (lay *matrixLayout) stamp(b *Builder, m int, w LevelWeights, netID int) {
 	n := lay.n
-	mID := b.AddNode(LevelMachine, fmt.Sprintf("M%d", m), m, -1, -1)
-	if netID >= 0 {
-		b.AddLink(netID, mID, LinkNetwork, BandwidthNetwork, w.Machine)
-	}
+	mID := addMachineVertex(b, m, w, netID)
 	socketID := make([]int, lay.numSockets)
 	for s := 0; s < lay.numSockets; s++ {
 		socketID[s] = b.AddNode(LevelSocket, fmt.Sprintf("M%d/S%d", m, s), m, s, -1)
@@ -294,14 +279,7 @@ func ParseMatrix(text string) (*Topology, error) {
 
 // ParseMatrixWeights is ParseMatrix with custom level weights.
 func ParseMatrixWeights(text string, w LevelWeights) (*Topology, error) {
-	lay, err := parseMatrixLayout(text)
-	if err != nil {
-		return nil, err
-	}
-	b := NewBuilder("discovered")
-	b.SetRoutingPenalty(lay.routingPenalty())
-	lay.stamp(b, 0, w.orDefault(), -1)
-	return b.Build(), nil
+	return matrixTopology(text, "discovered", 1, true, w)
 }
 
 // MatrixCluster builds a homogeneous cluster of n machines joined by a
@@ -316,18 +294,18 @@ func MatrixClusterWeights(text string, n int, w LevelWeights) (*Topology, error)
 	if n < 1 {
 		return nil, fmt.Errorf("topology: matrix cluster needs at least one machine, got %d", n)
 	}
+	return matrixTopology(text, fmt.Sprintf("Cluster-%dxdiscovered", n), n, false, w)
+}
+
+func matrixTopology(text, name string, n int, standalone bool, w LevelWeights) (*Topology, error) {
 	lay, err := parseMatrixLayout(text)
 	if err != nil {
 		return nil, err
 	}
 	w = w.orDefault()
-	b := NewBuilder(fmt.Sprintf("Cluster-%dxdiscovered", n))
-	b.SetRoutingPenalty(lay.routingPenalty())
-	netID := b.AddNode(LevelNetwork, "Net", -1, -1, -1)
-	for m := 0; m < n; m++ {
+	return assemble(name, lay.hasNVLink, n, standalone, func(b *Builder, m, netID int) {
 		lay.stamp(b, m, w, netID)
-	}
-	return b.Build(), nil
+	}), nil
 }
 
 // RenderMatrix emits the nvidia-smi-style connectivity matrix of a

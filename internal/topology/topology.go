@@ -122,6 +122,12 @@ type Link struct {
 // GPU-to-GPU distance and bandwidth matrices. Build one with a builder
 // (Power8Minsky, DGX1, PCIeBox, Cluster, or ParseMatrix) and share it
 // freely: all methods are safe for concurrent readers.
+//
+// Machines are numbered once: machine m is the m-th machine vertex added,
+// that vertex and the machine's GPUs carry Node.Machine == m (Build
+// checks both, and that no machine is left without a GPU), and the GPUs
+// hold the contiguous positions machineStart[m]..machineStart[m+1]-1.
+// Every per-machine table here and in cluster.State is indexed by that m.
 type Topology struct {
 	Name string
 	// RoutingPenalty divides the bottleneck bandwidth of routed (non-P2P)
@@ -132,48 +138,37 @@ type Topology struct {
 
 	nodes []Node
 	links []Link
-	g     *graph.Graph
 
 	gpus     []int // node IDs of GPU vertices, ordered by (machine, index)
-	machines []int // node IDs of machine vertices
+	machines []int // machine -> node ID of its machine vertex
 
-	// Per-machine dense matrices (GPU positions of a machine are
-	// contiguous, so machineStart[m] maps positions to local indices).
+	// Dense position and machine tables.
+	positions    []int     // 0..NumGPUs-1; GPUsOfMachine returns subslices of it
+	machineOf    []int     // GPU position -> machine
+	machineStart []int     // machine -> first GPU position, plus NumGPUs at the end
+	sockets      [][]int   // machine -> socket indices holding a GPU, ascending
+	socketGPUs   [][][]int // machine -> socket ordinal in sockets[m] -> GPU positions
+	socketSize   []int     // GPU position -> GPU count of its socket
+	socketBit    []uint64  // GPU position -> 1 << its socket's ordinal
+
+	// Per-machine dense matrices, indexed by position minus machineStart.
 	// Paths never route through other GPUs: real GPUs do not forward
-	// traffic, so distances use a restricted Dijkstra that only expands
-	// host-infrastructure vertices.
-	machineOf    []int // GPU position -> machine order index (0..NumMachines-1)
-	machineStart []int // machine order index -> first GPU position
-	intraDist    [][][]float64
-	intraBW      [][][]float64
-	intraP2P     [][][]bool
+	// traffic, so distances come from a search that only expands
+	// host-infrastructure vertices (see search).
+	intraDist [][][]float64
+	intraBW   [][][]float64
+	intraP2P  [][][]bool
 
 	// Cross-machine composition: GPU -> machine-vertex distance plus
 	// machine -> network-root distance, composed hierarchically so
 	// cluster topologies need no dense GPU×GPU matrix.
 	toRootDist []float64 // per GPU position
 	toRootBW   []float64
-	netDist    []float64 // per machine order index: machine vertex -> network root
+	netDist    []float64 // per machine: machine vertex -> network root
 	netBW      []float64
 	hasNet     bool
 
-	// Lookup tables built once: machine value -> GPU positions, socket
-	// membership, and socket indices per machine.
-	machineGPUs    map[int][]int
-	socketGPUs     map[socketKey][]int
-	machineSockets map[int][]int
-	// Dense per-GPU views of the node and socket tables for the placement
-	// hot path: the position's machine (Node.Machine), the GPU count of
-	// its socket, and the bit of that socket's ordinal within the machine
-	// (ascending socket index).
-	gpuMachine []int
-	socketSize []int
-	socketBit  []uint64
-
-	adj     [][]adjEdge
-	adjOnce sync.Once
-
-	shapes    []string // MachineShape memo, per machine order index
+	shapes    []string // MachineShape memo, per machine
 	shapeOnce sync.Once
 
 	// Extreme pair distances, precomputed at Build time so the placement
@@ -182,19 +177,16 @@ type Topology struct {
 	minPairDist float64
 	maxPairDist float64
 
-	// Extreme-allocation memoization. The maps are guarded by mu; each
-	// size's result is computed exactly once inside its entry's sync.Once,
-	// so concurrent readers sharing one topology (the sweep engine's
-	// substrate cache) neither race nor duplicate the expensive greedy
+	// Extreme-allocation memo: extreme[0][g] is BestAllocation(g),
+	// extreme[1][g] WorstAllocation(g), each computed once inside its
+	// entry's sync.Once, so concurrent readers sharing one topology (the
+	// sweep engine's substrate cache) neither race nor duplicate the greedy
 	// search. Cached slices are returned as-is and must not be mutated.
-	mu         sync.Mutex
-	extremeMin map[int]*extremeEntry // cached BestAllocation by g
-	extremeMax map[int]*extremeEntry // cached WorstAllocation by g
+	extreme [2][]extremeEntry
 }
 
 // extremeEntry memoizes one extreme allocation and its pairwise-distance
-// sum. The once gate makes initialization safe and single-shot under
-// concurrent readers without holding the topology mutex during the search.
+// sum.
 type extremeEntry struct {
 	once sync.Once
 	set  []int
@@ -208,11 +200,7 @@ type Builder struct {
 
 // NewBuilder returns a Builder for a topology with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{t: &Topology{
-		Name:           name,
-		RoutingPenalty: 3.5,
-		g:              graph.New(),
-	}}
+	return &Builder{t: &Topology{Name: name, RoutingPenalty: routingPenalty(true)}}
 }
 
 // SetRoutingPenalty overrides the routed-path bandwidth penalty.
@@ -223,7 +211,7 @@ func (b *Builder) SetRoutingPenalty(p float64) *Builder {
 
 // AddNode adds a vertex at the given level and returns its ID.
 func (b *Builder) AddNode(level Level, name string, machine, socket, index int) int {
-	id := b.t.g.AddVertex(name)
+	id := len(b.t.nodes)
 	b.t.nodes = append(b.t.nodes, Node{
 		ID: id, Level: level, Name: name,
 		Machine: machine, Socket: socket, Index: index,
@@ -245,7 +233,6 @@ func (b *Builder) AddLink(a, c int, typ LinkType, bandwidth, weight float64) *Bu
 		lo, hi = hi, lo
 	}
 	b.t.links = append(b.t.links, Link{A: lo, B: hi, Type: typ, Bandwidth: bandwidth, Weight: weight})
-	b.t.g.AddEdge(a, c, weight)
 	return b
 }
 
@@ -300,38 +287,44 @@ func (t *Topology) GPU(pos int) Node { return t.nodes[t.gpus[pos]] }
 
 // MachineOf returns the machine of the GPU at position pos:
 // GPU(pos).Machine, read from a dense table.
-func (t *Topology) MachineOf(pos int) int { return t.gpuMachine[pos] }
+func (t *Topology) MachineOf(pos int) int { return t.machineOf[pos] }
 
-// GPUsOfMachine returns the GPU positions belonging to machine m. The
-// returned slice is shared and must not be mutated.
+// GPUsOfMachine returns the GPU positions belonging to machine m, nil for
+// a machine the topology does not have. The returned slice is shared and
+// must not be mutated.
 func (t *Topology) GPUsOfMachine(m int) []int {
-	if lst, ok := t.machineGPUs[m]; ok {
-		return lst
+	if m < 0 || m >= len(t.machines) {
+		return nil
+	}
+	lo, hi := t.machineStart[m], t.machineStart[m+1]
+	return t.positions[lo:hi:hi]
+}
+
+// GPUsOfSocket returns the GPU positions of socket s on machine m, nil
+// when no GPU sits there. The returned slice is shared and must not be
+// mutated.
+func (t *Topology) GPUsOfSocket(m, s int) []int {
+	if ord, ok := slices.BinarySearch(t.Sockets(m), s); ok {
+		return t.socketGPUs[m][ord]
 	}
 	return nil
 }
 
-// GPUsOfSocket returns the GPU positions of socket s on machine m. The
-// returned slice is shared and must not be mutated.
-func (t *Topology) GPUsOfSocket(m, s int) []int {
-	return t.socketGPUs[socketKey{m, s}]
-}
-
-// Sockets returns the distinct socket indices on machine m, ascending.
-// The returned slice is shared and must not be mutated.
+// Sockets returns the distinct socket indices holding a GPU on machine m,
+// ascending. The returned slice is shared and must not be mutated.
 func (t *Topology) Sockets(m int) []int {
-	return t.machineSockets[m]
+	if m < 0 || m >= len(t.machines) {
+		return nil
+	}
+	return t.sockets[m]
 }
-
-// NumSockets returns the total socket count across all machines.
-func (t *Topology) NumSockets() int { return len(t.socketGPUs) }
 
 // MaxSocketsPerMachine bounds the sockets of one machine: SocketBit packs
 // a machine's sockets into one word.
 const MaxSocketsPerMachine = 64
 
 // SocketSize returns the number of GPUs on the socket of the GPU at pos —
-// len(GPUsOfSocket) of its (machine, socket) without the map read.
+// len(GPUsOfSocket) of its (machine, socket).
 func (t *Topology) SocketSize(pos int) int { return t.socketSize[pos] }
 
 // SocketBit returns the one-bit mask of the socket of the GPU at pos
@@ -384,7 +377,7 @@ func (t *Topology) PathBandwidth(a, b int) float64 {
 	if !t.hasNet {
 		return 0
 	}
-	return min4(t.toRootBW[a], t.netBW[ma], t.netBW[mb], t.toRootBW[b])
+	return min(t.toRootBW[a], t.netBW[ma], t.netBW[mb], t.toRootBW[b])
 }
 
 // EffectiveBandwidth returns the bandwidth usable by GPU-to-GPU
@@ -417,29 +410,12 @@ func (t *Topology) P2P(a, b int) bool {
 	return t.intraP2P[ma][la][lb]
 }
 
-func min4(a, b, c, d float64) float64 {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	if d < m {
-		m = d
-	}
-	return m
-}
-
 // SameMachine reports whether two GPU positions are on the same machine.
-func (t *Topology) SameMachine(a, b int) bool {
-	return t.nodes[t.gpus[a]].Machine == t.nodes[t.gpus[b]].Machine
-}
+func (t *Topology) SameMachine(a, b int) bool { return t.machineOf[a] == t.machineOf[b] }
 
 // SameSocket reports whether two GPU positions share machine and socket.
 func (t *Topology) SameSocket(a, b int) bool {
-	na, nb := t.nodes[t.gpus[a]], t.nodes[t.gpus[b]]
-	return na.Machine == nb.Machine && na.Socket == nb.Socket
+	return t.machineOf[a] == t.machineOf[b] && t.socketBit[a] == t.socketBit[b]
 }
 
 // MinPairDistance returns the smallest non-zero GPU-to-GPU distance in the
@@ -454,47 +430,29 @@ func (t *Topology) MinPairDistance() float64 { return t.minPairDist }
 // Build time.
 func (t *Topology) MaxPairDistance() float64 { return t.maxPairDist }
 
-// computeMinPairDistance scans for the smallest non-zero pair distance.
-func (t *Topology) computeMinPairDistance() float64 {
-	best := graph.Inf
-	// Intra-machine candidates.
-	for mi := range t.intraDist {
-		m := t.intraDist[mi]
+// computePairExtremes scans for the smallest non-zero and the largest
+// finite pair distance.
+func (t *Topology) computePairExtremes() {
+	lo, hi := graph.Inf, 0.0
+	for _, m := range t.intraDist {
 		for i := range m {
-			for j := i + 1; j < len(m); j++ {
-				if m[i][j] < best {
-					best = m[i][j]
+			for _, d := range m[i][i+1:] {
+				lo = min(lo, d)
+				if d > hi && d < graph.Inf {
+					hi = d
 				}
 			}
 		}
 	}
-	// Cross-machine candidates: the two cheapest GPU-to-root attachments
+	// Cross-machine candidates: the two extreme GPU-to-root attachments
 	// on distinct machines.
-	if t.hasNet && len(t.machineStart) > 1 {
-		best = minFloat(best, t.extremeCrossPair(false))
-	}
-	return best
-}
-
-// computeMaxPairDistance scans for the largest finite pair distance.
-func (t *Topology) computeMaxPairDistance() float64 {
-	worst := 0.0
-	for mi := range t.intraDist {
-		m := t.intraDist[mi]
-		for i := range m {
-			for j := i + 1; j < len(m); j++ {
-				if m[i][j] > worst && m[i][j] < graph.Inf {
-					worst = m[i][j]
-				}
-			}
+	if t.hasNet && len(t.machines) > 1 {
+		lo = min(lo, t.extremeCrossPair(false))
+		if c := t.extremeCrossPair(true); c > hi && c < graph.Inf {
+			hi = c
 		}
 	}
-	if t.hasNet && len(t.machineStart) > 1 {
-		if c := t.extremeCrossPair(true); c > worst && c < graph.Inf {
-			worst = c
-		}
-	}
-	return worst
+	t.minPairDist, t.maxPairDist = lo, hi
 }
 
 // extremeCrossPair returns the minimal (or maximal) cross-machine pair
@@ -516,8 +474,7 @@ func (t *Topology) extremeCrossPair(maximize bool) float64 {
 		}
 		return a < b
 	}
-	for pos := range t.gpus {
-		mi := t.machineOf[pos]
+	for pos, mi := range t.machineOf {
 		c := t.toRootDist[pos] + t.netDist[mi]
 		if better(c, best1.cost) {
 			if best1.machine != mi {
@@ -537,255 +494,223 @@ func (t *Topology) extremeCrossPair(maximize bool) float64 {
 	return best1.cost + best2.cost
 }
 
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Graph exposes the underlying weighted graph (read-only use).
-func (t *Topology) Graph() *graph.Graph { return t.g }
-
-// socketKey identifies a socket by (machine value, socket index).
-type socketKey struct{ Machine, Socket int }
-
-// computeMatrices derives the per-machine distance/bandwidth/P2P matrices
-// and the hierarchical cross-machine aggregates. Distances use a
-// restricted Dijkstra that never expands a GPU vertex other than the
-// source: physical GPUs do not forward traffic, so a GPU can terminate a
-// path but never relay one.
+// computeMatrices checks the machine numbering, fills the dense position,
+// machine and socket tables, and derives the per-machine
+// distance/bandwidth/P2P matrices and the hierarchical cross-machine
+// aggregates from one search per GPU plus one from the network root.
 func (t *Topology) computeMatrices() {
-	t.extremeMin = map[int]*extremeEntry{}
-	t.extremeMax = map[int]*extremeEntry{}
-
-	t.machineGPUs = map[int][]int{}
-	t.socketGPUs = map[socketKey][]int{}
-	t.machineSockets = map[int][]int{}
-	for pos, id := range t.gpus {
-		nd := t.nodes[id]
-		t.machineGPUs[nd.Machine] = append(t.machineGPUs[nd.Machine], pos)
-		k := socketKey{nd.Machine, nd.Socket}
-		if len(t.socketGPUs[k]) == 0 {
-			t.machineSockets[nd.Machine] = append(t.machineSockets[nd.Machine], nd.Socket)
+	n, nm := len(t.gpus), len(t.machines)
+	for m, id := range t.machines {
+		if got := t.nodes[id].Machine; got != m {
+			panic(fmt.Sprintf("topology: machine vertex %s is added as machine %d but numbered %d; machines must be numbered 0..M-1 in the order they are added", t.nodes[id].Name, m, got))
 		}
-		t.socketGPUs[k] = append(t.socketGPUs[k], pos)
 	}
-	for m, sockets := range t.machineSockets {
-		sort.Ints(sockets)
+	t.positions = make([]int, n)
+	t.machineOf = make([]int, n)
+	t.machineStart = make([]int, nm+1)
+	for pos, id := range t.gpus {
+		m := t.nodes[id].Machine
+		if m < 0 || m >= nm {
+			panic(fmt.Sprintf("topology: GPU %s is on machine %d, but the machine vertices are 0..%d", t.nodes[id].Name, m, nm-1))
+		}
+		t.positions[pos] = pos
+		t.machineOf[pos] = m
+		t.machineStart[m+1] = pos + 1 // GPUs are sorted by machine: the last write is m's end
+	}
+	for m := 0; m < nm; m++ {
+		if t.machineStart[m+1] <= t.machineStart[m] {
+			panic(fmt.Sprintf("topology: machine %d has no GPU", m))
+		}
+	}
+
+	t.sockets = make([][]int, nm)
+	t.socketGPUs = make([][][]int, nm)
+	t.socketSize = make([]int, n)
+	t.socketBit = make([]uint64, n)
+	for m := range t.sockets {
+		gpus := t.GPUsOfMachine(m)
+		sockets := make([]int, len(gpus))
+		for i, pos := range gpus {
+			sockets[i] = t.nodes[t.gpus[pos]].Socket
+		}
+		slices.Sort(sockets)
+		sockets = slices.Compact(sockets)
 		if len(sockets) > MaxSocketsPerMachine {
 			panic(fmt.Sprintf("topology: machine %d has %d sockets, at most %d are supported", m, len(sockets), MaxSocketsPerMachine))
 		}
-	}
-	t.gpuMachine = make([]int, len(t.gpus))
-	t.socketSize = make([]int, len(t.gpus))
-	t.socketBit = make([]uint64, len(t.gpus))
-	for pos, id := range t.gpus {
-		nd := t.nodes[id]
-		t.gpuMachine[pos] = nd.Machine
-		t.socketSize[pos] = len(t.socketGPUs[socketKey{nd.Machine, nd.Socket}])
-		ord, _ := slices.BinarySearch(t.machineSockets[nd.Machine], nd.Socket)
-		t.socketBit[pos] = 1 << ord
-	}
-
-	n := len(t.gpus)
-	t.machineOf = make([]int, n)
-	// Machine order indices follow the sorted GPU ordering, so each
-	// machine's GPU positions are contiguous.
-	var machineIDs []int // distinct Node.Machine values, in position order
-	for pos, id := range t.gpus {
-		m := t.nodes[id].Machine
-		if len(machineIDs) == 0 || machineIDs[len(machineIDs)-1] != m {
-			machineIDs = append(machineIDs, m)
-			t.machineStart = append(t.machineStart, pos)
+		t.sockets[m] = sockets
+		t.socketGPUs[m] = make([][]int, len(sockets))
+		for _, pos := range gpus {
+			ord, _ := slices.BinarySearch(sockets, t.nodes[t.gpus[pos]].Socket)
+			t.socketGPUs[m][ord] = append(t.socketGPUs[m][ord], pos)
+			t.socketBit[pos] = 1 << ord
 		}
-		t.machineOf[pos] = len(machineIDs) - 1
+		for _, on := range t.socketGPUs[m] {
+			for _, pos := range on {
+				t.socketSize[pos] = len(on)
+			}
+		}
 	}
 
 	t.toRootDist = make([]float64, n)
 	t.toRootBW = make([]float64, n)
-	t.intraDist = make([][][]float64, len(machineIDs))
-	t.intraBW = make([][][]float64, len(machineIDs))
-	t.intraP2P = make([][][]bool, len(machineIDs))
-
-	// Machine-vertex node ID per machine order index.
-	machineNode := make([]int, len(machineIDs))
-	for mi, mID := range machineIDs {
-		machineNode[mi] = -1
-		for _, nodeID := range t.machines {
-			if t.nodes[nodeID].Machine == mID {
-				machineNode[mi] = nodeID
-				break
+	t.intraDist = make([][][]float64, nm)
+	t.intraBW = make([][][]float64, nm)
+	t.intraP2P = make([][][]bool, nm)
+	s := newSearch(t.nodes, t.links)
+	for m, mv := range t.machines {
+		gpus := t.GPUsOfMachine(m)
+		k := len(gpus)
+		t.intraDist[m] = make([][]float64, k)
+		t.intraBW[m] = make([][]float64, k)
+		t.intraP2P[m] = make([][]bool, k)
+		for li, pos := range gpus {
+			s.run(t.gpus[pos])
+			t.intraDist[m][li] = make([]float64, k)
+			t.intraBW[m][li] = make([]float64, k)
+			t.intraP2P[m][li] = make([]bool, k)
+			for lj, other := range gpus {
+				dst := t.gpus[other]
+				t.intraDist[m][li][lj] = s.dist[dst]
+				t.intraBW[m][li][lj] = s.bw[dst]
+				t.intraP2P[m][li][lj] = li != lj && s.dist[dst] < graph.Inf && !s.crossHost[dst]
 			}
-		}
-	}
-
-	for mi := range machineIDs {
-		start := t.machineStart[mi]
-		end := n
-		if mi+1 < len(t.machineStart) {
-			end = t.machineStart[mi+1]
-		}
-		k := end - start
-		t.intraDist[mi] = make([][]float64, k)
-		t.intraBW[mi] = make([][]float64, k)
-		t.intraP2P[mi] = make([][]bool, k)
-		for li := 0; li < k; li++ {
-			src := t.gpus[start+li]
-			dist, bw, crossHost := t.restrictedDijkstra(src)
-			t.intraDist[mi][li] = make([]float64, k)
-			t.intraBW[mi][li] = make([]float64, k)
-			t.intraP2P[mi][li] = make([]bool, k)
-			for lj := 0; lj < k; lj++ {
-				dst := t.gpus[start+lj]
-				t.intraDist[mi][li][lj] = dist[dst]
-				t.intraBW[mi][li][lj] = bw[dst]
-				t.intraP2P[mi][li][lj] = li != lj && dist[dst] < graph.Inf && !crossHost[dst]
-			}
-			if mv := machineNode[mi]; mv >= 0 {
-				t.toRootDist[start+li] = dist[mv]
-				t.toRootBW[start+li] = bw[mv]
-			}
+			t.toRootDist[pos] = s.dist[mv]
+			t.toRootBW[pos] = s.bw[mv]
 		}
 	}
 
 	// Network aggregates: distance and widest-path bandwidth from each
 	// machine vertex to the (single) network root.
-	netRoot := -1
-	for _, nd := range t.nodes {
-		if nd.Level == LevelNetwork {
-			netRoot = nd.ID
-			break
-		}
-	}
+	netRoot := slices.IndexFunc(t.nodes, func(nd Node) bool { return nd.Level == LevelNetwork })
 	t.hasNet = netRoot >= 0
-	t.netDist = make([]float64, len(machineIDs))
-	t.netBW = make([]float64, len(machineIDs))
+	t.netDist = make([]float64, nm)
+	t.netBW = make([]float64, nm)
 	if t.hasNet {
-		dist, bw, _ := t.restrictedDijkstra(netRoot)
-		for mi, mv := range machineNode {
-			if mv >= 0 {
-				t.netDist[mi] = dist[mv]
-				t.netBW[mi] = bw[mv]
-			} else {
-				t.netDist[mi] = graph.Inf
-			}
+		s.run(netRoot)
+		for m, mv := range t.machines {
+			t.netDist[m] = s.dist[mv]
+			t.netBW[m] = s.bw[mv]
 		}
 	}
 
-	t.minPairDist = t.computeMinPairDistance()
-	t.maxPairDist = t.computeMaxPairDistance()
+	t.computePairExtremes()
+	t.extreme[0] = make([]extremeEntry, n+1)
+	t.extreme[1] = make([]extremeEntry, n+1)
 }
 
-// restrictedDijkstra runs Dijkstra from src over the topology where GPU
-// vertices other than src are never expanded (they can terminate but not
-// relay paths — physical GPUs do not forward traffic) and network vertices
-// other than src are likewise terminal (confining GPU-sourced searches to
-// their machine; cross-machine distances compose hierarchically). It
-// returns, per node: the distance, the bottleneck bandwidth of the best
-// path, and whether that path crossed a host vertex (socket, machine or
-// network) — the P2P criterion.
-func (t *Topology) restrictedDijkstra(src int) (dist, bw []float64, crossHost []bool) {
-	nn := len(t.nodes)
-	dist = make([]float64, nn)
-	bw = make([]float64, nn)
-	crossHost = make([]bool, nn)
-	for i := range dist {
-		dist[i] = graph.Inf
-	}
-	dist[src] = 0
-	bw[src] = graph.Inf
-
-	t.adjOnce.Do(t.buildAdjacency)
-
-	pq := &topoHeap{{v: src, d: 0}}
-	for pq.Len() > 0 {
-		it := heapPop(pq)
-		if it.d > dist[it.v] {
-			continue
-		}
-		lvl := t.nodes[it.v].Level
-		// GPUs and network roots other than the source terminate paths.
-		if it.v != src && (lvl == LevelGPU || lvl == LevelNetwork) {
-			continue
-		}
-		relayIsHost := lvl != LevelGPU && lvl != LevelSwitch
-		for _, e := range t.adj[it.v] {
-			nd := it.d + e.w
-			if nd < dist[e.to]-1e-12 {
-				dist[e.to] = nd
-				nb := bw[it.v]
-				if e.bw < nb {
-					nb = e.bw
-				}
-				bw[e.to] = nb
-				crossHost[e.to] = crossHost[it.v] || relayIsHost
-				heapPush(pq, topoItem{v: e.to, d: nd})
-			}
-		}
-	}
-	return dist, bw, crossHost
+// search is Build's shortest-path scratch: the link adjacency with per-edge
+// bandwidths and one set of per-vertex results, allocated once per Build.
+// After run(src), dist, bw and crossHost hold, per vertex: the distance
+// from src, the bottleneck bandwidth of the best path, and whether that
+// path crossed a host vertex (socket, machine or network) — the P2P
+// criterion.
+type search struct {
+	nodes     []Node
+	adj       [][]edge
+	dist, bw  []float64
+	crossHost []bool
+	touched   []int        // vertices the last run wrote; the next run resets only those
+	pq        []searchItem // binary min-heap on d, see push and pop
 }
 
-type adjEdge struct {
+type edge struct {
 	to int
 	w  float64
 	bw float64
 }
 
-// buildAdjacency materializes the link adjacency with per-edge bandwidths,
-// shared by all restrictedDijkstra calls.
-func (t *Topology) buildAdjacency() {
-	t.adj = make([][]adjEdge, len(t.nodes))
-	for _, l := range t.links {
-		t.adj[l.A] = append(t.adj[l.A], adjEdge{to: l.B, w: l.Weight, bw: l.Bandwidth})
-		t.adj[l.B] = append(t.adj[l.B], adjEdge{to: l.A, w: l.Weight, bw: l.Bandwidth})
+func newSearch(nodes []Node, links []Link) *search {
+	s := &search{
+		nodes:     nodes,
+		adj:       make([][]edge, len(nodes)),
+		dist:      make([]float64, len(nodes)),
+		bw:        make([]float64, len(nodes)),
+		crossHost: make([]bool, len(nodes)),
+	}
+	for _, l := range links {
+		s.adj[l.A] = append(s.adj[l.A], edge{to: l.B, w: l.Weight, bw: l.Bandwidth})
+		s.adj[l.B] = append(s.adj[l.B], edge{to: l.A, w: l.Weight, bw: l.Bandwidth})
+	}
+	for v := range s.dist {
+		s.dist[v] = graph.Inf
+	}
+	return s
+}
+
+// run is Dijkstra from src where GPU vertices other than src are never
+// expanded (they can terminate but not relay paths — physical GPUs do not
+// forward traffic) and network vertices other than src are likewise
+// terminal. A GPU-sourced run therefore stays inside its machine — it
+// touches that machine's vertices and the network root, nothing else —
+// and cross-machine distances compose hierarchically. Equal-distance ties
+// go to the path relaxed first, which fixes bw and crossHost: the order
+// the heap pops equal distances in is part of the result.
+func (s *search) run(src int) {
+	for _, v := range s.touched {
+		s.dist[v], s.bw[v], s.crossHost[v] = graph.Inf, 0, false
+	}
+	s.touched = append(s.touched[:0], src)
+	s.dist[src], s.bw[src] = 0, graph.Inf
+	s.pq = append(s.pq[:0], searchItem{v: src})
+	for len(s.pq) > 0 {
+		it := s.pop()
+		if it.d > s.dist[it.v] {
+			continue
+		}
+		lvl := s.nodes[it.v].Level
+		// GPUs and network roots other than the source terminate paths.
+		if it.v != src && (lvl == LevelGPU || lvl == LevelNetwork) {
+			continue
+		}
+		relayIsHost := lvl != LevelGPU && lvl != LevelSwitch
+		for _, e := range s.adj[it.v] {
+			nd := it.d + e.w
+			if nd < s.dist[e.to]-1e-12 {
+				s.dist[e.to] = nd
+				s.bw[e.to] = min(s.bw[it.v], e.bw)
+				s.crossHost[e.to] = s.crossHost[it.v] || relayIsHost
+				s.touched = append(s.touched, e.to)
+				s.push(searchItem{v: e.to, d: nd})
+			}
+		}
 	}
 }
 
-type topoItem struct {
+type searchItem struct {
 	v int
 	d float64
 }
 
-type topoHeap []topoItem
-
-func (h topoHeap) less(i, j int) bool { return h[i].d < h[j].d }
-func (h topoHeap) Len() int           { return len(h) }
-
-func heapPush(h *topoHeap, it topoItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
+// push and pop keep pq a binary min-heap on d, sifting exactly as
+// container/heap would; that package is not used because it boxes every
+// item twice, which was 74k of the 134k allocations of a 1000-machine Build.
+func (s *search) push(it searchItem) {
+	s.pq = append(s.pq, it)
+	for i := len(s.pq) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !(*h).less(i, parent) {
+		if !(s.pq[i].d < s.pq[parent].d) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		s.pq[i], s.pq[parent] = s.pq[parent], s.pq[i]
 		i = parent
 	}
 }
 
-func heapPop(h *topoHeap) topoItem {
-	top := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(*h) && (*h).less(l, smallest) {
-			smallest = l
+func (s *search) pop() searchItem {
+	top, last := s.pq[0], len(s.pq)-1
+	s.pq[0] = s.pq[last]
+	s.pq = s.pq[:last]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child+1 < last && s.pq[child+1].d < s.pq[child].d {
+			child++
 		}
-		if r < len(*h) && (*h).less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		if child >= last || !(s.pq[child].d < s.pq[i].d) {
 			break
 		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
+		s.pq[i], s.pq[child] = s.pq[child], s.pq[i]
+		i = child
 	}
 	return top
 }
