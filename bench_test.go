@@ -514,6 +514,105 @@ func BenchmarkSubmitDeepQueue(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleWalkDeepQueue measures one in-order round over a queue
+// of 15000 waiting jobs that places exactly one of them: release the
+// running job, submit a replacement at the tail, schedule. The walk steps
+// the queue's head past the placed job; sliding the 15000 survivors down
+// instead is what this pins against.
+func BenchmarkScheduleWalkDeepQueue(b *testing.B) {
+	const depth = 15000
+	topo := topology.Power8Minsky()
+	mapper, err := core.NewMapper(profile.Generate(topo, 4), core.DefaultWeights())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := schedcore.New(schedcore.FCFS, cluster.NewState(topo), mapper)
+	submit := func(i int) {
+		if err := c.Submit(job.New(fmt.Sprintf("q%d", i), perfmodel.AlexNet, 4, 4, 0, float64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i <= depth; i++ {
+		submit(i)
+	}
+	running := c.Schedule()[0].Job.ID
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Release(running); err != nil {
+			b.Fatal(err)
+		}
+		submit(depth + 1 + i)
+		ds := c.Schedule()
+		if len(ds) != 2 || ds[0].Postponed {
+			b.Fatal("the head of the queue did not place")
+		}
+		running = ds[0].Job.ID
+	}
+}
+
+// BenchmarkSelectVictims measures one scheduling round whose only queued
+// job is a blocked priority-1 four-GPU job on sim-contended's mixed fleet,
+// full with ≈ 165 running jobs — the preemption path's victim search and
+// nothing else. no-lower-tier: everything running is priority 1 too, the
+// common case on a contended cluster, answered off the victim index.
+// one-tier-below: everything running is priority 0, so all 60 machines
+// propose a victim set; the job's minimum utility is out of reach, so every
+// set is evaluated and rejected and the round repeats unchanged.
+func BenchmarkSelectVictims(b *testing.B) {
+	specs, err := topology.ParseMix("minsky:24+dgx1:12+pcie:24")
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := topology.HeterogeneousCluster(specs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mapper, err := core.NewMapper(profile.Generate(topo, 4), core.DefaultWeights())
+	if err != nil {
+		b.Fatal(err)
+	}
+	disc, err := schedcore.ParseDiscipline("priority")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		runningPrio int
+	}{{"no-lower-tier", 1}, {"one-tier-below", 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			c := schedcore.New(schedcore.TopoAwareP, cluster.NewState(topo), mapper, schedcore.WithQueueDiscipline(disc))
+			c.SetPreemption(true)
+			n := 0
+			for m := 0; m < topo.NumMachines(); m++ {
+				for gpus := topo.GPUsOfMachine(m); len(gpus) > 0; n++ {
+					size := min([]int{2, 2, 1, 2}[n%4], len(gpus))
+					j := job.New(fmt.Sprintf("r%d", n), perfmodel.AlexNet, 1, size, 0, float64(n))
+					j.Priority = tc.runningPrio
+					if err := c.Restore(j, gpus[:size], 0); err != nil {
+						b.Fatal(err)
+					}
+					gpus = gpus[size:]
+				}
+			}
+			hi := job.New("hi", perfmodel.AlexNet, 1, 4, 1, float64(n))
+			hi.Priority = 1
+			if err := c.Submit(hi); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ds := c.Schedule(); len(ds) != 1 || !ds[0].Postponed {
+					b.Fatal("the blocked job did not stay blocked")
+				}
+			}
+			b.StopTimer()
+			if st := c.Stats(); st.Preemptions != 0 || len(c.Running()) != n {
+				b.Fatalf("%d preemptions, %d of %d jobs still running", st.Preemptions, len(c.Running()), n)
+			}
+		})
+	}
+}
+
 // BenchmarkSimulatorThroughput measures simulated jobs per second of the
 // trace-driven engine at scenario-1 scale.
 func BenchmarkSimulatorThroughput(b *testing.B) {

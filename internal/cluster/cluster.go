@@ -36,6 +36,9 @@ type Resident struct {
 	// a GPU there shares a socket with the job exactly when its own bit is
 	// in the mask.
 	Sockets uint64
+	// GPUs counts the job's GPUs on the machine — what evicting it frees
+	// there.
+	GPUs int
 }
 
 // State is the mutable allocation state over an immutable topology.
@@ -284,6 +287,7 @@ func (s *State) rebuildResidents(m int) {
 			rs = slices.Insert(rs, i, Resident{Alloc: s.allocs[id]})
 		}
 		rs[i].Sockets |= s.topo.SocketBit(pos)
+		rs[i].GPUs++
 	}
 	s.residents[m], s.residentOK[m] = rs, true
 }
@@ -342,8 +346,9 @@ func (s *State) Slowdown(a *Allocation) float64 {
 // count, the committed bus bandwidth (the jobs there, each counted once),
 // the placement fingerprint unless it is marked stale, and the resident
 // table — its rows are exactly the jobs owning a GPU there, in sorted-ID
-// order, each with this state's own Allocation and the socket mask
-// topology.SameSocket yields position by position. Over the cluster: the
+// order, each with this state's own Allocation, the socket mask
+// topology.SameSocket yields position by position and the count of GPUs
+// the owner table gives the job there. Over the cluster: the
 // free total, MaxFreeGPUs, FreeMachines and Eq. 5's Fragmentation. The
 // two float sums are maintained incrementally and compare within 1e-9.
 // It is a test and diagnosis aid — O(GPUs · job size), allocating — not a
@@ -407,6 +412,15 @@ func (s *State) CheckInvariants() error {
 			}
 			if r.Sockets != want {
 				return fmt.Errorf("cluster: machine %d: job %s socket mask %#x, SameSocket gives %#x", m, ids[i], r.Sockets, want)
+			}
+			held := 0
+			for _, pos := range gpus {
+				if s.owner[pos] == ids[i] {
+					held++
+				}
+			}
+			if r.GPUs != held {
+				return fmt.Errorf("cluster: machine %d: job %s resident GPU count %d, owner table gives %d", m, ids[i], r.GPUs, held)
 			}
 		}
 		if s.fp != nil && s.fp[m] != "" && s.fp[m] != s.computeFingerprint(m) {

@@ -141,6 +141,7 @@ func TestCheckInvariantsCatchesEachTable(t *testing.T) {
 		{"maxFree", func() func() { old := s.maxFree; s.maxFree = old + 1; return func() { s.maxFree = old } }, "MaxFreeGPUs"},
 		{"freeMachines", func() func() { old := s.freeMachines; s.freeMachines = old + 1; return func() { s.freeMachines = old } }, "FreeMachines"},
 		{"fp", func() func() { old := s.fp[2]; s.fp[2] = s.fp[3]; return func() { s.fp[2] = old } }, "machine 2: fingerprint"},
+		{"residents.GPUs", func() func() { s.residents[3][0].GPUs++; return func() { s.residents[3][0].GPUs-- } }, "resident GPU count"},
 	} {
 		restore := tc.corrupt()
 		err := s.CheckInvariants()

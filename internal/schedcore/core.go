@@ -164,10 +164,16 @@ type Core struct {
 	place         placer
 	victimScratch *cluster.State
 	victimPlacer  placer
+	// victimCands and victimHeld are the victim search's per-machine
+	// candidate buffers: the candidates in eviction order and the GPUs each
+	// holds on the machine. Dead once selectVictims returns.
+	victimCands []*job.Job
+	victimHeld  []int
 
 	// Preemption bookkeeping. running mirrors the cluster state's
 	// allocations as job objects, so victim selection can rank running
-	// jobs by priority without a reverse lookup. pendingRequeue stages
+	// jobs by priority without a reverse lookup; tiers counts them per
+	// priority (the victim index — see addRunning). pendingRequeue stages
 	// the victims evicted during the current Schedule round: they rejoin
 	// the queue only after the round's dispatch finishes, so the round
 	// never examines a job it just evicted. deferred holds parked
@@ -176,6 +182,7 @@ type Core struct {
 	// round (see scheduleIndexed).
 	preemptOn      bool
 	running        map[string]*job.Job
+	tiers          []tier
 	pendingRequeue []*job.Job
 	deferred       []entry
 	evictedInRound bool
@@ -319,7 +326,7 @@ func (c *Core) Release(jobID string) error {
 	if err := c.state.Release(jobID); err != nil {
 		return err
 	}
-	delete(c.running, jobID)
+	c.removeRunning(jobID)
 	return nil
 }
 
@@ -332,7 +339,7 @@ func (c *Core) Restore(j *job.Job, gpus []int, bandwidth float64) error {
 	if err := c.state.Allocate(j.ID, gpus, bandwidth, j.Traits()); err != nil {
 		return err
 	}
-	c.running[j.ID] = j
+	c.addRunning(j)
 	return nil
 }
 
@@ -422,21 +429,26 @@ func (c *Core) waited(e *entry) int {
 }
 
 // scheduleWalk is the in-order path (FCFS, BF, TOPO-AWARE): examine the
-// head of the queue until one blocks. The survivors slide to the front of
-// the queue's own backing array.
+// head of the queue until one blocks. The queue then starts at the first
+// survivor — the head advances, nothing moves — and the dead prefix goes
+// when insertOrdered next outgrows the shrunken capacity and regrows the
+// backing array from the live entries alone.
 func (c *Core) scheduleWalk(now float64) {
 	placed := 0
 	for placed < len(c.queue) && c.examine(&c.queue[placed], now) {
 		placed++
 	}
-	if placed == 0 {
-		return
-	}
-	keep := copy(c.queue, c.queue[placed:])
-	// Clear the dropped tail so placed jobs do not linger in the backing
+	// Clear the dropped prefix so placed jobs do not linger in the backing
 	// array and keep their allocations reachable.
-	clear(c.queue[keep:])
-	c.queue = c.queue[:keep]
+	clear(c.queue[:placed])
+	if placed < len(c.queue) {
+		c.queue = c.queue[placed:]
+	} else {
+		// Drained: there is no survivor to start at, so keep the whole
+		// capacity — a short queue that empties every round would
+		// otherwise reallocate on every Submit.
+		c.queue = c.queue[:0]
+	}
 }
 
 // scheduleIndexed is the wake-up-index path (TOPO-AWARE-P only). It
@@ -668,7 +680,7 @@ func (c *Core) tryPlace(j *job.Job) Decision {
 	if err := c.state.Allocate(j.ID, placement.GPUs, placement.BusDemand, j.Traits()); err != nil {
 		return Decision{Job: j, Postponed: true, Reason: "no-capacity"}
 	}
-	c.running[j.ID] = j
+	c.addRunning(j)
 	return Decision{
 		Job:         j,
 		Placement:   placement,

@@ -37,7 +37,12 @@ func newSchedWith(t *testing.T, policy Policy, topo *topology.Topology, opts ...
 // minutes on a hundred-machine fleet.
 func mapperUpTo4(t *testing.T, topo *topology.Topology) *core.Mapper {
 	t.Helper()
-	m, err := core.NewMapper(profile.Generate(topo, 4), core.DefaultWeights())
+	return mapperUpTo(t, topo, 4)
+}
+
+func mapperUpTo(t *testing.T, topo *topology.Topology, maxGPUs int) *core.Mapper {
+	t.Helper()
+	m, err := core.NewMapper(profile.Generate(topo, maxGPUs), core.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,6 +312,66 @@ func TestWithdrawClearsVacatedSlot(t *testing.T) {
 	}
 	if tail := s.queue[:3][2]; tail != (entry{}) {
 		t.Fatalf("vacated slot still holds %+v", tail)
+	}
+}
+
+// TestWalkQueueBackingStaysBounded: the in-order walk drops its placed
+// prefix by advancing the queue's head, so the backing array is reclaimed
+// only when a Submit regrows it. Over a steady submit/place stream ten
+// times the queue's depth the capacity must stay within a constant factor
+// of the peak length, and a walk must leave no placed job in the prefix
+// it stepped over.
+func TestWalkQueueBackingStaysBounded(t *testing.T) {
+	const depth = 2000
+	s := newSched(t, FCFS, topology.Power8Minsky())
+	submit := func(i int) {
+		t.Helper()
+		if err := s.Submit(mkJob(fmt.Sprintf("q%d", i), 1, 4, 0, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < depth; i++ {
+		submit(i)
+	}
+	running := ""
+	for i := depth; i < 11*depth; i++ {
+		if running != "" {
+			if err := s.Release(running); err != nil {
+				t.Fatal(err)
+			}
+		}
+		submit(i)
+		before := s.queue // the same backing array, head included
+		decs := s.Schedule()
+		if len(decs) != 2 || decs[0].Postponed || !decs[1].Postponed {
+			t.Fatalf("round %d: want the head placed and the next job blocked behind it, got %d decisions", i, len(decs))
+		}
+		running = decs[0].Job.ID
+		if before[0] != (entry{}) {
+			t.Fatalf("round %d: placed job %s still in the slot the walk stepped over", i, running)
+		}
+		if len(s.queue) != depth || &s.queue[0] != &before[1] {
+			t.Fatalf("round %d: queue is %d long and did not advance one slot in place", i, len(s.queue))
+		}
+		if got := cap(s.queue); got > 2*(depth+1) {
+			t.Fatalf("round %d: queue capacity %d for %d entries", i, got, len(s.queue))
+		}
+	}
+
+	// A queue that drains keeps its array: a short queue emptied every
+	// round must not reallocate on every Submit.
+	short := newSched(t, FCFS, topology.Power8Minsky())
+	for i := 0; i < 3; i++ {
+		if err := short.Submit(mkJob(fmt.Sprintf("s%d", i), 1, 1, 0, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	was := cap(short.queue)
+	if got := placedIDs(short.Schedule()); len(got) != 3 {
+		t.Fatalf("placed %v, want all three", got)
+	}
+	if len(short.queue) != 0 || cap(short.queue) != was {
+		t.Fatalf("drained queue: len %d cap %d, want the whole %d-slot array kept", len(short.queue), cap(short.queue), was)
 	}
 }
 

@@ -61,9 +61,9 @@ func queuedIDs(c *schedcore.Core) []string {
 // checkRound runs one scheduling round on both sides and compares the
 // placements (with each one's waited-round count), the queue order, the
 // running set and the postponement total, then checks the invariants of
-// the core's cluster state. The total is what pins the
-// index's bulk accounting: a parked job gets no decision record, so its
-// postponement exists only in that counter.
+// the core's cluster state and of the core's own running-set tables. The
+// total is what pins the index's bulk accounting: a parked job gets no
+// decision record, so its postponement exists only in that counter.
 func checkRound(t *testing.T, tr *Trace, where string, ref *Reference, c *schedcore.Core) {
 	t.Helper()
 	want := ref.Schedule()
@@ -84,6 +84,12 @@ func checkRound(t *testing.T, tr *Trace, where string, ref *Reference, c *schedc
 	// tables included, so a table gone stale would mislead both sides
 	// alike: hold the core's live state to its owner table directly.
 	if err := c.State().CheckInvariants(); err != nil {
+		t.Fatalf("%s %s: %v", tr, where, err)
+	}
+	// Likewise the victim index: a count gone wrong only ever makes the
+	// core skip a search the reference runs, which shows as a divergence
+	// rounds later, if at all.
+	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("%s %s: %v", tr, where, err)
 	}
 }

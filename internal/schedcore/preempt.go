@@ -40,8 +40,14 @@ func (c *Core) preemptEligible(j *job.Job) bool { return c.preemptOn && j.Priori
 // preemptAndPlace runs the preemption path for the blocked entry and, on
 // success, performs the placed-decision bookkeeping that examine does
 // for regular placements. It returns false when no viable victim set
-// exists, leaving the caller to postpone the job as usual.
+// exists, leaving the caller to postpone the job as usual — at once, off
+// the victim index, when nothing of lower priority is running: on a
+// contended cluster that is nearly every blocked high-priority job, every
+// round.
 func (c *Core) preemptAndPlace(e *entry, now float64) bool {
+	if !c.victimsRunning(e.job.Priority) {
+		return false
+	}
 	start := time.Now() //lint:ignore wallclock decision-latency instrumentation, the documented exception: elapsed feeds Stats only, never scheduling decisions
 	d, ok := c.tryPreempt(e.job)
 	elapsed := time.Since(start) //lint:ignore wallclock decision-latency instrumentation, the documented exception
@@ -81,7 +87,7 @@ func (c *Core) tryPreempt(j *job.Job) (Decision, bool) {
 		if err := c.state.Release(v.ID); err != nil {
 			panic(fmt.Sprintf("schedcore: evicting %s: %v", v.ID, err))
 		}
-		delete(c.running, v.ID)
+		c.removeRunning(v.ID)
 	}
 	c.evictedInRound = true
 	c.pendingRequeue = append(c.pendingRequeue, victims...)
@@ -98,7 +104,7 @@ func (c *Core) tryPreempt(j *job.Job) (Decision, bool) {
 	if err := c.state.Allocate(j.ID, placement.GPUs, placement.BusDemand, j.Traits()); err != nil {
 		panic(fmt.Sprintf("schedcore: committing preemptive placement of %s: %v", j.ID, err))
 	}
-	c.running[j.ID] = j
+	c.addRunning(j)
 	return Decision{
 		Job:         j,
 		Placement:   placement,
@@ -124,49 +130,111 @@ func victimOrder(a, b *job.Job) int {
 	return strings.Compare(a.ID, b.ID)
 }
 
+// tier is one entry of the victim index: n running jobs hold priority
+// prio.
+type tier struct{ prio, n int }
+
+// addRunning registers a placed (or restored) job: in the running set and
+// in its priority's tier of the victim index. tiers ascends by priority
+// and holds no empty tier, so "is anything of lower priority running?" is
+// a look at tiers[0]. addRunning and removeRunning are the only writers of
+// either table — the counts change exactly where running changes.
+func (c *Core) addRunning(j *job.Job) {
+	c.running[j.ID] = j
+	i := 0
+	for i < len(c.tiers) && c.tiers[i].prio < j.Priority {
+		i++
+	}
+	if i == len(c.tiers) || c.tiers[i].prio != j.Priority {
+		c.tiers = slices.Insert(c.tiers, i, tier{prio: j.Priority})
+	}
+	c.tiers[i].n++
+}
+
+// removeRunning drops a released or evicted job from the running set and
+// the victim index. An ID the core never placed (a test occupying GPUs on
+// the state directly) is in neither.
+func (c *Core) removeRunning(id string) {
+	j, ok := c.running[id]
+	if !ok {
+		return
+	}
+	delete(c.running, id)
+	i := slices.IndexFunc(c.tiers, func(t tier) bool { return t.prio == j.Priority })
+	if c.tiers[i].n--; c.tiers[i].n == 0 {
+		c.tiers = slices.Delete(c.tiers, i, i+1)
+	}
+}
+
+// victimsRunning reports whether any running job has a priority strictly
+// below prio — whether a victim search for such a job has candidates at
+// all.
+func (c *Core) victimsRunning(prio int) bool {
+	return len(c.tiers) > 0 && c.tiers[0].prio < prio
+}
+
+// CheckInvariants recounts the victim index from the running set and the
+// running set from the cluster state, and reports the first divergence:
+// tiers that are not the ascending, non-empty per-priority counts of the
+// running jobs, or a running set whose IDs are not exactly the state's
+// allocated jobs. A test and diagnosis aid, like
+// cluster.State.CheckInvariants; a core whose state was also allocated on
+// directly fails the second check by design.
+func (c *Core) CheckInvariants() error {
+	recount := Core{running: map[string]*job.Job{}}
+	for _, j := range c.running {
+		recount.addRunning(j)
+	}
+	if !slices.Equal(c.tiers, recount.tiers) {
+		return fmt.Errorf("schedcore: victim index holds {priority jobs} %v, the running set recounts to %v", c.tiers, recount.tiers)
+	}
+	if run, alloc := c.Running(), c.state.Jobs(); !slices.Equal(run, alloc) {
+		return fmt.Errorf("schedcore: running set %v, cluster state allocates %v", run, alloc)
+	}
+	return nil
+}
+
+// victimSet is one evaluated candidate: the victims in eviction order and
+// the keys sets compare on.
+type victimSet struct {
+	victims []*job.Job
+	maxPrio int
+	utility float64
+	machine int
+}
+
+// better orders candidate sets: evict from the lowest tier, as few jobs as
+// possible, un-fragmenting the arrival the most, the lowest proposing
+// machine on a full tie.
+func (s *victimSet) better(b *victimSet) bool {
+	if s.maxPrio != b.maxPrio {
+		return s.maxPrio < b.maxPrio
+	}
+	if len(s.victims) != len(b.victims) {
+		return len(s.victims) < len(b.victims)
+	}
+	if s.utility != b.utility {
+		return s.utility > b.utility
+	}
+	return s.machine < b.machine
+}
+
 // selectVictims picks the victim set for j: among the running jobs with
 // strictly lower priority, the greedy prefix (in victimOrder) that frees
 // enough GPUs for j's availableResources gate and whose post-eviction
 // Eq. 1 placement scores best. For single-node jobs each machine
-// proposes its own set (victims holding GPUs there, freed until the
-// machine fits the job); multi-node jobs build one cluster-wide set.
-// Candidate sets are evaluated on clones of the cluster state, so a
-// rejected set has no side effects. Sets are compared by (highest victim
-// priority, then victim count, then placement utility descending, then
-// proposing machine) — evict from the lowest tier, as few jobs as
-// possible, un-fragmenting the arrival the most. Returns the winning
-// victims (eviction order) and the utility its evaluation achieved.
+// proposes its own set — a job is a candidate on machine m iff it has a
+// row in the state's Residents(m) and a strictly lower priority, freed
+// until the machine fits the job; multi-node jobs build one cluster-wide
+// set. Candidate sets are evaluated on the pooled scratch copy of the
+// cluster state, so a rejected set has no side effects. Sets are compared
+// by victimSet.better. Returns the winning victims (eviction order) and
+// the utility its evaluation achieved. The caller has checked
+// victimsRunning: without a lower tier the search finds nothing, only
+// slower.
 func (c *Core) selectVictims(j *job.Job) ([]*job.Job, float64) {
-	cands := make([]*job.Job, 0, len(c.running))
-	for _, v := range c.running {
-		if v.Priority < j.Priority {
-			cands = append(cands, v)
-		}
-	}
-	if len(cands) == 0 {
-		return nil, 0
-	}
-	slices.SortFunc(cands, victimOrder)
-
-	type scored struct {
-		victims []*job.Job
-		maxPrio int
-		utility float64
-		machine int
-	}
-	var best *scored
-	better := func(s, b *scored) bool {
-		if s.maxPrio != b.maxPrio {
-			return s.maxPrio < b.maxPrio
-		}
-		if len(s.victims) != len(b.victims) {
-			return len(s.victims) < len(b.victims)
-		}
-		if s.utility != b.utility {
-			return s.utility > b.utility
-		}
-		return s.machine < b.machine
-	}
+	var best victimSet
+	found := false
 	// evaluate releases the victims on the pooled scratch clone and
 	// re-runs the policy through the pooled victim placer. A feasible
 	// set must both pass the capacity gate and actually place (bandwidth
@@ -191,60 +259,66 @@ func (c *Core) selectVictims(j *job.Job) ([]*job.Job, float64) {
 		if placement == nil {
 			return
 		}
-		s := &scored{victims: victims, maxPrio: victims[0].Priority, utility: placement.Utility, machine: machine}
-		for _, v := range victims {
-			if v.Priority > s.maxPrio {
-				s.maxPrio = v.Priority
-			}
-		}
-		if best == nil || better(s, best) {
-			best = s
+		// victims is in victimOrder, lowest tier first: the last one's
+		// priority is the highest.
+		s := victimSet{victims: victims, maxPrio: victims[len(victims)-1].Priority, utility: placement.Utility, machine: machine}
+		if !found || s.better(&best) {
+			// victims is a prefix of the caller's candidate buffer: the
+			// winner keeps its own copy.
+			s.victims = append(best.victims[:0], victims...)
+			best, found = s, true
 		}
 	}
 
 	if j.SingleNode {
-		topo := c.state.Topology()
-		gpuCountOn := func(v *job.Job, m int) int {
-			n := 0
-			for _, pos := range c.state.Allocation(v.ID).GPUs {
-				if topo.MachineOf(pos) == m {
-					n++
-				}
-			}
-			return n
-		}
-		for m := 0; m < topo.NumMachines(); m++ {
+		for m := 0; m < c.state.Topology().NumMachines(); m++ {
 			freed := c.state.FreeCountOnMachine(m)
 			if freed >= j.GPUs {
 				continue // the machine fits without evictions; placement failed for other reasons eviction there cannot fix
 			}
-			var set []*job.Job
-			for _, v := range cands {
-				n := gpuCountOn(v, m)
-				if n == 0 {
+			// The machine's candidates, in victimOrder, beside what each
+			// holds here. Residents rows ascend by job ID and victimOrder is
+			// total, so this is the cluster-wide ranking filtered to m.
+			cands, held := c.victimCands[:0], c.victimHeld[:0]
+			for _, r := range c.state.Residents(m) {
+				v, ok := c.running[r.Alloc.JobID]
+				if !ok || v.Priority >= j.Priority {
 					continue
 				}
-				set = append(set, v)
+				i := len(cands)
+				for i > 0 && victimOrder(v, cands[i-1]) < 0 {
+					i--
+				}
+				cands, held = slices.Insert(cands, i, v), slices.Insert(held, i, r.GPUs)
+			}
+			c.victimCands, c.victimHeld = cands, held
+			for i, n := range held {
 				freed += n
 				if freed >= j.GPUs {
-					evaluate(slices.Clone(set), m)
+					evaluate(cands[:i+1], m)
 					break
 				}
 			}
 		}
+		clear(c.victimCands[:cap(c.victimCands)]) // hold no job past the search
 	} else {
+		cands := make([]*job.Job, 0, len(c.running))
+		for _, v := range c.running {
+			if v.Priority < j.Priority {
+				cands = append(cands, v)
+			}
+		}
+		slices.SortFunc(cands, victimOrder)
 		freed := c.state.FreeGPUCount()
-		var set []*job.Job
-		for _, v := range cands {
-			set = append(set, v)
+		for i, v := range cands {
 			freed += len(c.state.Allocation(v.ID).GPUs)
 			if freed >= j.GPUs {
-				evaluate(slices.Clone(set), -1)
+				evaluate(cands[:i+1], -1)
 				break
 			}
 		}
 	}
-	if best == nil {
+	if !found {
 		return nil, 0
 	}
 	return best.victims, best.utility

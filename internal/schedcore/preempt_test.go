@@ -1,8 +1,13 @@
 package schedcore
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"gputopo/internal/cluster"
 	"gputopo/internal/job"
 	"gputopo/internal/topology"
 )
@@ -268,5 +273,304 @@ func TestVictimSearchAllocs(t *testing.T) {
 	// on a clone regression.
 	if avg > 1000 {
 		t.Fatalf("preemption cycle allocates %.0f/op, want <= 1000", avg)
+	}
+}
+
+// selectVictimsNaive is the victim search as it stood before the victim
+// index, kept as the reference selectVictims is held to: every
+// lower-priority running job sorted cluster-wide, then each machine asking
+// every candidate how many GPUs it holds there. Only evaluate differs from
+// the old body — a fresh Clone and a throwaway placer per candidate set, so
+// the reference shares no scratch with what it checks.
+func (c *Core) selectVictimsNaive(j *job.Job) ([]*job.Job, float64) {
+	cands := make([]*job.Job, 0, len(c.running))
+	for _, v := range c.running {
+		if v.Priority < j.Priority {
+			cands = append(cands, v)
+		}
+	}
+	if len(cands) == 0 {
+		return nil, 0
+	}
+	slices.SortFunc(cands, victimOrder)
+
+	type scored struct {
+		victims []*job.Job
+		maxPrio int
+		utility float64
+		machine int
+	}
+	var best *scored
+	better := func(s, b *scored) bool {
+		if s.maxPrio != b.maxPrio {
+			return s.maxPrio < b.maxPrio
+		}
+		if len(s.victims) != len(b.victims) {
+			return len(s.victims) < len(b.victims)
+		}
+		if s.utility != b.utility {
+			return s.utility > b.utility
+		}
+		return s.machine < b.machine
+	}
+	evaluate := func(victims []*job.Job, machine int) {
+		cs := c.state.Clone()
+		for _, v := range victims {
+			if err := cs.Release(v.ID); err != nil {
+				panic(fmt.Sprintf("schedcore: evaluating eviction of %s: %v", v.ID, err))
+			}
+		}
+		p := placer{policy: c.policy, state: cs, mapper: c.mapper}
+		placement, _ := p.attempt(j)
+		if placement == nil {
+			return
+		}
+		s := &scored{victims: victims, maxPrio: victims[0].Priority, utility: placement.Utility, machine: machine}
+		for _, v := range victims {
+			if v.Priority > s.maxPrio {
+				s.maxPrio = v.Priority
+			}
+		}
+		if best == nil || better(s, best) {
+			best = s
+		}
+	}
+
+	if j.SingleNode {
+		topo := c.state.Topology()
+		gpuCountOn := func(v *job.Job, m int) int {
+			n := 0
+			for _, pos := range c.state.Allocation(v.ID).GPUs {
+				if topo.MachineOf(pos) == m {
+					n++
+				}
+			}
+			return n
+		}
+		for m := 0; m < topo.NumMachines(); m++ {
+			freed := c.state.FreeCountOnMachine(m)
+			if freed >= j.GPUs {
+				continue
+			}
+			var set []*job.Job
+			for _, v := range cands {
+				n := gpuCountOn(v, m)
+				if n == 0 {
+					continue
+				}
+				set = append(set, v)
+				freed += n
+				if freed >= j.GPUs {
+					evaluate(slices.Clone(set), m)
+					break
+				}
+			}
+		}
+	} else {
+		freed := c.state.FreeGPUCount()
+		var set []*job.Job
+		for _, v := range cands {
+			set = append(set, v)
+			freed += len(c.state.Allocation(v.ID).GPUs)
+			if freed >= j.GPUs {
+				evaluate(slices.Clone(set), -1)
+				break
+			}
+		}
+	}
+	if best == nil {
+		return nil, 0
+	}
+	return best.victims, best.utility
+}
+
+func ids(js []*job.Job) []string {
+	out := make([]string, len(js))
+	for i, j := range js {
+		out[i] = j.ID
+	}
+	return out
+}
+
+// TestSelectVictimsMatchesNaive holds the indexed victim search to the
+// old enumeration: random mixed-kind fleets filled to 70–100 % through
+// Restore with priorities 0/1/2 — one job in five spanning machines — and
+// single- and multi-node preemptors of priority 1 and 2 under every
+// policy. Winning victim list (in eviction order) and utility must be
+// equal on every draw; the coverage counters keep the population honest.
+func TestSelectVictimsMatchesNaive(t *testing.T) {
+	mixes := []string{"minsky:2+dgx1:1+pcie:2", "minsky:3+pcie:3", "dgx1:2+minsky-1g:2", "pcie:2+dgx1:1+minsky:1+minsky-2g:1"}
+	seeds := 40
+	if testing.Short() {
+		seeds = 10
+	}
+	var draws, found, spanning, multiVictim, multiNodeFound int
+	for mi, mix := range mixes {
+		specs, err := topology.ParseMix(mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := topology.HeterogeneousCluster(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapper := mapperUpTo(t, topo, 8)
+		for seed := 0; seed < seeds; seed++ {
+			rng := rand.New(rand.NewSource(int64(1000*mi + seed)))
+			c := New(AllPolicies()[seed%4], cluster.NewState(topo), mapper, WithQueueDiscipline(PriorityThenArrival()))
+			c.SetPreemption(true)
+			target := topo.NumGPUs() * (70 + rng.Intn(31)) / 100
+			for n := 0; topo.NumGPUs()-c.state.FreeGPUCount() < target; n++ {
+				free := c.state.FreeGPUs()
+				first := free[rng.Intn(len(free))]
+				gpus := c.state.FreeGPUsOnMachine(topo.MachineOf(first))
+				if rng.Intn(5) == 0 {
+					gpus = free // anywhere: the job may span machines
+				}
+				rng.Shuffle(len(gpus), func(i, k int) { gpus[i], gpus[k] = gpus[k], gpus[i] })
+				gpus = gpus[:min(1+rng.Intn(4), len(gpus))]
+				// Few distinct arrivals, so victimOrder reaches its ID tie-break.
+				v := mkPrioJob(fmt.Sprintf("r%03d", n), len(gpus), rng.Intn(3), float64(rng.Intn(6)))
+				if err := c.Restore(v, gpus, float64(rng.Intn(3))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 12; k++ {
+				j := mkPrioJob("hi", 1+rng.Intn(4), 1+rng.Intn(2), 100)
+				if k%3 == 2 {
+					j = mkPrioJob("wide", 2+rng.Intn(7), 1+rng.Intn(2), 100)
+					j.SingleNode = false
+				}
+				wantV, wantU := c.selectVictimsNaive(j)
+				gotV, gotU := c.selectVictims(j)
+				if !slices.Equal(ids(gotV), ids(wantV)) || gotU != wantU {
+					t.Fatalf("%s seed %d %s: %s (%d GPUs, priority %d, single-node %v): victims %v utility %v, the naive search gives %v utility %v",
+						mix, seed, c.policy, j.ID, j.GPUs, j.Priority, j.SingleNode, ids(gotV), gotU, ids(wantV), wantU)
+				}
+				draws++
+				if len(wantV) == 0 {
+					continue
+				}
+				found++
+				if len(wantV) > 1 {
+					multiVictim++
+				}
+				if !j.SingleNode {
+					multiNodeFound++
+				}
+				if slices.ContainsFunc(wantV, func(v *job.Job) bool {
+					return len(c.state.MachinesOf(c.state.Allocation(v.ID).GPUs)) > 1
+				}) {
+					spanning++
+				}
+			}
+		}
+	}
+	t.Logf("%d draws: %d found victims (%d several victims, %d a machine-spanning victim, %d for a multi-node preemptor)",
+		draws, found, multiVictim, spanning, multiNodeFound)
+	for name, n := range map[string]int{"found": found, "several victims": multiVictim, "spanning victim": spanning, "multi-node preemptor": multiNodeFound} {
+		if n < draws/40 {
+			t.Errorf("coverage too thin: %s on %d of %d draws", name, n, draws)
+		}
+	}
+}
+
+// fullOfPriority returns a preempting TOPO-AWARE-P core over minsky:128
+// with 400 one-GPU jobs of the given priority restored on GPUs 0..399:
+// machines 0..99 full, 100..127 empty.
+func fullOfPriority(t *testing.T, prio int) *Core {
+	t.Helper()
+	topo := topology.Cluster(128, topology.KindMinsky)
+	c := New(TopoAwareP, cluster.NewState(topo), mapperUpTo4(t, topo), WithQueueDiscipline(PriorityThenArrival()))
+	c.SetPreemption(true)
+	for i := 0; i < 400; i++ {
+		if err := c.Restore(mkPrioJob(jobID(i), 1, prio, float64(i)), []int{i}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// TestSelectVictimsNoLowerTierAllocatesNothing: a blocked job with no
+// strictly lower tier running — nearly every victim search on a contended
+// cluster — is answered off the victim index: no candidate list, no walk
+// over the 400 running jobs.
+func TestSelectVictimsNoLowerTierAllocatesNothing(t *testing.T) {
+	c := fullOfPriority(t, 1)
+	e := entry{job: mkPrioJob("hi", 4, 1, 1000)}
+	if n := testing.AllocsPerRun(100, func() {
+		if c.preemptAndPlace(&e, 0) {
+			t.Fatal("preempted a job of equal priority")
+		}
+	}); n != 0 {
+		t.Fatalf("a victim search with no lower tier allocates %v objects with 400 jobs running", n)
+	}
+	// One tier up the same search has work to do and does it.
+	if victims, _ := c.selectVictims(mkPrioJob("top", 4, 2, 1000)); len(victims) != 4 {
+		t.Fatalf("priority-2 preemptor over a priority-1 cluster: %d victims, want one machine's four", len(victims))
+	}
+}
+
+// TestCoreCheckInvariantsNamesEachTable corrupts the core's running-set
+// tables the way a missed update would — Release without the index's
+// decrement, Restore without its increment, a state allocated behind the
+// core's back — and demands CheckInvariants name each.
+func TestCoreCheckInvariantsNamesEachTable(t *testing.T) {
+	c := newSched(t, FCFS, topology.Power8Minsky())
+	for i, prio := range []int{0, 2, 2} {
+		if err := c.Restore(mkPrioJob(jobID(i), 1, prio, 0), []int{i}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func() (restore func())
+		want    string
+	}{
+		{"Release skips the decrement", func() func() {
+			j := c.running[jobID(0)]
+			delete(c.running, j.ID)
+			return func() { c.running[j.ID] = j }
+		}, "victim index holds {priority jobs} [{0 1} {2 2}], the running set recounts to [{2 2}]"},
+		{"Restore skips the increment", func() func() {
+			j := mkPrioJob("late", 1, 1, 0)
+			c.running[j.ID] = j
+			return func() { delete(c.running, j.ID) }
+		}, "victim index holds {priority jobs} [{0 1} {2 2}], the running set recounts to [{0 1} {1 1} {2 2}]"},
+		{"a tier miscounts", func() func() { c.tiers[1].n++; return func() { c.tiers[1].n-- } }, "victim index holds {priority jobs} [{0 1} {2 3}]"},
+		{"tiers out of order", func() func() { slices.Reverse(c.tiers); return func() { slices.Reverse(c.tiers) } }, "victim index holds {priority jobs} [{2 2} {0 1}]"},
+		{"state allocated directly", func() func() {
+			if err := c.state.Allocate("occ", []int{3}, 0, c.running[jobID(0)].Traits()); err != nil {
+				t.Fatal(err)
+			}
+			return func() { _ = c.state.Release("occ") }
+		}, "running set"},
+	} {
+		restore := tc.corrupt()
+		if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		restore()
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s, restored: %v", tc.name, err)
+		}
+	}
+	// The real updates keep it: every tier empties as its jobs leave.
+	for i := 0; i < 3; i++ {
+		if err := c.Release(jobID(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.tiers) != 0 {
+		t.Fatalf("tiers left behind on an empty core: %v", c.tiers)
 	}
 }
