@@ -1,10 +1,10 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (run `go test -bench=. -benchmem`), plus the ablation benches
-// DESIGN.md calls out and micro-benchmarks of the core algorithms. Each
-// figure benchmark regenerates the experiment end to end; the reported
-// ns/op is the cost of reproducing that figure on this machine, and the
-// experiment's own metrics are reported via b.ReportMetric where the paper
-// publishes a headline number.
+// evaluation (run `go test -bench=. -benchmem`), plus the ablations of
+// docs/reproducing-the-paper.md's map and micro-benchmarks of the core
+// algorithms. Each figure benchmark regenerates the experiment end to end;
+// the reported ns/op is the cost of reproducing that figure on this
+// machine, and the experiment's own metrics are reported via
+// b.ReportMetric where the paper publishes a headline number.
 package gputopo
 
 import (
@@ -105,11 +105,11 @@ func BenchmarkModelParallelStudy(b *testing.B) {
 func BenchmarkFig8Prototype(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		mp, _, err := experiments.Fig8Prototype(42)
+		rep, err := experiments.Fig8Prototype(42)
 		if err != nil {
 			b.Fatal(err)
 		}
-		speedup = mp.ByPolicy(schedcore.BestFit).Makespan / mp.ByPolicy(schedcore.TopoAwareP).Makespan
+		speedup = rep.ByPolicy(schedcore.BestFit).Makespan / rep.ByPolicy(schedcore.TopoAwareP).Makespan
 	}
 	b.ReportMetric(speedup, "topoP-vs-BF-speedup")
 }
@@ -142,11 +142,11 @@ func BenchmarkFig9Validation(b *testing.B) {
 func BenchmarkFig10Scenario1(b *testing.B) {
 	var viol float64
 	for i := 0; i < b.N; i++ {
-		mp, err := experiments.Scenario(100, 5, 42)
+		rep, err := experiments.Scenario1(42)
 		if err != nil {
 			b.Fatal(err)
 		}
-		viol = float64(mp.ByPolicy(schedcore.TopoAwareP).SLOViolations())
+		viol = float64(rep.ByPolicy(schedcore.TopoAwareP).SLOViolations)
 	}
 	b.ReportMetric(viol, "topoP-SLO-violations")
 }
@@ -154,19 +154,19 @@ func BenchmarkFig10Scenario1(b *testing.B) {
 // BenchmarkFig11Scenario2 regenerates Figure 11. The paper uses 10k jobs
 // on 1k machines; the benchmark defaults to a 1/5-scale replica (2k jobs,
 // 200 machines) so `go test -bench` completes in minutes — run
-// `cmd/topobench -fig 11` for the full scale (EXPERIMENTS.md records both).
+// `cmd/topobench -fig 11` for the full scale.
 func BenchmarkFig11Scenario2(b *testing.B) {
-	jobs, machines := 2000, 200
+	scale := experiments.Scale{Jobs: 2000, Machines: 200}
 	if testing.Short() {
-		jobs, machines = 400, 40
+		scale = experiments.Scale{Jobs: 400, Machines: 40}
 	}
 	var viol float64
 	for i := 0; i < b.N; i++ {
-		mp, err := experiments.Scenario(jobs, machines, 42)
+		rep, err := experiments.Scenario2(42, scale)
 		if err != nil {
 			b.Fatal(err)
 		}
-		viol = float64(mp.ByPolicy(schedcore.TopoAwareP).SLOViolations())
+		viol = float64(rep.ByPolicy(schedcore.TopoAwareP).SLOViolations)
 	}
 	b.ReportMetric(viol, "topoP-SLO-violations")
 }
@@ -352,31 +352,31 @@ func BenchmarkCandidateSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLevelWeights re-runs the Table 1 scenario across socket
-// weight settings (§4.1.2: only the ordering matters).
+// BenchmarkAblationLevelWeights re-runs the Table 1 scenario across the
+// `levelweights` grid's socket weights (§4.1.2: only the ordering matters).
 func BenchmarkAblationLevelWeights(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.LevelWeightAblation([]float64{10, 20, 50}); err != nil {
+		if _, err := experiments.LevelWeightAblation(42); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkAblationAlphaSweep sweeps the utility weight αcc on a reduced
-// scenario 1.
+// BenchmarkAblationAlphaSweep sweeps the utility weight αcc on scenario 1
+// (the `alpha` grid at one replica).
 func BenchmarkAblationAlphaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AlphaSweep([]float64{0, 1.0 / 3, 0.8}, 60, 3, 42); err != nil {
+		if _, err := experiments.AlphaSweep(42); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkAblationThresholdSweep sweeps the TOPO-AWARE-P postponement
-// threshold on a reduced scenario 1.
+// threshold on scenario 1 (the `threshold` grid at one replica).
 func BenchmarkAblationThresholdSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ThresholdSweep([]float64{0, 0.5, 0.9}, 60, 3, 42); err != nil {
+		if _, err := experiments.ThresholdSweep(42); err != nil {
 			b.Fatal(err)
 		}
 	}

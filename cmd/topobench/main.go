@@ -1,136 +1,71 @@
 // Command topobench regenerates every table and figure of the paper's
-// evaluation on the simulated substrate. Select an experiment with -fig:
+// evaluation on the simulated substrate. Select an experiment with -fig
+// (the list is experiments.Figures; main_test.go holds this comment to it):
 //
-//	topobench -fig 3         Figure 3  (compute/communication breakdown)
-//	topobench -fig 4         Figure 4  (pack vs spread speedup)
-//	topobench -fig 5         Figure 5  (NVLink bandwidth over time)
-//	topobench -fig 6         Figure 6  (co-location interference)
-//	topobench -fig pcie      §3.2      (NVLink vs PCIe machines)
-//	topobench -fig mp        §2        (model-parallel extension study)
-//	topobench -fig 8         Figure 8  (prototype, Table 1 workload)
-//	topobench -fig 9         Figure 9  (prototype vs simulation validation)
-//	topobench -fig 10        Figure 10 (scenario 1: 100 jobs, 5 machines)
-//	topobench -fig 11        Figure 11 (scenario 2: 10k jobs, 1k machines)
-//	topobench -fig overhead  §5.5.3    (decision-time overhead)
-//	topobench -fig ablations design-choice ablations
-//	topobench -fig all       everything above
+//	topobench -fig 3          Figure 3   (compute/communication breakdown)
+//	topobench -fig 4          Figure 4   (pack vs spread speedup)
+//	topobench -fig 5          Figure 5   (NVLink bandwidth over time)
+//	topobench -fig 6          Figure 6   (co-location interference)
+//	topobench -fig pcie       §3.2       (NVLink vs PCIe machines)
+//	topobench -fig mp         §2         (model-parallel extension study)
+//	topobench -fig 8          Figure 8   (prototype, Table 1 workload)
+//	topobench -fig 9          Figure 9   (prototype vs simulation validation)
+//	topobench -fig 10         Figure 10  (scenario 1: 100 jobs, 5 machines)
+//	topobench -fig 11         Figure 11  (scenario 2: 10k jobs, 1k machines)
+//	topobench -fig overhead   §5.5.3     (decision-time overhead)
+//	topobench -fig ablations  §4–§5      (level-weight, α and threshold ablations)
+//	topobench -fig all        everything above
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"gputopo/internal/experiments"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "experiment to run: 3,4,5,6,pcie,8,9,10,11,overhead,ablations,all")
+	fig := flag.String("fig", "all", "experiment to run: "+strings.Join(keys(), ","))
 	seed := flag.Uint64("seed", 42, "random seed for workload generation and jitter")
 	scenario2Jobs := flag.Int("s2-jobs", 10000, "scenario 2 job count")
 	scenario2Machines := flag.Int("s2-machines", 1000, "scenario 2 machine count")
 	flag.Parse()
 
-	if err := run(*fig, *seed, *scenario2Jobs, *scenario2Machines); err != nil {
+	scale := experiments.Scale{Jobs: *scenario2Jobs, Machines: *scenario2Machines}
+	if err := run(os.Stdout, *fig, *seed, scale); err != nil {
 		fmt.Fprintln(os.Stderr, "topobench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, seed uint64, s2Jobs, s2Machines int) error {
-	all := fig == "all"
-	did := false
+// keys lists the valid -fig values in table order.
+func keys() []string {
+	var ks []string
+	for _, f := range experiments.Figures() {
+		ks = append(ks, f.Key)
+	}
+	return append(ks, "all")
+}
 
-	if all || fig == "3" {
-		fmt.Println(experiments.RenderFig3(experiments.Fig3Breakdown()))
-		did = true
-	}
-	if all || fig == "4" {
-		fmt.Println(experiments.RenderFig4(experiments.Fig4PackSpread()))
-		did = true
-	}
-	if all || fig == "5" {
-		series, err := experiments.Fig5Bandwidth(seed)
+// run prints the figure with the given key, or every figure for "all".
+func run(w io.Writer, fig string, seed uint64, scale experiments.Scale) error {
+	known := false
+	for _, f := range experiments.Figures() {
+		if fig != "all" && fig != f.Key {
+			continue
+		}
+		known = true
+		out, err := f.Run(seed, scale)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderFig5(series))
-		did = true
+		fmt.Fprintln(w, out)
 	}
-	if all || fig == "6" {
-		fmt.Println(experiments.RenderFig6(experiments.Fig6Interference()))
-		did = true
-	}
-	if all || fig == "pcie" {
-		fmt.Println(experiments.RenderPCIe(experiments.PCIeComparison()))
-		did = true
-	}
-	if all || fig == "mp" {
-		fmt.Println(experiments.RenderModelParallel(experiments.ModelParallelStudy()))
-		did = true
-	}
-	if all || fig == "8" {
-		mp, _, err := experiments.Fig8Prototype(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderFig8(mp))
-		did = true
-	}
-	if all || fig == "9" {
-		rows, err := experiments.Validate(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderValidation(rows))
-		did = true
-	}
-	if all || fig == "10" {
-		mp, err := experiments.Scenario(100, 5, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderScenario("Figure 10 — Scenario 1: 100 jobs, 5 machines", mp))
-		did = true
-	}
-	if all || fig == "11" {
-		mp, err := experiments.Scenario(s2Jobs, s2Machines, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderScenario(
-			fmt.Sprintf("Figure 11 — Scenario 2: %d jobs, %d machines", s2Jobs, s2Machines), mp))
-		did = true
-	}
-	if all || fig == "overhead" {
-		rows, err := experiments.Overhead(1000, 100, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderOverhead(rows))
-		did = true
-	}
-	if all || fig == "ablations" {
-		wr, err := experiments.LevelWeightAblation([]float64{5, 10, 20, 50, 200})
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderWeightAblation(wr))
-		ar, err := experiments.AlphaSweep([]float64{0, 0.2, 1.0 / 3, 0.5, 0.8}, 100, 5, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderAlphaSweep(ar))
-		tr, err := experiments.ThresholdSweep([]float64{0, 0.3, 0.5, 0.7, 0.9}, 100, 5, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderThresholdSweep(tr))
-		did = true
-	}
-
-	if !did {
-		return fmt.Errorf("unknown experiment %q", fig)
+	if !known {
+		return fmt.Errorf("unknown experiment %q (use one of %s)", fig, strings.Join(keys(), ","))
 	}
 	return nil
 }

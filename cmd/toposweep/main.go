@@ -10,12 +10,11 @@
 //	toposweep -grid default -workers 8        run a named grid
 //	toposweep -grid hetero                    heterogeneous (mixed-machine) clusters
 //	toposweep -grid @spec.json -out out.json  run an ad-hoc grid spec file
-//	toposweep -smoke                          CI shorthand for -grid smoke
 //	toposweep -grid alpha -csv alpha.csv      write a per-point CSV
 //	toposweep -diff old.json new.json         regression-diff two artifacts
-//	toposweep -smoke -bench BENCH_sweep.json  record wall-clock + jobs/sec
+//	toposweep -grid smoke -bench BENCH.json   record wall-clock + jobs/sec
 //	toposweep -diff-bench -tol 0.5 old new    perf-diff two bench artifacts
-//	toposweep -smoke -cpuprofile cpu.pprof    profile the sweep (also -memprofile)
+//	toposweep -grid smoke -cpuprofile c.pprof profile the sweep (also -memprofile)
 //
 // Topology specs in grid files cover homogeneous builders, heterogeneous
 // machine mixes ("mix": [{"kind": "minsky", "count": 2}, ...]) and
@@ -34,6 +33,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -47,7 +47,6 @@ func main() {
 		workers  = flag.Int("workers", runtime.NumCPU(), "worker pool size")
 		out      = flag.String("out", "", "write the JSON artifact to this path")
 		csv      = flag.String("csv", "", "write the per-point CSV to this path")
-		smoke    = flag.Bool("smoke", false, "run the sub-minute CI smoke grid (overrides -grid)")
 		seed     = flag.Uint64("seed", 42, "base seed; every point derives its own seed from it (overrides a spec file's base_seed when set explicitly)")
 		list     = flag.Bool("list", false, "list the available grids and exit; with a grid name argument, dump that grid as a JSON spec template")
 		quiet    = flag.Bool("quiet", false, "suppress per-point progress")
@@ -56,7 +55,7 @@ func main() {
 		tolStd   = flag.Float64("tol-stddev", 0, "with -diff: relative tolerance for the .stddev distribution metrics (0 = use -tol)")
 		tolP95   = flag.Float64("tol-p95", 0, "with -diff: relative tolerance for the .p95 distribution metrics (0 = use -tol)")
 		tolMet   = flag.String("tol-metric", "", "per-metric tolerance overrides for -diff/-diff-bench, e.g. makespan_s=0.05, makespan_s.p95=0.2 or allocs_per_op=0.1 (comma-separated)")
-		wallOff  = flag.Bool("wallclock-off", false, "with -diff-bench: skip wall-clock metrics (elapsed_sec, points/jobs per sec, ns_per_op) and gate allocation counts only — for noisy CI runners; also enabled by TOPOSWEEP_WALLCLOCK_OFF=1")
+		wallOff  = flag.Bool("wallclock-off", false, "with -diff-bench: skip wall-clock metrics (elapsed_sec, points/jobs per sec, ns_per_op) and gate allocation counts only — for noisy CI runners")
 		strict   = flag.Bool("strict", false, "with -diff, also exit 2 on improvements — any delta is a behavior change (used by the CI golden-baseline gate)")
 		bench    = flag.String("bench", "", "write a perf-tracking artifact (wall-clock, points/sec, jobs/sec) to this path after the run")
 		benchGo  = flag.String("bench-go", "", "with -bench: merge `go test -bench` output from this file into the artifact (ns/op, B/op, allocs/op)")
@@ -70,8 +69,7 @@ func main() {
 
 	switch {
 	case *diffB:
-		off := *wallOff || os.Getenv("TOPOSWEEP_WALLCLOCK_OFF") == "1"
-		res, err := diffBenchFiles(os.Stdout, flag.Args(), *tol, *tolMet, off)
+		res, err := diffBenchFiles(os.Stdout, flag.Args(), *tol, *tolMet, *wallOff)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "toposweep:", err)
 			os.Exit(1)
@@ -104,7 +102,7 @@ func main() {
 			out: *out, csv: *csv, bench: *bench, benchGo: *benchGo,
 			benchName: *benchNm, benchAppend: *benchApp,
 			cpuProfile: *cpuProf, memProfile: *memProf,
-			smoke: *smoke, seed: *seed, seedSet: seedSet, quiet: *quiet,
+			seed: *seed, seedSet: seedSet, quiet: *quiet,
 			workers: *workers,
 		}
 		if err := run(os.Stdout, *gridName, opts); err != nil {
@@ -145,32 +143,34 @@ type diffTols struct {
 	perMetric        string
 }
 
-// parseTolerances builds diff options from the tolerance flags.
-func parseTolerances(tols diffTols) (sweep.DiffOptions, error) {
-	opt := sweep.DiffOptions{RelTol: tols.tol, StddevRelTol: tols.stddev, P95RelTol: tols.p95}
-	if tols.perMetric == "" {
-		return opt, nil
+// parseMetricTolerances parses -tol-metric's comma-separated name=value
+// list against the metric names the differ in use knows; "" is nil.
+func parseMetricTolerances(spec string, known []string) (map[string]float64, error) {
+	if spec == "" {
+		return nil, nil
 	}
-	known := map[string]bool{}
-	for _, m := range sweep.DiffMetricNames() {
-		known[m] = true
-	}
-	opt.PerMetric = map[string]float64{}
-	for _, pair := range strings.Split(tols.perMetric, ",") {
+	out := map[string]float64{}
+	for _, pair := range strings.Split(spec, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
 		if !ok {
-			return opt, fmt.Errorf("-tol-metric entry %q is not metric=value", pair)
+			return nil, fmt.Errorf("-tol-metric entry %q is not metric=value", pair)
 		}
-		if !known[name] {
-			return opt, fmt.Errorf("-tol-metric: unknown metric %q (use one of %v)", name, sweep.DiffMetricNames())
+		if !slices.Contains(known, name) {
+			return nil, fmt.Errorf("-tol-metric: unknown metric %q (use one of %v)", name, known)
 		}
 		t, err := strconv.ParseFloat(val, 64)
 		if err != nil || t < 0 {
-			return opt, fmt.Errorf("-tol-metric: bad tolerance %q for %s", val, name)
+			return nil, fmt.Errorf("-tol-metric: bad tolerance %q for %s", val, name)
 		}
-		opt.PerMetric[name] = t
+		out[name] = t
 	}
-	return opt, nil
+	return out, nil
+}
+
+// parseTolerances builds diff options from the tolerance flags.
+func parseTolerances(tols diffTols) (sweep.DiffOptions, error) {
+	per, err := parseMetricTolerances(tols.perMetric, sweep.DiffMetricNames())
+	return sweep.DiffOptions{RelTol: tols.tol, StddevRelTol: tols.stddev, P95RelTol: tols.p95, PerMetric: per}, err
 }
 
 // diffFiles loads two JSON artifacts, diffs them under the tolerances and
@@ -225,7 +225,7 @@ type runOpts struct {
 	benchName              string
 	benchAppend            bool
 	cpuProfile, memProfile string
-	smoke, seedSet, quiet  bool
+	seedSet, quiet         bool
 	seed                   uint64
 }
 
@@ -234,9 +234,6 @@ func run(w io.Writer, gridName string, o runOpts) error {
 		// Fail before the sweep runs — on a scenario-2 grid this mistake
 		// would otherwise surface only after hours of simulation.
 		return fmt.Errorf("-bench-go requires -bench")
-	}
-	if o.smoke {
-		gridName = "smoke"
 	}
 	grid, err := resolveGrid(gridName, o.seed, o.seedSet)
 	if err != nil {
@@ -365,28 +362,11 @@ func diffBenchFiles(w io.Writer, args []string, tol float64, tolMetric string, w
 	if len(args) != 2 {
 		return nil, fmt.Errorf("-diff-bench needs exactly two artifacts: toposweep -diff-bench old.json new.json")
 	}
-	opt := sweep.BenchDiffOptions{RelTol: tol, WallClockOff: wallClockOff}
-	if tolMetric != "" {
-		known := map[string]bool{}
-		for _, m := range sweep.BenchDiffMetricNames() {
-			known[m] = true
-		}
-		opt.PerMetric = map[string]float64{}
-		for _, pair := range strings.Split(tolMetric, ",") {
-			name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok {
-				return nil, fmt.Errorf("-tol-metric entry %q is not metric=value", pair)
-			}
-			if !known[name] {
-				return nil, fmt.Errorf("-tol-metric: unknown bench metric %q (use one of %v)", name, sweep.BenchDiffMetricNames())
-			}
-			t, err := strconv.ParseFloat(val, 64)
-			if err != nil || t < 0 {
-				return nil, fmt.Errorf("-tol-metric: bad tolerance %q for %s", val, name)
-			}
-			opt.PerMetric[name] = t
-		}
+	per, err := parseMetricTolerances(tolMetric, sweep.BenchDiffMetricNames())
+	if err != nil {
+		return nil, err
 	}
+	opt := sweep.BenchDiffOptions{RelTol: tol, WallClockOff: wallClockOff, PerMetric: per}
 	reports := make([]*sweep.BenchReport, 2)
 	for i, path := range args {
 		data, err := os.ReadFile(path)
@@ -400,6 +380,6 @@ func diffBenchFiles(w io.Writer, args []string, tol float64, tolMetric string, w
 	}
 	res := sweep.DiffBench(reports[0], reports[1], opt)
 	res.OldName, res.NewName = args[0], args[1]
-	_, err := io.WriteString(w, res.Markdown())
+	_, err = io.WriteString(w, res.Markdown())
 	return res, err
 }

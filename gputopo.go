@@ -27,8 +27,9 @@
 //		Policy:   gputopo.TopoAwareP,
 //	}, jobs)
 //
-// See the examples/ directory for complete programs and EXPERIMENTS.md for
-// the paper-vs-measured record of every reproduced table and figure.
+// See the examples/ directory for complete programs and
+// docs/reproducing-the-paper.md for how to regenerate every reproduced
+// table and figure.
 package gputopo
 
 import (

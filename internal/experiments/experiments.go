@@ -1,13 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§3 and §5). Each function runs the corresponding experiment
-// on the simulated substrate and returns both structured results (asserted
-// by tests and benchmarks) and an ASCII rendering (printed by
-// cmd/topobench). EXPERIMENTS.md records paper-vs-measured for each.
+// evaluation (§3 and §5). Figures (figures.go) is the one table of them:
+// each entry is either a pure function of the performance model (this
+// file, modelparallel.go) or a registered sweep grid plus a renderer
+// (scenarios.go). cmd/topobench prints the table's entries and pins each
+// one to a recorded golden; docs/reproducing-the-paper.md maps them to the
+// paper.
 package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"gputopo/internal/caffesim"
 	"gputopo/internal/job"
@@ -15,7 +16,6 @@ import (
 	"gputopo/internal/metrics"
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/schedcore"
-	"gputopo/internal/simulator"
 	"gputopo/internal/sweep"
 	"gputopo/internal/topology"
 )
@@ -261,105 +261,4 @@ func RenderPCIe(rows []PCIeRow) string {
 	}
 	return "§3.2: AlexNet pack-vs-spread speedup, NVLink/P100 vs PCIe/K80\n" +
 		metrics.Table([]string{"batch", "NVLink", "PCIe"}, tr)
-}
-
-// MultiPolicy holds the four-policy comparison of one scenario.
-type MultiPolicy struct {
-	Results []*simulator.Result // in schedcore.AllPolicies() order
-}
-
-// ByPolicy returns the result for the given policy.
-func (m *MultiPolicy) ByPolicy(p schedcore.Policy) *simulator.Result {
-	for _, r := range m.Results {
-		if r.Policy == p {
-			return r
-		}
-	}
-	return nil
-}
-
-// multiPolicyFrom collects a single-cell sweep's results into the
-// paper's presentation order.
-func multiPolicyFrom(rep *sweep.Report) *MultiPolicy {
-	out := &MultiPolicy{}
-	for _, pol := range schedcore.AllPolicies() {
-		if pr := rep.ByPolicy(pol); pr != nil {
-			out.Results = append(out.Results, pr.Sim)
-		}
-	}
-	return out
-}
-
-// Fig8Prototype reproduces the §5.2 prototype experiment: the Table 1 six
-// job workload on one Minsky machine under all four policies, executed at
-// iteration granularity by the prototype engine — a one-cell sweep over
-// the policy axis.
-func Fig8Prototype(seed uint64) (*MultiPolicy, map[schedcore.Policy]*caffesim.Result, error) {
-	rep, err := sweep.Run(sweep.Grid{
-		Name:   "fig8",
-		Source: sweep.SourceTable1,
-		Engine: sweep.EngineProto,
-		Seeds:  []uint64{seed},
-	}, sweep.Options{})
-	if err != nil {
-		return nil, nil, fmt.Errorf("fig8: %w", err)
-	}
-	protos := map[schedcore.Policy]*caffesim.Result{}
-	for _, pol := range schedcore.AllPolicies() {
-		if pr := rep.ByPolicy(pol); pr != nil {
-			protos[pol] = pr.Proto
-		}
-	}
-	return multiPolicyFrom(rep), protos, nil
-}
-
-// Fig9Validation reproduces §5.4: the same Table 1 scenario on the
-// trace-driven simulator, for comparison against the prototype results
-// (the two engines should agree within iteration-boundary noise).
-func Fig9Validation(seed uint64) (*MultiPolicy, error) {
-	rep, err := sweep.Run(sweep.Grid{
-		Name:           "fig9",
-		Source:         sweep.SourceTable1,
-		Seeds:          []uint64{seed},
-		SampleInterval: 4,
-	}, sweep.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("fig9: %w", err)
-	}
-	return multiPolicyFrom(rep), nil
-}
-
-// Scenario runs the large-scale simulation of §5.5 with the given scale
-// (Scenario 1: 100 jobs / 5 machines; Scenario 2: 10k jobs / 1k machines)
-// as a one-cell sweep over the policy axis, so the four policies run
-// concurrently. The Poisson arrival rate scales with the cluster size so
-// the per-machine pressure matches scenario 1's λ = 10 jobs/minute on 5
-// machines (the paper specifies λ = 10 for the workload generator but not
-// how scenario 2 stays "heavily loaded"; constant per-machine load is the
-// substitution that preserves the queueing behaviour its figures show).
-func Scenario(jobs, machines int, seed uint64) (*MultiPolicy, error) {
-	rep, err := sweep.Run(sweep.Grid{
-		Name:           "scenario",
-		Machines:       []int{machines},
-		Jobs:           []int{jobs},
-		Seeds:          []uint64{seed},
-		RatePerMachine: 2, // λ = 10 jobs/minute per 5 machines
-	}, sweep.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	return multiPolicyFrom(rep), nil
-}
-
-// RenderScenario formats a multi-policy comparison with both slowdown
-// charts (the two panels of Figures 10 and 11).
-func RenderScenario(title string, mp *MultiPolicy) string {
-	var sb strings.Builder
-	sb.WriteString(title + "\n")
-	sb.WriteString(metrics.CompareRuns(mp.Results))
-	sb.WriteString("\n")
-	sb.WriteString(metrics.SlowdownChart("(a) JOB'S QOS — slowdown, jobs ordered worst to best", mp.Results, false, 64, 10))
-	sb.WriteString("\n")
-	sb.WriteString(metrics.SlowdownChart("(b) JOB'S QOS + WAITING TIME", mp.Results, true, 64, 10))
-	return sb.String()
 }

@@ -240,8 +240,10 @@ func Timeline(res *simulator.Result, numGPUs, width int) string {
 
 // CompareRuns renders the per-policy summary table of a multi-policy
 // experiment: cumulative execution time, speedup of the best policy over
-// each, SLO violations, mean slowdowns and waiting, and scheduler decision
-// overhead (§5.2.2, §5.5.3).
+// each, SLO violations, mean slowdowns and waiting (§5.2.2). Every cell is
+// a function of the simulated schedule alone, so the table is reproducible
+// byte for byte; decision cost is wall clock and belongs to §5.5.3's own
+// table (topobench -fig overhead).
 func CompareRuns(results []*simulator.Result) string {
 	best := results[0]
 	for _, r := range results {
@@ -259,11 +261,10 @@ func CompareRuns(results []*simulator.Result) string {
 			fmt.Sprintf("%.3f", r.MeanSlowdownQoS()),
 			fmt.Sprintf("%.3f", r.MeanSlowdownQoSWait()),
 			fmt.Sprintf("%.1f", r.TotalWait()),
-			r.SchedStats.MeanDecisionTime().String(),
 		})
 	}
 	return Table(
-		[]string{"policy", "cumulative(s)", "best-speedup", "SLO-viol", "mean-QoS-slow", "mean-QoS+W-slow", "total-wait(s)", "decision-time"},
+		[]string{"policy", "cumulative(s)", "best-speedup", "SLO-viol", "mean-QoS-slow", "mean-QoS+W-slow", "total-wait(s)"},
 		rows,
 	)
 }

@@ -14,7 +14,7 @@
 // penalty when the path is not peer-to-peer), and η is the fraction of
 // nominal link bandwidth the communication library achieves.
 //
-// Calibration targets (see EXPERIMENTS.md for the resulting fits):
+// Calibration targets (`topobench -fig 3|4|pcie` prints the resulting fits):
 //   - Fig. 3: AlexNet compute ≈1 s per 40 iterations at batch 1, ≈66 s at
 //     batch 128, communication ≈2 s flat across batch sizes.
 //   - Fig. 4: pack-vs-spread speedup ≈1.30x at batch 1–2 decaying to ≈1.0

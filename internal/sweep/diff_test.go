@@ -136,7 +136,7 @@ func TestDiffMarkdownTable(t *testing.T) {
 // TestGoldenBaseline keeps the committed CI baseline honest: it must
 // load, self-diff clean, and belong to the smoke grid. (CI's bench-smoke
 // job diffs a fresh run against it; regenerate with
-// `go run ./cmd/toposweep -smoke -out internal/sweep/testdata/golden_smoke.json`
+// `go run ./cmd/toposweep -grid smoke -out internal/sweep/testdata/golden_smoke.json`
 // whenever an intentional behavior change shifts the numbers.)
 func TestGoldenBaseline(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden_smoke.json")

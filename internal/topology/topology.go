@@ -133,7 +133,7 @@ type Topology struct {
 	// RoutingPenalty divides the bottleneck bandwidth of routed (non-P2P)
 	// paths, modelling the staging of transfers through host memory and
 	// the contention on the inter-socket bus. Calibrated per machine
-	// class against §3.2 of the paper (see DESIGN.md).
+	// class against §3.2 of the paper (routingPenalty).
 	RoutingPenalty float64
 
 	nodes []Node
