@@ -1,9 +1,10 @@
 // Command topoload is the load harness for toposerve: it drives a
 // §5.3-generator job stream at the /v1 HTTP API through the typed
 // client (internal/serveapi/client), measures the placement-decision
-// round trip at the client, and writes a BENCH_serve.json artifact
-// (the sweep bench schema's serving section) that toposweep -diff-bench
-// gates in CI.
+// round trip at the client, and prints a two-line summary: traffic
+// driven and how it fared, then the placement-latency percentiles and
+// decision throughput. It exits 1 when any request ended in a terminal
+// error, which is what fails CI's serving job.
 //
 //	toposerve -topology minsky:2 -max-queue 64 &
 //	topoload  -topology minsky:2 -url http://127.0.0.1:8080 -jobs 200 -workers 8
@@ -12,7 +13,7 @@
 // port (same engine, internal/serve) so one command benchmarks the
 // whole stack:
 //
-//	topoload -topology minsky:2 -policy topo-p -jobs 200 -o BENCH_serve.json
+//	topoload -topology minsky:2 -policy topo-p -jobs 200
 //
 // Traffic model: by default -workers closed-loop submitters drain the
 // generated job list; every placed job is released after -hold, so the
@@ -24,8 +25,7 @@
 // offered rate instead of self-throttling to server speed. Arrival
 // spacing is deterministic per -seed. Submissions rejected by
 // admission control are retried by the client per Retry-After up to its
-// budget; a terminal failure of any kind counts into the artifact's
-// errors metric, which the perf gate holds at zero deterministically.
+// budget; a terminal failure of any kind counts as an error.
 package main
 
 import (
@@ -68,9 +68,6 @@ type config struct {
 	retries    int
 	maxQueue   int
 	logPath    string
-	name       string
-	out        string
-	appendTo   bool
 	quiet      bool
 }
 
@@ -92,9 +89,6 @@ func main() {
 	flag.IntVar(&cfg.retries, "retries", 8, "client retry budget for 429 admission rejections")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 0, "in-process server admission limit (0: unlimited)")
 	flag.StringVar(&cfg.logPath, "log", "", "in-process server event-log path (empty: in-memory)")
-	flag.StringVar(&cfg.name, "name", "", "bench entry name (default serve/<topology>/<policy>)")
-	flag.StringVar(&cfg.out, "o", "BENCH_serve.json", "bench artifact path (empty: don't write)")
-	flag.BoolVar(&cfg.appendTo, "append", false, "merge into an existing artifact instead of overwriting")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the summary")
 	flag.Parse()
 	if err := run(cfg, os.Stdout); err != nil {
@@ -103,28 +97,63 @@ func main() {
 	}
 }
 
+// result is one load run, as the summary prints it.
+type result struct {
+	mode string // traffic model: "closed-loop" or "open-loop"
+	// jobs submissions were driven; placed of them were placed by their
+	// own POST and released again after -hold, so the run made
+	// jobs+placed requests. errors of those ended in a terminal failure
+	// (anything but an eventually-admitted 429, which retries429 counts).
+	jobs, placed, errors, retries429 int
+	decisions                        int // the server's count over the run
+	elapsed                          time.Duration
+	p50, p95, p99                    float64 // submit round trip, ms
+}
+
+// run drives the load, prints the summary, and reports any terminal
+// request failure as an error, so the process exit status carries it.
 func run(cfg config, w io.Writer) error {
-	spec, err := sweep.ParseTopologyArg(cfg.topoArg)
+	res, err := load(cfg)
 	if err != nil {
 		return err
 	}
+	if !cfg.quiet {
+		sec := res.elapsed.Seconds()
+		fmt.Fprintf(w, "topoload: serve/%s/%s (%s): %d jobs in %.2fs (%.1f jobs/s), %d placed on submit, %d errors, %d admission retries\n",
+			cfg.topoArg, cfg.policy, res.mode, res.jobs, sec, float64(res.jobs)/sec, res.placed, res.errors, res.retries429)
+		fmt.Fprintf(w, "topoload: placement latency p50=%.2fms p95=%.2fms p99=%.2fms, %d decisions (%.0f/s)\n",
+			res.p50, res.p95, res.p99, res.decisions, float64(res.decisions)/sec)
+	}
+	if res.errors > 0 {
+		return fmt.Errorf("%d of %d requests failed", res.errors, res.jobs+res.placed)
+	}
+	return nil
+}
+
+// load generates the job stream, starts the in-process server unless
+// -url names one, and drives the stream at it.
+func load(cfg config) (result, error) {
+	spec, err := sweep.ParseTopologyArg(cfg.topoArg)
+	if err != nil {
+		return result{}, err
+	}
 	topo, err := spec.Build(spec.EffectiveMachines(1), false)
 	if err != nil {
-		return err
+		return result{}, err
 	}
 	jobs, err := workload.Generate(workload.GenConfig{
 		Jobs: cfg.jobs, Seed: cfg.seed, ArrivalRate: cfg.rate,
 		HighPriorityShare: cfg.prioShare,
 	}, topo)
 	if err != nil {
-		return err
+		return result{}, err
 	}
 
 	base := cfg.url
 	if base == "" {
 		var stop func()
 		if base, stop, err = startInProcess(cfg, spec); err != nil {
-			return err
+			return result{}, err
 		}
 		defer stop()
 	}
@@ -132,39 +161,9 @@ func run(cfg config, w io.Writer) error {
 	c := client.New(base, client.WithMaxRetries(cfg.retries))
 	ctx := context.Background()
 	if err := c.Health(ctx); err != nil {
-		return fmt.Errorf("server at %s not healthy: %w", base, err)
+		return result{}, fmt.Errorf("server at %s not healthy: %w", base, err)
 	}
-
-	sb, err := drive(ctx, c, jobs, cfg)
-	if err != nil {
-		return err
-	}
-
-	if !cfg.quiet {
-		fmt.Fprintf(w, "topoload: %s: %d jobs in %.2fs (%.1f jobs/s), %d placed on submit, %d errors, %d admission retries\n",
-			sb.Name, sb.Jobs, sb.ElapsedSec, sb.JobsPerSec, sb.Placed, sb.Errors, sb.Retries429)
-		fmt.Fprintf(w, "topoload: placement latency p50=%.2fms p95=%.2fms p99=%.2fms, %d decisions (%.0f/s)\n",
-			sb.LatencyP50Ms, sb.LatencyP95Ms, sb.LatencyP99Ms, sb.Decisions, sb.DecisionsPerSec)
-	}
-	if cfg.out == "" {
-		return nil
-	}
-	report := &sweep.BenchReport{}
-	if cfg.appendTo {
-		if data, err := os.ReadFile(cfg.out); err == nil {
-			if prev, err := sweep.LoadBenchReport(data, cfg.out); err == nil {
-				report = prev
-			} else {
-				return err
-			}
-		}
-	}
-	report.AddServe(sb)
-	js, err := report.JSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(cfg.out, js, 0o644)
+	return drive(ctx, c, jobs, cfg)
 }
 
 // startInProcess serves the spec — split into scheduling domains when
@@ -196,8 +195,9 @@ func startInProcess(cfg config, spec sweep.TopologySpec) (base string, stop func
 }
 
 // drive runs the submit phase — closed-loop by default, open-loop when
-// -submit-rate is set — and assembles the bench entry.
-func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (sweep.ServeBench, error) {
+// -submit-rate is set — and reads the run's result off the client and
+// the server's final state.
+func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (result, error) {
 	var (
 		mu        sync.Mutex
 		latencies []time.Duration
@@ -244,7 +244,7 @@ func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (
 		// goroutine whether or not earlier requests have returned.
 		offsets, err := arrivalOffsets(len(jobs), cfg)
 		if err != nil {
-			return sweep.ServeBench{}, err
+			return result{}, err
 		}
 		for i, j := range jobs {
 			wg.Add(1)
@@ -278,36 +278,26 @@ func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (
 
 	st, err := c.State(ctx)
 	if err != nil {
-		return sweep.ServeBench{}, err
+		return result{}, err
 	}
 	_, retries := c.Stats()
 
-	name := cfg.name
-	if name == "" {
-		name = fmt.Sprintf("serve/%s/%s", cfg.topoArg, cfg.policy)
-	}
-	sb := sweep.ServeBench{
-		Name:       name,
-		Mode:       "closed-loop",
-		Jobs:       len(jobs),
-		Errors:     int(errs),
-		Placed:     int(placed),
-		Retries429: int(retries),
-		Decisions:  st.Stats.Decisions,
-		ElapsedSec: elapsed.Seconds(),
+	res := result{
+		mode:       "closed-loop",
+		jobs:       len(jobs),
+		placed:     int(placed),
+		errors:     int(errs),
+		retries429: int(retries),
+		decisions:  st.Stats.Decisions,
+		elapsed:    elapsed,
+		p50:        percentileMs(latencies, 50),
+		p95:        percentileMs(latencies, 95),
+		p99:        percentileMs(latencies, 99),
 	}
 	if cfg.submitRate > 0 {
-		sb.Mode = "open-loop"
-		sb.TargetJobsPerSec = cfg.submitRate
+		res.mode = "open-loop"
 	}
-	if sb.ElapsedSec > 0 {
-		sb.JobsPerSec = float64(sb.Jobs) / sb.ElapsedSec
-		sb.DecisionsPerSec = float64(sb.Decisions) / sb.ElapsedSec
-	}
-	sb.LatencyP50Ms = percentileMs(latencies, 50)
-	sb.LatencyP95Ms = percentileMs(latencies, 95)
-	sb.LatencyP99Ms = percentileMs(latencies, 99)
-	return sb, nil
+	return res, nil
 }
 
 // arrivalOffsets returns each job's scheduled submit time as an offset

@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,12 +17,10 @@ import (
 )
 
 // TestRunInProcess drives the whole harness end to end against the
-// in-process server and checks the BENCH_serve.json artifact it writes:
-// every generated job accounted for, zero errors, and the
-// deterministic metrics the CI gate relies on populated.
+// in-process server: every generated job accounted for, zero errors, a
+// consistent result, and a summary with a clean exit.
 func TestRunInProcess(t *testing.T) {
 	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_serve.json")
 	cfg := config{
 		topoArg: "minsky:2",
 		policy:  "topo-p",
@@ -30,78 +31,50 @@ func TestRunInProcess(t *testing.T) {
 		hold:    time.Millisecond,
 		retries: 8,
 		logPath: filepath.Join(dir, "events.log"),
-		out:     out,
 	}
+	res, err := load(cfg)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if res.mode != "closed-loop" {
+		t.Fatalf("mode %q", res.mode)
+	}
+	if res.jobs != cfg.jobs {
+		t.Fatalf("jobs %d, want %d", res.jobs, cfg.jobs)
+	}
+	if res.errors != 0 {
+		t.Fatalf("%d errors driving an unlimited-queue server", res.errors)
+	}
+	if res.placed == 0 || res.placed > res.jobs {
+		t.Fatalf("placed %d outside (0, %d]", res.placed, res.jobs)
+	}
+	// Batching and FIFO head-of-line blocking keep decisions below the
+	// job count, but every placement cost at least one.
+	if res.decisions < res.placed {
+		t.Fatalf("decisions %d < placed %d", res.decisions, res.placed)
+	}
+	if res.p50 <= 0 || res.p99 < res.p50 {
+		t.Fatalf("latency percentiles inconsistent: p50=%v p99=%v", res.p50, res.p99)
+	}
+	if res.elapsed <= 0 {
+		t.Fatalf("elapsed unset: %+v", res)
+	}
+
+	cfg.logPath = filepath.Join(dir, "events2.log")
 	var buf bytes.Buffer
 	if err := run(cfg, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(buf.String(), "placement latency") {
-		t.Fatalf("summary missing: %q", buf.String())
-	}
-
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := sweep.LoadBenchReport(data, out)
-	if err != nil {
-		t.Fatalf("artifact does not parse: %v", err)
-	}
-	if len(report.Serving) != 1 {
-		t.Fatalf("want 1 serving entry, got %d", len(report.Serving))
-	}
-	sb := report.Serving[0]
-	if sb.Name != "serve/minsky:2/topo-p" {
-		t.Fatalf("entry name %q", sb.Name)
-	}
-	if sb.Jobs != cfg.jobs {
-		t.Fatalf("jobs %d, want %d", sb.Jobs, cfg.jobs)
-	}
-	if sb.Errors != 0 {
-		t.Fatalf("%d errors driving an unlimited-queue server", sb.Errors)
-	}
-	if sb.Placed == 0 || sb.Placed > sb.Jobs {
-		t.Fatalf("placed %d outside (0, %d]", sb.Placed, sb.Jobs)
-	}
-	// Batching and FIFO head-of-line blocking keep decisions below the
-	// job count, but every placement cost at least one.
-	if sb.Decisions < sb.Placed {
-		t.Fatalf("decisions %d < placed %d", sb.Decisions, sb.Placed)
-	}
-	if sb.LatencyP50Ms <= 0 || sb.LatencyP99Ms < sb.LatencyP50Ms {
-		t.Fatalf("latency percentiles inconsistent: p50=%v p99=%v", sb.LatencyP50Ms, sb.LatencyP99Ms)
-	}
-	if sb.ElapsedSec <= 0 || sb.JobsPerSec <= 0 || sb.DecisionsPerSec <= 0 {
-		t.Fatalf("rates unset: %+v", sb)
-	}
-
-	// -append merges a second entry instead of clobbering the artifact.
-	cfg.name = "serve/second"
-	cfg.appendTo = true
-	cfg.logPath = filepath.Join(dir, "events2.log")
-	if err := run(cfg, &buf); err != nil {
-		t.Fatalf("append run: %v", err)
-	}
-	data, err = os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err = sweep.LoadBenchReport(data, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Serving) != 2 {
-		t.Fatalf("append kept %d entries, want 2", len(report.Serving))
+	for _, want := range []string{"serve/minsky:2/topo-p (closed-loop): 25 jobs", " 0 errors", "placement latency"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("summary lacks %q: %q", want, buf.String())
+		}
 	}
 }
 
 // TestRunOpenLoop switches the harness to open-loop mode: jobs arrive
-// on a fixed schedule at -submit-rate regardless of server latency, and
-// the artifact records the traffic model and the offered rate.
+// on a fixed schedule at -submit-rate regardless of server latency.
 func TestRunOpenLoop(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_serve.json")
 	cfg := config{
 		topoArg:    "minsky:2",
 		policy:     "topo-p",
@@ -112,35 +85,48 @@ func TestRunOpenLoop(t *testing.T) {
 		arrivals:   "fixed",
 		hold:       time.Millisecond,
 		retries:    8,
-		out:        out,
-		quiet:      true,
 	}
-	var buf bytes.Buffer
-	if err := run(cfg, &buf); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(out)
+	res, err := load(cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("load: %v", err)
 	}
-	report, err := sweep.LoadBenchReport(data, out)
-	if err != nil {
-		t.Fatalf("artifact does not parse: %v", err)
+	if res.mode != "open-loop" {
+		t.Fatalf("traffic model not recorded: mode=%q", res.mode)
 	}
-	if len(report.Serving) != 1 {
-		t.Fatalf("want 1 serving entry, got %d", len(report.Serving))
-	}
-	sb := report.Serving[0]
-	if sb.Mode != "open-loop" || sb.TargetJobsPerSec != cfg.submitRate {
-		t.Fatalf("traffic model not recorded: mode=%q target=%v", sb.Mode, sb.TargetJobsPerSec)
-	}
-	if sb.Jobs != cfg.jobs || sb.Errors != 0 {
-		t.Fatalf("jobs=%d errors=%d, want %d jobs and no errors", sb.Jobs, sb.Errors, cfg.jobs)
+	if res.jobs != cfg.jobs || res.errors != 0 || res.placed == 0 {
+		t.Fatalf("jobs=%d errors=%d placed=%d, want %d jobs, no errors, some placed", res.jobs, res.errors, res.placed, cfg.jobs)
 	}
 	// 20 jobs at 2000/s take >= 19 gaps of 0.5ms: open-loop elapsed time
 	// is bounded below by the arrival schedule, not the server.
-	if sb.ElapsedSec < 0.0095 {
-		t.Fatalf("elapsed %.4fs shorter than the arrival schedule", sb.ElapsedSec)
+	if res.elapsed < 9500*time.Microsecond {
+		t.Fatalf("elapsed %v shorter than the arrival schedule", res.elapsed)
+	}
+}
+
+// TestRunFailsOnRequestErrors: a server that is healthy but answers
+// every submit with a 500 makes run print the summary and then return
+// the error topoload exits 1 on.
+func TestRunFailsOnRequestErrors(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ok") })
+	mux.HandleFunc("/v1/state", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "{}") })
+	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	cfg := config{
+		url: ts.URL, topoArg: "minsky:2", policy: "topo-p",
+		jobs: 6, seed: 42, rate: 10, workers: 2, hold: time.Millisecond,
+	}
+	var buf bytes.Buffer
+	err := run(cfg, &buf)
+	if err == nil || err.Error() != "6 of 6 requests failed" {
+		t.Fatalf("run against a failing server returned %v", err)
+	}
+	if !strings.Contains(buf.String(), " 6 errors") {
+		t.Fatalf("summary not printed before the error: %q", buf.String())
 	}
 }
 
@@ -238,9 +224,12 @@ func TestRunInProcessHonoursDomains(t *testing.T) {
 	}
 
 	// The full run drives both domains and leaves one log each.
-	var buf bytes.Buffer
-	if err := run(cfg, &buf); err != nil {
-		t.Fatalf("run: %v", err)
+	res, err := load(cfg)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if res.jobs != cfg.jobs || res.errors != 0 || res.placed == 0 {
+		t.Fatalf("jobs=%d errors=%d placed=%d, want %d jobs, no errors, some placed", res.jobs, res.errors, res.placed, cfg.jobs)
 	}
 	for _, name := range []string{"events.log.d0", "events.log.d1"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {

@@ -68,10 +68,29 @@ func main() {
 	}
 }
 
-// readHeaderTimeout bounds how long a client may take to send its
-// request headers, so a slow or stalled connection cannot hold a
-// goroutine forever.
-const readHeaderTimeout = 10 * time.Second
+// The whole request is bounded, not just its headers, so a slow or
+// stalled connection cannot hold a goroutine forever: a client gets
+// readHeaderTimeout to send its headers and readTimeout to finish the
+// body (at most 1 MiB); the answer — one batch's decision and fsync —
+// must be written within writeTimeout of the headers arriving; a
+// keep-alive connection may sit idle for idleTimeout. Constants, not
+// flags: one deployment, one value.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr: addr, Handler: h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func run(addr, topoArg, policyName, discipline string, preempt bool, logPath string, maxQueue, snapshotEvery, fsyncEvery int, drainFor time.Duration, quiet bool) error {
 	spec, err := sweep.ParseTopologyArg(topoArg)
@@ -104,7 +123,7 @@ func run(addr, topoArg, policyName, discipline string, preempt bool, logPath str
 		fmt.Printf("toposerve: %s under %s on %s, %s, domains: %d\n", spec.Key(), pol, addr, durable, srv.Domains())
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := newHTTPServer(addr, srv.Handler())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	serveErr := make(chan error, 1)

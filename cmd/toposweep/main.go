@@ -12,8 +12,6 @@
 //	toposweep -grid @spec.json -out out.json  run an ad-hoc grid spec file
 //	toposweep -grid alpha -csv alpha.csv      write a per-point CSV
 //	toposweep -diff old.json new.json         regression-diff two artifacts
-//	toposweep -grid smoke -bench BENCH.json   record wall-clock + jobs/sec
-//	toposweep -diff-bench -tol 0.5 old new    perf-diff two bench artifacts
 //	toposweep -grid smoke -cpuprofile c.pprof profile the sweep (also -memprofile)
 //
 // Topology specs in grid files cover homogeneous builders, heterogeneous
@@ -51,32 +49,17 @@ func main() {
 		list     = flag.Bool("list", false, "list the available grids and exit; with a grid name argument, dump that grid as a JSON spec template")
 		quiet    = flag.Bool("quiet", false, "suppress per-point progress")
 		diff     = flag.Bool("diff", false, "diff two JSON artifacts: toposweep -diff old.json new.json; exits 2 on regression (flags go before the file arguments)")
-		tol      = flag.Float64("tol", 0, "relative tolerance for -diff/-diff-bench (0 = exact)")
+		tol      = flag.Float64("tol", 0, "with -diff: relative tolerance (0 = exact)")
 		tolStd   = flag.Float64("tol-stddev", 0, "with -diff: relative tolerance for the .stddev distribution metrics (0 = use -tol)")
 		tolP95   = flag.Float64("tol-p95", 0, "with -diff: relative tolerance for the .p95 distribution metrics (0 = use -tol)")
-		tolMet   = flag.String("tol-metric", "", "per-metric tolerance overrides for -diff/-diff-bench, e.g. makespan_s=0.05, makespan_s.p95=0.2 or allocs_per_op=0.1 (comma-separated)")
-		wallOff  = flag.Bool("wallclock-off", false, "with -diff-bench: skip wall-clock metrics (elapsed_sec, points/jobs per sec, ns_per_op) and gate allocation counts only — for noisy CI runners")
+		tolMet   = flag.String("tol-metric", "", "with -diff: per-metric tolerance overrides, e.g. makespan_s=0.05 or makespan_s.p95=0.2 (comma-separated)")
 		strict   = flag.Bool("strict", false, "with -diff, also exit 2 on improvements — any delta is a behavior change (used by the CI golden-baseline gate)")
-		bench    = flag.String("bench", "", "write a perf-tracking artifact (wall-clock, points/sec, jobs/sec) to this path after the run")
-		benchGo  = flag.String("bench-go", "", "with -bench: merge `go test -bench` output from this file into the artifact (ns/op, B/op, allocs/op)")
-		benchNm  = flag.String("bench-name", "", "with -bench: record the grid entry under this name instead of the grid's own (lets one artifact hold the same grid under different configurations, e.g. shard/d1 vs shard/d8)")
-		benchApp = flag.Bool("bench-append", false, "with -bench: merge into an existing artifact instead of overwriting (entries with the same name are replaced)")
-		diffB    = flag.Bool("diff-bench", false, "perf-diff two bench artifacts: toposweep -diff-bench -tol 0.5 old.json new.json; exits 2 on regression beyond tolerance")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this path")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (after the sweep) to this path")
 	)
 	flag.Parse()
 
 	switch {
-	case *diffB:
-		res, err := diffBenchFiles(os.Stdout, flag.Args(), *tol, *tolMet, *wallOff)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "toposweep:", err)
-			os.Exit(1)
-		}
-		if res.HasRegressions() {
-			os.Exit(2)
-		}
 	case *diff:
 		res, err := diffFiles(os.Stdout, flag.Args(), diffTols{tol: *tol, stddev: *tolStd, p95: *tolP95, perMetric: *tolMet})
 		if err != nil {
@@ -99,8 +82,7 @@ func main() {
 			}
 		})
 		opts := runOpts{
-			out: *out, csv: *csv, bench: *bench, benchGo: *benchGo,
-			benchName: *benchNm, benchAppend: *benchApp,
+			out: *out, csv: *csv,
 			cpuProfile: *cpuProf, memProfile: *memProf,
 			seed: *seed, seedSet: seedSet, quiet: *quiet,
 			workers: *workers,
@@ -143,34 +125,31 @@ type diffTols struct {
 	perMetric        string
 }
 
-// parseMetricTolerances parses -tol-metric's comma-separated name=value
-// list against the metric names the differ in use knows; "" is nil.
-func parseMetricTolerances(spec string, known []string) (map[string]float64, error) {
-	if spec == "" {
-		return nil, nil
+// parseTolerances builds diff options from the tolerance flags;
+// -tol-metric is a comma-separated name=value list over the metric names
+// the differ knows.
+func parseTolerances(tols diffTols) (sweep.DiffOptions, error) {
+	opt := sweep.DiffOptions{RelTol: tols.tol, StddevRelTol: tols.stddev, P95RelTol: tols.p95}
+	if tols.perMetric == "" {
+		return opt, nil
 	}
-	out := map[string]float64{}
-	for _, pair := range strings.Split(spec, ",") {
+	known := sweep.DiffMetricNames()
+	opt.PerMetric = map[string]float64{}
+	for _, pair := range strings.Split(tols.perMetric, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
 		if !ok {
-			return nil, fmt.Errorf("-tol-metric entry %q is not metric=value", pair)
+			return opt, fmt.Errorf("-tol-metric entry %q is not metric=value", pair)
 		}
 		if !slices.Contains(known, name) {
-			return nil, fmt.Errorf("-tol-metric: unknown metric %q (use one of %v)", name, known)
+			return opt, fmt.Errorf("-tol-metric: unknown metric %q (use one of %v)", name, known)
 		}
 		t, err := strconv.ParseFloat(val, 64)
 		if err != nil || t < 0 {
-			return nil, fmt.Errorf("-tol-metric: bad tolerance %q for %s", val, name)
+			return opt, fmt.Errorf("-tol-metric: bad tolerance %q for %s", val, name)
 		}
-		out[name] = t
+		opt.PerMetric[name] = t
 	}
-	return out, nil
-}
-
-// parseTolerances builds diff options from the tolerance flags.
-func parseTolerances(tols diffTols) (sweep.DiffOptions, error) {
-	per, err := parseMetricTolerances(tols.perMetric, sweep.DiffMetricNames())
-	return sweep.DiffOptions{RelTol: tols.tol, StddevRelTol: tols.stddev, P95RelTol: tols.p95, PerMetric: per}, err
+	return opt, nil
 }
 
 // diffFiles loads two JSON artifacts, diffs them under the tolerances and
@@ -221,20 +200,12 @@ func resolveGrid(gridName string, seed uint64, seedSet bool) (sweep.Grid, error)
 type runOpts struct {
 	workers                int
 	out, csv               string
-	bench, benchGo         string
-	benchName              string
-	benchAppend            bool
 	cpuProfile, memProfile string
 	seedSet, quiet         bool
 	seed                   uint64
 }
 
 func run(w io.Writer, gridName string, o runOpts) error {
-	if o.benchGo != "" && o.bench == "" {
-		// Fail before the sweep runs — on a scenario-2 grid this mistake
-		// would otherwise surface only after hours of simulation.
-		return fmt.Errorf("-bench-go requires -bench")
-	}
 	grid, err := resolveGrid(gridName, o.seed, o.seedSet)
 	if err != nil {
 		return err
@@ -306,80 +277,5 @@ func run(w io.Writer, gridName string, o runOpts) error {
 		}
 		fmt.Fprintf(w, "wrote %s\n", o.csv)
 	}
-	if o.bench != "" {
-		if err := writeBench(w, rep, o); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// writeBench distills the run into the perf-tracking artifact, merging
-// parsed `go test -bench` output when provided. benchName renames the
-// grid entry and benchAppend folds it into an existing artifact — the
-// pair lets one artifact carry the same grid under several
-// configurations (the shard bench records shard/dN per domain count).
-func writeBench(w io.Writer, rep *sweep.Report, o runOpts) error {
-	br := &sweep.BenchReport{}
-	if o.benchAppend {
-		if data, err := os.ReadFile(o.bench); err == nil {
-			prev, err := sweep.LoadBenchReport(data, o.bench)
-			if err != nil {
-				return err
-			}
-			br = prev
-		}
-	}
-	gb := sweep.NewGridBench(rep)
-	if o.benchName != "" {
-		gb.Grid = o.benchName
-	}
-	br.AddGrid(gb)
-	if o.benchGo != "" {
-		text, err := os.ReadFile(o.benchGo)
-		if err != nil {
-			return fmt.Errorf("-bench-go: %w", err)
-		}
-		br.Benchmarks = sweep.ParseGoBenchOutput(string(text))
-		if len(br.Benchmarks) == 0 {
-			return fmt.Errorf("-bench-go: no benchmark lines found in %s", o.benchGo)
-		}
-	}
-	js, err := br.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(o.bench, js, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s (%d grid(s), %d benchmark(s))\n", o.bench, len(br.Grids), len(br.Benchmarks))
-	return nil
-}
-
-// diffBenchFiles loads two bench artifacts and perf-diffs them under the
-// tolerances; callers decide the exit code from the result.
-func diffBenchFiles(w io.Writer, args []string, tol float64, tolMetric string, wallClockOff bool) (*sweep.DiffResult, error) {
-	if len(args) != 2 {
-		return nil, fmt.Errorf("-diff-bench needs exactly two artifacts: toposweep -diff-bench old.json new.json")
-	}
-	per, err := parseMetricTolerances(tolMetric, sweep.BenchDiffMetricNames())
-	if err != nil {
-		return nil, err
-	}
-	opt := sweep.BenchDiffOptions{RelTol: tol, WallClockOff: wallClockOff, PerMetric: per}
-	reports := make([]*sweep.BenchReport, 2)
-	for i, path := range args {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		reports[i], err = sweep.LoadBenchReport(data, path)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := sweep.DiffBench(reports[0], reports[1], opt)
-	res.OldName, res.NewName = args[0], args[1]
-	_, err = io.WriteString(w, res.Markdown())
-	return res, err
 }

@@ -257,91 +257,21 @@ func TestParseTolerances(t *testing.T) {
 	}
 }
 
-// TestRunBenchArtifactAndDiffBench drives the perf harness end to end:
-// run a grid with -bench/-bench-go and profile flags, then perf-diff the
-// artifact against itself (clean) and against a slower baseline (gated).
-func TestRunBenchArtifactAndDiffBench(t *testing.T) {
+// TestRunWritesProfiles: -cpuprofile and -memprofile leave non-empty
+// pprof files beside a normal run.
+func TestRunWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
-	goBenchPath := filepath.Join(dir, "gobench.txt")
-	goBench := "BenchmarkFig11Scenario2 \t 1\t 610786475 ns/op\t 108440456 B/op\t 2433719 allocs/op\n"
-	if err := os.WriteFile(goBenchPath, []byte(goBench), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	path := writeSpec(t, tinySpec)
-	benchPath := filepath.Join(dir, "BENCH_sweep.json")
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	err := run(&bytes.Buffer{}, "@"+path, runOpts{
-		workers: 2, quiet: true,
-		bench: benchPath, benchGo: goBenchPath,
-		cpuProfile: cpu, memProfile: mem,
+	err := run(&bytes.Buffer{}, "@"+writeSpec(t, tinySpec), runOpts{
+		workers: 2, quiet: true, cpuProfile: cpu, memProfile: mem,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{benchPath, cpu, mem} {
+	for _, p := range []string{cpu, mem} {
 		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
 			t.Fatalf("%s missing or empty (err=%v)", p, err)
 		}
-	}
-	data, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br, err := sweep.LoadBenchReport(data, benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Grids) != 1 || br.Grids[0].Grid != "tiny" || br.Grids[0].ElapsedSec <= 0 {
-		t.Fatalf("bench artifact grids: %+v", br.Grids)
-	}
-	if len(br.Benchmarks) != 1 || br.Benchmarks[0].AllocsPerOp != 2433719 {
-		t.Fatalf("bench artifact benchmarks: %+v", br.Benchmarks)
-	}
-
-	// Self-diff under any tolerance is clean.
-	var buf bytes.Buffer
-	res, err := diffBenchFiles(&buf, []string{benchPath, benchPath}, 0.5, "", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HasRegressions() {
-		t.Fatalf("bench self-diff regressed:\n%s", buf.String())
-	}
-
-	// A baseline with 10x fewer allocs flags the current run.
-	tight := *br
-	tight.Benchmarks = []sweep.GoBench{{Name: "BenchmarkFig11Scenario2", NsPerOp: 610786475, BytesPerOp: 108440456, AllocsPerOp: 243371}}
-	js, err := tight.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tightPath := filepath.Join(dir, "tight.json")
-	if err := os.WriteFile(tightPath, js, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	res, err = diffBenchFiles(&buf, []string{tightPath, benchPath}, 5, "allocs_per_op=0.1", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.HasRegressions() {
-		t.Fatalf("alloc regression passed the per-metric gate:\n%s", buf.String())
-	}
-
-	if _, err := diffBenchFiles(&buf, []string{benchPath}, 0, "", false); err == nil {
-		t.Fatal("one-argument -diff-bench did not error")
-	}
-	if _, err := diffBenchFiles(&buf, []string{benchPath, benchPath}, 0, "nope=1", false); err == nil {
-		t.Fatal("unknown bench metric accepted")
-	}
-}
-
-// TestRunBenchGoRequiresBench pins the flag dependency.
-func TestRunBenchGoRequiresBench(t *testing.T) {
-	path := writeSpec(t, tinySpec)
-	err := run(&bytes.Buffer{}, "@"+path, runOpts{workers: 1, quiet: true, benchGo: "whatever.txt"})
-	if err == nil || !strings.Contains(err.Error(), "-bench") {
-		t.Fatalf("want -bench-go dependency error, got %v", err)
 	}
 }

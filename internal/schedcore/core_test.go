@@ -295,6 +295,34 @@ func TestClusterIdleIsConstantTime(t *testing.T) {
 	}
 }
 
+// TestSubmitDeepQueueAllocatesNothing: an out-of-order Submit into a
+// queue of 15000 waiting jobs — sim-contended's depth — is a search for
+// the job's place and one shift of the entries behind it under either
+// discipline. AllocsPerRun's warm-up call grows the queue's array by the
+// one slot the measured calls then reuse.
+func TestSubmitDeepQueueAllocatesNothing(t *testing.T) {
+	const depth = 15000
+	for _, disc := range []QueueDiscipline{FIFOByArrival(), PriorityThenArrival()} {
+		c := newSchedWith(t, FCFS, topology.Power8Minsky(), WithQueueDiscipline(disc))
+		for i := 0; i < depth; i++ {
+			if err := c.Submit(mkPrioJob(fmt.Sprintf("q%d", i), 1, i%3, float64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		late := mkPrioJob("late", 1, 1, depth/2)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := c.Submit(late); err != nil {
+				t.Fatal(err)
+			}
+			if c.queue[0].job == late || c.queue[depth].job == late || !c.Withdraw("late") {
+				t.Fatal("late job not queued mid-queue")
+			}
+		}); n != 0 {
+			t.Fatalf("%s: Submit into a %d-deep queue allocates %v objects", disc.Name(), depth, n)
+		}
+	}
+}
+
 // TestWithdrawClearsVacatedSlot: removing a queued job must not leave it
 // reachable past the queue's length in the backing array.
 func TestWithdrawClearsVacatedSlot(t *testing.T) {

@@ -179,6 +179,27 @@ func TestRouterPrefersSeatsNowAndSpills(t *testing.T) {
 	}
 }
 
+// TestRouteAllocatesNothing: the router runs once per submission ahead
+// of every domain's writer loop; over 16 domains with domain-varying
+// occupancy (so both the seats-now and the spill arm run) no job shape
+// may cost an allocation.
+func TestRouteAllocatesNothing(t *testing.T) {
+	caps := make([]Capacity, 16)
+	for d := range caps {
+		caps[d] = Capacity{GPUs: 32, Machines: 8, MaxMachineGPUs: 4}
+	}
+	r := NewRouter(caps, func(d int) (int, int, int) { return (d * 5) % 33, d % 5, d % 9 })
+	for _, j := range []*job.Job{mkJob("r1", 1, false, false), mkJob("r2", 4, true, false), mkJob("r4", 2, false, true)} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := r.Route(j); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("Route(%s) allocates %v objects", j.ID, n)
+		}
+	}
+}
+
 // TestGPUMaps holds the one local→global GPU map (the sharded simulator's
 // merge and the server's wire translation both read it) to what zipping
 // each domain machine's GPU list against the cluster-wide topology gives —

@@ -10,7 +10,7 @@
 # -diff -strict, appending the markdown report to SWEEP_DIFF.md. The sweep
 # is deterministic, so ANY delta (-strict: improvements too) is a behavior
 # change: intentional ones regenerate the golden (see docs/sweeps.md).
-# Extra flags (-csv, -bench, ...) go to the 8-worker run only.
+# Extra flags (-csv, -cpuprofile, ...) go to the 8-worker run only.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
