@@ -312,9 +312,12 @@ func BenchmarkScheduleSteadyState(b *testing.B) {
 
 // BenchmarkCandidateSweep measures one steady-state TOPO-AWARE decision
 // at about 80% occupancy on a small and a large fleet. The candidate sweep
-// evaluates one machine per distinct shape class, so time and allocations
-// per decision should follow the class count — which an occupancy level
-// bounds — and not the sixteen-fold difference in hosts.
+// evaluates one machine per distinct shape class, so time per decision
+// should follow the class count — which an occupancy level bounds — and
+// not the sixteen-fold difference in hosts. Classes are scored into
+// reused scratch and interned fingerprints are recomputed without a copy,
+// so allocations per decision are the same on both fleets: 5 (the job,
+// the placement and the Allocation, the last two with their GPUs).
 func BenchmarkCandidateSweep(b *testing.B) {
 	for _, machines := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("minsky:%d", machines), func(b *testing.B) {

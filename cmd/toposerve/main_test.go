@@ -45,12 +45,14 @@ func TestStalledBodyIsDisconnected(t *testing.T) {
 	go hs.Serve(ln)
 	defer hs.Close()
 
+	// Before the dial: the server may start the connection's read deadline
+	// before Dial returns here.
+	start := time.Now()
 	stalled, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stalled.Close()
-	start := time.Now()
 	if _, err := io.WriteString(stalled, "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 200\r\n\r\n{\"id\":"); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -65,13 +66,14 @@ type State struct {
 	freeMachines  int
 	maxFreeDirty  bool
 
-	// fp holds the lazily maintained per-machine placement fingerprints
-	// for the candidate sweep: "" marks a machine dirty, Allocate/Release
-	// invalidate only the machines whose GPUs they touch (same lazy style
-	// as FreeMachines), and MachineFingerprint recomputes on demand.
-	// Fingerprints are never empty by construction, so "" is unambiguous.
-	fp    []string
-	fpBuf []byte // computeFingerprint's formatting scratch
+	// fp[m] is machine m's placement fingerprint as an interned class id
+	// in classes, for the candidate sweep's fold. Allocate/Release mark
+	// only the machines whose GPUs they touch stale (same lazy style as
+	// FreeMachines), and MachineClass recomputes on demand. nil until the
+	// first fingerprint is asked for.
+	fp      []fpSlot
+	classes classTable
+	fpBuf   []byte // fingerprint's formatting scratch
 
 	// residents[m] is machine m's resident table — the jobs with a GPU
 	// there, sorted by job ID: the co-runners Eq. 4 sums over, in the
@@ -81,6 +83,73 @@ type State struct {
 	// never hand them over), since a rebuild overwrites them.
 	residents  [][]Resident
 	residentOK []bool
+}
+
+// fpSlot is one machine's entry in the fingerprint table.
+type fpSlot struct {
+	// class is the interned id of the machine's fingerprint as last
+	// computed, -1 before the first computation. A stale machine keeps
+	// holding it until it recomputes.
+	class int32
+	// clean reports that class is still the machine's fingerprint; touch
+	// clears it.
+	clean bool
+}
+
+// classTable interns machine fingerprints to dense class ids. An id is
+// held by every machine whose fpSlot names it, stale ones included, and
+// refs counts those holders; an id nobody holds leaves ids and goes on
+// free, to be handed out again before the table grows. A recompute takes
+// its new id before giving up its old one, so at most NumMachines()+1 ids
+// ever exist.
+type classTable struct {
+	ids   map[string]int32 // fingerprint -> class id, for held ids only
+	names []string         // class id -> fingerprint, "" when free
+	refs  []int32          // class id -> machines holding it
+	free  []int32          // ids nobody holds
+}
+
+// intern returns fp's class id with one more holder, allocating only
+// when fp is not interned yet: the map lookup through string(fp) does
+// not copy it.
+func (t *classTable) intern(fp []byte) int32 {
+	id, ok := t.ids[string(fp)]
+	if !ok {
+		if t.ids == nil {
+			t.ids = make(map[string]int32)
+		}
+		if n := len(t.free); n > 0 {
+			id, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			id = int32(len(t.names))
+			t.names, t.refs = append(t.names, ""), append(t.refs, 0)
+		}
+		t.names[id] = string(fp)
+		t.ids[t.names[id]] = id
+	}
+	t.refs[id]++
+	return id
+}
+
+// release drops one holder of id, freeing it when none is left.
+func (t *classTable) release(id int32) {
+	if t.refs[id]--; t.refs[id] == 0 {
+		delete(t.ids, t.names[id])
+		t.names[id] = ""
+		t.free = append(t.free, id)
+	}
+}
+
+// copyFrom resets t to a copy of src, reusing t's buffers.
+func (t *classTable) copyFrom(src *classTable) {
+	if t.ids == nil {
+		t.ids = make(map[string]int32, len(src.ids))
+	}
+	clear(t.ids)
+	maps.Copy(t.ids, src.ids)
+	t.names = append(t.names[:0], src.names...)
+	t.refs = append(t.refs[:0], src.refs...)
+	t.free = append(t.free[:0], src.free...)
 }
 
 // NewState returns an empty allocation state for the topology.
@@ -192,16 +261,16 @@ func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits per
 	}
 	alloc := &Allocation{JobID: jobID, GPUs: append([]int(nil), gpus...), Bandwidth: bandwidth, Traits: traits}
 	sort.Ints(alloc.GPUs)
-	for _, pos := range alloc.GPUs {
+	for i, pos := range alloc.GPUs {
 		s.owner[pos] = jobID
 		m := s.topo.MachineOf(pos)
 		s.freeOnMachine[m]--
 		s.freeTotal--
 		s.fragSum -= 1 / float64(s.topo.SocketSize(pos))
 		s.touch(m)
-	}
-	for _, m := range s.machinesOf(alloc.GPUs) {
-		s.busUsed[m] += bandwidth
+		if s.firstOnMachine(alloc.GPUs, i) {
+			s.busUsed[m] += bandwidth
+		}
 	}
 	s.allocs[jobID] = alloc
 	s.maxFreeDirty = true
@@ -215,23 +284,30 @@ func (s *State) Release(jobID string) error {
 	if !ok {
 		return fmt.Errorf("cluster: job %s has no allocation", jobID)
 	}
-	for _, pos := range alloc.GPUs {
+	for i, pos := range alloc.GPUs {
 		s.owner[pos] = ""
 		m := s.topo.MachineOf(pos)
 		s.freeOnMachine[m]++
 		s.freeTotal++
 		s.fragSum += 1 / float64(s.topo.SocketSize(pos))
 		s.touch(m)
-	}
-	for _, m := range s.machinesOf(alloc.GPUs) {
-		s.busUsed[m] -= alloc.Bandwidth
-		if s.busUsed[m] < 1e-9 {
-			s.busUsed[m] = 0 // drop the float residue of an emptied bus
+		if s.firstOnMachine(alloc.GPUs, i) {
+			s.busUsed[m] -= alloc.Bandwidth
+			if s.busUsed[m] < 1e-9 {
+				s.busUsed[m] = 0 // drop the float residue of an emptied bus
+			}
 		}
 	}
 	delete(s.allocs, jobID)
 	s.maxFreeDirty = true
 	return nil
+}
+
+// firstOnMachine reports whether gpus[i] opens its machine's run in the
+// ascending gpus: positions are machine-major, so each machine a job
+// spans is one run, and its bus is committed or uncommitted once there.
+func (s *State) firstOnMachine(gpus []int, i int) bool {
+	return i == 0 || s.topo.MachineOf(gpus[i-1]) != s.topo.MachineOf(gpus[i])
 }
 
 // Allocation returns the allocation of jobID, or nil.
@@ -254,7 +330,7 @@ func (s *State) Jobs() []string {
 // for every machine whose GPUs they change.
 func (s *State) touch(m int) {
 	if s.fp != nil {
-		s.fp[m] = ""
+		s.fp[m].clean = false
 	}
 	s.residentOK[m] = false
 }
@@ -348,13 +424,17 @@ func (s *State) Slowdown(a *Allocation) float64 {
 // table — its rows are exactly the jobs owning a GPU there, in sorted-ID
 // order, each with this state's own Allocation, the socket mask
 // topology.SameSocket yields position by position and the count of GPUs
-// the owner table gives the job there. Over the cluster: the
-// free total, MaxFreeGPUs, FreeMachines and Eq. 5's Fragmentation. The
-// two float sums are maintained incrementally and compare within 1e-9.
+// the owner table gives the job there. Over the cluster: the class table
+// (checkClasses), the free total, MaxFreeGPUs, FreeMachines and Eq. 5's
+// Fragmentation. The two float sums are maintained incrementally and
+// compare within 1e-9.
 // It is a test and diagnosis aid — O(GPUs · job size), allocating — not a
 // hot path.
 func (s *State) CheckInvariants() error {
 	const tol = 1e-9
+	if err := s.checkClasses(); err != nil {
+		return err
+	}
 	freeTotal, maxFree, freeMachines, sockets := 0, 0, 0, 0
 	fragSum := 0.0
 	for m := 0; m < s.topo.NumMachines(); m++ {
@@ -423,7 +503,7 @@ func (s *State) CheckInvariants() error {
 				return fmt.Errorf("cluster: machine %d: job %s resident GPU count %d, owner table gives %d", m, ids[i], r.GPUs, held)
 			}
 		}
-		if s.fp != nil && s.fp[m] != "" && s.fp[m] != s.computeFingerprint(m) {
+		if s.fp != nil && s.fp[m].clean && s.classes.names[s.fp[m].class] != string(s.fingerprint(m)) {
 			return fmt.Errorf("cluster: machine %d: fingerprint is not marked stale but differs from a fresh one", m)
 		}
 	}
@@ -442,9 +522,54 @@ func (s *State) CheckInvariants() error {
 	return nil
 }
 
-// machinesOf returns the distinct machine indices spanned by positions,
-// ascending.
-func (s *State) machinesOf(gpus []int) []int {
+// checkClasses holds the class table to a recount of the fingerprint
+// table: every machine's class is an allocated id (a clean machine's is
+// not -1), each id's refs equals the machines holding it, the held ids
+// are exactly the interned ones, each under its own fingerprint, and the
+// free list is exactly the rest. Whether a clean machine's class names
+// its current fingerprint is CheckInvariants' per-machine check.
+func (s *State) checkClasses() error {
+	t := &s.classes
+	holders := make([]int32, len(t.names))
+	for m, slot := range s.fp {
+		if slot.class < -1 || int(slot.class) >= len(t.names) || slot.clean && slot.class < 0 {
+			return fmt.Errorf("cluster: machine %d: class %d is outside the table's %d ids", m, slot.class, len(t.names))
+		}
+		if slot.class >= 0 {
+			holders[slot.class]++
+		}
+	}
+	held := 0
+	for id, n := range holders {
+		if t.refs[id] != n {
+			return fmt.Errorf("cluster: class %d: %d references, %d machines hold it", id, t.refs[id], n)
+		}
+		if n == 0 {
+			continue
+		}
+		held++
+		if got, ok := t.ids[t.names[id]]; !ok || got != int32(id) {
+			return fmt.Errorf("cluster: class %d: its fingerprint is interned as class %d (found %t)", id, got, ok)
+		}
+	}
+	if len(t.ids) != held {
+		return fmt.Errorf("cluster: class table interns %d fingerprints, machines hold %d classes", len(t.ids), held)
+	}
+	for _, id := range t.free {
+		if id < 0 || int(id) >= len(t.names) || t.names[id] != "" || holders[id] != 0 {
+			return fmt.Errorf("cluster: class %d is on the free list but is held or named", id)
+		}
+		holders[id] = -1 // a second listing of id fails the check above
+	}
+	if len(t.free) != len(t.names)-held {
+		return fmt.Errorf("cluster: class table: %d free ids, %d of %d unheld", len(t.free), len(t.names)-held, len(t.names))
+	}
+	return nil
+}
+
+// MachinesOf returns the distinct machine indices spanned by positions,
+// ascending, for schedulers and metrics.
+func (s *State) MachinesOf(gpus []int) []int {
 	var out []int
 	for _, pos := range gpus {
 		if m := s.topo.MachineOf(pos); !slices.Contains(out, m) {
@@ -454,9 +579,6 @@ func (s *State) machinesOf(gpus []int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// MachinesOf exposes machinesOf for schedulers and metrics.
-func (s *State) MachinesOf(gpus []int) []int { return s.machinesOf(gpus) }
 
 // Fragmentation implements Eq. 5: the average over all sockets of the
 // fraction of free GPUs per socket. 1 means the cluster is empty, 0 means
@@ -552,20 +674,43 @@ func (s *State) FreeMachines() int {
 // Job IDs themselves are deliberately excluded: only the block order
 // matters. Maintained lazily — Allocate/Release dirty only the machines
 // they touch, recomputation is O(free² + jobs·free) on a single machine.
+// The string is the interned one MachineClass numbers.
 func (s *State) MachineFingerprint(m int) string {
-	if s.fp == nil {
-		s.fp = make([]string, s.topo.NumMachines())
-	}
-	if s.fp[m] == "" {
-		s.fp[m] = s.computeFingerprint(m)
-	}
-	return s.fp[m]
+	return s.classes.names[s.MachineClass(m)]
 }
 
-// computeFingerprint builds machine m's fingerprint from scratch, in the
-// state's formatting scratch: the returned string is the one allocation.
-// Numbers are written as fmt's %d and %g write them.
-func (s *State) computeFingerprint(m int) string {
+// MachineClass returns the dense id of machine m's fingerprint: two
+// machines have the same class exactly when MachineFingerprint is equal
+// for them, and every class is below NumClasses. An id lasts as long as
+// some machine holds it — it is reused for another fingerprint only once
+// every machine that had it has recomputed to something else. On a clean
+// machine, or one whose recomputed fingerprint is already interned, it
+// allocates nothing.
+func (s *State) MachineClass(m int) int {
+	if s.fp == nil {
+		s.fp = make([]fpSlot, s.topo.NumMachines())
+		for i := range s.fp {
+			s.fp[i].class = -1
+		}
+	}
+	if slot := &s.fp[m]; !slot.clean {
+		old := slot.class
+		slot.class, slot.clean = s.classes.intern(s.fingerprint(m)), true
+		if old >= 0 {
+			s.classes.release(old)
+		}
+	}
+	return int(s.fp[m].class)
+}
+
+// NumClasses returns the size of the class id space: every MachineClass
+// is below it, and it never exceeds NumMachines()+1.
+func (s *State) NumClasses() int { return len(s.classes.names) }
+
+// fingerprint formats machine m's fingerprint from scratch into the
+// state's formatting scratch, which the result aliases until the next
+// call. Numbers are written as fmt's %d and %g write them.
+func (s *State) fingerprint(m int) []byte {
 	b := append(s.fpBuf[:0], s.topo.MachineShape(m)...)
 	var freeBuf [8]int
 	free := s.AppendFreeGPUsOnMachine(freeBuf[:0], m)
@@ -606,7 +751,7 @@ func (s *State) computeFingerprint(m int) string {
 		}
 	}
 	s.fpBuf = b
-	return string(b)
+	return b
 }
 
 // Clone returns a deep copy of the allocation state sharing the topology.
@@ -631,8 +776,9 @@ func (s *State) Clone() *State {
 		residentOK: make([]bool, len(s.residentOK)),
 	}
 	if s.fp != nil {
-		c.fp = append([]string(nil), s.fp...)
+		c.fp = slices.Clone(s.fp)
 	}
+	c.classes.copyFrom(&s.classes)
 	for id, a := range s.allocs {
 		c.allocs[id] = &Allocation{
 			JobID:     a.JobID,
@@ -675,6 +821,7 @@ func (s *State) CopyFrom(src *State) {
 	} else {
 		s.fp = append(s.fp[:0], src.fp...)
 	}
+	s.classes.copyFrom(&src.classes)
 	// Stale, not copied: a what-if state reads the rows of the few
 	// machines it places on, and rebuilds those into its own buffers.
 	clear(s.residentOK)

@@ -44,6 +44,26 @@ func TestAllocateReleaseLifecycle(t *testing.T) {
 	}
 }
 
+// TestAllocateReleaseAllocs: committing and uncommitting a job's bus
+// walks its GPUs' machine runs in place, so Release allocates nothing and
+// Allocate only the Allocation and its copy of the GPUs — here for a job
+// spanning two machines, with a fingerprint table for touch to mark.
+func TestAllocateReleaseAllocs(t *testing.T) {
+	st := NewState(topology.Cluster(2, topology.KindMinsky))
+	st.MachineClass(0)
+	gpus := []int{2, 3, 4} // two on machine 0, one on machine 1
+	if n := testing.AllocsPerRun(100, func() {
+		if err := st.Allocate("j", gpus, 5, traits()); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Release("j"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Fatalf("Allocate+Release allocates %v objects, want the Allocation and its GPUs", n)
+	}
+}
+
 func TestAllocateErrors(t *testing.T) {
 	st := NewState(topology.Power8Minsky())
 	if err := st.Allocate("", []int{0}, 0, traits()); err == nil {

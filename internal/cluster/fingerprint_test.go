@@ -72,7 +72,7 @@ func checkFingerprints(t *testing.T, s *State, context string) {
 	}
 }
 
-// fingerprintFmt is computeFingerprint as it was written before the
+// fingerprintFmt is State.fingerprint as it was written before the
 // resident table: a fmt verb per field, and the machine's jobs found by
 // scanning its owners and matching sockets GPU by GPU. Fingerprints key
 // the candidate sweep's class fold, so the strconv formatter has to
@@ -129,6 +129,82 @@ func checkFingerprintBytes(t *testing.T, s *State, context string) {
 	for m := 0; m < s.Topology().NumMachines(); m++ {
 		if got, want := s.MachineFingerprint(m), fingerprintFmt(s, m); got != want {
 			t.Fatalf("%s: machine %d fingerprint bytes changed\n now:  %q\n was:  %q", context, m, got, want)
+		}
+	}
+}
+
+// checkClassPairs holds MachineClass to the fingerprints it numbers: two
+// machines share a class exactly when the fmt formatter writes the same
+// fingerprint for both.
+func checkClassPairs(t *testing.T, s *State, context string) {
+	t.Helper()
+	n := s.Topology().NumMachines()
+	fps := make([]string, n)
+	for m := range fps {
+		fps[m] = fingerprintFmt(s, m)
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if ca, cb := s.MachineClass(a), s.MachineClass(b); (ca == cb) != (fps[a] == fps[b]) {
+				t.Fatalf("%s: machines %d and %d have classes %d and %d, fingerprints equal: %t", context, a, b, ca, cb, fps[a] == fps[b])
+			}
+		}
+	}
+}
+
+// TestClassIDsStayDense drives 100 000 random allocations and releases
+// over a mixed fleet, reading one random machine's class after each so
+// that stale machines hold their old ids for a while, and demands the id
+// space never exceed NumMachines()+1: refcounts and the free list recycle
+// every id a recompute lets go of, however many fingerprints pass by.
+func TestClassIDsStayDense(t *testing.T) {
+	s := fpState(t, "minsky:3+minsky-1g:1+dgx1:2+dgx1-2g:1+pcie:1")
+	n := s.Topology().NumMachines()
+	rng := rand.New(rand.NewSource(7))
+	seen := map[string]bool{}
+	for op := 0; op < 100_000; op++ {
+		if rng.Intn(2) == 0 {
+			randomAllocate(t, rng, s, jobName(op))
+		} else {
+			randomRelease(t, rng, s)
+		}
+		seen[s.MachineFingerprint(rng.Intn(n))] = true
+		if s.NumClasses() > n+1 {
+			t.Fatalf("op %d: %d class ids on %d machines", op, s.NumClasses(), n)
+		}
+		if op%10_000 == 0 {
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+	}
+	if len(seen) < 10*(n+1) {
+		t.Fatalf("only %d distinct fingerprints went by: the bound was never under pressure", len(seen))
+	}
+}
+
+// TestMachineClassAllocatesNothing: reading a clean machine's class, and
+// recomputing a stale one to a fingerprint already interned — held by a
+// twin machine, or by the machine itself — allocate nothing.
+func TestMachineClassAllocatesNothing(t *testing.T) {
+	s := fpState(t, "minsky:3")
+	tr := perfmodel.Traits{Model: perfmodel.AlexNet, Class: 1, GPUs: 1, Mode: perfmodel.DataParallel}
+	if err := s.Allocate("a", []int{8}, 1, tr); err != nil { // machine 2 alone in its class
+		t.Fatal(err)
+	}
+	for m := 0; m < 3; m++ {
+		s.MachineClass(m)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"clean", func() { s.MachineClass(0) }},
+		{"recompute to a twin's class", func() { s.touch(0); s.MachineClass(0) }},
+		{"recompute to its own class", func() { s.touch(2); s.MachineClass(2) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.run); n != 0 {
+			t.Errorf("%s: MachineClass allocates %v objects", tc.name, n)
 		}
 	}
 }
@@ -240,6 +316,7 @@ func FuzzShapeFingerprint(f *testing.F) {
 	f.Add("minsky:2+minsky-1g:1+dgx1:1", []byte{0, 2, 1, 3, 0x80, 7, 0, 1})
 	f.Add("minsky:3", []byte{4, 4, 4, 0x81})
 	f.Add("dgx1-2g:2+pcie:1", []byte{9, 0, 0x80, 3, 3})
+	f.Add("minsky:2+minsky-1g:1+dgx1:1", []byte{0x41, 0x46, 0x80, 0x45, 0x81, 2, 0x4a, 0x82, 0x40})
 	f.Fuzz(func(t *testing.T, mix string, ops []byte) {
 		specs, err := topology.ParseMix(mix)
 		if err != nil {
@@ -301,6 +378,11 @@ func FuzzShapeFingerprint(f *testing.F) {
 			if err := s.Allocate(id, gpus, float64(int(op)%5), tr); err != nil {
 				t.Fatal(err)
 			}
+			if op&0x40 != 0 {
+				// Some ops read every class, so recomputes meet stale
+				// machines still holding old ids.
+				checkClassPairs(t, s, fmt.Sprintf("after op %d", i))
+			}
 		}
 		want := replayFingerprints(t, s)
 		for m := range want {
@@ -309,5 +391,9 @@ func FuzzShapeFingerprint(f *testing.F) {
 			}
 		}
 		checkFingerprintBytes(t, s, "after the op sequence")
+		checkClassPairs(t, s, "after the op sequence")
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

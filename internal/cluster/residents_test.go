@@ -66,6 +66,7 @@ func TestResidentsMatchScratch(t *testing.T) {
 					if err := s.CheckInvariants(); err != nil {
 						t.Fatalf("%s seed %d step %d (%s), state %d: %v", mix, seed, step, op, i, err)
 					}
+					checkClassPairs(t, s, fmt.Sprintf("%s seed %d step %d (%s), state %d", mix, seed, step, op, i))
 				}
 			}
 			check(-1, "empty")
@@ -140,7 +141,28 @@ func TestCheckInvariantsCatchesEachTable(t *testing.T) {
 		{"fragSum", func() func() { s.fragSum += 0.25; return func() { s.fragSum -= 0.25 } }, "Fragmentation"},
 		{"maxFree", func() func() { old := s.maxFree; s.maxFree = old + 1; return func() { s.maxFree = old } }, "MaxFreeGPUs"},
 		{"freeMachines", func() func() { old := s.freeMachines; s.freeMachines = old + 1; return func() { s.freeMachines = old } }, "FreeMachines"},
-		{"fp", func() func() { old := s.fp[2]; s.fp[2] = s.fp[3]; return func() { s.fp[2] = old } }, "machine 2: fingerprint"},
+		// Swapped, so every refcount still matches: only the per-machine
+		// fingerprint check can see it.
+		{"fp", func() func() {
+			s.fp[2], s.fp[3] = s.fp[3], s.fp[2]
+			return func() { s.fp[2], s.fp[3] = s.fp[3], s.fp[2] }
+		}, "machine 2: fingerprint"},
+		{"fp.class", func() func() { old := s.fp[1].class; s.fp[1].class = 99; return func() { s.fp[1].class = old } }, "machine 1: class 99"},
+		{"classes.refs", func() func() { c := s.fp[0].class; s.classes.refs[c]++; return func() { s.classes.refs[c]-- } }, "references"},
+		{"classes.ids", func() func() {
+			name := s.classes.names[s.fp[0].class]
+			s.classes.ids[name] = s.fp[3].class // a dgx1's: never machine 0's
+			return func() { s.classes.ids[name] = s.fp[0].class }
+		}, "interned as class"},
+		{"classes.names", func() func() {
+			c, old := s.fp[2].class, s.classes.names[s.fp[2].class]
+			s.classes.names[c] = "x"
+			return func() { s.classes.names[c] = old }
+		}, "interned as class"},
+		{"classes.free", func() func() {
+			s.classes.free = append(s.classes.free, s.fp[0].class)
+			return func() { s.classes.free = s.classes.free[:len(s.classes.free)-1] }
+		}, "free list"},
 		{"residents.GPUs", func() func() { s.residents[3][0].GPUs++; return func() { s.residents[3][0].GPUs-- } }, "resident GPU count"},
 	} {
 		restore := tc.corrupt()

@@ -44,20 +44,35 @@ func (m *Mapper) Weights() Weights { return m.weights }
 // physical graph P is the candidate GPU set with the topology's distance
 // matrix as the communication-cost array C.
 func (m *Mapper) Place(j *job.Job, st *cluster.State, candidates []int) (*Placement, error) {
-	if err := j.Validate(); err != nil {
+	// pl stays on the stack, so a failed mapping allocates nothing; only
+	// the returned copy escapes.
+	var pl Placement
+	if err := m.PlaceInto(&pl, j, st, candidates); err != nil {
 		return nil, err
 	}
+	out := pl
+	return &out, nil
+}
+
+// PlaceInto is Place writing the placement into dst, reusing the backing
+// array of dst.GPUs: a caller that scores many candidate sets and keeps
+// one pays for no placement it throws away. dst is only written on
+// success.
+func (m *Mapper) PlaceInto(dst *Placement, j *job.Job, st *cluster.State, candidates []int) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
 	if len(candidates) < j.GPUs {
-		return nil, fmt.Errorf("core: job %s needs %d GPUs, only %d candidates", j.ID, j.GPUs, len(candidates))
+		return fmt.Errorf("core: job %s needs %d GPUs, only %d candidates", j.ID, j.GPUs, len(candidates))
 	}
 	for _, pos := range candidates {
 		if st.Owner(pos) != "" {
-			return nil, fmt.Errorf("core: candidate GPU %d is not free", pos)
+			return fmt.Errorf("core: candidate GPU %d is not free", pos)
 		}
 	}
 
 	if j.AntiCollocate {
-		return m.placeAntiCollocated(j, st, candidates)
+		return m.placeAntiCollocated(dst, j, st, candidates)
 	}
 
 	// The recursion state is pooled: a scenario-2 simulation runs DRB
@@ -85,28 +100,28 @@ func (m *Mapper) Place(j *job.Job, st *cluster.State, candidates []int) (*Placem
 	}
 	if err != nil {
 		release()
-		return nil, err
+		return err
 	}
 
 	for task, gpu := range d.assignment {
 		if gpu < 0 {
 			release()
-			return nil, fmt.Errorf("core: task %d of job %s left unmapped", task, j.ID)
+			return fmt.Errorf("core: task %d of job %s left unmapped", task, j.ID)
 		}
 	}
 	// The task -> GPU order is spent: sort the assignment in place into
-	// the ascending allocation Score copies out.
+	// the ascending allocation ScoreInto copies out.
 	slices.Sort(d.assignment)
-	pl := m.Score(j, st, d.assignment)
+	m.ScoreInto(dst, j, st, d.assignment)
 	release()
-	return pl, nil
+	return nil
 }
 
 // placeAntiCollocated implements the §4.4 anti-collocation policy: "if a
 // job wants to get all its tasks spread across different nodes ... they
 // will be placed on different nodes." One GPU per machine, machines chosen
 // by descending single-GPU placement utility.
-func (m *Mapper) placeAntiCollocated(j *job.Job, st *cluster.State, candidates []int) (*Placement, error) {
+func (m *Mapper) placeAntiCollocated(dst *Placement, j *job.Job, st *cluster.State, candidates []int) error {
 	topo := st.Topology()
 	bestPerMachine := map[int]int{}
 	for _, pos := range candidates {
@@ -121,7 +136,7 @@ func (m *Mapper) placeAntiCollocated(j *job.Job, st *cluster.State, candidates [
 		}
 	}
 	if len(bestPerMachine) < j.GPUs {
-		return nil, fmt.Errorf("core: anti-collocation needs %d machines, %d available", j.GPUs, len(bestPerMachine))
+		return fmt.Errorf("core: anti-collocation needs %d machines, %d available", j.GPUs, len(bestPerMachine))
 	}
 	type cand struct {
 		pos     int
@@ -142,13 +157,22 @@ func (m *Mapper) placeAntiCollocated(j *job.Job, st *cluster.State, candidates [
 		gpus[i] = ranked[i].pos
 	}
 	sort.Ints(gpus)
-	return m.Score(j, st, gpus), nil
+	m.ScoreInto(dst, j, st, gpus)
+	return nil
 }
 
 // Score evaluates an arbitrary allocation for the job, producing the same
 // Placement record DRB produces — used both for the final DRB solution and
 // to score the greedy baselines' decisions on an equal footing.
 func (m *Mapper) Score(j *job.Job, st *cluster.State, gpus []int) *Placement {
+	pl := &Placement{}
+	m.ScoreInto(pl, j, st, gpus)
+	return pl
+}
+
+// ScoreInto is Score writing into dst, copying gpus into the backing
+// array of dst.GPUs.
+func (m *Mapper) ScoreInto(dst *Placement, j *job.Job, st *cluster.State, gpus []int) {
 	topo := st.Topology()
 	uCC, uB, uD, commCost, interference, frag := utilityTerms(j, gpus, st, m.profiles)
 	p2p := len(gpus) >= 2
@@ -160,8 +184,8 @@ func (m *Mapper) Score(j *job.Job, st *cluster.State, gpus []int) *Placement {
 			}
 		}
 	}
-	return &Placement{
-		GPUs:          append([]int(nil), gpus...),
+	*dst = Placement{
+		GPUs:          append(dst.GPUs[:0], gpus...),
 		Utility:       Utility(m.weights, j.CommIntensity(), uCC, uB, uD),
 		CommCost:      commCost,
 		Interference:  interference,

@@ -23,12 +23,19 @@ type placer struct {
 	// lists; their contents are dead once the owning call returns.
 	freeScratch []int
 	hostScratch []int
-	// classSeen holds the machine fingerprints the TOPO-AWARE single-node
-	// sweep of one decision has already evaluated. perMachine turns that
-	// skip off: NewPlacer sets it, so the differential reference evaluates
-	// every host and a wrong fold shows up as a divergence.
-	classSeen  map[string]struct{}
+	// classSeen[c] == gen marks cluster.State.MachineClass c as already
+	// evaluated by the TOPO-AWARE single-node sweep of the current
+	// decision; each decision bumps gen instead of clearing the array.
+	// perMachine turns that skip off: NewPlacer sets it, so the
+	// differential reference evaluates every host and a wrong fold shows
+	// up as a divergence.
+	classSeen  []uint32
+	gen        uint32
 	perMachine bool
+	// cur and best are the sweep's scratch placements: each class is
+	// scored into cur, which trades places with best when it wins, so
+	// neither placement nor its GPUs is allocated per class.
+	cur, best core.Placement
 }
 
 // attempt runs the placement policy on the job and applies the
@@ -196,13 +203,15 @@ func (p *placer) bestFitGPUs(machine, n int) []int {
 // host (or over the whole candidate set for multi-node jobs) and keep the
 // highest-utility solution.
 //
-// The single-node sweep skips a host whose cluster.State.MachineFingerprint
+// The single-node sweep skips a host whose cluster.State.MachineClass
 // this decision has already evaluated: within a decision the job and the
 // cluster-wide fragmentation sum are fixed, so equal fingerprints present
 // the mapper with the same subproblem up to an order-preserving relabeling
 // of the free GPUs and score identically. Hosts are met in ascending order
 // and a later one wins only on strictly higher utility, so the lowest
-// machine of the best class is the winner with or without the skip.
+// machine of the best class is the winner with or without the skip. A
+// class id freed by a recompute during the sweep cannot carry this
+// decision's stamp: a stamped id is held by the clean host that stamped it.
 func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 	hosts := p.filterHosts(j)
 	if len(hosts) == 0 {
@@ -221,33 +230,39 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 		return p.mapper.Place(j, p.state, candidates)
 	}
 
-	if p.classSeen == nil {
-		p.classSeen = make(map[string]struct{})
+	if p.gen++; p.gen == 0 {
+		clear(p.classSeen) // wrapped: no stamp may equal a future gen
+		p.gen = 1
 	}
-	clear(p.classSeen)
-	var best *core.Placement
+	found := false
 	for _, m := range hosts {
 		if !p.perMachine {
-			fp := p.state.MachineFingerprint(m)
-			if _, seen := p.classSeen[fp]; seen {
+			c := p.state.MachineClass(m)
+			if c >= len(p.classSeen) {
+				p.classSeen = append(p.classSeen, make([]uint32, c+1-len(p.classSeen))...)
+			}
+			if p.classSeen[c] == p.gen {
 				continue
 			}
-			p.classSeen[fp] = struct{}{}
+			p.classSeen[c] = p.gen
 		}
 		free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], m)
 		p.freeScratch = free
-		pl, err := p.mapper.Place(j, p.state, free)
-		if err != nil {
+		if err := p.mapper.PlaceInto(&p.cur, j, p.state, free); err != nil {
 			continue
 		}
-		if best == nil || pl.Utility > best.Utility {
-			best = pl
+		if !found || p.cur.Utility > p.best.Utility {
+			p.cur, p.best = p.best, p.cur
+			found = true
 		}
 	}
-	if best == nil {
+	if !found {
 		return nil, fmt.Errorf("sched: DRB found no feasible mapping for %s", j.ID)
 	}
-	return best, nil
+	// Decisions keep their placement: hand out a copy, not the scratch.
+	best := p.best
+	best.GPUs = slices.Clone(best.GPUs)
+	return &best, nil
 }
 
 // filterHosts implements filterHostsByConstraints (Algorithm 1): machines
