@@ -11,7 +11,7 @@
 //	toposweep -grid hetero                    heterogeneous (mixed-machine) clusters
 //	toposweep -grid @spec.json -out out.json  run an ad-hoc grid spec file
 //	toposweep -grid alpha -csv alpha.csv      write a per-point CSV
-//	toposweep -diff old.json new.json         regression-diff two artifacts
+//	toposweep -diff old.json new.json         regression-diff two artifacts, exactly
 //	toposweep -grid smoke -cpuprofile c.pprof profile the sweep (also -memprofile)
 //
 // Topology specs in grid files cover homogeneous builders, heterogeneous
@@ -31,8 +31,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -48,11 +46,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "base seed; every point derives its own seed from it (overrides a spec file's base_seed when set explicitly)")
 		list     = flag.Bool("list", false, "list the available grids and exit; with a grid name argument, dump that grid as a JSON spec template")
 		quiet    = flag.Bool("quiet", false, "suppress per-point progress")
-		diff     = flag.Bool("diff", false, "diff two JSON artifacts: toposweep -diff old.json new.json; exits 2 on regression (flags go before the file arguments)")
-		tol      = flag.Float64("tol", 0, "with -diff: relative tolerance (0 = exact)")
-		tolStd   = flag.Float64("tol-stddev", 0, "with -diff: relative tolerance for the .stddev distribution metrics (0 = use -tol)")
-		tolP95   = flag.Float64("tol-p95", 0, "with -diff: relative tolerance for the .p95 distribution metrics (0 = use -tol)")
-		tolMet   = flag.String("tol-metric", "", "with -diff: per-metric tolerance overrides, e.g. makespan_s=0.05 or makespan_s.p95=0.2 (comma-separated)")
+		diff     = flag.Bool("diff", false, "diff two JSON artifacts exactly: toposweep -diff old.json new.json; exits 2 on regression (flags go before the file arguments)")
 		strict   = flag.Bool("strict", false, "with -diff, also exit 2 on improvements — any delta is a behavior change (used by the CI golden-baseline gate)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this path")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (after the sweep) to this path")
@@ -61,7 +55,7 @@ func main() {
 
 	switch {
 	case *diff:
-		res, err := diffFiles(os.Stdout, flag.Args(), diffTols{tol: *tol, stddev: *tolStd, p95: *tolP95, perMetric: *tolMet})
+		res, err := diffFiles(os.Stdout, flag.Args())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "toposweep:", err)
 			os.Exit(1)
@@ -119,49 +113,11 @@ func listGrids(w io.Writer, args []string) error {
 	return nil
 }
 
-// diffTols bundles the result-differ tolerance flags.
-type diffTols struct {
-	tol, stddev, p95 float64
-	perMetric        string
-}
-
-// parseTolerances builds diff options from the tolerance flags;
-// -tol-metric is a comma-separated name=value list over the metric names
-// the differ knows.
-func parseTolerances(tols diffTols) (sweep.DiffOptions, error) {
-	opt := sweep.DiffOptions{RelTol: tols.tol, StddevRelTol: tols.stddev, P95RelTol: tols.p95}
-	if tols.perMetric == "" {
-		return opt, nil
-	}
-	known := sweep.DiffMetricNames()
-	opt.PerMetric = map[string]float64{}
-	for _, pair := range strings.Split(tols.perMetric, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			return opt, fmt.Errorf("-tol-metric entry %q is not metric=value", pair)
-		}
-		if !slices.Contains(known, name) {
-			return opt, fmt.Errorf("-tol-metric: unknown metric %q (use one of %v)", name, known)
-		}
-		t, err := strconv.ParseFloat(val, 64)
-		if err != nil || t < 0 {
-			return opt, fmt.Errorf("-tol-metric: bad tolerance %q for %s", val, name)
-		}
-		opt.PerMetric[name] = t
-	}
-	return opt, nil
-}
-
-// diffFiles loads two JSON artifacts, diffs them under the tolerances and
-// writes the markdown delta report. The caller decides the exit code from
-// the returned result.
-func diffFiles(w io.Writer, args []string, tols diffTols) (*sweep.DiffResult, error) {
+// diffFiles loads two JSON artifacts, diffs them and writes the markdown
+// delta report. The caller decides the exit code from the returned result.
+func diffFiles(w io.Writer, args []string) (*sweep.DiffResult, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("-diff needs exactly two artifacts: toposweep -diff old.json new.json")
-	}
-	opt, err := parseTolerances(tols)
-	if err != nil {
-		return nil, err
 	}
 	reports := make([]*sweep.Report, 2)
 	for i, path := range args {
@@ -174,9 +130,9 @@ func diffFiles(w io.Writer, args []string, tols diffTols) (*sweep.DiffResult, er
 			return nil, err
 		}
 	}
-	res := sweep.Diff(reports[0], reports[1], opt)
+	res := sweep.Diff(reports[0], reports[1])
 	res.OldName, res.NewName = args[0], args[1]
-	_, err = io.WriteString(w, res.Markdown())
+	_, err := io.WriteString(w, res.Markdown())
 	return res, err
 }
 

@@ -203,7 +203,7 @@ func TestDiffFilesSelfAndPerturbed(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	res, err := diffFiles(&buf, []string{oldPath, oldPath}, diffTols{})
+	res, err := diffFiles(&buf, []string{oldPath, oldPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDiffFilesSelfAndPerturbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	res, err = diffFiles(&buf, []string{oldPath, newPath}, diffTols{tol: 0.01})
+	res, err = diffFiles(&buf, []string{oldPath, newPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,24 +236,8 @@ func TestDiffFilesSelfAndPerturbed(t *testing.T) {
 		t.Fatalf("markdown delta table missing:\n%s", out)
 	}
 
-	if _, err := diffFiles(&buf, []string{oldPath}, diffTols{}); err == nil {
+	if _, err := diffFiles(&buf, []string{oldPath}); err == nil {
 		t.Fatal("one-argument diff did not error")
-	}
-}
-
-func TestParseTolerances(t *testing.T) {
-	opt, err := parseTolerances(diffTols{tol: 0.02, perMetric: "makespan_s=0.1,slo_violations=0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.RelTol != 0.02 || opt.PerMetric["makespan_s"] != 0.1 {
-		t.Fatalf("tolerances parsed as %+v", opt)
-	}
-	if _, err := parseTolerances(diffTols{perMetric: "bogus_metric=1"}); err == nil {
-		t.Fatal("unknown metric accepted")
-	}
-	if _, err := parseTolerances(diffTols{perMetric: "makespan_s"}); err == nil {
-		t.Fatal("missing =value accepted")
 	}
 }
 

@@ -79,10 +79,31 @@ type State struct {
 	// there, sorted by job ID: the co-runners Eq. 4 sums over, in the
 	// order it sums them. A view of the owner table, rebuilt lazily and in
 	// place when residentOK[m] is false; touch dirties it together with
-	// fp[m]. Each State owns its row buffers outright (Clone and CopyFrom
-	// never hand them over), since a rebuild overwrites them.
+	// fp[m].
 	residents  [][]Resident
 	residentOK []bool
+
+	// trial journals the what-if Mark opened, until Rollback undoes it.
+	trial trial
+}
+
+// trial is the journal of an open what-if: the gauges Mark saved, and
+// what each Release inside it undid, in order.
+type trial struct {
+	open     bool
+	released []*Allocation
+	bus      []busMark
+
+	fragSum               float64
+	maxFree, freeMachines int
+	maxFreeDirty          bool
+}
+
+// busMark is one machine's committed bus bandwidth before a Release
+// inside a trial changed it.
+type busMark struct {
+	m    int
+	used float64
 }
 
 // fpSlot is one machine's entry in the fingerprint table.
@@ -140,16 +161,9 @@ func (t *classTable) release(id int32) {
 	}
 }
 
-// copyFrom resets t to a copy of src, reusing t's buffers.
-func (t *classTable) copyFrom(src *classTable) {
-	if t.ids == nil {
-		t.ids = make(map[string]int32, len(src.ids))
-	}
-	clear(t.ids)
-	maps.Copy(t.ids, src.ids)
-	t.names = append(t.names[:0], src.names...)
-	t.refs = append(t.refs[:0], src.refs...)
-	t.free = append(t.free[:0], src.free...)
+// clone returns a copy of t sharing no buffer with it.
+func (t *classTable) clone() classTable {
+	return classTable{ids: maps.Clone(t.ids), names: slices.Clone(t.names), refs: slices.Clone(t.refs), free: slices.Clone(t.free)}
 }
 
 // NewState returns an empty allocation state for the topology.
@@ -237,8 +251,12 @@ func (s *State) FreeBusBandwidth(m int) float64 {
 // Allocate assigns the given GPUs to jobID, committing the stated
 // shared-bus bandwidth on every machine the job touches and recording the
 // job's interference traits. It fails if any GPU is already owned, the job
-// already has an allocation, or a position is out of range.
+// already has an allocation, a position is out of range, or a trial is
+// open.
 func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits perfmodel.Traits) error {
+	if s.trial.open {
+		return fmt.Errorf("cluster: allocating %s inside a trial", jobID)
+	}
 	if jobID == "" {
 		return fmt.Errorf("cluster: empty job ID")
 	}
@@ -278,7 +296,8 @@ func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits per
 }
 
 // Release frees the allocation of jobID. Releasing an unknown job is an
-// error (it indicates a simulator bookkeeping bug).
+// error (it indicates a simulator bookkeeping bug). Inside a trial it
+// journals the allocation and each bus it uncommits, for Rollback.
 func (s *State) Release(jobID string) error {
 	alloc, ok := s.allocs[jobID]
 	if !ok {
@@ -292,6 +311,9 @@ func (s *State) Release(jobID string) error {
 		s.fragSum += 1 / float64(s.topo.SocketSize(pos))
 		s.touch(m)
 		if s.firstOnMachine(alloc.GPUs, i) {
+			if s.trial.open {
+				s.trial.bus = append(s.trial.bus, busMark{m: m, used: s.busUsed[m]})
+			}
 			s.busUsed[m] -= alloc.Bandwidth
 			if s.busUsed[m] < 1e-9 {
 				s.busUsed[m] = 0 // drop the float residue of an emptied bus
@@ -300,7 +322,58 @@ func (s *State) Release(jobID string) error {
 	}
 	delete(s.allocs, jobID)
 	s.maxFreeDirty = true
+	if s.trial.open {
+		s.trial.released = append(s.trial.released, alloc)
+	}
 	return nil
+}
+
+// Mark opens a trial: a what-if the state returns from exactly. Inside it
+// every reader and Release work as usual, Allocate is refused, and
+// Rollback undoes the releases and closes it. Trials do not nest: Mark
+// inside an open one is an error.
+func (s *State) Mark() error {
+	t := &s.trial
+	if t.open {
+		return fmt.Errorf("cluster: Mark inside an open trial")
+	}
+	t.open = true
+	t.fragSum, t.maxFree, t.freeMachines, t.maxFreeDirty = s.fragSum, s.maxFree, s.freeMachines, s.maxFreeDirty
+	return nil
+}
+
+// Rollback undoes every Release since Mark and closes the trial. The same
+// *Allocation values go back into the allocation map and the owner table,
+// and the free counts count back up. The float gauges — each bus Release
+// uncommitted, the Eq. 5 sum — and the lazy free-machine gauges take the
+// values they had at Mark, so they come back bit for bit, which
+// (a − x) + x would not guarantee. The touched machines' fingerprints and
+// resident rows go stale and rebuild on demand: a class id may come back
+// renumbered, but two machines share one exactly when they did before.
+// Without an open trial it does nothing.
+func (s *State) Rollback() {
+	t := &s.trial
+	if !t.open {
+		return
+	}
+	for _, a := range t.released {
+		s.allocs[a.JobID] = a
+		for _, pos := range a.GPUs {
+			s.owner[pos] = a.JobID
+			m := s.topo.MachineOf(pos)
+			s.freeOnMachine[m]--
+			s.freeTotal--
+			s.touch(m)
+		}
+	}
+	// Backwards: a machine two released jobs shared keeps its first,
+	// pre-trial reading.
+	for i := len(t.bus) - 1; i >= 0; i-- {
+		s.busUsed[t.bus[i].m] = t.bus[i].used
+	}
+	s.fragSum, s.maxFree, s.freeMachines, s.maxFreeDirty = t.fragSum, t.maxFree, t.freeMachines, t.maxFreeDirty
+	clear(t.released) // hold no allocation past the trial
+	t.released, t.bus, t.open = t.released[:0], t.bus[:0], false
 }
 
 // firstOnMachine reports whether gpus[i] opens its machine's run in the
@@ -337,7 +410,8 @@ func (s *State) touch(m int) {
 
 // Residents returns machine m's resident table: one row per job with a
 // GPU on m, sorted by job ID. The slice is the state's own buffer — valid
-// until the state next changes (Allocate, Release, CopyFrom into it), and
+// until the state next changes (Allocate, Release, Rollback, CopyFrom into
+// it), and
 // not to be mutated.
 func (s *State) Residents(m int) []Resident {
 	if !s.residentOK[m] {
@@ -427,11 +501,15 @@ func (s *State) Slowdown(a *Allocation) float64 {
 // the owner table gives the job there. Over the cluster: the class table
 // (checkClasses), the free total, MaxFreeGPUs, FreeMachines and Eq. 5's
 // Fragmentation. The two float sums are maintained incrementally and
-// compare within 1e-9.
+// compare within 1e-9. A trial left open is reported first: a what-if
+// that forgot its Rollback.
 // It is a test and diagnosis aid — O(GPUs · job size), allocating — not a
 // hot path.
 func (s *State) CheckInvariants() error {
 	const tol = 1e-9
+	if s.trial.open {
+		return fmt.Errorf("cluster: a trial is open (%d releases since Mark, no Rollback)", len(s.trial.released))
+	}
 	if err := s.checkClasses(); err != nil {
 		return err
 	}
@@ -754,8 +832,9 @@ func (s *State) fingerprint(m int) []byte {
 	return b
 }
 
-// Clone returns a deep copy of the allocation state sharing the topology.
-// The scheduler uses clones for what-if evaluation during placement.
+// Clone returns a deep copy of the allocation state sharing the topology,
+// with no trial open — an independent state for reference schedulers and
+// benchmarks; the scheduler's own what-ifs are trials (Mark).
 func (s *State) Clone() *State {
 	c := &State{
 		topo:          s.topo,
@@ -770,15 +849,13 @@ func (s *State) Clone() *State {
 		maxFree:       s.maxFree,
 		freeMachines:  s.freeMachines,
 		maxFreeDirty:  s.maxFreeDirty,
+		fp:            slices.Clone(s.fp), // nil stays nil: no table built yet
+		classes:       s.classes.clone(),
 		// The clone's allocations are its own copies, so its resident
 		// tables start stale and rebuild against them on first use.
 		residents:  make([][]Resident, len(s.residents)),
 		residentOK: make([]bool, len(s.residentOK)),
 	}
-	if s.fp != nil {
-		c.fp = slices.Clone(s.fp)
-	}
-	c.classes.copyFrom(&s.classes)
 	for id, a := range s.allocs {
 		c.allocs[id] = &Allocation{
 			JobID:     a.JobID,
@@ -790,39 +867,6 @@ func (s *State) Clone() *State {
 	return c
 }
 
-// CopyFrom resets s to a copy of src, reusing s's buffers — the
-// allocation-free sibling of Clone for pooled what-if scratch states
-// (the preemption victim search resets one scratch clone per candidate
-// instead of cloning fresh each time). Both states must share the same
-// topology. *Allocation values are shared, not copied: an Allocation is
-// immutable once created (Allocate builds it, Release only drops the
-// map entry), so a scratch state releasing a shared allocation never
-// mutates the source's view.
-func (s *State) CopyFrom(src *State) {
-	if s.topo != src.topo {
-		panic("cluster: CopyFrom across topologies")
-	}
-	copy(s.owner, src.owner)
-	clear(s.allocs)
-	for id, a := range src.allocs {
-		s.allocs[id] = a
-	}
-	s.busCapacity = src.busCapacity
-	copy(s.busUsed, src.busUsed)
-	copy(s.freeOnMachine, src.freeOnMachine)
-	s.freeTotal = src.freeTotal
-	s.fragSum = src.fragSum
-	s.socketCount = src.socketCount
-	s.maxFree = src.maxFree
-	s.freeMachines = src.freeMachines
-	s.maxFreeDirty = src.maxFreeDirty
-	if src.fp == nil {
-		s.fp = nil
-	} else {
-		s.fp = append(s.fp[:0], src.fp...)
-	}
-	s.classes.copyFrom(&src.classes)
-	// Stale, not copied: a what-if state reads the rows of the few
-	// machines it places on, and rebuilds those into its own buffers.
-	clear(s.residentOK)
-}
+// CopyFrom resets s to a copy of src; the frozen cmd/topoperf is its only
+// caller.
+func (s *State) CopyFrom(src *State) { *s = *src.Clone() }

@@ -311,12 +311,15 @@ func TestFingerprintCloneAndCopyFrom(t *testing.T) {
 // fingerprint of every machine always equals the from-scratch
 // fingerprint of a fresh state holding the same allocations. A
 // divergence here is exactly a candidate-sweep correctness bug — two
-// machines folded into one class that the mapper would score apart.
+// machines folded into one class that the mapper would score apart. An op
+// with both high bits set runs a trial that must roll back exactly
+// (trialRoundTrip) instead of a release.
 func FuzzShapeFingerprint(f *testing.F) {
 	f.Add("minsky:2+minsky-1g:1+dgx1:1", []byte{0, 2, 1, 3, 0x80, 7, 0, 1})
 	f.Add("minsky:3", []byte{4, 4, 4, 0x81})
 	f.Add("dgx1-2g:2+pcie:1", []byte{9, 0, 0x80, 3, 3})
 	f.Add("minsky:2+minsky-1g:1+dgx1:1", []byte{0x41, 0x46, 0x80, 0x45, 0x81, 2, 0x4a, 0x82, 0x40})
+	f.Add("dgx1-1g:1+minsky:1", []byte{1, 0x45, 2, 7, 0xeb, 0x42, 0xff, 0x80, 0xd5})
 	f.Fuzz(func(t *testing.T, mix string, ops []byte) {
 		specs, err := topology.ParseMix(mix)
 		if err != nil {
@@ -340,6 +343,12 @@ func FuzzShapeFingerprint(f *testing.F) {
 		next := 0
 		for i := 0; i < len(ops); i++ {
 			op := ops[i]
+			if op&0xc0 == 0xc0 {
+				// A trial instead of a release: release the jobs whose index
+				// picks a set bit of the low six, and roll back.
+				trialRoundTrip(t, s, func(k int) bool { return op>>(k%6)&1 != 0 }, fmt.Sprintf("op %d", i))
+				continue
+			}
 			if op&0x80 != 0 {
 				// Release the job selected by the low bits, if any.
 				ids := s.Jobs()

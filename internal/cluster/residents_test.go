@@ -10,7 +10,8 @@ import (
 )
 
 // randomAllocate places a job on one to four random free GPUs — anywhere
-// in the cluster, so some jobs span machines — with random traits.
+// in the cluster, so some jobs span machines — with random traits and a
+// bandwidth in tenths, whose sums are inexact.
 func randomAllocate(t *testing.T, rng *rand.Rand, s *State, id string) {
 	t.Helper()
 	free := s.FreeGPUs()
@@ -25,7 +26,7 @@ func randomAllocate(t *testing.T, rng *rand.Rand, s *State, id string) {
 		gpus = onOne[:min(len(gpus), len(onOne))]
 	}
 	tr := randomTraits(rng, len(gpus))
-	if err := s.Allocate(id, gpus, float64(rng.Intn(5)), tr); err != nil {
+	if err := s.Allocate(id, gpus, float64(rng.Intn(50))/10, tr); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,6 +165,13 @@ func TestCheckInvariantsCatchesEachTable(t *testing.T) {
 			return func() { s.classes.free = s.classes.free[:len(s.classes.free)-1] }
 		}, "free list"},
 		{"residents.GPUs", func() func() { s.residents[3][0].GPUs++; return func() { s.residents[3][0].GPUs-- } }, "resident GPU count"},
+		// A what-if that forgot its Rollback.
+		{"trial", func() func() {
+			if err := s.Mark(); err != nil {
+				t.Fatal(err)
+			}
+			return s.Rollback
+		}, "trial is open"},
 	} {
 		restore := tc.corrupt()
 		err := s.CheckInvariants()

@@ -158,12 +158,9 @@ type Core struct {
 	seq    int // next submission sequence number
 	rounds int // completed Schedule calls
 
-	// place evaluates the placement policies against the live state; the
-	// preemption path evaluates victim sets with victimPlacer over the
-	// pooled victimScratch clone.
-	place         placer
-	victimScratch *cluster.State
-	victimPlacer  placer
+	// place evaluates the placement policies against the live state — the
+	// preemption path's victim sets too, each inside a trial on it.
+	place placer
 	// victimCands and victimHeld are the victim search's per-machine
 	// candidate buffers: the candidates in eviction order and the GPUs each
 	// holds on the machine. Dead once selectVictims returns.

@@ -3,3 +3,7 @@
 package schedcore
 
 const raceEnabled = false
+
+// victimCycleAllocs is exactly what TestVictimSearchAllocs' cycle
+// allocates.
+const victimCycleAllocs = 43

@@ -11,8 +11,8 @@ import (
 
 // placer evaluates the placement policies of §5 against one cluster
 // state without committing anything. The Core owns one bound to its live
-// state; the preemption path builds throwaway placers over state clones
-// to evaluate victim sets, and the exported Placer facade hands the same
+// state, which also scores the preemption path's victim sets inside
+// trials on that state, and the exported Placer facade hands the same
 // arithmetic to the differential test harness — so every caller scores
 // placements with bit-identical code.
 type placer struct {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"gputopo/internal/core"
 	"gputopo/internal/job"
 )
 
@@ -71,13 +72,15 @@ func (c *Core) preemptAndPlace(e *entry, now float64) bool {
 	return true
 }
 
-// tryPreempt evicts the best victim set for j and places it on the freed
-// capacity. Victims are released from the cluster state immediately (so
-// the rest of the round sees the new capacity) and staged for re-entry
-// into the queue after the round.
+// tryPreempt evicts the best victim set for j and commits the placement
+// its trial scored. Victims are released from the cluster state
+// immediately (so the rest of the round sees the new capacity), in the
+// order the trial released them — so the state the placement lands on is
+// the one it was scored on — and staged for re-entry into the queue after
+// the round.
 func (c *Core) tryPreempt(j *job.Job) (Decision, bool) {
-	victims, placed := c.selectVictims(j)
-	if len(victims) == 0 {
+	victims, placement := c.selectVictims(j)
+	if placement == nil {
 		return Decision{}, false
 	}
 	evs := make([]Eviction, len(victims))
@@ -91,16 +94,6 @@ func (c *Core) tryPreempt(j *job.Job) (Decision, bool) {
 	}
 	c.evictedInRound = true
 	c.pendingRequeue = append(c.pendingRequeue, victims...)
-
-	// Re-running the policy on the live state must reproduce the clone
-	// evaluation bit for bit: placement reads only allocations, and Clone
-	// copies allocations exactly. A divergence here
-	// means the evaluation and commit saw different cluster states — a
-	// bug, not a recoverable condition.
-	placement, reason := c.place.attempt(j)
-	if placement == nil || placement.Utility != placed {
-		panic(fmt.Sprintf("schedcore: preemptive placement of %s diverged from its victim evaluation (reason %q)", j.ID, reason))
-	}
 	if err := c.state.Allocate(j.ID, placement.GPUs, placement.BusDemand, j.Traits()); err != nil {
 		panic(fmt.Sprintf("schedcore: committing preemptive placement of %s: %v", j.ID, err))
 	}
@@ -194,13 +187,14 @@ func (c *Core) CheckInvariants() error {
 	return nil
 }
 
-// victimSet is one evaluated candidate: the victims in eviction order and
-// the keys sets compare on.
+// victimSet is one evaluated candidate: the victims in eviction order, the
+// placement the arrival scored once they left, and the keys sets compare
+// on.
 type victimSet struct {
-	victims []*job.Job
-	maxPrio int
-	utility float64
-	machine int
+	victims   []*job.Job
+	maxPrio   int
+	placement *core.Placement
+	machine   int
 }
 
 // better orders candidate sets: evict from the lowest tier, as few jobs as
@@ -213,8 +207,8 @@ func (s *victimSet) better(b *victimSet) bool {
 	if len(s.victims) != len(b.victims) {
 		return len(s.victims) < len(b.victims)
 	}
-	if s.utility != b.utility {
-		return s.utility > b.utility
+	if s.placement.Utility != b.placement.Utility {
+		return s.placement.Utility > b.placement.Utility
 	}
 	return s.machine < b.machine
 }
@@ -226,47 +220,41 @@ func (s *victimSet) better(b *victimSet) bool {
 // proposes its own set — a job is a candidate on machine m iff it has a
 // row in the state's Residents(m) and a strictly lower priority, freed
 // until the machine fits the job; multi-node jobs build one cluster-wide
-// set. Candidate sets are evaluated on the pooled scratch copy of the
-// cluster state, so a rejected set has no side effects. Sets are compared
-// by victimSet.better. Returns the winning victims (eviction order) and
-// the utility its evaluation achieved. The caller has checked
-// victimsRunning: without a lower tier the search finds nothing, only
-// slower.
-func (c *Core) selectVictims(j *job.Job) ([]*job.Job, float64) {
+// set. Each candidate set is evaluated inside a trial on the live state
+// (cluster.State.Mark … Rollback), so a rejected set leaves the state as
+// it found it. Sets are compared by victimSet.better. Returns the winning
+// victims (eviction order) and the placement its trial scored, nil when
+// no set places. The caller has checked victimsRunning: without a lower
+// tier the search finds nothing, only slower.
+func (c *Core) selectVictims(j *job.Job) ([]*job.Job, *core.Placement) {
 	var best victimSet
-	found := false
-	// evaluate releases the victims on the pooled scratch clone and
-	// re-runs the policy through the pooled victim placer. A feasible
-	// set must both pass the capacity gate and actually place (bandwidth
-	// and mapper constraints can still reject it). Pooling (CopyFrom
-	// instead of Clone, one placer with persistent scratch buffers)
-	// makes a rejected candidate prefix allocation-free.
+	// evaluate releases the victims inside a trial, runs the policy
+	// through the core's own placer and rolls the releases back. A
+	// feasible set must both pass the capacity gate and actually place
+	// (bandwidth and mapper constraints can still reject it).
 	evaluate := func(victims []*job.Job, machine int) {
-		if c.victimScratch == nil {
-			c.victimScratch = c.state.Clone()
-			c.victimPlacer = placer{policy: c.policy, mapper: c.mapper}
-		} else {
-			c.victimScratch.CopyFrom(c.state)
-		}
-		cs := c.victimScratch
+		err := c.state.Mark()
 		for _, v := range victims {
-			if err := cs.Release(v.ID); err != nil {
-				panic(fmt.Sprintf("schedcore: evaluating eviction of %s: %v", v.ID, err))
+			if err == nil {
+				err = c.state.Release(v.ID)
 			}
 		}
-		c.victimPlacer.state = cs
-		placement, _ := c.victimPlacer.attempt(j)
+		if err != nil {
+			panic(fmt.Sprintf("schedcore: evaluating evictions for %s: %v", j.ID, err))
+		}
+		placement, _ := c.place.attempt(j)
+		c.state.Rollback()
 		if placement == nil {
 			return
 		}
 		// victims is in victimOrder, lowest tier first: the last one's
 		// priority is the highest.
-		s := victimSet{victims: victims, maxPrio: victims[len(victims)-1].Priority, utility: placement.Utility, machine: machine}
-		if !found || s.better(&best) {
+		s := victimSet{victims: victims, maxPrio: victims[len(victims)-1].Priority, placement: placement, machine: machine}
+		if best.placement == nil || s.better(&best) {
 			// victims is a prefix of the caller's candidate buffer: the
 			// winner keeps its own copy.
 			s.victims = append(best.victims[:0], victims...)
-			best, found = s, true
+			best = s
 		}
 	}
 
@@ -318,10 +306,7 @@ func (c *Core) selectVictims(j *job.Job) ([]*job.Job, float64) {
 			}
 		}
 	}
-	if !found {
-		return nil, 0
-	}
-	return best.victims, best.utility
+	return best.victims, best.placement
 }
 
 // requeueVictims re-enqueues the round's evicted jobs after dispatch:

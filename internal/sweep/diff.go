@@ -13,16 +13,13 @@ import (
 // The per-cell metrics the differ compares, in report order. Every base
 // metric is compared as its replica mean plus two distribution shapes —
 // stddev (run-to-run spread) and P95 (tail) — so a change that keeps the
-// mean but fattens the tail still fails the gate once replica counts
-// grow. Lower is better for all of them: shrinking variance or tail is
-// an improvement, growing them a regression.
+// mean but fattens the tail still fails the gate. Lower is better for all
+// of them: shrinking variance or tail is an improvement, growing them a
+// regression.
 var diffMetrics = buildDiffMetrics()
 
 type diffMetric struct {
 	name string
-	// kind is "" for the mean, "stddev" or "p95" for the distribution
-	// companions; it selects the suffix-level tolerance default.
-	kind string
 	get  func(CellSummary) float64
 }
 
@@ -53,66 +50,20 @@ func buildDiffMetrics() []diffMetric {
 	for _, b := range bases {
 		get := b.get
 		ms = append(ms,
-			diffMetric{name: b.name, kind: "", get: func(c CellSummary) float64 { return get(c).Mean }},
-			diffMetric{name: b.name + ".stddev", kind: "stddev", get: func(c CellSummary) float64 { return get(c).Stddev }},
-			diffMetric{name: b.name + ".p95", kind: "p95", get: func(c CellSummary) float64 { return get(c).P95 }},
+			diffMetric{name: b.name, get: func(c CellSummary) float64 { return get(c).Mean }},
+			diffMetric{name: b.name + ".stddev", get: func(c CellSummary) float64 { return get(c).Stddev }},
+			diffMetric{name: b.name + ".p95", get: func(c CellSummary) float64 { return get(c).P95 }},
 		)
 	}
 	return ms
 }
 
-// DiffMetricNames lists the metric names the differ compares (the keys
-// accepted by DiffOptions.PerMetric), in output order: each base metric's
-// mean, then its ".stddev" and ".p95" distribution companions.
-func DiffMetricNames() []string {
-	names := make([]string, len(diffMetrics))
-	for i, m := range diffMetrics {
-		names[i] = m.name
-	}
-	return names
-}
-
-// DiffOptions tunes the differ's tolerances. The zero value compares
-// exactly: any increase of any metric is a regression. The distribution
-// metrics (".stddev", ".p95") get their own suffix-level defaults —
-// spread and tail estimates are noisier than means at small replica
-// counts, so they usually want looser gates.
-type DiffOptions struct {
-	// RelTol is the default relative tolerance: a metric change counts
-	// only when |new-old| > RelTol·|old|.
-	RelTol float64
-	// StddevRelTol, when > 0, replaces RelTol for every ".stddev"
-	// metric.
-	StddevRelTol float64
-	// P95RelTol, when > 0, replaces RelTol for every ".p95" metric.
-	P95RelTol float64
-	// PerMetric overrides all of the above for individual metrics (keys
-	// from DiffMetricNames).
-	PerMetric map[string]float64
-}
-
-func (o DiffOptions) tol(m diffMetric) float64 {
-	if t, ok := o.PerMetric[m.name]; ok {
-		return t
-	}
-	switch m.kind {
-	case "stddev":
-		if o.StddevRelTol > 0 {
-			return o.StddevRelTol
-		}
-	case "p95":
-		if o.P95RelTol > 0 {
-			return o.P95RelTol
-		}
-	}
-	return o.RelTol
-}
-
 // DeltaStatus classifies one cell-metric comparison.
 type DeltaStatus int
 
-// Comparison outcomes. Every metric is lower-is-better, so an increase
-// beyond tolerance is a regression and a decrease an improvement.
+// Comparison outcomes. Every metric is lower-is-better and compared
+// exactly — sweeps are deterministic — so any increase is a regression and
+// any decrease an improvement.
 const (
 	DeltaEqual DeltaStatus = iota
 	DeltaImprovement
@@ -164,47 +115,31 @@ type DiffResult struct {
 	Unchanged    int
 }
 
-// HasRegressions reports whether any metric regressed beyond tolerance or
-// any cell disappeared.
+// HasRegressions reports whether any metric grew or any cell disappeared.
 func (d *DiffResult) HasRegressions() bool { return d.Regressions > 0 }
 
-// compareMetric classifies new against old under a relative tolerance.
-// NaN on both sides is equal (the cell is consistently degenerate); NaN on
-// one side is a regression — a metric silently becoming undefined (or
-// recovering, which still demands a baseline refresh) must not pass CI.
-func compareMetric(old, new, tol float64) (rel float64, status DeltaStatus) {
-	oldNaN, newNaN := math.IsNaN(old), math.IsNaN(new)
-	switch {
-	case oldNaN && newNaN:
+// compareMetric classifies new against old exactly. NaN on both sides is
+// equal (the cell is consistently degenerate); NaN on one side is a
+// regression — a metric silently becoming undefined (or recovering, which
+// still demands a baseline refresh) must not pass CI.
+func compareMetric(old, new float64) (rel float64, status DeltaStatus) {
+	switch oldNaN, newNaN := math.IsNaN(old), math.IsNaN(new); {
+	case oldNaN && newNaN, old == new:
 		return 0, DeltaEqual
 	case oldNaN || newNaN:
 		return math.NaN(), DeltaRegression
 	}
-	if old == new {
-		return 0, DeltaEqual
-	}
-	if old == 0 {
-		rel = math.Inf(1)
-		if new < 0 {
-			rel = math.Inf(-1)
-		}
-	} else {
-		rel = (new - old) / math.Abs(old)
-	}
-	switch {
-	case rel > tol:
+	rel = (new - old) / math.Abs(old) // ±Inf from a zero baseline
+	if new > old {
 		return rel, DeltaRegression
-	case rel < -tol:
-		return rel, DeltaImprovement
-	default:
-		return rel, DeltaEqual
 	}
+	return rel, DeltaImprovement
 }
 
-// Diff joins two reports' cells by key and classifies every metric delta
-// under the options' tolerances. The result is deterministic: cells are
-// visited in the old report's order, added cells sorted by key.
-func Diff(oldRep, newRep *Report, opt DiffOptions) *DiffResult {
+// Diff joins two reports' cells by key and classifies every metric delta.
+// The result is deterministic: cells are visited in the old report's
+// order, added cells sorted by key.
+func Diff(oldRep, newRep *Report) *DiffResult {
 	d := &DiffResult{OldName: oldRep.Grid.Name, NewName: newRep.Grid.Name}
 	newCells := make(map[string]CellSummary, len(newRep.Cells))
 	for _, c := range newRep.Cells {
@@ -221,7 +156,7 @@ func Diff(oldRep, newRep *Report, opt DiffOptions) *DiffResult {
 			continue
 		}
 		for _, m := range diffMetrics {
-			rel, status := compareMetric(m.get(oc), m.get(nc), opt.tol(m))
+			rel, status := compareMetric(m.get(oc), m.get(nc))
 			d.Deltas = append(d.Deltas, MetricDelta{
 				Cell:   key,
 				Metric: m.name,

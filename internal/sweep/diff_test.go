@@ -36,7 +36,7 @@ func makeReport(name string, makespans map[string]float64) *Report {
 
 func TestDiffExactEqual(t *testing.T) {
 	old := makeReport("g", map[string]float64{"A": 100, "B": 200})
-	d := Diff(old, old, DiffOptions{})
+	d := Diff(old, old)
 	if d.HasRegressions() || d.Improvements != 0 {
 		t.Fatalf("self-diff not clean: %+v", d)
 	}
@@ -46,41 +46,28 @@ func TestDiffExactEqual(t *testing.T) {
 	if md := d.Markdown(); !strings.Contains(md, "✅ no regressions") {
 		t.Fatalf("markdown verdict wrong:\n%s", md)
 	}
-}
-
-func TestDiffToleranceEdges(t *testing.T) {
-	old := makeReport("g", map[string]float64{"A": 100})
-	// +4.9% under a 5% tolerance: equal. +5.1%: regression. -5.1%:
-	// improvement (never a CI failure).
+	// Sweeps are deterministic, so the differ has no tolerance: the
+	// smallest step either way is a delta.
 	for _, tc := range []struct {
 		new    float64
 		status DeltaStatus
 	}{
-		{104.9, DeltaEqual},
-		{105.1, DeltaRegression},
-		{94.9, DeltaImprovement},
-		{100, DeltaEqual},
+		{math.Nextafter(100, 101), DeltaRegression},
+		{math.Nextafter(100, 99), DeltaImprovement},
 	} {
-		d := Diff(old, makeReport("g", map[string]float64{"A": tc.new}), DiffOptions{RelTol: 0.05})
-		if got := d.Deltas[0].Status; got != tc.status {
-			t.Fatalf("new=%g: status %v, want %v", tc.new, got, tc.status)
+		if got := Diff(old, makeReport("g", map[string]float64{"A": tc.new, "B": 200})).Deltas[0].Status; got != tc.status {
+			t.Fatalf("100 -> %v: status %v, want %v", tc.new, got, tc.status)
 		}
-	}
-	// Per-metric override beats the default.
-	d := Diff(old, makeReport("g", map[string]float64{"A": 110}),
-		DiffOptions{RelTol: 0.05, PerMetric: map[string]float64{"makespan_s": 0.2}})
-	if d.HasRegressions() {
-		t.Fatalf("per-metric tolerance not applied: %+v", d.Deltas[0])
 	}
 }
 
 func TestDiffZeroBaseline(t *testing.T) {
 	old := makeReport("g", map[string]float64{"A": 0})
-	d := Diff(old, makeReport("g", map[string]float64{"A": 1}), DiffOptions{RelTol: 0.5})
+	d := Diff(old, makeReport("g", map[string]float64{"A": 1}))
 	if !d.HasRegressions() || !math.IsInf(d.Deltas[0].Rel, 1) {
 		t.Fatalf("0 -> 1 not flagged: %+v", d.Deltas[0])
 	}
-	d = Diff(old, makeReport("g", map[string]float64{"A": 0}), DiffOptions{})
+	d = Diff(old, makeReport("g", map[string]float64{"A": 0}))
 	if d.HasRegressions() {
 		t.Fatal("0 -> 0 flagged as regression")
 	}
@@ -90,14 +77,14 @@ func TestDiffNaN(t *testing.T) {
 	nan := math.NaN()
 	old := makeReport("g", map[string]float64{"A": nan})
 	// NaN on both sides: consistently degenerate, equal.
-	if d := Diff(old, makeReport("g", map[string]float64{"A": nan}), DiffOptions{}); d.HasRegressions() {
+	if d := Diff(old, makeReport("g", map[string]float64{"A": nan})); d.HasRegressions() {
 		t.Fatal("NaN == NaN flagged as regression")
 	}
 	// NaN appearing or disappearing: regression either way.
-	if d := Diff(makeReport("g", map[string]float64{"A": 5}), old, DiffOptions{}); !d.HasRegressions() {
+	if d := Diff(makeReport("g", map[string]float64{"A": 5}), old); !d.HasRegressions() {
 		t.Fatal("5 -> NaN not flagged")
 	}
-	if d := Diff(old, makeReport("g", map[string]float64{"A": 5}), DiffOptions{}); !d.HasRegressions() {
+	if d := Diff(old, makeReport("g", map[string]float64{"A": 5})); !d.HasRegressions() {
 		t.Fatal("NaN -> 5 not flagged")
 	}
 }
@@ -105,7 +92,7 @@ func TestDiffNaN(t *testing.T) {
 func TestDiffMissingAndAddedCells(t *testing.T) {
 	old := makeReport("g", map[string]float64{"A": 100, "B": 200})
 	new := makeReport("g", map[string]float64{"A": 100, "C": 300})
-	d := Diff(old, new, DiffOptions{})
+	d := Diff(old, new)
 	if len(d.MissingCells) != 1 || !d.HasRegressions() {
 		t.Fatalf("missing cell not flagged: %+v", d)
 	}
@@ -120,7 +107,7 @@ func TestDiffMissingAndAddedCells(t *testing.T) {
 
 func TestDiffMarkdownTable(t *testing.T) {
 	old := makeReport("g", map[string]float64{"A": 100})
-	d := Diff(old, makeReport("g", map[string]float64{"A": 150}), DiffOptions{})
+	d := Diff(old, makeReport("g", map[string]float64{"A": 150}))
 	md := d.Markdown()
 	for _, want := range []string{"| cell | metric |", "makespan_s", "+50.00%", "REGRESSION", "❌"} {
 		if !strings.Contains(md, want) {
@@ -150,7 +137,7 @@ func TestGoldenBaseline(t *testing.T) {
 	if rep.Grid.Name != "smoke" || len(rep.Cells) == 0 {
 		t.Fatalf("golden baseline is grid %q with %d cells", rep.Grid.Name, len(rep.Cells))
 	}
-	if d := Diff(rep, rep, DiffOptions{}); d.HasRegressions() {
+	if d := Diff(rep, rep); d.HasRegressions() {
 		t.Fatalf("golden self-diff not clean:\n%s", d.Markdown())
 	}
 }
@@ -176,7 +163,7 @@ func TestGoldenHeteroBaseline(t *testing.T) {
 			t.Fatalf("hetero baseline cell %q has no machine mix", c.Key())
 		}
 	}
-	if d := Diff(rep, rep, DiffOptions{}); d.HasRegressions() {
+	if d := Diff(rep, rep); d.HasRegressions() {
 		t.Fatalf("golden hetero self-diff not clean:\n%s", d.Markdown())
 	}
 }
@@ -196,7 +183,7 @@ func TestDiffRealSweepRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Diff(rep, loaded, DiffOptions{})
+	d := Diff(rep, loaded)
 	if d.HasRegressions() || d.Improvements != 0 {
 		t.Fatalf("artifact round-trip self-diff not clean:\n%s", d.Markdown())
 	}
@@ -209,8 +196,7 @@ func TestDiffRealSweepRoundTrip(t *testing.T) {
 }
 
 // TestDiffDistributionMetrics covers the stddev/P95 companions: a change
-// that keeps every mean but fattens the spread or the tail must register
-// under the distribution metrics' own tolerances.
+// that keeps every mean but fattens the spread or the tail must register.
 func TestDiffDistributionMetrics(t *testing.T) {
 	old := makeReport("g", map[string]float64{"A": 100})
 	old.Cells[0].Makespan.Stddev = 10
@@ -219,9 +205,8 @@ func TestDiffDistributionMetrics(t *testing.T) {
 	upd.Cells[0].Makespan.Stddev = 16 // +60% spread
 	upd.Cells[0].Makespan.P95 = 132   // +10% tail
 
-	// Exact mode: both distribution drifts are regressions, the mean is
-	// unchanged.
-	d := Diff(old, upd, DiffOptions{})
+	// Both distribution drifts are regressions, the mean is unchanged.
+	d := Diff(old, upd)
 	if d.Regressions != 2 {
 		t.Fatalf("regressions = %d, want 2 (stddev + p95)", d.Regressions)
 	}
@@ -230,33 +215,18 @@ func TestDiffDistributionMetrics(t *testing.T) {
 		t.Fatalf("markdown missing distribution rows:\n%s", md)
 	}
 
-	// Suffix-level tolerances gate independently: a 100% stddev
-	// allowance forgives the spread, a 5% p95 allowance still fails the
-	// tail.
-	d = Diff(old, upd, DiffOptions{StddevRelTol: 1.0, P95RelTol: 0.05})
-	if d.Regressions != 1 {
-		t.Fatalf("regressions = %d, want 1 (p95 only)", d.Regressions)
+	// The metric list carries every distribution companion.
+	var names []string
+	for _, m := range diffMetrics {
+		names = append(names, m.name)
 	}
-	if d.Deltas[0].Metric == "makespan_s.p95" && d.Deltas[0].Status != DeltaRegression {
-		t.Fatalf("p95 delta: %+v", d.Deltas)
-	}
-
-	// Per-metric overrides beat the suffix defaults.
-	d = Diff(old, upd, DiffOptions{StddevRelTol: 0.01, P95RelTol: 0.01,
-		PerMetric: map[string]float64{"makespan_s.stddev": 1.0, "makespan_s.p95": 1.0}})
-	if d.HasRegressions() {
-		t.Fatalf("per-metric overrides ignored: %+v", d)
-	}
-
-	// The metric list advertises the new names.
-	names := DiffMetricNames()
 	want := map[string]bool{"makespan_s": true, "makespan_s.stddev": true, "makespan_s.p95": true,
 		"slo_violations.p95": true, "high_pri_wait_s": true}
 	for _, n := range names {
 		delete(want, n)
 	}
 	if len(want) != 0 {
-		t.Fatalf("DiffMetricNames missing %v (got %v)", want, names)
+		t.Fatalf("diff metrics missing %v (got %v)", want, names)
 	}
 	if len(names) != 18 {
 		t.Fatalf("expected 18 metrics (6 bases × mean/stddev/p95), got %d", len(names))

@@ -198,7 +198,7 @@ func TestGoldenShardedBaseline(t *testing.T) {
 			t.Fatalf("sharded baseline covers domains %v; missing %q", seen, dom)
 		}
 	}
-	if d := Diff(rep, rep, DiffOptions{}); d.HasRegressions() {
+	if d := Diff(rep, rep); d.HasRegressions() {
 		t.Fatalf("sharded golden self-diff not clean:\n%s", d.Markdown())
 	}
 }
