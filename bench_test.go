@@ -392,7 +392,7 @@ func BenchmarkAblationFMvsExhaustive(b *testing.B) {
 	g := graph.New()
 	n := topo.NumGPUs()
 	for i := 0; i < n; i++ {
-		g.AddVertex("")
+		g.AddVertex()
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -400,8 +400,9 @@ func BenchmarkAblationFMvsExhaustive(b *testing.B) {
 		}
 	}
 	b.Run("FM", func(b *testing.B) {
+		var w fm.Workspace
 		for i := 0; i < b.N; i++ {
-			fm.Bipartition(g, fm.Options{})
+			w.Bipartition(g, fm.Options{})
 		}
 	})
 	b.Run("Exhaustive", func(b *testing.B) {

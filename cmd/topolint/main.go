@@ -1,8 +1,9 @@
 // Command topolint runs the repo's analyzer suite (internal/lint): the
 // invariant checks that keep sweeps deterministic (detmap, seedflow),
 // time injected (wallclock), the package DAG layered (layering), the
-// serving wire types canonical (wiretypes), plus stdlib-grade checks
-// (nilness, sortslice, unusedwrite).
+// serving wire types canonical (wiretypes), internal code reachable from
+// shipped code (deadcode), plus stdlib-grade checks (nilness, sortslice,
+// unusedwrite).
 //
 //	topolint ./...                        lint the whole module
 //	topolint -list                        list the analyzers
@@ -17,6 +18,8 @@
 //	go vet -vettool=$(which topolint) ./...
 //
 // runs the same suite under the vet driver, one package unit at a time.
+// deadcode needs the whole module, so it runs only on `topolint ./...`
+// from the module root; partial patterns and vet units skip it.
 // Suppression uses scoped, justified //lint:ignore directives; see
 // docs/linting.md.
 package main
@@ -27,9 +30,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"gputopo/internal/lint"
+	"gputopo/internal/lint/analysis"
 	"gputopo/internal/lint/driver"
 	"gputopo/internal/lint/load"
 )
@@ -88,6 +93,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	if !wholeModule(*changeDir, patterns) {
+		analyzers = perPackage(analyzers)
+	}
 	pkgs, err := load.Load(*changeDir, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "topolint: %v\n", err)
@@ -104,6 +112,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// wholeModule reports whether patterns name every package of the module
+// rooted at dir: `./...` run from the directory holding go.mod.
+func wholeModule(dir string, patterns []string) bool {
+	if len(patterns) != 1 || patterns[0] != "./..." {
+		return false
+	}
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
+}
+
+// perPackage drops the module-level analyzers (deadcode), which would
+// report false positives on a run that sees only part of the module.
+func perPackage(analyzers []*analysis.Analyzer) []*analysis.Analyzer {
+	var out []*analysis.Analyzer
+	for _, a := range analyzers {
+		if a.RunModule == nil {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // buildID fingerprints the running executable so `go vet` can cache

@@ -72,9 +72,51 @@ func TestList(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"detmap", "layering", "nilness", "seedflow", "sortslice", "unusedwrite", "wallclock", "wiretypes", "lintignore"} {
+	for _, name := range []string{"deadcode", "detmap", "layering", "nilness", "seedflow", "sortslice", "unusedwrite", "wallclock", "wiretypes", "lintignore"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
+		}
+	}
+}
+
+// TestDeadcodeNeedsWholeModule: deadcode fires on `./...` at a module
+// root and stays silent on every run that sees only part of the module,
+// where it would report false positives.
+func TestDeadcodeNeedsWholeModule(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"go.mod":          "module deadmod\n\ngo 1.24\n",
+		"internal/x/x.go": "package x\n\nfunc Live() {}\n\nfunc Dead() {}\n",
+		"cmd/app/main.go": "package main\n\nimport \"deadmod/internal/x\"\n\nfunc main() { x.Live() }\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-C", dir, "-analyzers", "deadcode", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("whole-module exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	if out := stdout.String(); !strings.Contains(out, "[deadcode] Dead is dead") || strings.Contains(out, "Live") {
+		t.Errorf("whole-module run should report Dead alone:\n%s", out)
+	}
+
+	for _, args := range [][]string{
+		{"-C", dir, "./internal/x"},
+		{"-C", dir, "./internal/..."},
+		{"-C", filepath.Join(dir, "internal"), "./..."},
+	} {
+		args = append([]string{"-analyzers", "deadcode"}, args...)
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 0 || stdout.Len() > 0 {
+			t.Errorf("topolint %v: exit %d, want 0 and no output\nstdout:\n%s\nstderr:\n%s",
+				args, code, stdout.String(), stderr.String())
 		}
 	}
 }

@@ -91,7 +91,7 @@ func runUnit(cfgPath string, stderr io.Writer) int {
 		return 2
 	}
 
-	res, err := driver.Run([]*load.Package{pkg}, lint.All())
+	res, err := driver.Run([]*load.Package{pkg}, perPackage(lint.All()))
 	if err != nil {
 		fmt.Fprintf(stderr, "topolint: %v\n", err)
 		return 2

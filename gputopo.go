@@ -42,7 +42,6 @@ import (
 	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/topology"
-	"gputopo/internal/trace"
 	"gputopo/internal/workload"
 )
 
@@ -75,8 +74,6 @@ type (
 	PrototypeConfig = caffesim.Config
 	// PrototypeResult extends SimResult with bandwidth time series.
 	PrototypeResult = caffesim.Result
-	// Trace is a recorded or generated job trace (§5.3).
-	Trace = trace.Trace
 	// WorkloadConfig parameterizes the random workload generator.
 	WorkloadConfig = workload.GenConfig
 )

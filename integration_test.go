@@ -1,7 +1,6 @@
 package gputopo
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -16,14 +15,13 @@ import (
 	"gputopo/internal/simulator"
 	"gputopo/internal/stats"
 	"gputopo/internal/topology"
-	"gputopo/internal/trace"
 	"gputopo/internal/workload"
 )
 
-// TestEndToEndTraceWorkflow exercises the full §5.3 pipeline: generate a
-// workload, run the prototype engine, convert the run into a trace, replay
-// the trace in the simulator, and check the outcomes line up.
-func TestEndToEndTraceWorkflow(t *testing.T) {
+// TestSimulatorTracksPrototype exercises the §5.3 validation: run a
+// generated workload through the iteration-level prototype engine and the
+// simulator, and check the simulator reproduces the prototype's makespan.
+func TestSimulatorTracksPrototype(t *testing.T) {
 	topo := topology.Cluster(2, topology.KindMinsky)
 	jobs, err := workload.Generate(workload.GenConfig{Jobs: 25, Seed: 17}, topo)
 	if err != nil {
@@ -33,21 +31,7 @@ func TestEndToEndTraceWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.FromRun("e2e", topo.Name, &protoRes.Result)
-
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := trace.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayJobs, err := loaded.ReplayJobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	simRes, err := Simulate(SimConfig{Topology: topo, Policy: TopoAwareP}, replayJobs)
+	simRes, err := Simulate(SimConfig{Topology: topo, Policy: TopoAwareP}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +40,7 @@ func TestEndToEndTraceWorkflow(t *testing.T) {
 	}
 	rel := math.Abs(simRes.Makespan-protoRes.Makespan) / protoRes.Makespan
 	if rel > 0.05 {
-		t.Fatalf("replayed makespan diverges %.1f%%", rel*100)
+		t.Fatalf("simulated makespan diverges %.1f%%", rel*100)
 	}
 }
 

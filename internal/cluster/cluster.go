@@ -42,17 +42,17 @@ type Resident struct {
 	GPUs int
 }
 
+// busCapacity is the per-machine shared-bus capacity (GB/s) used for the
+// t_bw <= p_bw constraint (§4.3): two X-Bus-connected sockets.
+const busCapacity = 2 * topology.BandwidthXBus
+
 // State is the mutable allocation state over an immutable topology.
 // It is not safe for concurrent mutation; the scheduler serializes access.
 type State struct {
-	topo   *topology.Topology
-	owner  []string // GPU position -> job ID, "" when free
-	allocs map[string]*Allocation
-	// busCapacity is the per-machine shared-bus capacity (GB/s) used for
-	// the t_bw <= p_bw constraint (§4.3). Two X-Bus-connected sockets give
-	// the default.
-	busCapacity float64
-	busUsed     []float64 // machine -> committed GB/s
+	topo    *topology.Topology
+	owner   []string // GPU position -> job ID, "" when free
+	allocs  map[string]*Allocation
+	busUsed []float64 // machine -> committed GB/s
 
 	// Incremental bookkeeping so large-cluster simulations avoid full
 	// scans: free GPUs per machine, the Eq. 5 fragmentation sum, and
@@ -172,7 +172,6 @@ func NewState(topo *topology.Topology) *State {
 		topo:          topo,
 		owner:         make([]string, topo.NumGPUs()),
 		allocs:        make(map[string]*Allocation),
-		busCapacity:   2 * topology.BandwidthXBus,
 		busUsed:       make([]float64, topo.NumMachines()),
 		freeOnMachine: make([]int, topo.NumMachines()),
 		residents:     make([][]Resident, topo.NumMachines()),
@@ -197,16 +196,12 @@ func NewState(topo *topology.Topology) *State {
 // Topology returns the underlying physical topology.
 func (s *State) Topology() *topology.Topology { return s.topo }
 
-// SetBusCapacity overrides the per-machine shared-bus capacity (GB/s).
-func (s *State) SetBusCapacity(gbs float64) { s.busCapacity = gbs }
-
-// BusCapacity returns the per-machine shared-bus capacity (GB/s).
-func (s *State) BusCapacity() float64 { return s.busCapacity }
-
 // Owner returns the job occupying the GPU at pos ("" when free).
 func (s *State) Owner(pos int) string { return s.owner[pos] }
 
 // FreeGPUs returns the positions of all unallocated GPUs, ascending.
+//
+//lint:ignore deadcode test helper: tests in cluster, core, schedcore and the root package read free GPUs through it
 func (s *State) FreeGPUs() []int {
 	return s.AppendFreeGPUs(nil)
 }
@@ -245,7 +240,7 @@ func (s *State) AppendFreeGPUsOnMachine(buf []int, m int) []int {
 // FreeBusBandwidth returns the uncommitted shared-bus bandwidth of machine
 // m — the p_bw side of the constraint t_bw <= p_bw.
 func (s *State) FreeBusBandwidth(m int) float64 {
-	return s.busCapacity - s.busUsed[m]
+	return busCapacity - s.busUsed[m]
 }
 
 // Allocate assigns the given GPUs to jobID, committing the stated
@@ -505,6 +500,8 @@ func (s *State) Slowdown(a *Allocation) float64 {
 // that forgot its Rollback.
 // It is a test and diagnosis aid — O(GPUs · job size), allocating — not a
 // hot path.
+//
+//lint:ignore deadcode oracle: cluster tests and every difftest round recompute each table against the incremental one
 func (s *State) CheckInvariants() error {
 	const tol = 1e-9
 	if s.trial.open {
@@ -759,11 +756,10 @@ func (s *State) MachineFingerprint(m int) string {
 
 // MachineClass returns the dense id of machine m's fingerprint: two
 // machines have the same class exactly when MachineFingerprint is equal
-// for them, and every class is below NumClasses. An id lasts as long as
-// some machine holds it — it is reused for another fingerprint only once
-// every machine that had it has recomputed to something else. On a clean
-// machine, or one whose recomputed fingerprint is already interned, it
-// allocates nothing.
+// for them. An id lasts as long as some machine holds it — it is reused
+// for another fingerprint only once every machine that had it has
+// recomputed to something else. On a clean machine, or one whose
+// recomputed fingerprint is already interned, it allocates nothing.
 func (s *State) MachineClass(m int) int {
 	if s.fp == nil {
 		s.fp = make([]fpSlot, s.topo.NumMachines())
@@ -780,10 +776,6 @@ func (s *State) MachineClass(m int) int {
 	}
 	return int(s.fp[m].class)
 }
-
-// NumClasses returns the size of the class id space: every MachineClass
-// is below it, and it never exceeds NumMachines()+1.
-func (s *State) NumClasses() int { return len(s.classes.names) }
 
 // fingerprint formats machine m's fingerprint from scratch into the
 // state's formatting scratch, which the result aliases until the next
@@ -840,7 +832,6 @@ func (s *State) Clone() *State {
 		topo:          s.topo,
 		owner:         append([]string(nil), s.owner...),
 		allocs:        make(map[string]*Allocation, len(s.allocs)),
-		busCapacity:   s.busCapacity,
 		busUsed:       slices.Clone(s.busUsed),
 		freeOnMachine: slices.Clone(s.freeOnMachine),
 		freeTotal:     s.freeTotal,

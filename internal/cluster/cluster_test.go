@@ -166,7 +166,7 @@ func TestFragmentationBoundsProperty(t *testing.T) {
 func TestBusBandwidthAccounting(t *testing.T) {
 	st := NewState(topology.Power8Minsky())
 	cap0 := st.FreeBusBandwidth(0)
-	if cap0 != st.BusCapacity() {
+	if cap0 != busCapacity {
 		t.Fatalf("initial free bandwidth = %v", cap0)
 	}
 	if err := st.Allocate("j1", []int{0, 2}, 10, traits()); err != nil {
@@ -199,8 +199,8 @@ func TestBusResidueIsDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := st.FreeBusBandwidth(0); got != st.BusCapacity() {
-		t.Fatalf("free bandwidth of an emptied bus = %v, want exactly %v", got, st.BusCapacity())
+	if got := st.FreeBusBandwidth(0); got != busCapacity {
+		t.Fatalf("free bandwidth of an emptied bus = %v, want exactly %v", got, busCapacity)
 	}
 }
 
@@ -210,17 +210,9 @@ func TestBusBandwidthSpansMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for m := 0; m < 2; m++ {
-		if got := st.BusCapacity() - st.FreeBusBandwidth(m); math.Abs(got-7) > 1e-9 {
+		if got := busCapacity - st.FreeBusBandwidth(m); math.Abs(got-7) > 1e-9 {
 			t.Fatalf("machine %d committed = %v", m, got)
 		}
-	}
-}
-
-func TestSetBusCapacity(t *testing.T) {
-	st := NewState(topology.Power8Minsky())
-	st.SetBusCapacity(100)
-	if st.BusCapacity() != 100 || st.FreeBusBandwidth(0) != 100 {
-		t.Fatal("SetBusCapacity not applied")
 	}
 }
 

@@ -47,7 +47,6 @@ func fpState(t *testing.T, mix string) *State {
 func replayFingerprints(t *testing.T, s *State) []string {
 	t.Helper()
 	fresh := NewState(s.Topology())
-	fresh.SetBusCapacity(s.BusCapacity())
 	for _, id := range s.Jobs() {
 		a := s.Allocation(id)
 		if err := fresh.Allocate(id, a.GPUs, a.Bandwidth, a.Traits); err != nil {
@@ -169,8 +168,8 @@ func TestClassIDsStayDense(t *testing.T) {
 			randomRelease(t, rng, s)
 		}
 		seen[s.MachineFingerprint(rng.Intn(n))] = true
-		if s.NumClasses() > n+1 {
-			t.Fatalf("op %d: %d class ids on %d machines", op, s.NumClasses(), n)
+		if len(s.classes.names) > n+1 {
+			t.Fatalf("op %d: %d class ids on %d machines", op, len(s.classes.names), n)
 		}
 		if op%10_000 == 0 {
 			if err := s.CheckInvariants(); err != nil {

@@ -164,8 +164,8 @@ func TestUtilityAndObjectiveAgree(t *testing.T) {
 	j := job.New("j", perfmodel.AlexNet, 1, 2, 0.5, 0)
 	packed := m.Score(j, st, []int{0, 1})
 	cross := m.Score(j, st, []int{0, 2})
-	objPacked := Objective(m.Weights(), j, []int{0, 1}, st, profile.Generate(st.Topology(), 4))
-	objCross := Objective(m.Weights(), j, []int{0, 2}, st, profile.Generate(st.Topology(), 4))
+	objPacked := Objective(m.weights, j, []int{0, 1}, st, profile.Generate(st.Topology(), 4))
+	objCross := Objective(m.weights, j, []int{0, 2}, st, profile.Generate(st.Topology(), 4))
 	if (packed.Utility > cross.Utility) != (objPacked < objCross) {
 		t.Fatalf("utility ordering (%.3f vs %.3f) disagrees with objective (%.3f vs %.3f)",
 			packed.Utility, cross.Utility, objPacked, objCross)

@@ -34,9 +34,6 @@ func NewMapper(profiles *profile.Store, weights Weights) (*Mapper, error) {
 	return &Mapper{profiles: profiles, weights: weights}, nil
 }
 
-// Weights returns the mapper's α coefficients.
-func (m *Mapper) Weights() Weights { return m.weights }
-
 // Place maps the job onto free GPUs drawn from candidates (GPU positions
 // in st's topology, already host-filtered by the scheduler) and returns
 // the scored placement. It does not mutate st. The mapping is ψ(A, P) → g

@@ -207,6 +207,8 @@ func Utility(w Weights, commIntensity, uCC, uB, uD float64) float64 {
 // allocation: αcc·t/t_w + αb·I_n/I_w + αd·ω/ω_w, each term normalized
 // against its worst case. Lower is better; the DRB mapper maximizes
 // utility, and tests verify the two orderings agree.
+//
+//lint:ignore deadcode oracle: core tests hold Utility's ordering to Eq. 1's objective
 func Objective(w Weights, j *job.Job, gpus []int, st *cluster.State, profiles *profile.Store) float64 {
 	topo := st.Topology()
 	_, _, _, commCost, interference, frag := utilityTerms(j, gpus, st, profiles)

@@ -264,9 +264,6 @@ func (l *Log) BytesSinceRewrite() int64 { return l.bytesSince }
 // ratio of appended records to syncs measures group-commit batching.
 func (l *Log) Syncs() int { return l.syncs }
 
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
-
 // Close syncs and closes the file.
 func (l *Log) Close() error {
 	if err := l.Sync(); err != nil {

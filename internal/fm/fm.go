@@ -14,8 +14,6 @@ package fm
 
 import (
 	"math"
-	"slices"
-	"sync"
 
 	"gputopo/internal/graph"
 )
@@ -46,25 +44,12 @@ type Result struct {
 	Passes int
 }
 
-// Bipartition splits g into two balanced halves with small cut weight.
-// It starts from an interleaved assignment (or the provided seeds), then
-// runs FM passes until no pass improves the cut. It panics only on
-// malformed seed indices; an empty graph yields an empty Result.
-func Bipartition(g *graph.Graph, opt Options) Result {
-	w := wsPool.Get().(*Workspace)
-	res := w.Bipartition(g, opt)
-	res.Side = slices.Clone(res.Side)
-	wsPool.Put(w)
-	return res
-}
-
 // Workspace carries the per-Bipartition views of the graph plus the pass
 // scratch buffers and the result's side array, all reused from one call
 // to the next. The zero value is ready to use; a Workspace serves one
 // goroutine. The DRB mapper partitions thousands of tiny graphs per
 // simulation and the scratch buffers dwarf the actual work, so it owns
-// one per recursion state; the package-level Bipartition draws from a
-// pool.
+// one per recursion state.
 type Workspace struct {
 	edges   []graph.Edge
 	inc     [][]inc
@@ -77,10 +62,12 @@ type Workspace struct {
 	sequence []int
 }
 
-var wsPool = sync.Pool{New: func() interface{} { return &Workspace{} }}
-
-// Bipartition is the package-level Bipartition computed in w's buffers:
-// the returned Result.Side aliases them and is valid until w's next call.
+// Bipartition splits g into two balanced halves with small cut weight.
+// It starts from an interleaved assignment (or the provided seeds), then
+// runs FM passes until no pass improves the cut. It panics only on
+// malformed seed indices; an empty graph yields an empty Result. The
+// returned Result.Side aliases w's buffers and is valid until w's next
+// call.
 func (w *Workspace) Bipartition(g *graph.Graph, opt Options) Result {
 	n := g.NumVertices()
 	side, locked := w.side[:0], w.locked[:0]
@@ -305,16 +292,12 @@ func (w *Workspace) cutWeight(side []int) float64 {
 	return cut
 }
 
-// CutWeight exposes the cut metric for tests and ablation benchmarks.
-func CutWeight(g *graph.Graph, side []int) float64 {
-	w := Workspace{edges: g.Edges()}
-	return w.cutWeight(side)
-}
-
 // ExhaustiveBipartition finds the optimal balanced bipartition by
 // enumerating all 2^(n-1) assignments. It is used as a ground-truth oracle
 // in tests and in the FM-quality ablation benchmark for graphs up to ~20
 // vertices (vertex 0 is pinned to side 0 to break symmetry).
+//
+//lint:ignore deadcode oracle: the FM tests and the FM-quality benchmark compare against the optimal cut
 func ExhaustiveBipartition(g *graph.Graph, maxDiff int) Result {
 	n := g.NumVertices()
 	if n == 0 {

@@ -12,7 +12,7 @@ import (
 func clusteredGraph() *graph.Graph {
 	g := graph.New()
 	for i := 0; i < 8; i++ {
-		g.AddVertex("")
+		g.AddVertex()
 	}
 	for _, c := range [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}} {
 		for i := 0; i < len(c); i++ {
@@ -39,7 +39,7 @@ func sideCounts(side []int) (int, int) {
 
 func TestBipartitionFindsWeakCut(t *testing.T) {
 	g := clusteredGraph()
-	res := Bipartition(g, Options{})
+	res := bipartition(g, Options{})
 	if res.CutWeight != 1 {
 		t.Fatalf("cut weight = %v, want 1 (the weak edge)", res.CutWeight)
 	}
@@ -55,7 +55,7 @@ func TestBipartitionFindsWeakCut(t *testing.T) {
 
 func TestBipartitionBalance(t *testing.T) {
 	g := clusteredGraph()
-	res := Bipartition(g, Options{})
+	res := bipartition(g, Options{})
 	c0, c1 := sideCounts(res.Side)
 	if d := c0 - c1; d < -1 || d > 1 {
 		t.Fatalf("imbalanced: %d vs %d", c0, c1)
@@ -63,13 +63,13 @@ func TestBipartitionBalance(t *testing.T) {
 }
 
 func TestBipartitionEmptyAndSingle(t *testing.T) {
-	res := Bipartition(graph.New(), Options{})
+	res := bipartition(graph.New(), Options{})
 	if len(res.Side) != 0 {
 		t.Fatal("empty graph should yield empty sides")
 	}
 	g := graph.New()
-	g.AddVertex("")
-	res = Bipartition(g, Options{})
+	g.AddVertex()
+	res = bipartition(g, Options{})
 	if len(res.Side) != 1 {
 		t.Fatalf("single-vertex sides = %v", res.Side)
 	}
@@ -77,7 +77,7 @@ func TestBipartitionEmptyAndSingle(t *testing.T) {
 
 func TestBipartitionSeedsPinned(t *testing.T) {
 	g := clusteredGraph()
-	res := Bipartition(g, Options{Seed0: []int{0}, Seed1: []int{4}})
+	res := bipartition(g, Options{Seed0: []int{0}, Seed1: []int{4}})
 	if res.Side[0] != 0 || res.Side[4] != 1 {
 		t.Fatalf("seeds not respected: %v", res.Side)
 	}
@@ -85,8 +85,8 @@ func TestBipartitionSeedsPinned(t *testing.T) {
 
 func TestBipartitionCutWeightConsistent(t *testing.T) {
 	g := clusteredGraph()
-	res := Bipartition(g, Options{})
-	if got := CutWeight(g, res.Side); math.Abs(got-res.CutWeight) > 1e-9 {
+	res := bipartition(g, Options{})
+	if got := cutWeight(g, res.Side); math.Abs(got-res.CutWeight) > 1e-9 {
 		t.Fatalf("reported cut %v, recomputed %v", res.CutWeight, got)
 	}
 }
@@ -113,7 +113,7 @@ func TestFMNearOptimalOnRandomGraphs(t *testing.T) {
 		g := graph.New()
 		n := 6 + int(next()%5) // 6..10 vertices
 		for i := 0; i < n; i++ {
-			g.AddVertex("")
+			g.AddVertex()
 		}
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -122,7 +122,7 @@ func TestFMNearOptimalOnRandomGraphs(t *testing.T) {
 				}
 			}
 		}
-		fmRes := Bipartition(g, Options{})
+		fmRes := bipartition(g, Options{})
 		exRes := ExhaustiveBipartition(g, 1)
 		// Allow a small slack: FM must be within 25% of optimal on these
 		// tiny graphs and usually matches it exactly.
@@ -143,8 +143,8 @@ func TestBipartitionImprovesOverInterleaved(t *testing.T) {
 	for i := range interleaved {
 		interleaved[i] = i % 2
 	}
-	start := CutWeight(g, interleaved)
-	res := Bipartition(g, Options{})
+	start := cutWeight(g, interleaved)
+	res := bipartition(g, Options{})
 	if res.CutWeight >= start {
 		t.Fatalf("FM did not improve: %v >= %v", res.CutWeight, start)
 	}
@@ -155,12 +155,12 @@ func TestBipartitionMaxImbalance(t *testing.T) {
 	// result still respects the looser constraint.
 	g := graph.New()
 	for i := 0; i < 6; i++ {
-		g.AddVertex("")
+		g.AddVertex()
 	}
 	for i := 0; i < 5; i++ {
 		g.AddEdge(i, i+1, 1)
 	}
-	res := Bipartition(g, Options{MaxImbalance: 3})
+	res := bipartition(g, Options{MaxImbalance: 3})
 	c0, c1 := sideCounts(res.Side)
 	if d := c0 - c1; d < -3 || d > 3 {
 		t.Fatalf("imbalance beyond limit: %d vs %d", c0, c1)
@@ -174,7 +174,7 @@ func TestBipartitionMaxImbalance(t *testing.T) {
 func TestGainComputation(t *testing.T) {
 	g := graph.New()
 	for i := 0; i < 4; i++ {
-		g.AddVertex("")
+		g.AddVertex()
 	}
 	g.AddEdge(0, 1, 2) // internal if same side
 	g.AddEdge(0, 2, 3) // external if across
@@ -186,4 +186,16 @@ func TestGainComputation(t *testing.T) {
 	if got := w.gain(side, 0); got != 1 {
 		t.Fatalf("gain = %v, want 1", got)
 	}
+}
+
+// cutWeight recomputes the cut of a side assignment from scratch.
+func cutWeight(g *graph.Graph, side []int) float64 {
+	w := Workspace{edges: g.Edges()}
+	return w.cutWeight(side)
+}
+
+// bipartition runs Bipartition in a fresh workspace, so results of
+// successive calls never alias each other.
+func bipartition(g *graph.Graph, opt Options) Result {
+	return new(Workspace).Bipartition(g, opt)
 }

@@ -1,15 +1,18 @@
 // Package graph implements the weighted undirected graphs that underpin
 // both topology representations in the paper (§4.1): the physical system
-// topology graph and the job communication graph. It provides adjacency
-// bookkeeping, Dijkstra shortest paths (path distance = sum of edge weights,
-// §4.1.2), all-pairs distances, connectivity queries, and subgraph
-// extraction used by the recursive bi-partitioning mapper.
+// topology graph and the job communication graph. It provides the
+// adjacency bookkeeping the recursive bi-partitioning mapper and its FM
+// partitioner walk.
 package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
+
+// Inf is the distance reported between disconnected vertices.
+var Inf = math.Inf(1)
 
 // Edge is an undirected weighted edge between two vertices.
 type Edge struct {
@@ -18,13 +21,10 @@ type Edge struct {
 }
 
 // Graph is a weighted undirected graph over vertices identified by dense
-// integer IDs assigned at AddVertex time. Vertices may carry an arbitrary
-// label for callers that need to map back to domain objects (GPUs, sockets,
-// job tasks, ...).
+// integer IDs assigned at AddVertex time.
 type Graph struct {
-	labels []string
-	adj    [][]halfEdge
-	edges  int
+	adj   [][]halfEdge
+	edges int
 }
 
 type halfEdge struct {
@@ -37,24 +37,10 @@ func New() *Graph {
 	return &Graph{}
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		labels: append([]string(nil), g.labels...),
-		adj:    make([][]halfEdge, len(g.adj)),
-		edges:  g.edges,
-	}
-	for i, hs := range g.adj {
-		c.adj[i] = append([]halfEdge(nil), hs...)
-	}
-	return c
-}
-
-// AddVertex adds a vertex with the given label and returns its ID.
-func (g *Graph) AddVertex(label string) int {
-	g.labels = append(g.labels, label)
+// AddVertex adds a vertex and returns its ID.
+func (g *Graph) AddVertex() int {
 	g.adj = append(g.adj, nil)
-	return len(g.labels) - 1
+	return len(g.adj) - 1
 }
 
 // AddEdge adds an undirected edge between u and v with the given weight.
@@ -79,31 +65,6 @@ func (g *Graph) checkVertex(v int) {
 
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return len(g.adj) }
-
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return g.edges }
-
-// Label returns the label of vertex v.
-func (g *Graph) Label(v int) string {
-	g.checkVertex(v)
-	return g.labels[v]
-}
-
-// SetLabel replaces the label of vertex v.
-func (g *Graph) SetLabel(v int, label string) {
-	g.checkVertex(v)
-	g.labels[v] = label
-}
-
-// Neighbors returns the neighbor IDs of v in insertion order.
-func (g *Graph) Neighbors(v int) []int {
-	g.checkVertex(v)
-	out := make([]int, len(g.adj[v]))
-	for i, h := range g.adj[v] {
-		out[i] = h.to
-	}
-	return out
-}
 
 // EdgeWeight returns the weight of the minimum-weight edge between u and v
 // and whether any edge exists.
@@ -146,7 +107,7 @@ func (g *Graph) AppendEdges(buf []Edge) []Edge {
 	return buf
 }
 
-// Reset reinitializes the graph to n unlabeled, unconnected vertices,
+// Reset reinitializes the graph to n unconnected vertices,
 // retaining the backing arrays of previous use. It exists for hot loops
 // (the DRB mapper rebuilds a small affinity graph per recursion step)
 // that would otherwise allocate a fresh graph each time.
@@ -157,13 +118,6 @@ func (g *Graph) Reset(n int) {
 	g.adj = g.adj[:n]
 	for i := range g.adj {
 		g.adj[i] = g.adj[i][:0]
-	}
-	for cap(g.labels) < n {
-		g.labels = append(g.labels[:cap(g.labels)], "")
-	}
-	g.labels = g.labels[:n]
-	for i := range g.labels {
-		g.labels[i] = ""
 	}
 	g.edges = 0
 }
@@ -207,17 +161,4 @@ func (g *Graph) MaxEdgeWeight() float64 {
 		}
 	}
 	return max
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	var sum float64
-	for u, hs := range g.adj {
-		for _, h := range hs {
-			if u < h.to {
-				sum += h.w
-			}
-		}
-	}
-	return sum
 }

@@ -1,34 +1,24 @@
 package graph
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func triangle() *Graph {
 	g := New()
-	a := g.AddVertex("a")
-	b := g.AddVertex("b")
-	c := g.AddVertex("c")
+	a := g.AddVertex()
+	b := g.AddVertex()
+	c := g.AddVertex()
 	g.AddEdge(a, b, 1)
 	g.AddEdge(b, c, 2)
 	g.AddEdge(a, c, 5)
 	return g
 }
 
-func TestAddVertexAndLabels(t *testing.T) {
+func TestAddVertex(t *testing.T) {
 	g := New()
-	v0 := g.AddVertex("x")
-	v1 := g.AddVertex("y")
+	v0 := g.AddVertex()
+	v1 := g.AddVertex()
 	if v0 != 0 || v1 != 1 {
 		t.Fatalf("vertex IDs %d, %d", v0, v1)
-	}
-	if g.Label(v0) != "x" || g.Label(v1) != "y" {
-		t.Fatal("labels mismatch")
-	}
-	g.SetLabel(v0, "z")
-	if g.Label(v0) != "z" {
-		t.Fatal("SetLabel did not apply")
 	}
 	if g.NumVertices() != 2 {
 		t.Fatalf("NumVertices = %d", g.NumVertices())
@@ -37,8 +27,8 @@ func TestAddVertexAndLabels(t *testing.T) {
 
 func TestAddEdgeAndWeights(t *testing.T) {
 	g := triangle()
-	if g.NumEdges() != 3 {
-		t.Fatalf("NumEdges = %d", g.NumEdges())
+	if n := len(g.Edges()); n != 3 {
+		t.Fatalf("%d edges, want 3", n)
 	}
 	w, ok := g.EdgeWeight(0, 1)
 	if !ok || w != 1 {
@@ -57,8 +47,8 @@ func TestAddEdgeAndWeights(t *testing.T) {
 // New2 returns a two-vertex edgeless graph.
 func New2() *Graph {
 	g := New()
-	g.AddVertex("a")
-	g.AddVertex("b")
+	g.AddVertex()
+	g.AddVertex()
 	return g
 }
 
@@ -79,7 +69,7 @@ func TestSelfLoopPanics(t *testing.T) {
 		}
 	}()
 	g := New()
-	v := g.AddVertex("a")
+	v := g.AddVertex()
 	g.AddEdge(v, v, 1)
 }
 
@@ -90,14 +80,6 @@ func TestOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	New2().AddEdge(0, 7, 1)
-}
-
-func TestNeighbors(t *testing.T) {
-	g := triangle()
-	ns := g.Neighbors(0)
-	if len(ns) != 2 {
-		t.Fatalf("neighbors of 0: %v", ns)
-	}
 }
 
 func TestEdgesSortedAndComplete(t *testing.T) {
@@ -125,216 +107,5 @@ func TestDegreeAndWeightedDegree(t *testing.T) {
 	}
 	if g.WeightedDegree(0) != 6 { // 1 + 5
 		t.Fatalf("WeightedDegree(0) = %v", g.WeightedDegree(0))
-	}
-}
-
-func TestTotalWeight(t *testing.T) {
-	if w := triangle().TotalWeight(); w != 8 {
-		t.Fatalf("TotalWeight = %v", w)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := triangle()
-	c := g.Clone()
-	c.AddVertex("d")
-	c.AddEdge(0, 3, 9)
-	if g.NumVertices() != 3 || g.NumEdges() != 3 {
-		t.Fatal("mutating clone affected original")
-	}
-	if c.NumVertices() != 4 || c.NumEdges() != 4 {
-		t.Fatal("clone mutation lost")
-	}
-}
-
-func TestShortestFrom(t *testing.T) {
-	g := triangle()
-	d := g.ShortestFrom(0)
-	// a->b = 1, a->c = min(5, 1+2) = 3.
-	if d[0] != 0 || d[1] != 1 || d[2] != 3 {
-		t.Fatalf("distances = %v", d)
-	}
-}
-
-func TestShortestPathRoute(t *testing.T) {
-	g := triangle()
-	path, dist, ok := g.ShortestPath(0, 2)
-	if !ok || dist != 3 {
-		t.Fatalf("path=%v dist=%v ok=%v", path, dist, ok)
-	}
-	want := []int{0, 1, 2}
-	if len(path) != 3 {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-}
-
-func TestShortestPathUnreachable(t *testing.T) {
-	g := New2()
-	if d := g.ShortestFrom(0); !math.IsInf(d[1], 1) {
-		t.Fatalf("unreachable distance = %v", d[1])
-	}
-	if _, _, ok := g.ShortestPath(0, 1); ok {
-		t.Fatal("unreachable path reported ok")
-	}
-}
-
-func TestShortestPathToSelf(t *testing.T) {
-	g := triangle()
-	path, dist, ok := g.ShortestPath(1, 1)
-	if !ok || dist != 0 || len(path) != 1 || path[0] != 1 {
-		t.Fatalf("self path = %v, %v, %v", path, dist, ok)
-	}
-}
-
-func TestAllPairsSymmetric(t *testing.T) {
-	g := triangle()
-	d := g.AllPairsShortest()
-	for i := range d {
-		for j := range d {
-			if d[i][j] != d[j][i] {
-				t.Fatalf("asymmetric distances %v", d)
-			}
-		}
-	}
-}
-
-func TestTriangleInequality(t *testing.T) {
-	g := ladder(8)
-	d := g.AllPairsShortest()
-	n := g.NumVertices()
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			for c := 0; c < n; c++ {
-				if d[a][c] > d[a][b]+d[b][c]+1e-9 {
-					t.Fatalf("triangle inequality violated: d(%d,%d)=%v > %v+%v", a, c, d[a][c], d[a][b], d[b][c])
-				}
-			}
-		}
-	}
-}
-
-// ladder builds a 2×n grid graph with varying weights.
-func ladder(n int) *Graph {
-	g := New()
-	for i := 0; i < 2*n; i++ {
-		g.AddVertex("")
-	}
-	for i := 0; i < n; i++ {
-		g.AddEdge(i, i+n, float64(1+i%3))
-		if i+1 < n {
-			g.AddEdge(i, i+1, float64(1+(i*7)%5))
-			g.AddEdge(i+n, i+n+1, float64(1+(i*3)%4))
-		}
-	}
-	return g
-}
-
-func TestComponents(t *testing.T) {
-	g := New()
-	for i := 0; i < 5; i++ {
-		g.AddVertex("")
-	}
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(3, 4, 1)
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("components = %v", comps)
-	}
-	if g.Connected() {
-		t.Fatal("disconnected graph reported connected")
-	}
-	if !triangle().Connected() {
-		t.Fatal("triangle reported disconnected")
-	}
-	if !New().Connected() {
-		t.Fatal("empty graph should be connected")
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := triangle()
-	sub, orig := g.Subgraph([]int{0, 2})
-	if sub.NumVertices() != 2 {
-		t.Fatalf("subgraph vertices = %d", sub.NumVertices())
-	}
-	if sub.NumEdges() != 1 {
-		t.Fatalf("subgraph edges = %d", sub.NumEdges())
-	}
-	w, ok := sub.EdgeWeight(0, 1)
-	if !ok || w != 5 {
-		t.Fatalf("subgraph edge weight = %v", w)
-	}
-	if orig[0] != 0 || orig[1] != 2 {
-		t.Fatalf("orig mapping = %v", orig)
-	}
-}
-
-func TestSubgraphDeduplicates(t *testing.T) {
-	g := triangle()
-	sub, orig := g.Subgraph([]int{1, 1, 2})
-	if sub.NumVertices() != 2 || len(orig) != 2 {
-		t.Fatalf("dedup failed: %d vertices, orig %v", sub.NumVertices(), orig)
-	}
-}
-
-// TestDijkstraAgainstFloydWarshall cross-checks Dijkstra on a pseudo-random
-// graph against an independent Floyd–Warshall implementation.
-func TestDijkstraAgainstFloydWarshall(t *testing.T) {
-	g := New()
-	const n = 24
-	for i := 0; i < n; i++ {
-		g.AddVertex("")
-	}
-	// Deterministic pseudo-random edges.
-	state := uint64(99)
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state >> 33
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if next()%4 == 0 {
-				g.AddEdge(i, j, float64(1+next()%9))
-			}
-		}
-	}
-	// Floyd–Warshall reference.
-	ref := make([][]float64, n)
-	for i := range ref {
-		ref[i] = make([]float64, n)
-		for j := range ref[i] {
-			if i != j {
-				ref[i][j] = math.Inf(1)
-			}
-		}
-	}
-	for _, e := range g.Edges() {
-		if e.Weight < ref[e.U][e.V] {
-			ref[e.U][e.V] = e.Weight
-			ref[e.V][e.U] = e.Weight
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if d := ref[i][k] + ref[k][j]; d < ref[i][j] {
-					ref[i][j] = d
-				}
-			}
-		}
-	}
-	got := g.AllPairsShortest()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a, b := got[i][j], ref[i][j]
-			if math.IsInf(a, 1) != math.IsInf(b, 1) || (!math.IsInf(a, 1) && math.Abs(a-b) > 1e-9) {
-				t.Fatalf("d(%d,%d): dijkstra %v, floyd-warshall %v", i, j, a, b)
-			}
-		}
 	}
 }

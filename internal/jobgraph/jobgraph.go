@@ -107,7 +107,7 @@ type Graph struct {
 func AllToAll(tasks int, weight float64) *Graph {
 	jg := &Graph{g: graph.New()}
 	for i := 0; i < tasks; i++ {
-		jg.g.AddVertex(fmt.Sprintf("task%d", i))
+		jg.g.AddVertex()
 	}
 	for i := 0; i < tasks; i++ {
 		for j := i + 1; j < tasks; j++ {
@@ -146,7 +146,7 @@ func SharedAllToAll(tasks int, weight float64) *Graph {
 func Ring(tasks int, weight float64) *Graph {
 	jg := &Graph{g: graph.New()}
 	for i := 0; i < tasks; i++ {
-		jg.g.AddVertex(fmt.Sprintf("task%d", i))
+		jg.g.AddVertex()
 	}
 	if tasks == 2 {
 		jg.g.AddEdge(0, 1, weight)
@@ -163,7 +163,7 @@ func Ring(tasks int, weight float64) *Graph {
 func Star(tasks int, weight float64) *Graph {
 	jg := &Graph{g: graph.New()}
 	for i := 0; i < tasks; i++ {
-		jg.g.AddVertex(fmt.Sprintf("task%d", i))
+		jg.g.AddVertex()
 	}
 	for i := 1; i < tasks; i++ {
 		jg.g.AddEdge(0, i, weight)
@@ -171,29 +171,8 @@ func Star(tasks int, weight float64) *Graph {
 	return jg
 }
 
-// Custom builds a job graph from explicit edges over tasks [0,n).
-func Custom(tasks int, edges []graph.Edge) (*Graph, error) {
-	jg := &Graph{g: graph.New()}
-	for i := 0; i < tasks; i++ {
-		jg.g.AddVertex(fmt.Sprintf("task%d", i))
-	}
-	for _, e := range edges {
-		if e.U < 0 || e.U >= tasks || e.V < 0 || e.V >= tasks || e.U == e.V {
-			return nil, fmt.Errorf("jobgraph: invalid edge %d-%d for %d tasks", e.U, e.V, tasks)
-		}
-		if e.Weight < 0 {
-			return nil, fmt.Errorf("jobgraph: negative weight on edge %d-%d", e.U, e.V)
-		}
-		jg.g.AddEdge(e.U, e.V, e.Weight)
-	}
-	return jg, nil
-}
-
 // Tasks returns the number of task vertices (= GPUs requested).
 func (jg *Graph) Tasks() int { return jg.g.NumVertices() }
-
-// Edges returns the communication edges.
-func (jg *Graph) Edges() []graph.Edge { return jg.g.Edges() }
 
 // Weight returns the communication weight between tasks a and b (0 when
 // they do not communicate directly).
@@ -205,31 +184,10 @@ func (jg *Graph) Weight(a, b int) float64 {
 	return w
 }
 
-// TotalWeight returns the sum of all communication edge weights.
-func (jg *Graph) TotalWeight() float64 { return jg.g.TotalWeight() }
-
 // CommIntensity returns the maximum edge weight — the job-level
 // communication intensity used to scale the communication term of the
 // utility function (0 for single-task jobs, which never communicate).
 func (jg *Graph) CommIntensity() float64 { return jg.g.MaxEdgeWeight() }
-
-// Normalized returns a copy of the graph with every edge weight divided by
-// the given total machine bandwidth, implementing §4.1.1: "this weight is
-// normalized by the total available bandwidth in the physical machine."
-func (jg *Graph) Normalized(totalBandwidth float64) *Graph {
-	out := &Graph{g: graph.New()}
-	for i := 0; i < jg.Tasks(); i++ {
-		out.g.AddVertex(jg.g.Label(i))
-	}
-	for _, e := range jg.g.Edges() {
-		w := e.Weight
-		if totalBandwidth > 0 {
-			w /= totalBandwidth
-		}
-		out.g.AddEdge(e.U, e.V, w)
-	}
-	return out
-}
 
 // Underlying exposes the raw graph for the partitioner.
 func (jg *Graph) Underlying() *graph.Graph { return jg.g }

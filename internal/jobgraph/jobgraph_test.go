@@ -3,8 +3,6 @@ package jobgraph
 import (
 	"testing"
 	"testing/quick"
-
-	"gputopo/internal/graph"
 )
 
 func TestBatchClassString(t *testing.T) {
@@ -65,10 +63,10 @@ func TestAllToAllShape(t *testing.T) {
 	if g.Tasks() != 4 {
 		t.Fatalf("tasks = %d", g.Tasks())
 	}
-	if len(g.Edges()) != 6 { // C(4,2)
-		t.Fatalf("edges = %d", len(g.Edges()))
+	if len(g.g.Edges()) != 6 { // C(4,2)
+		t.Fatalf("edges = %d", len(g.g.Edges()))
 	}
-	for _, e := range g.Edges() {
+	for _, e := range g.g.Edges() {
 		if e.Weight != 2.5 {
 			t.Fatalf("edge weight = %v", e.Weight)
 		}
@@ -80,7 +78,7 @@ func TestAllToAllShape(t *testing.T) {
 
 func TestAllToAllSingleTask(t *testing.T) {
 	g := AllToAll(1, 4)
-	if g.Tasks() != 1 || len(g.Edges()) != 0 {
+	if g.Tasks() != 1 || len(g.g.Edges()) != 0 {
 		t.Fatal("single task graph should have no edges")
 	}
 	if g.CommIntensity() != 0 {
@@ -90,22 +88,22 @@ func TestAllToAllSingleTask(t *testing.T) {
 
 func TestRingShape(t *testing.T) {
 	g := Ring(5, 1)
-	if len(g.Edges()) != 5 {
-		t.Fatalf("5-ring edges = %d", len(g.Edges()))
+	if len(g.g.Edges()) != 5 {
+		t.Fatalf("5-ring edges = %d", len(g.g.Edges()))
 	}
 	// Two tasks: a single edge, not a double edge.
-	if g2 := Ring(2, 1); len(g2.Edges()) != 1 {
-		t.Fatalf("2-ring edges = %d", len(g2.Edges()))
+	if g2 := Ring(2, 1); len(g2.g.Edges()) != 1 {
+		t.Fatalf("2-ring edges = %d", len(g2.g.Edges()))
 	}
-	if g1 := Ring(1, 1); len(g1.Edges()) != 0 {
-		t.Fatalf("1-ring edges = %d", len(g1.Edges()))
+	if g1 := Ring(1, 1); len(g1.g.Edges()) != 0 {
+		t.Fatalf("1-ring edges = %d", len(g1.g.Edges()))
 	}
 }
 
 func TestStarShape(t *testing.T) {
 	g := Star(5, 2)
-	if len(g.Edges()) != 4 {
-		t.Fatalf("star edges = %d", len(g.Edges()))
+	if len(g.g.Edges()) != 4 {
+		t.Fatalf("star edges = %d", len(g.g.Edges()))
 	}
 	for i := 1; i < 5; i++ {
 		if g.Weight(0, i) != 2 {
@@ -117,52 +115,11 @@ func TestStarShape(t *testing.T) {
 	}
 }
 
-func TestCustomValidation(t *testing.T) {
-	if _, err := Custom(3, []graph.Edge{{U: 0, V: 3, Weight: 1}}); err == nil {
-		t.Fatal("out-of-range edge accepted")
-	}
-	if _, err := Custom(3, []graph.Edge{{U: 1, V: 1, Weight: 1}}); err == nil {
-		t.Fatal("self-edge accepted")
-	}
-	if _, err := Custom(3, []graph.Edge{{U: 0, V: 1, Weight: -2}}); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	g, err := Custom(3, []graph.Edge{{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.TotalWeight() != 4 {
-		t.Fatalf("total weight = %v", g.TotalWeight())
-	}
-	if g.CommIntensity() != 3 {
-		t.Fatalf("comm intensity = %v", g.CommIntensity())
-	}
-}
-
-func TestNormalized(t *testing.T) {
-	g := AllToAll(3, 8)
-	n := g.Normalized(4)
-	for _, e := range n.Edges() {
-		if e.Weight != 2 {
-			t.Fatalf("normalized weight = %v", e.Weight)
-		}
-	}
-	// Zero bandwidth leaves weights untouched.
-	same := g.Normalized(0)
-	if same.Weight(0, 1) != 8 {
-		t.Fatal("zero-bandwidth normalization changed weights")
-	}
-	// Original unchanged.
-	if g.Weight(0, 1) != 8 {
-		t.Fatal("Normalized mutated the original")
-	}
-}
-
 func TestAllToAllEdgeCountProperty(t *testing.T) {
 	f := func(raw uint8) bool {
 		n := int(raw%10) + 1
 		g := AllToAll(n, 1)
-		return len(g.Edges()) == n*(n-1)/2
+		return len(g.g.Edges()) == n*(n-1)/2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

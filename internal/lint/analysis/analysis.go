@@ -8,7 +8,8 @@
 //
 // Only the pieces the topolint suite needs exist: no Facts, no
 // Requires/ResultOf plumbing, no SSA. Analyzers that want deeper
-// semantic information work directly from go/types.
+// semantic information work directly from go/types; one that needs every
+// package at once sets RunModule instead of Run.
 package analysis
 
 import (
@@ -32,6 +33,25 @@ type Analyzer struct {
 	// pass.Report*; a non-nil error aborts the whole topolint run (use
 	// it for internal failures, never for findings).
 	Run func(*Pass) error
+
+	// RunModule, set instead of Run, applies the analyzer to every
+	// loaded package at once. Such an analyzer is only sound when the
+	// passes cover the whole module, so drivers skip it on partial runs.
+	RunModule func([]*Pass) error
+}
+
+// Apply runs a on passes: once over all of them for a module-level
+// analyzer, otherwise once per pass.
+func (a *Analyzer) Apply(passes []*Pass) error {
+	if a.RunModule != nil {
+		return a.RunModule(passes)
+	}
+	for _, p := range passes {
+		if err := a.Run(p); err != nil {
+			return fmt.Errorf("%s: %v", p.Pkg.Path(), err)
+		}
+	}
+	return nil
 }
 
 // Pass hands an Analyzer one type-checked package.
@@ -123,19 +143,6 @@ func (p *Pass) CalleeFunc(call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := p.ObjectOf(id).(*types.Func)
 	return fn
-}
-
-// IsPkgFunc reports whether call invokes the package-level function
-// pkgPath.name (methods never match).
-func (p *Pass) IsPkgFunc(call *ast.CallExpr, pkgPath, name string) bool {
-	fn := p.CalleeFunc(call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
 }
 
 // RootIdent returns the identifier at the base of a chain of selector,

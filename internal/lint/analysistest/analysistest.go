@@ -14,7 +14,6 @@ package analysistest
 
 import (
 	"fmt"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -29,49 +28,47 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads each fixture package (a path relative to the test's working
+// Run loads the fixture packages (paths relative to the test's working
 // directory, e.g. "./testdata/src/detmaptest"), applies the analyzer
 // raw — no //lint:ignore filtering — and reports every mismatch between
-// diagnostics and // want expectations through t.
+// diagnostics and // want expectations through t. The fixtures are
+// loaded together, so a module-level analyzer sees them as its whole
+// module.
+//
+//lint:ignore deadcode test harness: every analyzer's fixture test runs through it
 func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 	t.Helper()
-	for _, fixture := range fixtures {
-		pkgs, err := load.Load(".", fixture)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", fixture, err)
-		}
-		for _, pkg := range pkgs {
-			if len(pkg.TypeErrors) > 0 {
-				t.Fatalf("fixture %s does not type-check: %v", pkg.ImportPath, pkg.TypeErrors[0])
-			}
-			runOne(t, a, pkg)
-		}
+	pkgs, err := load.Load(".", fixtures...)
+	if err != nil {
+		t.Fatalf("loading fixtures %v: %v", fixtures, err)
 	}
-}
-
-func runOne(t *testing.T, a *analysis.Analyzer, pkg *load.Package) {
-	t.Helper()
-	wants := collectWants(t, pkg)
-
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Syntax,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-		Report: func(d analysis.Diagnostic) {
-			p := pkg.Fset.Position(d.Pos)
-			for _, w := range wants[fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)] {
-				if !w.matched && w.rx.MatchString(d.Message) {
-					w.matched = true
-					return
+	wants := make(map[string][]*expectation)
+	passes := make([]*analysis.Pass, len(pkgs))
+	for i, pkg := range pkgs {
+		if len(pkg.TypeErrors) > 0 {
+			t.Fatalf("fixture %s does not type-check: %v", pkg.ImportPath, pkg.TypeErrors[0])
+		}
+		collectWants(t, pkg, wants)
+		passes[i] = &analysis.Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Syntax,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.TypesInfo,
+			Report: func(d analysis.Diagnostic) {
+				p := pkg.Fset.Position(d.Pos)
+				for _, w := range wants[fmt.Sprintf("%s:%d", p.Filename, p.Line)] {
+					if !w.matched && w.rx.MatchString(d.Message) {
+						w.matched = true
+						return
+					}
 				}
-			}
-			t.Errorf("%s: unexpected diagnostic: %s", p, d.Message)
-		},
+				t.Errorf("%s: unexpected diagnostic: %s", p, d.Message)
+			},
+		}
 	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("analyzer %s failed on %s: %v", a.Name, pkg.ImportPath, err)
+	if err := a.Apply(passes); err != nil {
+		t.Fatalf("analyzer %s failed: %v", a.Name, err)
 	}
 	for key, ws := range wants {
 		for _, w := range ws {
@@ -82,11 +79,10 @@ func runOne(t *testing.T, a *analysis.Analyzer, pkg *load.Package) {
 	}
 }
 
-// collectWants parses `// want "rx" `rx`...` comments, keyed by
-// "file:line".
-func collectWants(t *testing.T, pkg *load.Package) map[string][]*expectation {
+// collectWants adds pkg's `// want "rx" `rx`...` comments to wants,
+// keyed by "file:line".
+func collectWants(t *testing.T, pkg *load.Package, wants map[string][]*expectation) {
 	t.Helper()
-	wants := make(map[string][]*expectation)
 	for _, file := range pkg.Syntax {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
@@ -95,7 +91,7 @@ func collectWants(t *testing.T, pkg *load.Package) map[string][]*expectation {
 					continue
 				}
 				p := pkg.Fset.Position(c.Pos())
-				key := fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
+				key := fmt.Sprintf("%s:%d", p.Filename, p.Line)
 				for _, rxText := range splitQuoted(t, p.String(), text) {
 					rx, err := regexp.Compile(rxText)
 					if err != nil {
@@ -106,7 +102,6 @@ func collectWants(t *testing.T, pkg *load.Package) map[string][]*expectation {
 			}
 		}
 	}
-	return wants
 }
 
 // splitQuoted extracts consecutive Go-quoted or backquoted strings.

@@ -9,6 +9,7 @@ import (
 	"io"
 	"sort"
 
+	"gputopo/internal/lint"
 	"gputopo/internal/lint/analysis"
 	"gputopo/internal/lint/load"
 )
@@ -37,24 +38,30 @@ type Result struct {
 	Suppressed []Diagnostic
 }
 
-// Run applies every analyzer to every package. Packages with type
-// errors fail the run: analyzer silence on a half-checked package
-// proves nothing.
+// Run applies every analyzer to every package: a per-package analyzer
+// once per package, a module-level one once over all of them. Packages
+// with type errors fail the run: analyzer silence on a half-checked
+// package proves nothing.
 func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) (Result, error) {
 	var res Result
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
+	known := make(map[string]bool)
+	for _, a := range lint.All() {
 		known[a.Name] = true
 	}
+	var dirs []*directive
 	for _, pkg := range pkgs {
 		if len(pkg.TypeErrors) > 0 {
 			return res, fmt.Errorf("%s does not type-check: %v", pkg.ImportPath, pkg.TypeErrors[0])
 		}
-		dirs, dirDiags := collectDirectives(pkg, known)
-		var raw []Diagnostic
-		for _, a := range analyzers {
-			a := a
-			pass := &analysis.Pass{
+		pkgDirs, dirDiags := collectDirectives(pkg, known)
+		dirs = append(dirs, pkgDirs...)
+		res.Diags = append(res.Diags, dirDiags...)
+	}
+	var raw []Diagnostic
+	for _, a := range analyzers {
+		passes := make([]*analysis.Pass, len(pkgs))
+		for i, pkg := range pkgs {
+			passes[i] = &analysis.Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Syntax,
@@ -69,42 +76,41 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) (Result, error) {
 					})
 				},
 			}
-			if err := pass.Analyzer.Run(pass); err != nil {
-				return res, fmt.Errorf("analyzer %s on %s: %v", a.Name, pkg.ImportPath, err)
+		}
+		if err := a.Apply(passes); err != nil {
+			return res, fmt.Errorf("analyzer %s: %v", a.Name, err)
+		}
+	}
+	for _, d := range raw {
+		if dir := match(dirs, d); dir != nil {
+			dir.used = true
+			d.SuppressedBy = dir.reason
+			res.Suppressed = append(res.Suppressed, d)
+			continue
+		}
+		res.Diags = append(res.Diags, d)
+	}
+	// A directive that suppresses nothing is stale and must go: it
+	// would silently swallow a future, different finding on its
+	// line. Only enforced when every analyzer it names actually
+	// ran, so partial -analyzers runs cannot produce false alarms.
+	for _, dir := range dirs {
+		if dir.used {
+			continue
+		}
+		ran := true
+		for _, n := range dir.names {
+			if !ranAnalyzer(analyzers, n) {
+				ran = false
+				break
 			}
 		}
-		for _, d := range raw {
-			if dir := match(dirs, d); dir != nil {
-				dir.used = true
-				d.SuppressedBy = dir.reason
-				res.Suppressed = append(res.Suppressed, d)
-				continue
-			}
-			res.Diags = append(res.Diags, d)
-		}
-		res.Diags = append(res.Diags, dirDiags...)
-		// A directive that suppresses nothing is stale and must go: it
-		// would silently swallow a future, different finding on its
-		// line. Only enforced when every analyzer it names actually
-		// ran, so partial -analyzers runs cannot produce false alarms.
-		for _, dir := range dirs {
-			if dir.used {
-				continue
-			}
-			ran := true
-			for _, n := range dir.names {
-				if !ranAnalyzer(analyzers, n) {
-					ran = false
-					break
-				}
-			}
-			if ran {
-				res.Diags = append(res.Diags, Diagnostic{
-					Analyzer: DirectiveAnalyzer,
-					Pos:      dir.pos,
-					Message:  fmt.Sprintf("//lint:ignore %s suppresses nothing; delete the stale directive", dir.nameList()),
-				})
-			}
+		if ran {
+			res.Diags = append(res.Diags, Diagnostic{
+				Analyzer: DirectiveAnalyzer,
+				Pos:      dir.pos,
+				Message:  fmt.Sprintf("//lint:ignore %s suppresses nothing; delete the stale directive", dir.nameList()),
+			})
 		}
 	}
 	sortDiags(res.Diags)

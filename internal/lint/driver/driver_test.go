@@ -86,6 +86,28 @@ func TestStaleSkippedOnPartialRun(t *testing.T) {
 	}
 }
 
+// TestUnselectedAnalyzerDirectiveIsSilent: directive names are checked
+// against the registry, not against the analyzers a run selected. A
+// nilness-only run must accept the fixture's detmap directives and still
+// report the name no analyzer has.
+func TestUnselectedAnalyzerDirectiveIsSilent(t *testing.T) {
+	res := runFixture(t, nilness.Analyzer)
+	var got []string
+	for _, d := range res.Diags {
+		if d.Analyzer == driver.DirectiveAnalyzer {
+			got = append(got, d.Message)
+		}
+	}
+	want := []string{
+		"malformed directive: want //lint:ignore analyzer[,analyzer] justification",
+		`//lint:ignore names unknown analyzer "nosuchcheck"`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("directive findings on a nilness-only run:\n%s\nwant:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // TestFormat checks the rendered shape the CI log shows.
 func TestFormat(t *testing.T) {
 	res := runFixture(t, detmap.Analyzer, nilness.Analyzer)

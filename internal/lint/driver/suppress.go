@@ -36,8 +36,9 @@ type directive struct {
 func (d *directive) nameList() string { return strings.Join(d.names, ",") }
 
 // collectDirectives scans one package's comments for //lint:ignore
-// directives. Malformed ones (missing justification, unknown analyzer
-// name) are returned as diagnostics so they fail the run instead of
+// directives. Malformed ones (missing justification, a name that is not
+// in known — the whole registry, not just the analyzers this run
+// selected) are returned as diagnostics so they fail the run instead of
 // silently suppressing nothing.
 func collectDirectives(pkg *load.Package, known map[string]bool) ([]*directive, []Diagnostic) {
 	var dirs []*directive

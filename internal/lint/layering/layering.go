@@ -69,7 +69,6 @@ var Ranks = map[string]Layer{
 
 	"gputopo/internal/caffesim": {900, "engines"},
 	"gputopo/internal/metrics":  {900, "evaluation"},
-	"gputopo/internal/trace":    {900, "evaluation"},
 
 	"gputopo/internal/manifest": {950, "evaluation"},
 

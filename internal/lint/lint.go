@@ -10,6 +10,7 @@ package lint
 
 import (
 	"gputopo/internal/lint/analysis"
+	"gputopo/internal/lint/deadcode"
 	"gputopo/internal/lint/detmap"
 	"gputopo/internal/lint/layering"
 	"gputopo/internal/lint/nilness"
@@ -24,6 +25,7 @@ import (
 // returned slice is fresh on each call; callers may filter it.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
+		deadcode.Analyzer,
 		detmap.Analyzer,
 		layering.Analyzer,
 		nilness.Analyzer,

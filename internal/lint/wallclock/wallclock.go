@@ -6,10 +6,10 @@
 // stats.DeriveSeed/ReplicaSeeds. Calls to time.Now/Since/Until and to
 // math/rand's implicitly-seeded global functions are flagged.
 //
-// The two sanctioned exceptions (the WallClock implementation itself
-// and decision-latency instrumentation that never feeds a scheduling
-// decision) carry //lint:ignore wallclock directives with their
-// justification.
+// The one sanctioned exception, decision-latency instrumentation that
+// never feeds a scheduling decision, carries //lint:ignore wallclock
+// directives with its justification. Drivers own real time: toposerve
+// sets a ManualClock from its own time source before each round.
 package wallclock
 
 import (
@@ -37,7 +37,7 @@ var Restricted = []string{
 	"gputopo/internal/experiments",
 }
 
-const clockFix = "take time from the driver's schedcore.Clock (ManualClock in simulators, WallClock in toposerve)"
+const clockFix = "take time from the driver's schedcore.Clock (a ManualClock the simulator or toposerve sets)"
 const seedFix = "use a stats.RNG seeded via stats.DeriveSeed/ReplicaSeeds so every run replays bit-for-bit"
 
 func run(pass *analysis.Pass) error {

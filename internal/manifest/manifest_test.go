@@ -106,10 +106,10 @@ func TestBuildJobsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs[0].CommGraph().Edges()) != 4 {
+	if len(jobs[0].CommGraph().Underlying().Edges()) != 4 {
 		t.Fatal("ring pattern not applied")
 	}
-	if len(jobs[1].CommGraph().Edges()) != 2 {
+	if len(jobs[1].CommGraph().Underlying().Edges()) != 2 {
 		t.Fatal("star pattern not applied")
 	}
 	if jobs[2].Parallelism != perfmodel.ModelParallel {

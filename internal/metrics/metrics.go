@@ -142,34 +142,6 @@ func LineChart(title string, series []Series, width, height int) string {
 	return sb.String()
 }
 
-// BarChart renders labeled values as horizontal ASCII bars.
-func BarChart(title string, labels []string, values []float64, width int) string {
-	if width < 10 {
-		width = 10
-	}
-	maxV := 0.0
-	maxL := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxL {
-			maxL = len(labels[i])
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	var sb strings.Builder
-	sb.WriteString(title + "\n")
-	for i, v := range values {
-		n := int(v / maxV * float64(width))
-		fmt.Fprintf(&sb, "%-*s |%s%s| %.3f\n",
-			maxL, labels[i], strings.Repeat("=", n), strings.Repeat(" ", width-n), v)
-	}
-	return sb.String()
-}
-
 // Timeline renders the GPU allocation timeline of a run (Figure 8a–d):
 // one row per GPU, one column per time bucket, letters identifying jobs.
 func Timeline(res *simulator.Result, numGPUs, width int) string {

@@ -96,22 +96,6 @@ func TestLineChartDegenerateRange(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	out := BarChart("bars", []string{"a", "bb"}, []float64{1, 2}, 20)
-	if !strings.Contains(out, "bars") || !strings.Contains(out, "2.000") {
-		t.Fatalf("bar chart:\n%s", out)
-	}
-	// The larger value gets the longer bar.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if strings.Count(lines[1], "=") >= strings.Count(lines[2], "=") {
-		t.Fatalf("bar lengths wrong:\n%s", out)
-	}
-	// Zero values are safe.
-	if z := BarChart("z", []string{"x"}, []float64{0}, 10); !strings.Contains(z, "0.000") {
-		t.Fatal("zero bar chart failed")
-	}
-}
-
 func TestTimelineRendering(t *testing.T) {
 	res := table1Results(t)[0]
 	out := Timeline(res, 4, 60)

@@ -208,20 +208,6 @@ func IterationTime(n NN, batch int, topo *topology.Topology, gpus []int, compute
 	return t
 }
 
-// IterationTimeBW is IterationTime with an explicit effective bandwidth,
-// used by the breakdown experiments that sweep bandwidths directly.
-func IterationTimeBW(n NN, batch, gpus int, effBW, computeScale float64) float64 {
-	if computeScale <= 0 {
-		computeScale = 1
-	}
-	s := specs[n]
-	t := computeScale*ComputeTime(n, batch) + s.HostOverhead
-	if gpus >= 2 {
-		t += CommTime(n, gpus, effBW)
-	}
-	return t
-}
-
 // Breakdown reports the compute and communication fractions of an
 // iteration (Figure 3): fractions of total iteration time spent in GPU
 // compute and in gradient exchange.

@@ -1,14 +1,13 @@
 package schedcore
 
-import "time"
-
 // Clock abstracts the scheduler's notion of "now" (seconds since an
 // arbitrary epoch) so one Core serves two very different drivers: the
 // discrete-event simulator advances a ManualClock to its virtual event
-// time, while the real-time serving front-end reads the wall clock. The
-// core itself never calls time.Now for timestamps — decision latency
-// instrumentation (Stats.DecisionTime) is the one deliberate exception,
-// because it measures real CPU cost regardless of the driver.
+// time, while the real-time serving front-end sets one from its own
+// time source before each round. The core itself never calls time.Now
+// for timestamps — decision latency instrumentation (Stats.DecisionTime)
+// is the one deliberate exception, because it measures real CPU cost
+// regardless of the driver.
 type Clock interface {
 	// Now returns the current time in seconds since the clock's epoch.
 	Now() float64
@@ -32,23 +31,8 @@ func (m *ManualClock) Now() float64 { return m.now }
 // not interpret timestamps, it only stamps them onto decisions.
 func (m *ManualClock) Set(t float64) { m.now = t }
 
-// Advance moves the clock forward by d seconds.
-func (m *ManualClock) Advance(d float64) { m.now += d }
-
-// zeroClock is the allocation-free default for drivers that never read
-// time (the legacy sched.New construction): every decision is stamped 0.
+// zeroClock is the allocation-free default for a Core built without
+// WithClock: every decision is stamped 0.
 type zeroClock struct{}
 
 func (zeroClock) Now() float64 { return 0 }
-
-// wallClock reads real time as seconds since its creation, so arrival
-// stamps line up with the simulator's seconds-since-experiment-start
-// convention (and stay comfortably inside job.Validate's Arrival >= 0).
-type wallClock struct {
-	epoch time.Time
-}
-
-// WallClock returns a Clock reading real time in seconds since the call.
-func WallClock() Clock { return wallClock{epoch: time.Now()} } //lint:ignore wallclock WallClock IS the sanctioned wall-clock Clock implementation; reading real time here is its whole job
-
-func (w wallClock) Now() float64 { return time.Since(w.epoch).Seconds() } //lint:ignore wallclock WallClock IS the sanctioned wall-clock Clock implementation

@@ -14,7 +14,7 @@ func TestBandwidthConstraintFiltersHosts(t *testing.T) {
 	topo := topology.Cluster(2, topology.KindMinsky)
 	s := newSched(t, TopoAwareP, topo)
 	// Saturate machine 0's bus bookkeeping with a high-demand occupant.
-	cap0 := s.State().BusCapacity()
+	cap0 := s.State().FreeBusBandwidth(0)
 	if err := s.State().Allocate("hog", []int{0}, cap0, perfmodel.Traits{}); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestBandwidthConstraintFiltersHosts(t *testing.T) {
 func TestBandwidthConstraintCanPostpone(t *testing.T) {
 	topo := topology.Power8Minsky()
 	s := newSched(t, TopoAwareP, topo)
-	if err := s.State().Allocate("hog", []int{0}, s.State().BusCapacity(), perfmodel.Traits{}); err != nil {
+	if err := s.State().Allocate("hog", []int{0}, s.State().FreeBusBandwidth(0), perfmodel.Traits{}); err != nil {
 		t.Fatal(err)
 	}
 	_ = s.Submit(mkJob("bw", 1, 2, 0.0, 0))

@@ -238,18 +238,15 @@ func New(policy Policy, state *cluster.State, mapper *core.Mapper, opts ...Optio
 // stop at the first one, so their walks are already O(affected).
 func (c *Core) indexed() bool { return c.policy == TopoAwareP }
 
-// Discipline returns the name of the queue discipline ordering the wait
-// queue.
-func (c *Core) Discipline() string { return c.disc.Name() }
-
 // State returns the cluster allocation state the core mutates.
 func (c *Core) State() *cluster.State { return c.state }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Core) Stats() Stats { return c.stats }
 
-// Now returns the core's clock reading — virtual time under a
-// ManualClock driver, wall seconds under WallClock.
+// Now returns the core's clock reading: virtual seconds in the
+// simulator, served seconds in toposerve (each sets a ManualClock), 0
+// for a core built without a clock.
 func (c *Core) Now() float64 { return c.clock.Now() }
 
 // entryCmp orders entries by the queue discipline, submission order on

@@ -64,6 +64,8 @@ func (tr *Trace) String() string {
 
 // CloneJob copies a generated job so schedulers never share mutable
 // state.
+//
+//lint:ignore deadcode oracle: the differential harness feeds core and reference separate copies of each job
 func CloneJob(j *job.Job) *job.Job {
 	c := job.New(j.ID, j.Model, j.BatchSize, j.GPUs, j.MinUtility, j.Arrival)
 	c.Iterations = j.Iterations
@@ -117,6 +119,8 @@ func (tr *Trace) setFleet(name string, fleet ...topology.MachineSpec) {
 // NewTrace generates a deterministic randomized trace from the seed:
 // random substrate, random scheduler configuration, and a submit-heavy
 // event mix with enough removals to churn capacity and wake parked jobs.
+//
+//lint:ignore deadcode oracle: generates the differential harness's seedNNNN traces
 func NewTrace(seed uint64) *Trace {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	tr := &Trace{Seed: seed}
@@ -151,6 +155,8 @@ func NewTrace(seed uint64) *Trace {
 // default all-to-all communication graph with a ring or a star in about
 // 15% of the submissions (NewTrace's never do). It is a generator of its
 // own so that no NewTrace seed changes.
+//
+//lint:ignore deadcode oracle: generates the differential harness's fleetNNNN traces
 func NewFleetTrace(seed uint64) *Trace {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	tr := &Trace{Seed: seed}

@@ -30,9 +30,6 @@ func NewRouter(caps []Capacity, free FreeFunc) *Router {
 	return &Router{caps: caps, free: free}
 }
 
-// Domains returns the domain count.
-func (r *Router) Domains() int { return len(r.caps) }
-
 // Route picks the job's domain: among admissible domains (Capacity.Admits
 // — the job can ever place there), prefer the one with the most free GPUs
 // that can seat the job right now; when every admissible domain is at its

@@ -173,6 +173,8 @@ func (c *Core) victimsRunning(prio int) bool {
 // allocated jobs. A test and diagnosis aid, like
 // cluster.State.CheckInvariants; a core whose state was also allocated on
 // directly fails the second check by design.
+//
+//lint:ignore deadcode oracle: schedcore tests and every difftest round recompute the core's indexes from scratch
 func (c *Core) CheckInvariants() error {
 	recount := Core{running: map[string]*job.Job{}}
 	for _, j := range c.running {

@@ -38,8 +38,8 @@ func TestPriorityDisciplineOrdersQueue(t *testing.T) {
 	if q[0].ID != "high-early" || q[1].ID != "high-late" || q[2].ID != "low-early" {
 		t.Fatalf("priority queue order: %v %v %v", q[0].ID, q[1].ID, q[2].ID)
 	}
-	if s.Discipline() != "priority-arrival" {
-		t.Fatalf("discipline name %q", s.Discipline())
+	if s.disc.Name() != "priority-arrival" {
+		t.Fatalf("discipline name %q", s.disc.Name())
 	}
 }
 

@@ -190,10 +190,4 @@ func TestDecisionTimestampsFollowClock(t *testing.T) {
 	if s.Now() != 12.5 {
 		t.Fatalf("Now() = %g", s.Now())
 	}
-	wc := WallClock()
-	a := wc.Now()
-	b := wc.Now()
-	if a < 0 || b < a {
-		t.Fatalf("wall clock not monotone from start: %g, %g", a, b)
-	}
 }

@@ -327,7 +327,7 @@ func (d *domain) applySubmit(o *op, now float64, needRound *bool) {
 		return
 	}
 	if d.cfg.MaxQueue > 0 && d.core.QueueLen() >= d.cfg.MaxQueue {
-		o.retryAfter = d.cfg.RetryAfterSec
+		o.retryAfter = retryAfterSec
 		o.fail(429, serveapi.CodeQueueFull, "queue depth %d at limit %d", d.core.QueueLen(), d.cfg.MaxQueue)
 		return
 	}

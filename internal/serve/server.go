@@ -57,9 +57,8 @@ const (
 	// is zero: once this many records accumulate after the last snapshot,
 	// the loop rewrites the log to a fresh snapshot.
 	DefaultSnapshotEvery = 4096
-	// DefaultRetryAfterSec is the Retry-After hint on 429 responses when
-	// Config.RetryAfterSec is zero.
-	DefaultRetryAfterSec = 1
+	// retryAfterSec is the Retry-After hint (seconds) on 429 responses.
+	retryAfterSec = 1
 )
 
 // Config configures a Server.
@@ -93,9 +92,6 @@ type Config struct {
 	// negative disables automatic snapshots (graceful Close still writes
 	// one).
 	SnapshotEvery int
-	// RetryAfterSec is the Retry-After hint (seconds) on 429. Zero =
-	// default.
-	RetryAfterSec int
 	// FsyncEvery relaxes group commit: the log is fsynced once every N
 	// batches instead of every batch, trading the durability of up to
 	// N-1 acked batches for lower tail latency under bursty load. 0 or 1
@@ -162,9 +158,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if cfg.RetryAfterSec == 0 {
-		cfg.RetryAfterSec = DefaultRetryAfterSec
 	}
 	s := &Server{
 		cfg:        cfg,

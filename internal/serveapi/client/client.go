@@ -42,6 +42,8 @@ func (e *APIError) Error() string {
 }
 
 // IsCode reports whether err is an *APIError with the envelope code.
+//
+//lint:ignore deadcode test helper: client and serve tests match error envelopes through it
 func IsCode(err error, code string) bool {
 	var ae *APIError
 	return errors.As(err, &ae) && ae.Code == code
@@ -95,6 +97,8 @@ func (c *Client) Stats() (requests, retries429 int64) {
 }
 
 // BaseURL returns the server base URL the client was built with.
+//
+//lint:ignore deadcode test helper: serve tests derive raw endpoints from their client through it
 func (c *Client) BaseURL() string { return c.base }
 
 // doJSON performs one HTTP exchange: marshal body (when non-nil), send,

@@ -56,6 +56,8 @@ func (c *Client) Decisions(ctx context.Context, after, limit int) (*serveapi.Dec
 
 // AllDecisions follows the cursor from after until the log is drained,
 // reporting whether the ring truncated any records the cursor expected.
+//
+//lint:ignore deadcode test helper: client and serve tests read whole decision logs through it
 func (c *Client) AllDecisions(ctx context.Context, after int) ([]serveapi.DecisionRecord, bool, error) {
 	var all []serveapi.DecisionRecord
 	truncated := false

@@ -27,13 +27,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Split returns a new generator whose stream is independent of (but
-// deterministically derived from) the receiver's current state. It advances
-// the receiver.
-func (r *RNG) Split() *RNG {
-	return &RNG{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
-}
-
 // DeriveSeed maps a base seed and a textual key to a new seed, using an
 // FNV-1a hash of the key folded into the base through the SplitMix64
 // finalizer. The derivation is a pure function of its inputs, so sweep
@@ -86,19 +79,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Perm returns a random permutation of [0, n) using Fisher–Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Exponential samples an exponentially distributed value with the given
 // rate (events per unit time). The mean of the returned values is 1/rate.
 // Poisson arrival processes are generated by summing Exponential
@@ -113,25 +93,6 @@ func (r *RNG) Exponential(rate float64) float64 {
 		u = r.Float64()
 	}
 	return -math.Log(u) / rate
-}
-
-// Poisson samples a Poisson-distributed count with the given mean using
-// Knuth's multiplication method (adequate for the small means used by the
-// workload generator).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		panic("stats: Poisson with non-positive mean")
-	}
-	limit := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
 }
 
 // Binomial samples the number of successes in n trials with success

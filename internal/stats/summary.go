@@ -75,27 +75,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Histogram bins xs into n equal-width buckets across [min, max] and
-// returns the bucket counts. Values exactly at max land in the last bucket.
-func Histogram(xs []float64, n int, min, max float64) []int {
-	counts := make([]int, n)
-	if n == 0 || max <= min {
-		return counts
-	}
-	width := (max - min) / float64(n)
-	for _, x := range xs {
-		if x < min || x > max {
-			continue
-		}
-		i := int((x - min) / width)
-		if i >= n {
-			i = n - 1
-		}
-		counts[i]++
-	}
-	return counts
-}
-
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -85,65 +85,11 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.5, 1.5, 1.6, 2.5, 3.9, 4.0}
-	counts := Histogram(xs, 4, 0, 4)
-	want := []int{1, 2, 1, 2} // 4.0 lands in the last bucket
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, counts[i], want[i], counts)
-		}
-	}
-}
-
-func TestHistogramIgnoresOutOfRange(t *testing.T) {
-	counts := Histogram([]float64{-1, 5, 2}, 4, 0, 4)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 1 {
-		t.Fatalf("total counted %d, want 1", total)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	if c := Histogram([]float64{1, 2}, 0, 0, 4); len(c) != 0 {
-		t.Fatal("zero buckets should yield empty")
-	}
-	c := Histogram([]float64{1, 2}, 3, 5, 5)
-	for _, v := range c {
-		if v != 0 {
-			t.Fatal("degenerate range should count nothing")
-		}
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("mean of empty should be 0")
 	}
 	if Mean([]float64{2, 4, 6}) != 4 {
 		t.Fatal("mean of 2,4,6 should be 4")
-	}
-}
-
-func TestHistogramTotalNeverExceedsInput(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		counts := Histogram(xs, 8, -100, 100)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total <= len(xs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -184,6 +183,8 @@ type Report struct {
 // policy axis varied) that is the cell's result for the policy; on a
 // multi-cell grid it is merely the first matching point, so callers
 // comparing policies across cells should walk Points or Cells instead.
+//
+//lint:ignore deadcode test helper: sweep, experiments and root benchmark tests group results through it
 func (r *Report) ByPolicy(pol schedcore.Policy) *PointResult {
 	for i := range r.Points {
 		if r.Points[i].Policy == pol {
@@ -255,19 +256,4 @@ func (r *Report) Render() string {
 			float64(len(r.Points))/r.Elapsed.Seconds())
 	}
 	return out
-}
-
-// SortPointsByCell orders a copy of the report's points by cell key then
-// replica — handy for diffing two artifacts whose grids enumerated axes
-// in different orders.
-func (r *Report) SortPointsByCell() []PointResult {
-	pts := append([]PointResult(nil), r.Points...)
-	sort.SliceStable(pts, func(i, j int) bool {
-		ki, kj := pts[i].cellKey(), pts[j].cellKey()
-		if ki != kj {
-			return ki < kj
-		}
-		return pts[i].Replica < pts[j].Replica
-	})
-	return pts
 }

@@ -420,6 +420,8 @@ func (g Grid) Validate() error {
 // unknown enum names (policies, engine, source, topology builders) and
 // out-of-range axis values are all rejected with errors that name the
 // offending field.
+//
+//lint:ignore deadcode test helper: sweep and toposweep tests parse in-memory specs through it
 func ParseGridSpec(data []byte) (Grid, error) {
 	g, err := decodeGridSpec(data)
 	if err != nil {

@@ -253,6 +253,8 @@ func Machine(kind MachineKind, w LevelWeights) (*Topology, error) {
 // and they break every "by symmetry" shortcut an allocator is tempted to
 // take: the extremal-allocation search treats a degraded machine as its
 // own machine shape (see seedCandidates).
+//
+//lint:ignore deadcode test helper: topology and schedcore tests build degraded machines through it
 func DegradedMachine(kind MachineKind, failedGPUs int) (*Topology, error) {
 	return standaloneMachine(kind, failedGPUs, DefaultWeights())
 }

@@ -285,6 +285,8 @@ func ParseMatrixWeights(text string, w LevelWeights) (*Topology, error) {
 // MatrixCluster builds a homogeneous cluster of n machines joined by a
 // network vertex, each stamped from the same discovered connectivity
 // matrix — real nvidia-smi dumps become sweepable cluster substrates.
+//
+//lint:ignore deadcode test helper: topology and domains tests build matrix clusters through it
 func MatrixCluster(text string, n int) (*Topology, error) {
 	return MatrixClusterWeights(text, n, DefaultWeights())
 }

@@ -171,11 +171,10 @@ type Topology struct {
 	shapes    []string // MachineShape memo, per machine
 	shapeOnce sync.Once
 
-	// Extreme pair distances, precomputed at Build time so the placement
+	// Smallest pair distance, precomputed at Build time so the placement
 	// hot path (core.sideUtility calls MinPairDistance per recursion step)
-	// reads two floats instead of re-scanning every GPU of the cluster.
+	// reads one float instead of re-scanning every GPU of the cluster.
 	minPairDist float64
-	maxPairDist float64
 
 	// Extreme-allocation memo: extreme[0][g] is BestAllocation(g),
 	// extreme[1][g] WorstAllocation(g), each computed once inside its
@@ -258,29 +257,6 @@ func (t *Topology) NumGPUs() int { return len(t.gpus) }
 
 // NumMachines returns the number of machine vertices.
 func (t *Topology) NumMachines() int { return len(t.machines) }
-
-// NumNodes returns the total number of vertices at all levels.
-func (t *Topology) NumNodes() int { return len(t.nodes) }
-
-// Node returns the metadata of node id.
-func (t *Topology) Node(id int) Node { return t.nodes[id] }
-
-// Links returns a copy of all physical links.
-func (t *Topology) Links() []Link { return append([]Link(nil), t.links...) }
-
-// GPUID returns the node ID of the GPU at position pos (0-based, ordered by
-// machine then local index).
-func (t *Topology) GPUID(pos int) int { return t.gpus[pos] }
-
-// GPUPosition returns the position of the GPU with the given node ID, or -1.
-func (t *Topology) GPUPosition(nodeID int) int {
-	for i, id := range t.gpus {
-		if id == nodeID {
-			return i
-		}
-	}
-	return -1
-}
 
 // GPU returns the node metadata of the GPU at position pos.
 func (t *Topology) GPU(pos int) Node { return t.nodes[t.gpus[pos]] }
@@ -425,70 +401,46 @@ func (t *Topology) SameSocket(a, b int) bool {
 // rescan-the-cluster implementation dominating scenario-2 runs.
 func (t *Topology) MinPairDistance() float64 { return t.minPairDist }
 
-// MaxPairDistance returns the largest GPU-to-GPU distance — the worst case
-// t_w used by the objective function normalization (Eq. 1). Precomputed at
-// Build time.
-func (t *Topology) MaxPairDistance() float64 { return t.maxPairDist }
-
-// computePairExtremes scans for the smallest non-zero and the largest
-// finite pair distance.
-func (t *Topology) computePairExtremes() {
-	lo, hi := graph.Inf, 0.0
+// computeMinPairDistance scans for the smallest non-zero pair distance.
+func (t *Topology) computeMinPairDistance() {
+	lo := graph.Inf
 	for _, m := range t.intraDist {
 		for i := range m {
 			for _, d := range m[i][i+1:] {
 				lo = min(lo, d)
-				if d > hi && d < graph.Inf {
-					hi = d
-				}
 			}
 		}
 	}
-	// Cross-machine candidates: the two extreme GPU-to-root attachments
+	// Cross-machine candidate: the two cheapest GPU-to-root attachments
 	// on distinct machines.
 	if t.hasNet && len(t.machines) > 1 {
-		lo = min(lo, t.extremeCrossPair(false))
-		if c := t.extremeCrossPair(true); c > hi && c < graph.Inf {
-			hi = c
-		}
+		lo = min(lo, t.cheapestCrossPair())
 	}
-	t.minPairDist, t.maxPairDist = lo, hi
+	t.minPairDist = lo
 }
 
-// extremeCrossPair returns the minimal (or maximal) cross-machine pair
-// distance: the sum of the two extreme GPU-to-network attachment costs on
-// distinct machines.
-func (t *Topology) extremeCrossPair(maximize bool) float64 {
+// cheapestCrossPair returns the minimal cross-machine pair distance: the
+// sum of the two cheapest GPU-to-network attachment costs on distinct
+// machines.
+func (t *Topology) cheapestCrossPair() float64 {
 	type att struct {
 		cost    float64
 		machine int
 	}
 	best1 := att{cost: graph.Inf, machine: -1}
 	best2 := att{cost: graph.Inf, machine: -1}
-	if maximize {
-		best1.cost, best2.cost = -1, -1
-	}
-	better := func(a, b float64) bool {
-		if maximize {
-			return a > b
-		}
-		return a < b
-	}
 	for pos, mi := range t.machineOf {
 		c := t.toRootDist[pos] + t.netDist[mi]
-		if better(c, best1.cost) {
+		if c < best1.cost {
 			if best1.machine != mi {
 				best2 = best1
 			}
 			best1 = att{cost: c, machine: mi}
-		} else if mi != best1.machine && better(c, best2.cost) {
+		} else if mi != best1.machine && c < best2.cost {
 			best2 = att{cost: c, machine: mi}
 		}
 	}
 	if best1.machine == -1 || best2.machine == -1 {
-		if maximize {
-			return 0
-		}
 		return graph.Inf
 	}
 	return best1.cost + best2.cost
@@ -594,7 +546,7 @@ func (t *Topology) computeMatrices() {
 		}
 	}
 
-	t.computePairExtremes()
+	t.computeMinPairDistance()
 	t.extreme[0] = make([]extremeEntry, n+1)
 	t.extreme[1] = make([]extremeEntry, n+1)
 }

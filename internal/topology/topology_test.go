@@ -14,8 +14,8 @@ func TestMinskyStructure(t *testing.T) {
 		t.Fatalf("machines = %d", topo.NumMachines())
 	}
 	// 1 machine + 2 sockets + 4 GPUs.
-	if topo.NumNodes() != 7 {
-		t.Fatalf("nodes = %d", topo.NumNodes())
+	if len(topo.nodes) != 7 {
+		t.Fatalf("nodes = %d", len(topo.nodes))
 	}
 	if got := topo.Sockets(0); len(got) != 2 {
 		t.Fatalf("sockets = %v", got)
@@ -97,11 +97,11 @@ func TestDGX1Structure(t *testing.T) {
 	// Every GPU has exactly 4 NVLink peers (hybrid cube mesh).
 	for i := 0; i < 8; i++ {
 		peers := 0
-		for _, l := range topo.Links() {
+		for _, l := range topo.links {
 			if l.Type != LinkNVLink {
 				continue
 			}
-			na, nb := topo.Node(l.A), topo.Node(l.B)
+			na, nb := topo.nodes[l.A], topo.nodes[l.B]
 			if na.Level == LevelGPU && nb.Level == LevelGPU &&
 				(na.Index == i || nb.Index == i) {
 				peers++
@@ -188,26 +188,10 @@ func TestClusterKinds(t *testing.T) {
 	}
 }
 
-func TestMinMaxPairDistance(t *testing.T) {
+func TestMinPairDistance(t *testing.T) {
 	topo := Power8Minsky()
 	if min := topo.MinPairDistance(); min != 1 {
 		t.Fatalf("min pair distance = %v", min)
-	}
-	if max := topo.MaxPairDistance(); max != 42 {
-		t.Fatalf("max pair distance = %v", max)
-	}
-}
-
-func TestGPUPositionRoundTrip(t *testing.T) {
-	topo := DGX1()
-	for pos := 0; pos < topo.NumGPUs(); pos++ {
-		id := topo.GPUID(pos)
-		if got := topo.GPUPosition(id); got != pos {
-			t.Fatalf("position %d -> id %d -> position %d", pos, id, got)
-		}
-	}
-	if topo.GPUPosition(-1) != -1 {
-		t.Fatal("unknown node should map to -1")
 	}
 }
 
