@@ -1,0 +1,143 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"gputopo/internal/cluster"
+	"gputopo/internal/job"
+	"gputopo/internal/jobgraph"
+	"gputopo/internal/perfmodel"
+	"gputopo/internal/profile"
+	"gputopo/internal/topology"
+)
+
+// boundFleets are the fleets TestUtilityBoundAdmissible draws states on:
+// each machine kind alone, and a mix whose degraded Minsky has sockets of
+// two sizes.
+var boundFleets = []string{"minsky:4", "dgx1:3", "pcie:4", "minsky:2+minsky-1g:2+dgx1:1+pcie:2"}
+
+// TestUtilityBoundAdmissible: on random states over every fleet, for
+// random jobs — custom communication graphs among them — and every
+// machine with room, UtilityBound is at least the utility PlaceInto
+// scores over that machine's free GPUs, compared as plain floats.
+func TestUtilityBoundAdmissible(t *testing.T) {
+	var cases, tight, mixed, busy int
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		topo := mixedFleet(t, boundFleets[rng.Intn(len(boundFleets))])
+		mapper, err := NewMapper(profile.Generate(topo, 3), DefaultWeights())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := cluster.NewState(topo)
+		populate(t, rng, st)
+		for trial := 0; trial < 8; trial++ {
+			tr := randomTraits(rng, 1+rng.Intn(4))
+			j := job.New(fmt.Sprintf("j%d", trial), tr.Model, tr.Class.Size(), tr.GPUs, 0.5, 0)
+			j.Parallelism = tr.Mode
+			if tr.GPUs > 1 && trial%3 == 0 {
+				if err := j.SetCommGraph(jobgraph.Ring(tr.GPUs, 1+rng.Float64()*3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for m := 0; m < topo.NumMachines(); m++ {
+				free := st.FreeGPUsOnMachine(m)
+				var pl Placement
+				if mapper.PlaceInto(&pl, j, st, free) != nil {
+					continue
+				}
+				bound := mapper.UtilityBound(j, st, m, free)
+				if bound < pl.Utility {
+					t.Errorf("seed %d, %s on machine %d (free %v): bound %v < utility %v of %v",
+						seed, j.ID, m, free, bound, pl.Utility, pl.GPUs)
+					return false
+				}
+				cases++
+				if bound == pl.Utility {
+					tight++
+				}
+				if !oneSocketSize(st, free) {
+					mixed++
+				}
+				if len(st.Residents(m)) > 0 {
+					busy++
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d cases: %d tight, %d over mixed socket sizes, %d with co-runners", cases, tight, mixed, busy)
+	for name, n := range map[string]int{"tight": tight, "mixed socket sizes": mixed, "co-runners": busy} {
+		if n < 100 {
+			t.Errorf("only %d of %d cases cover %s", n, cases, name)
+		}
+	}
+}
+
+// TestUtilityBoundTightOnEmptyMachine: with no co-runner, one socket size
+// and a job packed as well as the topology allows, the bound is the
+// utility itself.
+func TestUtilityBoundTightOnEmptyMachine(t *testing.T) {
+	st, m := minskyState()
+	j := job.New("j", perfmodel.AlexNet, 1, 2, 0.5, 0)
+	free := st.FreeGPUsOnMachine(0)
+	pl, err := m.Place(j, st, free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound := m.UtilityBound(j, st, 0, free); bound != pl.Utility {
+		t.Fatalf("bound %v, utility %v", bound, pl.Utility)
+	}
+}
+
+// TestUtilityBoundNegativeProfile: a profile product below zero would let
+// the SameSocket factor shrink a term, so the bound gives up instead.
+func TestUtilityBoundNegativeProfile(t *testing.T) {
+	topo := topology.Power8Minsky()
+	profiles := profile.Generate(topo, 4)
+	busy := perfmodel.Traits{Model: perfmodel.AlexNet, Class: jobgraph.BatchTiny, GPUs: 1}
+	profiles.Add(profile.Entry{Key: profile.KeyOf(busy), Sensitivity: 1, Pressure: -0.5})
+	m, err := NewMapper(profiles, DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cluster.NewState(topo)
+	if err := st.Allocate("busy", []int{0}, 0, busy); err != nil {
+		t.Fatal(err)
+	}
+	j := job.New("j", perfmodel.AlexNet, 1, 1, 0.5, 0)
+	if bound := m.UtilityBound(j, st, 0, st.FreeGPUsOnMachine(0)); bound <= 1 {
+		t.Fatalf("bound %v under a negative pressure, want +Inf", bound)
+	}
+}
+
+// TestUtilityBoundAllocatesNothing: the bound is asked once per class of
+// every TOPO-AWARE decision, on a mixed machine and a uniform one alike.
+func TestUtilityBoundAllocatesNothing(t *testing.T) {
+	topo := mixedFleet(t, "minsky-1g:1+dgx1:1")
+	mapper, err := NewMapper(profile.Generate(topo, 4), DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cluster.NewState(topo)
+	tr := perfmodel.Traits{Model: perfmodel.AlexNet, Class: jobgraph.BatchSmall, GPUs: 1}
+	for i, pos := range []int{0, 3, 4} {
+		if err := st.Allocate(fmt.Sprintf("j%d", i), []int{pos}, 1, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j := job.New("victim", perfmodel.CaffeRef, 4, 2, 0.5, 0)
+	for m := 0; m < topo.NumMachines(); m++ {
+		free := st.FreeGPUsOnMachine(m)
+		mapper.UtilityBound(j, st, m, free)
+		if n := testing.AllocsPerRun(100, func() { mapper.UtilityBound(j, st, m, free) }); n != 0 {
+			t.Fatalf("UtilityBound on machine %d allocates %v times", m, n)
+		}
+	}
+}

@@ -353,9 +353,6 @@ func (d *drbRun) jobGraphBiPartition(tasks, p0, p1 []int) (a0, a1 []int, err err
 		if pick == 0 {
 			a0 = append(a0, task)
 		} else {
-			if cap1 == 0 {
-				return nil, nil, fmt.Errorf("core: no capacity on either side for task %d", task)
-			}
 			a1 = append(a1, task)
 		}
 		side[task] = int8(pick)

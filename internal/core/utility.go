@@ -84,9 +84,6 @@ func utilityTerms(j *job.Job, gpus []int, st *cluster.State, profiles *profile.S
 	best := topo.BestCommCost(len(gpus))
 	if len(gpus) < 2 || commCost <= best || best == 0 {
 		uCC = 1
-		if len(gpus) >= 2 && best == 0 {
-			uCC = 1 // degenerate single-pair topologies
-		}
 	} else {
 		uCC = best / commCost
 	}
@@ -184,6 +181,57 @@ func elsewhere(st *cluster.State, sites []site, i int, alloc *cluster.Allocation
 		}
 	}
 	return false, shares
+}
+
+// UtilityBound returns an upper bound on the utility of any placement of
+// the single-node job j on the machine whose free GPUs are free: PlaceInto
+// over free never scores above it, compared bit for bit. The TOPO-AWARE
+// sweep skips a machine whose bound cannot beat the best placement it
+// already holds. It allocates nothing.
+//
+// Utility is monotone in each term (the weights are non-negative and IEEE
+// rounding is monotone), so each term is bounded on its own:
+//
+//	u_cc ≤ 1
+//	u_b  ≤ 1 / (1 + CapSlowdown(Σ sens·pressure·LocalityFactor(SameMachine)))
+//	u_d  = 1 - FragmentationAfter(free[:j.GPUs]) when every free GPU sits
+//	       in a socket of one size, else ≤ 1
+//
+// Eq. 4 sums the machine's residents in the order predictInterference
+// does, each with factor SameMachine or the larger SameSocket, so the sum
+// of the lesser products is no larger. FragmentationAfter sums 1/SocketSize over
+// the chosen GPUs; when those terms are all equal, any j.GPUs of them give
+// the same sum. A negative profile product would break the ordering, so
+// one makes the bound +Inf.
+func (m *Mapper) UtilityBound(j *job.Job, st *cluster.State, machine int, free []int) float64 {
+	sens := m.profiles.Sensitivity(j.Traits())
+	var sum float64
+	for _, r := range st.Residents(machine) {
+		x := sens * m.profiles.Pressure(r.Alloc.Traits)
+		if !(x >= 0) {
+			return math.Inf(1)
+		}
+		sum += x * perfmodel.LocalityFactor(perfmodel.SameMachine)
+	}
+	uB := 1 / (1 + perfmodel.CapSlowdown(sum))
+
+	uD := 1.0
+	if len(free) >= j.GPUs && oneSocketSize(st, free) {
+		uD = 1 - st.FragmentationAfter(free[:j.GPUs])
+	}
+	return Utility(m.weights, j.CommIntensity(), 1, uB, uD)
+}
+
+// oneSocketSize reports whether every GPU in gpus sits in a socket of the
+// same size.
+func oneSocketSize(st *cluster.State, gpus []int) bool {
+	topo := st.Topology()
+	for _, pos := range gpus {
+		if topo.SocketSize(pos) != topo.SocketSize(gpus[0]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Utility combines the three terms into the overall placement utility.

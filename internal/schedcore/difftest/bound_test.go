@@ -1,0 +1,63 @@
+package difftest
+
+import (
+	"testing"
+
+	"gputopo/internal/cluster"
+	"gputopo/internal/core"
+	"gputopo/internal/job"
+	"gputopo/internal/schedcore"
+)
+
+// TestUtilityBoundAdmissible replays both trace families through the
+// reference, whose sweep maps every host, and before each placement it
+// scores — on the live state or a trial clone — maps the job onto every
+// machine with room itself: core.Mapper.UtilityBound must be at least
+// each utility, compared as plain floats. The Core's sweep skips a
+// machine on that bound, so a bound below a utility it could have won
+// with is a decision changed.
+func TestUtilityBoundAdmissible(t *testing.T) {
+	for _, fam := range families {
+		var cases, tight int
+		for seed := 0; seed < fam.count(); seed++ {
+			tr := fam.gen(uint64(seed))
+			disc, err := schedcore.ParseDiscipline(tr.Discipline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewReference(tr.Policy, tr.Topology, disc, tr.Preempt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pl core.Placement
+			ref.attempted = func(j *job.Job, st *cluster.State) {
+				if !j.SingleNode || j.AntiCollocate {
+					return
+				}
+				for m := 0; m < st.Topology().NumMachines(); m++ {
+					if st.FreeCountOnMachine(m) < j.GPUs {
+						continue
+					}
+					free := st.FreeGPUsOnMachine(m)
+					if ref.mapper.PlaceInto(&pl, j, st, free) != nil {
+						continue
+					}
+					bound := ref.mapper.UtilityBound(j, st, m, free)
+					if bound < pl.Utility {
+						t.Fatalf("%s: %s on machine %d (free %v): bound %v < utility %v of %v",
+							tr, j.ID, m, free, bound, pl.Utility, pl.GPUs)
+					}
+					cases++
+					if bound == pl.Utility {
+						tight++
+					}
+				}
+			}
+			replay(t, tr, ref, func([]Placement) {})
+		}
+		t.Logf("%s traces: %d placements checked, %d with the bound tight", fam.name, cases, tight)
+		if cases < 4*fam.count() {
+			t.Errorf("%s traces: only %d placements checked across %d traces", fam.name, cases, fam.count())
+		}
+	}
+}

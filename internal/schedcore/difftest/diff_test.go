@@ -177,6 +177,29 @@ func runTrace(t *testing.T, tr *Trace) {
 	drain(t, tr, "drain", ref, c)
 }
 
+// replay drives the trace's events through the reference alone, handing
+// each scheduling round's placements to round.
+func replay(t *testing.T, tr *Trace, ref *Reference, round func([]Placement)) {
+	t.Helper()
+	for _, ev := range tr.Events {
+		switch ev.Kind {
+		case Submit:
+			if err := ref.Submit(CloneJob(ev.Job)); err != nil {
+				t.Fatal(err)
+			}
+		case Remove:
+			if contains(ref.Running(), ev.Target) {
+				if err := ref.Release(ev.Target); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				ref.Withdraw(ev.Target)
+			}
+		}
+		round(ref.Schedule())
+	}
+}
+
 func contains(ids []string, id string) bool {
 	for _, x := range ids {
 		if x == id {
@@ -270,25 +293,11 @@ func TestTraceCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, ev := range tr.Events {
-				switch ev.Kind {
-				case Submit:
-					if err := ref.Submit(CloneJob(ev.Job)); err != nil {
-						t.Fatal(err)
-					}
-				case Remove:
-					if contains(ref.Running(), ev.Target) {
-						if err := ref.Release(ev.Target); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						ref.Withdraw(ev.Target)
-					}
-				}
-				for _, p := range ref.Schedule() {
+			replay(t, tr, ref, func(round []Placement) {
+				for _, p := range round {
 					evictions += len(p.Evictions)
 				}
-			}
+			})
 		}
 		for _, pol := range []schedcore.Policy{schedcore.FCFS, schedcore.BestFit, schedcore.TopoAware, schedcore.TopoAwareP} {
 			if policies[pol] < n/20 {

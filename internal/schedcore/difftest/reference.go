@@ -77,6 +77,10 @@ type Reference struct {
 	// postponements counts, over all rounds, the jobs a round examined
 	// and left queued.
 	postponements int
+	// attempted, when set, sees every job the reference scores placements
+	// for, with the state it scores them on: the live one or a trial
+	// clone.
+	attempted func(j *job.Job, st *cluster.State)
 }
 
 // NewReference builds a reference scheduler over a fresh state for the
@@ -215,6 +219,14 @@ func (r *Reference) Schedule() []Placement {
 
 func (r *Reference) eligible(j *job.Job) bool { return r.preempt && j.Priority > 0 }
 
+// attempt asks pl, a placer over st, to place j.
+func (r *Reference) attempt(pl *schedcore.Placer, st *cluster.State, j *job.Job) (*core.Placement, string) {
+	if r.attempted != nil {
+		r.attempted(j, st)
+	}
+	return pl.Attempt(j)
+}
+
 // examine attempts one job: the availableResources gate, the placement
 // policy, and — for eligible blocked jobs — the preemption path. On
 // success the allocation is committed and any victims are appended to
@@ -225,7 +237,7 @@ func (r *Reference) examine(j *job.Job, victims *[]*job.Job) (*core.Placement, [
 		enough = r.state.FreeGPUCount() >= j.GPUs
 	}
 	if enough {
-		p, reason := r.placer.Attempt(j)
+		p, reason := r.attempt(r.placer, r.state, j)
 		if p != nil {
 			r.commit(j, p)
 			return p, nil, true
@@ -289,7 +301,7 @@ func (r *Reference) tryPreempt(j *job.Job, victims *[]*job.Job) (*core.Placement
 				panic(fmt.Sprintf("difftest: evaluating eviction of %s: %v", v.ID, err))
 			}
 		}
-		p, _ := schedcore.NewPlacer(r.policy, cs, r.mapper).Attempt(j)
+		p, _ := r.attempt(schedcore.NewPlacer(r.policy, cs, r.mapper), cs, j)
 		if p == nil {
 			return
 		}
@@ -359,7 +371,7 @@ func (r *Reference) tryPreempt(j *job.Job, victims *[]*job.Job) (*core.Placement
 		delete(r.running, v.ID)
 	}
 	*victims = append(*victims, best.set...)
-	p, reason := r.placer.Attempt(j)
+	p, reason := r.attempt(r.placer, r.state, j)
 	if p == nil {
 		panic(fmt.Sprintf("difftest: preemptive placement of %s failed after eviction (reason %q)", j.ID, reason))
 	}

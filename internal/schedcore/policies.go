@@ -36,6 +36,8 @@ type placer struct {
 	// scored into cur, which trades places with best when it wins, so
 	// neither placement nor its GPUs is allocated per class.
 	cur, best core.Placement
+	// scored counts the mapper runs of the current decision's sweep.
+	scored int
 }
 
 // attempt runs the placement policy on the job and applies the
@@ -212,6 +214,11 @@ func (p *placer) bestFitGPUs(machine, n int) []int {
 // machine of the best class is the winner with or without the skip. A
 // class id freed by a recompute during the sweep cannot carry this
 // decision's stamp: a stamped id is held by the clean host that stamped it.
+//
+// Once a placement is held, a class whose core.Mapper.UtilityBound is no
+// higher than its utility is not mapped: it cannot score strictly higher,
+// so it cannot win. Anti-collocated jobs and the per-machine reference
+// map every host.
 func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 	hosts := p.filterHosts(j)
 	if len(hosts) == 0 {
@@ -234,6 +241,8 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 		clear(p.classSeen) // wrapped: no stamp may equal a future gen
 		p.gen = 1
 	}
+	p.scored = 0
+	prune := !p.perMachine && !j.AntiCollocate
 	found := false
 	for _, m := range hosts {
 		if !p.perMachine {
@@ -248,6 +257,10 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 		}
 		free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], m)
 		p.freeScratch = free
+		if prune && found && p.mapper.UtilityBound(j, p.state, m, free) <= p.best.Utility {
+			continue
+		}
+		p.scored++
 		if err := p.mapper.PlaceInto(&p.cur, j, p.state, free); err != nil {
 			continue
 		}

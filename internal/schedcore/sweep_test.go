@@ -1,10 +1,12 @@
 package schedcore
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"gputopo/internal/cluster"
+	"gputopo/internal/job"
 	"gputopo/internal/jobgraph"
 	"gputopo/internal/topology"
 )
@@ -29,11 +31,54 @@ func TestSweepAsksOncePerShape(t *testing.T) {
 	}
 }
 
-// TestSweepEqualUtilityKeepsLowerMachine: two machines of different shape
-// classes whose best placements score the same — mirror images, one busy
-// GPU on socket 0 here and on socket 1 there — resolve to the lower
-// index, as the per-machine sweep's strict > does.
-func TestSweepEqualUtilityKeepsLowerMachine(t *testing.T) {
+// TestSweepPrunesDominatedClasses: an empty machine 0 ahead of seven
+// busy machines, each a class of its own, is mapped once: every busy
+// machine's co-runners cap its UtilityBound below the empty machine's
+// placement, so the sweep skips its DRB run — and still agrees with the
+// per-machine reference.
+func TestSweepPrunesDominatedClasses(t *testing.T) {
+	s := newSched(t, TopoAware, topology.Cluster(8, topology.KindMinsky))
+	st := s.State()
+	for m := 1; m < 8; m++ {
+		// Machine m holds one job of a batch size and GPU count no other
+		// machine's job has, on GPUs 4m and up.
+		gpus := []int{4 * m}
+		if m > 4 {
+			gpus = append(gpus, 4*m+1)
+		}
+		busy := mkJob(fmt.Sprintf("busy%d", m), 1<<(2*(m%4)), len(gpus), 0, 0)
+		if err := st.Allocate(busy.ID, gpus, 0, busy.Traits()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	classes := map[int]bool{}
+	for m := 0; m < 8; m++ {
+		classes[st.MachineClass(m)] = true
+	}
+	if len(classes) != 8 {
+		t.Fatalf("setup: eight machines fold into %d classes", len(classes))
+	}
+	j := mkJob("a", 16, 2, 0, 0)
+	want, _ := NewPlacer(TopoAware, st, s.mapper).Attempt(j)
+	got, _ := s.place.attempt(j)
+	if got == nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("pruned sweep %+v, per-machine sweep %+v", got, want)
+	}
+	if n := classesEvaluated(&s.place); n != 8 {
+		t.Fatalf("sweep stamped %d classes, want 8", n)
+	}
+	if s.place.scored != 1 {
+		t.Fatalf("sweep mapped %d classes, want 1", s.place.scored)
+	}
+}
+
+// mirroredPair returns a two-Minsky scheduler whose machines are of
+// different shape classes but whose best placements of the returned
+// one-GPU job score the same — mirror images, one busy GPU on socket 0
+// of machine 0 and on socket 1 of machine 1 — with each machine's
+// utility.
+func mirroredPair(t *testing.T) (*Core, *job.Job, [2]float64) {
+	t.Helper()
 	s := newSched(t, TopoAware, topology.Cluster(2, topology.KindMinsky))
 	st := s.State()
 	busy := mkJob("busy", 16, 1, 0, 0).Traits()
@@ -58,13 +103,40 @@ func TestSweepEqualUtilityKeepsLowerMachine(t *testing.T) {
 	if u[0] != u[1] {
 		t.Fatalf("setup: utilities differ, %v vs %v", u[0], u[1])
 	}
-	want, _ := NewPlacer(TopoAware, st, s.mapper).Attempt(j)
+	return s, j, u
+}
+
+// TestSweepEqualUtilityKeepsLowerMachine: two machines whose best
+// placements score the same resolve to the lower index, as the
+// per-machine sweep's strict > does.
+func TestSweepEqualUtilityKeepsLowerMachine(t *testing.T) {
+	s, j, _ := mirroredPair(t)
+	want, _ := NewPlacer(TopoAware, s.State(), s.mapper).Attempt(j)
 	got, _ := s.place.attempt(j)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
 	}
-	if m := st.MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{0}) {
+	if m := s.State().MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{0}) {
 		t.Fatalf("equal utilities resolved to machines %v, want 0", m)
+	}
+}
+
+// TestSweepBoundEqualToBestKeepsLowerMachine: in the mirrored pair the
+// bound of machine 1 is exactly machine 0's utility — its one co-runner
+// is off the socket the job takes. A bound equal to the best is pruned,
+// which keeps machine 0 as the strict > would.
+func TestSweepBoundEqualToBestKeepsLowerMachine(t *testing.T) {
+	s, j, u := mirroredPair(t)
+	st := s.State()
+	if bound := s.mapper.UtilityBound(j, st, 1, st.FreeGPUsOnMachine(1)); bound != u[0] {
+		t.Fatalf("setup: machine 1 bound %v, machine 0 utility %v", bound, u[0])
+	}
+	got, _ := s.place.attempt(j)
+	if s.place.scored != 1 {
+		t.Fatalf("sweep mapped %d classes, want 1", s.place.scored)
+	}
+	if m := st.MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{0}) {
+		t.Fatalf("a bound equal to the best resolved to machines %v, want 0", m)
 	}
 }
 
