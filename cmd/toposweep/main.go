@@ -3,7 +3,7 @@
 // α-weights × postponement thresholds × seed replicas, fanned across a
 // bounded worker pool with deterministic per-point seeds. The same grid
 // produces byte-identical artifacts at any worker count, so sweeps are
-// comparable across machines and commits — and diffable.
+// comparable across machines and commits.
 //
 //	toposweep -list                           show the available grids
 //	toposweep -list topology                  dump a named grid as a JSON spec
@@ -11,7 +11,6 @@
 //	toposweep -grid hetero                    heterogeneous (mixed-machine) clusters
 //	toposweep -grid @spec.json -out out.json  run an ad-hoc grid spec file
 //	toposweep -grid alpha -csv alpha.csv      write a per-point CSV
-//	toposweep -diff old.json new.json         regression-diff two artifacts, exactly
 //	toposweep -grid smoke -cpuprofile c.pprof profile the sweep (also -memprofile)
 //
 // Topology specs in grid files cover homogeneous builders, heterogeneous
@@ -46,45 +45,33 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "base seed; every point derives its own seed from it (overrides a spec file's base_seed when set explicitly)")
 		list     = flag.Bool("list", false, "list the available grids and exit; with a grid name argument, dump that grid as a JSON spec template")
 		quiet    = flag.Bool("quiet", false, "suppress per-point progress")
-		diff     = flag.Bool("diff", false, "diff two JSON artifacts exactly: toposweep -diff old.json new.json; exits 2 on regression (flags go before the file arguments)")
-		strict   = flag.Bool("strict", false, "with -diff, also exit 2 on improvements — any delta is a behavior change (used by the CI golden-baseline gate)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this path")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (after the sweep) to this path")
 	)
 	flag.Parse()
 
-	switch {
-	case *diff:
-		res, err := diffFiles(os.Stdout, flag.Args())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "toposweep:", err)
-			os.Exit(1)
-		}
-		if res.HasRegressions() || (*strict && (res.Improvements > 0 || len(res.AddedCells) > 0)) {
-			os.Exit(2)
-		}
-	case *list:
+	if *list {
 		if err := listGrids(os.Stdout, flag.Args()); err != nil {
 			fmt.Fprintln(os.Stderr, "toposweep:", err)
 			os.Exit(1)
 		}
-	default:
-		seedSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				seedSet = true
-			}
-		})
-		opts := runOpts{
-			out: *out, csv: *csv,
-			cpuProfile: *cpuProf, memProfile: *memProf,
-			seed: *seed, seedSet: seedSet, quiet: *quiet,
-			workers: *workers,
+		return
+	}
+	seedSet := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			seedSet = true
 		}
-		if err := run(os.Stdout, *gridName, opts); err != nil {
-			fmt.Fprintln(os.Stderr, "toposweep:", err)
-			os.Exit(1)
-		}
+	})
+	opts := runOpts{
+		out: *out, csv: *csv,
+		cpuProfile: *cpuProf, memProfile: *memProf,
+		seed: *seed, seedSet: seedSet, quiet: *quiet,
+		workers: *workers,
+	}
+	if err := run(os.Stdout, *gridName, opts); err != nil {
+		fmt.Fprintln(os.Stderr, "toposweep:", err)
+		os.Exit(1)
 	}
 }
 
@@ -111,29 +98,6 @@ func listGrids(w io.Writer, args []string) error {
 		fmt.Fprintf(w, "  %-12s %s\n", name, sweep.GridDescription(name))
 	}
 	return nil
-}
-
-// diffFiles loads two JSON artifacts, diffs them and writes the markdown
-// delta report. The caller decides the exit code from the returned result.
-func diffFiles(w io.Writer, args []string) (*sweep.DiffResult, error) {
-	if len(args) != 2 {
-		return nil, fmt.Errorf("-diff needs exactly two artifacts: toposweep -diff old.json new.json")
-	}
-	reports := make([]*sweep.Report, 2)
-	for i, path := range args {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		reports[i], err = sweep.LoadReport(data, path)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := sweep.Diff(reports[0], reports[1])
-	res.OldName, res.NewName = args[0], args[1]
-	_, err := io.WriteString(w, res.Markdown())
-	return res, err
 }
 
 // resolveGrid turns the -grid argument into a Grid: a registered name, or

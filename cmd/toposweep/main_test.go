@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -58,6 +59,20 @@ func TestRunUnknownGridErrors(t *testing.T) {
 	}
 }
 
+// readReport decodes the JSON artifact a run wrote to path.
+func readReport(t *testing.T, path string) sweep.Report {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep sweep.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // writeSpec drops a tiny single-cell grid spec into a temp dir.
 func writeSpec(t *testing.T, body string) string {
 	t.Helper()
@@ -84,14 +99,7 @@ func TestRunGridSpecFile(t *testing.T) {
 	if err := run(&buf, "@"+path, runOpts{workers: 2, out: outPath, quiet: true}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sweep.LoadReport(data, outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := readReport(t, outPath)
 	if rep.Grid.Name != "tiny" || len(rep.Points) != 1 {
 		t.Fatalf("artifact grid %q with %d points", rep.Grid.Name, len(rep.Points))
 	}
@@ -129,14 +137,7 @@ func TestRunHeteroGridSpecFile(t *testing.T) {
 	if err := run(&bytes.Buffer{}, "@"+path, runOpts{workers: 2, out: outPath, quiet: true}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sweep.LoadReport(data, outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := readReport(t, outPath)
 	if len(rep.Points) != 2 {
 		t.Fatalf("artifact has %d points, want 2", len(rep.Points))
 	}
@@ -168,76 +169,9 @@ func TestRunGridSpecFileSeedOverride(t *testing.T) {
 	if err := run(&bytes.Buffer{}, "@"+path, runOpts{workers: 1, out: outPath, seed: 99, seedSet: true, quiet: true}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sweep.LoadReport(data, outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := readReport(t, outPath)
 	if rep.Grid.BaseSeed != 99 {
 		t.Fatalf("explicit -seed not applied: base_seed = %d", rep.Grid.BaseSeed)
-	}
-}
-
-func TestDiffFilesSelfAndPerturbed(t *testing.T) {
-	rep, err := sweep.Run(sweep.Grid{
-		Name:           "difftest",
-		Machines:       []int{1},
-		Jobs:           []int{5},
-		BaseSeed:       7,
-		RatePerMachine: 2,
-	}, sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	if err := os.WriteFile(oldPath, js, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	res, err := diffFiles(&buf, []string{oldPath, oldPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HasRegressions() {
-		t.Fatalf("self-diff reports regressions:\n%s", buf.String())
-	}
-
-	// Perturb one makespan and expect a regression plus a markdown table.
-	rep2 := *rep
-	cells := append([]sweep.CellSummary(nil), rep.Cells...)
-	cells[0].Makespan.Mean *= 1.5
-	rep2.Cells = cells
-	js2, err := rep2.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(newPath, js2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	res, err = diffFiles(&buf, []string{oldPath, newPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.HasRegressions() {
-		t.Fatal("perturbed artifact not flagged as regression")
-	}
-	if out := buf.String(); !strings.Contains(out, "| cell | metric |") || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("markdown delta table missing:\n%s", out)
-	}
-
-	if _, err := diffFiles(&buf, []string{oldPath}); err == nil {
-		t.Fatal("one-argument diff did not error")
 	}
 }
 

@@ -1,6 +1,7 @@
 package gputopo
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -29,5 +30,33 @@ func TestExampleGridSpecsLoad(t *testing.T) {
 		if len(g.Points()) == 0 {
 			t.Errorf("%s: grid expands to zero points", path)
 		}
+	}
+}
+
+// TestExampleGridSpecsDeterministic runs the two example specs
+// docs/sweeps.md walks through on one worker and on eight: the artifacts
+// must be byte-identical, the discovered-matrix substrate of hetero.json
+// included (its matrix_file resolves only from the repository root).
+func TestExampleGridSpecsDeterministic(t *testing.T) {
+	for _, name := range []string{"topology-ablation.json", "hetero.json"} {
+		t.Run(name, func(t *testing.T) {
+			g, err := sweep.LoadGridSpec(filepath.Join("examples", "sweeps", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [2][]byte
+			for i, workers := range []int{1, 8} {
+				rep, err := sweep.Run(g, sweep.Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i], err = rep.JSON(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(got[0], got[1]) {
+				t.Fatalf("8 workers serialize %s differently from 1 (%d vs %d bytes)", name, len(got[1]), len(got[0]))
+			}
+		})
 	}
 }

@@ -69,7 +69,10 @@ func TestUtilityBoundAdmissible(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+	// A fixed source: the coverage floors below are counts over the draws,
+	// and a time-seeded run fell under the mixed-socket one about once in
+	// twenty.
+	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("%d cases: %d tight, %d over mixed socket sizes, %d with co-runners", cases, tight, mixed, busy)

@@ -98,12 +98,6 @@ type CellSummary struct {
 	HighPriWait *stats.Summary `json:"high_pri_wait_s,omitempty"`
 }
 
-// Key identifies the cell across reports: every axis except the replica,
-// in a fixed order. Diffing two artifacts joins their cells by this key.
-func (c CellSummary) Key() string {
-	return cellKeyOf(c.Engine, c.Source, c.Policy, c.Topology, c.Machines, c.Jobs, c.AlphaCC, c.Threshold, c.Discipline)
-}
-
 // summarizeCells groups point results by cell, preserving first-seen
 // order (which is deterministic because expansion is).
 func summarizeCells(points []Point, results []PointResult) []CellSummary {

@@ -133,8 +133,8 @@ func stripOneDomainMarkers(b []byte) []byte {
 // sharded simulator and the merge path with a single domain must
 // reproduce the committed smoke/hetero/priority goldens byte for byte —
 // same substrate, same seed, identity GPU map. The goldens are the ones
-// CI's bench gate regenerates, so this pins the sharded engine to the
-// exact artifacts every previous release produced.
+// TestSweepGoldens holds the unsharded engine to, so this pins the
+// sharded engine to the exact artifacts every previous release produced.
 func TestShardedOneDomainMatchesGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three full grids")
@@ -165,41 +165,9 @@ func TestShardedOneDomainMatchesGoldens(t *testing.T) {
 			}
 			got := stripOneDomainMarkers(js)
 			if !bytes.Equal(got, golden) {
-				t.Fatalf("1-domain %s run differs from golden (%d vs %d bytes)", name, len(got), len(golden))
+				t.Fatalf("1-domain %s run differs from golden: %s", name, firstDiff(got, golden))
 			}
 		})
-	}
-}
-
-// TestGoldenShardedBaseline keeps the committed sharded baseline honest:
-// it must load, self-diff clean, and cover every partition strategy.
-// (CI's shard job diffs a fresh `sharded` grid run against it;
-// regenerate with
-// `go run ./cmd/toposweep -grid sharded -out internal/sweep/testdata/golden_sharded.json`
-// whenever an intentional behavior change shifts the numbers.)
-func TestGoldenShardedBaseline(t *testing.T) {
-	data, err := os.ReadFile("testdata/golden_sharded.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := LoadReport(data, "golden_sharded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Grid.Name != "sharded" || len(rep.Cells) == 0 {
-		t.Fatalf("sharded baseline is grid %q with %d cells", rep.Grid.Name, len(rep.Cells))
-	}
-	seen := map[string]bool{}
-	for _, c := range rep.Cells {
-		seen[c.Topology.Domains] = true
-	}
-	for _, dom := range []string{"", "hash:4", "block:4", "kind"} {
-		if !seen[dom] {
-			t.Fatalf("sharded baseline covers domains %v; missing %q", seen, dom)
-		}
-	}
-	if d := Diff(rep, rep); d.HasRegressions() {
-		t.Fatalf("sharded golden self-diff not clean:\n%s", d.Markdown())
 	}
 }
 

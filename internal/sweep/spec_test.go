@@ -296,15 +296,10 @@ func TestTopologyAxisSweep(t *testing.T) {
 	if len(rep.Points) != 2*4 {
 		t.Fatalf("points = %d, want 8", len(rep.Points))
 	}
+	// Cells are grouped by key, so a key that ignored the topology would
+	// merge cells here.
 	if len(rep.Cells) != 8 {
 		t.Fatalf("cells = %d, want 8", len(rep.Cells))
-	}
-	keys := map[string]bool{}
-	for _, c := range rep.Cells {
-		keys[c.Key()] = true
-	}
-	if len(keys) != 8 {
-		t.Fatalf("cell keys collide across topologies: %v", keys)
 	}
 	// The same workload stream placed on NVLink vs PCIe machines must not
 	// be identical in every metric — otherwise the axis is not reaching

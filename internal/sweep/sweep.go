@@ -236,19 +236,12 @@ type Point struct {
 
 // cellKey identifies the aggregation cell of a point: every axis except
 // the seed replica. Replicas of one cell are summarized together. The
-// format matches CellSummary.Key so point- and cell-level joins agree.
-// The discipline suffix appears only when the axis is in play, keeping
-// every pre-discipline key — and with it every recorded artifact and
-// diff join — byte-identical.
+// discipline suffix appears only when the axis is in play.
 func (p Point) cellKey() string {
-	return cellKeyOf(p.Engine, p.Source, p.Policy, p.Topology, p.Machines, p.Jobs, p.AlphaCC, p.Threshold, p.Discipline)
-}
-
-func cellKeyOf(e Engine, s Source, pol schedcore.Policy, ts TopologySpec, machines, jobs int, alpha, th float64, disc string) string {
 	k := fmt.Sprintf("%s/%s/%s/%s/m%d/j%d/a%g/t%g",
-		e, s, pol, ts.Key(), machines, jobs, alpha, th)
-	if disc != "" {
-		k += "/d" + disc
+		p.Engine, p.Source, p.Policy, p.Topology.Key(), p.Machines, p.Jobs, p.AlphaCC, p.Threshold)
+	if p.Discipline != "" {
+		k += "/d" + p.Discipline
 	}
 	return k
 }
