@@ -56,22 +56,23 @@ type State struct {
 
 	// Incremental bookkeeping so large-cluster simulations avoid full
 	// scans: free GPUs per machine, the Eq. 5 fragmentation sum, and
-	// lazily recomputed per-machine gauges (largest free-GPU count on one
-	// machine, count of machines with any free GPU).
+	// freeHist[k], the number of machines with exactly k free GPUs —
+	// MaxFreeGPUs and FreeMachines read it in O(GPUs per machine).
 	freeOnMachine []int
+	freeHist      []int
 	freeTotal     int
 	fragSum       float64 // Σ over sockets of freeGPUs/totalGPUs
 	socketCount   int
-	maxFree       int
-	freeMachines  int
-	maxFreeDirty  bool
 
 	// fp[m] is machine m's placement fingerprint as an interned class id
-	// in classes, for the candidate sweep's fold. Allocate/Release mark
-	// only the machines whose GPUs they touch stale (same lazy style as
-	// FreeMachines), and MachineClass recomputes on demand. nil until the
-	// first fingerprint is asked for.
+	// in classes, which also lists each class's members: the class index
+	// the candidate sweep walks. Allocate, Release and Rollback push the
+	// machines whose GPUs they touch onto dirty, and the next class read
+	// drains it — recomputes those fingerprints and moves each machine
+	// between member lists; a machine the drain finds full leaves the
+	// index instead. nil until the first class is asked for.
 	fp      []fpSlot
+	dirty   []int32
 	classes classTable
 	fpBuf   []byte // fingerprint's formatting scratch
 
@@ -87,16 +88,13 @@ type State struct {
 	trial trial
 }
 
-// trial is the journal of an open what-if: the gauges Mark saved, and
+// trial is the journal of an open what-if: the Eq. 5 sum Mark saved, and
 // what each Release inside it undid, in order.
 type trial struct {
 	open     bool
 	released []*Allocation
 	bus      []busMark
-
-	fragSum               float64
-	maxFree, freeMachines int
-	maxFreeDirty          bool
+	fragSum  float64
 }
 
 // busMark is one machine's committed bus bandwidth before a Release
@@ -109,61 +107,86 @@ type busMark struct {
 // fpSlot is one machine's entry in the fingerprint table.
 type fpSlot struct {
 	// class is the interned id of the machine's fingerprint as last
-	// computed, -1 before the first computation. A stale machine keeps
-	// holding it until it recomputes.
+	// computed, -1 before the first computation and while the machine is
+	// out of the index (full). A dirty machine keeps it, and its place in
+	// that class's member list, until the drain.
 	class int32
-	// clean reports that class is still the machine's fingerprint; touch
-	// clears it.
-	clean bool
+	// dirty reports that the machine is on State.dirty: its fingerprint
+	// may have changed since class was computed.
+	dirty bool
 }
 
-// classTable interns machine fingerprints to dense class ids. An id is
-// held by every machine whose fpSlot names it, stale ones included, and
-// refs counts those holders; an id nobody holds leaves ids and goes on
-// free, to be handed out again before the table grows. A recompute takes
-// its new id before giving up its old one, so at most NumMachines()+1 ids
-// ever exist.
+// classTable interns machine fingerprints to dense class ids and lists
+// each id's members. An id is held by every machine whose fpSlot names
+// it, dirty ones included; an id whose member list empties goes on free,
+// to be handed out again before the table grows. A freed id keeps its
+// fingerprint until it is handed out for another, so a machine that
+// leaves a class and comes back — a trial's release and Rollback — finds
+// it still interned. A recompute takes its new id before giving up its
+// old one, so at most NumMachines()+1 ids ever exist.
 type classTable struct {
-	ids   map[string]int32 // fingerprint -> class id, for held ids only
-	names []string         // class id -> fingerprint, "" when free
-	refs  []int32          // class id -> machines holding it
-	free  []int32          // ids nobody holds
+	ids     map[string]int32 // fingerprint -> class id, for every named id
+	names   []string         // class id -> fingerprint, "" before the first
+	members [][]int32        // class id -> machines holding it, ascending
+	free    []int32          // ids nobody holds, most recently freed last
 }
 
-// intern returns fp's class id with one more holder, allocating only
-// when fp is not interned yet: the map lookup through string(fp) does
-// not copy it.
+// intern returns fp's class id, allocating only when fp is not interned
+// yet: the map lookup through string(fp) does not copy it. A free id
+// found by name comes off the free list, and a new one is the longest
+// freed; either has no members until the caller joins one.
 func (t *classTable) intern(fp []byte) int32 {
 	id, ok := t.ids[string(fp)]
-	if !ok {
-		if t.ids == nil {
-			t.ids = make(map[string]int32)
+	if ok {
+		if len(t.members[id]) == 0 {
+			i := slices.Index(t.free, id)
+			t.free = slices.Delete(t.free, i, i+1)
 		}
-		if n := len(t.free); n > 0 {
-			id, t.free = t.free[n-1], t.free[:n-1]
-		} else {
-			id = int32(len(t.names))
-			t.names, t.refs = append(t.names, ""), append(t.refs, 0)
-		}
-		t.names[id] = string(fp)
-		t.ids[t.names[id]] = id
+		return id
 	}
-	t.refs[id]++
+	if t.ids == nil {
+		t.ids = make(map[string]int32)
+	}
+	if len(t.free) > 0 {
+		id = t.free[0]
+		t.free = slices.Delete(t.free, 0, 1)
+		delete(t.ids, t.names[id])
+	} else {
+		id = int32(len(t.names))
+		t.names, t.members = append(t.names, ""), append(t.members, nil)
+	}
+	t.names[id] = string(fp)
+	t.ids[t.names[id]] = id
 	return id
 }
 
-// release drops one holder of id, freeing it when none is left.
-func (t *classTable) release(id int32) {
-	if t.refs[id]--; t.refs[id] == 0 {
-		delete(t.ids, t.names[id])
-		t.names[id] = ""
+// join inserts machine m into id's member list. A list keeps its array
+// when it shrinks, and a freed id its list's, so a warm move allocates
+// nothing.
+func (t *classTable) join(id, m int32) {
+	ms := t.members[id]
+	i, _ := slices.BinarySearch(ms, m)
+	t.members[id] = slices.Insert(ms, i, m)
+}
+
+// leave removes machine m from id's member list, freeing id when none is
+// left.
+func (t *classTable) leave(id, m int32) {
+	ms := t.members[id]
+	i, _ := slices.BinarySearch(ms, m)
+	if ms = slices.Delete(ms, i, i+1); len(ms) == 0 {
 		t.free = append(t.free, id)
 	}
+	t.members[id] = ms
 }
 
 // clone returns a copy of t sharing no buffer with it.
 func (t *classTable) clone() classTable {
-	return classTable{ids: maps.Clone(t.ids), names: slices.Clone(t.names), refs: slices.Clone(t.refs), free: slices.Clone(t.free)}
+	members := make([][]int32, len(t.members))
+	for id, ms := range t.members {
+		members[id] = slices.Clone(ms)
+	}
+	return classTable{ids: maps.Clone(t.ids), names: slices.Clone(t.names), members: members, free: slices.Clone(t.free)}
 }
 
 // NewState returns an empty allocation state for the topology.
@@ -174,6 +197,7 @@ func NewState(topo *topology.Topology) *State {
 		allocs:        make(map[string]*Allocation),
 		busUsed:       make([]float64, topo.NumMachines()),
 		freeOnMachine: make([]int, topo.NumMachines()),
+		freeHist:      make([]int, 1),
 		residents:     make([][]Resident, topo.NumMachines()),
 		residentOK:    make([]bool, topo.NumMachines()),
 	}
@@ -181,12 +205,10 @@ func NewState(topo *topology.Topology) *State {
 		k := len(topo.GPUsOfMachine(m))
 		s.freeOnMachine[m] = k
 		s.freeTotal += k
-		if k > s.maxFree {
-			s.maxFree = k
+		if k >= len(s.freeHist) {
+			s.freeHist = append(s.freeHist, make([]int, k+1-len(s.freeHist))...)
 		}
-		if k > 0 {
-			s.freeMachines++
-		}
+		s.freeHist[k]++
 		s.socketCount += len(topo.Sockets(m))
 	}
 	s.fragSum = float64(s.socketCount) // every socket fully free
@@ -277,8 +299,7 @@ func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits per
 	for i, pos := range alloc.GPUs {
 		s.owner[pos] = jobID
 		m := s.topo.MachineOf(pos)
-		s.freeOnMachine[m]--
-		s.freeTotal--
+		s.moveFree(m, -1)
 		s.fragSum -= 1 / float64(s.topo.SocketSize(pos))
 		s.touch(m)
 		if s.firstOnMachine(alloc.GPUs, i) {
@@ -286,7 +307,6 @@ func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits per
 		}
 	}
 	s.allocs[jobID] = alloc
-	s.maxFreeDirty = true
 	return nil
 }
 
@@ -301,8 +321,7 @@ func (s *State) Release(jobID string) error {
 	for i, pos := range alloc.GPUs {
 		s.owner[pos] = ""
 		m := s.topo.MachineOf(pos)
-		s.freeOnMachine[m]++
-		s.freeTotal++
+		s.moveFree(m, +1)
 		s.fragSum += 1 / float64(s.topo.SocketSize(pos))
 		s.touch(m)
 		if s.firstOnMachine(alloc.GPUs, i) {
@@ -316,7 +335,6 @@ func (s *State) Release(jobID string) error {
 		}
 	}
 	delete(s.allocs, jobID)
-	s.maxFreeDirty = true
 	if s.trial.open {
 		s.trial.released = append(s.trial.released, alloc)
 	}
@@ -332,20 +350,19 @@ func (s *State) Mark() error {
 	if t.open {
 		return fmt.Errorf("cluster: Mark inside an open trial")
 	}
-	t.open = true
-	t.fragSum, t.maxFree, t.freeMachines, t.maxFreeDirty = s.fragSum, s.maxFree, s.freeMachines, s.maxFreeDirty
+	t.open, t.fragSum = true, s.fragSum
 	return nil
 }
 
 // Rollback undoes every Release since Mark and closes the trial. The same
 // *Allocation values go back into the allocation map and the owner table,
-// and the free counts count back up. The float gauges — each bus Release
-// uncommitted, the Eq. 5 sum — and the lazy free-machine gauges take the
+// and the free counts and the free-count histogram count back down. The
+// float gauges — each bus Release uncommitted, the Eq. 5 sum — take the
 // values they had at Mark, so they come back bit for bit, which
-// (a − x) + x would not guarantee. The touched machines' fingerprints and
-// resident rows go stale and rebuild on demand: a class id may come back
-// renumbered, but two machines share one exactly when they did before.
-// Without an open trial it does nothing.
+// (a − x) + x would not guarantee. The touched machines go on the dirty
+// list and their resident rows stale, and rebuild on demand: a class id
+// may come back renumbered, but two machines share one exactly when they
+// did before. Without an open trial it does nothing.
 func (s *State) Rollback() {
 	t := &s.trial
 	if !t.open {
@@ -356,8 +373,7 @@ func (s *State) Rollback() {
 		for _, pos := range a.GPUs {
 			s.owner[pos] = a.JobID
 			m := s.topo.MachineOf(pos)
-			s.freeOnMachine[m]--
-			s.freeTotal--
+			s.moveFree(m, -1)
 			s.touch(m)
 		}
 	}
@@ -366,7 +382,7 @@ func (s *State) Rollback() {
 	for i := len(t.bus) - 1; i >= 0; i-- {
 		s.busUsed[t.bus[i].m] = t.bus[i].used
 	}
-	s.fragSum, s.maxFree, s.freeMachines, s.maxFreeDirty = t.fragSum, t.maxFree, t.freeMachines, t.maxFreeDirty
+	s.fragSum = t.fragSum
 	clear(t.released) // hold no allocation past the trial
 	t.released, t.bus, t.open = t.released[:0], t.bus[:0], false
 }
@@ -393,12 +409,24 @@ func (s *State) Jobs() []string {
 	return out
 }
 
+// moveFree changes machine m's free count by d, keeping the free total
+// and the free-count histogram in step.
+func (s *State) moveFree(m, d int) {
+	s.freeHist[s.freeOnMachine[m]]--
+	s.freeOnMachine[m] += d
+	s.freeHist[s.freeOnMachine[m]]++
+	s.freeTotal += d
+}
+
 // touch marks machine m's lazily derived views — its placement
-// fingerprint and its resident table — stale. Allocate and Release call it
-// for every machine whose GPUs they change.
+// fingerprint and its resident table — stale: the machine goes on the
+// dirty list once, however often it is touched before the next class
+// read. Allocate, Release and Rollback call it for every machine whose
+// GPUs they change.
 func (s *State) touch(m int) {
-	if s.fp != nil {
-		s.fp[m].clean = false
+	if s.fp != nil && !s.fp[m].dirty {
+		s.fp[m].dirty = true
+		s.dirty = append(s.dirty, int32(m))
 	}
 	s.residentOK[m] = false
 }
@@ -489,12 +517,12 @@ func (s *State) Slowdown(a *Allocation) float64 {
 // CheckInvariants recomputes the state's derived views from the owner
 // table and reports the first one that diverged. Per machine: the free
 // count, the committed bus bandwidth (the jobs there, each counted once),
-// the placement fingerprint unless it is marked stale, and the resident
-// table — its rows are exactly the jobs owning a GPU there, in sorted-ID
-// order, each with this state's own Allocation, the socket mask
-// topology.SameSocket yields position by position and the count of GPUs
-// the owner table gives the job there. Over the cluster: the class table
-// (checkClasses), the free total, MaxFreeGPUs, FreeMachines and Eq. 5's
+// the placement fingerprint unless it is dirty or out of the index, and
+// the resident table — its rows are exactly the jobs owning a GPU there,
+// in sorted-ID order, each with this state's own Allocation, the socket
+// mask topology.SameSocket yields position by position and the count of
+// GPUs the owner table gives the job there. Over the cluster: the class index
+// (checkClasses), the free total, the free-count histogram and Eq. 5's
 // Fragmentation. The two float sums are maintained incrementally and
 // compare within 1e-9. A trial left open is reported first: a what-if
 // that forgot its Rollback.
@@ -510,7 +538,8 @@ func (s *State) CheckInvariants() error {
 	if err := s.checkClasses(); err != nil {
 		return err
 	}
-	freeTotal, maxFree, freeMachines, sockets := 0, 0, 0, 0
+	freeTotal, sockets := 0, 0
+	hist := make([]int, len(s.freeHist))
 	fragSum := 0.0
 	for m := 0; m < s.topo.NumMachines(); m++ {
 		gpus := s.topo.GPUsOfMachine(m)
@@ -534,10 +563,7 @@ func (s *State) CheckInvariants() error {
 			return fmt.Errorf("cluster: machine %d: %g GB/s of bus committed, jobs %v commit %g", m, s.busUsed[m], ids, bus)
 		}
 		freeTotal += free
-		maxFree = max(maxFree, free)
-		if free > 0 {
-			freeMachines++
-		}
+		hist[free]++
 		for _, sk := range s.topo.Sockets(m) {
 			on := s.topo.GPUsOfSocket(m, sk)
 			freeOn := 0
@@ -578,18 +604,15 @@ func (s *State) CheckInvariants() error {
 				return fmt.Errorf("cluster: machine %d: job %s resident GPU count %d, owner table gives %d", m, ids[i], r.GPUs, held)
 			}
 		}
-		if s.fp != nil && s.fp[m].clean && s.classes.names[s.fp[m].class] != string(s.fingerprint(m)) {
-			return fmt.Errorf("cluster: machine %d: fingerprint is not marked stale but differs from a fresh one", m)
+		if s.fp != nil && !s.fp[m].dirty && s.fp[m].class >= 0 && s.classes.names[s.fp[m].class] != string(s.fingerprint(m)) {
+			return fmt.Errorf("cluster: machine %d: fingerprint is not marked dirty but differs from a fresh one", m)
 		}
 	}
 	if s.freeTotal != freeTotal {
 		return fmt.Errorf("cluster: free total %d, owner table has %d free GPUs", s.freeTotal, freeTotal)
 	}
-	if got := s.MaxFreeGPUs(); got != maxFree {
-		return fmt.Errorf("cluster: MaxFreeGPUs %d, owner table gives %d", got, maxFree)
-	}
-	if got := s.FreeMachines(); got != freeMachines {
-		return fmt.Errorf("cluster: FreeMachines %d, owner table gives %d", got, freeMachines)
+	if !slices.Equal(s.freeHist, hist) {
+		return fmt.Errorf("cluster: free-count histogram %v, owner table gives %v", s.freeHist, hist)
 	}
 	if want := fragSum / float64(max(sockets, 1)); math.Abs(s.Fragmentation()-want) > tol {
 		return fmt.Errorf("cluster: Fragmentation %g, owner table gives %g over %d sockets", s.Fragmentation(), want, sockets)
@@ -597,42 +620,67 @@ func (s *State) CheckInvariants() error {
 	return nil
 }
 
-// checkClasses holds the class table to a recount of the fingerprint
-// table: every machine's class is an allocated id (a clean machine's is
-// not -1), each id's refs equals the machines holding it, the held ids
-// are exactly the interned ones, each under its own fingerprint, and the
-// free list is exactly the rest. Whether a clean machine's class names
-// its current fingerprint is CheckInvariants' per-machine check.
+// checkClasses holds the class index to a recount of the fingerprint
+// table: every machine's class is an allocated id (a machine off the
+// dirty list with a free GPU has one), the dirty list holds exactly the machines marked
+// dirty, once each, every member list is ascending and lists exactly the
+// machines whose slot names its id, every held id and every named free
+// one is interned under its own fingerprint and nothing else is, and the
+// free list lists each unheld id once. Whether a clean machine's class
+// names its current fingerprint is CheckInvariants' per-machine check.
 func (s *State) checkClasses() error {
 	t := &s.classes
-	holders := make([]int32, len(t.names))
+	holders := make([]int, len(t.names))
+	dirty := 0
 	for m, slot := range s.fp {
-		if slot.class < -1 || int(slot.class) >= len(t.names) || slot.clean && slot.class < 0 {
+		if slot.class < -1 || int(slot.class) >= len(t.names) || !slot.dirty && slot.class < 0 && s.freeOnMachine[m] > 0 {
 			return fmt.Errorf("cluster: machine %d: class %d is outside the table's %d ids", m, slot.class, len(t.names))
 		}
 		if slot.class >= 0 {
 			holders[slot.class]++
 		}
-	}
-	held := 0
-	for id, n := range holders {
-		if t.refs[id] != n {
-			return fmt.Errorf("cluster: class %d: %d references, %d machines hold it", id, t.refs[id], n)
+		if slot.dirty {
+			dirty++
 		}
-		if n == 0 {
+	}
+	if len(s.dirty) != dirty {
+		return fmt.Errorf("cluster: dirty list has %d machines, %d are marked dirty", len(s.dirty), dirty)
+	}
+	listed := make([]bool, len(s.fp))
+	for _, m := range s.dirty {
+		if !s.fp[m].dirty || listed[m] {
+			return fmt.Errorf("cluster: machine %d is on the dirty list twice or not marked dirty", m)
+		}
+		listed[m] = true
+	}
+	held, named := 0, 0
+	for id, n := range holders {
+		ms := t.members[id]
+		if len(ms) != n {
+			return fmt.Errorf("cluster: class %d: %d members listed, %d machines hold it", id, len(ms), n)
+		}
+		for i, m := range ms {
+			if i > 0 && ms[i-1] >= m || s.fp[m].class != int32(id) {
+				return fmt.Errorf("cluster: class %d: member list %v is not the ascending list of its holders", id, ms)
+			}
+		}
+		if n > 0 {
+			held++
+		}
+		if n == 0 && t.names[id] == "" {
 			continue
 		}
-		held++
+		named++
 		if got, ok := t.ids[t.names[id]]; !ok || got != int32(id) {
 			return fmt.Errorf("cluster: class %d: its fingerprint is interned as class %d (found %t)", id, got, ok)
 		}
 	}
-	if len(t.ids) != held {
-		return fmt.Errorf("cluster: class table interns %d fingerprints, machines hold %d classes", len(t.ids), held)
+	if len(t.ids) != named {
+		return fmt.Errorf("cluster: class table interns %d fingerprints, %d ids are named", len(t.ids), named)
 	}
 	for _, id := range t.free {
-		if id < 0 || int(id) >= len(t.names) || t.names[id] != "" || holders[id] != 0 {
-			return fmt.Errorf("cluster: class %d is on the free list but is held or named", id)
+		if id < 0 || int(id) >= len(t.names) || holders[id] != 0 {
+			return fmt.Errorf("cluster: class %d is on the free list but is held or listed twice", id)
 		}
 		holders[id] = -1 // a second listing of id fails the check above
 	}
@@ -692,38 +740,22 @@ func (s *State) FragmentationAfter(gpus []int) float64 {
 // FreeCountOnMachine returns the number of free GPUs on machine m in O(1).
 func (s *State) FreeCountOnMachine(m int) int { return s.freeOnMachine[m] }
 
-// refreshFree recomputes the lazy per-machine gauges (largest free
-// block, machines with any free GPU) after allocations changed.
-func (s *State) refreshFree() {
-	if !s.maxFreeDirty {
-		return
-	}
-	s.maxFree, s.freeMachines = 0, 0
-	for _, k := range s.freeOnMachine {
-		if k > s.maxFree {
-			s.maxFree = k
-		}
-		if k > 0 {
-			s.freeMachines++
-		}
-	}
-	s.maxFreeDirty = false
-}
-
 // MaxFreeGPUs returns the largest number of free GPUs on any single
-// machine — the availableResources(P) gate of Algorithm 1. Lazily
-// recomputed after allocations change.
+// machine — the availableResources(P) gate of Algorithm 1: the highest
+// non-empty bucket of the free-count histogram.
 func (s *State) MaxFreeGPUs() int {
-	s.refreshFree()
-	return s.maxFree
+	k := len(s.freeHist) - 1
+	for k > 0 && s.freeHist[k] == 0 {
+		k--
+	}
+	return k
 }
 
 // FreeMachines returns the number of machines with at least one free
 // GPU — the seats-now bound for anti-collocated jobs (one machine per
-// task). Lazily recomputed alongside MaxFreeGPUs.
+// task) — in O(1) from the free-count histogram.
 func (s *State) FreeMachines() int {
-	s.refreshFree()
-	return s.freeMachines
+	return s.topo.NumMachines() - s.freeHist[0]
 }
 
 // MachineFingerprint returns machine m's canonical placement
@@ -747,34 +779,81 @@ func (s *State) FreeMachines() int {
 //     SameSocket locality upgrade).
 //
 // Job IDs themselves are deliberately excluded: only the block order
-// matters. Maintained lazily — Allocate/Release dirty only the machines
-// they touch, recomputation is O(free² + jobs·free) on a single machine.
-// The string is the interned one MachineClass numbers.
+// matters. Maintained lazily, like every class read: it drains the dirty
+// list first (see Classes), and a recompute is O(free² + jobs·free) on a
+// single machine. The string is the interned one MachineClass numbers.
 func (s *State) MachineFingerprint(m int) string {
 	return s.classes.names[s.MachineClass(m)]
 }
 
 // MachineClass returns the dense id of machine m's fingerprint: two
 // machines have the same class exactly when MachineFingerprint is equal
-// for them. An id lasts as long as some machine holds it — it is reused
-// for another fingerprint only once every machine that had it has
-// recomputed to something else. On a clean machine, or one whose
-// recomputed fingerprint is already interned, it allocates nothing.
+// for them. It drains the dirty list first (see Classes) and, for a full
+// machine out of the index, computes its class and lists it. An id lasts
+// as long as some machine holds it — it is reused for another
+// fingerprint only once every machine that had it has recomputed to
+// something else. With nothing dirty, or when every recomputed
+// fingerprint is already interned, it allocates nothing.
 func (s *State) MachineClass(m int) int {
-	if s.fp == nil {
-		s.fp = make([]fpSlot, s.topo.NumMachines())
-		for i := range s.fp {
-			s.fp[i].class = -1
-		}
-	}
-	if slot := &s.fp[m]; !slot.clean {
-		old := slot.class
-		slot.class, slot.clean = s.classes.intern(s.fingerprint(m)), true
-		if old >= 0 {
-			s.classes.release(old)
-		}
+	s.drain()
+	if s.fp[m].class < 0 {
+		s.classify(int32(m))
 	}
 	return int(s.fp[m].class)
+}
+
+// Classes returns the class index: entry c lists, ascending, the machines
+// whose fingerprint is class c (MachineClass), and is empty for an id
+// nobody holds. Every machine with a free GPU is listed; a full one,
+// which can take no job, only while a MachineClass read of it is
+// current. Classes first drains the dirty list — recomputes the
+// fingerprint of every machine Allocate, Release or Rollback touched
+// since the last class read and moves each whose class changed to its
+// new list, or out of the index when it is full — so a caller pays only
+// for the machines that changed. The slices are the state's own: valid
+// until the state next changes, and not to be mutated.
+func (s *State) Classes() [][]int32 {
+	s.drain()
+	return s.classes.members
+}
+
+// drain brings the class index up to date: it builds it on the first
+// class read, then recomputes each dirty machine's class, or takes the
+// machine out of the index when it has no free GPU.
+func (s *State) drain() {
+	if s.fp == nil {
+		s.fp = make([]fpSlot, s.topo.NumMachines())
+		s.dirty = make([]int32, len(s.fp))
+		for m := range s.fp {
+			s.fp[m] = fpSlot{class: -1, dirty: true}
+			s.dirty[m] = int32(m)
+		}
+	}
+	for _, m := range s.dirty {
+		slot := &s.fp[m]
+		slot.dirty = false
+		switch {
+		case s.freeOnMachine[m] > 0:
+			s.classify(m)
+		case slot.class >= 0:
+			s.classes.leave(slot.class, m)
+			slot.class = -1
+		}
+	}
+	s.dirty = s.dirty[:0]
+}
+
+// classify recomputes machine m's fingerprint and moves m to its class's
+// member list, taking the new id before it gives up the old one.
+func (s *State) classify(m int32) {
+	slot := &s.fp[m]
+	old := slot.class
+	if slot.class = s.classes.intern(s.fingerprint(int(m))); slot.class != old {
+		s.classes.join(slot.class, m)
+		if old >= 0 {
+			s.classes.leave(old, m)
+		}
+	}
 }
 
 // fingerprint formats machine m's fingerprint from scratch into the
@@ -834,13 +913,12 @@ func (s *State) Clone() *State {
 		allocs:        make(map[string]*Allocation, len(s.allocs)),
 		busUsed:       slices.Clone(s.busUsed),
 		freeOnMachine: slices.Clone(s.freeOnMachine),
+		freeHist:      slices.Clone(s.freeHist),
 		freeTotal:     s.freeTotal,
 		fragSum:       s.fragSum,
 		socketCount:   s.socketCount,
-		maxFree:       s.maxFree,
-		freeMachines:  s.freeMachines,
-		maxFreeDirty:  s.maxFreeDirty,
-		fp:            slices.Clone(s.fp), // nil stays nil: no table built yet
+		fp:            slices.Clone(s.fp), // nil stays nil: no index built yet
+		dirty:         slices.Clone(s.dirty),
 		classes:       s.classes.clone(),
 		// The clone's allocations are its own copies, so its resident
 		// tables start stale and rebuild against them on first use.

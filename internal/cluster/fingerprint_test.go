@@ -152,10 +152,11 @@ func checkClassPairs(t *testing.T, s *State, context string) {
 }
 
 // TestClassIDsStayDense drives 100 000 random allocations and releases
-// over a mixed fleet, reading one random machine's class after each so
-// that stale machines hold their old ids for a while, and demands the id
-// space never exceed NumMachines()+1: refcounts and the free list recycle
-// every id a recompute lets go of, however many fingerprints pass by.
+// over a mixed fleet, reading one random machine's class after about one
+// in four, so that several dirty machines hold their old ids until a
+// drain recomputes them together, and demands the id space never exceed
+// NumMachines()+1: emptied member lists and the free list recycle every
+// id a recompute lets go of, however many fingerprints pass by.
 func TestClassIDsStayDense(t *testing.T) {
 	s := fpState(t, "minsky:3+minsky-1g:1+dgx1:2+dgx1-2g:1+pcie:1")
 	n := s.Topology().NumMachines()
@@ -167,7 +168,9 @@ func TestClassIDsStayDense(t *testing.T) {
 		} else {
 			randomRelease(t, rng, s)
 		}
-		seen[s.MachineFingerprint(rng.Intn(n))] = true
+		if rng.Intn(4) == 0 {
+			seen[s.MachineFingerprint(rng.Intn(n))] = true
+		}
 		if len(s.classes.names) > n+1 {
 			t.Fatalf("op %d: %d class ids on %d machines", op, len(s.classes.names), n)
 		}
@@ -182,18 +185,21 @@ func TestClassIDsStayDense(t *testing.T) {
 	}
 }
 
-// TestMachineClassAllocatesNothing: reading a clean machine's class, and
-// recomputing a stale one to a fingerprint already interned — held by a
-// twin machine, or by the machine itself — allocate nothing.
+// TestMachineClassAllocatesNothing: reading a class with nothing dirty,
+// recomputing a dirty machine to a fingerprint already interned — held by
+// a twin machine, or by the machine itself — and moving a machine between
+// two live classes' member lists and back allocate nothing.
 func TestMachineClassAllocatesNothing(t *testing.T) {
-	s := fpState(t, "minsky:3")
+	s := fpState(t, "minsky:4")
 	tr := perfmodel.Traits{Model: perfmodel.AlexNet, Class: 1, GPUs: 1, Mode: perfmodel.DataParallel}
-	if err := s.Allocate("a", []int{8}, 1, tr); err != nil { // machine 2 alone in its class
+	// Machines 2 and 3 hold one twin job each: two classes of two.
+	if err := s.Allocate("a", []int{8}, 1, tr); err != nil {
 		t.Fatal(err)
 	}
-	for m := 0; m < 3; m++ {
-		s.MachineClass(m)
+	if err := s.Allocate("b", []int{12}, 1, tr); err != nil {
+		t.Fatal(err)
 	}
+	s.Classes()
 	for _, tc := range []struct {
 		name string
 		run  func()
@@ -201,10 +207,70 @@ func TestMachineClassAllocatesNothing(t *testing.T) {
 		{"clean", func() { s.MachineClass(0) }},
 		{"recompute to a twin's class", func() { s.touch(0); s.MachineClass(0) }},
 		{"recompute to its own class", func() { s.touch(2); s.MachineClass(2) }},
+		{"move to the empty class and back", func() {
+			if err := s.Mark(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Release("a"); err != nil {
+				t.Fatal(err)
+			}
+			if s.MachineClass(2) != s.MachineClass(0) {
+				t.Fatal("an emptied machine 2 is not in the empty machines' class")
+			}
+			s.Rollback()
+			if s.MachineClass(2) != s.MachineClass(3) {
+				t.Fatal("machine 2 did not move back beside its twin")
+			}
+		}},
 	} {
 		if n := testing.AllocsPerRun(100, tc.run); n != 0 {
 			t.Errorf("%s: MachineClass allocates %v objects", tc.name, n)
 		}
+	}
+}
+
+// TestFullMachinesLeaveTheIndex: a machine with no free GPU can take no
+// job, so the drain takes it out of the class index instead of
+// recomputing it; a MachineClass read lists it again, under the class it
+// shares with an identically full twin, and freeing a GPU brings it back
+// for good.
+func TestFullMachinesLeaveTheIndex(t *testing.T) {
+	s := fpState(t, "minsky:3")
+	s.Classes()
+	tr := perfmodel.Traits{Model: perfmodel.AlexNet, Class: 1, GPUs: 4, Mode: perfmodel.DataParallel}
+	for i, m := range []int{1, 2} {
+		if err := s.Allocate(jobName(i), s.FreeGPUsOnMachine(m), 1, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listed := func() []int32 {
+		var out []int32
+		for _, ms := range s.Classes() {
+			out = append(out, ms...)
+		}
+		slices.Sort(out)
+		return out
+	}
+	check := func(want []int32, context string) {
+		t.Helper()
+		if got := listed(); !slices.Equal(got, want) {
+			t.Fatalf("%s: index lists machines %v, want %v", context, got, want)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", context, err)
+		}
+	}
+	check([]int32{0}, "machines 1 and 2 full")
+	if s.MachineClass(1) != s.MachineClass(2) || s.MachineClass(1) == s.MachineClass(0) {
+		t.Fatal("two identically full machines read as different classes, or as the empty one's")
+	}
+	check([]int32{0, 1, 2}, "full machines read")
+	if err := s.Release(jobName(0)); err != nil {
+		t.Fatal(err)
+	}
+	check([]int32{0, 1, 2}, "machine 1 freed")
+	if s.MachineClass(1) != s.MachineClass(0) {
+		t.Fatal("freed machine 1 is not in the empty machines' class")
 	}
 }
 

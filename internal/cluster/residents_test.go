@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -140,16 +141,38 @@ func TestCheckInvariantsCatchesEachTable(t *testing.T) {
 		{"freeTotal", func() func() { s.freeTotal--; return func() { s.freeTotal++ } }, "free total"},
 		{"busUsed", func() func() { s.busUsed[0] += 0.5; return func() { s.busUsed[0] -= 0.5 } }, "machine 0:"},
 		{"fragSum", func() func() { s.fragSum += 0.25; return func() { s.fragSum -= 0.25 } }, "Fragmentation"},
-		{"maxFree", func() func() { old := s.maxFree; s.maxFree = old + 1; return func() { s.maxFree = old } }, "MaxFreeGPUs"},
-		{"freeMachines", func() func() { old := s.freeMachines; s.freeMachines = old + 1; return func() { s.freeMachines = old } }, "FreeMachines"},
-		// Swapped, so every refcount still matches: only the per-machine
-		// fingerprint check can see it.
+		{"freeHist", func() func() { s.freeHist[0]++; return func() { s.freeHist[0]-- } }, "histogram"},
+		// Swapped together with the two classes' member lists, so the
+		// index still matches: only the per-machine fingerprint check can
+		// see it.
 		{"fp", func() func() {
-			s.fp[2], s.fp[3] = s.fp[3], s.fp[2]
-			return func() { s.fp[2], s.fp[3] = s.fp[3], s.fp[2] }
+			swap := func() {
+				m := s.classes.members
+				c2, c3 := s.fp[2].class, s.fp[3].class
+				s.fp[2], s.fp[3] = s.fp[3], s.fp[2]
+				m[c2], m[c3] = m[c3], m[c2]
+			}
+			swap()
+			return swap
 		}, "machine 2: fingerprint"},
 		{"fp.class", func() func() { old := s.fp[1].class; s.fp[1].class = 99; return func() { s.fp[1].class = old } }, "machine 1: class 99"},
-		{"classes.refs", func() func() { c := s.fp[0].class; s.classes.refs[c]++; return func() { s.classes.refs[c]-- } }, "references"},
+		{"fp.dirty", func() func() { s.fp[1].dirty = true; return func() { s.fp[1].dirty = false } }, "dirty list"},
+		{"dirty", func() func() { s.dirty = append(s.dirty, 1); return func() { s.dirty = s.dirty[:0] } }, "dirty list"},
+		{"classes.members", func() func() {
+			c := s.fp[0].class
+			old := s.classes.members[c]
+			s.classes.members[c] = append(slices.Clone(old), 1)
+			return func() { s.classes.members[c] = old }
+		}, "members listed"},
+		// Machine 1 moved into machine 0's class, listed ahead of it: every
+		// count still matches, only the order is wrong.
+		{"classes.members order", func() func() {
+			m, c0, c1 := s.classes.members, s.fp[0].class, s.fp[1].class
+			old0, old1 := m[c0], m[c1]
+			s.fp[1].class = c0
+			m[c0], m[c1] = append([]int32{1}, old0...), slices.DeleteFunc(slices.Clone(old1), func(x int32) bool { return x == 1 })
+			return func() { s.fp[1].class, m[c0], m[c1] = c1, old0, old1 }
+		}, "not the ascending list"},
 		{"classes.ids", func() func() {
 			name := s.classes.names[s.fp[0].class]
 			s.classes.ids[name] = s.fp[3].class // a dgx1's: never machine 0's
@@ -163,7 +186,7 @@ func TestCheckInvariantsCatchesEachTable(t *testing.T) {
 		{"classes.free", func() func() {
 			s.classes.free = append(s.classes.free, s.fp[0].class)
 			return func() { s.classes.free = s.classes.free[:len(s.classes.free)-1] }
-		}, "free list"},
+		}, "on the free list"},
 		{"residents.GPUs", func() func() { s.residents[3][0].GPUs++; return func() { s.residents[3][0].GPUs-- } }, "resident GPU count"},
 		// A what-if that forgot its Rollback.
 		{"trial", func() func() {

@@ -10,8 +10,8 @@ import (
 
 // trialRoundTrip opens a trial on s, releases the jobs pick selects (by
 // their index in s.Jobs()), reads every lazy view mid-trial — so the
-// rollback meets recomputed fingerprints, rebuilt resident rows and fresh
-// free gauges — and rolls back. s must then equal a Clone taken before
+// rollback meets recomputed fingerprints, moved class members and rebuilt
+// resident rows — and rolls back. s must then equal a Clone taken before
 // the trial on every observable (sameAsBefore).
 func trialRoundTrip(t *testing.T, s *State, pick func(i int) bool, context string) {
 	t.Helper()
@@ -57,17 +57,17 @@ func trialRoundTrip(t *testing.T, s *State, pick func(i int) bool, context strin
 // sameAsBefore holds s, just rolled back, to before, a Clone taken ahead
 // of the trial: the owner table, the very *Allocation values (allocs),
 // the bits of every bus and of the Eq. 5 sum, the free counts and the
-// lazy free gauges as stored, every fingerprint, every resident row and
-// the class pairing — and CheckInvariants, which also sees the trial
-// closed.
+// free-count histogram, every fingerprint, every resident row, the class
+// pairing and the class membership as a pairing (ids may renumber) — and
+// CheckInvariants, which also sees the trial closed.
 func sameAsBefore(t *testing.T, s, before *State, allocs map[string]*Allocation, context string) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%s: after Rollback: %s", context, fmt.Sprintf(format, args...))
 	}
-	if s.maxFree != before.maxFree || s.freeMachines != before.freeMachines || s.maxFreeDirty != before.maxFreeDirty {
-		fail("free gauges %d/%d/%t, before %d/%d/%t", s.maxFree, s.freeMachines, s.maxFreeDirty, before.maxFree, before.freeMachines, before.maxFreeDirty)
+	if !slices.Equal(s.freeHist, before.freeHist) {
+		fail("free-count histogram %v, before %v", s.freeHist, before.freeHist)
 	}
 	if math.Float64bits(s.fragSum) != math.Float64bits(before.fragSum) {
 		fail("Eq. 5 sum %v, before %v", s.fragSum, before.fragSum)
@@ -110,10 +110,33 @@ func sameAsBefore(t *testing.T, s, before *State, allocs map[string]*Allocation,
 	if s.MaxFreeGPUs() != before.MaxFreeGPUs() || s.FreeMachines() != before.FreeMachines() {
 		fail("MaxFreeGPUs/FreeMachines %d/%d, before %d/%d", s.MaxFreeGPUs(), s.FreeMachines(), before.MaxFreeGPUs(), before.FreeMachines())
 	}
+	got, want := memberOf(s), memberOf(before)
+	for a := range got {
+		for b := a + 1; b < len(got); b++ {
+			if (got[a] == got[b]) != (want[a] == want[b]) {
+				fail("machines %d and %d are listed in classes %d and %d, before %d and %d", a, b, got[a], got[b], want[a], want[b])
+			}
+		}
+	}
 	checkClassPairs(t, s, context+" after Rollback")
 	if err := s.CheckInvariants(); err != nil {
 		fail("%v", err)
 	}
+}
+
+// memberOf reads s's class index and returns, per machine, the id of the
+// member list it appears in, -1 for a machine out of the index.
+func memberOf(s *State) []int {
+	out := make([]int, s.Topology().NumMachines())
+	for m := range out {
+		out[m] = -1
+	}
+	for c, ms := range s.Classes() {
+		for _, m := range ms {
+			out[m] = c
+		}
+	}
+	return out
 }
 
 // TestTrialRollsBackExactly drives random Allocate/Release histories

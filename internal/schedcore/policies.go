@@ -2,6 +2,7 @@ package schedcore
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"gputopo/internal/cluster"
@@ -23,21 +24,53 @@ type placer struct {
 	// lists; their contents are dead once the owning call returns.
 	freeScratch []int
 	hostScratch []int
-	// classSeen[c] == gen marks cluster.State.MachineClass c as already
-	// evaluated by the TOPO-AWARE single-node sweep of the current
-	// decision; each decision bumps gen instead of clearing the array.
-	// perMachine turns that skip off: NewPlacer sets it, so the
-	// differential reference evaluates every host and a wrong fold shows
-	// up as a divergence.
-	classSeen  []uint32
-	gen        uint32
+	// classes is the TOPO-AWARE single-node sweep's scratch: one entry
+	// per class that can take the job, kept as a heap in sweep order
+	// (classCand.before). perMachine turns the class sweep off: NewPlacer
+	// sets it, so the differential reference maps every host and a wrong
+	// fold or prune shows up as a divergence.
+	classes    []classCand
 	perMachine bool
 	// cur and best are the sweep's scratch placements: each class is
 	// scored into cur, which trades places with best when it wins, so
 	// neither placement nor its GPUs is allocated per class.
 	cur, best core.Placement
-	// scored counts the mapper runs of the current decision's sweep.
-	scored int
+	// scored counts the mapper runs of the current decision's sweep and
+	// visited the machines whose bus it checked.
+	scored, visited int
+}
+
+// classCand is one class in the single-node sweep: its representative —
+// its lowest member with the bus headroom the job needs — and the class's
+// core.Mapper.UtilityBound.
+type classCand struct {
+	bound float64
+	rep   int
+}
+
+// before orders the sweep: bound descending, then representative
+// ascending.
+func (c classCand) before(o classCand) bool {
+	return c.bound > o.bound || c.bound == o.bound && c.rep < o.rep
+}
+
+// siftDown restores the heap order below h[i]: each entry before its
+// children.
+func siftDown(h []classCand, i int) {
+	for {
+		k := 2*i + 1
+		if k >= len(h) {
+			return
+		}
+		if k+1 < len(h) && h[k+1].before(h[k]) {
+			k++
+		}
+		if !h[k].before(h[i]) {
+			return
+		}
+		h[i], h[k] = h[k], h[i]
+		i = k
+	}
 }
 
 // attempt runs the placement policy on the job and applies the
@@ -203,29 +236,31 @@ func (p *placer) bestFitGPUs(machine, n int) []int {
 // placeTopoAware implements the topology-aware policies: filter hosts by
 // constraints (Algorithm 1), then run the DRB mapper over each candidate
 // host (or over the whole candidate set for multi-node jobs) and keep the
-// highest-utility solution.
+// highest-utility solution, the lowest machine among equals.
 //
-// The single-node sweep skips a host whose cluster.State.MachineClass
-// this decision has already evaluated: within a decision the job and the
-// cluster-wide fragmentation sum are fixed, so equal fingerprints present
-// the mapper with the same subproblem up to an order-preserving relabeling
-// of the free GPUs and score identically. Hosts are met in ascending order
-// and a later one wins only on strictly higher utility, so the lowest
-// machine of the best class is the winner with or without the skip. A
-// class id freed by a recompute during the sweep cannot carry this
-// decision's stamp: a stamped id is held by the clean host that stamped it.
+// The single-node sweep decides over cluster.State.Classes, not machines:
+// within a decision the job and the cluster-wide fragmentation sum are
+// fixed, so machines of one class present the mapper with the same
+// subproblem up to an order-preserving relabeling of the free GPUs and
+// score identically. Reading the index drains the machines changed since
+// the last decision, and nothing else is recomputed. A class with fewer
+// free GPUs than the job is skipped whole. Committed bus bandwidth is not
+// in the fingerprint, so a class's members are walked in ascending order
+// to its representative, the lowest one the bus filter admits — the
+// machine the per-machine sweep would meet first.
 //
-// Once a placement is held, a class whose core.Mapper.UtilityBound is no
-// higher than its utility is not mapped: it cannot score strictly higher,
-// so it cannot win. Anti-collocated jobs and the per-machine reference
-// map every host.
+// Each class is bounded once by core.Mapper.UtilityBound, and classes are
+// mapped by descending bound, ties by representative. The sweep stops at
+// the first bound below the best utility so far: no later class can reach
+// it. A class whose bound equals the best is mapped only if its
+// representative is below the best's machine, and a class wins on
+// strictly higher utility or on equal utility at a lower machine. Anti-
+// collocated jobs are bounded at +Inf, so every class is mapped, in
+// representative order. The per-machine reference maps every filtered
+// host.
 func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
-	hosts := p.filterHosts(j)
-	if len(hosts) == 0 {
-		return nil, fmt.Errorf("sched: no host satisfies constraints of %s", j.ID)
-	}
-
 	if !j.SingleNode {
+		hosts := p.filterHosts(j)
 		candidates := p.freeScratch[:0]
 		for _, m := range hosts {
 			candidates = p.state.AppendFreeGPUsOnMachine(candidates, m)
@@ -237,40 +272,50 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 		return p.mapper.Place(j, p.state, candidates)
 	}
 
-	if p.gen++; p.gen == 0 {
-		clear(p.classSeen) // wrapped: no stamp may equal a future gen
-		p.gen = 1
-	}
-	p.scored = 0
-	prune := !p.perMachine && !j.AntiCollocate
+	p.scored, p.visited = 0, 0
 	found := false
-	for _, m := range hosts {
-		if !p.perMachine {
-			c := p.state.MachineClass(m)
-			if c >= len(p.classSeen) {
-				p.classSeen = append(p.classSeen, make([]uint32, c+1-len(p.classSeen))...)
-			}
-			if p.classSeen[c] == p.gen {
+	bestRep := 0
+	if p.perMachine {
+		for _, m := range p.filterHosts(j) {
+			free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], m)
+			p.freeScratch = free
+			p.scored++
+			if err := p.mapper.PlaceInto(&p.cur, j, p.state, free); err != nil {
 				continue
 			}
-			p.classSeen[c] = p.gen
+			if !found || p.cur.Utility > p.best.Utility {
+				p.cur, p.best = p.best, p.cur
+				found = true
+			}
 		}
-		free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], m)
-		p.freeScratch = free
-		if prune && found && p.mapper.UtilityBound(j, p.state, m, free) <= p.best.Utility {
-			continue
-		}
-		p.scored++
-		if err := p.mapper.PlaceInto(&p.cur, j, p.state, free); err != nil {
-			continue
-		}
-		if !found || p.cur.Utility > p.best.Utility {
-			p.cur, p.best = p.best, p.cur
-			found = true
+	} else {
+		// Pop the heap in sweep order: the stop usually comes after a few
+		// classes, so the rest are never ordered.
+		for h := p.sweepClasses(j); len(h) > 0; {
+			c := h[0]
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			siftDown(h, 0)
+			if found && c.bound < p.best.Utility {
+				break
+			}
+			if found && c.bound == p.best.Utility && c.rep > bestRep {
+				continue
+			}
+			free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], c.rep)
+			p.freeScratch = free
+			p.scored++
+			if err := p.mapper.PlaceInto(&p.cur, j, p.state, free); err != nil {
+				continue
+			}
+			if !found || p.cur.Utility > p.best.Utility || p.cur.Utility == p.best.Utility && c.rep < bestRep {
+				p.cur, p.best = p.best, p.cur
+				found, bestRep = true, c.rep
+			}
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("sched: DRB found no feasible mapping for %s", j.ID)
+		return nil, fmt.Errorf("sched: no host takes %s", j.ID)
 	}
 	// Decisions keep their placement: hand out a copy, not the scratch.
 	best := p.best
@@ -278,9 +323,46 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 	return &best, nil
 }
 
+// sweepClasses returns the classes that can take the single-node job j —
+// enough free GPUs, and a member with the bus headroom — each with its
+// representative and bound, as a heap in sweep order.
+func (p *placer) sweepClasses(j *job.Job) []classCand {
+	demand := estimateDemand(j, p.state)
+	cands := p.classes[:0]
+	for _, ms := range p.state.Classes() {
+		if len(ms) == 0 || p.state.FreeCountOnMachine(int(ms[0])) < j.GPUs {
+			continue
+		}
+		rep := -1
+		for _, m := range ms {
+			p.visited++
+			if p.state.FreeBusBandwidth(int(m)) >= demand {
+				rep = int(m)
+				break
+			}
+		}
+		if rep < 0 {
+			continue
+		}
+		bound := math.Inf(1)
+		if !j.AntiCollocate {
+			free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], rep)
+			p.freeScratch = free
+			bound = p.mapper.UtilityBound(j, p.state, rep, free)
+		}
+		cands = append(cands, classCand{bound: bound, rep: rep})
+	}
+	for i := len(cands)/2 - 1; i >= 0; i-- {
+		siftDown(cands, i)
+	}
+	p.classes = cands
+	return cands
+}
+
 // filterHosts implements filterHostsByConstraints (Algorithm 1): machines
 // with enough free GPUs and enough uncommitted shared-bus bandwidth for
-// the job. Returned machine indices are ascending.
+// the job. Returned machine indices are ascending. The single-node class
+// sweep applies the same two tests per class instead.
 func (p *placer) filterHosts(j *job.Job) []int {
 	topo := p.state.Topology()
 	demand := estimateDemand(j, p.state)

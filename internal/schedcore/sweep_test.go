@@ -31,22 +31,26 @@ func TestSweepAsksOncePerShape(t *testing.T) {
 	}
 }
 
-// TestSweepPrunesDominatedClasses: an empty machine 0 ahead of seven
-// busy machines, each a class of its own, is mapped once: every busy
-// machine's co-runners cap its UtilityBound below the empty machine's
-// placement, so the sweep skips its DRB run — and still agrees with the
-// per-machine reference.
-func TestSweepPrunesDominatedClasses(t *testing.T) {
+// dominatedFleet returns a scheduler over eight Minsky machines: machine
+// empty is idle, and each other machine holds one job of a batch size and
+// GPU count no other machine's job has, so each is a class of its own
+// whose co-runners cap its UtilityBound below the empty machine's
+// placement of the returned two-GPU job.
+func dominatedFleet(t *testing.T, empty int) (*Core, *job.Job) {
+	t.Helper()
 	s := newSched(t, TopoAware, topology.Cluster(8, topology.KindMinsky))
 	st := s.State()
-	for m := 1; m < 8; m++ {
-		// Machine m holds one job of a batch size and GPU count no other
-		// machine's job has, on GPUs 4m and up.
+	k := 0
+	for m := 0; m < 8; m++ {
+		if m == empty {
+			continue
+		}
+		k++
 		gpus := []int{4 * m}
-		if m > 4 {
+		if k > 4 {
 			gpus = append(gpus, 4*m+1)
 		}
-		busy := mkJob(fmt.Sprintf("busy%d", m), 1<<(2*(m%4)), len(gpus), 0, 0)
+		busy := mkJob(fmt.Sprintf("busy%d", m), 1<<(2*(k%4)), len(gpus), 0, 0)
 		if err := st.Allocate(busy.ID, gpus, 0, busy.Traits()); err != nil {
 			t.Fatal(err)
 		}
@@ -58,17 +62,116 @@ func TestSweepPrunesDominatedClasses(t *testing.T) {
 	if len(classes) != 8 {
 		t.Fatalf("setup: eight machines fold into %d classes", len(classes))
 	}
-	j := mkJob("a", 16, 2, 0, 0)
-	want, _ := NewPlacer(TopoAware, st, s.mapper).Attempt(j)
+	return s, mkJob("a", 16, 2, 0, 0)
+}
+
+// TestSweepPrunesDominatedClasses: an empty machine 0 ahead of seven
+// busy machines, each a class of its own, is mapped once: every busy
+// machine's bound is below the empty machine's placement, so the sweep
+// stops after its DRB run — and still agrees with the per-machine
+// reference.
+func TestSweepPrunesDominatedClasses(t *testing.T) {
+	s, j := dominatedFleet(t, 0)
+	want, _ := NewPlacer(TopoAware, s.State(), s.mapper).Attempt(j)
 	got, _ := s.place.attempt(j)
 	if got == nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("pruned sweep %+v, per-machine sweep %+v", got, want)
 	}
 	if n := classesEvaluated(&s.place); n != 8 {
-		t.Fatalf("sweep stamped %d classes, want 8", n)
+		t.Fatalf("sweep bounded %d classes, want 8", n)
 	}
 	if s.place.scored != 1 {
 		t.Fatalf("sweep mapped %d classes, want 1", s.place.scored)
+	}
+}
+
+// TestSweepMapsBestBoundFirst: with the empty machine last, at index 7,
+// the sweep still maps it alone — classes go by descending bound, not by
+// machine, and the empty machine's bound leads.
+func TestSweepMapsBestBoundFirst(t *testing.T) {
+	s, j := dominatedFleet(t, 7)
+	want, _ := NewPlacer(TopoAware, s.State(), s.mapper).Attempt(j)
+	got, _ := s.place.attempt(j)
+	if got == nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
+	}
+	if m := s.State().MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{7}) {
+		t.Fatalf("placed on machines %v, want the empty machine 7", m)
+	}
+	if s.place.scored != 1 {
+		t.Fatalf("sweep mapped %d classes, want 1", s.place.scored)
+	}
+}
+
+// TestSweepVisitsClassesNotMachines: on minsky:64 with a handful of
+// classes, a decision checks the bus of one machine per class plus the
+// machines the bus filter turns away — not sixty-four — and agrees with
+// the per-machine reference.
+func TestSweepVisitsClassesNotMachines(t *testing.T) {
+	topo := topology.Cluster(64, topology.KindMinsky)
+	s := New(TopoAware, cluster.NewState(topo), mapperUpTo4(t, topo))
+	st := s.State()
+	// Every eighth machine holds one of two job kinds; the rest are empty.
+	for m := 0; m < 64; m += 8 {
+		busy := mkJob(fmt.Sprintf("busy%d", m), 4<<(m/8%2), 1, 0, 0)
+		if err := st.Allocate(busy.ID, []int{4 * m}, 0, busy.Traits()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j := mkJob("a", 16, 2, 0, 0)
+	classes := map[int]bool{}
+	rejected := 0
+	demand := estimateDemand(j, st)
+	for m := 0; m < 64; m++ {
+		classes[st.MachineClass(m)] = true
+		if st.FreeBusBandwidth(m) < demand {
+			rejected++
+		}
+	}
+	if len(classes) > 4 {
+		t.Fatalf("setup: %d classes, want a handful", len(classes))
+	}
+	want, _ := NewPlacer(TopoAware, st, s.mapper).Attempt(j)
+	got, _ := s.place.attempt(j)
+	if got == nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
+	}
+	if v := s.place.visited; v > len(classes)+rejected {
+		t.Fatalf("sweep visited %d machines, want at most %d classes + %d bus rejections", v, len(classes), rejected)
+	}
+}
+
+// TestSweepRepresentativeSkipsSaturatedBus: four machines holding twin
+// jobs are one class, but machine 0's bus is oversubscribed. The bus is
+// not in the fingerprint, so the sweep walks the class to machine 1, as
+// the per-machine filter does.
+func TestSweepRepresentativeSkipsSaturatedBus(t *testing.T) {
+	s := newSched(t, TopoAware, topology.Cluster(4, topology.KindMinsky))
+	st := s.State()
+	busy := mkJob("busy", 16, 1, 0, 0).Traits()
+	for m := 0; m < 4; m++ {
+		bw := 0.0
+		if m == 0 {
+			bw = 2 * st.FreeBusBandwidth(0) // oversubscribed: below any demand
+		}
+		if err := st.Allocate(fmt.Sprintf("busy%d", m), []int{4 * m}, bw, busy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(classesOf(st)) != 1 {
+		t.Fatal("setup: the four machines are not one class")
+	}
+	j := mkJob("a", 16, 2, 0, 0)
+	want, _ := NewPlacer(TopoAware, st, s.mapper).Attempt(j)
+	got, _ := s.place.attempt(j)
+	if got == nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
+	}
+	if m := st.MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{1}) {
+		t.Fatalf("placed on machines %v, want the first member with bus headroom, 1", m)
+	}
+	if s.place.visited != 2 {
+		t.Fatalf("sweep visited %d machines, want 2", s.place.visited)
 	}
 }
 
@@ -123,8 +226,8 @@ func TestSweepEqualUtilityKeepsLowerMachine(t *testing.T) {
 
 // TestSweepBoundEqualToBestKeepsLowerMachine: in the mirrored pair the
 // bound of machine 1 is exactly machine 0's utility — its one co-runner
-// is off the socket the job takes. A bound equal to the best is pruned,
-// which keeps machine 0 as the strict > would.
+// is off the socket the job takes. A bound equal to the best at a higher
+// machine is not mapped, which keeps machine 0 as the strict > would.
 func TestSweepBoundEqualToBestKeepsLowerMachine(t *testing.T) {
 	s, j, u := mirroredPair(t)
 	st := s.State()
@@ -137,6 +240,75 @@ func TestSweepBoundEqualToBestKeepsLowerMachine(t *testing.T) {
 	}
 	if m := st.MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{0}) {
 		t.Fatalf("a bound equal to the best resolved to machines %v, want 0", m)
+	}
+}
+
+// TestSweepEqualBoundsMapLowerMachineFirst: both machines of the mirrored
+// pair bound at the same value, which is both utilities. Equal bounds go
+// by representative, so machine 0 is mapped first and wins, and machine 1
+// is not mapped.
+func TestSweepEqualBoundsMapLowerMachineFirst(t *testing.T) {
+	s, j, u := mirroredPair(t)
+	st := s.State()
+	for m := 0; m < 2; m++ {
+		if bound := s.mapper.UtilityBound(j, st, m, st.FreeGPUsOnMachine(m)); bound != u[m] {
+			t.Fatalf("setup: machine %d bound %v, utility %v", m, bound, u[m])
+		}
+	}
+	want, _ := NewPlacer(TopoAware, st, s.mapper).Attempt(j)
+	got, _ := s.place.attempt(j)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
+	}
+	// Machine 1 first would have been mapped, and machine 0 after it.
+	if s.place.scored != 1 {
+		t.Fatalf("sweep mapped %d classes, want 1", s.place.scored)
+	}
+	if m := st.MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{0}) {
+		t.Fatalf("equal bounds resolved to machines %v, want 0", m)
+	}
+}
+
+// TestSweepEqualUtilityAtLowerMachineWinsLate: on mix[minsky-3g +
+// minsky-1g] a one-GPU job scores the same on both machines — each offers
+// a GPU alone in its socket — but machine 1's free GPUs sit in sockets of
+// two sizes, so its bound is loose and it is mapped first. Machine 0's
+// bound equals that utility at a lower machine, so it is mapped too, and
+// wins on equal utility, as in the per-machine sweep.
+func TestSweepEqualUtilityAtLowerMachineWinsLate(t *testing.T) {
+	specs, err := topology.ParseMix("minsky-3g:1+minsky-1g:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := topology.HeterogeneousCluster(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSched(t, TopoAware, topo)
+	st := s.State()
+	j := mkJob("a", 16, 1, 0, 0)
+	var u, bound [2]float64
+	for m := range u {
+		free := st.FreeGPUsOnMachine(m)
+		pl, err := s.mapper.Place(j, st, free)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u[m], bound[m] = pl.Utility, s.mapper.UtilityBound(j, st, m, free)
+	}
+	if u[0] != u[1] || bound[0] != u[0] || !(bound[1] > bound[0]) {
+		t.Fatalf("setup: utilities %v, bounds %v; want equal utilities, machine 0's bound equal to them and machine 1's above", u, bound)
+	}
+	want, _ := NewPlacer(TopoAware, st, s.mapper).Attempt(j)
+	got, _ := s.place.attempt(j)
+	if got == nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
+	}
+	if m := st.MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{0}) {
+		t.Fatalf("placed on machines %v, want the lower machine 0", m)
+	}
+	if s.place.scored != 2 {
+		t.Fatalf("sweep mapped %d classes, want 2", s.place.scored)
 	}
 }
 
@@ -191,13 +363,16 @@ func TestSweepFoldsCustomCommGraphs(t *testing.T) {
 }
 
 // classesEvaluated counts the classes the placer's last single-node
-// sweep stamped.
-func classesEvaluated(p *placer) int {
-	n := 0
-	for _, g := range p.classSeen {
-		if g == p.gen {
-			n++
+// sweep bounded.
+func classesEvaluated(p *placer) int { return len(p.classes) }
+
+// classesOf returns the live classes of st's index.
+func classesOf(st *cluster.State) [][]int32 {
+	var out [][]int32
+	for _, ms := range st.Classes() {
+		if len(ms) > 0 {
+			out = append(out, ms)
 		}
 	}
-	return n
+	return out
 }
