@@ -716,7 +716,8 @@ func (s *State) Fragmentation() float64 {
 // FragSum returns the raw Eq. 5 numerator: Σ over sockets of the free
 // fraction, before the division by the socket count. Its only caller is
 // the benchmark-pinned package placecache, which keys on its exact bits;
-// it goes when that package does.
+// it goes when that package does (docs/performance.md, "The frozen
+// benchmark contract").
 func (s *State) FragSum() float64 { return s.fragSum }
 
 // FragmentationAfter returns Eq. 5 evaluated as if the given (free,
@@ -937,5 +938,5 @@ func (s *State) Clone() *State {
 }
 
 // CopyFrom resets s to a copy of src; the frozen cmd/topoperf is its only
-// caller.
+// caller (docs/performance.md, "The frozen benchmark contract").
 func (s *State) CopyFrom(src *State) { *s = *src.Clone() }

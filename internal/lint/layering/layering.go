@@ -81,8 +81,9 @@ var Ranks = map[string]Layer{
 	"gputopo": {1150, "public facade"},
 
 	// The scheduler no longer uses the place cache; only the frozen
-	// cmd/topoperf compiles against it. Ranked above every product package
-	// so that importing it again is a layering violation.
+	// cmd/topoperf compiles against it (docs/performance.md, "The frozen
+	// benchmark contract"). Ranked above every product package so that
+	// importing it again is a layering violation.
 	"gputopo/internal/schedcore/placecache": {1195, "benchmark-pinned residue"},
 }
 

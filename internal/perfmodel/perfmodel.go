@@ -374,6 +374,3 @@ func CapSlowdown(sum float64) float64 {
 // DefaultIterations is the paper's training length for the prototype
 // experiments (§3.1: "the maximum number of iterations is 4000").
 const DefaultIterations = 4000
-
-// ProfileIterations is the shortened run used when profiling (§3.1).
-const ProfileIterations = 40

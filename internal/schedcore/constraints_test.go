@@ -1,6 +1,8 @@
 package schedcore
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"gputopo/internal/perfmodel"
@@ -28,6 +30,45 @@ func TestBandwidthConstraintFiltersHosts(t *testing.T) {
 	ms := s.State().MachinesOf(ds[0].Placement.GPUs)
 	if len(ms) != 1 || ms[0] != 1 {
 		t.Fatalf("placed on machines %v, want [1] (machine 0 bus saturated)", ms)
+	}
+}
+
+// TestBandwidthConstraintFiltersHostsMultiNode: a multi-node TOPO-AWARE
+// job is mapped onto the free GPUs of the machines with bus headroom
+// only. On minsky:3 a six-GPU job, more than one machine holds, takes its
+// GPUs from machines 1 and 2 whether machine 0 has three free GPUs behind
+// a saturated bus or is full with its bus idle: its placement is the
+// mapper's on machines 1 and 2's free GPUs. With machine 0's three GPUs
+// among the candidates the mapper would take two of them.
+func TestBandwidthConstraintFiltersHostsMultiNode(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gpus []int   // held on machine 0
+		bus  float64 // share of machine 0's bus committed
+	}{
+		{"saturated bus", []int{0}, 1},
+		{"full machine", []int{0, 1, 2, 3}, 0},
+	} {
+		s := newSched(t, TopoAware, topology.Cluster(3, topology.KindMinsky))
+		st := s.State()
+		if err := st.Allocate("hog", c.gpus, c.bus*st.FreeBusBandwidth(0), perfmodel.Traits{}); err != nil {
+			t.Fatal(err)
+		}
+		j := mkJob("wide", 16, 6, 0, 0)
+		j.SingleNode = false
+		if c.bus > 0 {
+			all, err := s.place.mapper.Place(j, st, st.FreeGPUs())
+			if err != nil || !slices.Contains(st.MachinesOf(all.GPUs), 0) {
+				t.Fatalf("setup: unfiltered placement %+v (%v) leaves machine 0 out", all, err)
+			}
+		}
+		want, err := s.place.mapper.Place(j, st, append(st.FreeGPUsOnMachine(1), st.FreeGPUsOnMachine(2)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := s.place.attempt(j); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: placed %+v, want %+v on machines 1 and 2", c.name, got, want)
+		}
 	}
 }
 

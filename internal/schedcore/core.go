@@ -63,7 +63,10 @@ type Stats struct {
 	Placements    int
 	Postponements int
 	SLOViolations int
-	GateSkips     int // always 0 (the version gate is gone); kept because the frozen cmd/topoperf reads it
+	// GateSkips is always 0 (the version gate is gone); kept because the
+	// frozen cmd/topoperf reads it (docs/performance.md, "The frozen
+	// benchmark contract").
+	GateSkips int
 	// WakeSkips counts queued jobs the wake-up index left parked during a
 	// Schedule call: capacity-blocked jobs whose wake-up key (the smallest
 	// free-GPU count that could unblock them) the cluster had not reached,
@@ -80,7 +83,8 @@ type Stats struct {
 	DecisionTime time.Duration // total time spent deciding
 	MaxDecision  time.Duration
 	// Always 0, like GateSkips (the place-cache LRU is gone); kept because
-	// the frozen cmd/topoperf reads them.
+	// the frozen cmd/topoperf reads them (docs/performance.md, "The frozen
+	// benchmark contract").
 	PlaceCacheHits      int
 	PlaceCacheMisses    int
 	PlaceCacheEvictions int
@@ -129,7 +133,6 @@ type entry struct {
 type Core struct {
 	policy Policy
 	state  *cluster.State
-	mapper *core.Mapper
 	clock  Clock
 	disc   QueueDiscipline
 
@@ -217,7 +220,6 @@ func New(policy Policy, state *cluster.State, mapper *core.Mapper, opts ...Optio
 	c := &Core{
 		policy:  policy,
 		state:   state,
-		mapper:  mapper,
 		running: map[string]*job.Job{},
 		place:   placer{policy: policy, state: state, mapper: mapper},
 	}
@@ -680,15 +682,6 @@ func (c *Core) tryPlace(j *job.Job) Decision {
 		Placement:   placement,
 		SLOViolated: placement.Utility < j.MinUtility,
 	}
-}
-
-// minGPUsPerHost is the minimum free GPUs a host must offer to be a
-// candidate: all of them for single-node jobs, one otherwise.
-func minGPUsPerHost(j *job.Job) int {
-	if j.SingleNode {
-		return j.GPUs
-	}
-	return 1
 }
 
 // estimateDemand conservatively estimates the job's shared-bus demand

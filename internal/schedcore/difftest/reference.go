@@ -7,15 +7,14 @@
 // through the real Core and demands placement-for-placement equality,
 // down to the postponement accounting.
 //
-// The reference shares exactly one piece of code with the Core: the
-// placement-policy arithmetic, via the exported schedcore.Placer facade.
-// That sharing is deliberate — Eq. 1 scoring is covered by its own unit
-// tests, and re-deriving the mapper here would make every diff chase
-// floating-point deltas instead of the queue, wake-index, class-fold
-// and preemption bookkeeping this harness exists to falsify. The
-// reference's placer (schedcore.NewPlacer) evaluates every host, so the
-// Core's one-host-per-fingerprint sweep is always compared against the
-// per-machine one.
+// The reference shares two things with the Core: the DRB mapper with its
+// Eq. 1 scoring (core.Mapper), and the FCFS and Best-Fit baselines via
+// the exported schedcore.Placer facade. Both are covered by their own
+// unit tests, and re-deriving them here would make every diff chase
+// floating-point deltas instead of the queue, wake-index, class-sweep
+// and preemption bookkeeping this harness exists to falsify. Its
+// TOPO-AWARE placement (Attempt) is its own per-machine sweep, so the
+// Core's class sweep is compared against code it shares nothing with.
 package difftest
 
 import (
@@ -27,6 +26,7 @@ import (
 	"gputopo/internal/cluster"
 	"gputopo/internal/core"
 	"gputopo/internal/job"
+	"gputopo/internal/perfmodel"
 	"gputopo/internal/profile"
 	"gputopo/internal/schedcore"
 	"gputopo/internal/topology"
@@ -52,11 +52,10 @@ type EvictionRec struct {
 	GPUs  []int
 }
 
-// refEntry is one queued job plus its submission sequence (the
-// discipline's tie-break) and the rounds it has been postponed.
+// refEntry is one queued job plus the rounds it has been postponed. The
+// queue slice keeps submission order, the discipline's tie-break.
 type refEntry struct {
 	job    *job.Job
-	seq    int
 	waited int
 }
 
@@ -67,13 +66,11 @@ type Reference struct {
 	policy  schedcore.Policy
 	state   *cluster.State
 	mapper  *core.Mapper
-	placer  *schedcore.Placer
 	disc    schedcore.QueueDiscipline
 	preempt bool
 
 	queue   []refEntry
 	running map[string]*job.Job
-	seq     int
 	// postponements counts, over all rounds, the jobs a round examined
 	// and left queued.
 	postponements int
@@ -92,12 +89,10 @@ func NewReference(policy schedcore.Policy, topo *topology.Topology, disc schedco
 	if err != nil {
 		return nil, err
 	}
-	st := cluster.NewState(topo)
 	return &Reference{
 		policy:  policy,
-		state:   st,
+		state:   cluster.NewState(topo),
 		mapper:  mapper,
-		placer:  schedcore.NewPlacer(policy, st, mapper),
 		disc:    disc,
 		preempt: preempt,
 		running: map[string]*job.Job{},
@@ -111,8 +106,7 @@ func (r *Reference) Submit(j *job.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
-	r.queue = append(r.queue, refEntry{job: j, seq: r.seq})
-	r.seq++
+	r.queue = append(r.queue, refEntry{job: j})
 	return nil
 }
 
@@ -211,20 +205,60 @@ func (r *Reference) Schedule() []Placement {
 	}
 	r.queue = keep
 	for _, v := range victims {
-		r.queue = append(r.queue, refEntry{job: v, seq: r.seq})
-		r.seq++
+		r.queue = append(r.queue, refEntry{job: v})
 	}
 	return placements
 }
 
 func (r *Reference) eligible(j *job.Job) bool { return r.preempt && j.Priority > 0 }
 
-// attempt asks pl, a placer over st, to place j.
-func (r *Reference) attempt(pl *schedcore.Placer, st *cluster.State, j *job.Job) (*core.Placement, string) {
+// attempt places j on st, the live state or a trial clone, without
+// committing.
+func (r *Reference) attempt(st *cluster.State, j *job.Job) (*core.Placement, string) {
 	if r.attempted != nil {
 		r.attempted(j, st)
 	}
-	return pl.Attempt(j)
+	return Attempt(r.policy, st, r.mapper, j)
+}
+
+// Attempt is the reference's placement policy: j placed on st without
+// committing, or nil and the postponement reason. FCFS and Best-Fit go
+// through schedcore.Placer; the topology-aware policies are Algorithm 1
+// from cluster.State, core.Mapper and perfmodel alone: filter the hosts
+// by free GPUs and bus headroom, map a single-node job onto each and keep
+// the first strictly higher utility, or a multi-node job onto all of
+// theirs; TOPO-AWARE-P postpones below the job's minimum utility unless
+// the cluster is idle.
+func Attempt(policy schedcore.Policy, st *cluster.State, mapper *core.Mapper, j *job.Job) (*core.Placement, string) {
+	if policy != schedcore.TopoAware && policy != schedcore.TopoAwareP {
+		return schedcore.NewPlacer(policy, st, mapper).Attempt(j)
+	}
+	topo := st.Topology()
+	// The bus demand of the job's best allocation on an empty cluster.
+	demand := perfmodel.BusDemand(j.Model, j.BatchSize, topo, topo.BestAllocation(min(j.GPUs, topo.NumGPUs())))
+	var best *core.Placement
+	var gathered []int
+	for m := 0; m < topo.NumMachines(); m++ {
+		free := st.FreeGPUsOnMachine(m)
+		if len(free) == 0 || j.SingleNode && len(free) < j.GPUs || st.FreeBusBandwidth(m) < demand {
+			continue
+		}
+		if !j.SingleNode {
+			gathered = append(gathered, free...)
+		} else if p, err := mapper.Place(j, st, free); err == nil && (best == nil || p.Utility > best.Utility) {
+			best = p
+		}
+	}
+	if !j.SingleNode {
+		best, _ = mapper.Place(j, st, gathered)
+	}
+	if best == nil {
+		return nil, "no-capacity"
+	}
+	if policy == schedcore.TopoAwareP && best.Utility < j.MinUtility && st.FreeGPUCount() < topo.NumGPUs() {
+		return nil, "low-utility"
+	}
+	return best, ""
 }
 
 // examine attempts one job: the availableResources gate, the placement
@@ -237,7 +271,7 @@ func (r *Reference) examine(j *job.Job, victims *[]*job.Job) (*core.Placement, [
 		enough = r.state.FreeGPUCount() >= j.GPUs
 	}
 	if enough {
-		p, reason := r.attempt(r.placer, r.state, j)
+		p, reason := r.attempt(r.state, j)
 		if p != nil {
 			r.commit(j, p)
 			return p, nil, true
@@ -301,7 +335,7 @@ func (r *Reference) tryPreempt(j *job.Job, victims *[]*job.Job) (*core.Placement
 				panic(fmt.Sprintf("difftest: evaluating eviction of %s: %v", v.ID, err))
 			}
 		}
-		p, _ := r.attempt(schedcore.NewPlacer(r.policy, cs, r.mapper), cs, j)
+		p, _ := r.attempt(cs, j)
 		if p == nil {
 			return
 		}
@@ -371,7 +405,7 @@ func (r *Reference) tryPreempt(j *job.Job, victims *[]*job.Job) (*core.Placement
 		delete(r.running, v.ID)
 	}
 	*victims = append(*victims, best.set...)
-	p, reason := r.attempt(r.placer, r.state, j)
+	p, reason := r.attempt(r.state, j)
 	if p == nil {
 		panic(fmt.Sprintf("difftest: preemptive placement of %s failed after eviction (reason %q)", j.ID, reason))
 	}

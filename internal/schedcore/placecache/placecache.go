@@ -6,7 +6,8 @@
 // (docs/performance.md has the traffic); within a decision the candidate
 // sweep's fold by cluster.State.MachineFingerprint is the memo. The frozen
 // cmd/topoperf still compiles against the eight exported names below —
-// its placecache.lookup_ns probe times a Lookup — and is their only user:
+// its placecache.lookup_ns probe times a Lookup — and is their only user
+// (docs/performance.md, "The frozen benchmark contract"):
 // internal/lint/layering bars every product package from importing this
 // one, and the PR that unfreezes the benchmark deletes it (ROADMAP item 2).
 package placecache

@@ -317,7 +317,7 @@ func (c *Core) selectVictimsNaive(j *job.Job) ([]*job.Job, float64) {
 				panic(fmt.Sprintf("schedcore: evaluating eviction of %s: %v", v.ID, err))
 			}
 		}
-		p := placer{policy: c.policy, state: cs, mapper: c.mapper}
+		p := placer{policy: c.policy, state: cs, mapper: c.place.mapper}
 		placement, _ := p.attempt(j)
 		if placement == nil {
 			return

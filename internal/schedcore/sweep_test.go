@@ -1,4 +1,4 @@
-package schedcore
+package schedcore_test
 
 import (
 	"fmt"
@@ -6,24 +6,43 @@ import (
 	"testing"
 
 	"gputopo/internal/cluster"
+	"gputopo/internal/core"
 	"gputopo/internal/job"
 	"gputopo/internal/jobgraph"
+	"gputopo/internal/perfmodel"
+	. "gputopo/internal/schedcore"
+	"gputopo/internal/schedcore/difftest"
 	"gputopo/internal/topology"
 )
+
+// sweepAgrees runs the Core's placer on j and fails unless it places j
+// exactly as the differential harness's reference does: a per-machine
+// TOPO-AWARE sweep that shares no code with the class sweep, which is why
+// these tests live outside the package (difftest imports schedcore). It
+// returns the placement.
+func sweepAgrees(t *testing.T, s *Core, j *job.Job) *core.Placement {
+	t.Helper()
+	want, _ := difftest.Attempt(TopoAware, s.State(), s.Mapper(), j)
+	got, _ := s.Attempt(j)
+	if got == nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("class sweep %+v, per-machine reference %+v", got, want)
+	}
+	return got
+}
 
 // TestSweepAsksOncePerShape: eight empty Minsky machines are one shape
 // class, so a decision evaluates one host — not eight — and the class's
 // representative, machine 0, takes the job.
 func TestSweepAsksOncePerShape(t *testing.T) {
-	s := newSched(t, TopoAware, topology.Cluster(8, topology.KindMinsky))
-	if err := s.Submit(mkJob("a", 16, 2, 0, 0)); err != nil {
+	s := NewSched(t, TopoAware, topology.Cluster(8, topology.KindMinsky))
+	if err := s.Submit(MkJob("a", 16, 2, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	ds := s.Schedule()
 	if len(ds) != 1 || ds[0].Postponed {
 		t.Fatalf("want one placement, got %+v", ds)
 	}
-	if n := classesEvaluated(&s.place); n != 1 {
+	if n := s.Bounded(); n != 1 {
 		t.Fatalf("eight empty machines evaluated as %d classes", n)
 	}
 	if m := s.State().MachinesOf(ds[0].Placement.GPUs); !reflect.DeepEqual(m, []int{0}) {
@@ -38,7 +57,7 @@ func TestSweepAsksOncePerShape(t *testing.T) {
 // placement of the returned two-GPU job.
 func dominatedFleet(t *testing.T, empty int) (*Core, *job.Job) {
 	t.Helper()
-	s := newSched(t, TopoAware, topology.Cluster(8, topology.KindMinsky))
+	s := NewSched(t, TopoAware, topology.Cluster(8, topology.KindMinsky))
 	st := s.State()
 	k := 0
 	for m := 0; m < 8; m++ {
@@ -50,7 +69,7 @@ func dominatedFleet(t *testing.T, empty int) (*Core, *job.Job) {
 		if k > 4 {
 			gpus = append(gpus, 4*m+1)
 		}
-		busy := mkJob(fmt.Sprintf("busy%d", m), 1<<(2*(k%4)), len(gpus), 0, 0)
+		busy := MkJob(fmt.Sprintf("busy%d", m), 1<<(2*(k%4)), len(gpus), 0, 0)
 		if err := st.Allocate(busy.ID, gpus, 0, busy.Traits()); err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +81,7 @@ func dominatedFleet(t *testing.T, empty int) (*Core, *job.Job) {
 	if len(classes) != 8 {
 		t.Fatalf("setup: eight machines fold into %d classes", len(classes))
 	}
-	return s, mkJob("a", 16, 2, 0, 0)
+	return s, MkJob("a", 16, 2, 0, 0)
 }
 
 // TestSweepPrunesDominatedClasses: an empty machine 0 ahead of seven
@@ -72,16 +91,12 @@ func dominatedFleet(t *testing.T, empty int) (*Core, *job.Job) {
 // reference.
 func TestSweepPrunesDominatedClasses(t *testing.T) {
 	s, j := dominatedFleet(t, 0)
-	want, _ := NewPlacer(TopoAware, s.State(), s.mapper).Attempt(j)
-	got, _ := s.place.attempt(j)
-	if got == nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("pruned sweep %+v, per-machine sweep %+v", got, want)
-	}
-	if n := classesEvaluated(&s.place); n != 8 {
+	sweepAgrees(t, s, j)
+	if n := s.Bounded(); n != 8 {
 		t.Fatalf("sweep bounded %d classes, want 8", n)
 	}
-	if s.place.scored != 1 {
-		t.Fatalf("sweep mapped %d classes, want 1", s.place.scored)
+	if s.Scored() != 1 {
+		t.Fatalf("sweep mapped %d classes, want 1", s.Scored())
 	}
 }
 
@@ -90,16 +105,12 @@ func TestSweepPrunesDominatedClasses(t *testing.T) {
 // machine, and the empty machine's bound leads.
 func TestSweepMapsBestBoundFirst(t *testing.T) {
 	s, j := dominatedFleet(t, 7)
-	want, _ := NewPlacer(TopoAware, s.State(), s.mapper).Attempt(j)
-	got, _ := s.place.attempt(j)
-	if got == nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
-	}
+	got := sweepAgrees(t, s, j)
 	if m := s.State().MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{7}) {
 		t.Fatalf("placed on machines %v, want the empty machine 7", m)
 	}
-	if s.place.scored != 1 {
-		t.Fatalf("sweep mapped %d classes, want 1", s.place.scored)
+	if s.Scored() != 1 {
+		t.Fatalf("sweep mapped %d classes, want 1", s.Scored())
 	}
 }
 
@@ -109,19 +120,19 @@ func TestSweepMapsBestBoundFirst(t *testing.T) {
 // the per-machine reference.
 func TestSweepVisitsClassesNotMachines(t *testing.T) {
 	topo := topology.Cluster(64, topology.KindMinsky)
-	s := New(TopoAware, cluster.NewState(topo), mapperUpTo4(t, topo))
+	s := New(TopoAware, cluster.NewState(topo), MapperUpTo4(t, topo))
 	st := s.State()
 	// Every eighth machine holds one of two job kinds; the rest are empty.
 	for m := 0; m < 64; m += 8 {
-		busy := mkJob(fmt.Sprintf("busy%d", m), 4<<(m/8%2), 1, 0, 0)
+		busy := MkJob(fmt.Sprintf("busy%d", m), 4<<(m/8%2), 1, 0, 0)
 		if err := st.Allocate(busy.ID, []int{4 * m}, 0, busy.Traits()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	j := mkJob("a", 16, 2, 0, 0)
+	j := MkJob("a", 16, 2, 0, 0)
 	classes := map[int]bool{}
 	rejected := 0
-	demand := estimateDemand(j, st)
+	demand := EstimateDemand(j, st)
 	for m := 0; m < 64; m++ {
 		classes[st.MachineClass(m)] = true
 		if st.FreeBusBandwidth(m) < demand {
@@ -131,28 +142,33 @@ func TestSweepVisitsClassesNotMachines(t *testing.T) {
 	if len(classes) > 4 {
 		t.Fatalf("setup: %d classes, want a handful", len(classes))
 	}
-	want, _ := NewPlacer(TopoAware, st, s.mapper).Attempt(j)
-	got, _ := s.place.attempt(j)
-	if got == nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
-	}
-	if v := s.place.visited; v > len(classes)+rejected {
+	sweepAgrees(t, s, j)
+	if v := s.Visited(); v > len(classes)+rejected {
 		t.Fatalf("sweep visited %d machines, want at most %d classes + %d bus rejections", v, len(classes), rejected)
 	}
 }
 
 // TestSweepRepresentativeSkipsSaturatedBus: four machines holding twin
-// jobs are one class, but machine 0's bus is oversubscribed. The bus is
-// not in the fingerprint, so the sweep walks the class to machine 1, as
-// the per-machine filter does.
+// jobs are one class, but machine 0's free bus bandwidth is a tenth under
+// the job's demand — the perfmodel.BusDemand of its best allocation on an
+// empty cluster — and machine 1's a tenth over it. The bus is not in the
+// fingerprint, so the sweep walks the class to machine 1, as the
+// per-machine filter does; the reference estimates the demand on its
+// own, so an estimate off by a tenth either way fails here too.
 func TestSweepRepresentativeSkipsSaturatedBus(t *testing.T) {
-	s := newSched(t, TopoAware, topology.Cluster(4, topology.KindMinsky))
+	topo := topology.Cluster(4, topology.KindMinsky)
+	s := NewSched(t, TopoAware, topo)
 	st := s.State()
-	busy := mkJob("busy", 16, 1, 0, 0).Traits()
+	j := MkJob("a", 16, 2, 0, 0)
+	demand := perfmodel.BusDemand(j.Model, j.BatchSize, topo, topo.BestAllocation(j.GPUs))
+	busy := MkJob("busy", 16, 1, 0, 0).Traits()
 	for m := 0; m < 4; m++ {
 		bw := 0.0
-		if m == 0 {
-			bw = 2 * st.FreeBusBandwidth(0) // oversubscribed: below any demand
+		switch m {
+		case 0:
+			bw = st.FreeBusBandwidth(0) - 0.9*demand // a tenth short
+		case 1:
+			bw = st.FreeBusBandwidth(1) - 1.1*demand // a tenth to spare
 		}
 		if err := st.Allocate(fmt.Sprintf("busy%d", m), []int{4 * m}, bw, busy); err != nil {
 			t.Fatal(err)
@@ -161,17 +177,12 @@ func TestSweepRepresentativeSkipsSaturatedBus(t *testing.T) {
 	if len(classesOf(st)) != 1 {
 		t.Fatal("setup: the four machines are not one class")
 	}
-	j := mkJob("a", 16, 2, 0, 0)
-	want, _ := NewPlacer(TopoAware, st, s.mapper).Attempt(j)
-	got, _ := s.place.attempt(j)
-	if got == nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
-	}
+	got := sweepAgrees(t, s, j)
 	if m := st.MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{1}) {
 		t.Fatalf("placed on machines %v, want the first member with bus headroom, 1", m)
 	}
-	if s.place.visited != 2 {
-		t.Fatalf("sweep visited %d machines, want 2", s.place.visited)
+	if s.Visited() != 2 {
+		t.Fatalf("sweep visited %d machines, want 2", s.Visited())
 	}
 }
 
@@ -182,9 +193,9 @@ func TestSweepRepresentativeSkipsSaturatedBus(t *testing.T) {
 // utility.
 func mirroredPair(t *testing.T) (*Core, *job.Job, [2]float64) {
 	t.Helper()
-	s := newSched(t, TopoAware, topology.Cluster(2, topology.KindMinsky))
+	s := NewSched(t, TopoAware, topology.Cluster(2, topology.KindMinsky))
 	st := s.State()
-	busy := mkJob("busy", 16, 1, 0, 0).Traits()
+	busy := MkJob("busy", 16, 1, 0, 0).Traits()
 	if err := st.Allocate("m0", []int{0}, 0, busy); err != nil { // machine 0, socket 0
 		t.Fatal(err)
 	}
@@ -194,10 +205,10 @@ func mirroredPair(t *testing.T) (*Core, *job.Job, [2]float64) {
 	if st.MachineFingerprint(0) == st.MachineFingerprint(1) {
 		t.Fatal("setup: the two machines fold into one class")
 	}
-	j := mkJob("a", 16, 1, 0, 0)
+	j := MkJob("a", 16, 1, 0, 0)
 	u := [2]float64{}
 	for m := range u {
-		pl, err := s.mapper.Place(j, st, st.FreeGPUsOnMachine(m))
+		pl, err := s.Mapper().Place(j, st, st.FreeGPUsOnMachine(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,11 +225,7 @@ func mirroredPair(t *testing.T) (*Core, *job.Job, [2]float64) {
 // per-machine sweep's strict > does.
 func TestSweepEqualUtilityKeepsLowerMachine(t *testing.T) {
 	s, j, _ := mirroredPair(t)
-	want, _ := NewPlacer(TopoAware, s.State(), s.mapper).Attempt(j)
-	got, _ := s.place.attempt(j)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
-	}
+	got := sweepAgrees(t, s, j)
 	if m := s.State().MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{0}) {
 		t.Fatalf("equal utilities resolved to machines %v, want 0", m)
 	}
@@ -231,12 +238,12 @@ func TestSweepEqualUtilityKeepsLowerMachine(t *testing.T) {
 func TestSweepBoundEqualToBestKeepsLowerMachine(t *testing.T) {
 	s, j, u := mirroredPair(t)
 	st := s.State()
-	if bound := s.mapper.UtilityBound(j, st, 1, st.FreeGPUsOnMachine(1)); bound != u[0] {
+	if bound := s.Mapper().UtilityBound(j, st, 1, st.FreeGPUsOnMachine(1)); bound != u[0] {
 		t.Fatalf("setup: machine 1 bound %v, machine 0 utility %v", bound, u[0])
 	}
-	got, _ := s.place.attempt(j)
-	if s.place.scored != 1 {
-		t.Fatalf("sweep mapped %d classes, want 1", s.place.scored)
+	got, _ := s.Attempt(j)
+	if s.Scored() != 1 {
+		t.Fatalf("sweep mapped %d classes, want 1", s.Scored())
 	}
 	if m := st.MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{0}) {
 		t.Fatalf("a bound equal to the best resolved to machines %v, want 0", m)
@@ -251,18 +258,14 @@ func TestSweepEqualBoundsMapLowerMachineFirst(t *testing.T) {
 	s, j, u := mirroredPair(t)
 	st := s.State()
 	for m := 0; m < 2; m++ {
-		if bound := s.mapper.UtilityBound(j, st, m, st.FreeGPUsOnMachine(m)); bound != u[m] {
+		if bound := s.Mapper().UtilityBound(j, st, m, st.FreeGPUsOnMachine(m)); bound != u[m] {
 			t.Fatalf("setup: machine %d bound %v, utility %v", m, bound, u[m])
 		}
 	}
-	want, _ := NewPlacer(TopoAware, st, s.mapper).Attempt(j)
-	got, _ := s.place.attempt(j)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
-	}
+	got := sweepAgrees(t, s, j)
 	// Machine 1 first would have been mapped, and machine 0 after it.
-	if s.place.scored != 1 {
-		t.Fatalf("sweep mapped %d classes, want 1", s.place.scored)
+	if s.Scored() != 1 {
+		t.Fatalf("sweep mapped %d classes, want 1", s.Scored())
 	}
 	if m := st.MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{0}) {
 		t.Fatalf("equal bounds resolved to machines %v, want 0", m)
@@ -284,61 +287,53 @@ func TestSweepEqualUtilityAtLowerMachineWinsLate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSched(t, TopoAware, topo)
+	s := NewSched(t, TopoAware, topo)
 	st := s.State()
-	j := mkJob("a", 16, 1, 0, 0)
+	j := MkJob("a", 16, 1, 0, 0)
 	var u, bound [2]float64
 	for m := range u {
 		free := st.FreeGPUsOnMachine(m)
-		pl, err := s.mapper.Place(j, st, free)
+		pl, err := s.Mapper().Place(j, st, free)
 		if err != nil {
 			t.Fatal(err)
 		}
-		u[m], bound[m] = pl.Utility, s.mapper.UtilityBound(j, st, m, free)
+		u[m], bound[m] = pl.Utility, s.Mapper().UtilityBound(j, st, m, free)
 	}
 	if u[0] != u[1] || bound[0] != u[0] || !(bound[1] > bound[0]) {
 		t.Fatalf("setup: utilities %v, bounds %v; want equal utilities, machine 0's bound equal to them and machine 1's above", u, bound)
 	}
-	want, _ := NewPlacer(TopoAware, st, s.mapper).Attempt(j)
-	got, _ := s.place.attempt(j)
-	if got == nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
-	}
+	got := sweepAgrees(t, s, j)
 	if m := st.MachinesOf(got.GPUs); !reflect.DeepEqual(m, []int{0}) {
 		t.Fatalf("placed on machines %v, want the lower machine 0", m)
 	}
-	if s.place.scored != 2 {
-		t.Fatalf("sweep mapped %d classes, want 2", s.place.scored)
+	if s.Scored() != 2 {
+		t.Fatalf("sweep mapped %d classes, want 2", s.Scored())
 	}
 }
 
 // TestDecisionAllocatesTwo: one TOPO-AWARE single-node decision
 // allocates exactly the placement it returns and that placement's GPUs,
-// whatever the fleet and however many hosts it scores — classes are
+// whatever the fleet and however many classes it bounds — classes are
 // scored into the placer's scratch. Each fleet holds one busy machine
-// and otherwise empty ones; with the fold off (the differential
-// reference) every host is scored, so an allocation per class or per
-// host fails on every fleet.
+// and otherwise empty ones, two classes, so an allocation per class or
+// per machine fails on every fleet.
 func TestDecisionAllocatesTwo(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random, so the mapper's pooled scratch allocates")
 	}
 	for _, machines := range []int{8, 64} {
-		for _, perMachine := range []bool{false, true} {
-			topo := topology.Cluster(machines, topology.KindMinsky)
-			st := cluster.NewState(topo)
-			if err := st.Allocate("busy", []int{0}, 0, mkJob("busy", 16, 1, 0, 0).Traits()); err != nil {
-				t.Fatal(err)
+		topo := topology.Cluster(machines, topology.KindMinsky)
+		s := New(TopoAware, cluster.NewState(topo), MapperUpTo4(t, topo))
+		if err := s.State().Allocate("busy", []int{0}, 0, MkJob("busy", 16, 1, 0, 0).Traits()); err != nil {
+			t.Fatal(err)
+		}
+		j := MkJob("a", 16, 2, 0, 0)
+		if n := testing.AllocsPerRun(50, func() {
+			if pl, _ := s.Attempt(j); pl == nil {
+				t.Fatal("no placement")
 			}
-			p := placer{policy: TopoAware, state: st, mapper: mapperUpTo4(t, topo), perMachine: perMachine}
-			j := mkJob("a", 16, 2, 0, 0)
-			if n := testing.AllocsPerRun(50, func() {
-				if pl, _ := p.attempt(j); pl == nil {
-					t.Fatal("no placement")
-				}
-			}); n != 2 {
-				t.Errorf("minsky:%d, perMachine %t: one decision allocates %v objects, want 2", machines, perMachine, n)
-			}
+		}); n != 2 {
+			t.Errorf("minsky:%d: one decision allocates %v objects, want 2", machines, n)
 		}
 	}
 }
@@ -347,24 +342,16 @@ func TestDecisionAllocatesTwo(t *testing.T) {
 // is as fixed within one sweep as any other job, so equal-shape machines
 // fold for it too.
 func TestSweepFoldsCustomCommGraphs(t *testing.T) {
-	s := newSched(t, TopoAware, topology.Cluster(8, topology.KindMinsky))
-	j := mkJob("ring", 16, 4, 0, 0)
+	s := NewSched(t, TopoAware, topology.Cluster(8, topology.KindMinsky))
+	j := MkJob("ring", 16, 4, 0, 0)
 	if err := j.SetCommGraph(jobgraph.Ring(4, 2)); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := NewPlacer(TopoAware, s.State(), s.mapper).Attempt(j)
-	got, _ := s.place.attempt(j)
-	if got == nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("class sweep %+v, per-machine sweep %+v", got, want)
-	}
-	if n := classesEvaluated(&s.place); n != 1 {
+	sweepAgrees(t, s, j)
+	if n := s.Bounded(); n != 1 {
 		t.Fatalf("eight empty machines evaluated as %d classes", n)
 	}
 }
-
-// classesEvaluated counts the classes the placer's last single-node
-// sweep bounded.
-func classesEvaluated(p *placer) int { return len(p.classes) }
 
 // classesOf returns the live classes of st's index.
 func classesOf(st *cluster.State) [][]int32 {

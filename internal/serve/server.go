@@ -212,7 +212,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// NewMulti is New; cmd/topoperf (frozen) is its only caller.
+// NewMulti is New; the frozen cmd/topoperf is its only caller
+// (docs/performance.md, "The frozen benchmark contract").
 func NewMulti(cfg Config) (*Server, error) { return New(cfg) }
 
 // Domains returns the number of scheduling domains (1 for an unsplit

@@ -244,12 +244,14 @@ type StateResponse struct {
 	Domains []DomainState `json:"domains,omitempty"`
 	// PlaceCache is never set (the place-cache LRU is gone), so
 	// "place_cache" no longer appears on the wire; kept because the frozen
-	// cmd/topoperf reads it.
+	// cmd/topoperf reads it (docs/performance.md, "The frozen benchmark
+	// contract").
 	PlaceCache *PlaceCacheStats `json:"place_cache,omitempty"`
 }
 
 // PlaceCacheStats is the type of the never-set StateResponse.PlaceCache;
-// the frozen cmd/topoperf is its only user.
+// the frozen cmd/topoperf is its only user (docs/performance.md, "The
+// frozen benchmark contract").
 type PlaceCacheStats struct {
 	Hits      int `json:"hits"`
 	Misses    int `json:"misses"`
@@ -317,11 +319,14 @@ type BandwidthEntry struct {
 // fields measure real CPU time and are volatile across a replay; the
 // counters are deterministic and must survive recovery exactly.
 type SchedStats struct {
-	Decisions       int     `json:"decisions"`
-	Placements      int     `json:"placements"`
-	Postponements   int     `json:"postponements"`
-	SLOViolations   int     `json:"slo_violations"`
-	GateSkips       int     `json:"gate_skips"` // always 0 (the version gate is gone); kept because the frozen cmd/topoperf reads it
+	Decisions     int `json:"decisions"`
+	Placements    int `json:"placements"`
+	Postponements int `json:"postponements"`
+	SLOViolations int `json:"slo_violations"`
+	// GateSkips is always 0 (the version gate is gone); kept because the
+	// frozen cmd/topoperf reads it (docs/performance.md, "The frozen
+	// benchmark contract").
+	GateSkips       int     `json:"gate_skips"`
 	WakeSkips       int     `json:"wake_skips"`
 	Preemptions     int     `json:"preemptions,omitempty"`
 	Evictions       int     `json:"evictions,omitempty"`
