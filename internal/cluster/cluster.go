@@ -74,7 +74,8 @@ type State struct {
 	fp      []fpSlot
 	dirty   []int32
 	classes classTable
-	fpBuf   []byte // fingerprint's formatting scratch
+	fpBuf   []byte      // fingerprint's formatting scratch
+	fpTok   floatTokens // fingerprint's distances, formatted once
 
 	// residents[m] is machine m's resident table — the jobs with a GPU
 	// there, sorted by job ID: the co-runners Eq. 4 sums over, in the
@@ -724,12 +725,24 @@ func (s *State) FragSum() float64 { return s.fragSum }
 // distinct) GPUs were additionally allocated — the ω_d the utility
 // function scores for a candidate placement. O(len(gpus)).
 func (s *State) FragmentationAfter(gpus []int) float64 {
-	if s.socketCount == 0 {
-		return 0
-	}
+	return s.FragmentationAfterDelta(s.SocketDelta(gpus))
+}
+
+// SocketDelta returns Σ 1/SocketSize over gpus, in order: what allocating
+// them takes off the Eq. 5 sum.
+func (s *State) SocketDelta(gpus []int) float64 {
 	delta := 0.0
 	for _, pos := range gpus {
 		delta += 1 / float64(s.topo.SocketSize(pos))
+	}
+	return delta
+}
+
+// FragmentationAfterDelta returns Eq. 5 evaluated as if GPUs whose
+// SocketDelta is delta were additionally allocated. O(1).
+func (s *State) FragmentationAfterDelta(delta float64) float64 {
+	if s.socketCount == 0 {
+		return 0
 	}
 	frag := (s.fragSum - delta) / float64(s.socketCount)
 	if frag < 0 {
@@ -784,8 +797,16 @@ func (s *State) FreeMachines() int {
 // list first (see Classes), and a recompute is O(free² + jobs·free) on a
 // single machine. The string is the interned one MachineClass numbers.
 func (s *State) MachineFingerprint(m int) string {
-	return s.classes.names[s.MachineClass(m)]
+	return s.ClassName(s.MachineClass(m))
 }
+
+// ClassName returns class id's fingerprint: the interned string, which
+// stays the same — bytes and backing array — for as long as id names it.
+// A cache keyed on it is exact across id reuse, trials and Clone, since
+// equal strings are equal fingerprints, and cheap: while the id keeps its
+// name, == compares a length and a pointer. It does not drain: it names
+// the ids of the last class read (Classes).
+func (s *State) ClassName(id int) string { return s.classes.names[id] }
 
 // MachineClass returns the dense id of machine m's fingerprint: two
 // machines have the same class exactly when MachineFingerprint is equal
@@ -869,7 +890,7 @@ func (s *State) fingerprint(m int) []byte {
 	for i, a := range free {
 		for _, c := range free[i+1:] {
 			b = append(b, ',')
-			b = strconv.AppendFloat(b, s.topo.Distance(a, c), 'g', -1, 64)
+			b = s.fpTok.append(b, s.topo.Distance(a, c))
 		}
 	}
 	b = append(b, ";s"...)
@@ -880,7 +901,7 @@ func (s *State) fingerprint(m int) []byte {
 	b = append(b, ";r"...)
 	for _, pos := range free {
 		b = append(b, ',')
-		b = strconv.AppendFloat(b, s.topo.RootDistance(pos), 'g', -1, 64)
+		b = s.fpTok.append(b, s.topo.RootDistance(pos))
 	}
 	for _, r := range s.Residents(m) {
 		t := r.Alloc.Traits
@@ -902,6 +923,39 @@ func (s *State) fingerprint(m int) []byte {
 	}
 	s.fpBuf = b
 	return b
+}
+
+// fpTokenSlots is how many distinct distances a state keeps formatted for
+// its fingerprints. Every machine kind writes three — two intra-machine
+// distances and its root attachment — so a fleet of one kind never falls
+// back to strconv; a fleet mixing kinds may, past its first four values.
+const fpTokenSlots = 4
+
+// floatTokens memoises strconv.AppendFloat(_, v, 'g', -1, 64) for the
+// first fpTokenSlots distinct values it formats, keyed by their bits.
+type floatTokens struct {
+	n    int
+	bits [fpTokenSlots]uint64
+	size [fpTokenSlots]uint8
+	// text holds each token; a float64 in 'g' form is at most 24 bytes.
+	text [fpTokenSlots][24]byte
+}
+
+// append appends v to b as strconv.AppendFloat(b, v, 'g', -1, 64) does.
+func (t *floatTokens) append(b []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	for i := range t.n {
+		if t.bits[i] == bits {
+			return append(b, t.text[i][:t.size[i]]...)
+		}
+	}
+	if t.n == fpTokenSlots {
+		return strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	tok := strconv.AppendFloat(t.text[t.n][:0], v, 'g', -1, 64)
+	t.bits[t.n], t.size[t.n] = bits, uint8(len(tok))
+	t.n++
+	return append(b, tok...)
 }
 
 // Clone returns a deep copy of the allocation state sharing the topology,

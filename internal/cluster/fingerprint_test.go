@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -293,6 +294,42 @@ func TestFingerprintBytesUnchanged(t *testing.T) {
 			}
 			checkFingerprintBytes(t, s, fmt.Sprintf("%s step %d", name, step))
 		}
+	}
+}
+
+// TestFingerprintTokensFallBack: a fleet of all three machine kinds has
+// more distinct distances than the state's token table holds, so once the
+// empty machines have filled it, fingerprint formats the rest with
+// strconv on every call; the bytes stay the fmt formatter's throughout.
+func TestFingerprintTokensFallBack(t *testing.T) {
+	s := fpState(t, "minsky:1+dgx1:1+pcie:1")
+	topo := s.Topology()
+	distinct := map[uint64]bool{}
+	for m := 0; m < topo.NumMachines(); m++ {
+		gpus := topo.GPUsOfMachine(m)
+		for i, a := range gpus {
+			distinct[math.Float64bits(topo.RootDistance(a))] = true
+			for _, c := range gpus[i+1:] {
+				distinct[math.Float64bits(topo.Distance(a, c))] = true
+			}
+		}
+	}
+	if len(distinct) <= fpTokenSlots {
+		t.Fatalf("setup: %d distinct distances fit the %d-slot token table", len(distinct), fpTokenSlots)
+	}
+	// Every distance of an empty fleet is in some fingerprint.
+	checkFingerprintBytes(t, s, "empty")
+	if s.fpTok.n != fpTokenSlots {
+		t.Fatalf("%d tokens held after %d distinct distances, want the table full at %d", s.fpTok.n, len(distinct), fpTokenSlots)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 150; step++ {
+		if rng.Intn(3) > 0 {
+			randomAllocate(t, rng, s, jobName(step))
+		} else {
+			randomRelease(t, rng, s)
+		}
+		checkFingerprintBytes(t, s, fmt.Sprintf("step %d", step))
 	}
 }
 

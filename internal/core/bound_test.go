@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -142,5 +143,105 @@ func TestUtilityBoundAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { mapper.UtilityBound(j, st, m, free) }); n != 0 {
 			t.Fatalf("UtilityBound on machine %d allocates %v times", m, n)
 		}
+	}
+}
+
+// TestClassBoundEqualsUtilityBound: one memo follows a state over each
+// bound fleet through churn — allocations, releases, and trials whose
+// releases Rollback undoes — and after every step, for jobs of four
+// shapes, each class with room bounds through ClassBound to UtilityBound
+// at every member, bit for bit. The churn frees class ids and hands them
+// to other fingerprints, so an entry used past its fingerprint shows. Two
+// of the shapes differ only in parallelism, which the profiles, built for
+// two GPUs, do not key on; the three-GPU jobs fall back to perfmodel,
+// which does.
+func TestClassBoundEqualsUtilityBound(t *testing.T) {
+	var cases, reassigned int
+	for i, fleet := range boundFleets {
+		rng := rand.New(rand.NewSource(int64(i)))
+		topo := mixedFleet(t, fleet)
+		mapper, err := NewMapper(profile.Generate(topo, 2), DefaultWeights())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := cluster.NewState(topo)
+		shapes := []perfmodel.Traits{randomTraits(rng, 3), {}, randomTraits(rng, 1), randomTraits(rng, 2)}
+		shapes[1] = shapes[0]
+		shapes[1].Mode = 1 - shapes[0].Mode
+		jobs := make([]*job.Job, len(shapes))
+		for k, tr := range shapes {
+			jobs[k] = job.New(fmt.Sprintf("j%d", k), tr.Model, tr.Class.Size(), tr.GPUs, 0.5, 0)
+			jobs[k].Parallelism = tr.Mode
+		}
+		var memo BoundMemo
+		names := map[int]string{}
+		check := func(step string) {
+			for id := range st.Classes() {
+				if name, ok := names[id]; ok && name != st.ClassName(id) {
+					reassigned++
+				}
+				names[id] = st.ClassName(id)
+			}
+			for _, j := range jobs {
+				for id, ms := range st.Classes() {
+					if len(ms) == 0 || st.FreeCountOnMachine(int(ms[0])) < j.GPUs {
+						continue
+					}
+					for _, m := range ms {
+						got := mapper.ClassBound(&memo, j, st, id, int(m))
+						want := mapper.UtilityBound(j, st, int(m), st.FreeGPUsOnMachine(int(m)))
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s, %s: %s on class %d, machine %d: ClassBound %v, UtilityBound %v",
+								fleet, step, j.ID, id, m, got, want)
+						}
+						cases++
+					}
+				}
+			}
+		}
+		release := func() {
+			if ids := st.Jobs(); len(ids) > 0 {
+				if err := st.Release(ids[rng.Intn(len(ids))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for step := 0; step < 600; step++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				free := st.FreeGPUsOnMachine(rng.Intn(topo.NumMachines()))
+				if len(free) == 0 {
+					continue
+				}
+				rng.Shuffle(len(free), func(i, k int) { free[i], free[k] = free[k], free[i] })
+				gpus := free[:1+rng.Intn(min(3, len(free)))]
+				if err := st.Allocate(fmt.Sprintf("b%d", step), gpus, 1, randomTraits(rng, len(gpus))); err != nil {
+					t.Fatal(err)
+				}
+			case 2:
+				release()
+			case 3:
+				if err := st.Mark(); err != nil {
+					t.Fatal(err)
+				}
+				release()
+				release()
+				check(fmt.Sprintf("step %d in a trial", step))
+				st.Rollback()
+			}
+			check(fmt.Sprintf("step %d", step))
+		}
+		// A warm entry costs the final formula and nothing else.
+		for id, ms := range st.Classes() {
+			if len(ms) > 0 && st.FreeCountOnMachine(int(ms[0])) >= jobs[0].GPUs {
+				if n := testing.AllocsPerRun(100, func() { mapper.ClassBound(&memo, jobs[0], st, id, int(ms[0])) }); n != 0 {
+					t.Fatalf("%s: a warm ClassBound allocates %v times", fleet, n)
+				}
+			}
+		}
+	}
+	t.Logf("%d bounds checked, %d class ids seen reassigned", cases, reassigned)
+	if cases < 10000 || reassigned < 100 {
+		t.Errorf("only %d bounds checked and %d ids reassigned", cases, reassigned)
 	}
 }

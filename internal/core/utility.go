@@ -186,8 +186,8 @@ func elsewhere(st *cluster.State, sites []site, i int, alloc *cluster.Allocation
 // UtilityBound returns an upper bound on the utility of any placement of
 // the single-node job j on the machine whose free GPUs are free: PlaceInto
 // over free never scores above it, compared bit for bit. The TOPO-AWARE
-// sweep skips a machine whose bound cannot beat the best placement it
-// already holds. It allocates nothing.
+// sweep bounds each machine class once and maps no class whose bound
+// cannot beat the best placement it already holds. It allocates nothing.
 //
 // Utility is monotone in each term (the weights are non-negative and IEEE
 // rounding is monotone), so each term is bounded on its own:
@@ -203,23 +203,133 @@ func elsewhere(st *cluster.State, sites []site, i int, alloc *cluster.Allocation
 // the chosen GPUs; when those terms are all equal, any j.GPUs of them give
 // the same sum. A negative profile product would break the ordering, so
 // one makes the bound +Inf.
+//
+// UtilityBound is BoundFrom(BoundTerms(…)): the class terms, then the
+// final formula. The sweep reaches it through ClassBound's memo.
+//
+//lint:ignore deadcode oracle: core and difftest tests hold PlaceInto and ClassBound to this bound
 func (m *Mapper) UtilityBound(j *job.Job, st *cluster.State, machine int, free []int) float64 {
+	return m.BoundFrom(m.BoundTerms(j, st, machine, free), j, st)
+}
+
+// BoundTerms are the parts of UtilityBound a machine's class fixes for a
+// job shape: they read only j.Traits(), the machine's residents and the
+// socket sizes of its free GPUs, all of which the class fingerprint
+// (cluster.State.MachineFingerprint) carries. What else the bound reads —
+// the cluster's Eq. 5 sum and the job's communication intensity — BoundFrom
+// reads at the time of the decision.
+type BoundTerms struct {
+	// UB is u_b⁺, or +Inf when a profile product is negative: the bound is
+	// then +Inf.
+	UB float64
+	// Delta is cluster.State.SocketDelta of the first j.GPUs free GPUs;
+	// it prices u_d exactly when Exact is set.
+	Delta float64
+	// Exact reports that the machine has j.GPUs free GPUs, all in sockets
+	// of one size.
+	Exact bool
+}
+
+// BoundTerms returns the class terms of UtilityBound for j on machine,
+// whose free GPUs are free. It allocates nothing.
+func (m *Mapper) BoundTerms(j *job.Job, st *cluster.State, machine int, free []int) BoundTerms {
 	sens := m.profiles.Sensitivity(j.Traits())
 	var sum float64
 	for _, r := range st.Residents(machine) {
 		x := sens * m.profiles.Pressure(r.Alloc.Traits)
 		if !(x >= 0) {
-			return math.Inf(1)
+			return BoundTerms{UB: math.Inf(1)}
 		}
 		sum += x * perfmodel.LocalityFactor(perfmodel.SameMachine)
 	}
-	uB := 1 / (1 + perfmodel.CapSlowdown(sum))
-
-	uD := 1.0
+	t := BoundTerms{UB: 1 / (1 + perfmodel.CapSlowdown(sum))}
 	if len(free) >= j.GPUs && oneSocketSize(st, free) {
-		uD = 1 - st.FragmentationAfter(free[:j.GPUs])
+		t.Delta, t.Exact = st.SocketDelta(free[:j.GPUs]), true
 	}
-	return Utility(m.weights, j.CommIntensity(), 1, uB, uD)
+	return t
+}
+
+// BoundFrom finishes UtilityBound from a class's terms, the state's
+// current Eq. 5 sum and j's communication intensity.
+func (m *Mapper) BoundFrom(t BoundTerms, j *job.Job, st *cluster.State) float64 {
+	if math.IsInf(t.UB, 1) {
+		return t.UB
+	}
+	uD := 1.0
+	if t.Exact {
+		uD = 1 - st.FragmentationAfterDelta(t.Delta)
+	}
+	return Utility(m.weights, j.CommIntensity(), 1, t.UB, uD)
+}
+
+// BoundMemo memoises BoundTerms per job shape and machine class for
+// ClassBound, so that a sweep bounds a class once per shape rather than
+// once per decision. A memo serves one mapper — the terms read its
+// profiles — and its zero value is empty and ready.
+//
+// A row per shape is indexed by class id. The shape is the job's full
+// perfmodel.Traits, which is all BoundTerms reads of the job; the
+// communication intensity stays out, since BoundFrom reads it. An entry
+// is keyed on the fingerprint its class id named when the terms were
+// taken (cluster.State.ClassName) and is used only while the id still
+// names it: the fingerprint fixes the terms, so the memo is exact across
+// reassigned ids, trials, Clone and states alike.
+type BoundMemo struct {
+	shapes map[perfmodel.Traits]int // shape -> row
+	rows   [][]boundEntry
+	// last and lastRow are the shape of the previous ClassBound call and
+	// its row: a sweep asks for one shape many times running.
+	last    perfmodel.Traits
+	lastRow int
+	// free is the miss path's free-GPU scratch.
+	free []int
+}
+
+// boundEntry is one class's memoised terms for one shape.
+type boundEntry struct {
+	name  string // the class's fingerprint the terms were taken for; "" for none
+	terms BoundTerms
+}
+
+// row returns the index of shape t's row, adding an empty one for a shape
+// not seen before.
+func (b *BoundMemo) row(t perfmodel.Traits) int {
+	if len(b.rows) > 0 && t == b.last {
+		return b.lastRow
+	}
+	r, ok := b.shapes[t]
+	if !ok {
+		if b.shapes == nil {
+			b.shapes = make(map[perfmodel.Traits]int)
+		}
+		r = len(b.rows)
+		b.shapes[t] = r
+		b.rows = append(b.rows, nil)
+	}
+	b.last, b.lastRow = t, r
+	return r
+}
+
+// ClassBound returns UtilityBound(j, st, rep, free GPUs of rep) bit for
+// bit, where class is rep's class id as of st's last class read
+// (cluster.State.Classes). It takes the class terms from memo when the
+// id still names the fingerprint they were taken for, and otherwise
+// computes and stores them. A warm call allocates nothing.
+func (m *Mapper) ClassBound(memo *BoundMemo, j *job.Job, st *cluster.State, class, rep int) float64 {
+	r := memo.row(j.Traits())
+	row := memo.rows[r]
+	if class >= len(row) {
+		// Class ids stay below NumMachines()+1: a row is allocated once.
+		n := max(class+1, st.Topology().NumMachines()+1)
+		row = append(row, make([]boundEntry, n-len(row))...)
+		memo.rows[r] = row
+	}
+	e := &row[class]
+	if name := st.ClassName(class); e.name != name {
+		memo.free = st.AppendFreeGPUsOnMachine(memo.free[:0], rep)
+		*e = boundEntry{name: name, terms: m.BoundTerms(j, st, rep, memo.free)}
+	}
+	return m.BoundFrom(e.terms, j, st)
 }
 
 // oneSocketSize reports whether every GPU in gpus sits in a socket of the

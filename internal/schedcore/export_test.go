@@ -24,6 +24,12 @@ func (c *Core) Attempt(j *job.Job) (*core.Placement, string) { return c.place.at
 // Mapper returns the mapper the Core's placer scores with.
 func (c *Core) Mapper() *core.Mapper { return c.place.mapper }
 
+// ClassBound bounds j on class, at its member rep, as the Core's sweep
+// does: through its placer's memo.
+func (c *Core) ClassBound(j *job.Job, class, rep int) float64 {
+	return c.place.mapper.ClassBound(&c.place.bounds, j, c.state, class, rep)
+}
+
 // Scored, Visited and Bounded report the last single-node sweep: the
 // classes it mapped, the machines whose bus it checked and the classes
 // it bounded.

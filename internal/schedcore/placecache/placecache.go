@@ -9,7 +9,7 @@
 // its placecache.lookup_ns probe times a Lookup — and is their only user
 // (docs/performance.md, "The frozen benchmark contract"):
 // internal/lint/layering bars every product package from importing this
-// one, and the PR that unfreezes the benchmark deletes it (ROADMAP item 2).
+// one, and the PR that unfreezes the benchmark deletes it (ROADMAP item 6).
 package placecache
 
 import (

@@ -26,6 +26,8 @@ type placer struct {
 	// per class that can take the job, kept as a heap in sweep order
 	// (classCand.before).
 	classes []classCand
+	// bounds memoises the sweep's class bounds across decisions.
+	bounds core.BoundMemo
 	// cur and best are the sweep's scratch placements: each class is
 	// scored into cur, which trades places with best when it wins, so
 	// neither placement nor its GPUs is allocated per class.
@@ -37,7 +39,7 @@ type placer struct {
 
 // classCand is one class in the single-node sweep: its representative —
 // its lowest member with the bus headroom the job needs — and the class's
-// core.Mapper.UtilityBound.
+// bound, core.Mapper.UtilityBound at the representative.
 type classCand struct {
 	bound float64
 	rep   int
@@ -244,14 +246,16 @@ func (p *placer) bestFitGPUs(machine, n int) []int {
 // to its representative, the lowest one the bus filter admits — the
 // machine a walk of the filtered hosts in index order would meet first.
 //
-// Each class is bounded once by core.Mapper.UtilityBound, and classes are
-// mapped by descending bound, ties by representative. The sweep stops at
-// the first bound below the best utility so far: no later class can reach
-// it. A class whose bound equals the best is mapped only if its
-// representative is below the best's machine, and a class wins on
-// strictly higher utility or on equal utility at a lower machine. Anti-
-// collocated jobs are bounded at +Inf, so every class is mapped, in
-// representative order.
+// Each class is bounded once by core.Mapper.UtilityBound, through the
+// placer's memo of its class terms (core.Mapper.ClassBound): a class
+// bounded for the job's shape before, under the same fingerprint, costs
+// only the final formula. Classes are mapped by descending bound, ties by
+// representative. The sweep stops at the first bound below the best
+// utility so far: no later class can reach it. A class whose bound equals
+// the best is mapped only if its representative is below the best's
+// machine, and a class wins on strictly higher utility or on equal
+// utility at a lower machine. Anti-collocated jobs are bounded at +Inf,
+// so every class is mapped, in representative order.
 //
 // A multi-node job is mapped once, onto the free GPUs of every machine
 // with the bus headroom it needs.
@@ -310,7 +314,7 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 func (p *placer) sweepClasses(j *job.Job) []classCand {
 	demand := estimateDemand(j, p.state)
 	cands := p.classes[:0]
-	for _, ms := range p.state.Classes() {
+	for id, ms := range p.state.Classes() {
 		if len(ms) == 0 || p.state.FreeCountOnMachine(int(ms[0])) < j.GPUs {
 			continue
 		}
@@ -327,9 +331,7 @@ func (p *placer) sweepClasses(j *job.Job) []classCand {
 		}
 		bound := math.Inf(1)
 		if !j.AntiCollocate {
-			free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], rep)
-			p.freeScratch = free
-			bound = p.mapper.UtilityBound(j, p.state, rep, free)
+			bound = p.mapper.ClassBound(&p.bounds, j, p.state, id, rep)
 		}
 		cands = append(cands, classCand{bound: bound, rep: rep})
 	}

@@ -2,6 +2,7 @@ package schedcore_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -308,6 +309,89 @@ func TestSweepEqualUtilityAtLowerMachineWinsLate(t *testing.T) {
 	}
 	if s.Scored() != 2 {
 		t.Fatalf("sweep mapped %d classes, want 2", s.Scored())
+	}
+}
+
+// boundsExact holds the Core's memoised bound of every class that can take
+// j, at the class's lowest member, to core.Mapper.UtilityBound there, bit
+// for bit.
+func boundsExact(t *testing.T, s *Core, j *job.Job, step string) {
+	t.Helper()
+	st := s.State()
+	for id, ms := range st.Classes() {
+		if len(ms) == 0 || st.FreeCountOnMachine(int(ms[0])) < j.GPUs {
+			continue
+		}
+		m := int(ms[0])
+		got, want := s.ClassBound(j, id, m), s.Mapper().UtilityBound(j, st, m, st.FreeGPUsOnMachine(m))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: class %d (machine %d): memoised bound %v, UtilityBound %v", step, id, m, got, want)
+		}
+	}
+}
+
+// TestBoundMemoSurvivesIDReuse: the placer memoises class bounds per job
+// shape across decisions, keyed on the class's fingerprint, not its id.
+// Between decisions of one shape on minsky:2, machine 0's class id is
+// freed and handed to another fingerprint, and inside a trial its
+// releases move machine 0 through two more ids, one of them the freed
+// one again; after the Rollback, machine 0's old fingerprint is re-found
+// under the id the trial last freed. After every step each class's
+// memoised bound must be UtilityBound's and the decision the reference's.
+func TestBoundMemoSurvivesIDReuse(t *testing.T) {
+	s := NewSched(t, TopoAware, topology.Cluster(2, topology.KindMinsky))
+	st := s.State()
+	j := MkJob("a", 16, 2, 0, 0)
+	decide := func(step string, class int) {
+		t.Helper()
+		sweepAgrees(t, s, j)
+		if got := st.MachineClass(0); got != class {
+			t.Fatalf("setup, %s: machine 0 has class %d, want %d", step, got, class)
+		}
+		boundsExact(t, s, j, step)
+	}
+	alloc := func(id string, batch, gpu int) {
+		t.Helper()
+		if err := st.Allocate(id, []int{gpu}, 0, MkJob(id, batch, 1, 0, 0).Traits()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release := func(id string) {
+		t.Helper()
+		if err := st.Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	decide("both machines empty", 0)
+	empty := st.ClassName(0)
+	// One job of one shape on each machine: both move to a new class 1,
+	// and class 0 is left to nobody.
+	alloc("x", 16, 0)
+	alloc("y", 16, 4)
+	decide("one job on each machine", 1)
+	// A second job on machine 0 is a new fingerprint, which takes the
+	// freed id 0.
+	alloc("z", 64, 1)
+	decide("id 0 reassigned", 0)
+	if st.ClassName(0) == empty {
+		t.Fatal("setup: id 0 still names the empty machine")
+	}
+	busy := st.ClassName(0)
+
+	if err := st.Mark(); err != nil {
+		t.Fatal(err)
+	}
+	release("x") // machine 0 holds z alone: new id 2, and id 0 is free
+	decide("trial, x released", 2)
+	release("z") // machine 0 is empty: it takes id 0 again, id 2 is free
+	decide("trial, x and z released", 0)
+	st.Rollback()
+	// x and z are back: machine 0's fingerprint is re-found, and id 2,
+	// free again, is handed to it.
+	decide("rolled back", 2)
+	if st.ClassName(2) != busy {
+		t.Fatal("setup: machine 0's fingerprint changed over the trial")
 	}
 }
 
