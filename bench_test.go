@@ -402,7 +402,7 @@ func BenchmarkAblationFMvsExhaustive(b *testing.B) {
 	b.Run("FM", func(b *testing.B) {
 		var w fm.Workspace
 		for i := 0; i < b.N; i++ {
-			w.Bipartition(g, fm.Options{})
+			w.Bipartition(g)
 		}
 	})
 	b.Run("Exhaustive", func(b *testing.B) {

@@ -12,20 +12,13 @@
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage or load errors.
 //
-// The binary also speaks the `go vet -vettool` protocol: it answers the
-// -V=full and -flags probes and accepts a JSON vet.cfg unit file, so
-//
-//	go vet -vettool=$(which topolint) ./...
-//
-// runs the same suite under the vet driver, one package unit at a time.
 // deadcode needs the whole module, so it runs only on `topolint ./...`
-// from the module root; partial patterns and vet units skip it.
+// from the module root; partial patterns skip it.
 // Suppression uses scoped, justified //lint:ignore directives; see
 // docs/linting.md.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
@@ -44,21 +37,6 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// go vet probes its vettool before handing it work: -V=full asks
-	// for a cache-keyable identity, -flags for pass-through flag defs.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full":
-			fmt.Fprintf(stdout, "topolint version devel buildID=%s\n", buildID())
-			return 0
-		case args[0] == "-flags":
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return runUnit(args[0], stderr)
-		}
-	}
-
 	fs := flag.NewFlagSet("topolint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -134,24 +112,4 @@ func perPackage(analyzers []*analysis.Analyzer) []*analysis.Analyzer {
 		}
 	}
 	return out
-}
-
-// buildID fingerprints the running executable so `go vet` can cache
-// results keyed on the tool's identity, invalidating when the binary
-// changes.
-func buildID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }

@@ -2,10 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -118,125 +115,5 @@ func TestDeadcodeNeedsWholeModule(t *testing.T) {
 			t.Errorf("topolint %v: exit %d, want 0 and no output\nstdout:\n%s\nstderr:\n%s",
 				args, code, stdout.String(), stderr.String())
 		}
-	}
-}
-
-// TestVetProbes covers the two handshakes `go vet -vettool` performs
-// before dispatching work.
-func TestVetProbes(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exit code = %d, want 0", code)
-	}
-	if !strings.HasPrefix(stdout.String(), "topolint version ") || !strings.Contains(stdout.String(), "buildID=") {
-		t.Errorf("-V=full output %q lacks the version/buildID handshake", stdout.String())
-	}
-
-	stdout.Reset()
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exit code = %d, want 0", code)
-	}
-	var flags []any
-	if err := json.Unmarshal(stdout.Bytes(), &flags); err != nil {
-		t.Errorf("-flags output %q is not a JSON array: %v", stdout.String(), err)
-	}
-}
-
-// TestUnitMode drives the vet.cfg protocol end to end: a config built
-// the way cmd/go builds one (export data from `go list`) must produce
-// the same diagnostics and write the vetx output file.
-func TestUnitMode(t *testing.T) {
-	cfgPath, vetxPath := writeUnitConfig(t, "./testdata/src/badpkg")
-
-	var stdout, stderr bytes.Buffer
-	code := run([]string{cfgPath}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "[detmap]") || !strings.Contains(stderr.String(), "[sortslice]") {
-		t.Errorf("unit-mode stderr missing diagnostics:\n%s", stderr.String())
-	}
-	assertFileExists(t, vetxPath)
-}
-
-// TestUnitModeVetxOnly: facts-only invocations succeed without running
-// analyzers but must still write the output file.
-func TestUnitModeVetxOnly(t *testing.T) {
-	dir := t.TempDir()
-	vetxPath := filepath.Join(dir, "out.vetx")
-	cfgPath := filepath.Join(dir, "unit.cfg")
-	writeJSON(t, cfgPath, vetConfig{ID: "x", ImportPath: "x", VetxOnly: true, VetxOutput: vetxPath})
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{cfgPath}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, stderr.String())
-	}
-	assertFileExists(t, vetxPath)
-}
-
-// writeUnitConfig builds a faithful vet.cfg for pattern: GoFiles from
-// the package itself, ImportMap/PackageFile from `go list -export`.
-func writeUnitConfig(t *testing.T, pattern string) (cfgPath, vetxPath string) {
-	t.Helper()
-	out, err := exec.Command("go", "list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,DepOnly", pattern).Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	cfg := vetConfig{
-		ID:          "badpkg",
-		Compiler:    "gc",
-		ImportMap:   map[string]string{},
-		PackageFile: map[string]string{},
-	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p struct {
-			ImportPath string
-			Dir        string
-			GoFiles    []string
-			Export     string
-			DepOnly    bool
-		}
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("decoding go list output: %v", err)
-		}
-		if p.Export != "" {
-			cfg.ImportMap[p.ImportPath] = p.ImportPath
-			cfg.PackageFile[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			cfg.Dir = p.Dir
-			cfg.ImportPath = p.ImportPath
-			for _, gf := range p.GoFiles {
-				cfg.GoFiles = append(cfg.GoFiles, filepath.Join(p.Dir, gf))
-			}
-		}
-	}
-	dir := t.TempDir()
-	vetxPath = filepath.Join(dir, "badpkg.vetx")
-	cfg.VetxOutput = vetxPath
-	cfgPath = filepath.Join(dir, "badpkg.cfg")
-	writeJSON(t, cfgPath, cfg)
-	return cfgPath, vetxPath
-}
-
-func writeJSON(t *testing.T, path string, v any) {
-	t.Helper()
-	data, err := json.Marshal(v)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatalf("write %s: %v", path, err)
-	}
-}
-
-func assertFileExists(t *testing.T, path string) {
-	t.Helper()
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("expected %s to be written: %v", path, err)
 	}
 }

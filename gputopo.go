@@ -33,7 +33,6 @@
 package gputopo
 
 import (
-	"gputopo/internal/caffesim"
 	"gputopo/internal/core"
 	"gputopo/internal/job"
 	"gputopo/internal/jobgraph"
@@ -71,9 +70,9 @@ type (
 	// JobResult is the outcome of a single job.
 	JobResult = simulator.JobResult
 	// PrototypeConfig parameterizes the iteration-level prototype engine.
-	PrototypeConfig = caffesim.Config
+	PrototypeConfig = simulator.PrototypeConfig
 	// PrototypeResult extends SimResult with bandwidth time series.
-	PrototypeResult = caffesim.Result
+	PrototypeResult = simulator.PrototypeResult
 	// WorkloadConfig parameterizes the random workload generator.
 	WorkloadConfig = workload.GenConfig
 )
@@ -144,7 +143,7 @@ func Simulate(cfg SimConfig, jobs []*Job) (*SimResult, error) {
 // bandwidth accounting — the in-process equivalent of the paper's Power8
 // prototype (§5.1).
 func RunPrototype(cfg PrototypeConfig, jobs []*Job) (*PrototypeResult, error) {
-	return caffesim.Run(cfg, jobs)
+	return simulator.RunPrototype(cfg, jobs)
 }
 
 // Table1Workload returns the six-job prototype scenario of Table 1.

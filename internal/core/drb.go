@@ -277,7 +277,7 @@ func (d *drbRun) physicalGraphBiPartition(gpus []int) (p0, p1 []int) {
 			g.AddEdge(i, k, 1/dist)
 		}
 	}
-	res := d.fmWork.Bipartition(g, fm.Options{})
+	res := d.fmWork.Bipartition(g)
 	n0 := 0
 	for _, sd := range res.Side {
 		if sd == 0 {

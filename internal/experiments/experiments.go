@@ -10,12 +10,12 @@ package experiments
 import (
 	"fmt"
 
-	"gputopo/internal/caffesim"
 	"gputopo/internal/job"
 	"gputopo/internal/jobgraph"
 	"gputopo/internal/metrics"
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/schedcore"
+	"gputopo/internal/simulator"
 	"gputopo/internal/sweep"
 	"gputopo/internal/topology"
 )
@@ -110,7 +110,7 @@ func RenderFig4(rows []Fig4Row) string {
 // Fig5Series is the NVLink bandwidth usage over time for one batch size.
 type Fig5Series struct {
 	Batch  int
-	Points []caffesim.BandwidthPoint
+	Points []simulator.BandwidthPoint
 	Mean   float64
 	Peak   float64
 }
@@ -133,7 +133,7 @@ func Fig5Bandwidth(seed uint64) ([]Fig5Series, error) {
 		if j.Iterations < 10 {
 			j.Iterations = 10
 		}
-		res, err := caffesim.Run(caffesim.Config{
+		res, err := simulator.RunPrototype(simulator.PrototypeConfig{
 			Topology: topo,
 			Policy:   schedcore.TopoAware,
 			Seed:     seed,

@@ -18,21 +18,14 @@ import (
 	"gputopo/internal/graph"
 )
 
-// Options configures a bipartition run.
-type Options struct {
-	// MaxImbalance is the largest allowed difference between side sizes,
-	// in vertices. The DRB mapper splits physical domains evenly, so the
-	// default (0) means |size0 - size1| <= 1.
-	MaxImbalance int
-	// MaxPasses bounds the number of improvement passes. Each pass moves
-	// every vertex at most once. 0 means the default of 8 passes; FM
-	// almost always converges in 2-4.
-	MaxPasses int
-	// Seed0 optionally pins specific vertices to side 0 (and Seed1 to
-	// side 1), e.g. to keep a socket's GPUs together. Pinned vertices are
-	// never moved.
-	Seed0, Seed1 []int
-}
+const (
+	// maxImbalance is the largest allowed difference between side sizes,
+	// in vertices: the DRB mapper splits physical domains evenly.
+	maxImbalance = 1
+	// maxPasses bounds the number of improvement passes. Each pass moves
+	// every vertex at most once; FM almost always converges in 2-4.
+	maxPasses = 8
+)
 
 // Result describes a computed bipartition.
 type Result struct {
@@ -40,8 +33,6 @@ type Result struct {
 	Side []int
 	// CutWeight is the total weight of edges crossing the partition.
 	CutWeight float64
-	// Passes is the number of improvement passes executed.
-	Passes int
 }
 
 // Workspace carries the per-Bipartition views of the graph plus the pass
@@ -55,68 +46,29 @@ type Workspace struct {
 	inc     [][]inc
 	incFlat []inc
 	side    []int
-	locked  []bool
 	// fmPass scratch.
 	moved    []bool
 	gains    []float64
 	sequence []int
 }
 
-// Bipartition splits g into two balanced halves with small cut weight.
-// It starts from an interleaved assignment (or the provided seeds), then
-// runs FM passes until no pass improves the cut. It panics only on
-// malformed seed indices; an empty graph yields an empty Result. The
-// returned Result.Side aliases w's buffers and is valid until w's next
-// call.
-func (w *Workspace) Bipartition(g *graph.Graph, opt Options) Result {
+// Bipartition splits g into two halves whose sizes differ by at most one
+// vertex, with small cut weight. It starts from an interleaved
+// assignment, then runs FM passes until no pass improves the cut. An
+// empty graph yields an empty Result. The returned Result.Side aliases
+// w's buffers and is valid until w's next call.
+func (w *Workspace) Bipartition(g *graph.Graph) Result {
 	n := g.NumVertices()
-	side, locked := w.side[:0], w.locked[:0]
+	// Initial assignment: alternate the vertices so both sides start
+	// balanced.
+	side := w.side[:0]
 	for v := 0; v < n; v++ {
-		side, locked = append(side, 0), append(locked, false)
+		side = append(side, v%2)
 	}
-	w.side, w.locked = side, locked
+	w.side = side
 	res := Result{Side: side}
 	if n == 0 {
 		return res
-	}
-	if opt.MaxPasses == 0 {
-		opt.MaxPasses = 8
-	}
-
-	for _, v := range opt.Seed0 {
-		res.Side[v] = 0
-		locked[v] = true
-	}
-	for _, v := range opt.Seed1 {
-		res.Side[v] = 1
-		locked[v] = true
-	}
-
-	// Initial assignment: alternate unpinned vertices so both sides start
-	// near balance regardless of seeds.
-	count := [2]int{}
-	for v := 0; v < n; v++ {
-		if locked[v] {
-			count[res.Side[v]]++
-		}
-	}
-	next := 0
-	for v := 0; v < n; v++ {
-		if locked[v] {
-			continue
-		}
-		if count[0] <= count[1] {
-			next = 0
-		} else {
-			next = 1
-		}
-		res.Side[v] = next
-		count[next]++
-	}
-
-	maxDiff := opt.MaxImbalance
-	if maxDiff < 1 {
-		maxDiff = 1
 	}
 
 	// Materialize the edge list and per-vertex incidence once: the passes
@@ -128,9 +80,8 @@ func (w *Workspace) Bipartition(g *graph.Graph, opt Options) Result {
 	w.load(g)
 
 	res.CutWeight = w.cutWeight(res.Side)
-	for pass := 0; pass < opt.MaxPasses; pass++ {
-		improved, newCut := w.fmPass(res.Side, locked, maxDiff)
-		res.Passes = pass + 1
+	for pass := 0; pass < maxPasses; pass++ {
+		improved, newCut := w.fmPass(res.Side)
 		if !improved {
 			break
 		}
@@ -169,7 +120,7 @@ func (w *Workspace) load(g *graph.Graph) {
 // vertex (respecting balance), lock it, and record the running best
 // configuration; finally roll back to that best prefix. Returns whether the
 // cut strictly improved and the resulting cut weight.
-func (w *Workspace) fmPass(side []int, pinned []bool, maxDiff int) (bool, float64) {
+func (w *Workspace) fmPass(side []int) (bool, float64) {
 	n := len(w.inc)
 	moved := w.moved[:0]
 	gains := w.gains[:0]
@@ -203,7 +154,7 @@ func (w *Workspace) fmPass(side []int, pinned []bool, maxDiff int) (bool, float6
 		best := -1
 		bestGain := math.Inf(-1)
 		for v := 0; v < n; v++ {
-			if moved[v] || pinned[v] {
+			if moved[v] {
 				continue
 			}
 			from := side[v]
@@ -211,7 +162,7 @@ func (w *Workspace) fmPass(side []int, pinned []bool, maxDiff int) (bool, float6
 			if diff < 0 {
 				diff = -diff
 			}
-			if diff > maxDiff+1 {
+			if diff > maxImbalance+1 {
 				continue
 			}
 			if gains[v] > bestGain {
@@ -233,7 +184,7 @@ func (w *Workspace) fmPass(side []int, pinned []bool, maxDiff int) (bool, float6
 
 		// Update neighbor gains incrementally.
 		for _, e := range w.inc[best] {
-			if moved[e.to] || pinned[e.to] {
+			if moved[e.to] {
 				continue
 			}
 			gains[e.to] = w.gain(side, e.to)
@@ -243,7 +194,7 @@ func (w *Workspace) fmPass(side []int, pinned []bool, maxDiff int) (bool, float6
 		if diffNow < 0 {
 			diffNow = -diffNow
 		}
-		if diffNow <= maxDiff && curCut < bestCut-1e-12 {
+		if diffNow <= maxImbalance && curCut < bestCut-1e-12 {
 			bestCut = curCut
 			bestPrefix = len(sequence)
 		}

@@ -39,7 +39,7 @@ func sideCounts(side []int) (int, int) {
 
 func TestBipartitionFindsWeakCut(t *testing.T) {
 	g := clusteredGraph()
-	res := bipartition(g, Options{})
+	res := bipartition(g)
 	if res.CutWeight != 1 {
 		t.Fatalf("cut weight = %v, want 1 (the weak edge)", res.CutWeight)
 	}
@@ -55,7 +55,7 @@ func TestBipartitionFindsWeakCut(t *testing.T) {
 
 func TestBipartitionBalance(t *testing.T) {
 	g := clusteredGraph()
-	res := bipartition(g, Options{})
+	res := bipartition(g)
 	c0, c1 := sideCounts(res.Side)
 	if d := c0 - c1; d < -1 || d > 1 {
 		t.Fatalf("imbalanced: %d vs %d", c0, c1)
@@ -63,29 +63,21 @@ func TestBipartitionBalance(t *testing.T) {
 }
 
 func TestBipartitionEmptyAndSingle(t *testing.T) {
-	res := bipartition(graph.New(), Options{})
+	res := bipartition(graph.New())
 	if len(res.Side) != 0 {
 		t.Fatal("empty graph should yield empty sides")
 	}
 	g := graph.New()
 	g.AddVertex()
-	res = bipartition(g, Options{})
+	res = bipartition(g)
 	if len(res.Side) != 1 {
 		t.Fatalf("single-vertex sides = %v", res.Side)
 	}
 }
 
-func TestBipartitionSeedsPinned(t *testing.T) {
-	g := clusteredGraph()
-	res := bipartition(g, Options{Seed0: []int{0}, Seed1: []int{4}})
-	if res.Side[0] != 0 || res.Side[4] != 1 {
-		t.Fatalf("seeds not respected: %v", res.Side)
-	}
-}
-
 func TestBipartitionCutWeightConsistent(t *testing.T) {
 	g := clusteredGraph()
-	res := bipartition(g, Options{})
+	res := bipartition(g)
 	if got := cutWeight(g, res.Side); math.Abs(got-res.CutWeight) > 1e-9 {
 		t.Fatalf("reported cut %v, recomputed %v", res.CutWeight, got)
 	}
@@ -122,7 +114,7 @@ func TestFMNearOptimalOnRandomGraphs(t *testing.T) {
 				}
 			}
 		}
-		fmRes := bipartition(g, Options{})
+		fmRes := bipartition(g)
 		exRes := ExhaustiveBipartition(g, 1)
 		// Allow a small slack: FM must be within 25% of optimal on these
 		// tiny graphs and usually matches it exactly.
@@ -144,30 +136,9 @@ func TestBipartitionImprovesOverInterleaved(t *testing.T) {
 		interleaved[i] = i % 2
 	}
 	start := cutWeight(g, interleaved)
-	res := bipartition(g, Options{})
+	res := bipartition(g)
 	if res.CutWeight >= start {
 		t.Fatalf("FM did not improve: %v >= %v", res.CutWeight, start)
-	}
-}
-
-func TestBipartitionMaxImbalance(t *testing.T) {
-	// A path graph with 6 vertices; allow imbalance 3 and verify the
-	// result still respects the looser constraint.
-	g := graph.New()
-	for i := 0; i < 6; i++ {
-		g.AddVertex()
-	}
-	for i := 0; i < 5; i++ {
-		g.AddEdge(i, i+1, 1)
-	}
-	res := bipartition(g, Options{MaxImbalance: 3})
-	c0, c1 := sideCounts(res.Side)
-	if d := c0 - c1; d < -3 || d > 3 {
-		t.Fatalf("imbalance beyond limit: %d vs %d", c0, c1)
-	}
-	// A path's optimal cut is a single edge.
-	if res.CutWeight > 1 {
-		t.Fatalf("path cut = %v, want 1", res.CutWeight)
 	}
 }
 
@@ -196,6 +167,6 @@ func cutWeight(g *graph.Graph, side []int) float64 {
 
 // bipartition runs Bipartition in a fresh workspace, so results of
 // successive calls never alias each other.
-func bipartition(g *graph.Graph, opt Options) Result {
-	return new(Workspace).Bipartition(g, opt)
+func bipartition(g *graph.Graph) Result {
+	return new(Workspace).Bipartition(g)
 }

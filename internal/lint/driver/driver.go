@@ -1,6 +1,6 @@
 // Package driver runs a set of analyzers over loaded packages, applies
 // //lint:ignore suppressions, and renders the surviving diagnostics.
-// It is the engine behind cmd/topolint's standalone and vettool modes.
+// It is the engine behind cmd/topolint.
 package driver
 
 import (

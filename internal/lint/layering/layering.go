@@ -67,8 +67,7 @@ var Ranks = map[string]Layer{
 
 	"gputopo/internal/simulator": {800, "engines"},
 
-	"gputopo/internal/caffesim": {900, "engines"},
-	"gputopo/internal/metrics":  {900, "evaluation"},
+	"gputopo/internal/metrics": {900, "evaluation"},
 
 	"gputopo/internal/manifest": {950, "evaluation"},
 

@@ -1,8 +1,8 @@
 // Package wallclock implements the `wallclock` analyzer: inside the
 // deterministic zone — the scheduling core and every engine that must
-// replay bit-for-bit (schedcore, simulator, caffesim, sweep,
-// experiments) — time may only flow through the driver-injected
-// schedcore.Clock and randomness only through seeds derived with
+// replay bit-for-bit (schedcore, simulator, sweep, experiments) — time
+// may only flow through the driver-injected schedcore.Clock and
+// randomness only through seeds derived with
 // stats.DeriveSeed/ReplicaSeeds. Calls to time.Now/Since/Until and to
 // math/rand's implicitly-seeded global functions are flagged.
 //
@@ -32,7 +32,6 @@ var Analyzer = &analysis.Analyzer{
 var Restricted = []string{
 	"gputopo/internal/schedcore",
 	"gputopo/internal/simulator",
-	"gputopo/internal/caffesim",
 	"gputopo/internal/sweep",
 	"gputopo/internal/experiments",
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 
-	"gputopo/internal/caffesim"
 	"gputopo/internal/core"
 	"gputopo/internal/job"
 	"gputopo/internal/jobgraph"
@@ -203,7 +202,7 @@ type RunResult struct {
 	Algorithm AlgorithmConfig
 	Result    *simulator.Result
 	// Bandwidth is populated in prototype mode.
-	Bandwidth map[string][]caffesim.BandwidthPoint
+	Bandwidth map[string][]simulator.BandwidthPoint
 }
 
 // Run executes the experiment: one run per algorithm config, prototype or
@@ -242,7 +241,7 @@ func (e *Experiment) Run() ([]RunResult, error) {
 			}
 			rr.Result = res
 		} else {
-			res, err := caffesim.Run(caffesim.Config{
+			res, err := simulator.RunPrototype(simulator.PrototypeConfig{
 				Topology:     topo,
 				Policy:       policy,
 				Weights:      w,

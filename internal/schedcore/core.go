@@ -575,13 +575,14 @@ func (c *Core) scheduleIndexed(now float64) {
 }
 
 // examine runs the per-job step of Algorithm 1 on e: the O(1)
-// availableResources gate, then the placement policy. It appends the
-// job's decision to decBuf and updates stats. A job that does not place
-// stays with its caller — the in-order path keeps it at the head of the
-// queue, the indexed path keeps non-parked survivors active — except
-// that under the index a capacity-blocked job is filed straight into its
-// wake-up bucket here (and e.parked tells the caller so). Returns true
-// when the job placed.
+// availableResources gate, the placement policy, and for a
+// preemption-eligible job left without capacity the victim search. It
+// appends the job's decision to decBuf and updates stats. A job that does
+// not place stays with its caller — the in-order path keeps it at the
+// head of the queue, the indexed path keeps non-parked survivors active —
+// except that under the index a capacity-blocked job is filed straight
+// into its wake-up bucket here (and e.parked tells the caller so).
+// Returns true when the job placed.
 func (c *Core) examine(e *entry, now float64) bool {
 	j := e.job
 	e.parked = false
@@ -589,58 +590,83 @@ func (c *Core) examine(e *entry, now float64) bool {
 	// when no machine (or, for multi-node jobs, the whole cluster) can
 	// hold the request. O(1) thanks to the cluster state's incremental
 	// free counters.
-	single := j.SingleNode
 	enough := c.state.MaxFreeGPUs() >= j.GPUs
-	if !single {
+	if !j.SingleNode {
 		enough = c.state.FreeGPUCount() >= j.GPUs
 	}
-	if !enough {
-		if c.preemptEligible(j) && c.preemptAndPlace(e, now) {
-			return true
+	d, placed := Decision{Job: j, Postponed: true, Reason: "no-capacity"}, false
+	if enough {
+		d, placed = c.decide(j, false)
+	}
+	// A job the gate or the policy left without capacity (fragmentation,
+	// bandwidth, DRB infeasibility are capacity too) may evict its way in.
+	if !placed && d.Reason == "no-capacity" && c.preemptEligible(j) {
+		if pd, ok := c.decide(j, true); ok {
+			d, placed = pd, true
 		}
+	}
+	d.Time = now
+	if placed {
+		d.Postponements = c.waited(e)
+	} else {
 		c.stats.Postponements++
 		e.postponed++
-		c.decBuf = append(c.decBuf, Decision{Job: j, Postponed: true, Reason: "no-capacity", Time: now})
-		if c.indexed() && !c.preemptEligible(j) {
-			// Park under the wake-up key: the free-GPU count that must be
-			// reached before the gate above can pass again. Preemption-
-			// eligible jobs never park — their chance to place changes
-			// whenever a lower-priority job starts running, an event the
-			// capacity-keyed index cannot wake them for, so they stay
-			// active and are re-examined every round like a full walk
-			// would.
-			c.park(e)
-		}
-		return false
 	}
+	c.decBuf = append(c.decBuf, d)
+	if !placed && !enough && c.indexed() && !c.preemptEligible(j) {
+		// Park under the wake-up key: the free-GPU count that must be
+		// reached before the gate above can pass again. Preemption-
+		// eligible jobs never park — their chance to place changes
+		// whenever a lower-priority job starts running, an event the
+		// capacity-keyed index cannot wake them for, so they stay
+		// active and are re-examined every round like a full walk
+		// would.
+		c.park(e)
+	}
+	return placed
+}
 
+// decide makes one placement attempt for j under the decision-latency
+// clock — the policy's (tryPlace), or with preempt a victim search
+// (tryPreempt) — and counts it. Every policy attempt is a decision,
+// placed or not; a victim search is one only when it places, and then
+// also a preemption with its evictions. Returns the decision and whether
+// j placed.
+func (c *Core) decide(j *job.Job, preempt bool) (Decision, bool) {
+	if preempt && !c.victimsRunning(j.Priority) {
+		// Nothing strictly lower runs — on a contended cluster, nearly
+		// every blocked high-priority job, every round: answered off the
+		// victim index, before the clock starts.
+		return Decision{}, false
+	}
+	d, found := Decision{}, true
 	start := time.Now() //lint:ignore wallclock decision-latency instrumentation, the documented exception: elapsed feeds Stats only, never scheduling decisions
-	d := c.tryPlace(j)
+	if preempt {
+		d, found = c.tryPreempt(j)
+	} else {
+		d = c.tryPlace(j)
+	}
 	elapsed := time.Since(start) //lint:ignore wallclock decision-latency instrumentation, the documented exception
+	if !found {
+		return d, false
+	}
 	c.stats.Decisions++
 	c.stats.DecisionTime += elapsed
 	if elapsed > c.stats.MaxDecision {
 		c.stats.MaxDecision = elapsed
 	}
-	d.Time = now
 	if d.Postponed {
-		// The gate passed but placement still failed (fragmentation,
-		// bandwidth, DRB infeasibility): eviction can fix those too.
-		if d.Reason == "no-capacity" && c.preemptEligible(j) && c.preemptAndPlace(e, now) {
-			return true
-		}
-		c.stats.Postponements++
-		e.postponed++
-		c.decBuf = append(c.decBuf, d)
-		return false
+		return d, false
 	}
 	c.stats.Placements++
+	if preempt {
+		c.stats.Preemptions++
+		c.stats.Evictions += len(d.Evictions)
+	}
 	if d.SLOViolated {
 		c.stats.SLOViolations++
 	}
-	d.Postponements = c.waited(e)
-	c.decBuf = append(c.decBuf, d)
-	return true
+	return d, true
 }
 
 // park files a capacity-blocked entry into its wake-up bucket: the

@@ -58,12 +58,27 @@ func queuedIDs(c *schedcore.Core) []string {
 	return ids
 }
 
+// counters projects the Core's Stats onto its six deterministic
+// counters, the ones the reference keeps.
+func counters(s schedcore.Stats) schedcore.Stats {
+	return schedcore.Stats{
+		Decisions:     s.Decisions,
+		Placements:    s.Placements,
+		Postponements: s.Postponements,
+		SLOViolations: s.SLOViolations,
+		Preemptions:   s.Preemptions,
+		Evictions:     s.Evictions,
+	}
+}
+
 // checkRound runs one scheduling round on both sides and compares the
 // placements (with each one's waited-round count), the queue order, the
-// running set and the postponement total, then checks the invariants of
-// the core's cluster state and of the core's own running-set tables. The
-// total is what pins the index's bulk accounting: a parked job gets no
-// decision record, so its postponement exists only in that counter.
+// running set and the six deterministic counters (decisions, placements,
+// postponements, SLO violations, preemptions, evictions), then checks the
+// invariants of the core's cluster state and of the core's own
+// running-set tables. The postponement total is what pins the index's
+// bulk accounting: a parked job gets no decision record, so its
+// postponement exists only in that counter.
 func checkRound(t *testing.T, tr *Trace, where string, ref *Reference, c *schedcore.Core) {
 	t.Helper()
 	want := ref.Schedule()
@@ -77,8 +92,8 @@ func checkRound(t *testing.T, tr *Trace, where string, ref *Reference, c *schedc
 	if gotR, wantR := c.Running(), ref.Running(); !reflect.DeepEqual(gotR, wantR) {
 		t.Fatalf("%s %s: running set diverged\n ref:  %v\n core: %v", tr, where, wantR, gotR)
 	}
-	if gotP, wantP := c.Stats().Postponements, ref.Postponements(); gotP != wantP {
-		t.Fatalf("%s %s: postponement total diverged: ref %d, core %d", tr, where, wantP, gotP)
+	if got, want := counters(c.Stats()), ref.Stats(); got != want {
+		t.Fatalf("%s %s: counters diverged\n ref:  %+v\n core: %+v", tr, where, want, got)
 	}
 	// The reference scores with the mapper's own arithmetic, resident
 	// tables included, so a table gone stale would mislead both sides
@@ -234,7 +249,7 @@ func (f family) count() int {
 // TestDifferentialTraces is the harness: ≥1000 seeded random traces,
 // each run through the naive reference and the real Core, with
 // placements, waited-round counts, queue order, running sets and the
-// postponement total compared after every scheduling round. Family and
+// six deterministic Stats counters compared after every scheduling round. Family and
 // seed are the subtest names, so a failure reproduces with
 // -run 'TestDifferentialTraces/seed0042' (or /fleet0042).
 func TestDifferentialTraces(t *testing.T) {

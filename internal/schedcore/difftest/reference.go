@@ -5,7 +5,7 @@
 // anything — plus a seeded randomized trace generator. The harness
 // (diff_test.go) drives thousands of traces through the reference and
 // through the real Core and demands placement-for-placement equality,
-// down to the postponement accounting.
+// down to the decision, postponement and preemption counters.
 //
 // The reference shares two things with the Core: the DRB mapper with its
 // Eq. 1 scoring (core.Mapper), and the FCFS and Best-Fit baselines via
@@ -71,9 +71,11 @@ type Reference struct {
 
 	queue   []refEntry
 	running map[string]*job.Job
-	// postponements counts, over all rounds, the jobs a round examined
-	// and left queued.
-	postponements int
+	// stats holds the running totals of the Core's deterministic
+	// counters, counted the naive way: a decision is an attempt past the
+	// capacity gate or a preemptive placement, a postponement a job a
+	// round examined and left queued.
+	stats schedcore.Stats
 	// attempted, when set, sees every job the reference scores placements
 	// for, with the state it scores them on: the live one or a trial
 	// clone.
@@ -146,11 +148,12 @@ func (r *Reference) Queued() []string {
 	return ids
 }
 
-// Postponements returns the running total of (job, round) pairs in which
-// a round examined the job and left it queued.
+// Stats returns the running totals of decisions, placements,
+// postponements, SLO violations, preemptions and evictions; every other
+// Stats field is zero.
 //
-//lint:ignore deadcode oracle: the differential harness compares postponement totals through it
-func (r *Reference) Postponements() int { return r.postponements }
+//lint:ignore deadcode oracle: the differential harness compares the Core's counters through it
+func (r *Reference) Stats() schedcore.Stats { return r.stats }
 
 // Running returns the running job IDs, sorted.
 //
@@ -192,7 +195,7 @@ func (r *Reference) Schedule() []Placement {
 		p, evs, ok := r.examine(e.job, &victims)
 		if !ok {
 			e.waited++
-			r.postponements++
+			r.stats.Postponements++
 			keep = append(keep, e)
 			// The in-order policies preserve FIFO fairness: the first job
 			// that fails to place blocks everything behind it.
@@ -271,6 +274,7 @@ func (r *Reference) examine(j *job.Job, victims *[]*job.Job) (*core.Placement, [
 		enough = r.state.FreeGPUCount() >= j.GPUs
 	}
 	if enough {
+		r.stats.Decisions++
 		p, reason := r.attempt(r.state, j)
 		if p != nil {
 			r.commit(j, p)
@@ -290,6 +294,10 @@ func (r *Reference) commit(j *job.Job, p *core.Placement) {
 		panic(fmt.Sprintf("difftest: committing %s: %v", j.ID, err))
 	}
 	r.running[j.ID] = j
+	r.stats.Placements++
+	if p.Utility < j.MinUtility {
+		r.stats.SLOViolations++
+	}
 }
 
 // tryPreempt is the naive mirror of the Core's victim selection, written
@@ -410,5 +418,8 @@ func (r *Reference) tryPreempt(j *job.Job, victims *[]*job.Job) (*core.Placement
 		panic(fmt.Sprintf("difftest: preemptive placement of %s failed after eviction (reason %q)", j.ID, reason))
 	}
 	r.commit(j, p)
+	r.stats.Decisions++
+	r.stats.Preemptions++
+	r.stats.Evictions += len(evs)
 	return p, evs, true
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"gputopo/internal/core"
 	"gputopo/internal/job"
@@ -37,40 +36,6 @@ func (c *Core) SetPreemption(enabled bool) { c.preemptOn = enabled }
 // re-check their eviction opportunity every round exactly like a full
 // queue walk would.
 func (c *Core) preemptEligible(j *job.Job) bool { return c.preemptOn && j.Priority > 0 }
-
-// preemptAndPlace runs the preemption path for the blocked entry and, on
-// success, performs the placed-decision bookkeeping that examine does
-// for regular placements. It returns false when no viable victim set
-// exists, leaving the caller to postpone the job as usual — at once, off
-// the victim index, when nothing of lower priority is running: on a
-// contended cluster that is nearly every blocked high-priority job, every
-// round.
-func (c *Core) preemptAndPlace(e *entry, now float64) bool {
-	if !c.victimsRunning(e.job.Priority) {
-		return false
-	}
-	start := time.Now() //lint:ignore wallclock decision-latency instrumentation, the documented exception: elapsed feeds Stats only, never scheduling decisions
-	d, ok := c.tryPreempt(e.job)
-	elapsed := time.Since(start) //lint:ignore wallclock decision-latency instrumentation, the documented exception
-	if !ok {
-		return false
-	}
-	c.stats.Decisions++
-	c.stats.DecisionTime += elapsed
-	if elapsed > c.stats.MaxDecision {
-		c.stats.MaxDecision = elapsed
-	}
-	c.stats.Placements++
-	c.stats.Preemptions++
-	c.stats.Evictions += len(d.Evictions)
-	if d.SLOViolated {
-		c.stats.SLOViolations++
-	}
-	d.Time = now
-	d.Postponements = c.waited(e)
-	c.decBuf = append(c.decBuf, d)
-	return true
-}
 
 // tryPreempt evicts the best victim set for j and commits the placement
 // its trial scored. Victims are released from the cluster state

@@ -507,9 +507,9 @@ func fullOfPriority(t *testing.T, prio int) *Core {
 // over the 400 running jobs.
 func TestSelectVictimsNoLowerTierAllocatesNothing(t *testing.T) {
 	c := fullOfPriority(t, 1)
-	e := entry{job: mkPrioJob("hi", 4, 1, 1000)}
+	hi := mkPrioJob("hi", 4, 1, 1000)
 	if n := testing.AllocsPerRun(100, func() {
-		if c.preemptAndPlace(&e, 0) {
+		if _, ok := c.decide(hi, true); ok {
 			t.Fatal("preempted a job of equal priority")
 		}
 	}); n != 0 {

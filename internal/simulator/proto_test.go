@@ -1,4 +1,4 @@
-package caffesim
+package simulator
 
 import (
 	"crypto/sha256"
@@ -10,29 +10,15 @@ import (
 	"gputopo/internal/job"
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/schedcore"
-	"gputopo/internal/simulator"
 	"gputopo/internal/topology"
 	"gputopo/internal/workload"
 )
-
-func TestRunRequiresTopology(t *testing.T) {
-	if _, err := Run(Config{}, nil); err == nil {
-		t.Fatal("nil topology accepted")
-	}
-}
-
-func TestRunRejectsInvalidJob(t *testing.T) {
-	bad := job.New("x", perfmodel.AlexNet, 0, 1, 0.3, 0)
-	if _, err := Run(Config{Topology: topology.Power8Minsky()}, []*job.Job{bad}); err == nil {
-		t.Fatal("invalid job accepted")
-	}
-}
 
 func TestSoloJobDuration(t *testing.T) {
 	topo := topology.Power8Minsky()
 	j := job.New("solo", perfmodel.AlexNet, 1, 2, 0.5, 0)
 	j.Iterations = 500
-	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{j})
+	res, err := RunPrototype(PrototypeConfig{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +36,11 @@ func TestSoloJobDuration(t *testing.T) {
 func TestValidationAgainstSimulator(t *testing.T) {
 	topo := topology.Power8Minsky()
 	for _, pol := range schedcore.AllPolicies() {
-		proto, err := Run(Config{Topology: topo, Policy: pol}, workload.Table1())
+		proto, err := RunPrototype(PrototypeConfig{Topology: topo, Policy: pol}, workload.Table1())
 		if err != nil {
 			t.Fatalf("%v proto: %v", pol, err)
 		}
-		sim, err := simulator.Run(simulator.Config{Topology: topo, Policy: pol}, workload.Table1())
+		sim, err := Run(Config{Topology: topo, Policy: pol}, workload.Table1())
 		if err != nil {
 			t.Fatalf("%v sim: %v", pol, err)
 		}
@@ -85,7 +71,7 @@ func TestBandwidthSeriesShape(t *testing.T) {
 	for _, b := range []int{1, 128} {
 		j := job.New("bw", perfmodel.AlexNet, b, 2, 0.5, 0)
 		j.Iterations = 300
-		res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{j})
+		res, err := RunPrototype(PrototypeConfig{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{j})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +100,7 @@ func TestBandwidthWindowsCoverRun(t *testing.T) {
 	topo := topology.Power8Minsky()
 	j := job.New("w", perfmodel.AlexNet, 1, 2, 0.5, 0)
 	j.Iterations = 1000 // ≈78s
-	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{j})
+	res, err := RunPrototype(PrototypeConfig{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +122,7 @@ func TestInterferenceAtIterationGranularity(t *testing.T) {
 	a.Iterations = 500
 	b := job.New("b", perfmodel.AlexNet, 1, 2, 0.0, 0)
 	b.Iterations = 500
-	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{a, b})
+	res, err := RunPrototype(PrototypeConfig{Topology: topo, Policy: schedcore.TopoAware}, []*job.Job{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,18 +140,18 @@ func TestJitterReproducible(t *testing.T) {
 		j.Iterations = 200
 		return []*job.Job{j}
 	}
-	r1, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, JitterStddev: 0.02, Seed: 11}, mk())
+	r1, err := RunPrototype(PrototypeConfig{Topology: topo, Policy: schedcore.TopoAware, JitterStddev: 0.02, Seed: 11}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, JitterStddev: 0.02, Seed: 11}, mk())
+	r2, err := RunPrototype(PrototypeConfig{Topology: topo, Policy: schedcore.TopoAware, JitterStddev: 0.02, Seed: 11}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Makespan != r2.Makespan {
 		t.Fatal("same seed produced different runs")
 	}
-	r3, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, JitterStddev: 0.02, Seed: 12}, mk())
+	r3, err := RunPrototype(PrototypeConfig{Topology: topo, Policy: schedcore.TopoAware, JitterStddev: 0.02, Seed: 12}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +164,7 @@ func TestPostponementCountsPropagate(t *testing.T) {
 	topo := topology.Power8Minsky()
 	// Six jobs on one machine force queueing; postponement counts appear
 	// in the results for the delayed jobs.
-	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAwareP}, workload.Table1())
+	res, err := RunPrototype(PrototypeConfig{Topology: topo, Policy: schedcore.TopoAwareP}, workload.Table1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,15 +174,6 @@ func TestPostponementCountsPropagate(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no postponements recorded in a contended scenario")
-	}
-}
-
-func TestDuplicateJobIDsRejected(t *testing.T) {
-	topo := topology.Power8Minsky()
-	a := job.New("dup", perfmodel.AlexNet, 1, 1, 0.3, 0)
-	b := job.New("dup", perfmodel.AlexNet, 1, 1, 0.3, 1)
-	if _, err := Run(Config{Topology: topo, Policy: schedcore.FCFS}, []*job.Job{a, b}); err == nil {
-		t.Fatal("duplicate job IDs accepted")
 	}
 }
 
@@ -220,13 +197,13 @@ func TestProtoEngineDigest(t *testing.T) {
 	h := sha256.New()
 	for _, pol := range schedcore.AllPolicies() {
 		for _, c := range []struct {
-			cfg  Config
+			cfg  PrototypeConfig
 			jobs []*job.Job
 		}{
-			{Config{Topology: topology.Power8Minsky(), Policy: pol}, workload.Table1()},
-			{Config{Topology: two, Policy: pol, JitterStddev: 0.05, Seed: 42}, stream},
+			{PrototypeConfig{Topology: topology.Power8Minsky(), Policy: pol}, workload.Table1()},
+			{PrototypeConfig{Topology: two, Policy: pol, JitterStddev: 0.05, Seed: 42}, stream},
 		} {
-			res, err := Run(c.cfg, c.jobs)
+			res, err := RunPrototype(c.cfg, c.jobs)
 			if err != nil {
 				t.Fatalf("%v: %v", pol, err)
 			}

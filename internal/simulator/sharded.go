@@ -3,8 +3,6 @@ package simulator
 import (
 	"fmt"
 	"runtime"
-	"slices"
-	"strings"
 	"sync"
 
 	"gputopo/internal/job"
@@ -147,18 +145,7 @@ func mergeShardResults(cfg Config, results []*Result, gpuMaps [][]int) *Result {
 		}
 		merged.SchedStats.Add(r.SchedStats)
 	}
-	slices.SortFunc(merged.Jobs, func(a, b JobResult) int {
-		return strings.Compare(a.Job.ID, b.Job.ID)
-	})
-	slices.SortFunc(merged.Timeline, func(a, b Interval) int {
-		if a.Start != b.Start {
-			if a.Start < b.Start {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(a.JobID, b.JobID)
-	})
+	merged.order()
 	// Every domain samples the identical time grid (0, Δ, 2Δ, … by the
 	// same float accumulation), so step k aligns exactly across domains;
 	// domains that finished early simply stop contributing. Bandwidths and

@@ -11,17 +11,43 @@ import (
 	"gputopo/internal/workload"
 )
 
+// engines runs each batch engine for the input checks both must make.
+var engines = []struct {
+	name string
+	run  func(Config, []*job.Job) error
+}{
+	{"simulator", func(cfg Config, jobs []*job.Job) error {
+		_, err := Run(cfg, jobs)
+		return err
+	}},
+	{"prototype", func(cfg Config, jobs []*job.Job) error {
+		_, err := RunPrototype(PrototypeConfig{Topology: cfg.Topology, Policy: cfg.Policy}, jobs)
+		return err
+	}},
+}
+
 func TestRunRequiresTopology(t *testing.T) {
-	if _, err := Run(Config{}, nil); err == nil {
-		t.Fatal("nil topology accepted")
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			if err := eng.run(Config{}, nil); err == nil {
+				t.Error("nil topology accepted")
+			}
+		})
 	}
 }
 
 func TestRunRejectsInvalidJob(t *testing.T) {
-	bad := job.New("", perfmodel.AlexNet, 1, 1, 0.3, 0)
-	_, err := Run(Config{Topology: topology.Power8Minsky()}, []*job.Job{bad})
-	if err == nil {
-		t.Fatal("invalid job accepted")
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			for _, bad := range []*job.Job{
+				job.New("", perfmodel.AlexNet, 1, 1, 0.3, 0),  // no ID
+				job.New("x", perfmodel.AlexNet, 0, 1, 0.3, 0), // no batch
+			} {
+				if err := eng.run(Config{Topology: topology.Power8Minsky()}, []*job.Job{bad}); err == nil {
+					t.Errorf("invalid job (ID %q, batch %d) accepted", bad.ID, bad.BatchSize)
+				}
+			}
+		})
 	}
 }
 
@@ -291,9 +317,13 @@ func TestResultAggregates(t *testing.T) {
 
 func TestDuplicateJobIDsRejected(t *testing.T) {
 	topo := topology.Power8Minsky()
-	a := job.New("dup", perfmodel.AlexNet, 1, 1, 0.3, 0)
-	b := job.New("dup", perfmodel.AlexNet, 1, 1, 0.3, 1)
-	if _, err := Run(Config{Topology: topo, Policy: schedcore.FCFS}, []*job.Job{a, b}); err == nil {
-		t.Fatal("duplicate job IDs accepted")
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			a := job.New("dup", perfmodel.AlexNet, 1, 1, 0.3, 0)
+			b := job.New("dup", perfmodel.AlexNet, 1, 1, 0.3, 1)
+			if err := eng.run(Config{Topology: topo, Policy: schedcore.FCFS}, []*job.Job{a, b}); err == nil {
+				t.Error("duplicate job IDs accepted")
+			}
+		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"gputopo/internal/caffesim"
 	"gputopo/internal/metrics"
 	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
@@ -37,8 +36,8 @@ type PointResult struct {
 	HighPriWait float64 `json:"high_pri_wait_s,omitempty"`
 
 	// Sim is always populated; Proto only for EngineProto points.
-	Sim   *simulator.Result `json:"-"`
-	Proto *caffesim.Result  `json:"-"`
+	Sim   *simulator.Result          `json:"-"`
+	Proto *simulator.PrototypeResult `json:"-"`
 }
 
 func newPointResult(p Point, out *RunOutput) PointResult {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"gputopo/internal/caffesim"
 	"gputopo/internal/core"
 	"gputopo/internal/job"
 	"gputopo/internal/profile"
@@ -179,7 +178,7 @@ func (c *substrateCache) runPoint(p Point) (*RunOutput, error) {
 		if p.Topology.Domains != "" {
 			return nil, fmt.Errorf("sweep: sharded domains need the sim engine")
 		}
-		res, err := caffesim.Run(caffesim.Config{
+		res, err := simulator.RunPrototype(simulator.PrototypeConfig{
 			Topology:     topo,
 			Policy:       p.Policy,
 			Weights:      weights,

@@ -21,7 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gputopo/internal/caffesim"
 	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/stats"
@@ -316,7 +315,7 @@ func (g Grid) Points() []Point {
 // embeds a simulator.Result).
 type RunOutput struct {
 	Sim   *simulator.Result
-	Proto *caffesim.Result
+	Proto *simulator.PrototypeResult
 }
 
 // Runner executes one point. The default runner covers the grid axes;
