@@ -128,8 +128,9 @@ func NewJob(id string, model NN, batchSize, gpus int, minUtility, arrival float6
 // DefaultWeights returns the equal α weighting of §5.2.1.
 func DefaultWeights() Weights { return core.DefaultWeights() }
 
-// GenerateProfiles builds the profile store for all workload classes on
-// the topology (§4.2).
+// GenerateProfiles builds the profile store of §4.2: the interference
+// sensitivity and pressure of every data-parallel workload class of up to
+// maxGPUs GPUs. The values do not depend on the topology.
 func GenerateProfiles(topo *Topology, maxGPUs int) *ProfileStore {
 	return profile.Generate(topo, maxGPUs)
 }

@@ -1,11 +1,11 @@
 // Package profile implements the job profile of §4.2: for each workload
-// class it records the solo completion time, the best- and worst-case
-// placements, and a performance-prediction model for co-scheduled
-// interference. The paper generates these profiles experimentally (95th
-// percentile of five runs); here they are generated from the calibrated
-// performance model through the same interface a measurement campaign
-// would populate, and can be saved to / loaded from JSON like the
-// prototype's manifests.
+// class it records the interference sensitivity and pressure the
+// co-scheduling prediction reads. The paper generates these profiles
+// experimentally (95th percentile of five runs); here they are tabulated
+// from the calibrated performance model through the same interface a
+// measurement campaign would populate, and can be saved to / loaded from
+// JSON like the prototype's manifests. A job's ideal solo time is not
+// profiled: the simulator's idealTime is the one definition.
 package profile
 
 import (
@@ -18,28 +18,23 @@ import (
 	"gputopo/internal/topology"
 )
 
-// Key identifies a workload class: model × batch class × GPU count.
+// Key identifies a workload class: model × batch class × GPU count ×
+// parallelism mode.
 type Key struct {
-	Model perfmodel.NN        `json:"model"`
-	Class jobgraph.BatchClass `json:"class"`
-	GPUs  int                 `json:"gpus"`
+	Model perfmodel.NN          `json:"model"`
+	Class jobgraph.BatchClass   `json:"class"`
+	GPUs  int                   `json:"gpus"`
+	Mode  perfmodel.Parallelism `json:"mode,omitempty"`
 }
 
 // KeyOf returns the profile key of a job's traits.
 func KeyOf(t perfmodel.Traits) Key {
-	return Key{Model: t.Model, Class: t.Class, GPUs: t.GPUs}
+	return Key{Model: t.Model, Class: t.Class, GPUs: t.GPUs, Mode: t.Mode}
 }
 
 // Entry is one workload-class profile.
 type Entry struct {
 	Key Key `json:"key"`
-	// BestIterTime is the per-iteration time (seconds) under the best
-	// placement, running solo — the ideal the slowdown metrics compare
-	// against.
-	BestIterTime float64 `json:"best_iter_time"`
-	// WorstIterTime is the per-iteration time under the worst placement
-	// (fully routed communication), running solo.
-	WorstIterTime float64 `json:"worst_iter_time"`
 	// Sensitivity and Pressure parameterize the interference prediction
 	// (suffered and caused, respectively), as calibrated from
 	// co-location measurements (Figure 6).
@@ -71,7 +66,7 @@ type denseParams struct {
 
 // denseCell returns the dense cell of k, or nil when k is out of range.
 func (s *Store) denseCell(k Key) *denseParams {
-	if k.Model < 0 || k.Model >= perfmodel.NumNN || k.Class < 0 || int(k.Class) >= denseClasses || k.GPUs < 0 || k.GPUs > denseGPUs {
+	if k.Mode != perfmodel.DataParallel || k.Model < 0 || k.Model >= perfmodel.NumNN || k.Class < 0 || int(k.Class) >= denseClasses || k.GPUs < 0 || k.GPUs > denseGPUs {
 		return nil
 	}
 	return &s.dense[k.Model][k.Class][k.GPUs]
@@ -82,16 +77,20 @@ func NewStore() *Store {
 	return &Store{entries: make(map[Key]Entry)}
 }
 
-// Generate populates a store with profiles for every (model, batch class,
-// GPU count) combination up to maxGPUs, derived from the performance model
-// over the given reference topology — the paper's "combinatorial
-// collocation of a set of known applications" made cheap by simulation.
-func Generate(topo *topology.Topology, maxGPUs int) *Store {
+// Generate populates a store with data-parallel profiles for every (model,
+// batch class, GPU count) combination up to maxGPUs, tabulated from the
+// performance model — the paper's "combinatorial collocation of a set of
+// known applications" made cheap by simulation. The values depend on no
+// topology; the unread topo parameter stays because the frozen
+// cmd/topoperf passes one (docs/performance.md, "The frozen benchmark
+// contract").
+func Generate(_ *topology.Topology, maxGPUs int) *Store {
 	s := NewStore()
 	for m := perfmodel.NN(0); m < perfmodel.NumNN; m++ {
 		for c := jobgraph.BatchTiny; c <= jobgraph.BatchBig; c++ {
 			for g := 1; g <= maxGPUs; g++ {
-				s.Add(makeEntry(topo, m, c, g))
+				t := perfmodel.Traits{Model: m, Class: c, GPUs: g}
+				s.Add(Entry{Key: KeyOf(t), Sensitivity: perfmodel.Sensitivity(t), Pressure: perfmodel.Pressure(t)})
 			}
 		}
 	}
@@ -102,37 +101,10 @@ func Generate(topo *topology.Topology, maxGPUs int) *Store {
 // sweep substrate cache, the serving domains — schedules a topology with
 // when it is handed none: profiles for jobs of up to eight GPUs (the
 // largest single machine modeled, the DGX-1) or as many as the topology
-// has. Sensitivity and Pressure answer larger requests from the
-// performance model.
+// has. Sensitivity and Pressure answer larger and model-parallel requests
+// from the performance model.
 func Default(topo *topology.Topology) *Store {
 	return Generate(topo, min(8, topo.NumGPUs()))
-}
-
-func makeEntry(topo *topology.Topology, m perfmodel.NN, c jobgraph.BatchClass, g int) Entry {
-	t := perfmodel.Traits{Model: m, Class: c, GPUs: g}
-	best, worst := placementExtremes(topo, m, c.Size(), g)
-	return Entry{
-		Key:           KeyOf(t),
-		BestIterTime:  best,
-		WorstIterTime: worst,
-		Sensitivity:   perfmodel.Sensitivity(t),
-		Pressure:      perfmodel.Pressure(t),
-	}
-}
-
-// placementExtremes returns the best and worst solo iteration times of a
-// g-GPU job on the topology by scoring allocations of minimal and maximal
-// communication distance.
-func placementExtremes(topo *topology.Topology, m perfmodel.NN, batch, g int) (best, worst float64) {
-	if g <= 1 {
-		t := perfmodel.IterationTime(m, batch, topo, []int{0}, 1)
-		return t, t
-	}
-	if n := topo.NumGPUs(); g > n {
-		g = n
-	}
-	return perfmodel.IterationTime(m, batch, topo, topo.BestAllocation(g), 1),
-		perfmodel.IterationTime(m, batch, topo, topo.WorstAllocation(g), 1)
 }
 
 // Add inserts or replaces an entry.
@@ -144,7 +116,7 @@ func (s *Store) Add(e Entry) {
 }
 
 // Lookup returns the entry for the key. Unknown classes fall back to a
-// prediction from the nearest known class (same model and GPU count,
+// prediction from the nearest known class (same model, GPU count and mode,
 // closest batch class, the lower one when two are equally close) — the
 // paper's "performance prediction for unknown jobs using the models from
 // known applications" (§4.2).
@@ -152,13 +124,13 @@ func (s *Store) Lookup(k Key) (Entry, bool) {
 	if e, ok := s.entries[k]; ok {
 		return e, true
 	}
-	// Nearest batch class with same model and GPU count. The map is
+	// Nearest batch class with same model, GPU count and mode. The map is
 	// ranged in no particular order, so the minimum is taken over
 	// (distance, class): a unique key, hence one answer.
 	bestDist := -1
 	var best Entry
 	for have, e := range s.entries {
-		if have.Model != k.Model || have.GPUs != k.GPUs {
+		if have.Model != k.Model || have.GPUs != k.GPUs || have.Mode != k.Mode {
 			continue
 		}
 		d := int(have.Class) - int(k.Class)
@@ -193,7 +165,10 @@ func (s *Store) Entries() []Entry {
 		if a.Class != b.Class {
 			return a.Class < b.Class
 		}
-		return a.GPUs < b.GPUs
+		if a.GPUs != b.GPUs {
+			return a.GPUs < b.GPUs
+		}
+		return a.Mode < b.Mode
 	})
 	return out
 }
@@ -201,7 +176,7 @@ func (s *Store) Entries() []Entry {
 // interferenceParams returns the stored sensitivity and pressure of the
 // job's workload class — Lookup's answer, read from the dense table when
 // the key is there — or the performance model's own when the store knows
-// no class of the job's model and GPU count.
+// no class of the job's model, GPU count and mode.
 func (s *Store) interferenceParams(t perfmodel.Traits) (sens, pres float64) {
 	k := KeyOf(t)
 	if c := s.denseCell(k); c != nil && c.ok {

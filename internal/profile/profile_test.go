@@ -23,50 +23,37 @@ func TestGenerateCoversAllClasses(t *testing.T) {
 				if !ok {
 					t.Fatalf("missing entry %+v", k)
 				}
-				if e.BestIterTime <= 0 {
-					t.Fatalf("entry %+v best time %v", k, e.BestIterTime)
-				}
-				if e.WorstIterTime < e.BestIterTime {
-					t.Fatalf("entry %+v worst %v < best %v", k, e.WorstIterTime, e.BestIterTime)
+				if e.Sensitivity <= 0 || e.Pressure <= 0 {
+					t.Fatalf("entry %+v sensitivity %v pressure %v", k, e.Sensitivity, e.Pressure)
 				}
 			}
 		}
 	}
 }
 
-func TestMultiGPUWorstStrictlyWorse(t *testing.T) {
-	s := Generate(topology.Power8Minsky(), 4)
-	e, _ := s.Lookup(Key{Model: perfmodel.AlexNet, Class: jobgraph.BatchTiny, GPUs: 2})
-	if e.WorstIterTime <= e.BestIterTime {
-		t.Fatal("2-GPU worst placement should be strictly slower than best")
-	}
-	// Single-GPU jobs have no placement-dependent communication.
-	e1, _ := s.Lookup(Key{Model: perfmodel.AlexNet, Class: jobgraph.BatchTiny, GPUs: 1})
-	if e1.WorstIterTime != e1.BestIterTime {
-		t.Fatal("1-GPU best and worst should match")
-	}
-}
-
 func TestLookupFallbackNearestClass(t *testing.T) {
 	s := NewStore()
 	s.Add(Entry{
-		Key:          Key{Model: perfmodel.AlexNet, Class: jobgraph.BatchTiny, GPUs: 2},
-		BestIterTime: 0.1, WorstIterTime: 0.2, Sensitivity: 0.5, Pressure: 0.3,
+		Key:         Key{Model: perfmodel.AlexNet, Class: jobgraph.BatchTiny, GPUs: 2},
+		Sensitivity: 0.5, Pressure: 0.3,
 	})
 	// Unknown class falls back to the nearest known one.
 	e, ok := s.Lookup(Key{Model: perfmodel.AlexNet, Class: jobgraph.BatchBig, GPUs: 2})
 	if !ok {
 		t.Fatal("fallback lookup failed")
 	}
-	if e.BestIterTime != 0.1 {
+	if e.Sensitivity != 0.5 {
 		t.Fatalf("fallback entry = %+v", e)
 	}
 	if e.Key.Class != jobgraph.BatchBig {
 		t.Fatal("fallback entry should be rekeyed to the query")
 	}
-	// Different model and GPU count: no fallback.
+	// Different model or mode: no fallback.
 	if _, ok := s.Lookup(Key{Model: perfmodel.GoogLeNet, Class: jobgraph.BatchTiny, GPUs: 2}); ok {
 		t.Fatal("cross-model fallback should not happen")
+	}
+	if _, ok := s.Lookup(Key{Model: perfmodel.AlexNet, Class: jobgraph.BatchBig, GPUs: 2, Mode: perfmodel.ModelParallel}); ok {
+		t.Fatal("cross-mode fallback should not happen")
 	}
 }
 
@@ -112,9 +99,9 @@ func TestEntriesSorted(t *testing.T) {
 }
 
 func TestKeyOf(t *testing.T) {
-	tr := perfmodel.Traits{Model: perfmodel.CaffeRef, Class: jobgraph.BatchSmall, GPUs: 3}
+	tr := perfmodel.Traits{Model: perfmodel.CaffeRef, Class: jobgraph.BatchSmall, GPUs: 3, Mode: perfmodel.ModelParallel}
 	k := KeyOf(tr)
-	if k.Model != tr.Model || k.Class != tr.Class || k.GPUs != tr.GPUs {
+	if k.Model != tr.Model || k.Class != tr.Class || k.GPUs != tr.GPUs || k.Mode != tr.Mode {
 		t.Fatalf("KeyOf = %+v", k)
 	}
 }
@@ -182,6 +169,40 @@ func TestInterferenceParamsMatchLookup(t *testing.T) {
 						}
 						if gotS, gotP := st.Sensitivity(tr), st.Pressure(tr); gotS != wantS || gotP != wantP {
 							t.Fatalf("%s store, %+v: got (%v, %v), Lookup gives (%v, %v)", name, tr, gotS, gotP, wantS, wantP)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDefaultAnswersPerfModel: the default store of a topology answers
+// exactly what the performance model does, for every model, batch class,
+// GPU count and parallelism mode — model-parallel jobs included, whose
+// 1.5× interference a mode-blind key once replaced with the data-parallel
+// entry's.
+func TestDefaultAnswersPerfModel(t *testing.T) {
+	mix, err := topology.ParseMix("minsky:24+dgx1:12+pcie:24")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := topology.HeterogeneousCluster(mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, topo := range map[string]*topology.Topology{
+		"minsky": topology.Power8Minsky(), "dgx1": topology.DGX1(), "pcie": topology.PCIeBox(),
+		"minsky:1000": topology.Cluster(1000, topology.KindMinsky), "mix[minsky:24+dgx1:12+pcie:24]": mixed,
+	} {
+		s := Default(topo)
+		for m := perfmodel.NN(0); m < perfmodel.NumNN; m++ {
+			for c := jobgraph.BatchTiny; c <= jobgraph.BatchBig; c++ {
+				for g := 0; g <= 22; g++ {
+					for _, mode := range []perfmodel.Parallelism{perfmodel.DataParallel, perfmodel.ModelParallel} {
+						tr := perfmodel.Traits{Model: m, Class: c, GPUs: g, Mode: mode}
+						if gotS, gotP := s.Sensitivity(tr), s.Pressure(tr); gotS != perfmodel.Sensitivity(tr) || gotP != perfmodel.Pressure(tr) {
+							t.Fatalf("%s, %+v: store (%v, %v), model (%v, %v)", key, tr, gotS, gotP, perfmodel.Sensitivity(tr), perfmodel.Pressure(tr))
 						}
 					}
 				}

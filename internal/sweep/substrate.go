@@ -13,13 +13,14 @@ import (
 )
 
 // substrateCache builds each distinct simulation substrate — an immutable
-// *topology.Topology plus the *profile.Store generated from it — exactly
+// *topology.Topology plus the profile.Default store sized to it — exactly
 // once per Run and shares it across all points and workers. A grid's
 // points overwhelmingly reuse a handful of topology specs (a 4-policy ×
 // 5-replica × 3-threshold grid used to rebuild the same 1k-machine
-// substrate 60 times: O(GPUs) restricted-Dijkstra sweeps in
-// computeMatrices plus repeated Best/WorstAllocation greedy searches in
-// profile.Generate, per point).
+// substrate 60 times, O(GPUs) restricted-Dijkstra sweeps in
+// computeMatrices per point), and the memoized extreme allocations the
+// placer and the ideal times read are paid once per substrate, not once
+// per point.
 //
 // Sharing is safe because both halves are immutable after construction
 // and all their read paths are concurrency-safe: topology memoizes its
@@ -75,8 +76,6 @@ func (c *substrateCache) substrate(ts TopologySpec, machines int, standalone boo
 		if e.err != nil {
 			return
 		}
-		// Pre-warms the topology's extreme-allocation memos as a side
-		// effect, so workers start from a fully materialized substrate.
 		e.profiles = profile.Default(e.topo)
 	})
 	return e.topo, e.profiles, e.err

@@ -25,13 +25,6 @@ func (t *Topology) BestAllocation(g int) []int {
 	return t.extremeAllocation(g, false)
 }
 
-// WorstAllocation returns g GPU positions maximizing the pairwise distance
-// sum — the worst case t_w of the objective function (Eq. 1). Results are
-// cached per g and must not be mutated.
-func (t *Topology) WorstAllocation(g int) []int {
-	return t.extremeAllocation(g, true)
-}
-
 // BestCommCost returns the pairwise-distance sum of the best allocation of
 // g GPUs (0 for g < 2). The value is memoized with the allocation, so hot
 // callers (utilityTerms scores one per placement candidate) pay a slice
@@ -44,7 +37,8 @@ func (t *Topology) BestCommCost(g int) float64 {
 }
 
 // WorstCommCost returns the pairwise-distance sum of the worst allocation
-// of g GPUs (0 for g < 2).
+// of g GPUs (0 for g < 2) — the worst case t_w of the objective function
+// (Eq. 1).
 func (t *Topology) WorstCommCost(g int) float64 {
 	if g < 2 {
 		return 0

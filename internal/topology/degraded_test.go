@@ -207,8 +207,8 @@ func TestExtremeAllocationSeedsDegradedShape(t *testing.T) {
 		t.Fatalf("best 3-GPU cost = %g, want the NVLink triangle %g", got, 3*WeightGPUPeer)
 	}
 	// Worst allocations must agree with brute force too (Eq. 1 normalizer).
-	if got, want := topo.PairwiseDistance(topo.WorstAllocation(2)), bruteForceExtreme(topo, 2, true); got != want {
-		t.Fatalf("WorstAllocation(2) cost %g, brute force %g", got, want)
+	if got, want := topo.PairwiseDistance(topo.extremeAllocation(2, true)), bruteForceExtreme(topo, 2, true); got != want {
+		t.Fatalf("worst 2-GPU allocation cost %g, brute force %g", got, want)
 	}
 }
 

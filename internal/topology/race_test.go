@@ -35,9 +35,9 @@ func TestSharedTopologyConcurrentReaders(t *testing.T) {
 								t.Errorf("BestAllocation(%d) returned %d GPUs", g, len(best))
 								return
 							}
-							worst := topo.WorstAllocation(g)
+							worst := topo.extremeAllocation(g, true)
 							if len(worst) != g {
-								t.Errorf("WorstAllocation(%d) returned %d GPUs", g, len(worst))
+								t.Errorf("worst allocation of %d returned %d GPUs", g, len(worst))
 								return
 							}
 							if c := topo.BestCommCost(g); g >= 2 && c <= 0 {

@@ -177,10 +177,11 @@ type Topology struct {
 	minPairDist float64
 
 	// Extreme-allocation memo: extreme[0][g] is BestAllocation(g),
-	// extreme[1][g] WorstAllocation(g), each computed once inside its
-	// entry's sync.Once, so concurrent readers sharing one topology (the
-	// sweep engine's substrate cache) neither race nor duplicate the greedy
-	// search. Cached slices are returned as-is and must not be mutated.
+	// extreme[1][g] the g-GPU set behind WorstCommCost, each computed once
+	// inside its entry's sync.Once, so concurrent readers sharing one
+	// topology (the sweep engine's substrate cache) neither race nor
+	// duplicate the greedy search. Cached slices are returned as-is and
+	// must not be mutated.
 	extreme [2][]extremeEntry
 }
 

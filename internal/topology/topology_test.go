@@ -201,7 +201,7 @@ func TestBestWorstAllocationMinsky(t *testing.T) {
 	if !topo.SameSocket(best2[0], best2[1]) {
 		t.Fatalf("best 2-GPU allocation %v not same socket", best2)
 	}
-	worst2 := topo.WorstAllocation(2)
+	worst2 := topo.extremeAllocation(2, true)
 	if topo.SameSocket(worst2[0], worst2[1]) {
 		t.Fatalf("worst 2-GPU allocation %v same socket", worst2)
 	}
