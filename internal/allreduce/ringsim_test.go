@@ -1,11 +1,13 @@
-// Package allreduce simulates the ring all-reduce algorithm that
-// data-parallel deep-learning frameworks use for gradient exchange (§2 of
-// the paper cites Wang et al., "Efficient Communications in Training
-// Large Scale Neural Networks", for the shared communication structure of
-// Caffe/NCCL-style frameworks). It provides the step/volume arithmetic
-// behind the performance model's ring factor 2·(g−1)/g and a chunk-level
-// timing simulation over a physical topology, used to validate that the
-// analytic CommTime of package perfmodel is a faithful summary.
+// The ring all-reduce simulator these tests hold package perfmodel to.
+// Data-parallel deep-learning frameworks exchange gradients with a ring
+// all-reduce (§2 of the paper cites Wang et al., "Efficient Communications
+// in Training Large Scale Neural Networks", for the shared communication
+// structure of Caffe/NCCL-style frameworks). This file gives the
+// step/volume arithmetic behind the model's ring factor 2·(g−1)/g and a
+// chunk-level timing simulation over a physical topology, used to check
+// that the analytic CommTime is a faithful summary. Only the tests read
+// it, so it is test code: the package ships nothing.
+
 package allreduce
 
 import (
@@ -26,8 +28,6 @@ func Steps(g int) int {
 
 // PerGPUVolume returns the bytes each participant sends in total:
 // 2·(g−1)/g · payload.
-//
-//lint:ignore deadcode oracle: the allreduce tests hold perfmodel's ring factor to this volume
 func PerGPUVolume(payload float64, g int) float64 {
 	if g < 2 {
 		return 0
@@ -102,8 +102,6 @@ type Result struct {
 // payload/g bytes between all neighbor pairs simultaneously; the step
 // completes at the pace of the slowest link, which is how a synchronous
 // ring behaves.
-//
-//lint:ignore deadcode oracle: the allreduce tests hold perfmodel's CommTime to this chunk-level ring simulation
 func Simulate(topo *topology.Topology, gpus []int, payload, efficiency, stepLatency float64) (*Result, error) {
 	if len(gpus) < 2 {
 		return &Result{Order: append([]int(nil), gpus...)}, nil

@@ -157,6 +157,43 @@ func TestScoreCrossSocketWorseThanPacked(t *testing.T) {
 	}
 }
 
+// objective evaluates the minimization objective of Eq. 1 for a
+// candidate allocation: αcc·t/t_w + αb·I_n/I_w + αd·ω/ω_w, each term
+// normalized against its worst case. Lower is better. The product scores
+// only Eq. 2's utility; this oracle holds the two orderings together. t_w
+// is the worst pairwise-distance sum of any len(gpus) GPUs, found by
+// brute force, so keep the topology small.
+func objective(w Weights, j *job.Job, gpus []int, st *cluster.State, profiles *profile.Store) float64 {
+	_, _, _, commCost, interference, frag := utilityTerms(j, gpus, st, profiles)
+	tTerm := 0.0
+	if tw := bruteForceWorstCommCost(st.Topology(), len(gpus)); tw > 0 {
+		tTerm = commCost / tw
+	}
+	iTerm := (interference - 1) / perfmodel.MaxSlowdown
+	return w.CommCost*tTerm + w.Interference*iTerm + w.Fragmentation*frag
+}
+
+// bruteForceWorstCommCost returns the largest pairwise-distance sum over
+// every g-subset of topo's GPUs.
+func bruteForceWorstCommCost(topo *topology.Topology, g int) float64 {
+	worst := 0.0
+	set := make([]int, 0, g)
+	var rec func(start int)
+	rec = func(start int) {
+		if len(set) == g {
+			worst = max(worst, topo.PairwiseDistance(set))
+			return
+		}
+		for v := start; v < topo.NumGPUs(); v++ {
+			set = append(set, v)
+			rec(v + 1)
+			set = set[:len(set)-1]
+		}
+	}
+	rec(0)
+	return worst
+}
+
 func TestUtilityAndObjectiveAgree(t *testing.T) {
 	// Lower objective (Eq. 1) must order placements the same way as
 	// higher utility (Eq. 2) for a communication-heavy job.
@@ -164,8 +201,8 @@ func TestUtilityAndObjectiveAgree(t *testing.T) {
 	j := job.New("j", perfmodel.AlexNet, 1, 2, 0.5, 0)
 	packed := m.Score(j, st, []int{0, 1})
 	cross := m.Score(j, st, []int{0, 2})
-	objPacked := Objective(m.weights, j, []int{0, 1}, st, profile.Generate(st.Topology(), 4))
-	objCross := Objective(m.weights, j, []int{0, 2}, st, profile.Generate(st.Topology(), 4))
+	objPacked := objective(m.weights, j, []int{0, 1}, st, profile.Generate(st.Topology(), 4))
+	objCross := objective(m.weights, j, []int{0, 2}, st, profile.Generate(st.Topology(), 4))
 	if (packed.Utility > cross.Utility) != (objPacked < objCross) {
 		t.Fatalf("utility ordering (%.3f vs %.3f) disagrees with objective (%.3f vs %.3f)",
 			packed.Utility, cross.Utility, objPacked, objCross)

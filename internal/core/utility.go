@@ -360,22 +360,3 @@ func Utility(w Weights, commIntensity, uCC, uB, uD float64) float64 {
 	}
 	return num / den
 }
-
-// Objective evaluates the minimization objective of Eq. 1 for a candidate
-// allocation: αcc·t/t_w + αb·I_n/I_w + αd·ω/ω_w, each term normalized
-// against its worst case. Lower is better; the DRB mapper maximizes
-// utility, and tests verify the two orderings agree.
-//
-//lint:ignore deadcode oracle: core tests hold Utility's ordering to Eq. 1's objective
-func Objective(w Weights, j *job.Job, gpus []int, st *cluster.State, profiles *profile.Store) float64 {
-	topo := st.Topology()
-	_, _, _, commCost, interference, frag := utilityTerms(j, gpus, st, profiles)
-	tw := topo.WorstCommCost(len(gpus))
-	tTerm := 0.0
-	if tw > 0 {
-		tTerm = commCost / tw
-	}
-	iw := perfmodel.MaxSlowdown
-	iTerm := (interference - 1) / iw
-	return w.CommCost*tTerm + w.Interference*iTerm + w.Fragmentation*frag
-}

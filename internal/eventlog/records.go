@@ -82,17 +82,17 @@ type RunningJob struct {
 	Bandwidth float64 `json:"bandwidth_gbs"`
 }
 
-// SnapStats mirrors schedcore.Stats for the snapshot. Counters are
-// deterministic state; the nanosecond totals are carried so the
-// restarted server keeps accumulating rather than resetting.
+// SnapStats mirrors schedcore.Stats' deterministic counters for the
+// snapshot. The wall-clock decision timers are not journaled: a restarted
+// server starts them at zero, like its uptime. Snapshots written before
+// they were dropped still carry decision_time_ns and max_decision_ns,
+// which decoding ignores.
 type SnapStats struct {
-	Decisions      int   `json:"decisions"`
-	Placements     int   `json:"placements"`
-	Postponements  int   `json:"postponements"`
-	SLOViolations  int   `json:"slo_violations"`
-	WakeSkips      int   `json:"wake_skips"`
-	Preemptions    int   `json:"preemptions,omitempty"`
-	Evictions      int   `json:"evictions,omitempty"`
-	DecisionTimeNs int64 `json:"decision_time_ns,omitempty"`
-	MaxDecisionNs  int64 `json:"max_decision_ns,omitempty"`
+	Decisions     int `json:"decisions"`
+	Placements    int `json:"placements"`
+	Postponements int `json:"postponements"`
+	SLOViolations int `json:"slo_violations"`
+	WakeSkips     int `json:"wake_skips"`
+	Preemptions   int `json:"preemptions,omitempty"`
+	Evictions     int `json:"evictions,omitempty"`
 }

@@ -48,7 +48,6 @@ var Ranks = map[string]Layer{
 	"gputopo/internal/jobgraph": {200, "models"},
 
 	"gputopo/internal/perfmodel": {300, "models"},
-	"gputopo/internal/allreduce": {300, "models"},
 
 	"gputopo/internal/job":     {400, "models"},
 	"gputopo/internal/cluster": {400, "scheduling"},
@@ -62,8 +61,6 @@ var Ranks = map[string]Layer{
 	"gputopo/internal/eventlog":  {600, "serving durability"},
 
 	"gputopo/internal/schedcore/domains": {650, "scheduling domains"},
-
-	"gputopo/internal/schedcore/difftest": {700, "scheduling reference"},
 
 	"gputopo/internal/simulator": {800, "engines"},
 

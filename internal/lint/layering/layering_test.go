@@ -1,6 +1,9 @@
 package layering_test
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"gputopo/internal/lint/analysistest"
@@ -51,6 +54,40 @@ func TestRepoDAGIsComplete(t *testing.T) {
 		}
 		if l.Name == "" {
 			t.Errorf("%s has no layer name", path)
+		}
+	}
+}
+
+// TestRanksNameExistingPackages keeps the table free of dead rows: every
+// Ranks key must name a directory of the module that holds at least one
+// non-test .go file, so a package that moves or becomes test-only cannot
+// leave its row behind.
+func TestRanksNameExistingPackages(t *testing.T) {
+	root := "../../.." // this package sits at internal/lint/layering
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not found: %v", err)
+	}
+	for path := range layering.Ranks {
+		rel, ok := strings.CutPrefix(path, layering.Module)
+		if !ok {
+			t.Errorf("%s is outside module %s", path, layering.Module)
+			continue
+		}
+		entries, err := os.ReadDir(filepath.Join(root, filepath.FromSlash(rel)))
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		found := false
+		for _, e := range entries {
+			name := e.Name()
+			if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("%s names a directory with no non-test .go file", path)
 		}
 	}
 }

@@ -3,16 +3,11 @@
 // co-scheduling prediction reads. The paper generates these profiles
 // experimentally (95th percentile of five runs); here they are tabulated
 // from the calibrated performance model through the same interface a
-// measurement campaign would populate, and can be saved to / loaded from
-// JSON like the prototype's manifests. A job's ideal solo time is not
+// measurement campaign would populate. A job's ideal solo time is not
 // profiled: the simulator's idealTime is the one definition.
 package profile
 
 import (
-	"encoding/json"
-	"fmt"
-	"sort"
-
 	"gputopo/internal/jobgraph"
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/topology"
@@ -21,10 +16,10 @@ import (
 // Key identifies a workload class: model × batch class × GPU count ×
 // parallelism mode.
 type Key struct {
-	Model perfmodel.NN          `json:"model"`
-	Class jobgraph.BatchClass   `json:"class"`
-	GPUs  int                   `json:"gpus"`
-	Mode  perfmodel.Parallelism `json:"mode,omitempty"`
+	Model perfmodel.NN
+	Class jobgraph.BatchClass
+	GPUs  int
+	Mode  perfmodel.Parallelism
 }
 
 // KeyOf returns the profile key of a job's traits.
@@ -34,12 +29,12 @@ func KeyOf(t perfmodel.Traits) Key {
 
 // Entry is one workload-class profile.
 type Entry struct {
-	Key Key `json:"key"`
+	Key Key
 	// Sensitivity and Pressure parameterize the interference prediction
 	// (suffered and caused, respectively), as calibrated from
 	// co-location measurements (Figure 6).
-	Sensitivity float64 `json:"sensitivity"`
-	Pressure    float64 `json:"pressure"`
+	Sensitivity float64
+	Pressure    float64
 }
 
 // Store holds the profiles of all known workload classes.
@@ -151,28 +146,6 @@ func (s *Store) Lookup(k Key) (Entry, bool) {
 // Len returns the number of stored entries.
 func (s *Store) Len() int { return len(s.entries) }
 
-// Entries returns all entries sorted by key for deterministic output.
-func (s *Store) Entries() []Entry {
-	out := make([]Entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if a.Model != b.Model {
-			return a.Model < b.Model
-		}
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		if a.GPUs != b.GPUs {
-			return a.GPUs < b.GPUs
-		}
-		return a.Mode < b.Mode
-	})
-	return out
-}
-
 // interferenceParams returns the stored sensitivity and pressure of the
 // job's workload class — Lookup's answer, read from the dense table when
 // the key is there — or the performance model's own when the store knows
@@ -200,22 +173,4 @@ func (s *Store) Sensitivity(t perfmodel.Traits) float64 {
 func (s *Store) Pressure(t perfmodel.Traits) float64 {
 	_, pres := s.interferenceParams(t)
 	return pres
-}
-
-// MarshalJSON serializes the store as a sorted entry list.
-func (s *Store) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.Entries())
-}
-
-// UnmarshalJSON loads a store from an entry list.
-func (s *Store) UnmarshalJSON(data []byte) error {
-	var entries []Entry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return fmt.Errorf("profile: %w", err)
-	}
-	*s = Store{entries: make(map[Key]Entry, len(entries))}
-	for _, e := range entries {
-		s.Add(e)
-	}
-	return nil
 }

@@ -1,20 +1,23 @@
-// Package difftest is the differential proving ground for the scheduling
-// core: a deliberately naive reference scheduler that re-implements the
-// §4.4 queue mechanics from scratch — full stable re-sort and full queue
-// walk every round, no wake-up index, no class fold, no incremental
-// anything — plus a seeded randomized trace generator. The harness
+// The differential proving ground for the scheduling core: a
+// deliberately naive reference scheduler that re-implements the §4.4
+// queue mechanics from scratch — full stable re-sort and full queue walk
+// every round, no wake-up index, no class fold, no incremental anything —
+// plus a seeded randomized trace generator (trace_test.go). The harness
 // (diff_test.go) drives thousands of traces through the reference and
 // through the real Core and demands placement-for-placement equality,
 // down to the decision, postponement and preemption counters.
 //
 // The reference shares two things with the Core: the DRB mapper with its
-// Eq. 1 scoring (core.Mapper), and the FCFS and Best-Fit baselines via
+// Eq. 2 scoring (core.Mapper), and the FCFS and Best-Fit baselines via
 // the exported schedcore.Placer facade. Both are covered by their own
 // unit tests, and re-deriving them here would make every diff chase
 // floating-point deltas instead of the queue, wake-index, class-sweep
 // and preemption bookkeeping this harness exists to falsify. Its
 // TOPO-AWARE placement (Attempt) is its own per-machine sweep, so the
 // Core's class sweep is compared against code it shares nothing with.
+// It is test code of its own package, so it reaches the Core only through
+// its exported API, and nothing it holds ships with the product.
+
 package difftest
 
 import (
@@ -84,8 +87,6 @@ type Reference struct {
 
 // NewReference builds a reference scheduler over a fresh state for the
 // topology, mirroring the substrate construction the Core's drivers use.
-//
-//lint:ignore deadcode oracle: the differential harness compares the Core against this reference
 func NewReference(policy schedcore.Policy, topo *topology.Topology, disc schedcore.QueueDiscipline, preempt bool) (*Reference, error) {
 	mapper, err := core.NewMapper(profile.Generate(topo, topo.NumGPUs()), core.DefaultWeights())
 	if err != nil {
@@ -102,8 +103,6 @@ func NewReference(policy schedcore.Policy, topo *topology.Topology, disc schedco
 }
 
 // Submit enqueues a job.
-//
-//lint:ignore deadcode oracle: the differential harness drives the reference through it
 func (r *Reference) Submit(j *job.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
@@ -113,8 +112,6 @@ func (r *Reference) Submit(j *job.Job) error {
 }
 
 // Release frees a running job's allocation.
-//
-//lint:ignore deadcode oracle: the differential harness drives the reference through it
 func (r *Reference) Release(id string) error {
 	if err := r.state.Release(id); err != nil {
 		return err
@@ -124,8 +121,6 @@ func (r *Reference) Release(id string) error {
 }
 
 // Withdraw removes a still-queued job; false when none has the ID.
-//
-//lint:ignore deadcode oracle: the differential harness drives the reference through it
 func (r *Reference) Withdraw(id string) bool {
 	for i := range r.queue {
 		if r.queue[i].job.ID == id {
@@ -137,8 +132,6 @@ func (r *Reference) Withdraw(id string) bool {
 }
 
 // Queued returns the waiting job IDs in discipline order.
-//
-//lint:ignore deadcode oracle: the differential harness compares queue order through it
 func (r *Reference) Queued() []string {
 	r.sortQueue()
 	ids := make([]string, len(r.queue))
@@ -151,13 +144,9 @@ func (r *Reference) Queued() []string {
 // Stats returns the running totals of decisions, placements,
 // postponements, SLO violations, preemptions and evictions; every other
 // Stats field is zero.
-//
-//lint:ignore deadcode oracle: the differential harness compares the Core's counters through it
 func (r *Reference) Stats() schedcore.Stats { return r.stats }
 
 // Running returns the running job IDs, sorted.
-//
-//lint:ignore deadcode oracle: the differential harness compares running sets through it
 func (r *Reference) Running() []string {
 	ids := make([]string, 0, len(r.running))
 	for id := range r.running {
@@ -179,8 +168,6 @@ func (r *Reference) sortQueue() {
 // Schedule runs one naive round of Algorithm 1: sort, walk everything,
 // attempt everything eligible, requeue any victims at the end. Returns
 // the round's placements in decision order.
-//
-//lint:ignore deadcode oracle: the differential harness compares every round through it
 func (r *Reference) Schedule() []Placement {
 	r.sortQueue()
 	var placements []Placement
@@ -291,7 +278,7 @@ func (r *Reference) examine(j *job.Job, victims *[]*job.Job) (*core.Placement, [
 
 func (r *Reference) commit(j *job.Job, p *core.Placement) {
 	if err := r.state.Allocate(j.ID, p.GPUs, p.BusDemand, j.Traits()); err != nil {
-		panic(fmt.Sprintf("difftest: committing %s: %v", j.ID, err))
+		panic(fmt.Sprintf("reference: committing %s: %v", j.ID, err))
 	}
 	r.running[j.ID] = j
 	r.stats.Placements++
@@ -340,7 +327,7 @@ func (r *Reference) tryPreempt(j *job.Job, victims *[]*job.Job) (*core.Placement
 		cs := r.state.Clone()
 		for _, v := range set {
 			if err := cs.Release(v.ID); err != nil {
-				panic(fmt.Sprintf("difftest: evaluating eviction of %s: %v", v.ID, err))
+				panic(fmt.Sprintf("reference: evaluating eviction of %s: %v", v.ID, err))
 			}
 		}
 		p, _ := r.attempt(cs, j)
@@ -408,14 +395,14 @@ func (r *Reference) tryPreempt(j *job.Job, victims *[]*job.Job) (*core.Placement
 	for i, v := range best.set {
 		evs[i] = EvictionRec{JobID: v.ID, GPUs: append([]int(nil), r.state.Allocation(v.ID).GPUs...)}
 		if err := r.state.Release(v.ID); err != nil {
-			panic(fmt.Sprintf("difftest: evicting %s: %v", v.ID, err))
+			panic(fmt.Sprintf("reference: evicting %s: %v", v.ID, err))
 		}
 		delete(r.running, v.ID)
 	}
 	*victims = append(*victims, best.set...)
 	p, reason := r.attempt(r.state, j)
 	if p == nil {
-		panic(fmt.Sprintf("difftest: preemptive placement of %s failed after eviction (reason %q)", j.ID, reason))
+		panic(fmt.Sprintf("reference: preemptive placement of %s failed after eviction (reason %q)", j.ID, reason))
 	}
 	r.commit(j, p)
 	r.stats.Decisions++

@@ -12,23 +12,49 @@ import (
 	"gputopo/internal/jobgraph"
 	"gputopo/internal/perfmodel"
 	. "gputopo/internal/schedcore"
-	"gputopo/internal/schedcore/difftest"
 	"gputopo/internal/topology"
 )
 
 // sweepAgrees runs the Core's placer on j and fails unless it places j
-// exactly as the differential harness's reference does: a per-machine
-// TOPO-AWARE sweep that shares no code with the class sweep, which is why
-// these tests live outside the package (difftest imports schedcore). It
-// returns the placement.
+// exactly as perMachine does: a per-machine TOPO-AWARE sweep that shares
+// no code with the class sweep. It returns the placement.
 func sweepAgrees(t *testing.T, s *Core, j *job.Job) *core.Placement {
 	t.Helper()
-	want, _ := difftest.Attempt(TopoAware, s.State(), s.Mapper(), j)
+	want := perMachine(s.State(), s.Mapper(), j)
 	got, _ := s.Attempt(j)
 	if got == nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("class sweep %+v, per-machine reference %+v", got, want)
 	}
 	return got
+}
+
+// perMachine is Algorithm 1's TOPO-AWARE placement from cluster.State,
+// core.Mapper and perfmodel alone, as the differential harness's
+// reference (Attempt in difftest/reference_test.go) computes it: filter
+// the hosts by free GPUs and bus headroom, map a single-node job onto
+// each and keep the first strictly higher utility, or a multi-node job
+// onto all of theirs. The harness is test code of another package, so
+// this copy is the sweep tests' own.
+func perMachine(st *cluster.State, mapper *core.Mapper, j *job.Job) *core.Placement {
+	topo := st.Topology()
+	demand := perfmodel.BusDemand(j.Model, j.BatchSize, topo, topo.BestAllocation(min(j.GPUs, topo.NumGPUs())))
+	var best *core.Placement
+	var gathered []int
+	for m := 0; m < topo.NumMachines(); m++ {
+		free := st.FreeGPUsOnMachine(m)
+		if len(free) == 0 || j.SingleNode && len(free) < j.GPUs || st.FreeBusBandwidth(m) < demand {
+			continue
+		}
+		if !j.SingleNode {
+			gathered = append(gathered, free...)
+		} else if p, err := mapper.Place(j, st, free); err == nil && (best == nil || p.Utility > best.Utility) {
+			best = p
+		}
+	}
+	if !j.SingleNode {
+		best, _ = mapper.Place(j, st, gathered)
+	}
+	return best
 }
 
 // TestSweepAsksOncePerShape: eight empty Minsky machines are one shape

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"gputopo/internal/eventlog"
 	"gputopo/internal/schedcore"
@@ -122,8 +121,6 @@ func (d *domain) restoreSnapshot(sn *eventlog.Snapshot) error {
 		WakeSkips:     sn.Stats.WakeSkips,
 		Preemptions:   sn.Stats.Preemptions,
 		Evictions:     sn.Stats.Evictions,
-		DecisionTime:  time.Duration(sn.Stats.DecisionTimeNs),
-		MaxDecision:   time.Duration(sn.Stats.MaxDecisionNs),
 	}
 	d.decSeq = sn.DecSeq
 	d.decisions = append([]serveapi.DecisionRecord(nil), sn.Decisions...)
@@ -180,15 +177,13 @@ func (d *domain) writeSnapshot(now float64) {
 		ClockSec: now,
 		DecSeq:   d.decSeq,
 		Stats: eventlog.SnapStats{
-			Decisions:      stats.Decisions,
-			Placements:     stats.Placements,
-			Postponements:  stats.Postponements,
-			SLOViolations:  stats.SLOViolations,
-			WakeSkips:      stats.WakeSkips,
-			Preemptions:    stats.Preemptions,
-			Evictions:      stats.Evictions,
-			DecisionTimeNs: int64(stats.DecisionTime),
-			MaxDecisionNs:  int64(stats.MaxDecision),
+			Decisions:     stats.Decisions,
+			Placements:    stats.Placements,
+			Postponements: stats.Postponements,
+			SLOViolations: stats.SLOViolations,
+			WakeSkips:     stats.WakeSkips,
+			Preemptions:   stats.Preemptions,
+			Evictions:     stats.Evictions,
 		},
 	}
 	st := d.core.State()

@@ -210,6 +210,40 @@ func TestSnapshotCarryingGateSkipCounterRestores(t *testing.T) {
 	}
 }
 
+// TestOpensTimedSnapshotLog: testdata/timed_snapshot.log was written
+// while snapshots still journaled the wall-clock decision timers
+// (decision_time_ns, max_decision_ns): 30 mixed submits and releases on
+// minsky:2, then a graceful stop, so it holds the one shutdown snapshot
+// an upgrade restarts from. It must open, replay and serve the /v1/state
+// recorded before the stop (timed_snapshot.state.json), apart from the
+// volatile fields.
+func TestOpensTimedSnapshotLog(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "timed_snapshot.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"decision_time_ns":`, `"max_decision_ns":`} {
+		if !bytes.Contains(raw, []byte(field)) {
+			t.Fatalf("the recorded log carries no %s", field)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "timed_snapshot.state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(t.TempDir(), "events.log")
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, c := startServer(t, Config{Spec: specArg(t, "minsky:2"), Policy: schedcore.TopoAwareP, LogPath: logPath, SnapshotEvery: -1})
+	if srv.Replayed() != 1 {
+		t.Fatalf("replayed %d records, want the 1 snapshot", srv.Replayed())
+	}
+	if _, got := pinnedState(t, c); string(got) != string(bytes.TrimSpace(want)) {
+		t.Fatalf("/v1/state diverged from the recording:\n want: %s\n got:  %s", want, got)
+	}
+}
+
 // TestSnapshotEveryBoundsReplay: with SnapshotEvery=8 a long submit
 // stream keeps the log short — the next open replays far fewer records
 // than the operations performed.

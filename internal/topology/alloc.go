@@ -22,7 +22,7 @@ func (t *Topology) PairwiseDistance(set []int) float64 {
 // sum on an empty topology — the ideal placement the utility function
 // normalizes against. Results are cached per g and must not be mutated.
 func (t *Topology) BestAllocation(g int) []int {
-	return t.extremeAllocation(g, false)
+	return t.extremeAllocation(g)
 }
 
 // BestCommCost returns the pairwise-distance sum of the best allocation of
@@ -33,52 +33,39 @@ func (t *Topology) BestCommCost(g int) float64 {
 	if g < 2 {
 		return 0
 	}
-	return t.extremeEntryFor(g, false).cost
-}
-
-// WorstCommCost returns the pairwise-distance sum of the worst allocation
-// of g GPUs (0 for g < 2) — the worst case t_w of the objective function
-// (Eq. 1).
-func (t *Topology) WorstCommCost(g int) float64 {
-	if g < 2 {
-		return 0
-	}
-	return t.extremeEntryFor(g, true).cost
+	return t.extremeEntryFor(g).cost
 }
 
 // extremeAllocation greedily grows a GPU set from a set of seeds, keeping
-// the set with extreme pairwise distance. Machines hold at most 8 GPUs, so
+// the set with the least pairwise distance. Machines hold at most 8 GPUs, so
 // greedy growth matches the exhaustive optimum on the topologies built
 // here (verified by tests against brute force). On large clusters the
 // seed set is limited to the first two machines of each distinct machine
 // shape (see seedCandidates) — by symmetry among same-shape machines
 // every extreme allocation is reachable from them.
-func (t *Topology) extremeAllocation(g int, maximize bool) []int {
+func (t *Topology) extremeAllocation(g int) []int {
 	if g <= 0 {
 		return nil
 	}
-	return t.extremeEntryFor(g, maximize).set
+	return t.extremeEntryFor(g).set
 }
 
 // extremeEntryFor returns the fully initialized memo entry for size
 // g >= 1, clamped to NumGPUs. The greedy search runs inside the entry's
 // sync.Once, so concurrent readers sharing the topology block on the entry
 // being built and on nothing else.
-func (t *Topology) extremeEntryFor(g int, maximize bool) *extremeEntry {
+func (t *Topology) extremeEntryFor(g int) *extremeEntry {
 	g = min(g, len(t.gpus))
-	e := &t.extreme[0][g]
-	if maximize {
-		e = &t.extreme[1][g]
-	}
+	e := &t.extreme[g]
 	e.once.Do(func() {
-		e.set = t.searchExtreme(g, maximize)
+		e.set = t.searchExtreme(g)
 		e.cost = t.PairwiseDistance(e.set)
 	})
 	return e
 }
 
 // searchExtreme performs the greedy extremal search for size g.
-func (t *Topology) searchExtreme(g int, maximize bool) []int {
+func (t *Topology) searchExtreme(g int) []int {
 	n := len(t.gpus)
 	if g == n {
 		return t.positions
@@ -102,7 +89,7 @@ func (t *Topology) searchExtreme(g int, maximize bool) []int {
 				for _, u := range set {
 					d += t.Distance(u, v)
 				}
-				if cand == -1 || (maximize && d > candScore) || (!maximize && d < candScore) {
+				if cand == -1 || d < candScore {
 					cand, candScore = v, d
 				}
 			}
@@ -110,7 +97,7 @@ func (t *Topology) searchExtreme(g int, maximize bool) []int {
 			used[cand] = true
 		}
 		score := t.PairwiseDistance(set)
-		if bestSet == nil || (maximize && score > bestScore) || (!maximize && score < bestScore) {
+		if bestSet == nil || score < bestScore {
 			bestScore, bestSet = score, set
 		}
 	}

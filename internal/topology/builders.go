@@ -388,9 +388,11 @@ func ParseMix(s string) ([]MachineSpec, error) {
 // HeterogeneousCluster builds a mixed-kind cluster joined by a network
 // vertex: the machines of each spec in order, so "minsky:2+dgx1:1" yields
 // machines M0,M1 (Minsky) and M2 (DGX-1). Mixed-generation fleets are the
-// norm in production datacenters, and the allocator's Eq. 1 normalizers
-// are only meaningful on them when the extremal search considers every
-// distinct machine shape (see extremeAllocation).
+// norm in production datacenters, and BestAllocation is only meaningful
+// on them when the extremal search considers every distinct machine shape
+// (see extremeAllocation).
+//
+//lint:ignore deadcode test helper: the tests of topology, cluster, profile, core, schedcore, its differential harness, domains and place cache, and the root package build mixed fleets through it
 func HeterogeneousCluster(specs []MachineSpec) (*Topology, error) {
 	return HeterogeneousClusterWeights(specs, DefaultWeights())
 }

@@ -139,34 +139,6 @@ func TestMixRoundTripDegraded(t *testing.T) {
 	}
 }
 
-// bruteForceExtreme exhaustively searches all g-subsets for the extreme
-// pairwise-distance sum (test oracle; exponential, keep g and n small).
-func bruteForceExtreme(topo *Topology, g int, maximize bool) float64 {
-	n := topo.NumGPUs()
-	set := make([]int, 0, g)
-	best := math.Inf(1)
-	if maximize {
-		best = math.Inf(-1)
-	}
-	var rec func(start int)
-	rec = func(start int) {
-		if len(set) == g {
-			c := topo.PairwiseDistance(set)
-			if (maximize && c > best) || (!maximize && c < best) {
-				best = c
-			}
-			return
-		}
-		for v := start; v < n; v++ {
-			set = append(set, v)
-			rec(v + 1)
-			set = set[:len(set)-1]
-		}
-	}
-	rec(0)
-	return best
-}
-
 // TestExtremeAllocationSeedsDegradedShape is the allocator-coverage
 // regression for degraded machines: on a large cluster (shape-based seed
 // limiting active: >2 machines, >16 GPUs) whose best dense allocation
@@ -188,7 +160,10 @@ func TestExtremeAllocationSeedsDegradedShape(t *testing.T) {
 	}
 	for _, g := range []int{2, 3} {
 		got := topo.PairwiseDistance(topo.BestAllocation(g))
-		want := bruteForceExtreme(topo, g, false)
+		want := math.Inf(1)
+		enumerate(topo.NumGPUs(), g, func(set []int) {
+			want = min(want, topo.PairwiseDistance(set))
+		})
 		if got != want {
 			t.Fatalf("BestAllocation(%d) cost %g, brute force %g — degraded shape not seeded", g, got, want)
 		}
@@ -205,10 +180,6 @@ func TestExtremeAllocationSeedsDegradedShape(t *testing.T) {
 	}
 	if got := topo.PairwiseDistance(best3); got != 3*WeightGPUPeer {
 		t.Fatalf("best 3-GPU cost = %g, want the NVLink triangle %g", got, 3*WeightGPUPeer)
-	}
-	// Worst allocations must agree with brute force too (Eq. 1 normalizer).
-	if got, want := topo.PairwiseDistance(topo.extremeAllocation(2, true)), bruteForceExtreme(topo, 2, true); got != want {
-		t.Fatalf("worst 2-GPU allocation cost %g, brute force %g", got, want)
 	}
 }
 

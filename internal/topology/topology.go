@@ -176,13 +176,12 @@ type Topology struct {
 	// reads one float instead of re-scanning every GPU of the cluster.
 	minPairDist float64
 
-	// Extreme-allocation memo: extreme[0][g] is BestAllocation(g),
-	// extreme[1][g] the g-GPU set behind WorstCommCost, each computed once
-	// inside its entry's sync.Once, so concurrent readers sharing one
+	// Extreme-allocation memo: extreme[g] is BestAllocation(g), computed
+	// once inside its entry's sync.Once, so concurrent readers sharing one
 	// topology (the sweep engine's substrate cache) neither race nor
 	// duplicate the greedy search. Cached slices are returned as-is and
 	// must not be mutated.
-	extreme [2][]extremeEntry
+	extreme []extremeEntry
 }
 
 // extremeEntry memoizes one extreme allocation and its pairwise-distance
@@ -548,8 +547,7 @@ func (t *Topology) computeMatrices() {
 	}
 
 	t.computeMinPairDistance()
-	t.extreme[0] = make([]extremeEntry, n+1)
-	t.extreme[1] = make([]extremeEntry, n+1)
+	t.extreme = make([]extremeEntry, n+1)
 }
 
 // search is Build's shortest-path scratch: the link adjacency with per-edge
