@@ -33,12 +33,13 @@ func TestExampleGridSpecsLoad(t *testing.T) {
 	}
 }
 
-// TestExampleGridSpecsDeterministic runs the two example specs
-// docs/sweeps.md walks through on one worker and on eight: the artifacts
-// must be byte-identical, the discovered-matrix substrate of hetero.json
-// included (its matrix_file resolves only from the repository root).
+// TestExampleGridSpecsDeterministic runs the example specs docs/sweeps.md
+// walks through on one worker and on eight: the artifacts must be
+// byte-identical, the discovered-matrix substrate of hetero.json included
+// (its matrix_file resolves only from the repository root), and so must
+// the job list of table1-list.json.
 func TestExampleGridSpecsDeterministic(t *testing.T) {
-	for _, name := range []string{"topology-ablation.json", "hetero.json"} {
+	for _, name := range []string{"topology-ablation.json", "hetero.json", "table1-list.json"} {
 		t.Run(name, func(t *testing.T) {
 			g, err := sweep.LoadGridSpec(filepath.Join("examples", "sweeps", name))
 			if err != nil {

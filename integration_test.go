@@ -8,12 +8,12 @@ import (
 	"gputopo/internal/cluster"
 	"gputopo/internal/core"
 	"gputopo/internal/job"
-	"gputopo/internal/manifest"
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/profile"
 	"gputopo/internal/schedcore"
 	"gputopo/internal/simulator"
 	"gputopo/internal/stats"
+	"gputopo/internal/sweep"
 	"gputopo/internal/topology"
 	"gputopo/internal/workload"
 )
@@ -44,31 +44,35 @@ func TestSimulatorTracksPrototype(t *testing.T) {
 	}
 }
 
-// TestEndToEndManifestWorkflow runs the Table 1 experiment through the
-// declarative manifest interface in both engine modes.
+// TestEndToEndManifestWorkflow runs a declarative experiment — the
+// artifact appendix's system config, one config per algorithm and the JSON
+// job manifests — as a list grid spec.
 func TestEndToEndManifestWorkflow(t *testing.T) {
-	exp := &manifest.Experiment{
-		System: manifest.SystemConfig{Simulation: true, Topology: "minsky"},
-		Algorithms: []manifest.AlgorithmConfig{
-			{Name: "BF"}, {Name: "TOPO-AWARE-P"},
-		},
-		Jobs: []manifest.JobManifest{
-			{ID: "J3", Model: "AlexNet", BatchSize: 4, GPUs: 2, MinUtility: 0.5, Arrival: 0, Iterations: 400},
-			{ID: "J4", Model: "AlexNet", BatchSize: 1, GPUs: 2, MinUtility: 0.5, Arrival: 1, Iterations: 400},
-		},
-	}
-	runs, err := exp.Run()
+	g, err := sweep.ParseGridSpec([]byte(`{
+		"name": "manifest",
+		"engine": "sim",
+		"source": "list",
+		"policies": ["BF", "TOPO-AWARE-P"],
+		"topologies": [{"builder": "minsky"}],
+		"job_list": [
+			{"id": "J3", "model": "AlexNet", "batch_size": 4, "gpus": 2, "min_utility": 0.5, "arrival_s": 0, "iterations": 400},
+			{"id": "J4", "model": "AlexNet", "batch_size": 1, "gpus": 2, "min_utility": 0.5, "arrival_s": 1, "iterations": 400}
+		]
+	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 2 {
-		t.Fatalf("runs = %d", len(runs))
+	rep, err := sweep.Run(g, sweep.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) != 2 {
+		t.Fatalf("runs = %d", len(rep.Points))
 	}
 	// Both jobs fit the machine simultaneously, one per socket; the
 	// topology-aware policy must not be slower than Best-Fit.
-	if runs[1].Result.Makespan > runs[0].Result.Makespan+1e-9 {
-		t.Fatalf("TOPO-AWARE-P (%.1f) slower than BF (%.1f)",
-			runs[1].Result.Makespan, runs[0].Result.Makespan)
+	if bf, topo := rep.Points[0].Makespan, rep.Points[1].Makespan; topo > bf+1e-9 {
+		t.Fatalf("TOPO-AWARE-P (%.1f) slower than BF (%.1f)", topo, bf)
 	}
 }
 

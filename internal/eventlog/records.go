@@ -69,6 +69,10 @@ type Snapshot struct {
 	Running []RunningJob `json:"running,omitempty"`
 	// Queued lists the waiting jobs in queue order.
 	Queued []serveapi.JobSpec `json:"queued,omitempty"`
+	// QueueState is index-aligned with Queued: each waiting job's
+	// scheduler bookkeeping. A snapshot without it restores every queued
+	// job as a fresh, un-parked submission.
+	QueueState []QueuedState `json:"queue_state,omitempty"`
 	// Decisions is the decision ring, oldest first.
 	Decisions []serveapi.DecisionRecord `json:"decisions,omitempty"`
 }
@@ -80,6 +84,15 @@ type RunningJob struct {
 	GPUs []int `json:"gpus"`
 	// Bandwidth is the shared-bus demand (GB/s) committed on placement.
 	Bandwidth float64 `json:"bandwidth_gbs"`
+}
+
+// QueuedState is one waiting job's scheduler bookkeeping in a snapshot:
+// the rounds it has waited, its explicit postponements, and whether the
+// wake-up index holds it parked.
+type QueuedState struct {
+	Waited    int  `json:"waited,omitempty"`
+	Postponed int  `json:"postponed,omitempty"`
+	Parked    bool `json:"parked,omitempty"`
 }
 
 // SnapStats mirrors schedcore.Stats' deterministic counters for the

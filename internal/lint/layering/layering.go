@@ -66,8 +66,6 @@ var Ranks = map[string]Layer{
 
 	"gputopo/internal/metrics": {900, "evaluation"},
 
-	"gputopo/internal/manifest": {950, "evaluation"},
-
 	"gputopo/internal/sweep": {1000, "evaluation"},
 
 	"gputopo/internal/experiments":     {1100, "front-ends"},

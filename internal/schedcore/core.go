@@ -276,20 +276,31 @@ func (c *Core) insertOrdered(q []entry, e entry) []entry {
 }
 
 // Submit enqueues a job.
-func (c *Core) Submit(j *job.Job) error {
-	if err := j.Validate(); err != nil {
+func (c *Core) Submit(j *job.Job) error { return c.RestoreQueued(QueuedEntry{Job: j}) }
+
+// RestoreQueued enqueues a waiting job with the bookkeeping QueueState
+// reported for it, so that the next round treats it exactly as the
+// reporting core would have — the serving front-end's snapshot restore. A
+// submission is the case without bookkeeping.
+func (c *Core) RestoreQueued(q QueuedEntry) error {
+	if err := q.Job.Validate(); err != nil {
 		return err
 	}
-	c.enqueue(j)
+	c.enqueue(q)
 	return nil
 }
 
-// enqueue adds j to the queue as a fresh submission. Under the wake-up
-// index a new job is never parked: it has not been evaluated yet, so no
-// wake-up key is known for it.
-func (c *Core) enqueue(j *job.Job) {
-	c.queue = c.insertOrdered(c.queue, entry{job: j, seq: c.seq, enterRound: c.rounds})
+// enqueue adds q's job to the queue, parked when q says so and the
+// wake-up index is on. A fresh submission is never parked: it has not
+// been evaluated yet, so no wake-up key is known for it.
+func (c *Core) enqueue(q QueuedEntry) {
+	e := entry{job: q.Job, seq: c.seq, enterRound: c.rounds - q.Waited, postponed: q.Postponed}
 	c.seq++
+	if q.Parked && c.indexed() {
+		c.park(&e)
+		return
+	}
+	c.queue = c.insertOrdered(c.queue, e)
 }
 
 // QueueLen returns the number of waiting jobs.
@@ -299,22 +310,49 @@ func (c *Core) QueueLen() int { return len(c.queue) + c.nParked }
 // the wake-up index this merges them back in (O(n log n)); it is a
 // reporting accessor, not a hot path.
 func (c *Core) Queued() []*job.Job {
-	es := c.queue
-	if c.nParked > 0 {
-		es = append(make([]entry, 0, c.QueueLen()), c.queue...)
-		for _, h := range c.parkedSingle {
-			es = append(es, h.es...)
-		}
-		for _, h := range c.parkedMulti {
-			es = append(es, h.es...)
-		}
-		slices.SortFunc(es, c.entryCmp)
-	}
+	es := c.entries()
 	out := make([]*job.Job, len(es))
 	for i, e := range es {
 		out[i] = e.job
 	}
 	return out
+}
+
+// QueuedEntry is a waiting job with the bookkeeping a durable server
+// journals to restore it exactly: the rounds it has waited, its explicit
+// postponement count, and whether the wake-up index holds it parked.
+type QueuedEntry struct {
+	Job       *job.Job
+	Waited    int
+	Postponed int
+	Parked    bool
+}
+
+// QueueState returns the waiting jobs in queue order with their
+// bookkeeping, for RestoreQueued to rebuild elsewhere.
+func (c *Core) QueueState() []QueuedEntry {
+	es := c.entries()
+	out := make([]QueuedEntry, len(es))
+	for i, e := range es {
+		out[i] = QueuedEntry{Job: e.job, Waited: c.rounds - e.enterRound, Postponed: e.postponed, Parked: e.parked}
+	}
+	return out
+}
+
+// entries returns the queued and parked entries in queue order.
+func (c *Core) entries() []entry {
+	if c.nParked == 0 {
+		return c.queue
+	}
+	es := append(make([]entry, 0, c.QueueLen()), c.queue...)
+	for _, h := range c.parkedSingle {
+		es = append(es, h.es...)
+	}
+	for _, h := range c.parkedMulti {
+		es = append(es, h.es...)
+	}
+	slices.SortFunc(es, c.entryCmp)
+	return es
 }
 
 // Release frees the allocation of a finished job.

@@ -282,7 +282,7 @@ func (c *Core) selectVictims(j *job.Job) ([]*job.Job, *core.Placement) {
 // eviction order.
 func (c *Core) requeueVictims() {
 	for _, v := range c.pendingRequeue {
-		c.enqueue(v)
+		c.enqueue(QueuedEntry{Job: v})
 	}
 	c.pendingRequeue = c.pendingRequeue[:0]
 }

@@ -1,8 +1,11 @@
 package schedcore
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"gputopo/internal/job"
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/topology"
 )
@@ -189,5 +192,69 @@ func TestDecisionTimestampsFollowClock(t *testing.T) {
 	}
 	if s.Now() != 12.5 {
 		t.Fatalf("Now() = %g", s.Now())
+	}
+}
+
+// TestQueueStateRestores: a core rebuilt from another's running jobs and
+// QueueState makes the same decisions from then on, with the same
+// postponement counts and wake-up skips — parked jobs stay parked under
+// TOPO-AWARE-P, and the in-order policies keep their explicit counts.
+func TestQueueStateRestores(t *testing.T) {
+	topo := topology.Power8Minsky()
+	for _, policy := range []Policy{TopoAwareP, FCFS} {
+		t.Run(policy.String(), func(t *testing.T) {
+			live := newSched(t, policy, topo)
+			jobs := []*job.Job{mkJob("big", 4, 4, 0, 0), mkJob("pair", 4, 2, 0, 1), mkJob("solo", 4, 1, 0, 2)}
+			for _, j := range jobs {
+				if err := live.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				live.Schedule()
+			}
+			qs := live.QueueState()
+			if len(qs) != 2 || qs[0].Job.ID != "pair" || qs[1].Job.ID != "solo" {
+				t.Fatalf("queue state = %+v", qs)
+			}
+			if policy == TopoAwareP && (!qs[0].Parked || qs[0].Waited != 3) {
+				t.Fatalf("pair: %+v, want parked after 3 rounds waited", qs[0])
+			}
+			if policy == FCFS && (qs[0].Parked || qs[0].Postponed != 3 || qs[1].Postponed != 0) {
+				t.Fatalf("FCFS queue state = %+v, want 3 and 0 explicit postponements", qs)
+			}
+
+			restored := newSched(t, policy, topo)
+			if err := restored.Restore(jobs[0], live.State().Allocation("big").GPUs, 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range qs {
+				if err := restored.RestoreQueued(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One more blocked round, then release the blocker: both cores
+			// must log the same two rounds.
+			step := func(c *Core) []string {
+				var got []string
+				for _, release := range []bool{false, true} {
+					base := c.Stats()
+					if release {
+						if err := c.Release("big"); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, d := range c.Schedule() {
+						got = append(got, fmt.Sprintf("%s placed=%v waited=%d", d.Job.ID, !d.Postponed, d.Postponements))
+					}
+					st := c.Stats()
+					got = append(got, fmt.Sprintf("postponements+%d wake-skips+%d", st.Postponements-base.Postponements, st.WakeSkips-base.WakeSkips))
+				}
+				return got
+			}
+			if want, got := step(live), step(restored); !slices.Equal(got, want) {
+				t.Fatalf("restored core decided %v, live core %v", got, want)
+			}
+		})
 	}
 }

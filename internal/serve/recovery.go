@@ -110,8 +110,9 @@ func sameDecision(a, b serveapi.DecisionRecord) bool {
 
 // restoreSnapshot rebuilds explicit state: exact allocations for running
 // jobs (placements depend on the full truncated history, so they are
-// restored, never recomputed), the wait queue in order, the decision
-// ring, the sequence counter, the stats base and the clock.
+// restored, never recomputed), the wait queue in order with each job's
+// rounds waited, postponements and parked flag, the decision ring, the
+// sequence counter, the stats base and the clock.
 func (d *domain) restoreSnapshot(sn *eventlog.Snapshot) error {
 	d.statsBase = schedcore.Stats{
 		Decisions:     sn.Stats.Decisions,
@@ -139,13 +140,21 @@ func (d *domain) restoreSnapshot(sn *eventlog.Snapshot) error {
 		}
 		d.jobs[j.ID] = j
 	}
-	for _, spec := range sn.Queued {
+	if len(sn.QueueState) > 0 && len(sn.QueueState) != len(sn.Queued) {
+		return fmt.Errorf("serve: snapshot has %d queue states for %d queued jobs", len(sn.QueueState), len(sn.Queued))
+	}
+	for i, spec := range sn.Queued {
 		j, err := spec.Job()
 		if err != nil {
 			return fmt.Errorf("serve: snapshot queued job %q: %w", spec.ID, err)
 		}
+		q := schedcore.QueuedEntry{Job: j}
+		if len(sn.QueueState) > 0 {
+			qs := sn.QueueState[i]
+			q.Waited, q.Postponed, q.Parked = qs.Waited, qs.Postponed, qs.Parked
+		}
 		d.clk.Set(j.Arrival)
-		if err := d.core.Submit(j); err != nil {
+		if err := d.core.RestoreQueued(q); err != nil {
 			return fmt.Errorf("serve: snapshot queued job %q: %w", j.ID, err)
 		}
 		d.jobs[j.ID] = j
@@ -200,8 +209,9 @@ func (d *domain) writeSnapshot(now float64) {
 			Bandwidth: alloc.Bandwidth,
 		})
 	}
-	for _, j := range d.core.Queued() {
-		sn.Queued = append(sn.Queued, serveapi.SpecOf(j))
+	for _, q := range d.core.QueueState() {
+		sn.Queued = append(sn.Queued, serveapi.SpecOf(q.Job))
+		sn.QueueState = append(sn.QueueState, eventlog.QueuedState{Waited: q.Waited, Postponed: q.Postponed, Parked: q.Parked})
 	}
 	n := len(d.decisions)
 	for i := 0; i < n; i++ {

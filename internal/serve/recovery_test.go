@@ -17,6 +17,7 @@ import (
 	"gputopo/internal/schedcore"
 	"gputopo/internal/serveapi"
 	"gputopo/internal/serveapi/client"
+	"gputopo/internal/sweep"
 	"gputopo/internal/workload"
 )
 
@@ -49,15 +50,6 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	spec := specArg(t, "minsky:2")
 	cfg := Config{Spec: spec, Policy: schedcore.TopoAwareP, LogPath: logPath, SnapshotEvery: -1}
 
-	topo, err := spec.Build(spec.EffectiveMachines(1), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := workload.Generate(workload.GenConfig{Jobs: 30, Seed: 42, ArrivalRate: 10}, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	srv1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,31 +57,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	ts1 := httptest.NewServer(srv1.Handler())
 	c1 := client.New(ts1.URL)
 	ctx := ctxT(t)
-
-	// Mixed traffic: every 6th submit is followed by releasing the oldest
-	// still-running job, so the log carries release + wake-up rounds, not
-	// just a submit burst.
-	var placed []string
-	released := 0
-	for i, j := range jobs {
-		jr, err := c1.SubmitJob(ctx, serveapi.JobRequest{
-			ID: j.ID, Model: j.Model.String(), BatchSize: j.BatchSize,
-			GPUs: j.GPUs, MinUtility: j.MinUtility, Iterations: j.Iterations,
-		})
-		if err != nil {
-			t.Fatalf("submit %s: %v", j.ID, err)
-		}
-		if jr.Status == "placed" {
-			placed = append(placed, jr.ID)
-		}
-		if i%6 == 5 && released < len(placed) {
-			rr, err := c1.ReleaseJob(ctx, placed[released])
-			if err != nil || rr.Status != "released" {
-				t.Fatalf("release %s: %+v %v", placed[released], rr, err)
-			}
-			released++
-		}
-	}
+	mixedTraffic(t, spec, c1)
 	st1, js1 := pinnedState(t, c1)
 	if len(st1.Running) == 0 || len(st1.Queue) == 0 {
 		t.Fatalf("workload left no mixed state to recover: %+v", st1)
@@ -149,6 +117,90 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	_, js3 := pinnedState(t, client.New(ts3.URL))
 	if string(js2b) != string(js3) {
 		t.Fatalf("/v1/state diverged across snapshot restore:\n before: %s\n after:  %s", js2b, js3)
+	}
+}
+
+// mixedTraffic drives 30 generated jobs at c: every 6th submit is
+// followed by releasing the oldest still-running job, so the log carries
+// release + wake-up rounds, not just a submit burst.
+func mixedTraffic(t *testing.T, spec sweep.TopologySpec, c *client.Client) {
+	t.Helper()
+	topo, err := spec.Build(spec.EffectiveMachines(1), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := workload.Generate(workload.GenConfig{Jobs: 30, Seed: 42, ArrivalRate: 10}, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := ctxT(t)
+	var placed []string
+	released := 0
+	for i, j := range jobs {
+		jr, err := c.SubmitJob(ctx, serveapi.JobRequest{
+			ID: j.ID, Model: j.Model.String(), BatchSize: j.BatchSize,
+			GPUs: j.GPUs, MinUtility: j.MinUtility, Iterations: j.Iterations,
+		})
+		if err != nil {
+			t.Fatalf("submit %s: %v", j.ID, err)
+		}
+		if jr.Status == "placed" {
+			placed = append(placed, jr.ID)
+		}
+		if i%6 == 5 && released < len(placed) {
+			rr, err := c.ReleaseJob(ctx, placed[released])
+			if err != nil || rr.Status != "released" {
+				t.Fatalf("release %s: %+v %v", placed[released], rr, err)
+			}
+			released++
+		}
+	}
+}
+
+// TestKillAfterPeriodicSnapshotRecovers: the log holds a periodic
+// snapshot taken while TOPO-AWARE-P had jobs parked in its wake-up index,
+// then a tail whose rounds place. A kill and restart must replay that
+// tail to the live /v1/state and decision ring, which needs the snapshot
+// to restore each queued job parked or not, with its rounds waited.
+func TestKillAfterPeriodicSnapshotRecovers(t *testing.T) {
+	spec := specArg(t, "minsky:2")
+	logPath := filepath.Join(t.TempDir(), "events.log")
+	cfg := Config{Spec: spec, Policy: schedcore.TopoAwareP, LogPath: logPath, SnapshotEvery: 24}
+	srv1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	c1 := client.New(ts1.URL)
+	mixedTraffic(t, spec, c1)
+	_, js1 := pinnedState(t, c1)
+	dec1, _, err := c1.AllDecisions(ctxT(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	srv1.Kill()
+	raw, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, c2 := startServer(t, cfg)
+	if srv2.Replayed() < 2 {
+		t.Fatalf("replayed %d records, want a snapshot and a tail", srv2.Replayed())
+	}
+	if _, js2 := pinnedState(t, c2); string(js1) != string(js2) {
+		t.Fatalf("/v1/state diverged across kill+restart:\n before: %s\n after:  %s", js1, js2)
+	}
+	dec2, _, err := c2.AllDecisions(ctxT(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dec1, dec2) {
+		t.Fatalf("decision ring diverged: %d vs %d records", len(dec1), len(dec2))
+	}
+	if !bytes.Contains(raw, []byte(`"parked":true`)) {
+		t.Fatal("the log's snapshot holds no parked job, so the recipe no longer reaches the restore path")
 	}
 }
 
@@ -325,6 +377,34 @@ func TestReplayDivergenceFailsLoudly(t *testing.T) {
 	_, err = New(Config{Spec: specArg(t, "minsky:1"), Policy: schedcore.TopoAwareP, LogPath: logPath})
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("divergent log accepted: %v", err)
+	}
+}
+
+// TestSnapshotQueueStateMustAlignWithQueue: a snapshot whose queue_state
+// does not pair one entry with each queued job fails recovery instead of
+// restoring some jobs without their bookkeeping.
+func TestSnapshotQueueStateMustAlignWithQueue(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "events.log")
+	l, err := eventlog.Open(logPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := func(id string) serveapi.JobSpec {
+		return serveapi.JobSpec{JobRequest: serveapi.JobRequest{ID: id, GPUs: 1}}
+	}
+	sn := &eventlog.Snapshot{
+		Queued:     []serveapi.JobSpec{queued("q1"), queued("q2")},
+		QueueState: []eventlog.QueuedState{{Waited: 1}},
+	}
+	if err := l.Append(eventlog.Record{Type: eventlog.TypeSnapshot, Snapshot: sn}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(Config{Spec: specArg(t, "minsky:1"), Policy: schedcore.TopoAwareP, LogPath: logPath})
+	if err == nil || !strings.Contains(err.Error(), "1 queue states for 2 queued jobs") {
+		t.Fatalf("misaligned queue_state accepted: %v", err)
 	}
 }
 

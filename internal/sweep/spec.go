@@ -9,7 +9,10 @@ import (
 	"strings"
 	"sync"
 
+	"gputopo/internal/job"
+	"gputopo/internal/jobgraph"
 	"gputopo/internal/schedcore/domains"
+	"gputopo/internal/serveapi"
 	"gputopo/internal/topology"
 )
 
@@ -310,12 +313,63 @@ func (ts TopologySpec) Build(machines int, standalone bool) (*topology.Topology,
 	return topology.ClusterWeights(machines, kind, w), nil
 }
 
+// ListJob is one entry of a list grid's job_list: a fully resolved job in
+// the form the /v1 API accepts and the event log journals, plus the one
+// job option that form lacks.
+type ListJob struct {
+	serveapi.JobSpec
+	// CommPattern selects the communication graph: "all-to-all" (the
+	// default, data parallel), "ring" or "star".
+	CommPattern string `json:"comm_pattern,omitempty"`
+}
+
+// Job builds the entry's scheduler job.
+func (lj ListJob) Job() (*job.Job, error) {
+	j, err := lj.JobSpec.Job()
+	if err != nil {
+		return nil, err
+	}
+	switch lj.CommPattern {
+	case "", "all-to-all":
+	case "ring":
+		err = j.SetCommGraph(jobgraph.Ring(j.GPUs, j.Class().CommWeight()))
+	case "star":
+		err = j.SetCommGraph(jobgraph.Star(j.GPUs, j.Class().CommWeight()))
+	default:
+		err = fmt.Errorf("unknown comm pattern %q", lj.CommPattern)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// listJobs builds the job_list afresh, so no point shares a job with
+// another. An error names the offending entry.
+func (g Grid) listJobs() ([]*job.Job, error) {
+	jobs := make([]*job.Job, len(g.JobList))
+	seen := make(map[string]bool, len(g.JobList))
+	for i, lj := range g.JobList {
+		j, err := lj.Job()
+		if err == nil && seen[lj.ID] {
+			err = fmt.Errorf("duplicate id")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("job_list[%d] %q: %w", i, lj.ID, err)
+		}
+		seen[lj.ID] = true
+		jobs[i] = j
+	}
+	return jobs, nil
+}
+
 // Validate checks a grid for the mistakes a hand-written spec file can
 // make: empty-but-present axes, out-of-range values, unknown topology
-// builders, and a Machines axis that conflicts with pinned topology
-// machine counts. Axes left absent (nil) are fine — withDefaults fills
-// them — but an explicitly empty axis ("machines": []) is an error,
-// because it would silently expand to zero points.
+// builders, a Machines axis that conflicts with pinned topology machine
+// counts, and a job_list that is empty, misplaced or holds a bad entry.
+// Axes left absent (nil) are fine — withDefaults fills them — but an
+// explicitly empty axis ("machines": []) is an error, because it would
+// silently expand to zero points.
 func (g Grid) Validate() error {
 	type axis struct {
 		name  string
@@ -364,6 +418,15 @@ func (g Grid) Validate() error {
 		if d != "" && d != "fifo" && g.Engine != EngineSim {
 			return fmt.Errorf("sweep: grid %q: discipline %q needs the sim engine — the prototype emulator has no priority queue", g.Name, d)
 		}
+	}
+	if g.Source == SourceList && len(g.JobList) == 0 {
+		return fmt.Errorf("sweep: grid %q: source \"list\" needs a non-empty job_list", g.Name)
+	}
+	if g.Source != SourceList && g.JobList != nil {
+		return fmt.Errorf("sweep: grid %q: job_list needs source \"list\"", g.Name)
+	}
+	if _, err := g.listJobs(); err != nil {
+		return fmt.Errorf("sweep: grid %q: %w", g.Name, err)
 	}
 	if g.PriorityShare < 0 || g.PriorityShare > 1 {
 		return fmt.Errorf("sweep: grid %q: priority_share %g outside [0,1]", g.Name, g.PriorityShare)

@@ -74,6 +74,25 @@ func TestParseGridSpecErrors(t *testing.T) {
 	errCase(t, "pinned machines with machines axis",
 		`{"topologies": [{"builder": "minsky", "machines": 2}], "machines": [2]}`,
 		"machines axis")
+	errCase(t, "list without job_list", `{"source": "list"}`, "non-empty job_list")
+	errCase(t, "list with empty job_list", `{"source": "list", "job_list": []}`, "non-empty job_list")
+	errCase(t, "job_list on table1", `{"source": "table1", "job_list": [{"id": "a", "gpus": 1}]}`, "job_list needs source")
+	errCase(t, "job_list on generated", `{"job_list": [{"id": "a", "gpus": 1}]}`, "job_list needs source")
+	errCase(t, "job_list entry without id", `{"source": "list", "job_list": [{"gpus": 1}]}`, `job_list[0] ""`, "empty ID")
+	errCase(t, "job_list duplicate id",
+		`{"source": "list", "job_list": [{"id": "a", "gpus": 1}, {"id": "a", "gpus": 2}]}`,
+		`job_list[1] "a"`, "duplicate")
+	errCase(t, "job_list bad gpus", `{"source": "list", "job_list": [{"id": "z", "gpus": 0}]}`, `job_list[0] "z"`, "GPU count")
+	errCase(t, "job_list unknown model",
+		`{"source": "list", "job_list": [{"id": "r", "model": "ResNet", "gpus": 1}]}`,
+		`job_list[0] "r"`, "ResNet")
+	errCase(t, "job_list unknown field", `{"source": "list", "job_list": [{"id": "a", "gpus": 1, "multi_node": true}]}`, "multi_node")
+	errCase(t, "list with sharded domains",
+		`{"source": "list", "job_list": [{"id": "a", "gpus": 1}], "domains": ["hash:2"]}`,
+		"sharded domains")
+	errCase(t, "list with a sharded topology",
+		`{"source": "list", "job_list": [{"id": "a", "gpus": 1}], "topologies": [{"machines": 4, "domains": "hash:2"}]}`,
+		"sharded domains")
 }
 
 // writeMatrixFile drops a rendered connectivity matrix into a temp dir
@@ -228,6 +247,33 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			t.Fatalf("grid %q round-trip changed point count %d -> %d",
 				name, len(g.Points()), len(back.Points()))
 		}
+	}
+}
+
+func TestParseGridSpecRejectsGarbage(t *testing.T) {
+	errCase(t, "not JSON", "nope", "invalid grid spec")
+}
+
+// TestTopologySpecBuildVariants: every single-machine builder, and the
+// default, builds standalone with its GPU count; a cluster spec builds
+// one machine's GPUs per machine.
+func TestTopologySpecBuildVariants(t *testing.T) {
+	cases := map[string]int{"minsky": 4, "": 4, "dgx1": 8, "pcie": 4}
+	for name, gpus := range cases {
+		topo, err := TopologySpec{Builder: name}.Build(1, true)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if topo.NumGPUs() != gpus {
+			t.Fatalf("%q: GPUs = %d, want %d", name, topo.NumGPUs(), gpus)
+		}
+	}
+	topo, err := TopologySpec{Builder: "minsky", Machines: 3}.Build(0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.NumGPUs() != 12 {
+		t.Fatalf("3-machine cluster GPUs = %d, want 12", topo.NumGPUs())
 	}
 }
 

@@ -39,7 +39,7 @@ type substrateCache struct {
 // source (TopologySpec.Key covers builder/mix/matrix_file plus weight
 // overrides), the directory matrix_file paths resolve against, the
 // effective machine count, and whether the single-machine standalone
-// builder applies (Table 1 points).
+// builder applies (Table 1 and list points).
 type substrateKey struct {
 	topo       string
 	specDir    string
@@ -89,14 +89,18 @@ func (c *substrateCache) runPoint(p Point) (*RunOutput, error) {
 	var jobs []*job.Job
 	var err error
 	switch p.Source {
-	case SourceTable1:
-		// Table 1 replays run on one standalone machine unless the spec
+	case SourceTable1, SourceList:
+		// Fixed job lists run on one standalone machine unless the spec
 		// pins a larger cluster.
 		topo, profiles, err = c.substrate(p.Topology, p.Topology.Machines, true)
 		if err != nil {
 			return nil, err
 		}
-		jobs = workload.Table1()
+		if p.Source == SourceTable1 {
+			jobs = workload.Table1()
+		} else if jobs, err = p.grid.listJobs(); err != nil {
+			return nil, err
+		}
 	case SourceGenerated:
 		// The global substrate is keyed on the spec with any domain split
 		// stripped: jobs generate against the whole cluster (so the

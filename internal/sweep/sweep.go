@@ -76,6 +76,8 @@ const (
 	SourceGenerated Source = iota
 	// SourceTable1 replays the fixed six-job prototype scenario (Table 1).
 	SourceTable1
+	// SourceList replays the grid's explicit JobList.
+	SourceList
 )
 
 // String names the workload source.
@@ -85,6 +87,8 @@ func (s Source) String() string {
 		return "generated"
 	case SourceTable1:
 		return "table1"
+	case SourceList:
+		return "list"
 	default:
 		return fmt.Sprintf("Source(%d)", int(s))
 	}
@@ -104,6 +108,8 @@ func (s *Source) UnmarshalJSON(data []byte) error {
 		*s = SourceGenerated
 	case "table1":
 		*s = SourceTable1
+	case "list":
+		*s = SourceList
 	default:
 		return fmt.Errorf("sweep: unknown source %q", name)
 	}
@@ -123,6 +129,8 @@ type Grid struct {
 	// Engine and Source apply to every point.
 	Engine Engine `json:"engine"`
 	Source Source `json:"source"`
+	// JobList is the workload of SourceList, replayed at every point.
+	JobList []ListJob `json:"job_list,omitempty"`
 	// Policies defaults to schedcore.AllPolicies().
 	Policies []schedcore.Policy `json:"policies,omitempty"`
 	// Topologies is the topology axis: each spec names a builder, an
@@ -131,11 +139,11 @@ type Grid struct {
 	// Machines axis (the legacy behavior).
 	Topologies []TopologySpec `json:"topologies,omitempty"`
 	// Machines is the cluster-size axis (default {1}; ignored by
-	// SourceTable1, which runs on one standalone machine, and by
-	// topology specs that pin their own machine count).
+	// SourceTable1 and SourceList, which run on one standalone machine,
+	// and by topology specs that pin their own machine count).
 	Machines []int `json:"machines,omitempty"`
 	// Jobs is the workload-size axis (default {0}; ignored by
-	// SourceTable1).
+	// SourceTable1 and SourceList).
 	Jobs []int `json:"jobs,omitempty"`
 	// AlphasCC is the utility-weight axis: each value αcc gets weights
 	// {αcc, (1-αcc)/2, (1-αcc)/2}; NoOverride keeps the engine default.

@@ -22,7 +22,10 @@ func (t *Topology) PairwiseDistance(set []int) float64 {
 // sum on an empty topology — the ideal placement the utility function
 // normalizes against. Results are cached per g and must not be mutated.
 func (t *Topology) BestAllocation(g int) []int {
-	return t.extremeAllocation(g)
+	if g <= 0 {
+		return nil
+	}
+	return t.extremeEntryFor(g).set
 }
 
 // BestCommCost returns the pairwise-distance sum of the best allocation of
@@ -34,20 +37,6 @@ func (t *Topology) BestCommCost(g int) float64 {
 		return 0
 	}
 	return t.extremeEntryFor(g).cost
-}
-
-// extremeAllocation greedily grows a GPU set from a set of seeds, keeping
-// the set with the least pairwise distance. Machines hold at most 8 GPUs, so
-// greedy growth matches the exhaustive optimum on the topologies built
-// here (verified by tests against brute force). On large clusters the
-// seed set is limited to the first two machines of each distinct machine
-// shape (see seedCandidates) — by symmetry among same-shape machines
-// every extreme allocation is reachable from them.
-func (t *Topology) extremeAllocation(g int) []int {
-	if g <= 0 {
-		return nil
-	}
-	return t.extremeEntryFor(g).set
 }
 
 // extremeEntryFor returns the fully initialized memo entry for size
@@ -64,7 +53,13 @@ func (t *Topology) extremeEntryFor(g int) *extremeEntry {
 	return e
 }
 
-// searchExtreme performs the greedy extremal search for size g.
+// searchExtreme greedily grows a GPU set of size g from a set of seeds,
+// keeping the set with the least pairwise distance. Machines hold at most
+// 8 GPUs, so greedy growth matches the exhaustive optimum on the
+// topologies built here (verified by tests against brute force). On large
+// clusters the seed set is limited to the first two machines of each
+// distinct machine shape (see seedCandidates) — by symmetry among
+// same-shape machines every extreme allocation is reachable from them.
 func (t *Topology) searchExtreme(g int) []int {
 	n := len(t.gpus)
 	if g == n {
@@ -105,7 +100,7 @@ func (t *Topology) searchExtreme(g int) []int {
 	return bestSet
 }
 
-// seedCandidates returns the GPU positions extremeAllocation grows greedy
+// seedCandidates returns the GPU positions searchExtreme grows greedy
 // sets from, in ascending order. Small topologies seed from every GPU. On
 // large clusters the seeds are the GPUs of the first two machines of each
 // *distinct machine shape*: same-shape machines are interchangeable under

@@ -390,7 +390,7 @@ func ParseMix(s string) ([]MachineSpec, error) {
 // machines M0,M1 (Minsky) and M2 (DGX-1). Mixed-generation fleets are the
 // norm in production datacenters, and BestAllocation is only meaningful
 // on them when the extremal search considers every distinct machine shape
-// (see extremeAllocation).
+// (see searchExtreme).
 //
 //lint:ignore deadcode test helper: the tests of topology, cluster, profile, core, schedcore, its differential harness, domains and place cache, and the root package build mixed fleets through it
 func HeterogeneousCluster(specs []MachineSpec) (*Topology, error) {

@@ -327,7 +327,7 @@ func TestParseMix(t *testing.T) {
 }
 
 // TestHeteroAllocationMatchesBruteForce is the regression test for the
-// allocation-symmetry bug: extremeAllocation used to seed only from the
+// allocation-symmetry bug: the best-allocation search used to seed only from the
 // first two machines "by symmetry", but on minsky,minsky,minsky,dgx1 the
 // true best 8-GPU allocation is the DGX-1's own eight GPUs — unreachable
 // from a Minsky seed, because every greedy set contains its seed. The

@@ -12,6 +12,12 @@
 #   serve.sh load <topology> <log> <topoload args...>
 #       start a durable server (max-queue 256), run topoload against it
 #       with the given arguments, drain.
+#   serve.sh crash <log>
+#       crash restart over a periodic snapshot: on minsky:2, submit four
+#       4-GPU jobs (two place, two park), so that the fourth submit
+#       writes the snapshot; release both running jobs, kill -9, restart
+#       on the same log, expect the two parked jobs running on a full
+#       cluster, release them.
 set -euo pipefail
 
 SRV=
@@ -79,8 +85,32 @@ load)
   ./topoload -url "$URL" -topology "$topology" -policy topo-p "$@"
   drain
   ;;
+crash)
+  log=$2
+  # A placing submit journals three records (submit, round, place) and
+  # a parked one two, so the fourth submit brings the log to 10 records
+  # and -snapshot-every 10 rewrites it to a snapshot with c2, c3 parked.
+  start 18082 -topology minsky:2 -policy topo-p -log "$log" -snapshot-every 10
+  for i in 0 1 2 3; do
+    curl -sf -X POST "$URL/v1/jobs" -d "{\"id\":\"c$i\",\"gpus\":4}" >/dev/null
+  done
+  expect '"snapshots": 1,' "$URL/v1/state"
+  expect '"records_since_snapshot": 0,' "$URL/v1/state"
+  expect '"c2"' -X DELETE "$URL/v1/jobs/c0"
+  expect '"c3"' -X DELETE "$URL/v1/jobs/c1"
+  kill -9 "$SRV"
+  wait "$SRV" || true
+  SRV=
+  start 18083 -topology minsky:2 -policy topo-p -log "$log" -snapshot-every 10
+  expect '"free_gpus": 0,' "$URL/v1/state"
+  expect '"queue": \[\]' "$URL/v1/state"
+  expect '"status": "released"' -X DELETE "$URL/v1/jobs/c2"
+  expect '"status": "released"' -X DELETE "$URL/v1/jobs/c3"
+  expect '"free_gpus": 8,' "$URL/v1/state"
+  drain
+  ;;
 *)
-  sed -n '2,16p' "$0" >&2
+  sed -n '2,22p' "$0" >&2
   exit 2
   ;;
 esac
