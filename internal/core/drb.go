@@ -229,7 +229,16 @@ var drbPool = sync.Pool{New: func() interface{} { return &drbRun{affinity: graph
 // recurse is Algorithm 2. Each call bi-partitions the physical GPU set
 // with Fiduccia–Mattheyses over the affinity graph (physicalGraphBiPartition)
 // and splits the tasks between the halves by utility
-// (jobGraphBiPartition), recursing until a side holds a single GPU.
+// (jobGraphBiPartition), recursing until a level's tasks fill its GPUs.
+//
+// Such a full level takes every GPU it holds, whatever the split: the
+// halves' capacities sum to the task count, so each half is filled and
+// no split can fail. PlaceInto reads only the set of GPUs mapped (it
+// sorts the assignment before scoring it), so a full level maps
+// tasks[i] to gpus[i] and runs no FM pass and no side scoring. A single
+// GPU with its one task (Alg. 2 line 5) is the smallest full level; a
+// 4-GPU job on an empty Minsky, and every child level one side's tasks
+// fill, are full levels too.
 func (d *drbRun) recurse(tasks, gpus []int) error {
 	if len(tasks) == 0 {
 		return nil // this partition is not a candidate (Alg. 2 line 2)
@@ -237,9 +246,10 @@ func (d *drbRun) recurse(tasks, gpus []int) error {
 	if len(tasks) > len(gpus) {
 		return fmt.Errorf("core: %d tasks cannot map onto %d GPUs", len(tasks), len(gpus))
 	}
-	if len(gpus) == 1 {
-		// Map job's task to physical GPU (Alg. 2 line 5).
-		d.assignment[tasks[0]] = gpus[0]
+	if len(tasks) == len(gpus) {
+		for i, task := range tasks {
+			d.assignment[task] = gpus[i]
+		}
 		return nil
 	}
 	mark := len(d.arena)
@@ -306,7 +316,9 @@ func (d *drbRun) physicalGraphBiPartition(gpus []int) (p0, p1 []int) {
 // jobGraphBiPartition is Algorithm 3: it assigns each task to the physical
 // sub-partition giving it higher utility, subject to capacity. Tasks are
 // taken in descending weighted-degree order so the most communication-
-// critical tasks choose first.
+// critical tasks choose first. What a side offers apart from the task's
+// peers is the same for every task, so each side's terms are taken once,
+// before the task loop.
 func (d *drbRun) jobGraphBiPartition(tasks, p0, p1 []int) (a0, a1 []int, err error) {
 	comm := d.job.CommGraph()
 	order := append(d.orderScratch[:0], tasks...)
@@ -333,16 +345,13 @@ func (d *drbRun) jobGraphBiPartition(tasks, p0, p1 []int) (a0, a1 []int, err err
 		side = append(side, -1)
 	}
 	d.sideScratch = side
+	t0, t1 := d.scoreSide(p0, p1), d.scoreSide(p1, p0)
 	a0, a1 = d.take(len(tasks))[:0], d.take(len(tasks))[:0]
 	for _, task := range order {
-		u0 := d.sideUtility(task, 0, p0, p1, side)
-		u1 := d.sideUtility(task, 1, p0, p1, side)
+		u0 := d.sideUtility(task, 0, &t0, side)
+		u1 := d.sideUtility(task, 1, &t1, side)
 		cap0 := len(p0) - len(a0)
 		cap1 := len(p1) - len(a1)
-		// Anti-collocation spreads tasks: prefer the emptier side.
-		if d.job.AntiCollocate {
-			u0, u1 = float64(cap0), float64(cap1)
-		}
 		pick := 1
 		if (u0 >= u1 && cap0 > 0) || cap1 == 0 {
 			pick = 0
@@ -360,25 +369,40 @@ func (d *drbRun) jobGraphBiPartition(tasks, p0, p1 []int) (a0, a1 []int, err err
 	return a0, a1, nil
 }
 
-// sideUtility scores placing task into side y (Algorithm 3 lines 4–7): it
-// combines the communication cost toward already-assigned peer tasks
-// (getCommCost, using intra- and cross-partition mean distances from the
-// global distance matrix C), the predicted interference from jobs running
-// near the side's GPUs (getInter), and the fragmentation the side's
-// machines already exhibit (getFragmentation).
-func (d *drbRun) sideUtility(task, y int, p0, p1 []int, side []int8) float64 {
-	topo := d.state.Topology()
-	mine, other := p0, p1
-	if y == 1 {
-		mine, other = p1, p0
-	}
+// sideTerms are the parts of a side's utility (Algorithm 3 lines 4–7)
+// that do not depend on the task being placed: the mean distances
+// getCommCost prices a peer at, and the getInter and getFragmentation
+// terms.
+type sideTerms struct {
+	intra float64 // mean distance between two GPUs of the side
+	cross float64 // mean distance from a GPU of the side to one of the other
+	uB    float64 // 1/I for the job landing on the side
+	uD    float64 // 1 − ω_d after the job takes the side's GPUs
+}
 
+// scoreSide takes the terms of side mine, whose sibling is other, from
+// the global distance matrix C, the jobs running near its GPUs
+// (getInter), and the fragmentation remaining after taking its GPUs
+// (getFragmentation).
+func (d *drbRun) scoreSide(mine, other []int) sideTerms {
+	topo := d.state.Topology()
+	take := min(len(mine), d.job.GPUs)
+	return sideTerms{
+		intra: meanIntraDistance(topo, mine),
+		cross: meanCrossDistance(topo, mine, other),
+		uB:    1 / predictInterference(d.job, mine, d.state, d.mapper.profiles),
+		uD:    1 - d.state.FragmentationAfter(mine[:take]),
+	}
+}
+
+// sideUtility scores placing task into side y, whose terms are t: it
+// adds the communication cost toward already-assigned peer tasks
+// (getCommCost) to the side's fixed terms.
+func (d *drbRun) sideUtility(task, y int, t *sideTerms, side []int8) float64 {
 	// getCommCost: expected distance to each already-assigned peer,
 	// summed in ascending task order (deterministic by construction, not
 	// by the luck of exactly representable partial sums).
 	comm := d.job.CommGraph()
-	intra := meanIntraDistance(topo, mine)
-	cross := meanCrossDistance(topo, mine, other)
 	var commCost float64
 	for peer, peerSide := range side {
 		if peerSide < 0 {
@@ -389,30 +413,17 @@ func (d *drbRun) sideUtility(task, y int, p0, p1 []int, side []int8) float64 {
 			continue
 		}
 		if int(peerSide) == y {
-			commCost += w * intra
+			commCost += w * t.intra
 		} else {
-			commCost += w * cross
+			commCost += w * t.cross
 		}
 	}
-	best := topo.MinPairDistance()
+	best := d.state.Topology().MinPairDistance()
 	uCC := 1.0
 	if commCost > best {
 		uCC = best / commCost
 	}
-
-	// getInter: predicted interference if the job lands on this side.
-	interference := predictInterference(d.job, mine, d.state, d.mapper.profiles)
-	uB := 1 / interference
-
-	// getFragmentation: score the side by the fragmentation remaining
-	// after taking its GPUs.
-	take := len(mine)
-	if take > d.job.GPUs {
-		take = d.job.GPUs
-	}
-	uD := 1 - d.state.FragmentationAfter(mine[:take])
-
-	return Utility(d.mapper.weights, d.job.CommIntensity(), uCC, uB, uD)
+	return Utility(d.mapper.weights, d.job.CommIntensity(), uCC, t.uB, t.uD)
 }
 
 func meanIntraDistance(topo interface{ Distance(a, b int) float64 }, set []int) float64 {

@@ -225,20 +225,31 @@ func TestScenario2Shape(t *testing.T) {
 }
 
 func TestOverheadShape(t *testing.T) {
-	rep, err := Overhead(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var greedy, topo float64
-	for _, p := range rep.Points {
-		mean := float64(p.Sim.SchedStats.MeanDecisionTime())
-		switch p.Policy {
-		case schedcore.FCFS, schedcore.BestFit:
-			greedy += mean
-		default:
-			topo += mean
+	// Decision time is wall clock, and load on the machine only ever adds
+	// to it: each policy's time is its least mean over a few repeats.
+	fastest := map[schedcore.Policy]float64{}
+	for repeat := 0; repeat < 5; repeat++ {
+		rep, err := Overhead(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range rep.Points {
+			mean := float64(p.Sim.SchedStats.MeanDecisionTime())
+			if best, ok := fastest[p.Policy]; !ok || mean < best {
+				fastest[p.Policy] = mean
+			}
 		}
 	}
+	var greedy, topo float64
+	for _, pol := range schedcore.AllPolicies() {
+		switch pol {
+		case schedcore.FCFS, schedcore.BestFit:
+			greedy += fastest[pol]
+		default:
+			topo += fastest[pol]
+		}
+	}
+	t.Logf("fastest mean decision: topo %.0fns, greedy %.0fns (ratio %.2f)", topo/2, greedy/2, topo/greedy)
 	// §5.5.3: topology-aware decisions cost several times more.
 	if topo <= greedy {
 		t.Fatalf("topo decisions (%.0fns) not more expensive than greedy (%.0fns)", topo/2, greedy/2)

@@ -82,9 +82,12 @@ func RunPrototype(cfg PrototypeConfig, jobs []*job.Job) (*PrototypeResult, error
 		windows:   map[string]map[int]float64{},
 		rng:       stats.NewRNG(sim.Seed),
 	}
-	if err := e.events.queueArrivals(jobs); err != nil {
+	if e.rank, err = e.events.queueArrivals(jobs); err != nil {
 		return nil, err
 	}
+	// Every job finishes once and spans at least one interval.
+	e.results = make([]JobResult, len(jobs))
+	e.timeline = make([]Interval, 0, len(jobs))
 	if err := e.loop(len(jobs)); err != nil {
 		return nil, err
 	}
@@ -99,7 +102,7 @@ func RunPrototype(cfg PrototypeConfig, jobs []*job.Job) (*PrototypeResult, error
 		},
 		Bandwidth: map[string][]BandwidthPoint{},
 	}
-	res.order()
+	res.orderTimeline()
 	for id, wins := range e.windows {
 		// Big batches complete fewer than one iteration per window;
 		// windows without a completion are genuine zero-usage samples
@@ -138,7 +141,8 @@ type protoEngine struct {
 	events    eventQueue
 	now       float64
 	running   map[string]*protoJob
-	results   []JobResult
+	rank      map[string]int // job ID -> its slot in results
+	results   []JobResult    // one slot per job, in job-ID order
 	timeline  []Interval
 	windows   map[string]map[int]float64 // job -> window index -> bytes
 	makespan  float64
@@ -245,7 +249,7 @@ func (e *protoEngine) finish(r *protoJob) error {
 	if e.now > e.makespan {
 		e.makespan = e.now
 	}
-	e.results = append(e.results, r.result(e.cfg.Topology, r.start, e.now, 0))
+	e.results[e.rank[r.job.ID]] = r.result(e.cfg.Topology, r.start, e.now, 0)
 	e.timeline = append(e.timeline, r.interval(r.start, e.now))
 	return nil
 }

@@ -28,7 +28,7 @@ type Shard struct {
 // across the domains up front (domains.RouteStatic over each domain's
 // capacity), every domain then runs a full independent simulation on its
 // own worker, and the per-domain results are merged back into the global
-// machine/GPU numbering deterministically — job results re-sort by ID,
+// machine/GPU numbering deterministically — job results merge in ID order,
 // timelines by (start, job), samples align on the shared sampling grid —
 // so the merged artifact is byte-identical at any worker count, the same
 // contract the sweep engine's ForEach honors.
@@ -126,13 +126,29 @@ func RunSharded(cfg Config, shards []Shard, jobs []*job.Job, workers int) (*Resu
 // under the engine's ordering contracts.
 func mergeShardResults(cfg Config, results []*Result, gpuMaps [][]int) *Result {
 	merged := &Result{Policy: cfg.Policy}
+	// Each domain's jobs ascend by ID already: merging the runs keeps
+	// merged.Jobs in ID order without sorting the results themselves.
+	total := 0
+	for _, r := range results {
+		total += len(r.Jobs)
+	}
+	merged.Jobs = make([]JobResult, 0, total)
+	heads := make([]int, len(results))
+	for len(merged.Jobs) < total {
+		d := -1
+		for k, r := range results {
+			if heads[k] < len(r.Jobs) && (d < 0 || r.Jobs[heads[k]].Job.ID < results[d].Jobs[heads[d]].Job.ID) {
+				d = k
+			}
+		}
+		jr := results[d].Jobs[heads[d]]
+		heads[d]++
+		jr.GPUs = domains.GlobalGPUs(gpuMaps[d], jr.GPUs)
+		merged.Jobs = append(merged.Jobs, jr)
+	}
 	maxSamples := 0
 	for d, r := range results {
 		gmap := gpuMaps[d]
-		for _, jr := range r.Jobs {
-			jr.GPUs = domains.GlobalGPUs(gmap, jr.GPUs)
-			merged.Jobs = append(merged.Jobs, jr)
-		}
 		for _, iv := range r.Timeline {
 			iv.GPUs = domains.GlobalGPUs(gmap, iv.GPUs)
 			merged.Timeline = append(merged.Timeline, iv)
@@ -145,7 +161,7 @@ func mergeShardResults(cfg Config, results []*Result, gpuMaps [][]int) *Result {
 		}
 		merged.SchedStats.Add(r.SchedStats)
 	}
-	merged.order()
+	merged.orderTimeline()
 	// Every domain samples the identical time grid (0, Δ, 2Δ, … by the
 	// same float accumulation), so step k aligns exactly across domains;
 	// domains that finished early simply stop contributing. Bandwidths and
