@@ -29,6 +29,9 @@ var sweepGoldens = []sweepGolden{
 	{name: "alpha"},
 	{name: "threshold"},
 	{name: "contended_preempt", spec: "contended_preempt.json"},
+	// One contended_queue.json point: the one of its 24 whose makespan
+	// moves when simultaneous events of one kind pop in reverse push order.
+	{name: "event_tie_order", spec: "event_tie_order.json"},
 }
 
 // TestSweepGoldens holds every recorded sweep artifact byte for byte. Each
