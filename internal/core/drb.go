@@ -10,6 +10,7 @@ import (
 	"gputopo/internal/fm"
 	"gputopo/internal/graph"
 	"gputopo/internal/job"
+	"gputopo/internal/perfmodel"
 	"gputopo/internal/profile"
 )
 
@@ -188,7 +189,7 @@ func (m *Mapper) ScoreInto(dst *Placement, j *job.Job, st *cluster.State, gpus [
 		Interference:  interference,
 		Fragmentation: frag,
 		P2P:           p2p,
-		BusDemand:     busDemand(j, topo, gpus),
+		BusDemand:     perfmodel.BusDemand(j.Model, j.BatchSize, topo, gpus),
 	}
 }
 

@@ -63,7 +63,8 @@ type Placement struct {
 	// P2P reports whether every communicating GPU pair has a
 	// peer-to-peer path (the property Figure 8 highlights).
 	P2P bool
-	// BusDemand is the shared-bus bandwidth (GB/s) the job will commit.
+	// BusDemand is the shared-bus bandwidth (GB/s) the job will commit on
+	// its machines: the t_bw of the capacity constraint t_bw <= p_bw (§4.3).
 	BusDemand float64
 }
 

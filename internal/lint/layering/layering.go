@@ -41,6 +41,7 @@ type Layer struct {
 // engines → evaluation → front-ends); gaps leave room for new layers.
 var Ranks = map[string]Layer{
 	"gputopo/internal/graph": {100, "substrate"},
+	"gputopo/internal/heap":  {100, "substrate"},
 	"gputopo/internal/stats": {100, "substrate"},
 
 	"gputopo/internal/topology": {200, "substrate"},

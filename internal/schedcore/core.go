@@ -22,6 +22,7 @@ import (
 
 	"gputopo/internal/cluster"
 	"gputopo/internal/core"
+	"gputopo/internal/heap"
 	"gputopo/internal/job"
 	"gputopo/internal/perfmodel"
 )
@@ -150,12 +151,15 @@ type Core struct {
 	// bucketed by their wake-up key — the smallest free-GPU count
 	// (largest-free-machine count for single-node jobs, cluster-wide
 	// count for multi-node ones) that could possibly unblock them — as
-	// queue-order min-heaps. A Schedule call pops a bucket only while
-	// the capacity its key demands is actually there, so a release
+	// heaps in queue order (entryBefore): a bucket's head is the entry the
+	// discipline would serve first. A Schedule call pops a bucket only
+	// while the capacity its key demands is actually there, so a release
 	// reschedules O(affected) jobs instead of waking (and re-parking)
-	// whole buckets or walking the whole queue.
-	parkedSingle map[int]*entryHeap
-	parkedMulti  map[int]*entryHeap
+	// whole buckets or walking the whole queue; everything deeper in a
+	// bucket is provably blocked for the rest of the round and is never
+	// touched.
+	parkedSingle map[int][]entry
+	parkedMulti  map[int][]entry
 	nParked      int
 
 	seq    int // next submission sequence number
@@ -264,6 +268,9 @@ func (c *Core) entryCmp(a, b entry) int {
 	return a.seq - b.seq
 }
 
+// entryBefore is entryCmp as the parked buckets' heap order.
+func (c *Core) entryBefore(a, b *entry) bool { return c.entryCmp(*a, *b) < 0 }
+
 // insertOrdered inserts e behind every entry it does not precede: before
 // the first queued job the discipline serves strictly after e's. The queue
 // is sorted that way already and ties keep submission order, so this is
@@ -346,10 +353,10 @@ func (c *Core) entries() []entry {
 	}
 	es := append(make([]entry, 0, c.QueueLen()), c.queue...)
 	for _, h := range c.parkedSingle {
-		es = append(es, h.es...)
+		es = append(es, h...)
 	}
 	for _, h := range c.parkedMulti {
-		es = append(es, h.es...)
+		es = append(es, h...)
 	}
 	slices.SortFunc(es, c.entryCmp)
 	return es
@@ -391,14 +398,13 @@ func (c *Core) Withdraw(jobID string) bool {
 		}
 		return es, false
 	}
-	removeParked := func(buckets map[int]*entryHeap) bool {
+	removeParked := func(buckets map[int][]entry) bool {
 		for g, h := range buckets {
-			if c.heapRemoveByID(h, jobID) {
-				c.nParked--
-				if h.Len() == 0 {
-					delete(buckets, g)
+			for i := range h {
+				if h[i].job.ID == jobID {
+					c.unpark(buckets, g, i)
+					return true
 				}
-				return true
 			}
 		}
 		return false
@@ -524,44 +530,27 @@ func (c *Core) scheduleIndexed(now float64) {
 		// the full walk's per-position check. The map iteration order is
 		// irrelevant: the queue-order minimum wins regardless of the order
 		// the candidates are inspected in.
-		curMax := c.state.MaxFreeGPUs()
-		curTotal := c.state.FreeGPUCount()
 		var best *entry
-		var bestHeap *entryHeap
+		var bestBuckets map[int][]entry
 		var bestKey int
-		var bestSingle bool
 		if ai < len(c.queue) {
 			best = &c.queue[ai]
 		}
-		consider := func(h *entryHeap, key int, single bool) {
-			if head := h.peek(); best == nil || c.entryCmp(*head, *best) < 0 {
-				best, bestHeap, bestKey, bestSingle = head, h, key, single
+		consider := func(buckets map[int][]entry, capacity int) {
+			for g, h := range buckets {
+				if g <= capacity && (best == nil || c.entryCmp(h[0], *best) < 0) {
+					best, bestBuckets, bestKey = &h[0], buckets, g
+				}
 			}
 		}
-		for g, h := range c.parkedSingle {
-			if g <= curMax {
-				consider(h, g, true)
-			}
-		}
-		for g, h := range c.parkedMulti {
-			if g <= curTotal {
-				consider(h, g, false)
-			}
-		}
+		consider(c.parkedSingle, c.state.MaxFreeGPUs())
+		consider(c.parkedMulti, c.state.FreeGPUCount())
 		if best == nil {
 			break
 		}
 		var e entry
-		if bestHeap != nil {
-			e = c.heapPop(bestHeap)
-			c.nParked--
-			if bestHeap.Len() == 0 {
-				if bestSingle {
-					delete(c.parkedSingle, bestKey)
-				} else {
-					delete(c.parkedMulti, bestKey)
-				}
-			}
+		if bestBuckets != nil {
+			e = c.unpark(bestBuckets, bestKey, 0)
 			if c.evictedInRound && haveMark && c.entryCmp(e, watermark) < 0 {
 				// This bucket only became eligible through an eviction, and
 				// its head's queue position was already passed: the full
@@ -718,15 +707,23 @@ func (c *Core) park(e *entry) {
 		buckets = &c.parkedMulti
 	}
 	if *buckets == nil {
-		*buckets = map[int]*entryHeap{}
+		*buckets = map[int][]entry{}
 	}
-	h := (*buckets)[e.job.GPUs]
-	if h == nil {
-		h = &entryHeap{}
-		(*buckets)[e.job.GPUs] = h
-	}
-	c.heapPush(h, *e)
+	(*buckets)[e.job.GPUs] = heap.Push((*buckets)[e.job.GPUs], *e, c.entryBefore)
 	c.nParked++
+}
+
+// unpark removes and returns the entry at index i of the bucket under
+// key, dropping the bucket once it is empty.
+func (c *Core) unpark(buckets map[int][]entry, key, i int) entry {
+	h, e := heap.Remove(buckets[key], i, c.entryBefore)
+	if len(h) == 0 {
+		delete(buckets, key)
+	} else {
+		buckets[key] = h
+	}
+	c.nParked--
+	return e
 }
 
 // tryPlace attempts to place one job according to the policy, committing

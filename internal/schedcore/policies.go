@@ -7,6 +7,7 @@ import (
 
 	"gputopo/internal/cluster"
 	"gputopo/internal/core"
+	"gputopo/internal/heap"
 	"gputopo/internal/job"
 )
 
@@ -47,27 +48,8 @@ type classCand struct {
 
 // before orders the sweep: bound descending, then representative
 // ascending.
-func (c classCand) before(o classCand) bool {
+func (c *classCand) before(o *classCand) bool {
 	return c.bound > o.bound || c.bound == o.bound && c.rep < o.rep
-}
-
-// siftDown restores the heap order below h[i]: each entry before its
-// children.
-func siftDown(h []classCand, i int) {
-	for {
-		k := 2*i + 1
-		if k >= len(h) {
-			return
-		}
-		if k+1 < len(h) && h[k+1].before(h[k]) {
-			k++
-		}
-		if !h[k].before(h[i]) {
-			return
-		}
-		h[i], h[k] = h[k], h[i]
-		i = k
-	}
 }
 
 // attempt runs the placement policy on the job and applies the
@@ -278,10 +260,8 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 	// Pop the heap in sweep order: the stop usually comes after a few
 	// classes, so the rest are never ordered.
 	for h := p.sweepClasses(j); len(h) > 0; {
-		c := h[0]
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		siftDown(h, 0)
+		var c classCand
+		h, c = heap.Pop(h, (*classCand).before)
 		if found && c.bound < p.best.Utility {
 			break
 		}
@@ -335,9 +315,7 @@ func (p *placer) sweepClasses(j *job.Job) []classCand {
 		}
 		cands = append(cands, classCand{bound: bound, rep: rep})
 	}
-	for i := len(cands)/2 - 1; i >= 0; i-- {
-		siftDown(cands, i)
-	}
+	heap.Init(cands, (*classCand).before)
 	p.classes = cands
 	return cands
 }

@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"gputopo/internal/graph"
+	"gputopo/internal/heap"
 )
 
 // Level identifies the hierarchy level of a topology vertex (§4.1.2).
@@ -562,7 +563,7 @@ type search struct {
 	dist, bw  []float64
 	crossHost []bool
 	touched   []int        // vertices the last run wrote; the next run resets only those
-	pq        []searchItem // binary min-heap on d, see push and pop
+	pq        []searchItem // heap.Push/heap.Pop min-heap on d (nearer)
 }
 
 type edge struct {
@@ -605,7 +606,8 @@ func (s *search) run(src int) {
 	s.dist[src], s.bw[src] = 0, graph.Inf
 	s.pq = append(s.pq[:0], searchItem{v: src})
 	for len(s.pq) > 0 {
-		it := s.pop()
+		var it searchItem
+		s.pq, it = heap.Pop(s.pq, nearer)
 		if it.d > s.dist[it.v] {
 			continue
 		}
@@ -622,7 +624,7 @@ func (s *search) run(src int) {
 				s.bw[e.to] = min(s.bw[it.v], e.bw)
 				s.crossHost[e.to] = s.crossHost[it.v] || relayIsHost
 				s.touched = append(s.touched, e.to)
-				s.push(searchItem{v: e.to, d: nd})
+				s.pq = heap.Push(s.pq, searchItem{v: e.to, d: nd}, nearer)
 			}
 		}
 	}
@@ -633,35 +635,6 @@ type searchItem struct {
 	d float64
 }
 
-// push and pop keep pq a binary min-heap on d, sifting exactly as
-// container/heap would; that package is not used because it boxes every
-// item twice, which was 74k of the 134k allocations of a 1000-machine Build.
-func (s *search) push(it searchItem) {
-	s.pq = append(s.pq, it)
-	for i := len(s.pq) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !(s.pq[i].d < s.pq[parent].d) {
-			break
-		}
-		s.pq[i], s.pq[parent] = s.pq[parent], s.pq[i]
-		i = parent
-	}
-}
-
-func (s *search) pop() searchItem {
-	top, last := s.pq[0], len(s.pq)-1
-	s.pq[0] = s.pq[last]
-	s.pq = s.pq[:last]
-	for i := 0; ; {
-		child := 2*i + 1
-		if child+1 < last && s.pq[child+1].d < s.pq[child].d {
-			child++
-		}
-		if child >= last || !(s.pq[child].d < s.pq[i].d) {
-			break
-		}
-		s.pq[i], s.pq[child] = s.pq[child], s.pq[i]
-		i = child
-	}
-	return top
-}
+// nearer is the search's heap order: distance alone, so equal distances
+// pop in the order the heap's sift sequence gives them.
+func nearer(a, b *searchItem) bool { return a.d < b.d }
