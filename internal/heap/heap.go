@@ -1,92 +1,153 @@
 // Package heap is the binary min-heap behind the module's priority
-// queues: the simulators' future-event list, the wake-up index's parked
+// queues: the simulators' finish events, the wake-up index's parked
 // buckets, the TOPO-AWARE class sweep and topology Build's shortest-path
-// search. A heap is a plain slice ordered by the less function each call
-// takes, so items are stored unboxed and a nil slice is an empty heap.
+// search. A heap is a plain slice of items ordered by their keys, so
+// items are stored unboxed, every comparison compiles in place, and a nil
+// slice is an empty heap.
 //
-// Every function compares and swaps exactly as container/heap does with
-// the same Less, so items the order does not separate come out in the
-// order that package would give: Build's search breaks equal-distance
-// ties by pop order, and that order is part of its result.
+// Every function moves items exactly as container/heap does under the
+// same order, so items whose keys are equal come out in the order that
+// package would give: Build's search breaks equal-distance ties by pop
+// order, and that order is part of its result.
+//
+// An item may carry a slot: every function that moves items also writes
+// each moved item's index to at[item.Slot], and -1 there for the item it
+// removes, so a caller can find, move or remove the item it filed under a
+// slot. A nil at tracks nothing.
 package heap
 
+// Key is an item's place in the order: keys compare by A, then B, then C.
+type Key struct {
+	A, B float64
+	C    uint64
+}
+
+// Less reports whether k orders strictly before o.
+func (k *Key) Less(o *Key) bool {
+	if k.A != o.A {
+		return k.A < o.A
+	}
+	if k.B != o.B {
+		return k.B < o.B
+	}
+	return k.C < o.C
+}
+
+// Item is one heap entry: its key, the slot at tracks it under, and the
+// value it carries.
+type Item[V any] struct {
+	Key
+	Slot int32
+	Val  V
+}
+
 // Push adds x to the heap h and returns the grown heap.
-func Push[T any](h []T, x T, less func(a, b *T) bool) []T {
+func Push[V any](h []Item[V], x Item[V], at []int32) []Item[V] {
 	h = append(h, x)
-	up(h, len(h)-1, less)
+	up(h, len(h)-1, at)
 	return h
 }
 
 // Pop removes the least item of the non-empty heap h and returns the
 // shrunk heap and that item.
-func Pop[T any](h []T, less func(a, b *T) bool) ([]T, T) {
+func Pop[V any](h []Item[V], at []int32) ([]Item[V], Item[V]) {
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
-	down(h, 0, n, less)
-	return cut(h)
+	down(h, 0, n, at)
+	return cut(h, at)
 }
 
 // Remove removes the item at index i of the heap h and returns the
 // shrunk heap and that item.
-func Remove[T any](h []T, i int, less func(a, b *T) bool) ([]T, T) {
+func Remove[V any](h []Item[V], i int, at []int32) ([]Item[V], Item[V]) {
 	n := len(h) - 1
 	if n != i {
 		h[i], h[n] = h[n], h[i]
-		if !down(h, i, n, less) {
-			up(h, i, less)
-		}
+		Fix(h[:n], i, at)
 	}
-	return cut(h)
+	return cut(h, at)
+}
+
+// Fix restores the heap order after the key of the item at index i
+// changed.
+func Fix[V any](h []Item[V], i int, at []int32) {
+	if !down(h, i, len(h), at) {
+		up(h, i, at)
+	}
 }
 
 // Init orders the items of h into a heap in O(len(h)).
-func Init[T any](h []T, less func(a, b *T) bool) {
+func Init[V any](h []Item[V], at []int32) {
+	if at != nil {
+		for i := range h {
+			at[h[i].Slot] = int32(i)
+		}
+	}
 	n := len(h)
 	for i := n/2 - 1; i >= 0; i-- {
-		down(h, i, n, less)
+		down(h, i, n, at)
 	}
 }
 
 // cut removes and returns h's last item, zeroing its slot so the backing
 // array keeps nothing it points to alive.
-func cut[T any](h []T) ([]T, T) {
+func cut[V any](h []Item[V], at []int32) ([]Item[V], Item[V]) {
 	n := len(h) - 1
 	x := h[n]
-	var zero T
-	h[n] = zero
+	h[n] = Item[V]{}
+	if at != nil {
+		at[x.Slot] = -1
+	}
 	return h[:n], x
 }
 
-// up moves h[j] toward the root while it is less than its parent.
-func up[T any](h []T, j int, less func(a, b *T) bool) {
+// up moves h[j] toward the root while it is less than its parent. Each
+// parent it passes moves down one level into the hole it leaves.
+func up[V any](h []Item[V], j int, at []int32) {
+	x := h[j]
 	for j > 0 {
 		i := (j - 1) / 2
-		if !less(&h[j], &h[i]) {
+		if !x.Less(&h[i].Key) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j] = h[i]
+		if at != nil {
+			at[h[j].Slot] = int32(j)
+		}
 		j = i
+	}
+	h[j] = x
+	if at != nil {
+		at[x.Slot] = int32(j)
 	}
 }
 
 // down moves h[i0] away from the root, within h[:n], while a child is
 // less than it; the right child is taken only when strictly less than
 // the left. It reports whether the item moved.
-func down[T any](h []T, i0, n int, less func(a, b *T) bool) bool {
+func down[V any](h []Item[V], i0, n int, at []int32) bool {
+	x := h[i0]
 	i := i0
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && less(&h[r], &h[j]) {
+		if r := j + 1; r < n && h[r].Less(&h[j].Key) {
 			j = r
 		}
-		if !less(&h[j], &h[i]) {
+		if !h[j].Less(&x.Key) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
+		if at != nil {
+			at[h[i].Slot] = int32(i)
+		}
 		i = j
+	}
+	h[i] = x
+	if at != nil {
+		at[x.Slot] = int32(i)
 	}
 	return i > i0
 }

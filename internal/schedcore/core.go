@@ -120,7 +120,7 @@ func (s Stats) MeanDecisionTime() time.Duration {
 // explicitly emitted postponement decisions (in-order policies).
 type entry struct {
 	job        *job.Job
-	seq        int
+	seq        uint64
 	enterRound int
 	postponed  int
 	// parked is a transient flag: examine sets it when it files the entry
@@ -151,19 +151,19 @@ type Core struct {
 	// bucketed by their wake-up key — the smallest free-GPU count
 	// (largest-free-machine count for single-node jobs, cluster-wide
 	// count for multi-node ones) that could possibly unblock them — as
-	// heaps in queue order (entryBefore): a bucket's head is the entry the
-	// discipline would serve first. A Schedule call pops a bucket only
-	// while the capacity its key demands is actually there, so a release
+	// heaps on their queue-order keys (Core.key): a bucket's head is the
+	// entry the discipline would serve first. A Schedule call pops a
+	// bucket only while the capacity its key demands is there, so a release
 	// reschedules O(affected) jobs instead of waking (and re-parking)
 	// whole buckets or walking the whole queue; everything deeper in a
 	// bucket is provably blocked for the rest of the round and is never
 	// touched.
-	parkedSingle map[int][]entry
-	parkedMulti  map[int][]entry
+	parkedSingle map[int][]parkedEntry
+	parkedMulti  map[int][]parkedEntry
 	nParked      int
 
-	seq    int // next submission sequence number
-	rounds int // completed Schedule calls
+	seq    uint64 // next submission sequence number
+	rounds int    // completed Schedule calls
 
 	// place evaluates the placement policies against the live state — the
 	// preemption path's victim sets too, each inside a trial on it.
@@ -255,30 +255,42 @@ func (c *Core) Stats() Stats { return c.stats }
 // for a core built without a clock.
 func (c *Core) Now() float64 { return c.clock.Now() }
 
-// entryCmp orders entries by the queue discipline, submission order on
-// ties — exactly the order a stable arrival sort of the append-ordered
-// queue produces.
-func (c *Core) entryCmp(a, b entry) int {
-	if c.disc.Less(a.job, b.job) {
-		return -1
-	}
-	if c.disc.Less(b.job, a.job) {
-		return 1
-	}
-	return a.seq - b.seq
+// parkedEntry is an entry in a wake-up bucket, under its key.
+type parkedEntry = heap.Item[entry]
+
+// key is e's place in queue order: the discipline's key, with the
+// submission sequence as C, so ties keep submission order — exactly the
+// order a stable sort of the append-ordered queue produces.
+func (c *Core) key(e *entry) heap.Key {
+	k := c.disc.Key(e.job)
+	k.C = e.seq
+	return k
 }
 
-// entryBefore is entryCmp as the parked buckets' heap order.
-func (c *Core) entryBefore(a, b *entry) bool { return c.entryCmp(*a, *b) < 0 }
+// entryCmp orders entries by key.
+func (c *Core) entryCmp(a, b entry) int {
+	ka, kb := c.key(&a), c.key(&b)
+	if ka.Less(&kb) {
+		return -1
+	}
+	if kb.Less(&ka) {
+		return 1
+	}
+	return 0
+}
 
 // insertOrdered inserts e behind every entry it does not precede: before
-// the first queued job the discipline serves strictly after e's. The queue
-// is sorted that way already and ties keep submission order, so this is
-// where a stable sort of the appended queue would put e; a job arriving in
-// discipline order (the common case, driven by event loops and monotonic
-// wall clocks) lands at the end.
+// the first queued entry whose key is greater. The queue is sorted that
+// way already, and e, submitted last, has the greatest sequence, so this
+// is where a stable sort of the appended queue would put it; a job
+// arriving in discipline order (the common case, driven by event loops
+// and monotonic wall clocks) lands at the end.
 func (c *Core) insertOrdered(q []entry, e entry) []entry {
-	i := sort.Search(len(q), func(i int) bool { return c.disc.Less(e.job, q[i].job) })
+	k := c.key(&e)
+	i := sort.Search(len(q), func(i int) bool {
+		ki := c.key(&q[i])
+		return k.Less(&ki)
+	})
 	return slices.Insert(q, i, e)
 }
 
@@ -352,11 +364,12 @@ func (c *Core) entries() []entry {
 		return c.queue
 	}
 	es := append(make([]entry, 0, c.QueueLen()), c.queue...)
-	for _, h := range c.parkedSingle {
-		es = append(es, h...)
-	}
-	for _, h := range c.parkedMulti {
-		es = append(es, h...)
+	for _, buckets := range []map[int][]parkedEntry{c.parkedSingle, c.parkedMulti} {
+		for _, h := range buckets {
+			for i := range h {
+				es = append(es, h[i].Val)
+			}
+		}
 	}
 	slices.SortFunc(es, c.entryCmp)
 	return es
@@ -398,10 +411,10 @@ func (c *Core) Withdraw(jobID string) bool {
 		}
 		return es, false
 	}
-	removeParked := func(buckets map[int][]entry) bool {
+	removeParked := func(buckets map[int][]parkedEntry) bool {
 		for g, h := range buckets {
 			for i := range h {
-				if h[i].job.ID == jobID {
+				if h[i].Val.job.ID == jobID {
 					c.unpark(buckets, g, i)
 					return true
 				}
@@ -516,12 +529,13 @@ func (c *Core) scheduleWalk(now float64) {
 // walk, so such heads are deferred (popped, stashed, re-parked after the
 // round); heads at or past the watermark are picked normally, which is
 // precisely the walk's behavior of later positions seeing post-eviction
-// capacity. The watermark is the queue order of the last examined entry.
+// capacity. The watermark is the queue-order key of the last examined
+// entry.
 func (c *Core) scheduleIndexed(now float64) {
 	queueLen := c.QueueLen()
 	next := c.evalScratch[:0] // survivors that stay active, in queue order
 	ai := 0
-	var watermark entry
+	var watermark heap.Key
 	haveMark := false
 	for {
 		// Candidates: the next active entry and the head of every bucket
@@ -531,15 +545,17 @@ func (c *Core) scheduleIndexed(now float64) {
 		// irrelevant: the queue-order minimum wins regardless of the order
 		// the candidates are inspected in.
 		var best *entry
-		var bestBuckets map[int][]entry
-		var bestKey int
+		var bestKey heap.Key
+		var bestBuckets map[int][]parkedEntry
+		var bestBucket int
 		if ai < len(c.queue) {
 			best = &c.queue[ai]
+			bestKey = c.key(best)
 		}
-		consider := func(buckets map[int][]entry, capacity int) {
+		consider := func(buckets map[int][]parkedEntry, capacity int) {
 			for g, h := range buckets {
-				if g <= capacity && (best == nil || c.entryCmp(h[0], *best) < 0) {
-					best, bestBuckets, bestKey = &h[0], buckets, g
+				if g <= capacity && (best == nil || h[0].Less(&bestKey)) {
+					best, bestKey, bestBuckets, bestBucket = &h[0].Val, h[0].Key, buckets, g
 				}
 			}
 		}
@@ -550,8 +566,8 @@ func (c *Core) scheduleIndexed(now float64) {
 		}
 		var e entry
 		if bestBuckets != nil {
-			e = c.unpark(bestBuckets, bestKey, 0)
-			if c.evictedInRound && haveMark && c.entryCmp(e, watermark) < 0 {
+			e = c.unpark(bestBuckets, bestBucket, 0)
+			if c.evictedInRound && haveMark && bestKey.Less(&watermark) {
 				// This bucket only became eligible through an eviction, and
 				// its head's queue position was already passed: the full
 				// walk gave the job its no-capacity record back then and
@@ -564,7 +580,7 @@ func (c *Core) scheduleIndexed(now float64) {
 			e = c.queue[ai]
 			ai++
 		}
-		watermark, haveMark = e, true
+		watermark, haveMark = bestKey, true
 		if !c.examine(&e, now) {
 			// A popped bucket entry passed its capacity gate by
 			// construction, so examine either placed it or left it for the
@@ -707,23 +723,23 @@ func (c *Core) park(e *entry) {
 		buckets = &c.parkedMulti
 	}
 	if *buckets == nil {
-		*buckets = map[int][]entry{}
+		*buckets = map[int][]parkedEntry{}
 	}
-	(*buckets)[e.job.GPUs] = heap.Push((*buckets)[e.job.GPUs], *e, c.entryBefore)
+	(*buckets)[e.job.GPUs] = heap.Push((*buckets)[e.job.GPUs], parkedEntry{Key: c.key(e), Val: *e}, nil)
 	c.nParked++
 }
 
 // unpark removes and returns the entry at index i of the bucket under
 // key, dropping the bucket once it is empty.
-func (c *Core) unpark(buckets map[int][]entry, key, i int) entry {
-	h, e := heap.Remove(buckets[key], i, c.entryBefore)
+func (c *Core) unpark(buckets map[int][]parkedEntry, key, i int) entry {
+	h, it := heap.Remove(buckets[key], i, nil)
 	if len(h) == 0 {
 		delete(buckets, key)
 	} else {
 		buckets[key] = h
 	}
 	c.nParked--
-	return e
+	return it.Val
 }
 
 // tryPlace attempts to place one job according to the policy, committing

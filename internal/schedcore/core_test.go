@@ -555,10 +555,13 @@ func TestInsertOrderedEqualsStableSort(t *testing.T) {
 			for seq := 0; seq < 300; seq++ {
 				j := mkJob(fmt.Sprintf("j%d", seq), 4, 1, 0, float64(rng.Intn(12)))
 				j.Priority = rng.Intn(3)
-				e := entry{job: j, seq: seq}
+				e := entry{job: j, seq: uint64(seq)}
 				got = c.insertOrdered(got, e)
 				want = append(want, e)
-				sort.SliceStable(want, func(i, k int) bool { return disc.Less(want[i].job, want[k].job) })
+				sort.SliceStable(want, func(i, k int) bool {
+					a, b := disc.Key(want[i].job), disc.Key(want[k].job)
+					return a.Less(&b)
+				})
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s seed %d: queues diverged inserting %s (arrival %v, priority %d)",
 						disc.Name(), seed, j.ID, j.Arrival, j.Priority)

@@ -161,7 +161,8 @@ func (r *Reference) Running() []string {
 // Stability makes submission order the tie-break, as specified.
 func (r *Reference) sortQueue() {
 	sort.SliceStable(r.queue, func(i, k int) bool {
-		return r.disc.Less(r.queue[i].job, r.queue[k].job)
+		a, b := r.disc.Key(r.queue[i].job), r.disc.Key(r.queue[k].job)
+		return a.Less(&b)
 	})
 }
 

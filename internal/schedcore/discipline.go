@@ -3,18 +3,20 @@ package schedcore
 import (
 	"fmt"
 
+	"gputopo/internal/heap"
 	"gputopo/internal/job"
 )
 
-// QueueDiscipline orders the waiting queue. Less reports whether a must
-// be served strictly before b; ties (neither Less(a,b) nor Less(b,a))
-// keep submission order, so a discipline only has to express priority,
-// not a total order. The discipline must be consistent for the lifetime
-// of the Core and must not mutate the jobs it compares.
+// QueueDiscipline orders the waiting queue by key: a job whose key is
+// less is served first. Key sets A and B and leaves C zero; the core sets
+// C to the submission sequence, so ties keep submission order and a
+// discipline only has to express priority, not a total order. The
+// discipline must be consistent for the lifetime of the Core and must not
+// mutate the jobs it keys.
 type QueueDiscipline interface {
 	// Name labels the discipline in state dumps and logs.
 	Name() string
-	Less(a, b *job.Job) bool
+	Key(j *job.Job) heap.Key
 }
 
 // fifoByArrival is the paper's §4.4 discipline: oldest arrival first,
@@ -27,7 +29,8 @@ func FIFOByArrival() QueueDiscipline { return fifoByArrival{} }
 
 func (fifoByArrival) Name() string { return "fifo-arrival" }
 
-func (fifoByArrival) Less(a, b *job.Job) bool { return a.Arrival < b.Arrival }
+// Key is (0, arrival).
+func (fifoByArrival) Key(j *job.Job) heap.Key { return heap.Key{B: j.Arrival} }
 
 // priorityThenArrival serves strictly higher Priority first and falls
 // back to arrival order inside a priority class — the discipline of the
@@ -40,11 +43,9 @@ func PriorityThenArrival() QueueDiscipline { return priorityThenArrival{} }
 
 func (priorityThenArrival) Name() string { return "priority-arrival" }
 
-func (priorityThenArrival) Less(a, b *job.Job) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
-	}
-	return a.Arrival < b.Arrival
+// Key is (−priority, arrival).
+func (priorityThenArrival) Key(j *job.Job) heap.Key {
+	return heap.Key{A: -float64(j.Priority), B: j.Arrival}
 }
 
 // ParseDiscipline maps a discipline name to its implementation. The

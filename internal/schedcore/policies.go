@@ -25,7 +25,7 @@ type placer struct {
 	freeScratch []int
 	// classes is the TOPO-AWARE single-node sweep's scratch: one entry
 	// per class that can take the job, kept as a heap in sweep order
-	// (classCand.before).
+	// (classCand's key).
 	classes []classCand
 	// bounds memoises the sweep's class bounds across decisions.
 	bounds core.BoundMemo
@@ -38,19 +38,11 @@ type placer struct {
 	scored, visited int
 }
 
-// classCand is one class in the single-node sweep: its representative —
-// its lowest member with the bus headroom the job needs — and the class's
-// bound, core.Mapper.UtilityBound at the representative.
-type classCand struct {
-	bound float64
-	rep   int
-}
-
-// before orders the sweep: bound descending, then representative
-// ascending.
-func (c *classCand) before(o *classCand) bool {
-	return c.bound > o.bound || c.bound == o.bound && c.rep < o.rep
-}
+// classCand is one class in the single-node sweep, keyed (−bound, rep, 0)
+// so the heap orders the sweep by bound descending, then representative
+// ascending: rep is the class's lowest member with the bus headroom the
+// job needs, and bound the class's core.Mapper.UtilityBound at rep.
+type classCand = heap.Item[struct{}]
 
 // attempt runs the placement policy on the job and applies the
 // TOPO-AWARE-P low-utility postponement rule. It returns the chosen
@@ -261,22 +253,23 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 	// classes, so the rest are never ordered.
 	for h := p.sweepClasses(j); len(h) > 0; {
 		var c classCand
-		h, c = heap.Pop(h, (*classCand).before)
-		if found && c.bound < p.best.Utility {
+		h, c = heap.Pop(h, nil)
+		bound, rep := -c.A, int(c.B)
+		if found && bound < p.best.Utility {
 			break
 		}
-		if found && c.bound == p.best.Utility && c.rep > bestRep {
+		if found && bound == p.best.Utility && rep > bestRep {
 			continue
 		}
-		free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], c.rep)
+		free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], rep)
 		p.freeScratch = free
 		p.scored++
 		if err := p.mapper.PlaceInto(&p.cur, j, p.state, free); err != nil {
 			continue
 		}
-		if !found || p.cur.Utility > p.best.Utility || p.cur.Utility == p.best.Utility && c.rep < bestRep {
+		if !found || p.cur.Utility > p.best.Utility || p.cur.Utility == p.best.Utility && rep < bestRep {
 			p.cur, p.best = p.best, p.cur
-			found, bestRep = true, c.rep
+			found, bestRep = true, rep
 		}
 	}
 	if !found {
@@ -313,9 +306,9 @@ func (p *placer) sweepClasses(j *job.Job) []classCand {
 		if !j.AntiCollocate {
 			bound = p.mapper.ClassBound(&p.bounds, j, p.state, id, rep)
 		}
-		cands = append(cands, classCand{bound: bound, rep: rep})
+		cands = append(cands, classCand{Key: heap.Key{A: -bound, B: float64(rep)}})
 	}
-	heap.Init(cands, (*classCand).before)
+	heap.Init(cands, nil)
 	p.classes = cands
 	return cands
 }

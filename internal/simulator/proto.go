@@ -39,7 +39,7 @@ type PrototypeResult struct {
 	Bandwidth map[string][]BandwidthPoint
 }
 
-// protoJob is the prototype's record of a launched job.
+// protoJob is the prototype's record of a launched job, in its rank slot.
 type protoJob struct {
 	placed
 	alloc     *cluster.Allocation // its row in protoEngine.launched
@@ -78,7 +78,6 @@ func RunPrototype(cfg PrototypeConfig, jobs []*job.Job) (*PrototypeResult, error
 		cfg:       sim,
 		launched:  cluster.NewState(sim.Topology),
 		scheduler: scheduler,
-		running:   map[string]*protoJob{},
 		windows:   map[string]map[int]float64{},
 		rng:       stats.NewRNG(sim.Seed),
 	}
@@ -86,6 +85,7 @@ func RunPrototype(cfg PrototypeConfig, jobs []*job.Job) (*PrototypeResult, error
 		return nil, err
 	}
 	// Every job finishes once and spans at least one interval.
+	e.jobs = make([]protoJob, len(jobs))
 	e.results = make([]JobResult, len(jobs))
 	e.timeline = make([]Interval, 0, len(jobs))
 	if err := e.loop(len(jobs)); err != nil {
@@ -140,8 +140,8 @@ type protoEngine struct {
 	scheduler *schedcore.Core
 	events    eventQueue
 	now       float64
-	running   map[string]*protoJob
-	rank      map[string]int // job ID -> its slot in results
+	rank      map[string]int // job ID -> its slot in jobs and results
+	jobs      []protoJob     // one slot per job, in job-ID order
 	results   []JobResult    // one slot per job, in job-ID order
 	timeline  []Interval
 	windows   map[string]map[int]float64 // job -> window index -> bytes
@@ -152,12 +152,15 @@ type protoEngine struct {
 
 func (e *protoEngine) loop(total int) error {
 	guard := 0
-	for e.events.Len() > 0 {
+	for {
+		ev, ok := e.events.pop()
+		if !ok {
+			break
+		}
 		guard++
 		if guard > 100_000_000 {
 			return fmt.Errorf("simulator: prototype iteration budget exceeded")
 		}
-		ev := e.events.pop()
 		e.now = ev.time
 		switch ev.kind {
 		case evArrival:
@@ -168,21 +171,18 @@ func (e *protoEngine) loop(total int) error {
 				return err
 			}
 		case evFinish: // one iteration's end
-			r, ok := e.running[ev.id]
-			if !ok {
-				continue
-			}
+			r := &e.jobs[ev.rank]
 			e.accountIteration(r)
 			r.remaining--
 			if r.remaining == 0 {
-				if err := e.finish(r); err != nil {
+				if err := e.finish(ev.rank); err != nil {
 					return err
 				}
 				if err := e.runScheduler(); err != nil {
 					return err
 				}
 			} else {
-				e.armIteration(r)
+				e.armIteration(ev.rank)
 			}
 		}
 	}
@@ -202,7 +202,8 @@ func (e *protoEngine) runScheduler() error {
 			return err
 		}
 		spec := perfmodel.GetSpec(j.Model)
-		r := &protoJob{
+		rank := int32(e.rank[j.ID])
+		e.jobs[rank] = protoJob{
 			placed:    placedBy(d),
 			alloc:     e.launched.Allocation(j.ID),
 			remaining: j.Iterations,
@@ -210,19 +211,19 @@ func (e *protoEngine) runScheduler() error {
 			baseIter:  perfmodel.IterationTimeMode(j.Model, j.BatchSize, e.cfg.Topology, d.Placement.GPUs, computeScale, j.Parallelism),
 			iterBytes: perfmodel.RingVolume(j.Model, len(d.Placement.GPUs)) + float64(j.BatchSize)*spec.InputBytesPerSample,
 		}
-		e.running[j.ID] = r
-		e.armIteration(r)
+		e.armIteration(rank)
 	}
 	return nil
 }
 
-// armIteration schedules the end of the job's next iteration, whose
-// duration reflects the co-location interference at its start — the same
-// cluster.State.Slowdown the trace-driven simulator rates jobs by, over
-// the jobs launched so far.
-func (e *protoEngine) armIteration(r *protoJob) {
+// armIteration schedules the end of the next iteration of the job in the
+// rank slot, whose duration reflects the co-location interference at its
+// start — the same cluster.State.Slowdown the trace-driven simulator rates
+// jobs by, over the jobs launched so far.
+func (e *protoEngine) armIteration(rank int32) {
+	r := &e.jobs[rank]
 	d := jitter(e.rng, e.cfg.JitterStddev, r.baseIter*(1+e.launched.Slowdown(r.alloc)))
-	e.events.push(event{time: e.now + d, kind: evFinish, id: r.job.ID})
+	e.events.arm(rank, e.now+d)
 }
 
 // accountIteration credits the iteration's interconnect bytes to the
@@ -237,19 +238,20 @@ func (e *protoEngine) accountIteration(r *protoJob) {
 	wins[w] += r.iterBytes
 }
 
-func (e *protoEngine) finish(r *protoJob) error {
+// finish completes the job in the rank slot.
+func (e *protoEngine) finish(rank int32) error {
+	r := &e.jobs[rank]
 	if err := e.scheduler.Release(r.job.ID); err != nil {
 		return err
 	}
 	if err := e.launched.Release(r.job.ID); err != nil {
 		return err
 	}
-	delete(e.running, r.job.ID)
 	e.finished++
 	if e.now > e.makespan {
 		e.makespan = e.now
 	}
-	e.results[e.rank[r.job.ID]] = r.result(e.cfg.Topology, r.start, e.now, 0)
+	e.results[rank] = r.result(e.cfg.Topology, r.start, e.now, 0)
 	e.timeline = append(e.timeline, r.interval(r.start, e.now))
 	return nil
 }

@@ -2,6 +2,7 @@ package simulator
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gputopo/internal/job"
@@ -276,6 +277,35 @@ func TestSamples(t *testing.T) {
 	mid := res.Samples[len(res.Samples)/2]
 	if mid.Running != 1 || mid.P2PBandwidth <= 0 || mid.MeanUtility <= 0 {
 		t.Fatalf("mid sample = %+v", mid)
+	}
+}
+
+// TestSamplesEndBeforeLastFinish: samples are taken at k·interval before
+// the last finish — every such time, and nothing at or past the makespan.
+func TestSamplesEndBeforeLastFinish(t *testing.T) {
+	topo := topology.Cluster(4, topology.KindMinsky)
+	const interval = 7
+	for seed := uint64(1); seed <= 6; seed++ {
+		jobs, err := workload.Generate(workload.GenConfig{Jobs: 40, Seed: seed}, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, SampleInterval: interval}, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []float64
+		for at := 0.0; at < res.Makespan; at += interval {
+			want = append(want, at)
+		}
+		got := make([]float64, len(res.Samples))
+		for i, s := range res.Samples {
+			got[i] = s.Time
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: makespan %.3f: %d samples, the last at %v; want %d, the last at %v",
+				seed, res.Makespan, len(got), got[len(got)-1], len(want), want[len(want)-1])
+		}
 	}
 }
 

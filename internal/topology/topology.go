@@ -563,7 +563,7 @@ type search struct {
 	dist, bw  []float64
 	crossHost []bool
 	touched   []int        // vertices the last run wrote; the next run resets only those
-	pq        []searchItem // heap.Push/heap.Pop min-heap on d (nearer)
+	pq        []searchItem // heap.Push/heap.Pop min-heap on d
 }
 
 type edge struct {
@@ -604,37 +604,34 @@ func (s *search) run(src int) {
 	}
 	s.touched = append(s.touched[:0], src)
 	s.dist[src], s.bw[src] = 0, graph.Inf
-	s.pq = append(s.pq[:0], searchItem{v: src})
+	s.pq = append(s.pq[:0], searchItem{Val: int32(src)})
 	for len(s.pq) > 0 {
 		var it searchItem
-		s.pq, it = heap.Pop(s.pq, nearer)
-		if it.d > s.dist[it.v] {
+		s.pq, it = heap.Pop(s.pq, nil)
+		v, d := int(it.Val), it.A
+		if d > s.dist[v] {
 			continue
 		}
-		lvl := s.nodes[it.v].Level
+		lvl := s.nodes[v].Level
 		// GPUs and network roots other than the source terminate paths.
-		if it.v != src && (lvl == LevelGPU || lvl == LevelNetwork) {
+		if v != src && (lvl == LevelGPU || lvl == LevelNetwork) {
 			continue
 		}
 		relayIsHost := lvl != LevelGPU && lvl != LevelSwitch
-		for _, e := range s.adj[it.v] {
-			nd := it.d + e.w
+		for _, e := range s.adj[v] {
+			nd := d + e.w
 			if nd < s.dist[e.to]-1e-12 {
 				s.dist[e.to] = nd
-				s.bw[e.to] = min(s.bw[it.v], e.bw)
-				s.crossHost[e.to] = s.crossHost[it.v] || relayIsHost
+				s.bw[e.to] = min(s.bw[v], e.bw)
+				s.crossHost[e.to] = s.crossHost[v] || relayIsHost
 				s.touched = append(s.touched, e.to)
-				s.pq = heap.Push(s.pq, searchItem{v: e.to, d: nd}, nearer)
+				s.pq = heap.Push(s.pq, searchItem{Key: heap.Key{A: nd}, Val: int32(e.to)}, nil)
 			}
 		}
 	}
 }
 
-type searchItem struct {
-	v int
-	d float64
-}
-
-// nearer is the search's heap order: distance alone, so equal distances
-// pop in the order the heap's sift sequence gives them.
-func nearer(a, b *searchItem) bool { return a.d < b.d }
+// searchItem is a vertex queued at a distance, keyed (d, 0, 0): distance
+// alone, so equal distances pop in the order the heap's sift sequence
+// gives them.
+type searchItem = heap.Item[int32]
