@@ -44,6 +44,9 @@ type Item[V any] struct {
 // Push adds x to the heap h and returns the grown heap.
 func Push[V any](h []Item[V], x Item[V], at []int32) []Item[V] {
 	h = append(h, x)
+	if at != nil {
+		at[x.Slot] = int32(len(h) - 1)
+	}
 	up(h, len(h)-1, at)
 	return h
 }
@@ -52,7 +55,7 @@ func Push[V any](h []Item[V], x Item[V], at []int32) []Item[V] {
 // shrunk heap and that item.
 func Pop[V any](h []Item[V], at []int32) ([]Item[V], Item[V]) {
 	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
+	swap(h, 0, n, at)
 	down(h, 0, n, at)
 	return cut(h, at)
 }
@@ -62,8 +65,10 @@ func Pop[V any](h []Item[V], at []int32) ([]Item[V], Item[V]) {
 func Remove[V any](h []Item[V], i int, at []int32) ([]Item[V], Item[V]) {
 	n := len(h) - 1
 	if n != i {
-		h[i], h[n] = h[n], h[i]
-		Fix(h[:n], i, at)
+		swap(h, i, n, at)
+		if !down(h, i, n, at) {
+			up(h, i, at)
+		}
 	}
 	return cut(h, at)
 }
@@ -101,24 +106,23 @@ func cut[V any](h []Item[V], at []int32) ([]Item[V], Item[V]) {
 	return h[:n], x
 }
 
-// up moves h[j] toward the root while it is less than its parent. Each
-// parent it passes moves down one level into the hole it leaves.
+// swap exchanges h[i] and h[j].
+func swap[V any](h []Item[V], i, j int, at []int32) {
+	h[i], h[j] = h[j], h[i]
+	if at != nil {
+		at[h[i].Slot], at[h[j].Slot] = int32(i), int32(j)
+	}
+}
+
+// up moves h[j] toward the root while it is less than its parent.
 func up[V any](h []Item[V], j int, at []int32) {
-	x := h[j]
 	for j > 0 {
 		i := (j - 1) / 2
-		if !x.Less(&h[i].Key) {
+		if !h[j].Less(&h[i].Key) {
 			break
 		}
-		h[j] = h[i]
-		if at != nil {
-			at[h[j].Slot] = int32(j)
-		}
+		swap(h, i, j, at)
 		j = i
-	}
-	h[j] = x
-	if at != nil {
-		at[x.Slot] = int32(j)
 	}
 }
 
@@ -126,7 +130,6 @@ func up[V any](h []Item[V], j int, at []int32) {
 // less than it; the right child is taken only when strictly less than
 // the left. It reports whether the item moved.
 func down[V any](h []Item[V], i0, n int, at []int32) bool {
-	x := h[i0]
 	i := i0
 	for {
 		j := 2*i + 1
@@ -136,18 +139,11 @@ func down[V any](h []Item[V], i0, n int, at []int32) bool {
 		if r := j + 1; r < n && h[r].Less(&h[j].Key) {
 			j = r
 		}
-		if !h[j].Less(&x.Key) {
+		if !h[j].Less(&h[i].Key) {
 			break
 		}
-		h[i] = h[j]
-		if at != nil {
-			at[h[i].Slot] = int32(i)
-		}
+		swap(h, i, j, at)
 		i = j
-	}
-	h[i] = x
-	if at != nil {
-		at[x.Slot] = int32(i)
 	}
 	return i > i0
 }
