@@ -580,6 +580,17 @@ func newSearch(nodes []Node, links []Link) *search {
 		bw:        make([]float64, len(nodes)),
 		crossHost: make([]bool, len(nodes)),
 	}
+	// One array holds every vertex's edges, each vertex's share sized by
+	// its degree, so the appends below never grow a slice.
+	deg := make([]int, len(nodes))
+	for _, l := range links {
+		deg[l.A]++
+		deg[l.B]++
+	}
+	edges := make([]edge, 2*len(links))
+	for v, d := range deg {
+		s.adj[v], edges = edges[:0:d], edges[d:]
+	}
 	for _, l := range links {
 		s.adj[l.A] = append(s.adj[l.A], edge{to: l.B, w: l.Weight, bw: l.Bandwidth})
 		s.adj[l.B] = append(s.adj[l.B], edge{to: l.A, w: l.Weight, bw: l.Bandwidth})
