@@ -544,24 +544,23 @@ func (c *Core) scheduleIndexed(now float64) {
 		// the full walk's per-position check. The map iteration order is
 		// irrelevant: the queue-order minimum wins regardless of the order
 		// the candidates are inspected in.
-		var best *entry
+		found := ai < len(c.queue)
 		var bestKey heap.Key
 		var bestBuckets map[int][]parkedEntry
 		var bestBucket int
-		if ai < len(c.queue) {
-			best = &c.queue[ai]
-			bestKey = c.key(best)
+		if found {
+			bestKey = c.key(&c.queue[ai])
 		}
 		consider := func(buckets map[int][]parkedEntry, capacity int) {
 			for g, h := range buckets {
-				if g <= capacity && (best == nil || h[0].Less(&bestKey)) {
-					best, bestKey, bestBuckets, bestBucket = &h[0].Val, h[0].Key, buckets, g
+				if g <= capacity && (!found || h[0].Less(&bestKey)) {
+					found, bestKey, bestBuckets, bestBucket = true, h[0].Key, buckets, g
 				}
 			}
 		}
 		consider(c.parkedSingle, c.state.MaxFreeGPUs())
 		consider(c.parkedMulti, c.state.FreeGPUCount())
-		if best == nil {
+		if !found {
 			break
 		}
 		var e entry
