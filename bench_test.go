@@ -22,6 +22,7 @@ import (
 	"gputopo/internal/schedcore"
 	"gputopo/internal/schedcore/domains"
 	"gputopo/internal/simulator"
+	"gputopo/internal/sweep"
 	"gputopo/internal/topology"
 	"gputopo/internal/workload"
 )
@@ -151,18 +152,12 @@ func BenchmarkFig10Scenario1(b *testing.B) {
 	b.ReportMetric(viol, "topoP-SLO-violations")
 }
 
-// BenchmarkFig11Scenario2 regenerates Figure 11. The paper uses 10k jobs
-// on 1k machines; the benchmark defaults to a 1/5-scale replica (2k jobs,
-// 200 machines) so `go test -bench` completes in minutes — run
-// `cmd/topobench -fig 11` for the full scale.
+// BenchmarkFig11Scenario2 regenerates Figure 11 (10k jobs, 1k machines)
+// and reports TOPO-AWARE-P's SLO violations (paper: none).
 func BenchmarkFig11Scenario2(b *testing.B) {
-	scale := experiments.Scale{Jobs: 2000, Machines: 200}
-	if testing.Short() {
-		scale = experiments.Scale{Jobs: 400, Machines: 40}
-	}
 	var viol float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Scenario2(42, scale)
+		rep, err := experiments.Scenario2(42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -681,6 +676,40 @@ func BenchmarkProfileGeneration(b *testing.B) {
 		b.StartTimer()
 		if s := profile.Default(topo); s.Len() != 96 {
 			b.Fatal("bad store")
+		}
+	}
+}
+
+// BenchmarkSubstrateSetup times the simulator's set-up at sim-scenario2's
+// sizes, the phase cmd/topoperf reports as setup_s: minsky:1000 and its
+// four hash:4 domain topologies, each built and given its profile store,
+// then one 5000-job generated stream at 0.8 jobs/min/machine on the whole
+// cluster. Every iteration builds from scratch, as each of topoperf's
+// set-up repeats does.
+func BenchmarkSubstrateSetup(b *testing.B) {
+	whole := sweep.TopologySpec{Builder: "minsky", Machines: 1000}
+	sharded := whole
+	sharded.Domains = "hash:4"
+	_, subs, _, err := sharded.PartitionDomains(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := append([]sweep.TopologySpec{whole}, subs...)
+	b.ReportAllocs()
+	for b.Loop() {
+		for i, spec := range specs {
+			topo, err := spec.Build(spec.EffectiveMachines(1), false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			profile.Generate(topo, min(topo.NumGPUs(), 8))
+			if i > 0 {
+				continue
+			}
+			gen := workload.GenConfig{Jobs: 5000, Seed: 42, ArrivalRate: 0.8 * float64(topo.NumMachines())}
+			if _, err := workload.Generate(gen, topo); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

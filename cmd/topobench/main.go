@@ -30,12 +30,9 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "experiment to run: "+strings.Join(keys(), ","))
 	seed := flag.Uint64("seed", 42, "random seed for workload generation and jitter")
-	scenario2Jobs := flag.Int("s2-jobs", 10000, "scenario 2 job count")
-	scenario2Machines := flag.Int("s2-machines", 1000, "scenario 2 machine count")
 	flag.Parse()
 
-	scale := experiments.Scale{Jobs: *scenario2Jobs, Machines: *scenario2Machines}
-	if err := run(os.Stdout, *fig, *seed, scale); err != nil {
+	if err := run(os.Stdout, *fig, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "topobench:", err)
 		os.Exit(1)
 	}
@@ -51,14 +48,14 @@ func keys() []string {
 }
 
 // run prints the figure with the given key, or every figure for "all".
-func run(w io.Writer, fig string, seed uint64, scale experiments.Scale) error {
+func run(w io.Writer, fig string, seed uint64) error {
 	known := false
 	for _, f := range experiments.Figures() {
 		if fig != "all" && fig != f.Key {
 			continue
 		}
 		known = true
-		out, err := f.Run(seed, scale)
+		out, err := f.Run(seed)
 		if err != nil {
 			return err
 		}

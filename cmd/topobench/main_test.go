@@ -17,10 +17,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/<key>.golden from the current output")
 
-// goldenScale is Figure 11's size in the goldens (-s2-jobs 500 -s2-machines
-// 50): the paper's 10k jobs on 1k machines take minutes.
-var goldenScale = experiments.Scale{Jobs: 500, Machines: 50}
-
 // TestFigureGoldens holds every figure to its recorded bytes at seed 42.
 // The goldens were recorded while the hand-rolled serial loops of every
 // grid-backed figure still existed and agreed with the sweep engine job
@@ -31,7 +27,7 @@ func TestFigureGoldens(t *testing.T) {
 	for _, f := range experiments.Figures() {
 		t.Run(f.Key, func(t *testing.T) {
 			var got bytes.Buffer
-			if err := run(&got, f.Key, 42, goldenScale); err != nil {
+			if err := run(&got, f.Key, 42); err != nil {
 				t.Fatal(err)
 			}
 			if f.Key == "overhead" {
@@ -70,7 +66,7 @@ func TestUnknownFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unknown := run(new(bytes.Buffer), "7", 42, goldenScale)
+	unknown := run(new(bytes.Buffer), "7", 42)
 	if unknown == nil {
 		t.Fatal("-fig 7 did not fail")
 	}

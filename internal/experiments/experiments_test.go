@@ -216,12 +216,48 @@ func TestScenarioShape(t *testing.T) {
 }
 
 func TestScenario2Shape(t *testing.T) {
-	// Scenario 2 at the size of cmd/topobench/testdata/11.golden.
-	rep, err := Scenario2(42, Scale{Jobs: 500, Machines: 50})
+	// Scenario 2 at 1/20 of the paper's size (500 jobs, 50 machines),
+	// where all four counts hold on seed 42. The size is test data pinned
+	// here; Scenario2 runs the grid as registered, and
+	// TestScenario2PaperSizeShape checks that size.
+	rep, err := runGrid("scenario2", 42, 0, func(g *sweep.Grid) {
+		g.Jobs, g.Machines = []int{500}, []int{50}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkScenarioClaim(t, "Fig 11: TOPO-AWARE-P has no SLO violations, the shortest cumulative time and the least total wait", rep)
+}
+
+// TestScenario2PaperSizeShape holds Figure 11 at the paper's size (10 000
+// jobs, 1 000 machines) to three of checkScenarioClaim's four counts. The
+// fourth does not hold there: TOPO-AWARE's mean QoS slowdown is 0.095897
+// against TOPO-AWARE-P's 0.097172 on seed 42 (0.090201 against 0.096285
+// on seed 1; seeds 2–5 hold). docs/reproducing-the-paper.md notes the gap
+// under "QoS slowdown at the paper's size".
+func TestScenario2PaperSizeShape(t *testing.T) {
+	rep, err := Scenario2(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := rep.ByPolicy(schedcore.TopoAwareP)
+	if tp.SLOViolations != 0 {
+		t.Fatalf("TOPO-AWARE-P violations = %d", tp.SLOViolations)
+	}
+	for _, r := range rep.Points {
+		if r.Policy == schedcore.TopoAwareP {
+			continue
+		}
+		if r.SLOViolations == 0 {
+			t.Errorf("%v unexpectedly has zero SLO violations", r.Policy)
+		}
+		if r.TotalWait < tp.TotalWait {
+			t.Errorf("%v waits less than TOPO-AWARE-P (%f < %f)", r.Policy, r.TotalWait, tp.TotalWait)
+		}
+		if r.Makespan < tp.Makespan {
+			t.Errorf("%v has shorter cumulative time than TOPO-AWARE-P (%f < %f)", r.Policy, r.Makespan, tp.Makespan)
+		}
+	}
 }
 
 func TestOverheadShape(t *testing.T) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
 	"gputopo/internal/sweep"
@@ -17,8 +16,8 @@ type Figure struct {
 	// runs; nil for a pure function of the performance model.
 	Grids []string
 	// Run renders the figure. Everything but `overhead`, which reports
-	// wall-clock decision times, is a pure function of (seed, scale).
-	Run func(seed uint64, s Scale) (string, error)
+	// wall-clock decision times, is a pure function of the seed.
+	Run func(seed uint64) (string, error)
 }
 
 // Figures is the table of every figure, in the paper's order: an
@@ -51,26 +50,22 @@ func Figures() []Figure {
 			})},
 		{Key: "11", Ref: "Figure 11", Title: "scenario 2: 10k jobs, 1k machines",
 			Grids: []string{"scenario2"},
-			Run: func(seed uint64, s Scale) (string, error) {
-				rep, err := Scenario2(seed, s)
-				if err != nil {
-					return "", err
-				}
-				return RenderScenario(fmt.Sprintf("Figure 11 — Scenario 2: %d jobs, %d machines", s.Jobs, s.Machines), rep), nil
-			}},
+			Run: seeded(Scenario2, func(rep *sweep.Report) string {
+				return RenderScenario("Figure 11 — Scenario 2: 10000 jobs, 1000 machines", rep)
+			})},
 		{Key: "overhead", Ref: "§5.5.3", Title: "decision-time overhead",
 			Grids: []string{"scenario2"},
 			Run:   seeded(Overhead, RenderOverhead)},
 		{Key: "ablations", Ref: "§4–§5", Title: "level-weight, α and threshold ablations",
 			Grids: []string{"levelweights", "alpha", "threshold"},
-			Run: func(seed uint64, s Scale) (string, error) {
+			Run: func(seed uint64) (string, error) {
 				var tables []string
-				for _, run := range []func(uint64, Scale) (string, error){
+				for _, run := range []func(uint64) (string, error){
 					seeded(LevelWeightAblation, RenderWeightAblation),
 					seeded(AlphaSweep, RenderAlphaSweep),
 					seeded(ThresholdSweep, RenderThresholdSweep),
 				} {
-					out, err := run(seed, s)
+					out, err := run(seed)
 					if err != nil {
 						return "", err
 					}
@@ -82,13 +77,13 @@ func Figures() []Figure {
 }
 
 // model is a figure that is a pure function of the performance model.
-func model[T any](run func() T, render func(T) string) func(uint64, Scale) (string, error) {
-	return func(uint64, Scale) (string, error) { return render(run()), nil }
+func model[T any](run func() T, render func(T) string) func(uint64) (string, error) {
+	return func(uint64) (string, error) { return render(run()), nil }
 }
 
 // seeded is a figure whose experiment takes the seed and nothing else.
-func seeded[T any](run func(uint64) (T, error), render func(T) string) func(uint64, Scale) (string, error) {
-	return func(seed uint64, _ Scale) (string, error) {
+func seeded[T any](run func(uint64) (T, error), render func(T) string) func(uint64) (string, error) {
+	return func(seed uint64) (string, error) {
 		v, err := run(seed)
 		if err != nil {
 			return "", err
