@@ -685,7 +685,10 @@ func BenchmarkProfileGeneration(b *testing.B) {
 // four hash:4 domain topologies, each built and given its profile store,
 // then one 5000-job generated stream at 0.8 jobs/min/machine on the whole
 // cluster. Every iteration builds from scratch, as each of topoperf's
-// set-up repeats does.
+// set-up repeats does. The sizes are copied from cmd/topoperf: sim.go's
+// simGridsFor (sim-scenario2's grid: scenario2Jobs, scenario2Rate) and
+// servetrace.go's generateProfiles (the profile width), which sim.go's
+// simSubstrates calls; change them together.
 func BenchmarkSubstrateSetup(b *testing.B) {
 	whole := sweep.TopologySpec{Builder: "minsky", Machines: 1000}
 	sharded := whole

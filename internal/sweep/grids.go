@@ -58,7 +58,7 @@ var namedGrids = map[string]struct {
 		},
 	},
 	"scenario2": {
-		desc: "§5.5 scenario 2 at paper scale: 4 policies × 1000 machines × 10000 jobs (slow)",
+		desc: "§5.5 scenario 2 at paper scale: 4 policies × 1000 machines × 10000 jobs",
 		build: func(seed uint64) Grid {
 			return Grid{
 				Name:           "scenario2",

@@ -1,36 +1,33 @@
 #!/usr/bin/env bash
 # The benchmark's pair protocol over two prebuilt topoperf binaries:
 #
-#   pairs.sh [-n PAIRS] [-s SECONDS] [-w WORKLOADS] PARENT_BIN CHANGE_BIN [topoperf flags...]
+#   pairs.sh [-n PAIRS] PARENT_BIN CHANGE_BIN [topoperf flags...]
 #
 #   -n  pairs to run (default 10)
-#   -s  topoperf -seconds per run (default 25)
-#   -w  space-separated workloads (default: all four in BENCHMARK.json)
 #
 # Run it from the root of a checkout: topoperf writes .bench_build/ in the
-# working directory. Pair i (1..n) runs each workload once on each binary
-# with seed i; odd seeds run the parent first, even seeds the change. Every
-# run is untraced (-trace 0) and appends to .bench_build/pairs/parent.json
-# or change.json; flags after the two binaries (say -smoke) go to every run.
-# At the end it prints topoperf -compare over the two documents, then for
-# each workload and end-to-end metric the number of seeds, out of n, on
-# which the change did better than the parent. A metric -compare finds
-# worse than its bound is reported, not a failure: the script fails only
-# when a run or the comparison itself does.
+# working directory, and the workloads and each run's length are read from
+# BENCHMARK.json, as the benchmark reads them. Pair i (1..n) runs every
+# workload once on each binary with seed i; odd seeds run the parent first,
+# even seeds the change. Every run is untraced (-trace 0) and appends to
+# .bench_build/pairs/parent.json or change.json; flags after the two
+# binaries (say -smoke) go to every run. At the end it prints topoperf
+# -compare over the two documents, then for each workload and end-to-end
+# metric the number of seeds, out of n, on which the change did better than
+# the parent. A metric -compare finds worse than its bound is reported, not
+# a failure: the script fails only when a run or the comparison itself does.
 set -euo pipefail
 
-n=10 seconds=25 workloads=
-while getopts n:s:w: opt; do
+n=10
+while getopts n: opt; do
   case $opt in
     n) n=$OPTARG ;;
-    s) seconds=$OPTARG ;;
-    w) workloads=$OPTARG ;;
     *) exit 2 ;;
   esac
 done
 shift $((OPTIND - 1))
 if [ $# -lt 2 ]; then
-  echo "usage: $0 [-n pairs] [-s seconds] [-w workloads] PARENT_BIN CHANGE_BIN [topoperf flags...]" >&2
+  echo "usage: $0 [-n pairs] PARENT_BIN CHANGE_BIN [topoperf flags...]" >&2
   exit 2
 fi
 if [ ! -f BENCHMARK.json ]; then
@@ -39,7 +36,8 @@ if [ ! -f BENCHMARK.json ]; then
 fi
 parent=$(realpath "$1") change=$(realpath "$2")
 shift 2
-[ -n "$workloads" ] || workloads=$(jq -r '.workloads[].name' BENCHMARK.json | tr '\n' ' ')
+seconds=$(jq -r .run_seconds BENCHMARK.json)
+workloads=$(jq -r '.workloads[].name' BENCHMARK.json | tr '\n' ' ')
 
 out=.bench_build/pairs
 mkdir -p "$out"
@@ -50,7 +48,7 @@ one() {
   local bin=$parent
   [ "$1" = parent ] || bin=$change
   echo "== seed $2 $3 $1" >&2
-  "$bin" -workload "$3" -seed "$2" -seconds "$seconds" -trace 0 -out "$out/$1.json" "${extra[@]}" >/dev/null
+  "$bin" -workload "$3" -seed "$2" -seconds "$seconds" -trace 0 -out "$out/$1.json" ${extra[@]+"${extra[@]}"} >/dev/null
 }
 
 extra=("$@")
