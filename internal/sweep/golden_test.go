@@ -32,6 +32,11 @@ var sweepGoldens = []sweepGolden{
 	// One contended_queue.json point: the one of its 24 whose makespan
 	// moves when simultaneous events of one kind pop in reverse push order.
 	{name: "event_tie_order", spec: "event_tie_order.json"},
+	// Two identical jobs start together and tie at their finish: the one
+	// that arrived first is re-armed when the second joins its machine, so
+	// it pops second. Its makespan moves when a re-armed finish event keeps
+	// the place it was first queued at.
+	{name: "arm_tie_order", spec: "arm_tie_order.json"},
 }
 
 // TestSweepGoldens holds every recorded sweep artifact byte for byte. Each
