@@ -53,3 +53,78 @@ func BenchmarkClassSweep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWakeWalk times the wake-up index's walk: a TOPO-AWARE-P core on
+// sim-contended's 60-machine mix, every GPU running, with jobs parked over
+// many GPU-count buckets — single-node ones of 2 to 8 GPUs and multi-node
+// ones of up to 64. Each iteration releases one 2-GPU job and runs one
+// Schedule round, which wakes the head of the 2-GPU bucket onto the freed
+// GPUs and finds every other bucket still blocked. The round's placement
+// is then undone through the exported API — the woken job is released and
+// parked again, the released one restored — so every iteration sees the
+// same state.
+func BenchmarkWakeWalk(b *testing.B) {
+	specs, err := topology.ParseMix("minsky:24+dgx1:12+pcie:24")
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := topology.HeterogeneousCluster(specs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mapper, err := core.NewMapper(profile.Generate(topo, 4), core.DefaultWeights())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := New(TopoAwareP, cluster.NewState(topo), mapper)
+	var freed *job.Job
+	var freedGPUs []int
+	n := 0
+	for m := 0; m < topo.NumMachines(); m++ {
+		for gpus := topo.GPUsOfMachine(m); len(gpus) > 0; n++ {
+			size := min(2, len(gpus))
+			j := job.New(fmt.Sprintf("r%03d", n), perfmodel.NN(n%3), 1, size, 0, 0)
+			if err := c.Restore(j, gpus[:size], 0); err != nil {
+				b.Fatal(err)
+			}
+			if freed == nil && size == 2 {
+				freed, freedGPUs = j, gpus[:size]
+			}
+			gpus = gpus[size:]
+		}
+	}
+	park := func(j *job.Job) {
+		if err := c.RestoreQueued(QueuedEntry{Job: j, Parked: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var woken *job.Job
+	arrival := 1.0
+	for _, size := range []int{2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64} {
+		for k := 0; k < 16; k++ {
+			j := job.New(fmt.Sprintf("q%02d-%02d", size, k), perfmodel.NN(k%3), 1, size, 0, arrival)
+			j.SingleNode = size <= 8
+			if woken == nil {
+				woken = j
+			}
+			park(j)
+			arrival++
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := c.Release(freed.ID); err != nil {
+			b.Fatal(err)
+		}
+		if ds := c.Schedule(); len(ds) != 1 || ds[0].Postponed || ds[0].Job != woken {
+			b.Fatal("the release did not wake exactly the 2-GPU bucket's head")
+		}
+		if err := c.Release(woken.ID); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Restore(freed, freedGPUs, 0); err != nil {
+			b.Fatal(err)
+		}
+		park(woken)
+	}
+}
