@@ -27,6 +27,10 @@ type Allocation struct {
 	// later placement decisions can predict co-location slowdowns
 	// against the jobs already running (§4.2).
 	Traits perfmodel.Traits
+	// Slot is the allocation's dense handle: its index in the state's
+	// slot table, held from Allocate to Release. A freed slot is handed to
+	// a later allocation, so a slot names a job only while it runs.
+	Slot int32
 }
 
 // Resident is one row of a machine's resident table: a job holding at
@@ -49,10 +53,20 @@ const busCapacity = 2 * topology.BandwidthXBus
 // State is the mutable allocation state over an immutable topology.
 // It is not safe for concurrent mutation; the scheduler serializes access.
 type State struct {
-	topo    *topology.Topology
-	owner   []string // GPU position -> job ID, "" when free
-	allocs  map[string]*Allocation
-	busUsed []float64 // machine -> committed GB/s
+	topo *topology.Topology
+	// owner maps a GPU position to the slot of the allocation holding
+	// it, -1 when the GPU is free. slots is the slot table: slot ->
+	// allocation, nil when the slot is empty. freeSlots lists the empty
+	// slots Allocate hands out again, most recently freed last; a slot a
+	// Release inside a trial empties stays off it, so Rollback puts the
+	// same allocation back at the same slot. ids maps a job ID to its
+	// slot; only the methods that take a job ID read it, and inside a
+	// trial it keeps the entries of the jobs the trial released.
+	owner     []int32
+	slots     []*Allocation
+	freeSlots []int32
+	ids       map[string]int32
+	busUsed   []float64 // machine -> committed GB/s
 
 	// Incremental bookkeeping so large-cluster simulations avoid full
 	// scans: free GPUs per machine, the Eq. 5 fragmentation sum, and
@@ -194,8 +208,8 @@ func (t *classTable) clone() classTable {
 func NewState(topo *topology.Topology) *State {
 	s := &State{
 		topo:          topo,
-		owner:         make([]string, topo.NumGPUs()),
-		allocs:        make(map[string]*Allocation),
+		owner:         slices.Repeat([]int32{-1}, topo.NumGPUs()),
+		ids:           make(map[string]int32),
 		busUsed:       make([]float64, topo.NumMachines()),
 		freeOnMachine: make([]int, topo.NumMachines()),
 		freeHist:      make([]int, 1),
@@ -220,7 +234,12 @@ func NewState(topo *topology.Topology) *State {
 func (s *State) Topology() *topology.Topology { return s.topo }
 
 // Owner returns the job occupying the GPU at pos ("" when free).
-func (s *State) Owner(pos int) string { return s.owner[pos] }
+func (s *State) Owner(pos int) string {
+	if o := s.owner[pos]; o >= 0 {
+		return s.slots[o].JobID
+	}
+	return ""
+}
 
 // FreeGPUs returns the positions of all unallocated GPUs, ascending.
 //
@@ -234,7 +253,7 @@ func (s *State) FreeGPUs() []int {
 // FreeGPUs for schedulers with a reusable buffer.
 func (s *State) AppendFreeGPUs(buf []int) []int {
 	for pos, o := range s.owner {
-		if o == "" {
+		if o < 0 {
 			buf = append(buf, pos)
 		}
 	}
@@ -253,7 +272,7 @@ func (s *State) FreeGPUsOnMachine(m int) []int {
 // (ascending) to buf and returns it.
 func (s *State) AppendFreeGPUsOnMachine(buf []int, m int) []int {
 	for _, pos := range s.topo.GPUsOfMachine(m) {
-		if s.owner[pos] == "" {
+		if s.owner[pos] < 0 {
 			buf = append(buf, pos)
 		}
 	}
@@ -272,33 +291,46 @@ func (s *State) FreeBusBandwidth(m int) float64 {
 // already has an allocation, a position is out of range, or a trial is
 // open.
 func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits perfmodel.Traits) error {
+	_, err := s.AllocateSlot(jobID, gpus, bandwidth, traits)
+	return err
+}
+
+// AllocateSlot is Allocate returning the slot the allocation took: the
+// most recently freed one, or a new one when none is free.
+func (s *State) AllocateSlot(jobID string, gpus []int, bandwidth float64, traits perfmodel.Traits) (int32, error) {
 	if s.trial.open {
-		return fmt.Errorf("cluster: allocating %s inside a trial", jobID)
+		return -1, fmt.Errorf("cluster: allocating %s inside a trial", jobID)
 	}
 	if jobID == "" {
-		return fmt.Errorf("cluster: empty job ID")
+		return -1, fmt.Errorf("cluster: empty job ID")
 	}
-	if _, exists := s.allocs[jobID]; exists {
-		return fmt.Errorf("cluster: job %s already allocated", jobID)
+	if _, exists := s.ids[jobID]; exists {
+		return -1, fmt.Errorf("cluster: job %s already allocated", jobID)
 	}
 	if len(gpus) == 0 {
-		return fmt.Errorf("cluster: job %s requests no GPUs", jobID)
+		return -1, fmt.Errorf("cluster: job %s requests no GPUs", jobID)
 	}
 	for i, pos := range gpus {
 		if pos < 0 || pos >= len(s.owner) {
-			return fmt.Errorf("cluster: GPU position %d out of range", pos)
+			return -1, fmt.Errorf("cluster: GPU position %d out of range", pos)
 		}
 		if slices.Contains(gpus[:i], pos) {
-			return fmt.Errorf("cluster: duplicate GPU position %d", pos)
+			return -1, fmt.Errorf("cluster: duplicate GPU position %d", pos)
 		}
-		if s.owner[pos] != "" {
-			return fmt.Errorf("cluster: GPU %d already owned by %s", pos, s.owner[pos])
+		if s.owner[pos] >= 0 {
+			return -1, fmt.Errorf("cluster: GPU %d already owned by %s", pos, s.Owner(pos))
 		}
 	}
-	alloc := &Allocation{JobID: jobID, GPUs: append([]int(nil), gpus...), Bandwidth: bandwidth, Traits: traits}
+	slot := int32(len(s.slots))
+	if n := len(s.freeSlots); n > 0 {
+		slot, s.freeSlots = s.freeSlots[n-1], s.freeSlots[:n-1]
+	} else {
+		s.slots = append(s.slots, nil)
+	}
+	alloc := &Allocation{JobID: jobID, GPUs: append([]int(nil), gpus...), Bandwidth: bandwidth, Traits: traits, Slot: slot}
 	sort.Ints(alloc.GPUs)
 	for i, pos := range alloc.GPUs {
-		s.owner[pos] = jobID
+		s.owner[pos] = slot
 		m := s.topo.MachineOf(pos)
 		s.moveFree(m, -1)
 		s.fragSum -= 1 / float64(s.topo.SocketSize(pos))
@@ -307,20 +339,31 @@ func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits per
 			s.busUsed[m] += bandwidth
 		}
 	}
-	s.allocs[jobID] = alloc
-	return nil
+	s.slots[slot], s.ids[jobID] = alloc, slot
+	return slot, nil
 }
 
 // Release frees the allocation of jobID. Releasing an unknown job is an
 // error (it indicates a simulator bookkeeping bug). Inside a trial it
 // journals the allocation and each bus it uncommits, for Rollback.
 func (s *State) Release(jobID string) error {
-	alloc, ok := s.allocs[jobID]
-	if !ok {
-		return fmt.Errorf("cluster: job %s has no allocation", jobID)
+	if slot, ok := s.ids[jobID]; ok && s.slots[slot] != nil {
+		return s.ReleaseSlot(slot)
 	}
+	return fmt.Errorf("cluster: job %s has no allocation", jobID)
+}
+
+// ReleaseSlot is Release of the allocation in the slot. Outside a trial
+// the slot goes on the free list; inside one it stays empty and reserved
+// for Rollback, and the job-ID map is left as it is, so a what-if hashes
+// no job ID.
+func (s *State) ReleaseSlot(slot int32) error {
+	if slot < 0 || int(slot) >= len(s.slots) || s.slots[slot] == nil {
+		return fmt.Errorf("cluster: slot %d holds no allocation", slot)
+	}
+	alloc := s.slots[slot]
 	for i, pos := range alloc.GPUs {
-		s.owner[pos] = ""
+		s.owner[pos] = -1
 		m := s.topo.MachineOf(pos)
 		s.moveFree(m, +1)
 		s.fragSum += 1 / float64(s.topo.SocketSize(pos))
@@ -335,9 +378,12 @@ func (s *State) Release(jobID string) error {
 			}
 		}
 	}
-	delete(s.allocs, jobID)
+	s.slots[slot] = nil
 	if s.trial.open {
 		s.trial.released = append(s.trial.released, alloc)
+	} else {
+		s.freeSlots = append(s.freeSlots, slot)
+		delete(s.ids, alloc.JobID)
 	}
 	return nil
 }
@@ -356,7 +402,7 @@ func (s *State) Mark() error {
 }
 
 // Rollback undoes every Release since Mark and closes the trial. The same
-// *Allocation values go back into the allocation map and the owner table,
+// *Allocation values go back into their slots and the owner table,
 // and the free counts and the free-count histogram count back down. The
 // float gauges — each bus Release uncommitted, the Eq. 5 sum — take the
 // values they had at Mark, so they come back bit for bit, which
@@ -370,9 +416,9 @@ func (s *State) Rollback() {
 		return
 	}
 	for _, a := range t.released {
-		s.allocs[a.JobID] = a
+		s.slots[a.Slot] = a
 		for _, pos := range a.GPUs {
-			s.owner[pos] = a.JobID
+			s.owner[pos] = a.Slot
 			m := s.topo.MachineOf(pos)
 			s.moveFree(m, -1)
 			s.touch(m)
@@ -397,14 +443,28 @@ func (s *State) firstOnMachine(gpus []int, i int) bool {
 
 // Allocation returns the allocation of jobID, or nil.
 func (s *State) Allocation(jobID string) *Allocation {
-	return s.allocs[jobID]
+	if slot, ok := s.ids[jobID]; ok {
+		return s.slots[slot]
+	}
+	return nil
+}
+
+// AllocationAt returns the allocation in the slot, or nil when the slot is
+// empty or out of the table.
+func (s *State) AllocationAt(slot int32) *Allocation {
+	if slot < 0 || int(slot) >= len(s.slots) {
+		return nil
+	}
+	return s.slots[slot]
 }
 
 // Jobs returns the IDs of all allocated jobs, sorted.
 func (s *State) Jobs() []string {
-	out := make([]string, 0, len(s.allocs))
-	for id := range s.allocs {
-		out = append(out, id)
+	out := make([]string, 0, len(s.ids))
+	for _, a := range s.slots {
+		if a != nil {
+			out = append(out, a.JobID)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -449,16 +509,17 @@ func (s *State) Residents(m int) []Resident {
 func (s *State) rebuildResidents(m int) {
 	rs := s.residents[m][:0]
 	for _, pos := range s.topo.GPUsOfMachine(m) {
-		id := s.owner[pos]
-		if id == "" {
+		o := s.owner[pos]
+		if o < 0 {
 			continue
 		}
+		a := s.slots[o]
 		i := 0
-		for i < len(rs) && rs[i].Alloc.JobID < id {
+		for i < len(rs) && rs[i].Alloc != a && rs[i].Alloc.JobID < a.JobID {
 			i++
 		}
-		if i == len(rs) || rs[i].Alloc.JobID != id {
-			rs = slices.Insert(rs, i, Resident{Alloc: s.allocs[id]})
+		if i == len(rs) || rs[i].Alloc != a {
+			rs = slices.Insert(rs, i, Resident{Alloc: a})
 		}
 		rs[i].Sockets |= s.topo.SocketBit(pos)
 		rs[i].GPUs++
@@ -516,7 +577,10 @@ func (s *State) Slowdown(a *Allocation) float64 {
 }
 
 // CheckInvariants recomputes the state's derived views from the owner
-// table and reports the first one that diverged. Per machine: the free
+// table and reports the first one that diverged. The handle tables come
+// first (checkSlots), since they must hold inside a trial too; then a
+// trial left open is reported: a what-if that forgot its Rollback. Per
+// machine: the free
 // count, the committed bus bandwidth (the jobs there, each counted once),
 // the placement fingerprint unless it is dirty or out of the index, and
 // the resident table — its rows are exactly the jobs owning a GPU there,
@@ -525,14 +589,16 @@ func (s *State) Slowdown(a *Allocation) float64 {
 // GPUs the owner table gives the job there. Over the cluster: the class index
 // (checkClasses), the free total, the free-count histogram and Eq. 5's
 // Fragmentation. The two float sums are maintained incrementally and
-// compare within 1e-9. A trial left open is reported first: a what-if
-// that forgot its Rollback.
+// compare within 1e-9.
 // It is a test and diagnosis aid — O(GPUs · job size), allocating — not a
 // hot path.
 //
 //lint:ignore deadcode oracle: cluster tests and every difftest round recompute each table against the incremental one
 func (s *State) CheckInvariants() error {
 	const tol = 1e-9
+	if err := s.checkSlots(); err != nil {
+		return err
+	}
 	if s.trial.open {
 		return fmt.Errorf("cluster: a trial is open (%d releases since Mark, no Rollback)", len(s.trial.released))
 	}
@@ -547,14 +613,11 @@ func (s *State) CheckInvariants() error {
 		var ids []string
 		free, bus := 0, 0.0
 		for _, pos := range gpus {
-			switch o := s.owner[pos]; {
-			case o == "":
+			if o := s.owner[pos]; o < 0 {
 				free++
-			case s.allocs[o] == nil:
-				return fmt.Errorf("cluster: GPU %d is owned by %s, which has no allocation", pos, o)
-			case !slices.Contains(ids, o):
-				ids = append(ids, o)
-				bus += s.allocs[o].Bandwidth
+			} else if a := s.slots[o]; !slices.Contains(ids, a.JobID) {
+				ids = append(ids, a.JobID)
+				bus += a.Bandwidth
 			}
 		}
 		if s.freeOnMachine[m] != free {
@@ -569,7 +632,7 @@ func (s *State) CheckInvariants() error {
 			on := s.topo.GPUsOfSocket(m, sk)
 			freeOn := 0
 			for _, pos := range on {
-				if s.owner[pos] == "" {
+				if s.owner[pos] < 0 {
 					freeOn++
 				}
 			}
@@ -583,7 +646,7 @@ func (s *State) CheckInvariants() error {
 			return fmt.Errorf("cluster: machine %d: resident table has %d rows, owner table has jobs %v", m, len(rs), ids)
 		}
 		for i, r := range rs {
-			if r.Alloc == nil || r.Alloc != s.allocs[ids[i]] {
+			if r.Alloc == nil || r.Alloc != s.Allocation(ids[i]) {
 				return fmt.Errorf("cluster: machine %d: resident row %d is not this state's allocation of %s", m, i, ids[i])
 			}
 			var want uint64
@@ -597,7 +660,7 @@ func (s *State) CheckInvariants() error {
 			}
 			held := 0
 			for _, pos := range gpus {
-				if s.owner[pos] == ids[i] {
+				if s.owner[pos] == r.Alloc.Slot {
 					held++
 				}
 			}
@@ -617,6 +680,58 @@ func (s *State) CheckInvariants() error {
 	}
 	if want := fragSum / float64(max(sockets, 1)); math.Abs(s.Fragmentation()-want) > tol {
 		return fmt.Errorf("cluster: Fragmentation %g, owner table gives %g over %d sockets", s.Fragmentation(), want, sockets)
+	}
+	return nil
+}
+
+// checkSlots holds the handle tables to one another: every owned GPU
+// names a slot that holds an allocation listing it, and every allocation
+// is at its own Slot, owns each of its GPUs there, and is the ID map's
+// entry for its job. Every other slot is empty: on the free list once, or,
+// while a trial is open, emptied by a Release of that trial and off the
+// free list. The ID map holds exactly the allocated jobs and the jobs an
+// open trial released, each at its slot.
+func (s *State) checkSlots() error {
+	for pos, o := range s.owner {
+		if o >= 0 && (int(o) >= len(s.slots) || s.slots[o] == nil || !slices.Contains(s.slots[o].GPUs, pos)) {
+			return fmt.Errorf("cluster: GPU %d is owned by slot %d, which holds no allocation of it", pos, o)
+		}
+	}
+	empty := make([]int, len(s.slots)) // 1 free, 2 emptied by the trial
+	allocated := 0
+	for slot, a := range s.slots {
+		switch {
+		case a == nil:
+			continue
+		case a.Slot != int32(slot):
+			return fmt.Errorf("cluster: slot %d holds job %s, whose allocation names slot %d", slot, a.JobID, a.Slot)
+		case s.ids[a.JobID] != int32(slot):
+			return fmt.Errorf("cluster: slot %d holds job %s, which the ID map puts at slot %d", slot, a.JobID, s.ids[a.JobID])
+		}
+		for _, pos := range a.GPUs {
+			if s.owner[pos] != int32(slot) {
+				return fmt.Errorf("cluster: slot %d holds job %s on GPU %d, which the owner table gives slot %d", slot, a.JobID, pos, s.owner[pos])
+			}
+		}
+		allocated++
+	}
+	for _, a := range s.trial.released {
+		if s.slots[a.Slot] != nil || s.ids[a.JobID] != a.Slot {
+			return fmt.Errorf("cluster: the open trial released job %s from slot %d, which is not empty and reserved for it", a.JobID, a.Slot)
+		}
+		empty[a.Slot] = 2
+	}
+	for _, slot := range s.freeSlots {
+		if slot < 0 || int(slot) >= len(s.slots) || s.slots[slot] != nil || empty[slot] != 0 {
+			return fmt.Errorf("cluster: slot %d is on the free list but holds a job, is listed twice or was emptied by the open trial", slot)
+		}
+		empty[slot] = 1
+	}
+	if n := len(s.slots) - allocated - len(s.freeSlots) - len(s.trial.released); n != 0 {
+		return fmt.Errorf("cluster: %d empty slots are neither on the free list nor released by the open trial", n)
+	}
+	if len(s.ids) != allocated+len(s.trial.released) {
+		return fmt.Errorf("cluster: the ID map holds %d jobs, %d are allocated and %d released by the open trial", len(s.ids), allocated, len(s.trial.released))
 	}
 	return nil
 }
@@ -964,8 +1079,10 @@ func (t *floatTokens) append(b []byte, v float64) []byte {
 func (s *State) Clone() *State {
 	c := &State{
 		topo:          s.topo,
-		owner:         append([]string(nil), s.owner...),
-		allocs:        make(map[string]*Allocation, len(s.allocs)),
+		owner:         slices.Clone(s.owner),
+		slots:         make([]*Allocation, len(s.slots)),
+		freeSlots:     slices.Clone(s.freeSlots),
+		ids:           maps.Clone(s.ids),
 		busUsed:       slices.Clone(s.busUsed),
 		freeOnMachine: slices.Clone(s.freeOnMachine),
 		freeHist:      slices.Clone(s.freeHist),
@@ -980,13 +1097,21 @@ func (s *State) Clone() *State {
 		residents:  make([][]Resident, len(s.residents)),
 		residentOK: make([]bool, len(s.residentOK)),
 	}
-	for id, a := range s.allocs {
-		c.allocs[id] = &Allocation{
-			JobID:     a.JobID,
-			GPUs:      append([]int(nil), a.GPUs...),
-			Bandwidth: a.Bandwidth,
-			Traits:    a.Traits,
+	for slot, a := range s.slots {
+		if a != nil {
+			c.slots[slot] = &Allocation{
+				JobID:     a.JobID,
+				GPUs:      append([]int(nil), a.GPUs...),
+				Bandwidth: a.Bandwidth,
+				Traits:    a.Traits,
+				Slot:      a.Slot,
+			}
 		}
+	}
+	// The clone has no trial: what an open one released stays released.
+	for _, a := range s.trial.released {
+		c.freeSlots = append(c.freeSlots, a.Slot)
+		delete(c.ids, a.JobID)
 	}
 	return c
 }

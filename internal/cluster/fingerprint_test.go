@@ -98,14 +98,14 @@ func fingerprintFmt(s *State, m int) string {
 	}
 	var ids []string
 	for _, pos := range s.topo.GPUsOfMachine(m) {
-		ids = append(ids, s.owner[pos])
+		ids = append(ids, s.Owner(pos))
 	}
 	slices.Sort(ids)
 	for _, id := range slices.Compact(ids) {
 		if id == "" {
 			continue
 		}
-		alloc := s.allocs[id]
+		alloc := s.Allocation(id)
 		t := alloc.Traits
 		fmt.Fprintf(&sb, ";j%d.%d.%d.%d:", int(t.Model), int(t.Class), t.GPUs, int(t.Mode))
 		for _, pos := range free {
@@ -422,6 +422,9 @@ func FuzzShapeFingerprint(f *testing.F) {
 	f.Add("dgx1-2g:2+pcie:1", []byte{9, 0, 0x80, 3, 3})
 	f.Add("minsky:2+minsky-1g:1+dgx1:1", []byte{0x41, 0x46, 0x80, 0x45, 0x81, 2, 0x4a, 0x82, 0x40})
 	f.Add("dgx1-1g:1+minsky:1", []byte{1, 0x45, 2, 7, 0xeb, 0x42, 0xff, 0x80, 0xd5})
+	// Release fz0000, so fz0002 takes its slot — a later ID in a lower
+	// slot — then release both of the others inside a trial.
+	f.Add("minsky:2", []byte{0, 5, 0x80, 9, 0xc3, 0x80, 0xc1})
 	f.Fuzz(func(t *testing.T, mix string, ops []byte) {
 		specs, err := topology.ParseMix(mix)
 		if err != nil {

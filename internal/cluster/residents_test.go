@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -47,6 +48,67 @@ func randomRelease(t *testing.T, rng *rand.Rand, s *State) {
 		if err := s.Release(ids[rng.Intn(len(ids))]); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestReusedSlotKeepsJobIDOrder frees a slot and lets a job with a later
+// ID take it, so slot order and job-ID order disagree, and holds the
+// resident rows and every slowdown to a state that allocated the same
+// jobs in ID order, slot for slot: rows ascend by job ID and Eq. 4 sums
+// in that order, whatever slots the jobs hold.
+func TestReusedSlotKeepsJobIDOrder(t *testing.T) {
+	s := fpState(t, "dgx1:1")
+	type spec struct {
+		id   string
+		gpus []int
+		tr   perfmodel.Traits
+	}
+	jobs := []spec{
+		{"a", []int{0}, perfmodel.Traits{Model: perfmodel.AlexNet, Class: jobClass(1), GPUs: 1}},
+		{"b", []int{1, 2}, perfmodel.Traits{Model: perfmodel.GoogLeNet, Class: jobClass(5), GPUs: 2}},
+		{"c", []int{4}, perfmodel.Traits{Model: perfmodel.CaffeRef, Class: jobClass(3), GPUs: 1}},
+		{"z", []int{3, 5}, perfmodel.Traits{Model: perfmodel.AlexNet, Class: jobClass(7), GPUs: 2, Mode: perfmodel.Parallelism(1)}},
+	}
+	for _, j := range jobs[:3] {
+		if err := s.Allocate(j.id, j.gpus, 1, j.tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Release("a"); err != nil {
+		t.Fatal(err)
+	}
+	z := jobs[3]
+	if err := s.Allocate(z.id, z.gpus, 1, z.tr); err != nil {
+		t.Fatal(err)
+	}
+	if got, b := s.Allocation("z").Slot, s.Allocation("b").Slot; got != 0 || b != 1 {
+		t.Fatalf("z took slot %d and b holds %d, want z in a's freed slot 0 below b's 1", got, b)
+	}
+	inOrder := fpState(t, "dgx1:1")
+	for _, j := range jobs[1:] {
+		if err := inOrder.Allocate(j.id, j.gpus, 1, j.tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rowIDs []string
+	for i, r := range s.Residents(0) {
+		w := inOrder.Residents(0)[i]
+		if r.Alloc.JobID != w.Alloc.JobID || r.Sockets != w.Sockets || r.GPUs != w.GPUs {
+			t.Fatalf("row %d is %s %#x %d, the ID-ordered state's is %s %#x %d", i, r.Alloc.JobID, r.Sockets, r.GPUs, w.Alloc.JobID, w.Sockets, w.GPUs)
+		}
+		rowIDs = append(rowIDs, r.Alloc.JobID)
+	}
+	if !slices.Equal(rowIDs, []string{"b", "c", "z"}) {
+		t.Fatalf("resident rows %v, want b, c, z", rowIDs)
+	}
+	for _, id := range []string{"b", "c", "z"} {
+		got, want := s.Slowdown(s.Allocation(id)), inOrder.Slowdown(inOrder.Allocation(id))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: slowdown %v, the ID-ordered state gives %v", id, got, want)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -188,6 +250,36 @@ func TestCheckInvariantsCatchesEachTable(t *testing.T) {
 			return func() { s.classes.free = s.classes.free[:len(s.classes.free)-1] }
 		}, "on the free list"},
 		{"residents.GPUs", func() func() { s.residents[3][0].GPUs++; return func() { s.residents[3][0].GPUs-- } }, "resident GPU count"},
+		{"owner", func() func() {
+			pos := s.slots[0].GPUs[0]
+			s.owner[pos] = 1
+			return func() { s.owner[pos] = 0 }
+		}, "owned by slot 1"},
+		{"slots", func() func() { s.slots[2].Slot = 3; return func() { s.slots[2].Slot = 2 } }, "names slot 3"},
+		{"ids", func() func() {
+			id := s.slots[1].JobID
+			s.ids[id] = 4
+			return func() { s.ids[id] = 1 }
+		}, "ID map puts at slot 4"},
+		{"freeSlots", func() func() {
+			s.freeSlots = append(s.freeSlots, 5)
+			return func() { s.freeSlots = s.freeSlots[:len(s.freeSlots)-1] }
+		}, "on the free list"},
+		// A slot a trial emptied goes back to its job on Rollback, so it
+		// must not be handed out while the trial is open.
+		{"freeSlots inside a trial", func() func() {
+			if err := s.Mark(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ReleaseSlot(3); err != nil {
+				t.Fatal(err)
+			}
+			s.freeSlots = append(s.freeSlots, 3)
+			return func() {
+				s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
+				s.Rollback()
+			}
+		}, "emptied by the open trial"},
 		// A what-if that forgot its Rollback.
 		{"trial", func() func() {
 			if err := s.Mark(); err != nil {

@@ -40,6 +40,11 @@ type Decision struct {
 	// TOPO-AWARE-P by construction does not, except on an idle cluster
 	// where no better placement can ever exist).
 	SLOViolated bool
+	// Slot, set on placement decisions only, is the slot of the job's
+	// allocation (cluster.Allocation.Slot) when it was placed: a driver
+	// that keeps per-job records by slot files the job there. It sits
+	// beside SLOViolated, in that field's padding.
+	Slot int32
 	// Time is the Clock reading at the Schedule call that produced the
 	// decision: virtual seconds under the simulator, wall seconds since
 	// server start under toposerve.
@@ -152,14 +157,15 @@ type Core struct {
 	// (largest-free-machine count for single-node jobs, cluster-wide
 	// count for multi-node ones) that could possibly unblock them — as
 	// heaps on their queue-order keys (Core.key): a bucket's head is the
-	// entry the discipline would serve first. A Schedule call pops a
-	// bucket only while the capacity its key demands is there, so a release
-	// reschedules O(affected) jobs instead of waking (and re-parking)
-	// whole buckets or walking the whole queue; everything deeper in a
-	// bucket is provably blocked for the rest of the round and is never
-	// touched.
-	parkedSingle map[int][]parkedEntry
-	parkedMulti  map[int][]parkedEntry
+	// entry the discipline would serve first. Each is indexed by the key,
+	// a job's GPU count, so the buckets the current capacity reaches are
+	// a prefix. A Schedule call pops a bucket only while the capacity its
+	// key demands is there, so a release reschedules O(affected) jobs
+	// instead of waking (and re-parking) whole buckets or walking the
+	// whole queue; everything deeper in a bucket is provably blocked for
+	// the rest of the round and is never touched.
+	parkedSingle [][]parkedEntry
+	parkedMulti  [][]parkedEntry
 	nParked      int
 
 	seq    uint64 // next submission sequence number
@@ -169,23 +175,24 @@ type Core struct {
 	// preemption path's victim sets too, each inside a trial on it.
 	place placer
 	// victimCands and victimHeld are the victim search's per-machine
-	// candidate buffers: the candidates in eviction order and the GPUs each
-	// holds on the machine. Dead once selectVictims returns.
-	victimCands []*job.Job
+	// candidate buffers: the candidates' slots in eviction order and the
+	// GPUs each holds on the machine. Dead once selectVictims returns.
+	victimCands []int32
 	victimHeld  []int
 
 	// Preemption bookkeeping. running mirrors the cluster state's
-	// allocations as job objects, so victim selection can rank running
-	// jobs by priority without a reverse lookup; tiers counts them per
-	// priority (the victim index — see addRunning). pendingRequeue stages
-	// the victims evicted during the current Schedule round: they rejoin
-	// the queue only after the round's dispatch finishes, so the round
-	// never examines a job it just evicted. deferred holds parked
-	// entries whose wake-up bucket an eviction re-opened *behind* the
-	// round's progress point — they re-park untouched at the end of the
-	// round (see scheduleIndexed).
+	// allocations as job objects, indexed by allocation slot
+	// (cluster.Allocation.Slot) and nil where the core placed no job, so
+	// victim selection can rank running jobs by priority without a
+	// reverse lookup; tiers counts them per priority (the victim index —
+	// see addRunning). pendingRequeue stages the victims evicted during
+	// the current Schedule round: they rejoin the queue only after the
+	// round's dispatch finishes, so the round never examines a job it
+	// just evicted. deferred holds parked entries whose wake-up bucket an
+	// eviction re-opened *behind* the round's progress point — they
+	// re-park untouched at the end of the round (see scheduleIndexed).
 	preemptOn      bool
-	running        map[string]*job.Job
+	running        []*job.Job
 	tiers          []tier
 	pendingRequeue []*job.Job
 	deferred       []entry
@@ -218,14 +225,10 @@ func WithQueueDiscipline(d QueueDiscipline) Option { return func(c *Core) { c.di
 // required for the topology-aware policies and used by the greedy ones
 // only to score their decisions for the metrics.
 func New(policy Policy, state *cluster.State, mapper *core.Mapper, opts ...Option) *Core {
-	// The parked buckets materialize lazily on the first park: only
-	// TOPO-AWARE-P ever uses them, and a scheduler-per-decision
-	// micro-benchmark should not pay for maps it never touches.
 	c := &Core{
-		policy:  policy,
-		state:   state,
-		running: map[string]*job.Job{},
-		place:   placer{policy: policy, state: state, mapper: mapper},
+		policy: policy,
+		state:  state,
+		place:  placer{policy: policy, state: state, mapper: mapper},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -364,7 +367,7 @@ func (c *Core) entries() []entry {
 		return c.queue
 	}
 	es := append(make([]entry, 0, c.QueueLen()), c.queue...)
-	for _, buckets := range []map[int][]parkedEntry{c.parkedSingle, c.parkedMulti} {
+	for _, buckets := range [][][]parkedEntry{c.parkedSingle, c.parkedMulti} {
 		for _, h := range buckets {
 			for i := range h {
 				es = append(es, h[i].Val)
@@ -377,10 +380,14 @@ func (c *Core) entries() []entry {
 
 // Release frees the allocation of a finished job.
 func (c *Core) Release(jobID string) error {
-	if err := c.state.Release(jobID); err != nil {
+	a := c.state.Allocation(jobID)
+	if a == nil {
+		return c.state.Release(jobID) // the state's unknown-job error
+	}
+	if err := c.state.ReleaseSlot(a.Slot); err != nil {
 		return err
 	}
-	c.removeRunning(jobID)
+	c.removeRunning(a.Slot)
 	return nil
 }
 
@@ -390,10 +397,11 @@ func (c *Core) Release(jobID string) error {
 // job in the core's running set, so preemption can see (and evict)
 // recovered jobs exactly like freshly placed ones.
 func (c *Core) Restore(j *job.Job, gpus []int, bandwidth float64) error {
-	if err := c.state.Allocate(j.ID, gpus, bandwidth, j.Traits()); err != nil {
+	slot, err := c.state.AllocateSlot(j.ID, gpus, bandwidth, j.Traits())
+	if err != nil {
 		return err
 	}
-	c.addRunning(j)
+	c.addRunning(j, slot)
 	return nil
 }
 
@@ -411,7 +419,7 @@ func (c *Core) Withdraw(jobID string) bool {
 		}
 		return es, false
 	}
-	removeParked := func(buckets map[int][]parkedEntry) bool {
+	removeParked := func(buckets [][]parkedEntry) bool {
 		for g, h := range buckets {
 			for i := range h {
 				if h[i].Val.job.ID == jobID {
@@ -539,21 +547,21 @@ func (c *Core) scheduleIndexed(now float64) {
 	haveMark := false
 	for {
 		// Candidates: the next active entry and the head of every bucket
-		// the *current* capacity reaches. Re-reading the capacity per pick
-		// is what makes mid-walk placements gate later picks exactly like
-		// the full walk's per-position check. The map iteration order is
-		// irrelevant: the queue-order minimum wins regardless of the order
-		// the candidates are inspected in.
+		// the *current* capacity reaches — the buckets up to it. Re-reading
+		// the capacity per pick is what makes mid-walk placements gate
+		// later picks exactly like the full walk's per-position check. Keys
+		// are distinct, so the queue-order minimum wins regardless of the
+		// order the candidates are inspected in.
 		found := ai < len(c.queue)
 		var bestKey heap.Key
-		var bestBuckets map[int][]parkedEntry
+		var bestBuckets [][]parkedEntry
 		var bestBucket int
 		if found {
 			bestKey = c.key(&c.queue[ai])
 		}
-		consider := func(buckets map[int][]parkedEntry, capacity int) {
-			for g, h := range buckets {
-				if g <= capacity && (!found || h[0].Less(&bestKey)) {
+		consider := func(buckets [][]parkedEntry, capacity int) {
+			for g, h := range buckets[:min(capacity+1, len(buckets))] {
+				if len(h) > 0 && (!found || h[0].Less(&bestKey)) {
 					found, bestKey, bestBuckets, bestBucket = true, h[0].Key, buckets, g
 				}
 			}
@@ -713,30 +721,27 @@ func (c *Core) decide(j *job.Job, preempt bool) (Decision, bool) {
 
 // park files a capacity-blocked entry into its wake-up bucket: the
 // free-GPU count that must be reached before its availableResources gate
-// can pass again. Buckets materialize lazily — only TOPO-AWARE-P ever
-// pays for them.
+// can pass again. The bucket list grows to the largest key parked so far
+// — only TOPO-AWARE-P ever pays for it.
 func (c *Core) park(e *entry) {
 	e.parked = true
 	buckets := &c.parkedSingle
 	if !e.job.SingleNode {
 		buckets = &c.parkedMulti
 	}
-	if *buckets == nil {
-		*buckets = map[int][]parkedEntry{}
+	g := e.job.GPUs
+	if g >= len(*buckets) {
+		*buckets = append(*buckets, make([][]parkedEntry, g+1-len(*buckets))...)
 	}
-	(*buckets)[e.job.GPUs] = heap.Push((*buckets)[e.job.GPUs], parkedEntry{Key: c.key(e), Val: *e}, nil)
+	(*buckets)[g] = heap.Push((*buckets)[g], parkedEntry{Key: c.key(e), Val: *e}, nil)
 	c.nParked++
 }
 
 // unpark removes and returns the entry at index i of the bucket under
-// key, dropping the bucket once it is empty.
-func (c *Core) unpark(buckets map[int][]parkedEntry, key, i int) entry {
-	h, it := heap.Remove(buckets[key], i, nil)
-	if len(h) == 0 {
-		delete(buckets, key)
-	} else {
-		buckets[key] = h
-	}
+// key. An emptied bucket keeps its array for the next park.
+func (c *Core) unpark(buckets [][]parkedEntry, key, i int) entry {
+	var it parkedEntry
+	buckets[key], it = heap.Remove(buckets[key], i, nil)
 	c.nParked--
 	return it.Val
 }
@@ -749,14 +754,16 @@ func (c *Core) tryPlace(j *job.Job) Decision {
 	if placement == nil {
 		return Decision{Job: j, Postponed: true, Reason: reason}
 	}
-	if err := c.state.Allocate(j.ID, placement.GPUs, placement.BusDemand, j.Traits()); err != nil {
+	slot, err := c.state.AllocateSlot(j.ID, placement.GPUs, placement.BusDemand, j.Traits())
+	if err != nil {
 		return Decision{Job: j, Postponed: true, Reason: "no-capacity"}
 	}
-	c.addRunning(j)
+	c.addRunning(j, slot)
 	return Decision{
 		Job:         j,
 		Placement:   placement,
 		SLOViolated: placement.Utility < j.MinUtility,
+		Slot:        slot,
 	}
 }
 

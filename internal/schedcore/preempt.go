@@ -11,11 +11,12 @@ import (
 )
 
 // Eviction records one victim displaced by a preemptive placement: the
-// job and the GPU positions its eviction freed (sorted ascending, as the
-// cluster state keeps them).
+// job, the GPU positions its eviction freed (sorted ascending, as the
+// cluster state keeps them) and the slot its allocation held until then.
 type Eviction struct {
 	Job  *job.Job
 	GPUs []int
+	Slot int32
 }
 
 // SetPreemption toggles topology-aware preemption (off by default). When
@@ -49,25 +50,27 @@ func (c *Core) tryPreempt(j *job.Job) (Decision, bool) {
 		return Decision{}, false
 	}
 	evs := make([]Eviction, len(victims))
-	for i, v := range victims {
-		alloc := c.state.Allocation(v.ID)
-		evs[i] = Eviction{Job: v, GPUs: append([]int(nil), alloc.GPUs...)}
-		if err := c.state.Release(v.ID); err != nil {
+	for i, slot := range victims {
+		v := c.running[slot]
+		evs[i] = Eviction{Job: v, GPUs: append([]int(nil), c.state.AllocationAt(slot).GPUs...), Slot: slot}
+		if err := c.state.ReleaseSlot(slot); err != nil {
 			panic(fmt.Sprintf("schedcore: evicting %s: %v", v.ID, err))
 		}
-		c.removeRunning(v.ID)
+		c.removeRunning(slot)
+		c.pendingRequeue = append(c.pendingRequeue, v)
 	}
 	c.evictedInRound = true
-	c.pendingRequeue = append(c.pendingRequeue, victims...)
-	if err := c.state.Allocate(j.ID, placement.GPUs, placement.BusDemand, j.Traits()); err != nil {
+	slot, err := c.state.AllocateSlot(j.ID, placement.GPUs, placement.BusDemand, j.Traits())
+	if err != nil {
 		panic(fmt.Sprintf("schedcore: committing preemptive placement of %s: %v", j.ID, err))
 	}
-	c.addRunning(j)
+	c.addRunning(j, slot)
 	return Decision{
 		Job:         j,
 		Placement:   placement,
 		SLOViolated: placement.Utility < j.MinUtility,
 		Evictions:   evs,
+		Slot:        slot,
 	}, true
 }
 
@@ -92,13 +95,17 @@ func victimOrder(a, b *job.Job) int {
 // prio.
 type tier struct{ prio, n int }
 
-// addRunning registers a placed (or restored) job: in the running set and
-// in its priority's tier of the victim index. tiers ascends by priority
-// and holds no empty tier, so "is anything of lower priority running?" is
-// a look at tiers[0]. addRunning and removeRunning are the only writers of
-// either table — the counts change exactly where running changes.
-func (c *Core) addRunning(j *job.Job) {
-	c.running[j.ID] = j
+// addRunning registers a placed (or restored) job whose allocation took
+// the slot: in the running set and in its priority's tier of the victim
+// index. tiers ascends by priority and holds no empty tier, so "is
+// anything of lower priority running?" is a look at tiers[0]. addRunning
+// and removeRunning are the only writers of either table — the counts
+// change exactly where running changes.
+func (c *Core) addRunning(j *job.Job, slot int32) {
+	if int(slot) >= len(c.running) {
+		c.running = append(c.running, make([]*job.Job, int(slot)+1-len(c.running))...)
+	}
+	c.running[slot] = j
 	i := 0
 	for i < len(c.tiers) && c.tiers[i].prio < j.Priority {
 		i++
@@ -109,15 +116,15 @@ func (c *Core) addRunning(j *job.Job) {
 	c.tiers[i].n++
 }
 
-// removeRunning drops a released or evicted job from the running set and
-// the victim index. An ID the core never placed (a test occupying GPUs on
-// the state directly) is in neither.
-func (c *Core) removeRunning(id string) {
-	j, ok := c.running[id]
-	if !ok {
+// removeRunning drops the job in a released or evicted slot from the
+// running set and the victim index. A slot the core never placed into (a
+// test occupying GPUs on the state directly) is in neither.
+func (c *Core) removeRunning(slot int32) {
+	j := c.runningAt(slot)
+	if j == nil {
 		return
 	}
-	delete(c.running, id)
+	c.running[slot] = nil
 	i := slices.IndexFunc(c.tiers, func(t tier) bool { return t.prio == j.Priority })
 	if c.tiers[i].n--; c.tiers[i].n == 0 {
 		c.tiers = slices.Delete(c.tiers, i, i+1)
@@ -134,16 +141,19 @@ func (c *Core) victimsRunning(prio int) bool {
 // CheckInvariants recounts the victim index from the running set and the
 // running set from the cluster state, and reports the first divergence:
 // tiers that are not the ascending, non-empty per-priority counts of the
-// running jobs, or a running set whose IDs are not exactly the state's
-// allocated jobs. A test and diagnosis aid, like
-// cluster.State.CheckInvariants; a core whose state was also allocated on
-// directly fails the second check by design.
+// running jobs, a running set whose IDs are not exactly the state's
+// allocated jobs, or a running job filed under a slot its allocation does
+// not hold. A test and diagnosis aid, like cluster.State.CheckInvariants;
+// a core whose state was also allocated on directly fails the second
+// check by design.
 //
 //lint:ignore deadcode oracle: schedcore tests and every difftest round recompute the core's indexes from scratch
 func (c *Core) CheckInvariants() error {
-	recount := Core{running: map[string]*job.Job{}}
-	for _, j := range c.running {
-		recount.addRunning(j)
+	var recount Core
+	for slot, j := range c.running {
+		if j != nil {
+			recount.addRunning(j, int32(slot))
+		}
 	}
 	if !slices.Equal(c.tiers, recount.tiers) {
 		return fmt.Errorf("schedcore: victim index holds {priority jobs} %v, the running set recounts to %v", c.tiers, recount.tiers)
@@ -151,14 +161,19 @@ func (c *Core) CheckInvariants() error {
 	if run, alloc := c.Running(), c.state.Jobs(); !slices.Equal(run, alloc) {
 		return fmt.Errorf("schedcore: running set %v, cluster state allocates %v", run, alloc)
 	}
+	for slot, j := range c.running {
+		if a := c.state.AllocationAt(int32(slot)); j != nil && (a == nil || a.JobID != j.ID) {
+			return fmt.Errorf("schedcore: running set files %s under slot %d, which the cluster state does not give it", j.ID, slot)
+		}
+	}
 	return nil
 }
 
-// victimSet is one evaluated candidate: the victims in eviction order, the
-// placement the arrival scored once they left, and the keys sets compare
-// on.
+// victimSet is one evaluated candidate: the victims' slots in eviction
+// order, the placement the arrival scored once they left, and the keys
+// sets compare on.
 type victimSet struct {
-	victims   []*job.Job
+	victims   []int32
 	maxPrio   int
 	placement *core.Placement
 	machine   int
@@ -190,20 +205,20 @@ func (s *victimSet) better(b *victimSet) bool {
 // set. Each candidate set is evaluated inside a trial on the live state
 // (cluster.State.Mark … Rollback), so a rejected set leaves the state as
 // it found it. Sets are compared by victimSet.better. Returns the winning
-// victims (eviction order) and the placement its trial scored, nil when
-// no set places. The caller has checked victimsRunning: without a lower
-// tier the search finds nothing, only slower.
-func (c *Core) selectVictims(j *job.Job) ([]*job.Job, *core.Placement) {
+// victims' slots (eviction order) and the placement its trial scored, nil
+// when no set places. The caller has checked victimsRunning: without a
+// lower tier the search finds nothing, only slower.
+func (c *Core) selectVictims(j *job.Job) ([]int32, *core.Placement) {
 	var best victimSet
 	// evaluate releases the victims inside a trial, runs the policy
 	// through the core's own placer and rolls the releases back. A
 	// feasible set must both pass the capacity gate and actually place
 	// (bandwidth and mapper constraints can still reject it).
-	evaluate := func(victims []*job.Job, machine int) {
+	evaluate := func(victims []int32, machine int) {
 		err := c.state.Mark()
-		for _, v := range victims {
+		for _, slot := range victims {
 			if err == nil {
-				err = c.state.Release(v.ID)
+				err = c.state.ReleaseSlot(slot)
 			}
 		}
 		if err != nil {
@@ -216,7 +231,7 @@ func (c *Core) selectVictims(j *job.Job) ([]*job.Job, *core.Placement) {
 		}
 		// victims is in victimOrder, lowest tier first: the last one's
 		// priority is the highest.
-		s := victimSet{victims: victims, maxPrio: victims[len(victims)-1].Priority, placement: placement, machine: machine}
+		s := victimSet{victims: victims, maxPrio: c.running[victims[len(victims)-1]].Priority, placement: placement, machine: machine}
 		if best.placement == nil || s.better(&best) {
 			// victims is a prefix of the caller's candidate buffer: the
 			// winner keeps its own copy.
@@ -236,15 +251,15 @@ func (c *Core) selectVictims(j *job.Job) ([]*job.Job, *core.Placement) {
 			// total, so this is the cluster-wide ranking filtered to m.
 			cands, held := c.victimCands[:0], c.victimHeld[:0]
 			for _, r := range c.state.Residents(m) {
-				v, ok := c.running[r.Alloc.JobID]
-				if !ok || v.Priority >= j.Priority {
+				v := c.runningAt(r.Alloc.Slot)
+				if v == nil || v.Priority >= j.Priority {
 					continue
 				}
 				i := len(cands)
-				for i > 0 && victimOrder(v, cands[i-1]) < 0 {
+				for i > 0 && victimOrder(v, c.running[cands[i-1]]) < 0 {
 					i--
 				}
-				cands, held = slices.Insert(cands, i, v), slices.Insert(held, i, r.GPUs)
+				cands, held = slices.Insert(cands, i, r.Alloc.Slot), slices.Insert(held, i, r.GPUs)
 			}
 			c.victimCands, c.victimHeld = cands, held
 			for i, n := range held {
@@ -255,18 +270,17 @@ func (c *Core) selectVictims(j *job.Job) ([]*job.Job, *core.Placement) {
 				}
 			}
 		}
-		clear(c.victimCands[:cap(c.victimCands)]) // hold no job past the search
 	} else {
-		cands := make([]*job.Job, 0, len(c.running))
-		for _, v := range c.running {
-			if v.Priority < j.Priority {
-				cands = append(cands, v)
+		var cands []int32
+		for slot, v := range c.running {
+			if v != nil && v.Priority < j.Priority {
+				cands = append(cands, int32(slot))
 			}
 		}
-		slices.SortFunc(cands, victimOrder)
+		slices.SortFunc(cands, func(a, b int32) int { return victimOrder(c.running[a], c.running[b]) })
 		freed := c.state.FreeGPUCount()
-		for i, v := range cands {
-			freed += len(c.state.Allocation(v.ID).GPUs)
+		for i, slot := range cands {
+			freed += len(c.state.AllocationAt(slot).GPUs)
 			if freed >= j.GPUs {
 				evaluate(cands[:i+1], -1)
 				break
@@ -287,12 +301,23 @@ func (c *Core) requeueVictims() {
 	c.pendingRequeue = c.pendingRequeue[:0]
 }
 
+// runningAt returns the job the core placed into the slot, nil when there
+// is none.
+func (c *Core) runningAt(slot int32) *job.Job {
+	if int(slot) < len(c.running) {
+		return c.running[slot]
+	}
+	return nil
+}
+
 // Running returns the IDs of the jobs the core has placed and not yet
 // released, sorted — a reporting accessor for drivers and tests.
 func (c *Core) Running() []string {
 	ids := make([]string, 0, len(c.running))
-	for id := range c.running {
-		ids = append(ids, id)
+	for _, j := range c.running {
+		if j != nil {
+			ids = append(ids, j.ID)
+		}
 	}
 	sort.Strings(ids)
 	return ids

@@ -282,7 +282,7 @@ func TestVictimSearchAllocs(t *testing.T) {
 func (c *Core) selectVictimsNaive(j *job.Job) ([]*job.Job, float64) {
 	cands := make([]*job.Job, 0, len(c.running))
 	for _, v := range c.running {
-		if v.Priority < j.Priority {
+		if v != nil && v.Priority < j.Priority {
 			cands = append(cands, v)
 		}
 	}
@@ -389,6 +389,15 @@ func ids(js []*job.Job) []string {
 	return out
 }
 
+// runningIDs names the running jobs in the slots, in order.
+func (c *Core) runningIDs(slots []int32) []string {
+	out := make([]string, len(slots))
+	for i, slot := range slots {
+		out[i] = c.running[slot].ID
+	}
+	return out
+}
+
 // TestSelectVictimsMatchesNaive holds the indexed victim search to the
 // old enumeration: random mixed-kind fleets filled to 70–100 % through
 // Restore with priorities 0/1/2 — one job in five spanning machines — and
@@ -449,9 +458,9 @@ func TestSelectVictimsMatchesNaive(t *testing.T) {
 				if gotP != nil {
 					gotU = gotP.Utility
 				}
-				if !slices.Equal(ids(gotV), ids(wantV)) || gotU != wantU || (gotP == nil) != (wantV == nil) {
+				if !slices.Equal(c.runningIDs(gotV), ids(wantV)) || gotU != wantU || (gotP == nil) != (wantV == nil) {
 					t.Fatalf("%s seed %d %s: %s (%d GPUs, priority %d, single-node %v): victims %v utility %v, the naive search gives %v utility %v",
-						mix, seed, c.policy, j.ID, j.GPUs, j.Priority, j.SingleNode, ids(gotV), gotU, ids(wantV), wantU)
+						mix, seed, c.policy, j.ID, j.GPUs, j.Priority, j.SingleNode, c.runningIDs(gotV), gotU, ids(wantV), wantU)
 				}
 				// Every trial the search opened on the live state rolled back.
 				if err := c.state.CheckInvariants(); err != nil {
@@ -524,7 +533,8 @@ func TestSelectVictimsNoLowerTierAllocatesNothing(t *testing.T) {
 // TestCoreCheckInvariantsNamesEachTable corrupts the core's running-set
 // tables the way a missed update would — Release without the index's
 // decrement, Restore without its increment, a state allocated behind the
-// core's back — and demands CheckInvariants name each.
+// core's back, a job filed under another's slot — and demands
+// CheckInvariants name each.
 func TestCoreCheckInvariantsNamesEachTable(t *testing.T) {
 	c := newSched(t, FCFS, topology.Power8Minsky())
 	for i, prio := range []int{0, 2, 2} {
@@ -541,23 +551,31 @@ func TestCoreCheckInvariantsNamesEachTable(t *testing.T) {
 		want    string
 	}{
 		{"Release skips the decrement", func() func() {
-			j := c.running[jobID(0)]
-			delete(c.running, j.ID)
-			return func() { c.running[j.ID] = j }
+			slot := c.state.Allocation(jobID(0)).Slot
+			j := c.running[slot]
+			c.running[slot] = nil
+			return func() { c.running[slot] = j }
 		}, "victim index holds {priority jobs} [{0 1} {2 2}], the running set recounts to [{2 2}]"},
 		{"Restore skips the increment", func() func() {
-			j := mkPrioJob("late", 1, 1, 0)
-			c.running[j.ID] = j
-			return func() { delete(c.running, j.ID) }
+			c.running = append(c.running, mkPrioJob("late", 1, 1, 0))
+			return func() { c.running = c.running[:len(c.running)-1] }
 		}, "victim index holds {priority jobs} [{0 1} {2 2}], the running set recounts to [{0 1} {1 1} {2 2}]"},
 		{"a tier miscounts", func() func() { c.tiers[1].n++; return func() { c.tiers[1].n-- } }, "victim index holds {priority jobs} [{0 1} {2 3}]"},
 		{"tiers out of order", func() func() { slices.Reverse(c.tiers); return func() { slices.Reverse(c.tiers) } }, "victim index holds {priority jobs} [{2 2} {0 1}]"},
 		{"state allocated directly", func() func() {
-			if err := c.state.Allocate("occ", []int{3}, 0, c.running[jobID(0)].Traits()); err != nil {
+			if err := c.state.Allocate("occ", []int{3}, 0, mkPrioJob("occ", 1, 0, 0).Traits()); err != nil {
 				t.Fatal(err)
 			}
 			return func() { _ = c.state.Release("occ") }
 		}, "running set"},
+		// Two priority-2 jobs swap slots: the tiers and the set of IDs
+		// still match, only the slot check can see it.
+		{"jobs filed under each other's slots", func() func() {
+			a, b := c.state.Allocation(jobID(1)).Slot, c.state.Allocation(jobID(2)).Slot
+			swap := func() { c.running[a], c.running[b] = c.running[b], c.running[a] }
+			swap()
+			return swap
+		}, "under slot"},
 	} {
 		restore := tc.corrupt()
 		if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
