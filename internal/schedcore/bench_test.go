@@ -55,15 +55,34 @@ func BenchmarkClassSweep(b *testing.B) {
 }
 
 // BenchmarkWakeWalk times the wake-up index's walk: a TOPO-AWARE-P core on
-// sim-contended's 60-machine mix, every GPU running, with jobs parked over
-// many GPU-count buckets — single-node ones of 2 to 8 GPUs and multi-node
-// ones of up to 64. Each iteration releases one 2-GPU job and runs one
-// Schedule round, which wakes the head of the 2-GPU bucket onto the freed
-// GPUs and finds every other bucket still blocked. The round's placement
-// is then undone through the exported API — the woken job is released and
-// parked again, the released one restored — so every iteration sees the
-// same state.
+// sim-contended's 60-machine mix with parked jobs. Each iteration releases
+// one 2-GPU job and runs one Schedule round, which wakes the head of the
+// 2-GPU bucket onto the freed GPUs and finds every other bucket still
+// blocked. The round's placement is then undone through the exported API —
+// the woken job is released and parked again, the released one restored —
+// so every iteration sees the same state.
+//
+//   - dense: every GPU running, 16 jobs parked under each of 13 GPU
+//     counts, single-node ones of 2 to 8 GPUs and multi-node ones of up
+//     to 64.
+//   - sparse: one GPU left free on every machine (60 free, at most 3 on
+//     one machine once the release lands), and only two jobs parked: a
+//     single-node 2-GPU one and a multi-node 64-GPU one. The free count
+//     reaches every multi-node GPU count below 64, all of them empty.
 func BenchmarkWakeWalk(b *testing.B) {
+	b.Run("dense", func(b *testing.B) {
+		benchWakeWalk(b, 0, []int{2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64}, 16)
+	})
+	b.Run("sparse", func(b *testing.B) {
+		benchWakeWalk(b, 1, []int{2, 64}, 1)
+	})
+}
+
+// benchWakeWalk fills every machine with 2-GPU jobs (1-GPU where only one
+// GPU is left to fill) but its last keepFree GPUs, parks perSize jobs under
+// each GPU count in sizes (single-node up to 8 GPUs), and times the
+// release-and-wake round BenchmarkWakeWalk describes.
+func benchWakeWalk(b *testing.B, keepFree int, sizes []int, perSize int) {
 	specs, err := topology.ParseMix("minsky:24+dgx1:12+pcie:24")
 	if err != nil {
 		b.Fatal(err)
@@ -81,7 +100,8 @@ func BenchmarkWakeWalk(b *testing.B) {
 	var freedGPUs []int
 	n := 0
 	for m := 0; m < topo.NumMachines(); m++ {
-		for gpus := topo.GPUsOfMachine(m); len(gpus) > 0; n++ {
+		all := topo.GPUsOfMachine(m)
+		for gpus := all[:len(all)-keepFree]; len(gpus) > 0; n++ {
 			size := min(2, len(gpus))
 			j := job.New(fmt.Sprintf("r%03d", n), perfmodel.NN(n%3), 1, size, 0, 0)
 			if err := c.Restore(j, gpus[:size], 0); err != nil {
@@ -100,8 +120,8 @@ func BenchmarkWakeWalk(b *testing.B) {
 	}
 	var woken *job.Job
 	arrival := 1.0
-	for _, size := range []int{2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64} {
-		for k := 0; k < 16; k++ {
+	for _, size := range sizes {
+		for k := 0; k < perSize; k++ {
 			j := job.New(fmt.Sprintf("q%02d-%02d", size, k), perfmodel.NN(k%3), 1, size, 0, arrival)
 			j.SingleNode = size <= 8
 			if woken == nil {

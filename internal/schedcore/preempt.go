@@ -11,12 +11,11 @@ import (
 )
 
 // Eviction records one victim displaced by a preemptive placement: the
-// job, the GPU positions its eviction freed (sorted ascending, as the
-// cluster state keeps them) and the slot its allocation held until then.
+// job and the GPU positions its eviction freed (sorted ascending, as the
+// cluster state keeps them).
 type Eviction struct {
 	Job  *job.Job
 	GPUs []int
-	Slot int32
 }
 
 // SetPreemption toggles topology-aware preemption (off by default). When
@@ -52,7 +51,7 @@ func (c *Core) tryPreempt(j *job.Job) (Decision, bool) {
 	evs := make([]Eviction, len(victims))
 	for i, slot := range victims {
 		v := c.running[slot]
-		evs[i] = Eviction{Job: v, GPUs: append([]int(nil), c.state.AllocationAt(slot).GPUs...), Slot: slot}
+		evs[i] = Eviction{Job: v, GPUs: append([]int(nil), c.state.AllocationAt(slot).GPUs...)}
 		if err := c.state.ReleaseSlot(slot); err != nil {
 			panic(fmt.Sprintf("schedcore: evicting %s: %v", v.ID, err))
 		}

@@ -1,17 +1,13 @@
 #!/usr/bin/env bash
 # The benchmark's pair protocol over two prebuilt topoperf binaries:
 #
-#   pairs.sh [-n PAIRS] [-w WORKLOAD]... PARENT_BIN CHANGE_BIN [topoperf flags...]
+#   pairs.sh [-n PAIRS] PARENT_BIN CHANGE_BIN [topoperf flags...]
 #
 #   -n  pairs to run (default 10)
-#   -w  run only this workload (repeatable; default: every workload)
 #
 # Run it from the root of a checkout: topoperf writes .bench_build/ in the
 # working directory, and the workloads and each run's length are read from
-# BENCHMARK.json, as the benchmark reads them. -w narrows the workloads to
-# the named ones, in BENCHMARK.json's order, and rejects a name it does
-# not list: a way to iterate on one workload, not a verdict, which needs
-# all of them. Pair i (1..n) runs every
+# BENCHMARK.json, as the benchmark reads them. Pair i (1..n) runs every
 # workload once on each binary with seed i; odd seeds run the parent first,
 # even seeds the change. Every run is untraced (-trace 0) and appends to
 # .bench_build/pairs/parent.json or change.json; flags after the two
@@ -23,17 +19,15 @@
 set -euo pipefail
 
 n=10
-only=()
-while getopts n:w: opt; do
+while getopts n: opt; do
   case $opt in
     n) n=$OPTARG ;;
-    w) only+=("$OPTARG") ;;
     *) exit 2 ;;
   esac
 done
 shift $((OPTIND - 1))
 if [ $# -lt 2 ]; then
-  echo "usage: $0 [-n pairs] [-w workload]... PARENT_BIN CHANGE_BIN [topoperf flags...]" >&2
+  echo "usage: $0 [-n pairs] PARENT_BIN CHANGE_BIN [topoperf flags...]" >&2
   exit 2
 fi
 if [ ! -f BENCHMARK.json ]; then
@@ -44,24 +38,6 @@ parent=$(realpath "$1") change=$(realpath "$2")
 shift 2
 seconds=$(jq -r .run_seconds BENCHMARK.json)
 workloads=$(jq -r '.workloads[].name' BENCHMARK.json | tr '\n' ' ')
-if [ ${#only[@]} -gt 0 ]; then
-  for w in "${only[@]}"; do
-    case " $workloads" in
-      *" $w "*) ;;
-      *)
-        echo "$0: -w $w: BENCHMARK.json lists no such workload (it lists: $workloads)" >&2
-        exit 2
-        ;;
-    esac
-  done
-  kept=
-  for w in $workloads; do
-    case " ${only[*]} " in
-      *" $w "*) kept+="$w " ;;
-    esac
-  done
-  workloads=$kept
-fi
 
 out=.bench_build/pairs
 mkdir -p "$out"
