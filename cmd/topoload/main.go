@@ -16,8 +16,13 @@
 //	topoload -topology minsky:2 -policy topo-p -jobs 200
 //
 // Traffic model: by default -workers closed-loop submitters drain the
-// generated job list; every placed job is released after -hold, so the
-// cluster churns and queued jobs keep waking up. With -submit-rate R
+// generated job list. Every job of the stream is released -hold after
+// topoload first sees it running — placed by its own POST, or later from
+// the queue, which a poll of GET /v1/state every -hold finds — so the
+// cluster churns and queued jobs keep waking up; jobs of other clients
+// are never touched. The run ends once none of its jobs is running or
+// queued, and fails if that takes far longer than releasing the stream
+// one job at a time would. With -submit-rate R
 // the harness switches to open-loop load: each job is submitted at its
 // own scheduled arrival time (Poisson process at R jobs/s by default,
 // or evenly spaced with -arrivals fixed) regardless of how fast the
@@ -101,13 +106,14 @@ func main() {
 type result struct {
 	mode string // traffic model: "closed-loop" or "open-loop"
 	// jobs submissions were driven; placed of them were placed by their
-	// own POST and released again after -hold, so the run made
-	// jobs+placed requests. errors of those ended in a terminal failure
-	// (anything but an eventually-admitted 429, which retries429 counts).
-	jobs, placed, errors, retries429 int
-	decisions                        int // the server's count over the run
-	elapsed                          time.Duration
-	p50, p95, p99                    float64 // submit round trip, ms
+	// own POST. released jobs were released after -hold, so the run made
+	// jobs+released requests (besides its state polls). errors of those
+	// ended in a terminal failure (anything but an eventually-admitted
+	// 429, which retries429 counts).
+	jobs, placed, released, errors, retries429 int
+	decisions                                  int // the server's count over the run
+	elapsed                                    time.Duration
+	p50, p95, p99                              float64 // submit round trip, ms
 }
 
 // run drives the load, prints the summary, and reports any terminal
@@ -119,13 +125,13 @@ func run(cfg config, w io.Writer) error {
 	}
 	if !cfg.quiet {
 		sec := res.elapsed.Seconds()
-		fmt.Fprintf(w, "topoload: serve/%s/%s (%s): %d jobs in %.2fs (%.1f jobs/s), %d placed on submit, %d errors, %d admission retries\n",
-			cfg.topoArg, cfg.policy, res.mode, res.jobs, sec, float64(res.jobs)/sec, res.placed, res.errors, res.retries429)
+		fmt.Fprintf(w, "topoload: serve/%s/%s (%s): %d jobs in %.2fs (%.1f jobs/s), %d placed on submit, %d released, %d errors, %d admission retries\n",
+			cfg.topoArg, cfg.policy, res.mode, res.jobs, sec, float64(res.jobs)/sec, res.placed, res.released, res.errors, res.retries429)
 		fmt.Fprintf(w, "topoload: placement latency p50=%.2fms p95=%.2fms p99=%.2fms, %d decisions (%.0f/s)\n",
 			res.p50, res.p95, res.p99, res.decisions, float64(res.decisions)/sec)
 	}
 	if res.errors > 0 {
-		return fmt.Errorf("%d of %d requests failed", res.errors, res.jobs+res.placed)
+		return fmt.Errorf("%d of %d requests failed", res.errors, res.jobs+res.released)
 	}
 	return nil
 }
@@ -195,8 +201,9 @@ func startInProcess(cfg config, spec sweep.TopologySpec) (base string, stop func
 }
 
 // drive runs the submit phase — closed-loop by default, open-loop when
-// -submit-rate is set — and reads the run's result off the client and
-// the server's final state.
+// -submit-rate is set — while it releases the stream's jobs, waits until
+// the server holds none of them, and reads the run's result off the
+// client and the server's final state.
 func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (result, error) {
 	var (
 		mu        sync.Mutex
@@ -205,8 +212,29 @@ func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (
 		errs      int64
 		releaseWG sync.WaitGroup
 	)
-	// submitOne is the shared submit+hold+release path; both traffic
-	// models feed it, they differ only in when each call starts.
+	ours := make(map[string]bool, len(jobs))
+	for _, j := range jobs {
+		ours[j.ID] = true
+	}
+	scheduled := make(map[string]bool) // jobs whose release is scheduled
+	// release schedules the job's one DELETE, -hold from now.
+	release := func(id string) {
+		mu.Lock()
+		defer mu.Unlock()
+		if scheduled[id] {
+			return
+		}
+		scheduled[id] = true
+		releaseWG.Add(1)
+		time.AfterFunc(cfg.hold, func() {
+			defer releaseWG.Done()
+			if _, err := c.ReleaseJob(ctx, id); err != nil {
+				atomic.AddInt64(&errs, 1)
+			}
+		})
+	}
+	// submitOne is the shared submit path; both traffic models feed it,
+	// they differ only in when each call starts.
 	submitOne := func(j *job.Job) {
 		req := serveapi.JobRequest{
 			ID: j.ID, Model: j.Model.String(), BatchSize: j.BatchSize,
@@ -225,14 +253,7 @@ func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (
 		mu.Unlock()
 		if jr.Status == "placed" {
 			atomic.AddInt64(&placed, 1)
-			id := jr.ID
-			releaseWG.Add(1)
-			time.AfterFunc(cfg.hold, func() {
-				defer releaseWG.Done()
-				if _, err := c.ReleaseJob(ctx, id); err != nil {
-					atomic.AddInt64(&errs, 1)
-				}
-			})
+			release(jr.ID)
 		}
 	}
 
@@ -265,27 +286,72 @@ func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (
 				}
 			}()
 		}
-		for _, j := range jobs {
-			work <- j
-		}
-		close(work)
+		go func() {
+			for _, j := range jobs {
+				work <- j
+			}
+			close(work)
+		}()
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	// Let held jobs finish releasing so the server's decision counters
-	// settle before the final state read.
-	releaseWG.Wait()
+	var elapsed time.Duration
+	submitted := make(chan struct{})
+	go func() {
+		wg.Wait()
+		elapsed = time.Since(start)
+		close(submitted)
+	}()
 
-	st, err := c.State(ctx)
-	if err != nil {
-		return result{}, err
+	// Poll the cluster-wide state every -hold: release each running job
+	// of the stream, a job placed from the queue included, until the
+	// submit phase is over and the state holds none of the stream's jobs.
+	// A failed read while submitting is retried at the next poll.
+	// Releasing the stream one job at a time takes about two polls per
+	// job; a drain far past that is stuck, not slow.
+	every := max(cfg.hold, time.Millisecond) // a zero -hold must not spin
+	var st *serveapi.StateResponse
+	var deadline time.Time
+	for {
+		time.Sleep(every)
+		var err error
+		left := 0
+		if st, err = c.State(ctx); err == nil {
+			for _, r := range st.Running {
+				if ours[r.ID] {
+					release(r.ID)
+					left++
+				}
+			}
+			for _, q := range st.Queue {
+				if ours[q.ID] {
+					left++
+				}
+			}
+		}
+		select {
+		case <-submitted:
+		default:
+			continue
+		}
+		if err != nil {
+			return result{}, err
+		}
+		if left == 0 {
+			break
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(10*time.Second + time.Duration(2*len(jobs))*every)
+		} else if time.Now().After(deadline) {
+			return result{}, fmt.Errorf("%d of its jobs still running or queued %v after the last submit", left, time.Since(start)-elapsed)
+		}
 	}
+	releaseWG.Wait()
 	_, retries := c.Stats()
 
 	res := result{
 		mode:       "closed-loop",
 		jobs:       len(jobs),
 		placed:     int(placed),
+		released:   len(scheduled),
 		errors:     int(errs),
 		retries429: int(retries),
 		decisions:  st.Stats.Decisions,

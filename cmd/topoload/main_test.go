@@ -18,7 +18,9 @@ import (
 
 // TestRunInProcess drives the whole harness end to end against the
 // in-process server: every generated job accounted for, zero errors, a
-// consistent result, and a summary with a clean exit.
+// consistent result, every job released — those placed later from the
+// queue too, so the final state holds none of the stream — and a summary
+// with a clean exit.
 func TestRunInProcess(t *testing.T) {
 	dir := t.TempDir()
 	cfg := config{
@@ -32,9 +34,29 @@ func TestRunInProcess(t *testing.T) {
 		retries: 8,
 		logPath: filepath.Join(dir, "events.log"),
 	}
+	spec, err := sweep.ParseTopologyArg(cfg.topoArg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, stop, err := startInProcess(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	cfg.url = base
 	res, err := load(cfg)
 	if err != nil {
 		t.Fatalf("load: %v", err)
+	}
+	st, err := client.New(base).State(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Running) != 0 || len(st.Queue) != 0 {
+		t.Fatalf("after the run: %d jobs running, %d queued", len(st.Running), len(st.Queue))
+	}
+	if res.released != res.jobs {
+		t.Fatalf("released %d of %d jobs", res.released, res.jobs)
 	}
 	if res.mode != "closed-loop" {
 		t.Fatalf("mode %q", res.mode)
@@ -60,12 +82,12 @@ func TestRunInProcess(t *testing.T) {
 		t.Fatalf("elapsed unset: %+v", res)
 	}
 
-	cfg.logPath = filepath.Join(dir, "events2.log")
+	cfg.url, cfg.logPath = "", filepath.Join(dir, "events2.log")
 	var buf bytes.Buffer
 	if err := run(cfg, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, want := range []string{"serve/minsky:2/topo-p (closed-loop): 25 jobs", " 0 errors", "placement latency"} {
+	for _, want := range []string{"serve/minsky:2/topo-p (closed-loop): 25 jobs", " 25 released", " 0 errors", "placement latency"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("summary lacks %q: %q", want, buf.String())
 		}

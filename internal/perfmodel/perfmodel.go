@@ -244,18 +244,6 @@ func packSpreadPairs(topo *topology.Topology) (pack, spread []int) {
 	return []int{s0[0], s0[1]}, []int{s0[0], s1[0]}
 }
 
-// AverageLinkUsage returns the average GPU-interconnect traffic in GB/s
-// generated by the job: bytes moved per iteration (gradients plus input
-// staging) divided by the iteration time. Figure 5 plots this usage over
-// time; tiny batches sustain high usage because they communicate every few
-// milliseconds, while big batches spend most of each iteration computing.
-func AverageLinkUsage(n NN, batch int, topo *topology.Topology, gpus []int) float64 {
-	s := specs[n]
-	iter := IterationTime(n, batch, topo, gpus, 1)
-	bytes := RingVolume(n, len(gpus)) + float64(batch)*s.InputBytesPerSample
-	return bytes / iter / 1e9
-}
-
 // BusDemand estimates the shared-bus bandwidth (GB/s) a running job
 // commits on its machine: the gradient traffic that crosses sockets plus
 // input staging. Used for the t_bw <= p_bw capacity constraint.

@@ -267,26 +267,6 @@ func TestBreakdownCommDecreasesWithBatch(t *testing.T) {
 	}
 }
 
-func TestAverageLinkUsageDecreasesWithBatch(t *testing.T) {
-	topo := topology.Power8Minsky()
-	pack := []int{0, 1}
-	prev := math.Inf(1)
-	for _, b := range []int{1, 4, 64, 128} {
-		u := AverageLinkUsage(AlexNet, b, topo, pack)
-		if u >= prev {
-			t.Fatalf("link usage not decreasing at batch %d", b)
-		}
-		prev = u
-	}
-	// Figure 5 magnitude gap: batch 1 uses an order of magnitude more
-	// bandwidth than batch 128.
-	u1 := AverageLinkUsage(AlexNet, 1, topo, pack)
-	u128 := AverageLinkUsage(AlexNet, 128, topo, pack)
-	if u1/u128 < 6 {
-		t.Fatalf("bandwidth ratio b1/b128 = %.1f, want > 6", u1/u128)
-	}
-}
-
 func TestBusDemandPositive(t *testing.T) {
 	topo := topology.Power8Minsky()
 	if d := BusDemand(AlexNet, 4, topo, []int{0, 2}); d <= 0 {

@@ -28,9 +28,6 @@ func (ev event) read() popped {
 	if ev.kind == evArrival {
 		p.job, p.rank = ev.job.ID, 0
 	}
-	if ev.kind == evSample {
-		p.rank = 0
-	}
 	return p
 }
 
@@ -176,7 +173,7 @@ func (q *lazyQueue) pop() (popped, bool) {
 }
 
 // TestEventQueueMatchesLazyDeletion: on random streams of arms, re-arms,
-// disarms, samples and pops over few distinct times, the event queue pops
+// disarms and pops over few distinct times, the event queue pops
 // exactly the live events the lazy-deletion reference pops, in the same
 // order.
 func TestEventQueueMatchesLazyDeletion(t *testing.T) {
@@ -191,11 +188,11 @@ func TestEventQueueMatchesLazyDeletion(t *testing.T) {
 		for _, j := range jobs {
 			ref.push(popped{time: j.Arrival, kind: evArrival, job: j.ID}, 0)
 		}
-		sampling, pops, rearms := false, 0, 0
+		pops, rearms := 0, 0
 		for step := 0; step < 600; step++ {
 			rank := int32(rng.Intn(len(jobs)))
 			at := float64(rng.Intn(5)) / 2
-			op := rng.Intn(10)
+			op := rng.Intn(9)
 			if op < 2 {
 				// Re-arm: move rank on to the next job with an event, if any.
 				for k := 0; k < len(jobs) && !ref.live[rank]; k++ {
@@ -212,18 +209,11 @@ func TestEventQueueMatchesLazyDeletion(t *testing.T) {
 			case op < 5:
 				q.disarm(rank)
 				ref.disarm(rank)
-			case op < 6 && !sampling:
-				q.sampleAt(at)
-				ref.push(popped{time: at, kind: evSample}, 0)
-				sampling = true
 			default:
 				ev, ok := q.pop()
 				want, wantOK := ref.pop()
 				if got := ev.read(); ok != wantOK || ok && got != want {
 					t.Fatalf("seed %d step %d: popped %+v (ok %v), reference %+v (ok %v)", seed, step, got, ok, want, wantOK)
-				}
-				if ok && ev.kind == evSample {
-					sampling = false
 				}
 				pops++
 			}

@@ -29,9 +29,8 @@ type Shard struct {
 // capacity), every domain then runs a full independent simulation on its
 // own worker, and the per-domain results are merged back into the global
 // machine/GPU numbering deterministically — job results merge in ID order,
-// timelines by (start, job), samples align on the shared sampling grid —
-// so the merged artifact is byte-identical at any worker count, the same
-// contract the sweep engine's ForEach honors.
+// timelines by (start, job) — so the merged artifact is byte-identical at
+// any worker count, the same contract the sweep engine's ForEach honors.
 //
 // cfg.Topology must be the global topology the shards partition — the one
 // jobs were generated against and results are numbered in — so a 1-domain
@@ -146,7 +145,6 @@ func mergeShardResults(cfg Config, results []*Result, gpuMaps [][]int) *Result {
 		jr.GPUs = domains.GlobalGPUs(gpuMaps[d], jr.GPUs)
 		merged.Jobs = append(merged.Jobs, jr)
 	}
-	maxSamples := 0
 	for d, r := range results {
 		gmap := gpuMaps[d]
 		for _, iv := range r.Timeline {
@@ -156,45 +154,8 @@ func mergeShardResults(cfg Config, results []*Result, gpuMaps [][]int) *Result {
 		if r.Makespan > merged.Makespan {
 			merged.Makespan = r.Makespan
 		}
-		if len(r.Samples) > maxSamples {
-			maxSamples = len(r.Samples)
-		}
 		merged.SchedStats.Add(r.SchedStats)
 	}
 	merged.orderTimeline()
-	// Every domain samples the identical time grid (0, Δ, 2Δ, … by the
-	// same float accumulation), so step k aligns exactly across domains;
-	// domains that finished early simply stop contributing. Bandwidths and
-	// running counts add; mean utility re-weights by running jobs — except
-	// when one domain carries the step alone, whose value passes through
-	// untouched so a 1-domain merge is bit-exact.
-	for k := 0; k < maxSamples; k++ {
-		var s Sample
-		contributors := 0
-		var last Sample
-		var utilSum float64
-		for _, r := range results {
-			if k >= len(r.Samples) {
-				continue
-			}
-			src := r.Samples[k]
-			s.Time = src.Time
-			s.P2PBandwidth += src.P2PBandwidth
-			s.RoutedBandwidth += src.RoutedBandwidth
-			s.Running += src.Running
-			utilSum += src.MeanUtility * float64(src.Running)
-			if src.Running > 0 {
-				contributors++
-				last = src
-			}
-		}
-		switch {
-		case contributors == 1:
-			s.MeanUtility = last.MeanUtility
-		case s.Running > 0:
-			s.MeanUtility = utilSum / float64(s.Running)
-		}
-		merged.Samples = append(merged.Samples, s)
-	}
 	return merged
 }

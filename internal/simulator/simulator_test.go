@@ -2,7 +2,6 @@ package simulator
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"gputopo/internal/job"
@@ -254,58 +253,6 @@ func TestTable1Regression(t *testing.T) {
 	}
 	if routed == 0 {
 		t.Fatal("BF unexpectedly gave everyone P2P")
-	}
-}
-
-func TestSamples(t *testing.T) {
-	topo := topology.Power8Minsky()
-	j := job.New("j", perfmodel.AlexNet, 1, 2, 0.5, 0)
-	j.Iterations = 1000
-	res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, SampleInterval: 5}, []*job.Job{j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Samples) < 10 {
-		t.Fatalf("samples = %d", len(res.Samples))
-	}
-	for i := 1; i < len(res.Samples); i++ {
-		if res.Samples[i].Time <= res.Samples[i-1].Time {
-			t.Fatal("sample times not increasing")
-		}
-	}
-	// While the job runs, P2P bandwidth is positive and utility recorded.
-	mid := res.Samples[len(res.Samples)/2]
-	if mid.Running != 1 || mid.P2PBandwidth <= 0 || mid.MeanUtility <= 0 {
-		t.Fatalf("mid sample = %+v", mid)
-	}
-}
-
-// TestSamplesEndBeforeLastFinish: samples are taken at k·interval before
-// the last finish — every such time, and nothing at or past the makespan.
-func TestSamplesEndBeforeLastFinish(t *testing.T) {
-	topo := topology.Cluster(4, topology.KindMinsky)
-	const interval = 7
-	for seed := uint64(1); seed <= 6; seed++ {
-		jobs, err := workload.Generate(workload.GenConfig{Jobs: 40, Seed: seed}, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(Config{Topology: topo, Policy: schedcore.TopoAware, SampleInterval: interval}, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []float64
-		for at := 0.0; at < res.Makespan; at += interval {
-			want = append(want, at)
-		}
-		got := make([]float64, len(res.Samples))
-		for i, s := range res.Samples {
-			got[i] = s.Time
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("seed %d: makespan %.3f: %d samples, the last at %v; want %d, the last at %v",
-				seed, res.Makespan, len(got), got[len(got)-1], len(want), want[len(want)-1])
-		}
 	}
 }
 

@@ -34,9 +34,6 @@ func TestListSourceMatchesTable1(t *testing.T) {
 				Thresholds: []float64{NoOverride, 0.7},
 				BaseSeed:   9, JitterStddev: 0.05,
 			}
-			if engine == EngineSim {
-				base.SampleInterval = 10
-			}
 			list := base
 			list.Source, list.JobList = SourceList, table1List()
 			js, err := list.SpecJSON()
@@ -69,9 +66,6 @@ func TestListSourceMatchesTable1(t *testing.T) {
 				}
 				if !reflect.DeepEqual(g.Sim, w.Sim) {
 					t.Fatalf("point %d (%s): list result differs from table1 (makespan %g, want %g)", i, w.cellKey(), g.Makespan, w.Makespan)
-				}
-				if engine == EngineSim && len(g.Sim.Samples) == 0 {
-					t.Fatalf("point %d: no samples recorded", i)
 				}
 				if engine == EngineProto {
 					if len(g.Proto.Bandwidth) == 0 || !reflect.DeepEqual(g.Proto.Bandwidth, w.Proto.Bandwidth) {

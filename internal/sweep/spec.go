@@ -437,9 +437,6 @@ func (g Grid) Validate() error {
 	if g.RatePerMachine < 0 {
 		return fmt.Errorf("sweep: grid %q: rate_per_machine must be >= 0, got %g", g.Name, g.RatePerMachine)
 	}
-	if g.SampleInterval < 0 {
-		return fmt.Errorf("sweep: grid %q: sample_interval must be >= 0, got %g", g.Name, g.SampleInterval)
-	}
 	if g.JitterStddev < 0 {
 		return fmt.Errorf("sweep: grid %q: jitter_stddev must be >= 0, got %g", g.Name, g.JitterStddev)
 	}

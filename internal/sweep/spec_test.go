@@ -56,6 +56,7 @@ func TestParseGridSpecErrors(t *testing.T) {
 	errCase(t, "malformed JSON", `{"name": "x",`)
 	errCase(t, "trailing data", `{"name": "x"} {"name": "y"}`, "trailing")
 	errCase(t, "unknown field", `{"name": "x", "polices": ["FCFS"]}`, "polices")
+	errCase(t, "removed sample_interval field", `{"name": "x", "sample_interval": 5}`, "sample_interval")
 	errCase(t, "unknown policy", `{"policies": ["SJF"]}`, "SJF")
 	errCase(t, "unknown engine", `{"engine": "fpga"}`, "fpga")
 	errCase(t, "unknown source", `{"source": "replay"}`, "replay")

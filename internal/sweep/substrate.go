@@ -149,7 +149,6 @@ func (c *substrateCache) runPoint(p Point) (*RunOutput, error) {
 			Weights:          weights,
 			Profiles:         profiles,
 			Seed:             p.Seed,
-			SampleInterval:   p.grid.SampleInterval,
 			JitterStddev:     p.grid.JitterStddev,
 			Discipline:       disc,
 			EnablePreemption: preempt,

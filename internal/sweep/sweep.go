@@ -180,9 +180,8 @@ type Grid struct {
 	// machine (scenario 1 pressure is 10 jobs/min on 5 machines = 2);
 	// 0 keeps the generator's cluster-wide default of λ = 10.
 	RatePerMachine float64 `json:"rate_per_machine,omitempty"`
-	// SampleInterval and JitterStddev pass through to the engine config.
-	SampleInterval float64 `json:"sample_interval,omitempty"`
-	JitterStddev   float64 `json:"jitter_stddev,omitempty"`
+	// JitterStddev passes through to the engine config.
+	JitterStddev float64 `json:"jitter_stddev,omitempty"`
 }
 
 // withDefaults fills neutral values for unspecified axes.
