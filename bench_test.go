@@ -472,14 +472,25 @@ func BenchmarkMapperPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitDeepQueue measures one out-of-order Submit into a queue
-// of 15000 waiting jobs — sim-contended's depth — under each discipline:
-// a search for the job's place and one shift of the entries behind it.
+// BenchmarkSubmitDeepQueue measures one Submit of a priority-1 job into a
+// queue of 15000 waiting jobs of priorities 0–2 — sim-contended's depth.
+// fifo and priority submit it out of order, at arrival depth/2: a search
+// for the job's place and one shift of the entries behind it.
+// priority-newest submits the newest arrival, the simulator's and a live
+// server's common case, which under priority goes ahead of every queued
+// priority-0 job.
 func BenchmarkSubmitDeepQueue(b *testing.B) {
 	const depth = 15000
-	for _, name := range []string{"fifo", "priority"} {
-		b.Run(name, func(b *testing.B) {
-			disc, err := schedcore.ParseDiscipline(name)
+	for _, tc := range []struct {
+		name, disc string
+		arrival    float64
+	}{
+		{"fifo", "fifo", depth / 2},
+		{"priority", "priority", depth / 2},
+		{"priority-newest", "priority", depth},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			disc, err := schedcore.ParseDiscipline(tc.disc)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -496,7 +507,7 @@ func BenchmarkSubmitDeepQueue(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			late := job.New("late", perfmodel.AlexNet, 4, 1, 0, depth/2)
+			late := job.New("late", perfmodel.AlexNet, 4, 1, 0, tc.arrival)
 			late.Priority = 1
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -112,8 +112,11 @@ type result struct {
 	// 429, which retries429 counts).
 	jobs, placed, released, errors, retries429 int
 	decisions                                  int // the server's count over the run
-	elapsed                                    time.Duration
-	p50, p95, p99                              float64 // submit round trip, ms
+	// submitted is the submit phase, from the first submit until the
+	// last one returned; run also holds the drain that follows, until
+	// the server holds none of the stream's jobs.
+	submitted, run time.Duration
+	p50, p95, p99  float64 // submit round trip, ms
 }
 
 // run drives the load, prints the summary, and reports any terminal
@@ -124,11 +127,11 @@ func run(cfg config, w io.Writer) error {
 		return err
 	}
 	if !cfg.quiet {
-		sec := res.elapsed.Seconds()
-		fmt.Fprintf(w, "topoload: serve/%s/%s (%s): %d jobs in %.2fs (%.1f jobs/s), %d placed on submit, %d released, %d errors, %d admission retries\n",
-			cfg.topoArg, cfg.policy, res.mode, res.jobs, sec, float64(res.jobs)/sec, res.placed, res.released, res.errors, res.retries429)
-		fmt.Fprintf(w, "topoload: placement latency p50=%.2fms p95=%.2fms p99=%.2fms, %d decisions (%.0f/s)\n",
-			res.p50, res.p95, res.p99, res.decisions, float64(res.decisions)/sec)
+		sub, all := res.submitted.Seconds(), res.run.Seconds()
+		fmt.Fprintf(w, "topoload: serve/%s/%s (%s): %d jobs submitted in %.2fs (%.1f jobs/s), %d placed on submit, %d released, %d errors, %d admission retries\n",
+			cfg.topoArg, cfg.policy, res.mode, res.jobs, sub, float64(res.jobs)/sub, res.placed, res.released, res.errors, res.retries429)
+		fmt.Fprintf(w, "topoload: placement latency p50=%.2fms p95=%.2fms p99=%.2fms; %d decisions in the %.2fs run, drain included (%.0f/s)\n",
+			res.p50, res.p95, res.p99, res.decisions, all, float64(res.decisions)/all)
 	}
 	if res.errors > 0 {
 		return fmt.Errorf("%d of %d requests failed", res.errors, res.jobs+res.released)
@@ -293,11 +296,11 @@ func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (
 			close(work)
 		}()
 	}
-	var elapsed time.Duration
+	var submitPhase time.Duration
 	submitted := make(chan struct{})
 	go func() {
 		wg.Wait()
-		elapsed = time.Since(start)
+		submitPhase = time.Since(start)
 		close(submitted)
 	}()
 
@@ -341,7 +344,7 @@ func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (
 		if deadline.IsZero() {
 			deadline = time.Now().Add(10*time.Second + time.Duration(2*len(jobs))*every)
 		} else if time.Now().After(deadline) {
-			return result{}, fmt.Errorf("%d of its jobs still running or queued %v after the last submit", left, time.Since(start)-elapsed)
+			return result{}, fmt.Errorf("%d of its jobs still running or queued %v after the last submit", left, time.Since(start)-submitPhase)
 		}
 	}
 	releaseWG.Wait()
@@ -355,7 +358,8 @@ func drive(ctx context.Context, c *client.Client, jobs []*job.Job, cfg config) (
 		errors:     int(errs),
 		retries429: int(retries),
 		decisions:  st.Stats.Decisions,
-		elapsed:    elapsed,
+		submitted:  submitPhase,
+		run:        time.Since(start),
 		p50:        percentileMs(latencies, 50),
 		p95:        percentileMs(latencies, 95),
 		p99:        percentileMs(latencies, 99),

@@ -16,6 +16,7 @@
 package schedcore
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"time"
@@ -134,6 +135,13 @@ type entry struct {
 	parked bool
 }
 
+// lane is one discipline class of the queue: the entries whose key's A
+// is a, in key order.
+type lane struct {
+	a  float64
+	es []entry
+}
+
 // Core owns the waiting queue and the cluster allocation state. Build one
 // with New; drive it from exactly one goroutine.
 type Core struct {
@@ -142,14 +150,20 @@ type Core struct {
 	clock  Clock
 	disc   QueueDiscipline
 
-	// queue holds the waiting jobs every round looks at, sorted by the
-	// discipline (§4.4: arrival order avoids starvation). For the in-order
-	// policies (FCFS, BF, TOPO-AWARE) that is the whole wait list. Under
-	// TOPO-AWARE-P it is the active part of the wake-up index: new
-	// submissions and jobs whose last failure was a placement-policy
+	// lanes hold the waiting jobs every round looks at, in queue order
+	// (§4.4: arrival order avoids starvation): one lane per discipline
+	// class, the key's A, in ascending A, each in (B, C) order, so queue
+	// order is the lanes read one after another. An arrival lands at the
+	// end of its class's lane, however deep the classes ahead of it are.
+	// Only non-empty lanes are listed; spare keeps a drained lane's array
+	// for the next lane to open. For the in-order
+	// policies (FCFS, BF, TOPO-AWARE) the lanes are the whole wait list.
+	// Under TOPO-AWARE-P they are the active part of the wake-up index:
+	// new submissions and jobs whose last failure was a placement-policy
 	// outcome (low utility, constraint infeasibility) rather than raw
 	// capacity.
-	queue []entry
+	lanes []lane
+	spare []entry
 
 	// Wake-up index (TOPO-AWARE-P only; empty otherwise).
 	// parkedSingle/parkedMulti hold the capacity-blocked jobs,
@@ -207,9 +221,10 @@ type Core struct {
 	// Schedule call.
 	decBuf  []Decision
 	decPtrs []*Decision
-	// evalScratch double-buffers the queue across indexed Schedule
-	// rounds. Its contents are dead once the owning call returns.
-	evalScratch []entry
+	// rejoin holds the parked entries an indexed Schedule round popped and
+	// left active, in queue order, until they join their lanes. Its
+	// contents are dead once the owning call returns.
+	rejoin []entry
 }
 
 // Option configures a Core at construction.
@@ -283,18 +298,46 @@ func (c *Core) entryCmp(a, b entry) int {
 }
 
 // insertOrdered inserts e behind every entry it does not precede: before
-// the first queued entry whose key is greater. The queue is sorted that
+// the first queued entry whose key is greater. The lane is sorted that
 // way already, and e, submitted last, has the greatest sequence, so this
 // is where a stable sort of the appended queue would put it; a job
 // arriving in discipline order (the common case, driven by event loops
-// and monotonic wall clocks) lands at the end.
+// and monotonic wall clocks) is appended without a search.
 func (c *Core) insertOrdered(q []entry, e entry) []entry {
 	k := c.key(&e)
-	i := sort.Search(len(q), func(i int) bool {
-		ki := c.key(&q[i])
-		return k.Less(&ki)
-	})
+	i := len(q)
+	if i > 0 {
+		if last := c.key(&q[i-1]); k.Less(&last) {
+			i = sort.Search(len(q), func(i int) bool {
+				ki := c.key(&q[i])
+				return k.Less(&ki)
+			})
+		}
+	}
 	return slices.Insert(q, i, e)
+}
+
+// push files e into its class's lane, opening the lane on the spare array
+// when the class has none.
+func (c *Core) push(e entry) {
+	a := c.disc.Key(e.job).A
+	i, ok := slices.BinarySearchFunc(c.lanes, a, func(l lane, a float64) int { return cmp.Compare(l.a, a) })
+	if !ok {
+		c.lanes = slices.Insert(c.lanes, i, lane{a: a, es: c.spare})
+		c.spare = nil
+	}
+	c.lanes[i].es = c.insertOrdered(c.lanes[i].es, e)
+}
+
+// dropLane unlists lane i, which has drained and holds no job. Its array
+// becomes the spare when it is the larger, so a queue that drains every
+// round does not reallocate on every Submit; the list never holds more
+// lanes than the classes queued.
+func (c *Core) dropLane(i int) {
+	if es := c.lanes[i].es; cap(es) > cap(c.spare) {
+		c.spare = es[:0]
+	}
+	c.lanes = slices.Delete(c.lanes, i, i+1)
 }
 
 // Submit enqueues a job.
@@ -322,21 +365,24 @@ func (c *Core) enqueue(q QueuedEntry) {
 		c.park(&e)
 		return
 	}
-	c.queue = c.insertOrdered(c.queue, e)
+	c.push(e)
 }
 
 // QueueLen returns the number of waiting jobs.
-func (c *Core) QueueLen() int { return len(c.queue) + c.nParked }
+func (c *Core) QueueLen() int {
+	n := c.nParked
+	for i := range c.lanes {
+		n += len(c.lanes[i].es)
+	}
+	return n
+}
 
 // Queued returns the waiting jobs in queue order. With jobs parked in
 // the wake-up index this merges them back in (O(n log n)); it is a
 // reporting accessor, not a hot path.
 func (c *Core) Queued() []*job.Job {
-	es := c.entries()
-	out := make([]*job.Job, len(es))
-	for i, e := range es {
-		out[i] = e.job
-	}
+	out := make([]*job.Job, 0, c.QueueLen())
+	c.entries(func(e *entry) { out = append(out, e.job) })
 	return out
 }
 
@@ -353,20 +399,29 @@ type QueuedEntry struct {
 // QueueState returns the waiting jobs in queue order with their
 // bookkeeping, for RestoreQueued to rebuild elsewhere.
 func (c *Core) QueueState() []QueuedEntry {
-	es := c.entries()
-	out := make([]QueuedEntry, len(es))
-	for i, e := range es {
-		out[i] = QueuedEntry{Job: e.job, Waited: c.rounds - e.enterRound, Postponed: e.postponed, Parked: e.parked}
-	}
+	out := make([]QueuedEntry, 0, c.QueueLen())
+	c.entries(func(e *entry) {
+		out = append(out, QueuedEntry{Job: e.job, Waited: c.rounds - e.enterRound, Postponed: e.postponed, Parked: e.parked})
+	})
 	return out
 }
 
-// entries returns the queued and parked entries in queue order.
-func (c *Core) entries() []entry {
+// entries visits the queued and parked entries in queue order: the lanes
+// one after another when nothing is parked, else a sorted copy with the
+// parked entries merged in.
+func (c *Core) entries(visit func(*entry)) {
 	if c.nParked == 0 {
-		return c.queue
+		for i := range c.lanes {
+			for k := range c.lanes[i].es {
+				visit(&c.lanes[i].es[k])
+			}
+		}
+		return
 	}
-	es := append(make([]entry, 0, c.QueueLen()), c.queue...)
+	es := make([]entry, 0, c.QueueLen())
+	for _, l := range c.lanes {
+		es = append(es, l.es...)
+	}
 	for _, buckets := range [][][]parkedEntry{c.parkedSingle, c.parkedMulti} {
 		for _, h := range buckets {
 			for i := range h {
@@ -375,7 +430,9 @@ func (c *Core) entries() []entry {
 		}
 	}
 	slices.SortFunc(es, c.entryCmp)
-	return es
+	for i := range es {
+		visit(&es[i])
+	}
 }
 
 // Release frees the allocation of a finished job.
@@ -409,15 +466,18 @@ func (c *Core) Restore(j *job.Job, gpus []int, bandwidth float64) error {
 // and the wake-up index — the serving front-end's cancellation path. It
 // returns false when no queued job has the ID.
 func (c *Core) Withdraw(jobID string) bool {
-	remove := func(es []entry) ([]entry, bool) {
-		for i := range es {
-			if es[i].job.ID == jobID {
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		for k := range l.es {
+			if l.es[k].job.ID == jobID {
 				// slices.Delete zeroes the vacated tail slot, so the withdrawn
 				// job does not linger reachable in the backing array.
-				return slices.Delete(es, i, i+1), true
+				if l.es = slices.Delete(l.es, k, k+1); len(l.es) == 0 {
+					c.dropLane(i)
+				}
+				return true
 			}
 		}
-		return es, false
 	}
 	removeParked := func(buckets [][]parkedEntry) bool {
 		for g, h := range buckets {
@@ -430,11 +490,7 @@ func (c *Core) Withdraw(jobID string) bool {
 		}
 		return false
 	}
-	var found bool
-	if c.queue, found = remove(c.queue); !found {
-		found = removeParked(c.parkedSingle) || removeParked(c.parkedMulti)
-	}
-	return found
+	return removeParked(c.parkedSingle) || removeParked(c.parkedMulti)
 }
 
 // Schedule runs one iteration of Algorithm 1: it examines the waiting
@@ -490,25 +546,26 @@ func (c *Core) waited(e *entry) int {
 }
 
 // scheduleWalk is the in-order path (FCFS, BF, TOPO-AWARE): examine the
-// head of the queue until one blocks. The queue then starts at the first
-// survivor — the head advances, nothing moves — and the dead prefix goes
-// when insertOrdered next outgrows the shrunken capacity and regrows the
-// backing array from the live entries alone.
+// head of the queue until one blocks, lane by lane. The blocked job's
+// lane then starts at it — the head advances, nothing moves — and the
+// dead prefix goes when insertOrdered next outgrows the shrunken capacity
+// and regrows the backing array from the live entries alone. The lanes
+// walked past have drained and are dropped.
 func (c *Core) scheduleWalk(now float64) {
-	placed := 0
-	for placed < len(c.queue) && c.examine(&c.queue[placed], now) {
-		placed++
-	}
-	// Clear the dropped prefix so placed jobs do not linger in the backing
-	// array and keep their allocations reachable.
-	clear(c.queue[:placed])
-	if placed < len(c.queue) {
-		c.queue = c.queue[placed:]
-	} else {
-		// Drained: there is no survivor to start at, so keep the whole
-		// capacity — a short queue that empties every round would
-		// otherwise reallocate on every Submit.
-		c.queue = c.queue[:0]
+	for len(c.lanes) > 0 {
+		l := &c.lanes[0]
+		placed := 0
+		for placed < len(l.es) && c.examine(&l.es[placed], now) {
+			placed++
+		}
+		// Clear the dropped prefix so placed jobs do not linger in the
+		// backing array and keep their allocations reachable.
+		clear(l.es[:placed])
+		if placed < len(l.es) {
+			l.es = l.es[placed:]
+			return
+		}
+		c.dropLane(0)
 	}
 }
 
@@ -541,8 +598,11 @@ func (c *Core) scheduleWalk(now float64) {
 // entry.
 func (c *Core) scheduleIndexed(now float64) {
 	queueLen := c.QueueLen()
-	next := c.evalScratch[:0] // survivors that stay active, in queue order
-	ai := 0
+	// The next active entry is lanes[li].es[ai]. Its lane's survivors move
+	// up to es[:w] in place, and once read the lane is cut to them and the
+	// slots behind them cleared, so placed and parked jobs do not linger
+	// reachable in its backing array.
+	li, ai, w := 0, 0, 0
 	var watermark heap.Key
 	haveMark := false
 	for {
@@ -552,12 +612,18 @@ func (c *Core) scheduleIndexed(now float64) {
 		// later picks exactly like the full walk's per-position check. Keys
 		// are distinct, so the queue-order minimum wins regardless of the
 		// order the candidates are inspected in.
-		found := ai < len(c.queue)
+		for li < len(c.lanes) && ai == len(c.lanes[li].es) {
+			l := &c.lanes[li]
+			clear(l.es[w:])
+			l.es = l.es[:w]
+			li, ai, w = li+1, 0, 0
+		}
+		found := li < len(c.lanes)
 		var bestKey heap.Key
 		var bestBuckets [][]parkedEntry
 		var bestBucket int
 		if found {
-			bestKey = c.key(&c.queue[ai])
+			bestKey = c.key(&c.lanes[li].es[ai])
 		}
 		consider := func(buckets [][]parkedEntry, capacity int) {
 			for g, h := range buckets[:min(capacity+1, len(buckets))] {
@@ -572,7 +638,11 @@ func (c *Core) scheduleIndexed(now float64) {
 			break
 		}
 		var e entry
-		if bestBuckets != nil {
+		active := bestBuckets == nil
+		if active {
+			e = c.lanes[li].es[ai]
+			ai++
+		} else {
 			e = c.unpark(bestBuckets, bestBucket, 0)
 			if c.evictedInRound && haveMark && bestKey.Less(&watermark) {
 				// This bucket only became eligible through an eviction, and
@@ -583,27 +653,34 @@ func (c *Core) scheduleIndexed(now float64) {
 				c.deferred = append(c.deferred, e)
 				continue
 			}
-		} else {
-			e = c.queue[ai]
-			ai++
 		}
 		watermark, haveMark = bestKey, true
-		if !c.examine(&e, now) {
-			// A popped bucket entry passed its capacity gate by
-			// construction, so examine either placed it or left it for the
-			// active set; an active entry may also have just parked
-			// itself (examine pushed it into a — now ineligible — bucket).
-			if !e.parked {
-				next = append(next, e)
-			}
+		// A popped bucket entry passed its capacity gate by construction,
+		// so examine either placed it or left it for the active set; an
+		// active entry may also have just parked itself (examine pushed it
+		// into a — now ineligible — bucket).
+		if c.examine(&e, now) || e.parked {
+			continue
+		}
+		// The survivor stays active: an entry of the lane moves up in it,
+		// a popped one joins its class's lane once the walk is over.
+		if active {
+			c.lanes[li].es[w] = e
+			w++
+		} else {
+			c.rejoin = append(c.rejoin, e)
 		}
 	}
-	// Zero the recycled buffer before swapping so placed jobs do not
-	// linger reachable through its backing array (the in-order path
-	// clears its dropped tail for the same reason).
-	old := c.queue
-	clear(old)
-	c.queue, c.evalScratch = next, old[:0]
+	for i := range c.rejoin {
+		c.push(c.rejoin[i])
+		c.rejoin[i] = entry{}
+	}
+	c.rejoin = c.rejoin[:0]
+	for i := len(c.lanes) - 1; i >= 0; i-- {
+		if len(c.lanes[i].es) == 0 {
+			c.dropLane(i)
+		}
+	}
 
 	// Entries deferred by the watermark check re-park under their
 	// original wake-up keys, exactly as the full walk leaves them queued.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -295,11 +294,24 @@ func TestClusterIdleIsConstantTime(t *testing.T) {
 	}
 }
 
+// laneOf returns the lane that holds j's discipline class, or nil.
+func laneOf(c *Core, j *job.Job) []entry {
+	a := c.disc.Key(j).A
+	for _, l := range c.lanes {
+		if l.a == a {
+			return l.es
+		}
+	}
+	return nil
+}
+
 // TestSubmitDeepQueueAllocatesNothing: an out-of-order Submit into a
 // queue of 15000 waiting jobs — sim-contended's depth — is a search for
-// the job's place and one shift of the entries behind it under either
-// discipline. AllocsPerRun's warm-up call grows the queue's array by the
-// one slot the measured calls then reuse.
+// the job's place in its lane and one shift of the entries behind it
+// there, under either discipline; a Submit in arrival order is an append
+// to its lane that moves no other class's entries. AllocsPerRun's
+// warm-up call grows the lane's array by the one slot the measured calls
+// then reuse.
 func TestSubmitDeepQueueAllocatesNothing(t *testing.T) {
 	const depth = 15000
 	for _, disc := range []QueueDiscipline{FIFOByArrival(), PriorityThenArrival()} {
@@ -314,11 +326,30 @@ func TestSubmitDeepQueueAllocatesNothing(t *testing.T) {
 			if err := c.Submit(late); err != nil {
 				t.Fatal(err)
 			}
-			if c.queue[0].job == late || c.queue[depth].job == late || !c.Withdraw("late") {
-				t.Fatal("late job not queued mid-queue")
+			if es := laneOf(c, late); es[0].job == late || es[len(es)-1].job == late || !c.Withdraw("late") {
+				t.Fatal("late job not queued mid-lane")
 			}
 		}); n != 0 {
 			t.Fatalf("%s: Submit into a %d-deep queue allocates %v objects", disc.Name(), depth, n)
+		}
+
+		// The newest arrival at priority 1 lands at the end of its lane:
+		// under priority the 5000 priority-0 jobs behind it in queue order
+		// stay where they are.
+		newest := mkPrioJob("newest", 1, 1, depth)
+		low := laneOf(c, mkPrioJob("low", 1, 0, 0))
+		if n := testing.AllocsPerRun(100, func() {
+			if err := c.Submit(newest); err != nil {
+				t.Fatal(err)
+			}
+			if es := laneOf(c, newest); es[len(es)-1].job != newest || !c.Withdraw("newest") {
+				t.Fatal("newest job not queued at the end of its lane")
+			}
+		}); n != 0 {
+			t.Fatalf("%s: in-order Submit into a %d-deep queue allocates %v objects", disc.Name(), depth, n)
+		}
+		if disc == PriorityThenArrival() && &laneOf(c, low[0].job)[0] != &low[0] {
+			t.Fatalf("%s: a priority-1 arrival moved the priority-0 lane", disc.Name())
 		}
 	}
 }
@@ -338,68 +369,107 @@ func TestWithdrawClearsVacatedSlot(t *testing.T) {
 	if got := s.Queued(); len(got) != 2 || got[0].ID != "a" || got[1].ID != "c" {
 		t.Fatalf("queue after withdraw = %v", got)
 	}
-	if tail := s.queue[:3][2]; tail != (entry{}) {
+	if tail := s.lanes[0].es[:3][2]; tail != (entry{}) {
 		t.Fatalf("vacated slot still holds %+v", tail)
 	}
 }
 
-// TestWalkQueueBackingStaysBounded: the in-order walk drops its placed
-// prefix by advancing the queue's head, so the backing array is reclaimed
-// only when a Submit regrows it. Over a steady submit/place stream ten
-// times the queue's depth the capacity must stay within a constant factor
-// of the peak length, and a walk must leave no placed job in the prefix
-// it stepped over.
-func TestWalkQueueBackingStaysBounded(t *testing.T) {
-	const depth = 2000
-	s := newSched(t, FCFS, topology.Power8Minsky())
-	submit := func(i int) {
-		t.Helper()
-		if err := s.Submit(mkJob(fmt.Sprintf("q%d", i), 1, 4, 0, float64(i))); err != nil {
+// TestIndexedWalkClearsPlacedSlots: the wake-up-index walk moves a lane's
+// survivors up in place; the slots behind them, placed or parked jobs
+// among them, must not keep those jobs reachable.
+func TestIndexedWalkClearsPlacedSlots(t *testing.T) {
+	s := newSched(t, TopoAwareP, topology.Power8Minsky())
+	for i, gpus := range []int{1, 1, 4} {
+		if err := s.Submit(mkJob(fmt.Sprintf("j%d", i), 1, gpus, 0, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < depth; i++ {
-		submit(i)
+	if got := placedIDs(s.Schedule()); len(got) != 2 || s.QueueLen() != 1 {
+		t.Fatalf("placed %v with %d waiting, want two placed and the 4-GPU job parked", got, s.QueueLen())
 	}
-	running := ""
-	for i := depth; i < 11*depth; i++ {
-		if running != "" {
-			if err := s.Release(running); err != nil {
+	if len(s.lanes) != 0 {
+		t.Fatalf("%d lanes left with every active job placed or parked", len(s.lanes))
+	}
+	for i, e := range s.spare[:3] {
+		if e != (entry{}) {
+			t.Fatalf("slot %d of the drained lane still holds %s", i, e.job.ID)
+		}
+	}
+}
+
+// TestWalkQueueBackingStaysBounded: the in-order walk drops its placed
+// prefix by advancing its lane's head, so the backing array is reclaimed
+// only when a Submit regrows it. Over a steady submit/place stream ten
+// times the queue's depth every lane's capacity must stay within a
+// constant factor of its peak length, and a walk must leave no placed job
+// in the prefix it stepped over. Under priority the stream alternates two
+// classes: the priority-1 lane drains after about depth rounds and from
+// then on opens and drains every other round, on the spare array.
+func TestWalkQueueBackingStaysBounded(t *testing.T) {
+	const depth = 2000
+	for _, disc := range []QueueDiscipline{FIFOByArrival(), PriorityThenArrival()} {
+		s := newSchedWith(t, FCFS, topology.Power8Minsky(), WithQueueDiscipline(disc))
+		submit := func(i int) {
+			t.Helper()
+			if err := s.Submit(mkPrioJob(fmt.Sprintf("q%d", i), 4, i%2, float64(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		submit(i)
-		before := s.queue // the same backing array, head included
-		decs := s.Schedule()
-		if len(decs) != 2 || decs[0].Postponed || !decs[1].Postponed {
-			t.Fatalf("round %d: want the head placed and the next job blocked behind it, got %d decisions", i, len(decs))
+		for i := 0; i < depth; i++ {
+			submit(i)
 		}
-		running = decs[0].Job.ID
-		if before[0] != (entry{}) {
-			t.Fatalf("round %d: placed job %s still in the slot the walk stepped over", i, running)
-		}
-		if len(s.queue) != depth || &s.queue[0] != &before[1] {
-			t.Fatalf("round %d: queue is %d long and did not advance one slot in place", i, len(s.queue))
-		}
-		if got := cap(s.queue); got > 2*(depth+1) {
-			t.Fatalf("round %d: queue capacity %d for %d entries", i, got, len(s.queue))
+		running := ""
+		for i := depth; i < 11*depth; i++ {
+			if running != "" {
+				if err := s.Release(running); err != nil {
+					t.Fatal(err)
+				}
+			}
+			submit(i)
+			before := s.lanes[0].es // the same backing array, head included
+			decs := s.Schedule()
+			if len(decs) != 2 || decs[0].Postponed || !decs[1].Postponed {
+				t.Fatalf("%s round %d: want the head placed and the next job blocked behind it, got %d decisions", disc.Name(), i, len(decs))
+			}
+			running = decs[0].Job.ID
+			if before[0] != (entry{}) {
+				t.Fatalf("%s round %d: placed job %s still in the slot the walk stepped over", disc.Name(), i, running)
+			}
+			if len(before) > 1 && &s.lanes[0].es[0] != &before[1] {
+				t.Fatalf("%s round %d: lane did not advance one slot in place", disc.Name(), i)
+			}
+			if len(s.lanes) > 2 {
+				t.Fatalf("%s round %d: %d lanes for two classes", disc.Name(), i, len(s.lanes))
+			}
+			for _, l := range s.lanes {
+				if got := cap(l.es); got > 2*(depth+1) {
+					t.Fatalf("%s round %d: lane %v capacity %d for %d entries", disc.Name(), i, l.a, got, len(l.es))
+				}
+			}
 		}
 	}
 
-	// A queue that drains keeps its array: a short queue emptied every
-	// round must not reallocate on every Submit.
+	// A queue that drains keeps its array as the spare, and the next
+	// Submit opens its lane on it: a short queue emptied every round must
+	// not reallocate on every Submit.
 	short := newSched(t, FCFS, topology.Power8Minsky())
 	for i := 0; i < 3; i++ {
 		if err := short.Submit(mkJob(fmt.Sprintf("s%d", i), 1, 1, 0, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	was := cap(short.queue)
+	was := cap(short.lanes[0].es)
 	if got := placedIDs(short.Schedule()); len(got) != 3 {
 		t.Fatalf("placed %v, want all three", got)
 	}
-	if len(short.queue) != 0 || cap(short.queue) != was {
-		t.Fatalf("drained queue: len %d cap %d, want the whole %d-slot array kept", len(short.queue), cap(short.queue), was)
+	if len(short.lanes) != 0 || cap(short.spare) != was {
+		t.Fatalf("drained queue: %d lanes, spare cap %d, want the whole %d-slot array kept", len(short.lanes), cap(short.spare), was)
+	}
+	if err := short.Submit(mkJob("s3", 1, 1, 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(short.lanes[0].es); got != was {
+		t.Fatalf("reopened lane cap %d, want the spare's %d", got, was)
 	}
 }
 
@@ -542,31 +612,132 @@ func TestCapacityGateSkipsEvaluation(t *testing.T) {
 	}
 }
 
-// TestInsertOrderedEqualsStableSort pins insertOrdered to the definition
-// it replaced: append, then stable-sort the whole queue by the
-// discipline. Arrivals and priorities are drawn from few values so ties,
-// where submission order decides, are the common case.
-func TestInsertOrderedEqualsStableSort(t *testing.T) {
-	for _, disc := range []QueueDiscipline{FIFOByArrival(), PriorityThenArrival()} {
-		for seed := int64(0); seed < 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			c := &Core{disc: disc}
-			var got, want []entry
-			for seq := 0; seq < 300; seq++ {
-				j := mkJob(fmt.Sprintf("j%d", seq), 4, 1, 0, float64(rng.Intn(12)))
-				j.Priority = rng.Intn(3)
-				e := entry{job: j, seq: uint64(seq)}
-				got = c.insertOrdered(got, e)
-				want = append(want, e)
-				sort.SliceStable(want, func(i, k int) bool {
-					a, b := disc.Key(want[i].job), disc.Key(want[k].job)
-					return a.Less(&b)
-				})
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s seed %d: queues diverged inserting %s (arrival %v, priority %d)",
-						disc.Name(), seed, j.ID, j.Arrival, j.Priority)
+// checkQueueOrder replays an operation stream on a core and checks, after
+// every operation, that Queued() is the queue's definition: the waiting
+// jobs appended in submission order (a requeued victim as a fresh
+// submission), then stable-sorted by the discipline key. ops[0] picks the
+// policy, the discipline and whether preemption is on; each further op is
+// one byte, and a Submit or a Withdraw reads one more. Submissions draw
+// priorities from −2..2 and arrivals from eight values, so ties, classes
+// that open and drain, and out-of-order arrivals are all common.
+func checkQueueOrder(t *testing.T, ops []byte) {
+	if len(ops) == 0 {
+		return
+	}
+	disc := []QueueDiscipline{FIFOByArrival(), PriorityThenArrival()}[ops[0]>>2&1]
+	c := newSchedWith(t, AllPolicies()[ops[0]&3], topology.Power8Minsky(), WithQueueDiscipline(disc))
+	c.SetPreemption(ops[0]&8 != 0)
+	var want, running []*job.Job
+	drop := func(js []*job.Job, j *job.Job) []*job.Job {
+		i := slices.Index(js, j)
+		if i < 0 {
+			t.Fatalf("%s is not where the model has it", j.ID)
+		}
+		return slices.Delete(js, i, i+1)
+	}
+	arg := func(i int) int {
+		if i < len(ops) {
+			return int(ops[i])
+		}
+		return 0
+	}
+	for i, n := 1, 0; i < len(ops); i++ {
+		op := int(ops[i])
+		switch op & 3 {
+		case 0, 1: // Submit: 1, 2 or 4 GPUs, some with a utility floor
+			i++
+			b := arg(i)
+			minU := 0.0
+			if op&16 != 0 {
+				minU = 0.95
+			}
+			j := mkPrioJob(fmt.Sprintf("j%d", n), []int{1, 2, 4}[op>>2&3%3], b>>3%5-2, float64(b&7))
+			j.MinUtility = minU
+			n++
+			if err := c.Submit(j); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, j)
+		case 2: // Withdraw the k-th waiting job, or one that is not waiting
+			i++
+			if k := arg(i); k < len(want) {
+				if !c.Withdraw(want[k].ID) {
+					t.Fatalf("waiting job %s not withdrawn", want[k].ID)
 				}
+				want = slices.Delete(want, k, k+1)
+			} else if c.Withdraw("absent") {
+				t.Fatal("a job never submitted withdrawn")
+			}
+		case 3: // a Schedule round, after releasing a running job
+			if op&4 != 0 && len(running) > 0 {
+				j := running[op>>3%len(running)]
+				if err := c.Release(j.ID); err != nil {
+					t.Fatal(err)
+				}
+				running = drop(running, j)
+			}
+			for _, d := range c.Schedule() {
+				if d.Postponed {
+					continue
+				}
+				for _, ev := range d.Evictions {
+					running = drop(running, ev.Job)
+					want = append(want, ev.Job)
+				}
+				want = drop(want, d.Job)
+				running = append(running, d.Job)
 			}
 		}
+		slices.SortStableFunc(want, func(a, b *job.Job) int {
+			ka, kb := disc.Key(a), disc.Key(b)
+			if ka.Less(&kb) {
+				return -1
+			}
+			if kb.Less(&ka) {
+				return 1
+			}
+			return 0
+		})
+		if got := c.Queued(); !slices.Equal(got, want) {
+			t.Fatalf("op %d (%d): queue %v, want %v", i, op, idsOf(got), idsOf(want))
+		}
+		if c.QueueLen() != len(want) {
+			t.Fatalf("op %d: QueueLen %d, want %d", i, c.QueueLen(), len(want))
+		}
 	}
+}
+
+func idsOf(js []*job.Job) []string {
+	ids := make([]string, len(js))
+	for i, j := range js {
+		ids[i] = j.ID
+	}
+	return ids
+}
+
+// TestInsertOrderedEqualsStableSort pins the queue to its definition:
+// append, then stable-sort the whole queue by the discipline. Random
+// operation streams run under every policy and both disciplines, with
+// preemption off and on.
+func TestInsertOrderedEqualsStableSort(t *testing.T) {
+	for mode := 0; mode < 16; mode++ {
+		for seed := int64(0); seed < 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ops := make([]byte, 400)
+			rng.Read(ops)
+			ops[0] = byte(mode)
+			checkQueueOrder(t, ops)
+		}
+	}
+}
+
+// FuzzQueueOrder is TestInsertOrderedEqualsStableSort's property over
+// fuzzed operation streams.
+func FuzzQueueOrder(f *testing.F) {
+	// TOPO-AWARE-P under priority with preemption: submissions of each
+	// class, a round, a withdrawal, a release and another round.
+	f.Add([]byte{15, 0, 0, 1, 16, 4, 40, 3, 2, 1, 7, 0, 255, 3})
+	// FCFS under fifo: out-of-order arrivals, then rounds.
+	f.Add([]byte{1, 0, 7, 0, 3, 0, 5, 3, 7, 3})
+	f.Fuzz(checkQueueOrder)
 }

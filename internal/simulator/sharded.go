@@ -58,15 +58,24 @@ func RunSharded(cfg Config, shards []Shard, jobs []*job.Job, workers int) (*Resu
 	if err != nil {
 		return nil, fmt.Errorf("simulator: %w", err)
 	}
-	// The maps number GPUs as the shards' own machine shapes dictate;
-	// results are reported against cfg.Topology, so the two must agree
-	// machine by machine.
+	// GPUMaps accepted the shards' machines as 0..n-1, each once. They must
+	// be cfg.Topology's machines, and the maps number GPUs as the shards'
+	// own machine shapes dictate while results are reported against
+	// cfg.Topology, so the two must also agree machine by machine.
+	covered, total := 0, cfg.Topology.NumMachines()
 	for d, sh := range shards {
+		covered += len(sh.Machines)
 		for k, gm := range sh.Machines {
+			if gm >= total {
+				return nil, fmt.Errorf("simulator: domain %d: global machine %d is outside the %d-machine topology", d, gm, total)
+			}
 			if local, global := len(sh.Topology.GPUsOfMachine(k)), len(cfg.Topology.GPUsOfMachine(gm)); local != global {
 				return nil, fmt.Errorf("simulator: domain %d: machine shape mismatch: local machine %d has %d GPUs, global machine %d has %d", d, k, local, gm, global)
 			}
 		}
+	}
+	if covered < total {
+		return nil, fmt.Errorf("simulator: the shards cover %d of the topology's %d machines", covered, total)
 	}
 	assign, err := domains.RouteStatic(caps, jobs)
 	if err != nil {

@@ -32,6 +32,8 @@ func TestRunShardedRejectsBadInput(t *testing.T) {
 		{"machine list shorter than the shard", minsky(2), []Shard{two[0], {Topology: minsky(2), Machines: []int{1}}}, small, "domain 1: topology has 2 machines, 1 global indices given"},
 		{"machine out of range", minsky(2), []Shard{two[0], {Topology: minsky(1), Machines: []int{5}}}, small, "global machine index 5 out of range"},
 		{"machine in two shards", minsky(2), []Shard{two[0], {Topology: minsky(1), Machines: []int{0}}}, small, "global machine 0 belongs to two domains"},
+		{"shards short of the topology", topology.Cluster(3, topology.KindMinsky), two[:1], small, "the shards cover 1 of the topology's 3 machines"},
+		{"shard machine past the topology", minsky(1), two, small, "domain 1: global machine 1 is outside the 1-machine topology"},
 		{"shape mismatch", topology.Cluster(2, topology.KindDGX1), two, small, "domain 0: machine shape mismatch: local machine 0 has 4 GPUs, global machine 0 has 8"},
 		{"job no domain admits", minsky(2), two, []*job.Job{job.New("big", perfmodel.AlexNet, 4, 8, 0, 0)}, "job big (gpus=8"},
 	} {
