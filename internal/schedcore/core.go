@@ -2,7 +2,7 @@
 // (Algorithm 1): queue management, the placement loop, the wake-up
 // index and the four placement policies of §5, behind a small
 // Core API (Submit / Release / Schedule / Stats) with a pluggable Clock
-// and QueueDiscipline.
+// and a QueueDiscipline value, FIFO (the zero value) or priority.
 //
 // The core is deliberately pure: it performs no I/O, reads time only
 // through its Clock (decision-latency instrumentation excepted), and is
@@ -250,9 +250,6 @@ func New(policy Policy, state *cluster.State, mapper *core.Mapper, opts ...Optio
 	}
 	if c.clock == nil {
 		c.clock = zeroClock{}
-	}
-	if c.disc == nil {
-		c.disc = FIFOByArrival()
 	}
 	return c
 }
@@ -704,15 +701,20 @@ func (c *Core) scheduleIndexed(now float64) {
 // examine runs the per-job step of Algorithm 1 on e: the O(1)
 // availableResources gate, the placement policy, and for a
 // preemption-eligible job left without capacity the victim search. It
-// appends the job's decision to decBuf and updates stats. A job that does
-// not place stays with its caller — the in-order path keeps it at the
-// head of the queue, the indexed path keeps non-parked survivors active —
-// except that under the index a capacity-blocked job is filed straight
-// into its wake-up bucket here (and e.parked tells the caller so).
-// Returns true when the job placed.
+// appends the job's decision to decBuf, a no-capacity postponement until
+// an attempt fills it in, and updates stats. A job that does not place
+// stays with its caller — the in-order path keeps it at the head of the
+// queue, the indexed path keeps non-parked survivors active — except that
+// under the index a capacity-blocked job is filed straight into its
+// wake-up bucket here (and e.parked tells the caller so). Returns true
+// when the job placed.
 func (c *Core) examine(e *entry, now float64) bool {
 	j := e.job
 	e.parked = false
+	// Fill a zero record in place: appending a literal would copy it in.
+	c.decBuf = append(c.decBuf, Decision{})
+	d := &c.decBuf[len(c.decBuf)-1]
+	d.Job, d.Postponed, d.Reason, d.Time = j, true, "no-capacity", now
 	// availableResources(P) gate: skip the placement evaluation entirely
 	// when no machine (or, for multi-node jobs, the whole cluster) can
 	// hold the request. O(1) thanks to the cluster state's incremental
@@ -721,25 +723,18 @@ func (c *Core) examine(e *entry, now float64) bool {
 	if !j.SingleNode {
 		enough = c.state.FreeGPUCount() >= j.GPUs
 	}
-	d, placed := Decision{Job: j, Postponed: true, Reason: "no-capacity"}, false
-	if enough {
-		d, placed = c.decide(j, false)
-	}
+	placed := enough && c.decide(d, false)
 	// A job the gate or the policy left without capacity (fragmentation,
 	// bandwidth, DRB infeasibility are capacity too) may evict its way in.
 	if !placed && d.Reason == "no-capacity" && c.preemptEligible(j) {
-		if pd, ok := c.decide(j, true); ok {
-			d, placed = pd, true
-		}
+		placed = c.decide(d, true)
 	}
-	d.Time = now
 	if placed {
 		d.Postponements = c.waited(e)
 	} else {
 		c.stats.Postponements++
 		e.postponed++
 	}
-	c.decBuf = append(c.decBuf, d)
 	if !placed && !enough && c.indexed() && !c.preemptEligible(j) {
 		// Park under the wake-up key: the free-GPU count that must be
 		// reached before the gate above can pass again. Preemption-
@@ -753,29 +748,28 @@ func (c *Core) examine(e *entry, now float64) bool {
 	return placed
 }
 
-// decide makes one placement attempt for j under the decision-latency
-// clock — the policy's (tryPlace), or with preempt a victim search
-// (tryPreempt) — and counts it. Every policy attempt is a decision,
+// decide makes one placement attempt for d's job under the
+// decision-latency clock — the policy's (tryPlace), or with preempt a
+// victim search (tryPreempt) — writes its outcome into d, which arrives
+// a postponement, and counts it. Every policy attempt is a decision,
 // placed or not; a victim search is one only when it places, and then
-// also a preemption with its evictions. Returns the decision and whether
-// j placed.
-func (c *Core) decide(j *job.Job, preempt bool) (Decision, bool) {
-	if preempt && !c.victimsRunning(j.Priority) {
+// also a preemption with its evictions. Returns whether the job placed.
+func (c *Core) decide(d *Decision, preempt bool) bool {
+	if preempt && !c.victimsRunning(d.Job.Priority) {
 		// Nothing strictly lower runs — on a contended cluster, nearly
 		// every blocked high-priority job, every round: answered off the
 		// victim index, before the clock starts.
-		return Decision{}, false
+		return false
 	}
-	d, found := Decision{}, true
 	start := time.Now() //lint:ignore wallclock decision-latency instrumentation, the documented exception: elapsed feeds Stats only, never scheduling decisions
 	if preempt {
-		d, found = c.tryPreempt(j)
+		c.tryPreempt(d)
 	} else {
-		d = c.tryPlace(j)
+		c.tryPlace(d)
 	}
 	elapsed := time.Since(start) //lint:ignore wallclock decision-latency instrumentation, the documented exception
-	if !found {
-		return d, false
+	if preempt && d.Postponed {
+		return false // the search found no victim set: no decision
 	}
 	c.stats.Decisions++
 	c.stats.DecisionTime += elapsed
@@ -783,7 +777,7 @@ func (c *Core) decide(j *job.Job, preempt bool) (Decision, bool) {
 		c.stats.MaxDecision = elapsed
 	}
 	if d.Postponed {
-		return d, false
+		return false
 	}
 	c.stats.Placements++
 	if preempt {
@@ -793,7 +787,7 @@ func (c *Core) decide(j *job.Job, preempt bool) (Decision, bool) {
 	if d.SLOViolated {
 		c.stats.SLOViolations++
 	}
-	return d, true
+	return true
 }
 
 // park files a capacity-blocked entry into its wake-up bucket: the
@@ -823,25 +817,30 @@ func (c *Core) unpark(buckets [][]parkedEntry, key, i int) entry {
 	return it.Val
 }
 
-// tryPlace attempts to place one job according to the policy, committing
-// the allocation on success. It returns by value so Schedule can append
-// into its reusable decision buffer.
-func (c *Core) tryPlace(j *job.Job) Decision {
+// tryPlace attempts to place d's job according to the policy, committing
+// the allocation on success, and writes the outcome into d: the placement,
+// or the postponement reason.
+func (c *Core) tryPlace(d *Decision) {
+	j := d.Job
 	placement, reason := c.place.attempt(j)
 	if placement == nil {
-		return Decision{Job: j, Postponed: true, Reason: reason}
+		d.Reason = reason
+		return
 	}
 	slot, err := c.state.AllocateSlot(j.ID, placement.GPUs, placement.BusDemand, j.Traits())
 	if err != nil {
-		return Decision{Job: j, Postponed: true, Reason: "no-capacity"}
+		return // d stays a no-capacity postponement
 	}
 	c.addRunning(j, slot)
-	return Decision{
-		Job:         j,
-		Placement:   placement,
-		SLOViolated: placement.Utility < j.MinUtility,
-		Slot:        slot,
-	}
+	d.place(placement, slot)
+}
+
+// place turns d from a postponement into the placement of its job into
+// the allocation slot.
+func (d *Decision) place(p *core.Placement, slot int32) {
+	d.Placement, d.Slot = p, slot
+	d.Postponed, d.Reason = false, ""
+	d.SLOViolated = p.Utility < d.Job.MinUtility
 }
 
 // estimateDemand conservatively estimates the job's shared-bus demand

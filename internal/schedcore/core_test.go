@@ -354,6 +354,32 @@ func TestSubmitDeepQueueAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestBusBlockedRoundAllocatesNothing: a TOPO-AWARE round whose one job
+// passes the GPU gate but finds no machine with the bus headroom it needs
+// postpones the job without allocating: the placer answers nil, not an
+// error it formats for nobody, and the decision is written into the
+// round's reused buffer.
+func TestBusBlockedRoundAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random, so exact allocation counts do not hold")
+	}
+	c := newSched(t, TopoAware, topology.Power8Minsky())
+	hog := mkJob("hog", 16, 1, 0, 0)
+	if err := c.State().Allocate(hog.ID, []int{0}, c.State().FreeBusBandwidth(0), hog.Traits()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit(mkJob("a", 16, 2, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if ds := c.Schedule(); len(ds) != 1 || !ds[0].Postponed || ds[0].Reason != "no-capacity" {
+			t.Fatal("the job was not postponed on the committed bus")
+		}
+	}); n != 0 {
+		t.Fatalf("a bus-blocked round allocates %v objects", n)
+	}
+}
+
 // TestWithdrawClearsVacatedSlot: removing a queued job must not leave it
 // reachable past the queue's length in the backing array.
 func TestWithdrawClearsVacatedSlot(t *testing.T) {

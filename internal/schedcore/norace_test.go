@@ -6,4 +6,4 @@ const raceEnabled = false
 
 // victimCycleAllocs is exactly what TestVictimSearchAllocs' cycle
 // allocates.
-const victimCycleAllocs = 43
+const victimCycleAllocs = 42

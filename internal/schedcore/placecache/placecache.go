@@ -9,7 +9,8 @@
 // its placecache.lookup_ns probe times a Lookup — and is their only user
 // (docs/performance.md, "The frozen benchmark contract"):
 // internal/lint/layering bars every product package from importing this
-// one, and the PR that unfreezes the benchmark deletes it (ROADMAP item 6).
+// one, and the PR that unfreezes the benchmark deletes it (ROADMAP, "The
+// frozen benchmark's residue").
 package placecache
 
 import (

@@ -1,7 +1,6 @@
 package schedcore
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -46,20 +45,19 @@ type classCand = heap.Item[struct{}]
 
 // attempt runs the placement policy on the job and applies the
 // TOPO-AWARE-P low-utility postponement rule. It returns the chosen
-// placement, or nil and the postponement reason ("no-capacity",
-// "low-utility"). Nothing is committed: the caller allocates.
+// placement, or nil and the postponement reason: "no-capacity" when the
+// policy finds nothing that fits, or "low-utility". Nothing is committed.
 func (p *placer) attempt(j *job.Job) (*core.Placement, string) {
 	var placement *core.Placement
-	var err error
 	switch p.policy {
 	case FCFS:
-		placement, err = p.placeFCFS(j)
+		placement = p.placeFCFS(j)
 	case BestFit:
-		placement, err = p.placeBestFit(j)
+		placement = p.placeBestFit(j)
 	case TopoAware, TopoAwareP:
-		placement, err = p.placeTopoAware(j)
+		placement = p.placeTopoAware(j)
 	}
-	if err != nil {
+	if placement == nil {
 		return nil, "no-capacity"
 	}
 	if p.policy == TopoAwareP && placement.Utility < j.MinUtility && !p.clusterIdle() {
@@ -81,7 +79,7 @@ func (p *placer) clusterIdle() bool {
 // placeFCFS is the First-Come-First-Served baseline of §5.2: the job at
 // the head of the FIFO queue receives the first free GPUs in index order,
 // with no topology consideration beyond the single-node constraint.
-func (p *placer) placeFCFS(j *job.Job) (*core.Placement, error) {
+func (p *placer) placeFCFS(j *job.Job) *core.Placement {
 	if j.SingleNode {
 		topo := p.state.Topology()
 		for m := 0; m < topo.NumMachines(); m++ {
@@ -90,23 +88,23 @@ func (p *placer) placeFCFS(j *job.Job) (*core.Placement, error) {
 			}
 			free := p.state.AppendFreeGPUsOnMachine(p.freeScratch[:0], m)
 			p.freeScratch = free
-			return p.mapper.Score(j, p.state, free[:j.GPUs]), nil
+			return p.mapper.Score(j, p.state, free[:j.GPUs])
 		}
-		return nil, fmt.Errorf("sched: no machine with %d free GPUs", j.GPUs)
+		return nil
 	}
 	free := p.state.AppendFreeGPUs(p.freeScratch[:0])
 	p.freeScratch = free
 	if len(free) < j.GPUs {
-		return nil, fmt.Errorf("sched: %d free GPUs for request of %d", len(free), j.GPUs)
+		return nil
 	}
-	return p.mapper.Score(j, p.state, free[:j.GPUs]), nil
+	return p.mapper.Score(j, p.state, free[:j.GPUs])
 }
 
 // placeBestFit is the Best-Fit bin-packing baseline of §5.2: it allocates
 // "first the GPUs from highly used domains" — machines are tried from the
 // fewest free GPUs that still fit, and within a machine the GPUs of the
 // most-used sockets are taken first.
-func (p *placer) placeBestFit(j *job.Job) (*core.Placement, error) {
+func (p *placer) placeBestFit(j *job.Job) *core.Placement {
 	topo := p.state.Topology()
 	type hostFit struct {
 		machine int
@@ -135,10 +133,10 @@ func (p *placer) placeBestFit(j *job.Job) (*core.Placement, error) {
 		for _, h := range hosts {
 			if h.free >= j.GPUs {
 				gpus := p.bestFitGPUs(h.machine, j.GPUs)
-				return p.mapper.Score(j, p.state, gpus), nil
+				return p.mapper.Score(j, p.state, gpus)
 			}
 		}
-		return nil, fmt.Errorf("sched: no machine fits %d GPUs", j.GPUs)
+		return nil
 	}
 
 	gpus := p.freeScratch[:0]
@@ -155,9 +153,9 @@ func (p *placer) placeBestFit(j *job.Job) (*core.Placement, error) {
 	}
 	p.freeScratch = gpus
 	if len(gpus) < j.GPUs {
-		return nil, fmt.Errorf("sched: %d free GPUs for request of %d", len(gpus), j.GPUs)
+		return nil
 	}
-	return p.mapper.Score(j, p.state, gpus), nil
+	return p.mapper.Score(j, p.state, gpus)
 }
 
 // bestFitGPUs picks n free GPUs on the machine, preferring the sockets
@@ -233,7 +231,7 @@ func (p *placer) bestFitGPUs(machine, n int) []int {
 //
 // A multi-node job is mapped once, onto the free GPUs of every machine
 // with the bus headroom it needs.
-func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
+func (p *placer) placeTopoAware(j *job.Job) *core.Placement {
 	if !j.SingleNode {
 		demand := estimateDemand(j, p.state)
 		candidates := p.freeScratch[:0]
@@ -243,7 +241,8 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 			}
 		}
 		p.freeScratch = candidates
-		return p.mapper.Place(j, p.state, candidates)
+		placement, _ := p.mapper.Place(j, p.state, candidates) // nil when the candidates cannot take j
+		return placement
 	}
 
 	p.scored, p.visited = 0, 0
@@ -273,12 +272,12 @@ func (p *placer) placeTopoAware(j *job.Job) (*core.Placement, error) {
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("sched: no host takes %s", j.ID)
+		return nil
 	}
 	// Decisions keep their placement: hand out a copy, not the scratch.
 	best := p.best
 	best.GPUs = slices.Clone(best.GPUs)
-	return &best, nil
+	return &best
 }
 
 // sweepClasses returns the classes that can take the single-node job j —

@@ -12,7 +12,8 @@ import (
 
 // Eviction records one victim displaced by a preemptive placement: the
 // job and the GPU positions its eviction freed (sorted ascending, as the
-// cluster state keeps them).
+// cluster state keeps them). GPUs is the released allocation's own list:
+// read it, do not write it.
 type Eviction struct {
 	Job  *job.Job
 	GPUs []int
@@ -37,21 +38,23 @@ func (c *Core) SetPreemption(enabled bool) { c.preemptOn = enabled }
 // queue walk would.
 func (c *Core) preemptEligible(j *job.Job) bool { return c.preemptOn && j.Priority > 0 }
 
-// tryPreempt evicts the best victim set for j and commits the placement
-// its trial scored. Victims are released from the cluster state
-// immediately (so the rest of the round sees the new capacity), in the
-// order the trial released them — so the state the placement lands on is
-// the one it was scored on — and staged for re-entry into the queue after
-// the round.
-func (c *Core) tryPreempt(j *job.Job) (Decision, bool) {
+// tryPreempt evicts the best victim set for d's job and commits the
+// placement its trial scored into d. Victims are released from the
+// cluster state immediately (so the rest of the round sees the new
+// capacity), in the order the trial released them — so the state the
+// placement lands on is the one it was scored on — and staged for
+// re-entry into the queue after the round. When no victim set places the
+// job, d stays as it was.
+func (c *Core) tryPreempt(d *Decision) {
+	j := d.Job
 	victims, placement := c.selectVictims(j)
 	if placement == nil {
-		return Decision{}, false
+		return
 	}
 	evs := make([]Eviction, len(victims))
 	for i, slot := range victims {
 		v := c.running[slot]
-		evs[i] = Eviction{Job: v, GPUs: append([]int(nil), c.state.AllocationAt(slot).GPUs...)}
+		evs[i] = Eviction{Job: v, GPUs: c.state.AllocationAt(slot).GPUs}
 		if err := c.state.ReleaseSlot(slot); err != nil {
 			panic(fmt.Sprintf("schedcore: evicting %s: %v", v.ID, err))
 		}
@@ -64,13 +67,8 @@ func (c *Core) tryPreempt(j *job.Job) (Decision, bool) {
 		panic(fmt.Sprintf("schedcore: committing preemptive placement of %s: %v", j.ID, err))
 	}
 	c.addRunning(j, slot)
-	return Decision{
-		Job:         j,
-		Placement:   placement,
-		SLOViolated: placement.Utility < j.MinUtility,
-		Evictions:   evs,
-		Slot:        slot,
-	}, true
+	d.place(placement, slot)
+	d.Evictions = evs
 }
 
 // victimOrder ranks eviction candidates: lowest priority first (evict

@@ -516,9 +516,9 @@ func fullOfPriority(t *testing.T, prio int) *Core {
 // over the 400 running jobs.
 func TestSelectVictimsNoLowerTierAllocatesNothing(t *testing.T) {
 	c := fullOfPriority(t, 1)
-	hi := mkPrioJob("hi", 4, 1, 1000)
+	hi := &Decision{Job: mkPrioJob("hi", 4, 1, 1000), Postponed: true, Reason: "no-capacity"}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := c.decide(hi, true); ok {
+		if c.decide(hi, true) {
 			t.Fatal("preempted a job of equal priority")
 		}
 	}); n != 0 {

@@ -396,7 +396,8 @@ func TestMultiServerStateLogAggregation(t *testing.T) {
 // concurrent submits, releases and state polls — the one concurrent
 // sharded load run under -race in CI — and checks that no job was lost
 // or duplicated on the way. (Named for the place cache it was written to
-// guard; ROADMAP item 6 retires the TestMultiServer* names together.)
+// guard; the ROADMAP's "The frozen benchmark's residue" retires the
+// TestMultiServer* names together.)
 func TestMultiServerPlaceCacheConcurrent(t *testing.T) {
 	_, c := startServer(t, Config{
 		Spec: specArg(t, "minsky:8/domains[hash:4]"), Policy: schedcore.TopoAwareP,

@@ -47,6 +47,12 @@ type protoJob struct {
 	start     float64
 	baseIter  float64
 	iterBytes float64 // bytes moved over the interconnect per iteration
+	// wins holds the bytes credited to each sampling window from
+	// firstWin, the window of the job's first completed iteration, to the
+	// latest one: iterations complete in time order, so the windows a job
+	// touches are one dense run.
+	firstWin int
+	wins     []float64
 }
 
 // windowSize is the bandwidth sampling window in seconds, the nvidia-smi
@@ -78,7 +84,6 @@ func RunPrototype(cfg PrototypeConfig, jobs []*job.Job) (*PrototypeResult, error
 		cfg:       sim,
 		launched:  cluster.NewState(sim.Topology),
 		scheduler: scheduler,
-		windows:   map[string]map[int]float64{},
 		rng:       stats.NewRNG(sim.Seed),
 	}
 	if e.rank, err = e.events.queueArrivals(jobs); err != nil {
@@ -103,27 +108,22 @@ func RunPrototype(cfg PrototypeConfig, jobs []*job.Job) (*PrototypeResult, error
 		Bandwidth: map[string][]BandwidthPoint{},
 	}
 	res.orderTimeline()
-	for id, wins := range e.windows {
+	for i := range e.jobs {
+		r := &e.jobs[i]
+		if r.wins == nil {
+			continue
+		}
 		// Big batches complete fewer than one iteration per window;
 		// windows without a completion are genuine zero-usage samples
 		// and must appear in the series (Figure 5's low plateaus).
-		minW, maxW := -1, -1
-		for w := range wins {
-			if minW == -1 || w < minW {
-				minW = w
-			}
-			if w > maxW {
-				maxW = w
+		pts := make([]BandwidthPoint, len(r.wins))
+		for k, bytes := range r.wins {
+			pts[k] = BandwidthPoint{
+				Time: float64(r.firstWin+k) * windowSize,
+				GBs:  bytes / windowSize / 1e9,
 			}
 		}
-		pts := make([]BandwidthPoint, 0, maxW-minW+1)
-		for w := minW; w <= maxW; w++ {
-			pts = append(pts, BandwidthPoint{
-				Time: float64(w) * windowSize,
-				GBs:  wins[w] / windowSize / 1e9,
-			})
-		}
-		res.Bandwidth[id] = pts
+		res.Bandwidth[r.job.ID] = pts
 	}
 	return res, nil
 }
@@ -144,7 +144,6 @@ type protoEngine struct {
 	jobs      []protoJob     // one slot per job, in job-ID order
 	results   []JobResult    // one slot per job, in job-ID order
 	timeline  []Interval
-	windows   map[string]map[int]float64 // job -> window index -> bytes
 	makespan  float64
 	finished  int
 	rng       *stats.RNG
@@ -227,15 +226,18 @@ func (e *protoEngine) armIteration(rank int32) {
 }
 
 // accountIteration credits the iteration's interconnect bytes to the
-// sampling window containing its completion time.
+// sampling window containing its completion time, zero-filling the
+// windows since the job's last completion.
 func (e *protoEngine) accountIteration(r *protoJob) {
 	w := int(e.now / windowSize)
-	wins := e.windows[r.job.ID]
-	if wins == nil {
-		wins = map[int]float64{}
-		e.windows[r.job.ID] = wins
+	if r.wins == nil {
+		r.firstWin = w
 	}
-	wins[w] += r.iterBytes
+	k := w - r.firstWin
+	if k >= len(r.wins) {
+		r.wins = append(r.wins, make([]float64, k+1-len(r.wins))...)
+	}
+	r.wins[k] += r.iterBytes
 }
 
 // finish completes the job in the rank slot.
