@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -13,6 +14,12 @@ import (
 	"gputopo/internal/perfmodel"
 	"gputopo/internal/profile"
 )
+
+// ErrInfeasible is the error of every mapping the candidates cannot
+// take: too few of them, one not free, or no split of the job's tasks
+// that fits. One value, so a caller that tries many candidate sets and
+// discards the failures allocates nothing for them.
+var ErrInfeasible = errors.New("core: the candidates cannot take the job")
 
 // Mapper is the topology-aware placement engine: it runs the Dual
 // Recursive Bi-partitioning algorithm (Algorithm 2, based on Ercal et
@@ -55,17 +62,18 @@ func (m *Mapper) Place(j *job.Job, st *cluster.State, candidates []int) (*Placem
 // PlaceInto is Place writing the placement into dst, reusing the backing
 // array of dst.GPUs: a caller that scores many candidate sets and keeps
 // one pays for no placement it throws away. dst is only written on
-// success.
+// success. An invalid job fails with its validation error, an infeasible
+// mapping with ErrInfeasible.
 func (m *Mapper) PlaceInto(dst *Placement, j *job.Job, st *cluster.State, candidates []int) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
 	if len(candidates) < j.GPUs {
-		return fmt.Errorf("core: job %s needs %d GPUs, only %d candidates", j.ID, j.GPUs, len(candidates))
+		return ErrInfeasible
 	}
 	for _, pos := range candidates {
 		if st.Owner(pos) != "" {
-			return fmt.Errorf("core: candidate GPU %d is not free", pos)
+			return ErrInfeasible
 		}
 	}
 
@@ -101,10 +109,10 @@ func (m *Mapper) PlaceInto(dst *Placement, j *job.Job, st *cluster.State, candid
 		return err
 	}
 
-	for task, gpu := range d.assignment {
+	for _, gpu := range d.assignment {
 		if gpu < 0 {
 			release()
-			return fmt.Errorf("core: task %d of job %s left unmapped", task, j.ID)
+			return ErrInfeasible
 		}
 	}
 	// The task -> GPU order is spent: sort the assignment in place into
@@ -134,7 +142,7 @@ func (m *Mapper) placeAntiCollocated(dst *Placement, j *job.Job, st *cluster.Sta
 		}
 	}
 	if len(bestPerMachine) < j.GPUs {
-		return fmt.Errorf("core: anti-collocation needs %d machines, %d available", j.GPUs, len(bestPerMachine))
+		return ErrInfeasible
 	}
 	type cand struct {
 		pos     int
@@ -245,7 +253,7 @@ func (d *drbRun) recurse(tasks, gpus []int) error {
 		return nil // this partition is not a candidate (Alg. 2 line 2)
 	}
 	if len(tasks) > len(gpus) {
-		return fmt.Errorf("core: %d tasks cannot map onto %d GPUs", len(tasks), len(gpus))
+		return ErrInfeasible
 	}
 	if len(tasks) == len(gpus) {
 		for i, task := range tasks {
@@ -358,7 +366,7 @@ func (d *drbRun) jobGraphBiPartition(tasks, p0, p1 []int) (a0, a1 []int, err err
 			pick = 0
 		}
 		if pick == 0 && cap0 == 0 {
-			return nil, nil, fmt.Errorf("core: no capacity on either side for task %d", task)
+			return nil, nil, ErrInfeasible
 		}
 		if pick == 0 {
 			a0 = append(a0, task)

@@ -358,25 +358,38 @@ func TestSubmitDeepQueueAllocatesNothing(t *testing.T) {
 // passes the GPU gate but finds no machine with the bus headroom it needs
 // postpones the job without allocating: the placer answers nil, not an
 // error it formats for nobody, and the decision is written into the
-// round's reused buffer.
+// round's reused buffer. The single-node job finds no class to map; the
+// multi-node one is mapped once onto the other machine's GPUs, too few
+// for it, and the mapper's refusal is its one sentinel.
 func TestBusBlockedRoundAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random, so exact allocation counts do not hold")
 	}
-	c := newSched(t, TopoAware, topology.Power8Minsky())
-	hog := mkJob("hog", 16, 1, 0, 0)
-	if err := c.State().Allocate(hog.ID, []int{0}, c.State().FreeBusBandwidth(0), hog.Traits()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Submit(mkJob("a", 16, 2, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if ds := c.Schedule(); len(ds) != 1 || !ds[0].Postponed || ds[0].Reason != "no-capacity" {
-			t.Fatal("the job was not postponed on the committed bus")
+	multi := mkJob("a", 16, 6, 0, 0)
+	multi.SingleNode = false
+	for _, tc := range []struct {
+		name string
+		topo *topology.Topology
+		job  *job.Job
+	}{
+		{"single-node", topology.Power8Minsky(), mkJob("a", 16, 2, 0, 0)},
+		{"multi-node", topology.Cluster(2, topology.KindMinsky), multi},
+	} {
+		c := newSched(t, TopoAware, tc.topo)
+		hog := mkJob("hog", 16, 1, 0, 0)
+		if err := c.State().Allocate(hog.ID, []int{0}, c.State().FreeBusBandwidth(0), hog.Traits()); err != nil {
+			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("a bus-blocked round allocates %v objects", n)
+		if err := c.Submit(tc.job); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if ds := c.Schedule(); len(ds) != 1 || !ds[0].Postponed || ds[0].Reason != "no-capacity" {
+				t.Fatalf("%s: the job was not postponed on the committed bus", tc.name)
+			}
+		}); n != 0 {
+			t.Fatalf("%s: a bus-blocked round allocates %v objects", tc.name, n)
+		}
 	}
 }
 

@@ -11,11 +11,13 @@ import (
 )
 
 // Eviction records one victim displaced by a preemptive placement: the
-// job and the GPU positions its eviction freed (sorted ascending, as the
-// cluster state keeps them). GPUs is the released allocation's own list:
-// read it, do not write it.
+// job, the slot its allocation held (cluster.Allocation.Slot, the one its
+// placement decision reported) and the GPU positions its eviction freed
+// (sorted ascending, as the cluster state keeps them). GPUs is the
+// released allocation's own list: read it, do not write it.
 type Eviction struct {
 	Job  *job.Job
+	Slot int32
 	GPUs []int
 }
 
@@ -54,7 +56,7 @@ func (c *Core) tryPreempt(d *Decision) {
 	evs := make([]Eviction, len(victims))
 	for i, slot := range victims {
 		v := c.running[slot]
-		evs[i] = Eviction{Job: v, GPUs: c.state.AllocationAt(slot).GPUs}
+		evs[i] = Eviction{Job: v, Slot: slot, GPUs: c.state.AllocationAt(slot).GPUs}
 		if err := c.state.ReleaseSlot(slot); err != nil {
 			panic(fmt.Sprintf("schedcore: evicting %s: %v", v.ID, err))
 		}
@@ -117,7 +119,7 @@ func (c *Core) addRunning(j *job.Job, slot int32) {
 // running set and the victim index. A slot the core never placed into (a
 // test occupying GPUs on the state directly) is in neither.
 func (c *Core) removeRunning(slot int32) {
-	j := c.runningAt(slot)
+	j := c.RunningAt(slot)
 	if j == nil {
 		return
 	}
@@ -248,7 +250,7 @@ func (c *Core) selectVictims(j *job.Job) ([]int32, *core.Placement) {
 			// total, so this is the cluster-wide ranking filtered to m.
 			cands, held := c.victimCands[:0], c.victimHeld[:0]
 			for _, r := range c.state.Residents(m) {
-				v := c.runningAt(r.Alloc.Slot)
+				v := c.RunningAt(r.Alloc.Slot)
 				if v == nil || v.Priority >= j.Priority {
 					continue
 				}
@@ -298,9 +300,10 @@ func (c *Core) requeueVictims() {
 	c.pendingRequeue = c.pendingRequeue[:0]
 }
 
-// runningAt returns the job the core placed into the slot, nil when there
-// is none.
-func (c *Core) runningAt(slot int32) *job.Job {
+// RunningAt returns the job the core placed into the slot
+// (cluster.Allocation.Slot), nil when there is none: a driver reads a
+// running job's spec here instead of keeping its own job index.
+func (c *Core) RunningAt(slot int32) *job.Job {
 	if int(slot) < len(c.running) {
 		return c.running[slot]
 	}

@@ -55,8 +55,10 @@ type domain struct {
 	// rather than diverge silently.
 	logErr error
 
-	// Owned by the writer goroutine.
-	jobs map[string]*job.Job // every accepted, not-yet-released job
+	// Owned by the writer goroutine. The domain keeps no job index: its
+	// core answers for the running and queued jobs, and the Server's home
+	// map routes only this domain's jobs here.
+	//
 	// decisions is a circular buffer: once it reaches decisionLogCap,
 	// decHead marks the oldest record and appends overwrite in place.
 	decisions []serveapi.DecisionRecord
@@ -145,7 +147,6 @@ func newDomain(cfg Config, disc schedcore.QueueDiscipline, draining *atomic.Bool
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 		draining: draining,
-		jobs:     map[string]*job.Job{},
 	}
 	d.core.SetPreemption(cfg.Preemption)
 	if cfg.LogPath != "" {
@@ -337,7 +338,6 @@ func (d *domain) applySubmit(o *op, now float64, needRound *bool) {
 		o.fail(400, serveapi.CodeInvalidJob, "%v", err)
 		return
 	}
-	d.jobs[j.ID] = j
 	o.accepted = true
 	// Journal the fully resolved spec so replay rebuilds the exact job
 	// without re-running the defaulting.
@@ -347,13 +347,11 @@ func (d *domain) applySubmit(o *op, now float64, needRound *bool) {
 }
 
 // applyRelease frees a running job's GPUs (a scheduling round follows)
-// or withdraws a queued one.
+// or withdraws a queued one. The Server routes here only IDs it homed to
+// this domain; one that a concurrent DELETE took first is found neither
+// running nor queued and answers 404.
 func (d *domain) applyRelease(o *op, needRound *bool) {
 	id := o.id
-	if d.jobs[id] == nil {
-		o.fail(404, serveapi.CodeJobNotFound, "no queued or running job %q", id)
-		return
-	}
 	if d.log != nil && d.logErr != nil {
 		o.fail(500, serveapi.CodeInternal, "event log unavailable: %v", d.logErr)
 		return
@@ -364,7 +362,6 @@ func (d *domain) applyRelease(o *op, needRound *bool) {
 			o.fail(500, serveapi.CodeInternal, "%v", err)
 			return
 		}
-		delete(d.jobs, id)
 		o.accepted = true
 		o.released = true
 		d.logAppend(eventlog.Record{Type: eventlog.TypeRelease, Time: now, JobID: id})
@@ -372,7 +369,6 @@ func (d *domain) applyRelease(o *op, needRound *bool) {
 		return
 	}
 	if d.core.Withdraw(id) {
-		delete(d.jobs, id)
 		o.accepted = true
 		d.logAppend(eventlog.Record{Type: eventlog.TypeWithdraw, Time: now, JobID: id})
 		o.relResp = serveapi.ReleaseResponse{ID: id, Status: "withdrawn"}

@@ -42,17 +42,14 @@ func (d *domain) applyRecord(rec eventlog.Record) error {
 		if err := d.core.Submit(j); err != nil {
 			return fmt.Errorf("serve: replaying submit %q: %w", j.ID, err)
 		}
-		d.jobs[j.ID] = j
 	case eventlog.TypeRelease:
 		if err := d.core.Release(rec.JobID); err != nil {
 			return fmt.Errorf("serve: replaying release %q: %w", rec.JobID, err)
 		}
-		delete(d.jobs, rec.JobID)
 	case eventlog.TypeWithdraw:
 		if !d.core.Withdraw(rec.JobID) {
 			return fmt.Errorf("serve: replaying withdraw %q: job not queued", rec.JobID)
 		}
-		delete(d.jobs, rec.JobID)
 	case eventlog.TypeRound:
 		// Append-order within a batch is submit/release records, then the
 		// round, then its place records; a new round with unconsumed
@@ -138,7 +135,6 @@ func (d *domain) restoreSnapshot(sn *eventlog.Snapshot) error {
 		if err := d.core.Restore(j, rj.GPUs, rj.Bandwidth); err != nil {
 			return fmt.Errorf("serve: snapshot running job %q: %w", j.ID, err)
 		}
-		d.jobs[j.ID] = j
 	}
 	if len(sn.QueueState) > 0 && len(sn.QueueState) != len(sn.Queued) {
 		return fmt.Errorf("serve: snapshot has %d queue states for %d queued jobs", len(sn.QueueState), len(sn.Queued))
@@ -157,7 +153,6 @@ func (d *domain) restoreSnapshot(sn *eventlog.Snapshot) error {
 		if err := d.core.RestoreQueued(q); err != nil {
 			return fmt.Errorf("serve: snapshot queued job %q: %w", j.ID, err)
 		}
-		d.jobs[j.ID] = j
 	}
 	d.clockBase = sn.ClockSec
 	return nil
@@ -198,9 +193,9 @@ func (d *domain) writeSnapshot(now float64) {
 	st := d.core.State()
 	for _, id := range st.Jobs() {
 		alloc := st.Allocation(id)
-		j := d.jobs[id]
-		if j == nil || alloc == nil {
-			d.logErr = fmt.Errorf("serve: snapshot: running job %q has no tracked spec", id)
+		j := d.core.RunningAt(alloc.Slot)
+		if j == nil {
+			d.logErr = fmt.Errorf("serve: snapshot: running job %q was not placed by the core", id)
 			return
 		}
 		sn.Running = append(sn.Running, eventlog.RunningJob{

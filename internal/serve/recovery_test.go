@@ -561,3 +561,104 @@ func TestFsyncEveryBatchesSyncs(t *testing.T) {
 		t.Fatalf("recovered %d jobs under FsyncEvery, want 8", total)
 	}
 }
+
+// TestWithdrawnJobStaysGoneAcrossRestarts: a queued job withdrawn by a
+// DELETE is journaled as a withdrawal. A restart from the raw log after
+// Kill replays it, and a restart from the snapshot a graceful Close wrote
+// starts without it; either way /v1/state reads as before the restart,
+// the withdrawn job answers 404, and every recovered job is homed to the
+// domain that holds it, so its DELETE answers 200.
+func TestWithdrawnJobStaysGoneAcrossRestarts(t *testing.T) {
+	for _, arg := range []string{"minsky:2", "minsky:4/domains[hash:2]"} {
+		t.Run(arg, func(t *testing.T) {
+			ctx := ctxT(t)
+			dir := t.TempDir()
+			spec := specArg(t, arg)
+			cfg := Config{Spec: spec, Policy: schedcore.TopoAwareP, LogPath: filepath.Join(dir, "events.log"), SnapshotEvery: -1}
+			srv1, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts1 := httptest.NewServer(srv1.Handler())
+			c1 := client.New(ts1.URL)
+			mixedTraffic(t, spec, c1)
+			st0, _ := pinnedState(t, c1)
+			if len(st0.Running) == 0 || len(st0.Queue) < 2 {
+				t.Fatalf("workload left no mixed state to recover: %+v", st0)
+			}
+			gone := st0.Queue[0].ID
+			if rr, err := c1.ReleaseJob(ctx, gone); err != nil || rr.Status != "withdrawn" {
+				t.Fatalf("DELETE %s: %+v %v", gone, rr, err)
+			}
+			st1, js1 := pinnedState(t, c1)
+			if len(st1.Queue) != len(st0.Queue)-1 || len(st1.Running) != len(st0.Running) {
+				t.Fatalf("the withdrawal changed more than the queue: %+v", st1)
+			}
+			ts1.Close()
+			srv1.Kill()
+
+			// The snapshot restart runs on a copy of the raw log.
+			snapDir := t.TempDir()
+			files, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				b, err := os.ReadFile(filepath.Join(dir, f.Name()))
+				if err == nil {
+					err = os.WriteFile(filepath.Join(snapDir, f.Name()), b, 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			snapCfg := cfg
+			snapCfg.LogPath = filepath.Join(snapDir, "events.log")
+			srv, err := New(snapCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for _, restart := range []struct {
+				name     string
+				cfg      Config
+				snapshot bool
+			}{{"raw log", cfg, false}, {"snapshot", snapCfg, true}} {
+				srv, err := New(restart.cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", restart.name, err)
+				}
+				if restart.snapshot && srv.Replayed() != srv.Domains() {
+					t.Fatalf("%s: %d records replayed over %d domains, want one snapshot each", restart.name, srv.Replayed(), srv.Domains())
+				}
+				ts := httptest.NewServer(srv.Handler())
+				c := client.New(ts.URL)
+				st, js := pinnedState(t, c)
+				if string(js) != string(js1) {
+					t.Fatalf("%s: /v1/state diverged:\n before: %s\n after:  %s", restart.name, js1, js)
+				}
+				var apiErr *client.APIError
+				if _, err := c.ReleaseJob(ctx, gone); !asAPIError(err, &apiErr) || apiErr.Status != 404 {
+					t.Fatalf("%s: DELETE of the withdrawn %s: %v, want 404", restart.name, gone, err)
+				}
+				var ids []string
+				for _, r := range st.Running {
+					ids = append(ids, r.ID)
+				}
+				for _, q := range st.Queue {
+					ids = append(ids, q.ID)
+				}
+				for _, id := range ids {
+					if _, err := c.ReleaseJob(ctx, id); err != nil {
+						t.Fatalf("%s: DELETE %s: %v", restart.name, id, err)
+					}
+				}
+				ts.Close()
+				srv.Kill()
+			}
+		})
+	}
+}

@@ -189,8 +189,12 @@ func New(cfg Config) (*Server, error) {
 		// journaled it — so releases and withdrawals of pre-crash jobs find
 		// their loop — and the counter resumes above the largest recovered
 		// job-N, so fresh generated IDs never collide with replayed ones.
-		// The loop is idle until the first request, so its map is ours.
-		for id := range dom.jobs {
+		// The loop is idle until the first request, so its core is ours.
+		ids := dom.core.Running()
+		for _, j := range dom.core.Queued() {
+			ids = append(ids, j.ID)
+		}
+		for _, id := range ids {
 			if prev, taken := s.home[id]; taken {
 				s.Kill()
 				return nil, fmt.Errorf("serve: job %q recovered in domains %d and %d: per-domain logs violate the global ID namespace", id, prev, d)

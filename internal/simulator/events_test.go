@@ -19,14 +19,14 @@ import (
 type popped struct {
 	time float64
 	kind eventKind
-	rank int32
+	slot int32
 	job  string
 }
 
 func (ev event) read() popped {
-	p := popped{time: ev.time, kind: ev.kind, rank: ev.rank}
+	p := popped{time: ev.time, kind: ev.kind, slot: ev.slot}
 	if ev.kind == evArrival {
-		p.job, p.rank = ev.job.ID, 0
+		p.job, p.slot = ev.job.ID, 0
 	}
 	return p
 }
@@ -51,14 +51,14 @@ func TestEventQueuePopsInStableOrder(t *testing.T) {
 		jobs := arrivalsAt(200, 1.5, 0, 1, 0.5, 1)
 		rng.Shuffle(len(jobs), func(i, k int) { jobs[i], jobs[k] = jobs[k], jobs[i] })
 		var q eventQueue
-		if _, err := q.queueArrivals(jobs); err != nil {
+		if err := q.queueArrivals(jobs); err != nil {
 			t.Fatal(err)
 		}
 		var outstanding []popped // in queue order
 		for _, j := range jobs {
 			outstanding = append(outstanding, popped{time: j.Arrival, kind: evArrival, job: j.ID})
 		}
-		var free []int32 // ranks without a finish event
+		var free []int32 // slots without a finish event
 		for r := range jobs {
 			free = append(free, int32(r))
 		}
@@ -78,7 +78,7 @@ func TestEventQueuePopsInStableOrder(t *testing.T) {
 				t.Fatalf("seed %d step %d: popped %+v (ok %v), want %+v", seed, step, got, ok, want)
 			}
 			if got.kind == evFinish {
-				free = append(free, got.rank)
+				free = append(free, got.slot)
 			}
 			if len(outstanding) > 0 && outstanding[0].time == got.time && outstanding[0].kind == got.kind {
 				ties++
@@ -87,11 +87,11 @@ func TestEventQueuePopsInStableOrder(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			if len(outstanding) == 0 || len(free) > 0 && rng.Intn(3) > 0 {
 				i := rng.Intn(len(free))
-				rank := free[i]
+				slot := free[i]
 				free = slices.Delete(free, i, i+1)
 				at := float64(rng.Intn(4)) / 2
-				q.arm(rank, at)
-				outstanding = append(outstanding, popped{time: at, kind: evFinish, rank: rank})
+				q.arm(slot, at)
+				outstanding = append(outstanding, popped{time: at, kind: evFinish, slot: slot})
 				continue
 			}
 			check(step)
@@ -150,22 +150,22 @@ func (q *lazyQueue) push(p popped, gen int) {
 	q.pushed++
 }
 
-func (q *lazyQueue) arm(rank int32, t float64) {
-	q.gen[rank]++
-	q.live[rank] = true
-	q.push(popped{time: t, kind: evFinish, rank: rank}, q.gen[rank])
+func (q *lazyQueue) arm(slot int32, t float64) {
+	q.gen[slot]++
+	q.live[slot] = true
+	q.push(popped{time: t, kind: evFinish, slot: slot}, q.gen[slot])
 }
 
-func (q *lazyQueue) disarm(rank int32) { q.gen[rank]++; q.live[rank] = false }
+func (q *lazyQueue) disarm(slot int32) { q.gen[slot]++; q.live[slot] = false }
 
 func (q *lazyQueue) pop() (popped, bool) {
 	for q.Len() > 0 {
 		ev := stdheap.Pop(q).(lazyEvent)
 		if ev.kind == evFinish {
-			if ev.gen != q.gen[ev.rank] {
+			if ev.gen != q.gen[ev.slot] {
 				continue // stale
 			}
-			q.live[ev.rank] = false
+			q.live[ev.slot] = false
 		}
 		return ev.popped, true
 	}
@@ -181,7 +181,7 @@ func TestEventQueueMatchesLazyDeletion(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		jobs := arrivalsAt(20, 2, 0, 1, 0.5, 1)
 		var q eventQueue
-		if _, err := q.queueArrivals(jobs); err != nil {
+		if err := q.queueArrivals(jobs); err != nil {
 			t.Fatal(err)
 		}
 		ref := lazyQueue{gen: make([]int, len(jobs)), live: make([]bool, len(jobs))}
@@ -190,25 +190,25 @@ func TestEventQueueMatchesLazyDeletion(t *testing.T) {
 		}
 		pops, rearms := 0, 0
 		for step := 0; step < 600; step++ {
-			rank := int32(rng.Intn(len(jobs)))
+			slot := int32(rng.Intn(len(jobs)))
 			at := float64(rng.Intn(5)) / 2
 			op := rng.Intn(9)
 			if op < 2 {
-				// Re-arm: move rank on to the next job with an event, if any.
-				for k := 0; k < len(jobs) && !ref.live[rank]; k++ {
-					rank = (rank + 1) % int32(len(jobs))
+				// Re-arm: move slot on to the next job with an event, if any.
+				for k := 0; k < len(jobs) && !ref.live[slot]; k++ {
+					slot = (slot + 1) % int32(len(jobs))
 				}
 			}
 			switch {
 			case op < 4:
-				if ref.live[rank] {
+				if ref.live[slot] {
 					rearms++
 				}
-				q.arm(rank, at)
-				ref.arm(rank, at)
+				q.arm(slot, at)
+				ref.arm(slot, at)
 			case op < 5:
-				q.disarm(rank)
-				ref.disarm(rank)
+				q.disarm(slot)
+				ref.disarm(slot)
 			default:
 				ev, ok := q.pop()
 				want, wantOK := ref.pop()
@@ -238,7 +238,7 @@ func TestEventQueueMatchesLazyDeletion(t *testing.T) {
 // a re-arm and a pop allocate nothing.
 func TestEventQueueAllocatesNothing(t *testing.T) {
 	var q eventQueue
-	if _, err := q.queueArrivals(arrivalsAt(64, 1e6)); err != nil {
+	if err := q.queueArrivals(arrivalsAt(64, 1e6)); err != nil {
 		t.Fatal(err)
 	}
 	for r := int32(0); r < 63; r++ {
@@ -249,7 +249,7 @@ func TestEventQueueAllocatesNothing(t *testing.T) {
 		n++
 		q.arm(int32(n%63), float64(n%11))
 		ev, _ := q.pop()
-		q.arm(ev.rank, float64(n%13))
+		q.arm(ev.slot, float64(n%13))
 	})
 	if allocs != 0 {
 		t.Fatalf("arm+pop allocates %v objects, want 0", allocs)
@@ -324,7 +324,7 @@ func BenchmarkEventQueue(b *testing.B) {
 	const jobs, running = 15_000, 192
 	var q eventQueue
 	// The arrivals lie past any finish, so the queue holds them throughout.
-	if _, err := q.queueArrivals(arrivalsAt(jobs, 1e12)); err != nil {
+	if err := q.queueArrivals(arrivalsAt(jobs, 1e12)); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -337,6 +337,6 @@ func BenchmarkEventQueue(b *testing.B) {
 		for k := 0; k < 3; k++ {
 			q.arm(int32(rng.Intn(running)), ev.time+1000*rng.Float64())
 		}
-		q.arm(ev.rank, ev.time+1000*rng.Float64())
+		q.arm(ev.slot, ev.time+1000*rng.Float64())
 	}
 }

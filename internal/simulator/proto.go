@@ -39,7 +39,8 @@ type PrototypeResult struct {
 	Bandwidth map[string][]BandwidthPoint
 }
 
-// protoJob is the prototype's record of a launched job, in its rank slot.
+// protoJob is the prototype's record of a launched job, in its allocation
+// slot.
 type protoJob struct {
 	placed
 	alloc     *cluster.Allocation // its row in protoEngine.launched
@@ -85,47 +86,23 @@ func RunPrototype(cfg PrototypeConfig, jobs []*job.Job) (*PrototypeResult, error
 		launched:  cluster.NewState(sim.Topology),
 		scheduler: scheduler,
 		rng:       stats.NewRNG(sim.Seed),
+		// Slots stay below the GPU count, as in Run.
+		running: make([]protoJob, sim.Topology.NumGPUs()),
+		res:     PrototypeResult{Bandwidth: map[string][]BandwidthPoint{}},
 	}
-	if e.rank, err = e.events.queueArrivals(jobs); err != nil {
+	if err := e.events.queueArrivals(jobs); err != nil {
 		return nil, err
 	}
 	// Every job finishes once and spans at least one interval.
-	e.jobs = make([]protoJob, len(jobs))
-	e.results = make([]JobResult, len(jobs))
-	e.timeline = make([]Interval, 0, len(jobs))
+	e.res.Jobs = make([]JobResult, 0, len(jobs))
+	e.res.Timeline = make([]Interval, 0, len(jobs))
 	if err := e.loop(len(jobs)); err != nil {
 		return nil, err
 	}
-
-	res := &PrototypeResult{
-		Result: Result{
-			Policy:     sim.Policy,
-			Jobs:       e.results,
-			Makespan:   e.makespan,
-			Timeline:   e.timeline,
-			SchedStats: scheduler.Stats(),
-		},
-		Bandwidth: map[string][]BandwidthPoint{},
-	}
-	res.orderTimeline()
-	for i := range e.jobs {
-		r := &e.jobs[i]
-		if r.wins == nil {
-			continue
-		}
-		// Big batches complete fewer than one iteration per window;
-		// windows without a completion are genuine zero-usage samples
-		// and must appear in the series (Figure 5's low plateaus).
-		pts := make([]BandwidthPoint, len(r.wins))
-		for k, bytes := range r.wins {
-			pts[k] = BandwidthPoint{
-				Time: float64(r.firstWin+k) * windowSize,
-				GBs:  bytes / windowSize / 1e9,
-			}
-		}
-		res.Bandwidth[r.job.ID] = pts
-	}
-	return res, nil
+	res := e.res // a copy: the result must not keep the engine alive
+	res.Policy, res.SchedStats = sim.Policy, scheduler.Stats()
+	res.order()
+	return &res, nil
 }
 
 type protoEngine struct {
@@ -140,12 +117,8 @@ type protoEngine struct {
 	scheduler *schedcore.Core
 	events    eventQueue
 	now       float64
-	rank      map[string]int // job ID -> its slot in jobs and results
-	jobs      []protoJob     // one slot per job, in job-ID order
-	results   []JobResult    // one slot per job, in job-ID order
-	timeline  []Interval
-	makespan  float64
-	finished  int
+	running   []protoJob      // allocation slot -> the job running there
+	res       PrototypeResult // jobs and timeline in finish order, the makespan, the bandwidth series
 	rng       *stats.RNG
 }
 
@@ -170,23 +143,23 @@ func (e *protoEngine) loop(total int) error {
 				return err
 			}
 		case evFinish: // one iteration's end
-			r := &e.jobs[ev.rank]
+			r := &e.running[ev.slot]
 			e.accountIteration(r)
 			r.remaining--
 			if r.remaining == 0 {
-				if err := e.finish(ev.rank); err != nil {
+				if err := e.finish(ev.slot); err != nil {
 					return err
 				}
 				if err := e.runScheduler(); err != nil {
 					return err
 				}
 			} else {
-				e.armIteration(ev.rank)
+				e.armIteration(ev.slot)
 			}
 		}
 	}
-	if e.finished != total {
-		return fmt.Errorf("simulator: prototype finished only %d of %d jobs", e.finished, total)
+	if n := len(e.res.Jobs); n != total {
+		return fmt.Errorf("simulator: prototype finished only %d of %d jobs", n, total)
 	}
 	return nil
 }
@@ -201,8 +174,7 @@ func (e *protoEngine) runScheduler() error {
 			return err
 		}
 		spec := perfmodel.GetSpec(j.Model)
-		rank := int32(e.rank[j.ID])
-		e.jobs[rank] = protoJob{
+		e.running[d.Slot] = protoJob{
 			placed:    placedBy(d),
 			alloc:     e.launched.Allocation(j.ID),
 			remaining: j.Iterations,
@@ -210,19 +182,19 @@ func (e *protoEngine) runScheduler() error {
 			baseIter:  perfmodel.IterationTimeMode(j.Model, j.BatchSize, e.cfg.Topology, d.Placement.GPUs, computeScale, j.Parallelism),
 			iterBytes: perfmodel.RingVolume(j.Model, len(d.Placement.GPUs)) + float64(j.BatchSize)*spec.InputBytesPerSample,
 		}
-		e.armIteration(rank)
+		e.armIteration(d.Slot)
 	}
 	return nil
 }
 
 // armIteration schedules the end of the next iteration of the job in the
-// rank slot, whose duration reflects the co-location interference at its
+// slot, whose duration reflects the co-location interference at its
 // start — the same cluster.State.Slowdown the trace-driven simulator rates
 // jobs by, over the jobs launched so far.
-func (e *protoEngine) armIteration(rank int32) {
-	r := &e.jobs[rank]
+func (e *protoEngine) armIteration(slot int32) {
+	r := &e.running[slot]
 	d := jitter(e.rng, e.cfg.JitterStddev, r.baseIter*(1+e.launched.Slowdown(r.alloc)))
-	e.events.arm(rank, e.now+d)
+	e.events.arm(slot, e.now+d)
 }
 
 // accountIteration credits the iteration's interconnect bytes to the
@@ -240,20 +212,28 @@ func (e *protoEngine) accountIteration(r *protoJob) {
 	r.wins[k] += r.iterBytes
 }
 
-// finish completes the job in the rank slot.
-func (e *protoEngine) finish(rank int32) error {
-	r := &e.jobs[rank]
+// finish completes the job in the slot and writes its bandwidth series.
+// Big batches complete fewer than one iteration per window; windows
+// without a completion are genuine zero-usage samples and appear in the
+// series (Figure 5's low plateaus).
+func (e *protoEngine) finish(slot int32) error {
+	r := &e.running[slot]
 	if err := e.scheduler.Release(r.job.ID); err != nil {
 		return err
 	}
 	if err := e.launched.Release(r.job.ID); err != nil {
 		return err
 	}
-	e.finished++
-	if e.now > e.makespan {
-		e.makespan = e.now
+	e.res.Makespan = max(e.res.Makespan, e.now)
+	e.res.Jobs = append(e.res.Jobs, r.result(e.cfg.Topology, r.start, e.now, 0))
+	e.res.Timeline = append(e.res.Timeline, r.interval(r.start, e.now))
+	pts := make([]BandwidthPoint, len(r.wins))
+	for k, bytes := range r.wins {
+		pts[k] = BandwidthPoint{
+			Time: float64(r.firstWin+k) * windowSize,
+			GBs:  bytes / windowSize / 1e9,
+		}
 	}
-	e.results[rank] = r.result(e.cfg.Topology, r.start, e.now, 0)
-	e.timeline = append(e.timeline, r.interval(r.start, e.now))
+	e.res.Bandwidth[r.job.ID] = pts
 	return nil
 }

@@ -134,28 +134,12 @@ func RunSharded(cfg Config, shards []Shard, jobs []*job.Job, workers int) (*Resu
 // under the engine's ordering contracts.
 func mergeShardResults(cfg Config, results []*Result, gpuMaps [][]int) *Result {
 	merged := &Result{Policy: cfg.Policy}
-	// Each domain's jobs ascend by ID already: merging the runs keeps
-	// merged.Jobs in ID order without sorting the results themselves.
-	total := 0
-	for _, r := range results {
-		total += len(r.Jobs)
-	}
-	merged.Jobs = make([]JobResult, 0, total)
-	heads := make([]int, len(results))
-	for len(merged.Jobs) < total {
-		d := -1
-		for k, r := range results {
-			if heads[k] < len(r.Jobs) && (d < 0 || r.Jobs[heads[k]].Job.ID < results[d].Jobs[heads[d]].Job.ID) {
-				d = k
-			}
-		}
-		jr := results[d].Jobs[heads[d]]
-		heads[d]++
-		jr.GPUs = domains.GlobalGPUs(gpuMaps[d], jr.GPUs)
-		merged.Jobs = append(merged.Jobs, jr)
-	}
 	for d, r := range results {
 		gmap := gpuMaps[d]
+		for _, jr := range r.Jobs {
+			jr.GPUs = domains.GlobalGPUs(gmap, jr.GPUs)
+			merged.Jobs = append(merged.Jobs, jr)
+		}
 		for _, iv := range r.Timeline {
 			iv.GPUs = domains.GlobalGPUs(gmap, iv.GPUs)
 			merged.Timeline = append(merged.Timeline, iv)
@@ -165,6 +149,6 @@ func mergeShardResults(cfg Config, results []*Result, gpuMaps [][]int) *Result {
 		}
 		merged.SchedStats.Add(r.SchedStats)
 	}
-	merged.orderTimeline()
+	merged.order()
 	return merged
 }
