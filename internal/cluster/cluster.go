@@ -57,11 +57,10 @@ type State struct {
 	// owner maps a GPU position to the slot of the allocation holding
 	// it, -1 when the GPU is free. slots is the slot table: slot ->
 	// allocation, nil when the slot is empty. freeSlots lists the empty
-	// slots Allocate hands out again, most recently freed last; a slot a
-	// Release inside a trial empties stays off it, so Rollback puts the
-	// same allocation back at the same slot. ids maps a job ID to its
-	// slot; only the methods that take a job ID read it, and inside a
-	// trial it keeps the entries of the jobs the trial released.
+	// slots Allocate hands out again, most recently freed last, inside a
+	// trial too. ids maps a job ID to its slot; only the methods that take
+	// a job ID read it, through lookup. Inside a trial it keeps the
+	// entries of the jobs the trial released until Commit.
 	owner     []int32
 	slots     []*Allocation
 	freeSlots []int32
@@ -99,20 +98,35 @@ type State struct {
 	residents  [][]Resident
 	residentOK []bool
 
-	// trial journals the what-if Mark opened, until Rollback undoes it.
+	// trial journals the what-if Mark opened, until Commit keeps it or
+	// Rollback undoes it.
 	trial trial
 }
 
-// trial is the journal of an open what-if: the Eq. 5 sum Mark saved, and
-// what each Release inside it undid, in order.
+// trial is the journal of an open what-if: every AllocateSlot and
+// ReleaseSlot since Mark, in order, each bus reading they changed, and
+// the Eq. 5 sum Mark saved.
 type trial struct {
-	open     bool
-	released []*Allocation
-	bus      []busMark
-	fragSum  float64
+	open    bool
+	steps   []step
+	bus     []busMark
+	fragSum float64
 }
 
-// busMark is one machine's committed bus bandwidth before a Release
+// step is one journalled mutation: the allocation a ReleaseSlot took out
+// of its slot (release), or the one an AllocateSlot put into its slot. For
+// an allocation, grew reports that the slot was appended to the table
+// rather than taken off the free list, and prev is the slot the job-ID map
+// named for the job before, -1 when it had no entry (a job the trial
+// released keeps its entry until Commit).
+type step struct {
+	alloc   *Allocation
+	release bool
+	grew    bool
+	prev    int32
+}
+
+// busMark is one machine's committed bus bandwidth before a mutation
 // inside a trial changed it.
 type busMark struct {
 	m    int
@@ -287,9 +301,9 @@ func (s *State) FreeBusBandwidth(m int) float64 {
 
 // Allocate assigns the given GPUs to jobID, committing the stated
 // shared-bus bandwidth on every machine the job touches and recording the
-// job's interference traits. It fails if any GPU is already owned, the job
-// already has an allocation, a position is out of range, or a trial is
-// open.
+// job's interference traits. It fails, changing nothing, if any GPU is
+// already owned, the job already has an allocation or a position is out
+// of range. Inside a trial it journals the allocation for Rollback.
 func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits perfmodel.Traits) error {
 	_, err := s.AllocateSlot(jobID, gpus, bandwidth, traits)
 	return err
@@ -298,13 +312,10 @@ func (s *State) Allocate(jobID string, gpus []int, bandwidth float64, traits per
 // AllocateSlot is Allocate returning the slot the allocation took: the
 // most recently freed one, or a new one when none is free.
 func (s *State) AllocateSlot(jobID string, gpus []int, bandwidth float64, traits perfmodel.Traits) (int32, error) {
-	if s.trial.open {
-		return -1, fmt.Errorf("cluster: allocating %s inside a trial", jobID)
-	}
 	if jobID == "" {
 		return -1, fmt.Errorf("cluster: empty job ID")
 	}
-	if _, exists := s.ids[jobID]; exists {
+	if _, ok := s.lookup(jobID); ok {
 		return -1, fmt.Errorf("cluster: job %s already allocated", jobID)
 	}
 	if len(gpus) == 0 {
@@ -321,9 +332,9 @@ func (s *State) AllocateSlot(jobID string, gpus []int, bandwidth float64, traits
 			return -1, fmt.Errorf("cluster: GPU %d already owned by %s", pos, s.Owner(pos))
 		}
 	}
-	slot := int32(len(s.slots))
+	slot, grew := int32(len(s.slots)), true
 	if n := len(s.freeSlots); n > 0 {
-		slot, s.freeSlots = s.freeSlots[n-1], s.freeSlots[:n-1]
+		slot, s.freeSlots, grew = s.freeSlots[n-1], s.freeSlots[:n-1], false
 	} else {
 		s.slots = append(s.slots, nil)
 	}
@@ -336,8 +347,16 @@ func (s *State) AllocateSlot(jobID string, gpus []int, bandwidth float64, traits
 		s.fragSum -= 1 / float64(s.topo.SocketSize(pos))
 		s.touch(m)
 		if s.firstOnMachine(alloc.GPUs, i) {
+			s.markBus(m)
 			s.busUsed[m] += bandwidth
 		}
+	}
+	if s.trial.open {
+		prev, had := s.ids[jobID]
+		if !had {
+			prev = -1
+		}
+		s.trial.steps = append(s.trial.steps, step{alloc: alloc, grew: grew, prev: prev})
 	}
 	s.slots[slot], s.ids[jobID] = alloc, slot
 	return slot, nil
@@ -347,16 +366,16 @@ func (s *State) AllocateSlot(jobID string, gpus []int, bandwidth float64, traits
 // error (it indicates a simulator bookkeeping bug). Inside a trial it
 // journals the allocation and each bus it uncommits, for Rollback.
 func (s *State) Release(jobID string) error {
-	if slot, ok := s.ids[jobID]; ok && s.slots[slot] != nil {
+	if slot, ok := s.lookup(jobID); ok {
 		return s.ReleaseSlot(slot)
 	}
 	return fmt.Errorf("cluster: job %s has no allocation", jobID)
 }
 
-// ReleaseSlot is Release of the allocation in the slot. Outside a trial
-// the slot goes on the free list; inside one it stays empty and reserved
-// for Rollback, and the job-ID map is left as it is, so a what-if hashes
-// no job ID.
+// ReleaseSlot is Release of the allocation in the slot; the slot goes on
+// the free list, so a later Allocate may take it, inside a trial too.
+// Inside a trial the job-ID map is left as it is — a what-if hashes no job
+// ID — and Commit settles it.
 func (s *State) ReleaseSlot(slot int32) error {
 	if slot < 0 || int(slot) >= len(s.slots) || s.slots[slot] == nil {
 		return fmt.Errorf("cluster: slot %d holds no allocation", slot)
@@ -369,9 +388,7 @@ func (s *State) ReleaseSlot(slot int32) error {
 		s.fragSum += 1 / float64(s.topo.SocketSize(pos))
 		s.touch(m)
 		if s.firstOnMachine(alloc.GPUs, i) {
-			if s.trial.open {
-				s.trial.bus = append(s.trial.bus, busMark{m: m, used: s.busUsed[m]})
-			}
+			s.markBus(m)
 			s.busUsed[m] -= alloc.Bandwidth
 			if s.busUsed[m] < 1e-9 {
 				s.busUsed[m] = 0 // drop the float residue of an emptied bus
@@ -379,19 +396,28 @@ func (s *State) ReleaseSlot(slot int32) error {
 		}
 	}
 	s.slots[slot] = nil
+	s.freeSlots = append(s.freeSlots, slot)
 	if s.trial.open {
-		s.trial.released = append(s.trial.released, alloc)
+		s.trial.steps = append(s.trial.steps, step{alloc: alloc, release: true})
 	} else {
-		s.freeSlots = append(s.freeSlots, slot)
 		delete(s.ids, alloc.JobID)
 	}
 	return nil
 }
 
-// Mark opens a trial: a what-if the state returns from exactly. Inside it
-// every reader and Release work as usual, Allocate is refused, and
-// Rollback undoes the releases and closes it. Trials do not nest: Mark
-// inside an open one is an error.
+// markBus journals machine m's committed bus bandwidth, inside a trial,
+// before a mutation changes it.
+func (s *State) markBus(m int) {
+	if s.trial.open {
+		s.trial.bus = append(s.trial.bus, busMark{m: m, used: s.busUsed[m]})
+	}
+}
+
+// Mark opens a trial: a step of several mutations that either commits
+// whole or leaves the state exactly as it found it. Inside it every
+// reader, Allocate and Release work as usual and are journalled in order;
+// Commit keeps them and Rollback undoes them, and either closes the
+// trial. Trials do not nest: Mark inside an open one is an error.
 func (s *State) Mark() error {
 	t := &s.trial
 	if t.open {
@@ -401,10 +427,24 @@ func (s *State) Mark() error {
 	return nil
 }
 
-// Rollback undoes every Release since Mark and closes the trial. The same
-// *Allocation values go back into their slots and the owner table,
-// and the free counts and the free-count histogram count back down. The
-// float gauges — each bus Release uncommitted, the Eq. 5 sum — take the
+// Commit keeps every mutation since Mark and closes the trial: the state
+// is then the one the same calls make outside a trial, slot for slot. It
+// drops the job-ID entries of the jobs the trial released and did not
+// place again. Without an open trial it does nothing.
+func (s *State) Commit() {
+	s.settleIDs(s)
+	s.closeTrial()
+}
+
+// Rollback undoes every mutation since Mark, newest first, and closes the
+// trial. A released allocation — the same *Allocation value — comes off
+// the end of the free list back into its slot and the owner table; an
+// allocated one leaves its slot for the free list or, when it grew the
+// table, takes the slot off the table, and the job-ID map gets its old
+// entry back. So the free list, the slot table and the map are the ones
+// Mark saw, and a rolled-back step leaves the state a step never run
+// leaves. The free counts and the free-count histogram count back. The
+// float gauges — each bus the trial changed, the Eq. 5 sum — take the
 // values they had at Mark, so they come back bit for bit, which
 // (a − x) + x would not guarantee. The touched machines go on the dirty
 // list and their resident rows stale, and rebuild on demand: a class id
@@ -412,26 +452,77 @@ func (s *State) Mark() error {
 // did before. Without an open trial it does nothing.
 func (s *State) Rollback() {
 	t := &s.trial
-	if !t.open {
-		return
-	}
-	for _, a := range t.released {
-		s.slots[a.Slot] = a
-		for _, pos := range a.GPUs {
-			s.owner[pos] = a.Slot
-			m := s.topo.MachineOf(pos)
-			s.moveFree(m, -1)
-			s.touch(m)
+	for i := len(t.steps) - 1; i >= 0; i-- {
+		st := &t.steps[i]
+		a := st.alloc
+		if st.release {
+			s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
+			s.slots[a.Slot] = a
+			s.own(a, a.Slot, -1)
+			continue
+		}
+		s.own(a, -1, +1)
+		s.slots[a.Slot] = nil
+		if st.grew {
+			s.slots = s.slots[:a.Slot]
+		} else {
+			s.freeSlots = append(s.freeSlots, a.Slot)
+		}
+		if st.prev >= 0 {
+			s.ids[a.JobID] = st.prev
+		} else {
+			delete(s.ids, a.JobID)
 		}
 	}
-	// Backwards: a machine two released jobs shared keeps its first,
-	// pre-trial reading.
+	// Backwards: a machine two steps changed keeps its first, pre-trial
+	// reading.
 	for i := len(t.bus) - 1; i >= 0; i-- {
 		s.busUsed[t.bus[i].m] = t.bus[i].used
 	}
-	s.fragSum = t.fragSum
-	clear(t.released) // hold no allocation past the trial
-	t.released, t.bus, t.open = t.released[:0], t.bus[:0], false
+	if t.open {
+		s.fragSum = t.fragSum
+	}
+	s.closeTrial()
+}
+
+// settleIDs drops from dst's job-ID map — s's own, or a Clone's — the
+// jobs s's open trial released and did not place again.
+func (s *State) settleIDs(dst *State) {
+	for _, st := range s.trial.steps {
+		if !st.release {
+			continue
+		}
+		if _, ok := dst.lookup(st.alloc.JobID); !ok {
+			delete(dst.ids, st.alloc.JobID)
+		}
+	}
+}
+
+// closeTrial empties the journal, keeping its arrays, and closes the
+// trial.
+func (s *State) closeTrial() {
+	t := &s.trial
+	clear(t.steps) // hold no allocation past the trial
+	t.steps, t.bus, t.open = t.steps[:0], t.bus[:0], false
+}
+
+// own gives a's GPUs to the slot (-1: frees them), moving each machine's
+// free count by d.
+func (s *State) own(a *Allocation, slot int32, d int) {
+	for _, pos := range a.GPUs {
+		s.owner[pos] = slot
+		m := s.topo.MachineOf(pos)
+		s.moveFree(m, d)
+		s.touch(m)
+	}
+}
+
+// lookup returns the slot of jobID's allocation. Inside a trial the ID
+// map still names the slot a released job held, which a later Allocate
+// may have handed to another job, so the slot must hold jobID.
+func (s *State) lookup(jobID string) (int32, bool) {
+	slot, ok := s.ids[jobID]
+	return slot, ok && s.slots[slot] != nil && s.slots[slot].JobID == jobID
 }
 
 // firstOnMachine reports whether gpus[i] opens its machine's run in the
@@ -443,7 +534,7 @@ func (s *State) firstOnMachine(gpus []int, i int) bool {
 
 // Allocation returns the allocation of jobID, or nil.
 func (s *State) Allocation(jobID string) *Allocation {
-	if slot, ok := s.ids[jobID]; ok {
+	if slot, ok := s.lookup(jobID); ok {
 		return s.slots[slot]
 	}
 	return nil
@@ -600,7 +691,7 @@ func (s *State) CheckInvariants() error {
 		return err
 	}
 	if s.trial.open {
-		return fmt.Errorf("cluster: a trial is open (%d releases since Mark, no Rollback)", len(s.trial.released))
+		return fmt.Errorf("cluster: a trial is open (%d steps since Mark, no Commit or Rollback)", len(s.trial.steps))
 	}
 	if err := s.checkClasses(); err != nil {
 		return err
@@ -687,20 +778,27 @@ func (s *State) CheckInvariants() error {
 // checkSlots holds the handle tables to one another: every owned GPU
 // names a slot that holds an allocation listing it, and every allocation
 // is at its own Slot, owns each of its GPUs there, and is the ID map's
-// entry for its job. Every other slot is empty: on the free list once, or,
-// while a trial is open, emptied by a Release of that trial and off the
-// free list. The ID map holds exactly the allocated jobs and the jobs an
-// open trial released, each at its slot.
+// entry for its job. Every other slot is empty and on the free list once.
+// The ID map holds exactly the allocated jobs and, while a trial is open,
+// the jobs it released and did not place again.
 func (s *State) checkSlots() error {
 	for pos, o := range s.owner {
 		if o >= 0 && (int(o) >= len(s.slots) || s.slots[o] == nil || !slices.Contains(s.slots[o].GPUs, pos)) {
 			return fmt.Errorf("cluster: GPU %d is owned by slot %d, which holds no allocation of it", pos, o)
 		}
 	}
-	empty := make([]int, len(s.slots)) // 1 free, 2 emptied by the trial
+	free := make([]bool, len(s.slots))
+	for _, slot := range s.freeSlots {
+		if slot < 0 || int(slot) >= len(s.slots) || s.slots[slot] != nil || free[slot] {
+			return fmt.Errorf("cluster: slot %d is on the free list but holds a job or is listed twice", slot)
+		}
+		free[slot] = true
+	}
 	allocated := 0
 	for slot, a := range s.slots {
 		switch {
+		case a == nil && !free[slot]:
+			return fmt.Errorf("cluster: slot %d is empty but not on the free list", slot)
 		case a == nil:
 			continue
 		case a.Slot != int32(slot):
@@ -715,23 +813,19 @@ func (s *State) checkSlots() error {
 		}
 		allocated++
 	}
-	for _, a := range s.trial.released {
-		if s.slots[a.Slot] != nil || s.ids[a.JobID] != a.Slot {
-			return fmt.Errorf("cluster: the open trial released job %s from slot %d, which is not empty and reserved for it", a.JobID, a.Slot)
+	gone := 0 // jobs the open trial released and did not place again
+	for i, st := range s.trial.steps {
+		id := st.alloc.JobID
+		if _, placed := s.lookup(id); !st.release || placed || slices.ContainsFunc(s.trial.steps[:i], func(p step) bool { return p.release && p.alloc.JobID == id }) {
+			continue
 		}
-		empty[a.Slot] = 2
-	}
-	for _, slot := range s.freeSlots {
-		if slot < 0 || int(slot) >= len(s.slots) || s.slots[slot] != nil || empty[slot] != 0 {
-			return fmt.Errorf("cluster: slot %d is on the free list but holds a job, is listed twice or was emptied by the open trial", slot)
+		if _, ok := s.ids[id]; !ok {
+			return fmt.Errorf("cluster: the open trial released job %s, which the ID map no longer holds", id)
 		}
-		empty[slot] = 1
+		gone++
 	}
-	if n := len(s.slots) - allocated - len(s.freeSlots) - len(s.trial.released); n != 0 {
-		return fmt.Errorf("cluster: %d empty slots are neither on the free list nor released by the open trial", n)
-	}
-	if len(s.ids) != allocated+len(s.trial.released) {
-		return fmt.Errorf("cluster: the ID map holds %d jobs, %d are allocated and %d released by the open trial", len(s.ids), allocated, len(s.trial.released))
+	if len(s.ids) != allocated+gone {
+		return fmt.Errorf("cluster: the ID map holds %d jobs, %d are allocated and %d released by the open trial", len(s.ids), allocated, gone)
 	}
 	return nil
 }
@@ -1108,11 +1202,8 @@ func (s *State) Clone() *State {
 			}
 		}
 	}
-	// The clone has no trial: what an open one released stays released.
-	for _, a := range s.trial.released {
-		c.freeSlots = append(c.freeSlots, a.Slot)
-		delete(c.ids, a.JobID)
-	}
+	// The clone has no trial: it is the state Commit would leave.
+	s.settleIDs(c)
 	return c
 }
 

@@ -450,8 +450,17 @@ func FuzzShapeFingerprint(f *testing.F) {
 			op := ops[i]
 			if op&0xc0 == 0xc0 {
 				// A trial instead of a release: release the jobs whose index
-				// picks a set bit of the low six, and roll back.
-				trialRoundTrip(t, s, func(k int) bool { return op>>(k%6)&1 != 0 }, fmt.Sprintf("op %d", i))
+				// picks a set bit of the low six (highest index first, so the
+				// lower ones stay put), allocate, place the last released job
+				// again; roll back, then commit.
+				var steps []trialStep
+				for k := 5; k >= 0; k-- {
+					if op>>k&1 != 0 {
+						steps = append(steps, trialStep{kind: 0, n: k})
+					}
+				}
+				steps = append(steps, trialStep{kind: 1, n: int(op)}, trialStep{kind: 2, n: int(op) / 2})
+				trialRoundTrip(t, s, steps, fmt.Sprintf("op %d", i))
 				continue
 			}
 			if op&0x80 != 0 {

@@ -265,8 +265,23 @@ func TestCheckInvariantsCatchesEachTable(t *testing.T) {
 			s.freeSlots = append(s.freeSlots, 5)
 			return func() { s.freeSlots = s.freeSlots[:len(s.freeSlots)-1] }
 		}, "on the free list"},
-		// A slot a trial emptied goes back to its job on Rollback, so it
-		// must not be handed out while the trial is open.
+		// A job a trial released keeps its ID-map entry until Commit.
+		{"ids inside a trial", func() func() {
+			if err := s.Mark(); err != nil {
+				t.Fatal(err)
+			}
+			id := s.slots[3].JobID
+			if err := s.ReleaseSlot(3); err != nil {
+				t.Fatal(err)
+			}
+			delete(s.ids, id)
+			return func() {
+				s.ids[id] = 3
+				s.Rollback()
+			}
+		}, "which the ID map no longer holds"},
+		// A slot a trial emptied is free like any other: off the free list,
+		// no Allocate could take it.
 		{"freeSlots inside a trial", func() func() {
 			if err := s.Mark(); err != nil {
 				t.Fatal(err)
@@ -274,12 +289,12 @@ func TestCheckInvariantsCatchesEachTable(t *testing.T) {
 			if err := s.ReleaseSlot(3); err != nil {
 				t.Fatal(err)
 			}
-			s.freeSlots = append(s.freeSlots, 3)
+			s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
 			return func() {
-				s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
+				s.freeSlots = append(s.freeSlots, 3)
 				s.Rollback()
 			}
-		}, "emptied by the open trial"},
+		}, "not on the free list"},
 		// A what-if that forgot its Rollback.
 		{"trial", func() func() {
 			if err := s.Mark(); err != nil {

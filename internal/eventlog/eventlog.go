@@ -44,6 +44,7 @@ type Log struct {
 	f     *os.File
 	dirty bool
 
+	size         int64 // bytes of the complete frames in the file
 	records      int   // frames currently in the file
 	sinceRewrite int   // records appended since the last Rewrite (or Open)
 	bytesSince   int64 // bytes those records occupy on disk (frames included)
@@ -131,6 +132,7 @@ func (l *Log) replay(apply func(Record) error) error {
 		l.records++
 		offset += frameHeader + int64(length)
 	}
+	l.size = offset
 	_, err = l.f.Seek(offset, io.SeekStart)
 	return err
 }
@@ -139,13 +141,36 @@ func (l *Log) replay(apply func(Record) error) error {
 // positioned for appending.
 func (l *Log) truncateTail(offset int64) error {
 	l.TruncatedTail = true
-	if err := l.f.Truncate(offset); err != nil {
+	if err := truncate(l.f, offset); err != nil {
 		return err
 	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
+	l.size = offset
 	_, err := l.f.Seek(offset, io.SeekStart)
+	return err
+}
+
+// truncate cuts f to size bytes and syncs the cut.
+func truncate(f *os.File, size int64) error {
+	if err := f.Truncate(size); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// Truncate cuts the log file at path back to size bytes — a Size reading
+// — and syncs the cut, dropping every record appended after that reading.
+// It works on the path, not on an open Log, so it also serves after the
+// Log's own file failed or was closed: a caller that rolls a failed batch
+// back cuts the log to the batch's start and Opens it again.
+func Truncate(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	err = truncate(f, size)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 
@@ -160,6 +185,7 @@ func (l *Log) Append(rec Record) error {
 		return fmt.Errorf("eventlog: append to %s: %w", l.path, err)
 	}
 	l.dirty = true
+	l.size += frameHeader + int64(len(payload))
 	l.records++
 	l.sinceRewrite++
 	l.bytesSince += frameHeader + int64(len(payload))
@@ -239,12 +265,17 @@ func (l *Log) Rewrite(snapshot Record) error {
 	old.Close()
 	l.f = f
 	l.dirty = false
+	l.size = frameHeader + int64(len(payload))
 	l.records = 1
 	l.sinceRewrite = 0
 	l.bytesSince = 0
 	l.syncs++
 	return nil
 }
+
+// Size returns the bytes of the complete records in the file: the offset
+// the next Append writes at, and what Truncate cuts back to.
+func (l *Log) Size() int64 { return l.size }
 
 // Records returns the number of complete records currently in the file.
 func (l *Log) Records() int { return l.records }

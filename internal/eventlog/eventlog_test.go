@@ -2,6 +2,7 @@ package eventlog
 
 import (
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,8 +108,8 @@ func TestTruncatedTailTolerated(t *testing.T) {
 			t.Fatal(err)
 		}
 		l2, recs := openCollect(t, path)
-		if !l2.TruncatedTail {
-			t.Fatalf("cut at %d: truncated tail not reported", cut)
+		if !l2.TruncatedTail || l2.Size() != int64(off) {
+			t.Fatalf("cut at %d: truncated tail not reported, or Size %d is not the last complete frame's end %d", cut, l2.Size(), off)
 		}
 		if len(recs) != 2 || recs[0].Job.ID != "a" || recs[1].Job.ID != "b" {
 			t.Fatalf("cut at %d: replayed %+v", cut, recs)
@@ -248,5 +249,93 @@ func TestApplyErrorAborts(t *testing.T) {
 	_, err := Open(path, func(Record) error { return os.ErrInvalid })
 	if err == nil {
 		t.Fatal("apply error swallowed")
+	}
+}
+
+// fileSize is the size of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+// TestTruncateDropsLaterRecords: Size reads the end of the complete
+// frames after an append, a reopen and a rewrite, and Truncate back to a
+// Size reading — on the path, after the Log was closed — leaves exactly
+// the records appended before it, which a reopen replays and appends
+// after.
+func TestTruncateDropsLaterRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.log")
+	l, _ := openCollect(t, path)
+	for i := 0; i < 3; i++ {
+		if err := l.Append(submitRec("kept", float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mark := l.Size()
+	if err := l.Append(submitRec("dropped", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, path); mark >= got {
+		t.Fatalf("Size %d before the last append, file %d after it", mark, got)
+	}
+	if err := Truncate(path, mark); err != nil {
+		t.Fatal(err)
+	}
+	l2, recs := openCollect(t, path)
+	if len(recs) != 3 || l2.TruncatedTail || l2.Size() != mark || fileSize(t, path) != mark {
+		t.Fatalf("after Truncate: %d records, truncated tail %t, Size %d, file %d; want 3, false, %d", len(recs), l2.TruncatedTail, l2.Size(), fileSize(t, path), mark)
+	}
+	if err := l2.Append(submitRec("after", 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Rewrite(Record{Type: TypeSnapshot, Time: 4, Snapshot: &Snapshot{ClockSec: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if l2.Size() != fileSize(t, path) {
+		t.Fatalf("after Rewrite: Size %d, file %d", l2.Size(), fileSize(t, path))
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Truncate(filepath.Join(filepath.Dir(path), "missing.log"), 0); err == nil {
+		t.Fatal("Truncate of a missing log succeeded")
+	}
+}
+
+// TestRewriteFailureKeepsLog: a snapshot Rewrite that fails — here the
+// record does not marshal — leaves the old log as it was: the same
+// records, still open for appending.
+func TestRewriteFailureKeepsLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.log")
+	l, _ := openCollect(t, path)
+	for i := 0; i < 3; i++ {
+		if err := l.Append(submitRec("a", float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := l.Size()
+	if err := l.Rewrite(Record{Type: TypeSnapshot, Time: math.NaN(), Snapshot: &Snapshot{}}); err == nil {
+		t.Fatal("a snapshot that cannot be marshalled was written")
+	}
+	if l.Records() != 3 || l.Size() != size || fileSize(t, path) != size {
+		t.Fatalf("after the failed Rewrite: %d records, Size %d, file %d; want 3, %d", l.Records(), l.Size(), fileSize(t, path), size)
+	}
+	if err := l.Append(submitRec("b", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, recs := openCollect(t, path)
+	defer l2.Close()
+	if len(recs) != 4 || recs[3].Job.ID != "b" {
+		t.Fatalf("after the failed Rewrite and an append, replayed %d records", len(recs))
 	}
 }

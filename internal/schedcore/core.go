@@ -17,6 +17,7 @@ package schedcore
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -34,7 +35,8 @@ type Decision struct {
 	Placement *core.Placement // nil when postponed
 	// Postponed is true when the job stayed in the queue this round.
 	Postponed bool
-	// Reason explains a postponement ("no-capacity", "low-utility").
+	// Reason explains a postponement ("no-capacity", "low-utility", or
+	// "fault" for a step that failed — see Core.Fault).
 	Reason string
 	// SLOViolated is true when the job was placed with a utility below
 	// its declared minimum (greedy policies and TOPO-AWARE do this;
@@ -213,6 +215,8 @@ type Core struct {
 	evictedInRound bool
 
 	stats Stats
+	// fault is the first step that failed (Fault).
+	fault error
 
 	// decBuf and decPtrs are the reusable decision buffers: at scenario-2
 	// queue depths every event produces many postponement decisions, and
@@ -264,6 +268,25 @@ func (c *Core) State() *cluster.State { return c.state }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Core) Stats() Stats { return c.stats }
+
+// Fault returns the first scheduling step that failed since New, nil when
+// none has: a placement whose allocation the cluster state refused, a
+// victim search whose trial failed, a preemption whose commit failed. A
+// failed step changes nothing — its trial rolled back and its job stayed
+// queued, its decision a postponement with reason "fault" — so the core
+// stays consistent, but the failure means the state disagrees with what
+// the core knows of it: a driver checks Fault after Schedule and stops (the
+// simulator) or rebuilds the core from its journal (toposerve).
+func (c *Core) Fault() error { return c.fault }
+
+// fail records err as a failed step of d's job: d stays a postponement,
+// with reason "fault", and the core's first fault is kept.
+func (c *Core) fail(d *Decision, err error) {
+	d.Reason = "fault"
+	if c.fault == nil {
+		c.fault = err
+	}
+}
 
 // Now returns the core's clock reading: virtual seconds in the
 // simulator, served seconds in toposerve (each sets a ManualClock), 0
@@ -819,7 +842,8 @@ func (c *Core) unpark(buckets [][]parkedEntry, key, i int) entry {
 
 // tryPlace attempts to place d's job according to the policy, committing
 // the allocation on success, and writes the outcome into d: the placement,
-// or the postponement reason.
+// or the postponement reason. An allocation the state refuses changes
+// nothing and is the core's fault (Fault).
 func (c *Core) tryPlace(d *Decision) {
 	j := d.Job
 	placement, reason := c.place.attempt(j)
@@ -829,7 +853,8 @@ func (c *Core) tryPlace(d *Decision) {
 	}
 	slot, err := c.state.AllocateSlot(j.ID, placement.GPUs, placement.BusDemand, j.Traits())
 	if err != nil {
-		return // d stays a no-capacity postponement
+		c.fail(d, fmt.Errorf("schedcore: placing %s: %w", j.ID, err))
+		return
 	}
 	c.addRunning(j, slot)
 	d.place(placement, slot)

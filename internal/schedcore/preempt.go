@@ -41,36 +41,63 @@ func (c *Core) SetPreemption(enabled bool) { c.preemptOn = enabled }
 func (c *Core) preemptEligible(j *job.Job) bool { return c.preemptOn && j.Priority > 0 }
 
 // tryPreempt evicts the best victim set for d's job and commits the
-// placement its trial scored into d. Victims are released from the
-// cluster state immediately (so the rest of the round sees the new
-// capacity), in the order the trial released them — so the state the
-// placement lands on is the one it was scored on — and staged for
-// re-entry into the queue after the round. When no victim set places the
-// job, d stays as it was.
+// placement its trial scored into d. The evictions and the placement are
+// one step on the cluster state — Mark, release the victims in the order
+// the trial released them (so the state the placement lands on is the one
+// it was scored on), allocate, Commit — so the rest of the round sees the
+// new capacity, and a preemptor may take a victim's slot. Any error rolls
+// the step back and becomes the core's fault (Fault); d stays postponed.
+// Only a committed step touches the running set, the victim index and the
+// victims staged for re-entry into the queue after the round. When no
+// victim set places the job, d stays as it was.
 func (c *Core) tryPreempt(d *Decision) {
 	j := d.Job
-	victims, placement := c.selectVictims(j)
-	if placement == nil {
+	victims, placement, err := c.selectVictims(j)
+	if err == nil && placement == nil {
 		return
 	}
-	evs := make([]Eviction, len(victims))
-	for i, slot := range victims {
-		v := c.running[slot]
-		evs[i] = Eviction{Job: v, Slot: slot, GPUs: c.state.AllocationAt(slot).GPUs}
-		if err := c.state.ReleaseSlot(slot); err != nil {
-			panic(fmt.Sprintf("schedcore: evicting %s: %v", v.ID, err))
-		}
-		c.removeRunning(slot)
-		c.pendingRequeue = append(c.pendingRequeue, v)
+	var evs []Eviction
+	var slot int32
+	if err == nil {
+		evs, slot, err = c.evictAndPlace(j, victims, placement)
+	}
+	if err != nil {
+		c.fail(d, fmt.Errorf("schedcore: preempting for %s: %w", j.ID, err))
+		return
+	}
+	for _, ev := range evs {
+		c.removeRunning(ev.Slot)
+		c.pendingRequeue = append(c.pendingRequeue, ev.Job)
 	}
 	c.evictedInRound = true
-	slot, err := c.state.AllocateSlot(j.ID, placement.GPUs, placement.BusDemand, j.Traits())
-	if err != nil {
-		panic(fmt.Sprintf("schedcore: committing preemptive placement of %s: %v", j.ID, err))
-	}
 	c.addRunning(j, slot)
 	d.place(placement, slot)
 	d.Evictions = evs
+}
+
+// evictAndPlace is tryPreempt's step on the cluster state: inside one
+// trial it releases the victims' slots in order and allocates p to j, and
+// commits; on any error it rolls the trial back.
+func (c *Core) evictAndPlace(j *job.Job, victims []int32, p *core.Placement) ([]Eviction, int32, error) {
+	if err := c.state.Mark(); err != nil {
+		return nil, -1, err
+	}
+	evs := make([]Eviction, len(victims))
+	for i, vs := range victims {
+		a := c.state.AllocationAt(vs)
+		if err := c.state.ReleaseSlot(vs); err != nil {
+			c.state.Rollback()
+			return nil, -1, err
+		}
+		evs[i] = Eviction{Job: c.running[vs], Slot: vs, GPUs: a.GPUs}
+	}
+	slot, err := c.state.AllocateSlot(j.ID, p.GPUs, p.BusDemand, j.Traits())
+	if err != nil {
+		c.state.Rollback()
+		return nil, -1, err
+	}
+	c.state.Commit()
+	return evs, slot, nil
 }
 
 // victimOrder ranks eviction candidates: lowest priority first (evict
@@ -205,28 +232,29 @@ func (s *victimSet) better(b *victimSet) bool {
 // (cluster.State.Mark … Rollback), so a rejected set leaves the state as
 // it found it. Sets are compared by victimSet.better. Returns the winning
 // victims' slots (eviction order) and the placement its trial scored, nil
-// when no set places. The caller has checked victimsRunning: without a
-// lower tier the search finds nothing, only slower.
-func (c *Core) selectVictims(j *job.Job) ([]int32, *core.Placement) {
+// when no set places, or the error a trial failed with, which ends the
+// search. The caller has checked victimsRunning: without a lower tier the
+// search finds nothing, only slower.
+func (c *Core) selectVictims(j *job.Job) ([]int32, *core.Placement, error) {
 	var best victimSet
 	// evaluate releases the victims inside a trial, runs the policy
 	// through the core's own placer and rolls the releases back. A
 	// feasible set must both pass the capacity gate and actually place
 	// (bandwidth and mapper constraints can still reject it).
-	evaluate := func(victims []int32, machine int) {
-		err := c.state.Mark()
-		for _, slot := range victims {
-			if err == nil {
-				err = c.state.ReleaseSlot(slot)
-			}
+	evaluate := func(victims []int32, machine int) error {
+		if err := c.state.Mark(); err != nil {
+			return err
 		}
-		if err != nil {
-			panic(fmt.Sprintf("schedcore: evaluating evictions for %s: %v", j.ID, err))
+		for _, slot := range victims {
+			if err := c.state.ReleaseSlot(slot); err != nil {
+				c.state.Rollback()
+				return err
+			}
 		}
 		placement, _ := c.place.attempt(j)
 		c.state.Rollback()
 		if placement == nil {
-			return
+			return nil
 		}
 		// victims is in victimOrder, lowest tier first: the last one's
 		// priority is the highest.
@@ -237,6 +265,7 @@ func (c *Core) selectVictims(j *job.Job) ([]int32, *core.Placement) {
 			s.victims = append(best.victims[:0], victims...)
 			best = s
 		}
+		return nil
 	}
 
 	if j.SingleNode {
@@ -264,7 +293,9 @@ func (c *Core) selectVictims(j *job.Job) ([]int32, *core.Placement) {
 			for i, n := range held {
 				freed += n
 				if freed >= j.GPUs {
-					evaluate(cands[:i+1], m)
+					if err := evaluate(cands[:i+1], m); err != nil {
+						return nil, nil, err
+					}
 					break
 				}
 			}
@@ -281,12 +312,14 @@ func (c *Core) selectVictims(j *job.Job) ([]int32, *core.Placement) {
 		for i, slot := range cands {
 			freed += len(c.state.AllocationAt(slot).GPUs)
 			if freed >= j.GPUs {
-				evaluate(cands[:i+1], -1)
+				if err := evaluate(cands[:i+1], -1); err != nil {
+					return nil, nil, err
+				}
 				break
 			}
 		}
 	}
-	return best.victims, best.placement
+	return best.victims, best.placement, nil
 }
 
 // requeueVictims re-enqueues the round's evicted jobs after dispatch:

@@ -453,7 +453,10 @@ func TestSelectVictimsMatchesNaive(t *testing.T) {
 					j.SingleNode = false
 				}
 				wantV, wantU := c.selectVictimsNaive(j)
-				gotV, gotP := c.selectVictims(j)
+				gotV, gotP, err := c.selectVictims(j)
+				if err != nil {
+					t.Fatal(err)
+				}
 				gotU := 0.0
 				if gotP != nil {
 					gotU = gotP.Utility
@@ -525,7 +528,7 @@ func TestSelectVictimsNoLowerTierAllocatesNothing(t *testing.T) {
 		t.Fatalf("a victim search with no lower tier allocates %v objects with 400 jobs running", n)
 	}
 	// One tier up the same search has work to do and does it.
-	if victims, _ := c.selectVictims(mkPrioJob("top", 4, 2, 1000)); len(victims) != 4 {
+	if victims, _, _ := c.selectVictims(mkPrioJob("top", 4, 2, 1000)); len(victims) != 4 {
 		t.Fatalf("priority-2 preemptor over a priority-1 cluster: %d victims, want one machine's four", len(victims))
 	}
 }

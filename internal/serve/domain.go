@@ -27,6 +27,8 @@ type domain struct {
 	core    *schedcore.Core
 	clk     *schedcore.ManualClock
 	topo    *topology.Topology
+	mapper  *core.Mapper
+	disc    schedcore.QueueDiscipline
 	started time.Time
 
 	// pubFree, pubMaxFree and pubFreeMach publish the domain's free
@@ -50,10 +52,16 @@ type domain struct {
 	draining *atomic.Bool // the Server's drain flag
 
 	log *eventlog.Log
-	// logErr is sticky: once an append/sync/rewrite fails the journal no
-	// longer matches the core, so the domain refuses further writes (500)
-	// rather than diverge silently.
+	// logErr is the first append of the batch in progress that failed; the
+	// batch fails with it and appends nothing more.
 	logErr error
+	// readOnly is why the domain refuses writes (503 read_only): a batch
+	// whose append, fsync or core step failed and was rolled back
+	// (rollBack), or a snapshot rewrite that failed. nil while the domain
+	// takes writes. lost is why it refuses reads too: the rollback failed,
+	// so no core the journal describes is left to read.
+	readOnly error
+	lost     error
 
 	// Owned by the writer goroutine. The domain keeps no job index: its
 	// core answers for the running and queued jobs, and the Server's home
@@ -124,8 +132,9 @@ func (o *op) fail(status int, code, format string, args ...any) {
 }
 
 // newDomain builds the substrate for the domain's topology spec (the
-// same profile-store construction the sweep engine uses), replays the
-// event log when one is configured, and starts the writer loop.
+// same profile-store construction the sweep engine uses), builds its core
+// and replays the event log into it when one is configured (rebuild), and
+// starts the writer loop.
 func newDomain(cfg Config, disc schedcore.QueueDiscipline, draining *atomic.Bool) (*domain, error) {
 	topo, err := cfg.Spec.Build(cfg.Spec.EffectiveMachines(1), false)
 	if err != nil {
@@ -135,39 +144,77 @@ func newDomain(cfg Config, disc schedcore.QueueDiscipline, draining *atomic.Bool
 	if err != nil {
 		return nil, err
 	}
-	clk := schedcore.NewManualClock(0)
 	d := &domain{
-		cfg: cfg,
-		core: schedcore.New(cfg.Policy, cluster.NewState(topo), mapper,
-			schedcore.WithClock(clk), schedcore.WithQueueDiscipline(disc)),
-		clk:      clk,
+		cfg:      cfg,
+		clk:      schedcore.NewManualClock(0),
 		topo:     topo,
+		mapper:   mapper,
+		disc:     disc,
 		ops:      make(chan *op),
 		cmds:     make(chan func()),
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 		draining: draining,
 	}
-	d.core.SetPreemption(cfg.Preemption)
-	if cfg.LogPath != "" {
-		l, err := eventlog.Open(cfg.LogPath, d.applyRecord)
-		if err != nil {
-			return nil, fmt.Errorf("serve: recovering %s: %w", cfg.LogPath, err)
-		}
-		d.log = l
-		// Leftover expected placements mean the tail lost place records
-		// after a committed round — the aftermath of a crash mid-batch.
-		// The recomputed decisions are already in the ring; nothing to
-		// verify them against, which is fine: they were never acked.
-		d.replayExpect = nil
-		if d.replayMax > d.clockBase {
-			d.clockBase = d.replayMax
-		}
+	if err := d.rebuild(); err != nil {
+		return nil, err
 	}
+	// The served clock resumes from the log's highest timestamp.
+	d.clockBase = d.replayMax
 	d.publishFree()
 	d.started = time.Now()
 	go d.loop()
 	return d, nil
+}
+
+// rebuild gives the domain a fresh core and, when it journals, replays
+// its event log into it: at boot, and when a failed batch rolls back
+// (rollBack), after the batch's records were cut from the log. Everything
+// the replay rebuilds — the decision ring, its sequence, the stats base,
+// the replay bookkeeping — starts over; the served clock does not.
+func (d *domain) rebuild() error {
+	d.core = schedcore.New(d.cfg.Policy, cluster.NewState(d.topo), d.mapper,
+		schedcore.WithClock(d.clk), schedcore.WithQueueDiscipline(d.disc))
+	d.core.SetPreemption(d.cfg.Preemption)
+	d.decisions, d.decHead, d.decSeq, d.statsBase = nil, 0, 0, schedcore.Stats{}
+	d.replayed, d.replayMax, d.replaySaw, d.logErr = 0, 0, false, nil
+	if d.cfg.LogPath == "" {
+		return nil
+	}
+	l, err := eventlog.Open(d.cfg.LogPath, d.applyRecord)
+	if err != nil {
+		return fmt.Errorf("serve: recovering %s: %w", d.cfg.LogPath, err)
+	}
+	d.log = l
+	// Leftover expected placements mean the tail lost place records
+	// after a committed round — the aftermath of a crash mid-batch.
+	// The recomputed decisions are already in the ring; nothing to
+	// verify them against, which is fine: they were never acked.
+	d.replayExpect = nil
+	return nil
+}
+
+// rollBack makes the domain read-only after a batch failed — cause is the
+// failed append, fsync or core step — and undoes the batch: it cuts the
+// log back to start, the batch's first byte, and rebuilds the core from
+// what is left, the records of every batch before. The recovery a restart
+// runs is the undo, so no mutation needs an inverse. When the cut or the
+// replay fails, or the domain keeps no log to replay, the domain is lost:
+// reads answer 503 as well.
+func (d *domain) rollBack(start int64, cause error) {
+	d.readOnly = cause
+	if d.log == nil {
+		d.lost = fmt.Errorf("%w (no event log to roll back by)", cause)
+		return
+	}
+	d.log.Close() // the batch already failed; a second error from its file says nothing new
+	err := eventlog.Truncate(d.cfg.LogPath, start)
+	if err == nil {
+		err = d.rebuild()
+	}
+	if err != nil {
+		d.lost = fmt.Errorf("%w; rolling back: %v", cause, err)
+	}
 }
 
 // publishFree refreshes the atomic free-GPU counters from the cluster
@@ -251,12 +298,22 @@ func (d *domain) do(fn func()) bool {
 
 // processBatch applies every op in order, runs one scheduling round if
 // any op changed scheduler state, journals the batch and fsyncs once,
-// then fills each op's response.
+// then fills each op's response. A batch whose append, fsync or core step
+// fails is rolled back (rollBack) and its ops answer 503 read_only, like
+// every batch after it.
 func (d *domain) processBatch(batch []*op) {
+	if d.readOnly != nil {
+		d.refuse(batch)
+		return
+	}
 	now := d.now()
 	d.clk.Set(now)
 	d.batches++
 	d.batchedOps += len(batch)
+	var start int64
+	if d.log != nil {
+		start = d.log.Size()
+	}
 
 	needRound := false
 	for _, o := range batch {
@@ -301,7 +358,16 @@ func (d *domain) processBatch(batch []*op) {
 
 	// Group commit: one fsync covers every record of the batch. Ops are
 	// answered only after their records are durable.
-	commitErr := d.commit()
+	err := d.commit()
+	if err == nil {
+		err = d.core.Fault()
+	}
+	if err != nil {
+		d.rollBack(start, err)
+		d.publishFree()
+		d.refuse(batch)
+		return
+	}
 
 	submitted := map[string]bool{}
 	for _, o := range batch {
@@ -313,7 +379,7 @@ func (d *domain) processBatch(batch []*op) {
 	// router already routing on the capacity that ack describes.
 	d.publishFree()
 	for _, o := range batch {
-		d.finish(o, now, roundRecs, submitted, commitErr)
+		d.finish(o, now, roundRecs, submitted)
 		close(o.done)
 	}
 	d.maybeSnapshot(now)
@@ -323,10 +389,6 @@ func (d *domain) processBatch(batch []*op) {
 // already resolved the ID in the cluster-wide namespace and materialized
 // the job; the loop owns admission control and the arrival stamp.
 func (d *domain) applySubmit(o *op, now float64, needRound *bool) {
-	if d.log != nil && d.logErr != nil {
-		o.fail(500, serveapi.CodeInternal, "event log unavailable: %v", d.logErr)
-		return
-	}
 	if d.cfg.MaxQueue > 0 && d.core.QueueLen() >= d.cfg.MaxQueue {
 		o.retryAfter = retryAfterSec
 		o.fail(429, serveapi.CodeQueueFull, "queue depth %d at limit %d", d.core.QueueLen(), d.cfg.MaxQueue)
@@ -352,10 +414,6 @@ func (d *domain) applySubmit(o *op, now float64, needRound *bool) {
 // running nor queued and answers 404.
 func (d *domain) applyRelease(o *op, needRound *bool) {
 	id := o.id
-	if d.log != nil && d.logErr != nil {
-		o.fail(500, serveapi.CodeInternal, "event log unavailable: %v", d.logErr)
-		return
-	}
 	now := d.clk.Now()
 	if d.core.State().Allocation(id) != nil {
 		if err := d.core.Release(id); err != nil {
@@ -377,16 +435,22 @@ func (d *domain) applyRelease(o *op, needRound *bool) {
 	o.fail(404, serveapi.CodeJobNotFound, "no queued or running job %q", id)
 }
 
-// finish fills op responses from the round's decisions.
-func (d *domain) finish(o *op, now float64, roundRecs []serveapi.DecisionRecord, submitted map[string]bool, commitErr error) {
-	if o.errCode != "" {
-		return
+// refuse answers every op of a batch the domain did not commit 503
+// read_only and closes it. What the ops did to the core is gone with it —
+// the rollback replaced it, or a lost domain serves nothing — so none is
+// accepted: the front homes no refused submit and keeps a refused
+// release's job homed.
+func (d *domain) refuse(batch []*op) {
+	for _, o := range batch {
+		o.accepted = false
+		o.fail(503, serveapi.CodeReadOnly, "the job's scheduling domain is read-only: %v", d.readOnly)
+		close(o.done)
 	}
-	if commitErr != nil && o.accepted {
-		// The op mutated the core but its record is not durable; the
-		// journal is now behind and logErr (sticky) blocks further
-		// writes. Answer 500 so the client does not trust the ack.
-		o.fail(500, serveapi.CodeInternal, "event log commit failed: %v", commitErr)
+}
+
+// finish fills op responses from the round's decisions.
+func (d *domain) finish(o *op, now float64, roundRecs []serveapi.DecisionRecord, submitted map[string]bool) {
+	if o.errCode != "" {
 		return
 	}
 	switch o.kind {
@@ -489,7 +553,8 @@ func (d *domain) appendDecisions(ds []*schedcore.Decision) []serveapi.DecisionRe
 	return recs
 }
 
-// logAppend journals one record, making log failures sticky.
+// logAppend journals one record; after a failed append the batch appends
+// nothing more.
 func (d *domain) logAppend(rec eventlog.Record) {
 	if d.log == nil || d.logErr != nil {
 		return
@@ -499,11 +564,11 @@ func (d *domain) logAppend(rec eventlog.Record) {
 	}
 }
 
-// commit is the group-commit fsync for the batch. With FsyncEvery > 1
-// the fsync itself is batched further: only every Nth batch pays it,
-// and the acks of the batches between ride on the next sync — the
-// relaxed-durability mode Config.FsyncEvery documents. Draining always
-// syncs so a graceful shutdown loses nothing.
+// commit is the group-commit fsync for the batch, or the batch's failed
+// append. With FsyncEvery > 1 the fsync itself is batched further: only
+// every Nth batch pays it, and the acks of the batches between ride on the
+// next sync — the relaxed-durability mode Config.FsyncEvery documents.
+// Draining always syncs so a graceful shutdown loses nothing.
 func (d *domain) commit() error {
 	if d.log == nil {
 		return nil
@@ -516,11 +581,7 @@ func (d *domain) commit() error {
 		return nil
 	}
 	d.unsynced = 0
-	if err := d.log.Sync(); err != nil {
-		d.logErr = err
-		return err
-	}
-	return nil
+	return d.log.Sync()
 }
 
 // combinedStats merges the live core's counters with the snapshot base.
@@ -622,14 +683,14 @@ func (d *domain) snapshot() domainState {
 func (d *domain) stop(snapshot bool) error {
 	close(d.quit)
 	<-d.loopDone
-	if d.log == nil {
-		return nil
+	if d.log == nil || d.lost != nil {
+		return d.readOnly // a lost domain's log is closed already
 	}
 	if snapshot {
 		// The loop has exited; single-threaded access is ours.
 		d.writeSnapshot(d.now())
 	}
-	err := d.logErr
+	err := d.readOnly
 	if cerr := d.log.Close(); err == nil {
 		err = cerr
 	}

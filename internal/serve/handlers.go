@@ -182,8 +182,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp serveapi.DecisionsResponse
-	if !s.doms[d].do(func() { resp = s.doms[d].decisionsPage(after, min(limit, decisionLogCap)) }) {
-		writeShutDown(w)
+	if !s.read(w, s.doms[d], func() { resp = s.doms[d].decisionsPage(after, min(limit, decisionLogCap)) }) {
 		return
 	}
 	for i := range resp.Decisions {
@@ -198,12 +197,31 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	snaps := make([]domainState, len(s.doms))
 	for d, dom := range s.doms {
-		if !dom.do(func() { snaps[d] = dom.snapshot() }) {
-			writeShutDown(w)
+		if !s.read(w, dom, func() { snaps[d] = dom.snapshot() }) {
 			return
 		}
 	}
 	serveapi.WriteJSON(w, s.mergeStates(snaps))
+}
+
+// read runs fn on dom's writer goroutine. When the server is shut down,
+// or dom is lost (its rollback failed, so it holds no core to read), it
+// answers w 503 itself and returns false.
+func (s *Server) read(w http.ResponseWriter, dom *domain, fn func()) bool {
+	var lost error
+	if !dom.do(func() {
+		if lost = dom.lost; lost == nil {
+			fn()
+		}
+	}) {
+		writeShutDown(w)
+		return false
+	}
+	if lost != nil {
+		serveapi.WriteError(w, http.StatusServiceUnavailable, serveapi.CodeReadOnly, "a scheduling domain lost its state: %v", lost)
+		return false
+	}
+	return true
 }
 
 // mergeStates folds the per-domain snapshots into the cluster view:

@@ -64,6 +64,9 @@ func (d *domain) applyRecord(rec eventlog.Record) error {
 				d.replayExpect = append(d.replayExpect, r)
 			}
 		}
+		if err := d.core.Fault(); err != nil {
+			return fmt.Errorf("serve: replaying the round at t=%.3f: %w", rec.Time, err)
+		}
 	case eventlog.TypePlace, eventlog.TypeEvict:
 		if rec.Decision == nil {
 			return fmt.Errorf("serve: %s record without decision", rec.Type)
@@ -109,7 +112,8 @@ func sameDecision(a, b serveapi.DecisionRecord) bool {
 // jobs (placements depend on the full truncated history, so they are
 // restored, never recomputed), the wait queue in order with each job's
 // rounds waited, postponements and parked flag, the decision ring, the
-// sequence counter, the stats base and the clock.
+// sequence counter and the stats base; the clock resumes from the log's
+// highest timestamp, the snapshot's included (newDomain).
 func (d *domain) restoreSnapshot(sn *eventlog.Snapshot) error {
 	d.statsBase = schedcore.Stats{
 		Decisions:     sn.Stats.Decisions,
@@ -154,14 +158,13 @@ func (d *domain) restoreSnapshot(sn *eventlog.Snapshot) error {
 			return fmt.Errorf("serve: snapshot queued job %q: %w", j.ID, err)
 		}
 	}
-	d.clockBase = sn.ClockSec
 	return nil
 }
 
 // maybeSnapshot rewrites the log once enough records accumulated past
 // the last snapshot, keeping replay bounded.
 func (d *domain) maybeSnapshot(now float64) {
-	if d.log == nil || d.logErr != nil || d.cfg.SnapshotEvery <= 0 {
+	if d.log == nil || d.readOnly != nil || d.cfg.SnapshotEvery <= 0 {
 		return
 	}
 	if d.log.SinceRewrite() >= d.cfg.SnapshotEvery {
@@ -171,9 +174,10 @@ func (d *domain) maybeSnapshot(now float64) {
 
 // writeSnapshot captures the full state and atomically truncates the
 // log to it. Must run on the writer goroutine (or after the loop
-// stopped). Failures are sticky via logErr.
+// stopped). A failure makes the domain read-only but rolls nothing back:
+// a failed Rewrite leaves the old log, which still describes the core.
 func (d *domain) writeSnapshot(now float64) {
-	if d.log == nil || d.logErr != nil {
+	if d.log == nil || d.readOnly != nil {
 		return
 	}
 	stats := d.combinedStats()
@@ -195,7 +199,7 @@ func (d *domain) writeSnapshot(now float64) {
 		alloc := st.Allocation(id)
 		j := d.core.RunningAt(alloc.Slot)
 		if j == nil {
-			d.logErr = fmt.Errorf("serve: snapshot: running job %q was not placed by the core", id)
+			d.readOnly = fmt.Errorf("serve: snapshot: running job %q was not placed by the core", id)
 			return
 		}
 		sn.Running = append(sn.Running, eventlog.RunningJob{
@@ -213,7 +217,7 @@ func (d *domain) writeSnapshot(now float64) {
 		sn.Decisions = append(sn.Decisions, d.decisions[(d.decHead+i)%n])
 	}
 	if err := d.log.Rewrite(eventlog.Record{Type: eventlog.TypeSnapshot, Time: now, Snapshot: sn}); err != nil {
-		d.logErr = err
+		d.readOnly = err
 		return
 	}
 	d.snapshots++

@@ -225,7 +225,8 @@ func NewMulti(cfg Config) (*Server, error) { return New(cfg) }
 func (s *Server) Domains() int { return len(s.doms) }
 
 // Replayed returns the number of event-log records applied at startup,
-// summed over the domains — the measured replay bound.
+// summed over the domains — the measured replay bound. A domain that
+// rolled a failed batch back counts the records that replay applied.
 func (s *Server) Replayed() int {
 	n := 0
 	for _, d := range s.doms {

@@ -44,6 +44,11 @@ const (
 	// CodeDraining: the server is shutting down gracefully and no longer
 	// admits writes (503).
 	CodeDraining = "draining"
+	// CodeReadOnly: the job's scheduling domain failed to commit a batch —
+	// its event log or a scheduling step failed — and was rolled back to
+	// its last committed batch; it serves reads but no writes (503). A
+	// domain whose rollback failed too answers reads with it as well.
+	CodeReadOnly = "read_only"
 	// CodeInvalidParam: a query parameter (limit, after) failed to parse
 	// or was out of range (400).
 	CodeInvalidParam = "invalid_param"

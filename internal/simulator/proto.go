@@ -69,6 +69,21 @@ const windowSize = 1.0
 // iteration-boundary effects, "acceptable when considering the standard
 // deviations" (§5.4).
 func RunPrototype(cfg PrototypeConfig, jobs []*job.Job) (*PrototypeResult, error) {
+	e, err := newProtoEngine(cfg, jobs)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.loop(len(jobs)); err != nil {
+		return nil, err
+	}
+	res := e.res // a copy: the result must not keep the engine alive
+	res.Policy, res.SchedStats = e.cfg.Policy, e.scheduler.Stats()
+	res.order()
+	return &res, nil
+}
+
+// newProtoEngine builds the engine that runs the jobs under cfg.
+func newProtoEngine(cfg PrototypeConfig, jobs []*job.Job) (*protoEngine, error) {
 	sim := Config{
 		Topology:     cfg.Topology,
 		Policy:       cfg.Policy,
@@ -96,13 +111,7 @@ func RunPrototype(cfg PrototypeConfig, jobs []*job.Job) (*PrototypeResult, error
 	// Every job finishes once and spans at least one interval.
 	e.res.Jobs = make([]JobResult, 0, len(jobs))
 	e.res.Timeline = make([]Interval, 0, len(jobs))
-	if err := e.loop(len(jobs)); err != nil {
-		return nil, err
-	}
-	res := e.res // a copy: the result must not keep the engine alive
-	res.Policy, res.SchedStats = sim.Policy, scheduler.Stats()
-	res.order()
-	return &res, nil
+	return e, nil
 }
 
 type protoEngine struct {
@@ -165,7 +174,11 @@ func (e *protoEngine) loop(total int) error {
 }
 
 func (e *protoEngine) runScheduler() error {
-	for _, d := range e.scheduler.Schedule() {
+	decisions := e.scheduler.Schedule()
+	if err := e.scheduler.Fault(); err != nil {
+		return err
+	}
+	for _, d := range decisions {
 		if d.Postponed {
 			continue
 		}

@@ -113,7 +113,7 @@ func RunSharded(cfg Config, shards []Shard, jobs []*job.Job, workers int) (*Resu
 					// keeps cfg.Seed so it replays the unsharded run exactly.
 					sub.Seed = stats.DeriveSeed(cfg.Seed, fmt.Sprintf("domain-%d", d))
 				}
-				results[d], errs[d] = Run(sub, routed[d])
+				results[d], errs[d] = run(sub, routed[d])
 			}
 		}()
 	}
@@ -130,10 +130,15 @@ func RunSharded(cfg Config, shards []Shard, jobs []*job.Job, workers int) (*Resu
 	return mergeShardResults(cfg, results, gpuMaps), nil
 }
 
-// mergeShardResults folds per-domain results into one global Result
-// under the engine's ordering contracts.
+// mergeShardResults folds per-domain results, each in finish order, into
+// one global Result and orders it once, under the engine's ordering
+// contracts.
 func mergeShardResults(cfg Config, results []*Result, gpuMaps [][]int) *Result {
-	merged := &Result{Policy: cfg.Policy}
+	jobs, intervals := 0, 0
+	for _, r := range results {
+		jobs, intervals = jobs+len(r.Jobs), intervals+len(r.Timeline)
+	}
+	merged := &Result{Policy: cfg.Policy, Jobs: make([]JobResult, 0, jobs), Timeline: make([]Interval, 0, intervals)}
 	for d, r := range results {
 		gmap := gpuMaps[d]
 		for _, jr := range r.Jobs {

@@ -3,6 +3,7 @@ package simulator
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gputopo/internal/job"
@@ -143,5 +144,39 @@ func TestRunningTableHoldsOneRecordPerGPU(t *testing.T) {
 		if evs := e.scheduler.Stats().Evictions; preempts != evs || n > 100 && evs == 0 {
 			t.Fatalf("%d jobs: results count %d preemptions, the core %d evictions", n, preempts, evs)
 		}
+	}
+}
+
+// TestEnginesReturnTheCoreFault gives the second job an allocation on the
+// core's cluster state before the run, so its placement is refused: both
+// engines must stop there and return the core's fault, naming the job.
+func TestEnginesReturnTheCoreFault(t *testing.T) {
+	topo := topology.Cluster(2, topology.KindMinsky)
+	jobs := func() []*job.Job {
+		return []*job.Job{wholeMachineJob("A", 0, 100, 0), wholeMachineJob("B", 0, 100, 1)}
+	}
+	squat := func(t *testing.T, c *schedcore.Core) {
+		t.Helper()
+		if err := c.State().Allocate("B", []int{topo.NumGPUs() - 1}, 0, perfmodel.Traits{GPUs: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "placing B: cluster: job B already allocated"
+	cfg := Config{Topology: topo, Policy: schedcore.TopoAware}
+	e, err := newEngine(cfg, jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	squat(t, e.scheduler)
+	if err := e.loop(2); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("simulator: %v, want the fault %q", err, want)
+	}
+	p, err := newProtoEngine(PrototypeConfig{Topology: topo, Policy: schedcore.TopoAware}, jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	squat(t, p.scheduler)
+	if err := p.loop(2); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("prototype: %v, want the fault %q", err, want)
 	}
 }
