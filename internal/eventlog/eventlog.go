@@ -14,13 +14,18 @@
 // frame arithmetic mid-file is real corruption and fails loudly; a
 // scheduler must not silently resurrect from a damaged history.
 //
-// Append buffers in the OS; Sync issues the fsync. The single-writer
-// serving loop appends every record of a request batch and syncs once —
-// one fsync amortized over N arrivals (group commit).
+// Append frames a record into a buffer the Log owns; Flush writes every
+// pending frame in one write(2), into the OS; Sync flushes and issues
+// the fsync. The single-writer serving loop appends every record of a
+// request batch, then flushes (or syncs) once before it answers the
+// batch: a batch is one write and at most one fsync, amortized over N
+// arrivals (group commit), and an acked batch's records are in the OS
+// as they were when every record was its own write.
 package eventlog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -37,15 +42,27 @@ const maxRecord = 1 << 28 // 256 MiB
 
 const frameHeader = 8 // uint32 length + uint32 crc
 
+// maxPending bounds the frame buffer a Log keeps between flushes: one that
+// grew past it (a big snapshot) is dropped rather than held for the log's
+// lifetime.
+const maxPending = 64 << 10
+
 // A Log is an open event log. It is not safe for concurrent use — the
 // serving loop's single-writer rule covers it.
 type Log struct {
 	path  string
 	f     *os.File
-	dirty bool
+	dirty bool // appended to since the last fsync
 
-	size         int64 // bytes of the complete frames in the file
-	records      int   // frames currently in the file
+	// pending holds the frames appended since the last Flush, back to
+	// back as they go to disk. enc encodes each payload into it from rec,
+	// a field so that encoding boxes nothing.
+	pending bytes.Buffer
+	enc     *json.Encoder
+	rec     Record
+
+	size         int64 // bytes of the frames appended, pending ones included
+	records      int   // frames appended, pending ones included
 	sinceRewrite int   // records appended since the last Rewrite (or Open)
 	bytesSince   int64 // bytes those records occupy on disk (frames included)
 	syncs        int   // fsyncs issued (dirty Syncs; no-op Syncs don't count)
@@ -68,6 +85,7 @@ func Open(path string, apply func(Record) error) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{path: path, f: f}
+	l.enc = json.NewEncoder(&l.pending)
 	if err := l.replay(apply); err != nil {
 		f.Close()
 		return nil, err
@@ -174,38 +192,80 @@ func Truncate(path string, size int64) error {
 	return err
 }
 
-// Append writes one record's frame. The record is durable only after
-// the next Sync — callers batch appends and sync once per batch.
+// Append frames one record into the pending buffer; it writes nothing.
+// The record reaches the OS at the next Flush and stable storage at the
+// next Sync — callers batch appends and flush or sync once per batch.
 func (l *Log) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
+	l.rec = rec
+	n, err := l.frame()
 	if err != nil {
 		return fmt.Errorf("eventlog: marshal %s record: %w", rec.Type, err)
 	}
-	if err := writeFrame(l.f, payload); err != nil {
-		return fmt.Errorf("eventlog: append to %s: %w", l.path, err)
-	}
 	l.dirty = true
-	l.size += frameHeader + int64(len(payload))
+	l.size += n
 	l.records++
 	l.sinceRewrite++
-	l.bytesSince += frameHeader + int64(len(payload))
+	l.bytesSince += n
 	return nil
 }
 
-func writeFrame(w io.Writer, payload []byte) error {
+// frame appends l.rec's frame to the pending buffer and returns its
+// length: a header placeholder, the payload as the encoder writes it
+// less its trailing newline — json.Marshal's bytes — and the header
+// patched in place. A record that does not encode leaves the buffer as
+// it was.
+func (l *Log) frame() (int64, error) {
+	start := l.pending.Len()
 	var header [frameHeader]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header[:]); err != nil {
-		return err
+	l.pending.Write(header[:])
+	err := l.enc.Encode(&l.rec)
+	l.rec = Record{}
+	if err != nil {
+		l.pending.Truncate(start)
+		return 0, err
 	}
-	_, err := w.Write(payload)
-	return err
+	l.pending.Truncate(l.pending.Len() - 1)
+	buf := l.pending.Bytes()[start:]
+	payload := buf[frameHeader:]
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	return int64(len(buf)), nil
 }
 
-// Sync flushes appended records to stable storage — the group-commit
-// point. A no-op when nothing was appended since the last Sync.
+// Flush writes every frame appended since the last Flush to the file in
+// one write, handing the records to the OS: a crash of the process no
+// longer loses them, one of the machine still may until Sync. A no-op
+// when nothing is pending. A failed Flush drops the pending frames and
+// may leave a prefix of them in the file; a caller rolls the batch back
+// with Truncate to the Size it read before the batch.
+func (l *Log) Flush() error {
+	if l.pending.Len() == 0 {
+		return nil
+	}
+	_, err := l.f.Write(l.pending.Bytes())
+	l.dropPending()
+	if err != nil {
+		return fmt.Errorf("eventlog: append to %s: %w", l.path, err)
+	}
+	return nil
+}
+
+// dropPending empties the pending buffer, letting go of one that a large
+// frame grew past maxPending.
+func (l *Log) dropPending() {
+	l.pending.Reset()
+	if l.pending.Cap() > maxPending {
+		l.pending = bytes.Buffer{}
+	}
+}
+
+// Sync flushes the pending frames and fsyncs them to stable storage —
+// the group-commit point. The fsync is skipped when nothing was appended
+// since the last Sync.
 func (l *Log) Sync() error {
+	if err := l.Flush(); err != nil {
+		return err
+	}
 	if !l.dirty {
 		return nil
 	}
@@ -219,13 +279,21 @@ func (l *Log) Sync() error {
 
 // Rewrite atomically replaces the whole log with the single snapshot
 // record, truncating the history it summarizes: write a temp file,
-// fsync it, rename over the log, fsync the directory. Replay after a
-// Rewrite is bounded by the records appended since it.
+// fsync it, rename over the log, fsync the directory. It flushes the
+// pending frames first, so a Rewrite that fails leaves the log holding
+// every record appended before it. Replay after a Rewrite is bounded by
+// the records appended since it.
 func (l *Log) Rewrite(snapshot Record) error {
-	payload, err := json.Marshal(snapshot)
+	if err := l.Flush(); err != nil {
+		return err
+	}
+	l.rec = snapshot
+	n, err := l.frame()
 	if err != nil {
 		return fmt.Errorf("eventlog: marshal snapshot: %w", err)
 	}
+	// The snapshot's frame goes to the temp file, never to this log.
+	defer l.dropPending()
 	dir := filepath.Dir(l.path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(l.path)+".tmp*")
 	if err != nil {
@@ -237,7 +305,7 @@ func (l *Log) Rewrite(snapshot Record) error {
 		os.Remove(tmpName)
 		return err
 	}
-	if err := writeFrame(tmp, payload); err != nil {
+	if _, err := tmp.Write(l.pending.Bytes()); err != nil {
 		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {
@@ -265,7 +333,7 @@ func (l *Log) Rewrite(snapshot Record) error {
 	old.Close()
 	l.f = f
 	l.dirty = false
-	l.size = frameHeader + int64(len(payload))
+	l.size = n
 	l.records = 1
 	l.sinceRewrite = 0
 	l.bytesSince = 0
@@ -273,11 +341,13 @@ func (l *Log) Rewrite(snapshot Record) error {
 	return nil
 }
 
-// Size returns the bytes of the complete records in the file: the offset
-// the next Append writes at, and what Truncate cuts back to.
+// Size returns the bytes of every record appended, the pending ones
+// included: the file's size once they are flushed, the offset the next
+// Append's frame lands at, and what Truncate cuts back to.
 func (l *Log) Size() int64 { return l.size }
 
-// Records returns the number of complete records currently in the file.
+// Records returns the number of records in the log, pending ones
+// included.
 func (l *Log) Records() int { return l.records }
 
 // SinceRewrite returns the records appended since the last Rewrite (or
@@ -295,7 +365,7 @@ func (l *Log) BytesSinceRewrite() int64 { return l.bytesSince }
 // ratio of appended records to syncs measures group-commit batching.
 func (l *Log) Syncs() int { return l.syncs }
 
-// Close syncs and closes the file.
+// Close flushes and syncs the pending frames and closes the file.
 func (l *Log) Close() error {
 	if err := l.Sync(); err != nil {
 		l.f.Close()

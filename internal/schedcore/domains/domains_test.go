@@ -173,6 +173,20 @@ func TestRouterPrefersSeatsNowAndSpills(t *testing.T) {
 	if err != nil || d != 0 {
 		t.Fatalf("Route(b) = %d, %v; want 0", d, err)
 	}
+	// A domain that takes no writes (negative free count) loses the
+	// spill to a full domain that does, and is still the answer when it
+	// is the only one left.
+	free[0] = [3]int{-1, 0, 0}
+	free[1] = [3]int{0, 0, 0}
+	d, err = r.Route(mkJob("ro", 1, false, false))
+	if err != nil || d != 1 {
+		t.Fatalf("Route(ro) = %d, %v; want 1", d, err)
+	}
+	free[1] = [3]int{-1, 0, 0}
+	d, err = r.Route(mkJob("ro2", 1, false, false))
+	if err != nil || d != 0 {
+		t.Fatalf("Route(ro2) with both domains read-only = %d, %v; want 0", d, err)
+	}
 	// Inadmissible everywhere is an error, not a queue.
 	if _, err := r.Route(mkJob("c", 5, true, false)); err == nil {
 		t.Fatal("inadmissible job routed")

@@ -2,6 +2,7 @@ package domains
 
 import (
 	"fmt"
+	"math"
 
 	"gputopo/internal/job"
 )
@@ -12,7 +13,9 @@ import (
 // jobs). The serving layer backs this with counters its domain
 // event-loops publish after every batch — the router never touches a
 // core directly, so a Route call costs three counter reads per domain
-// and no cross-loop synchronization.
+// and no cross-loop synchronization. A domain that takes no writes
+// reports a negative free GPU count: Route sends a job there only when no
+// domain that takes writes admits it.
 type FreeFunc func(domain int) (freeGPUs, maxFreeOnMachine, freeMachines int)
 
 // Router picks a domain per submission over live free-GPU counters.
@@ -35,11 +38,12 @@ func NewRouter(caps []Capacity, free FreeFunc) *Router {
 // that can seat the job right now; when every admissible domain is at its
 // capacity watermark (the job would queue anywhere), spill resolves to
 // the admissible domain with the most free GPUs so the job queues where
-// capacity frees soonest. Ties break on the lowest domain index, keeping
+// capacity frees soonest, or, when no admissible domain takes writes, to
+// the lowest-indexed one. Ties break on the lowest domain index, keeping
 // routing deterministic for a fixed counter sequence.
 func (r *Router) Route(j *job.Job) (int, error) {
 	bestNow, bestNowFree := -1, -1
-	bestAny, bestAnyFree := -1, -1
+	bestAny, bestAnyFree := -1, math.MinInt
 	for d, c := range r.caps {
 		if !c.Admits(j) {
 			continue

@@ -218,9 +218,19 @@ func (d *domain) rollBack(start int64, cause error) {
 }
 
 // publishFree refreshes the atomic free-GPU counters from the cluster
-// state. Called wherever allocations may have changed, always from the
-// goroutine that owns the core.
+// state. Called wherever allocations may have changed or the domain
+// stopped taking writes, always from the goroutine that owns the core. A
+// read-only domain publishes no free capacity and a free GPU count of -1,
+// which the router reads as "takes no writes": a submission goes to a live
+// domain whenever one admits it, and one that only read-only domains admit
+// is still routed to one and answered 503 read_only.
 func (d *domain) publishFree() {
+	if d.readOnly != nil {
+		d.pubFree.Store(-1)
+		d.pubMaxFree.Store(0)
+		d.pubFreeMach.Store(0)
+		return
+	}
 	st := d.core.State()
 	d.pubFree.Store(int64(st.FreeGPUCount()))
 	d.pubMaxFree.Store(int64(st.MaxFreeGPUs()))
@@ -356,8 +366,8 @@ func (d *domain) processBatch(batch []*op) {
 		}
 	}
 
-	// Group commit: one fsync covers every record of the batch. Ops are
-	// answered only after their records are durable.
+	// Group commit: one write and one fsync cover every record of the
+	// batch. Ops are answered only after their records are durable.
 	err := d.commit()
 	if err == nil {
 		err = d.core.Fault()
@@ -564,11 +574,13 @@ func (d *domain) logAppend(rec eventlog.Record) {
 	}
 }
 
-// commit is the group-commit fsync for the batch, or the batch's failed
-// append. With FsyncEvery > 1 the fsync itself is batched further: only
-// every Nth batch pays it, and the acks of the batches between ride on the
-// next sync — the relaxed-durability mode Config.FsyncEvery documents.
-// Draining always syncs so a graceful shutdown loses nothing.
+// commit is the group commit for the batch, or the batch's failed append:
+// every batch's records go to the OS in one write (Flush) before its ops
+// are answered, and the batch is fsynced with them. With FsyncEvery > 1
+// the fsync itself is batched further: only every Nth batch pays it, and
+// the acks of the batches between ride on the next sync — the
+// relaxed-durability mode Config.FsyncEvery documents. Draining always
+// syncs so a graceful shutdown loses nothing.
 func (d *domain) commit() error {
 	if d.log == nil {
 		return nil
@@ -578,7 +590,7 @@ func (d *domain) commit() error {
 	}
 	d.unsynced++
 	if d.cfg.FsyncEvery > 1 && d.unsynced < d.cfg.FsyncEvery && !d.draining.Load() {
-		return nil
+		return d.log.Flush()
 	}
 	d.unsynced = 0
 	return d.log.Sync()

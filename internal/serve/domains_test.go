@@ -393,16 +393,41 @@ func TestMultiServerStateLogAggregation(t *testing.T) {
 }
 
 // TestMultiServerPlaceCacheConcurrent hammers a sharded server with
-// concurrent submits, releases and state polls — the one concurrent
-// sharded load run under -race in CI — and checks that no job was lost
+// concurrent submits, releases and state polls — one of the two concurrent
+// sharded load runs under -race in CI — and checks that no job was lost
 // or duplicated on the way. (Named for the place cache it was written to
 // guard; the ROADMAP's "The frozen benchmark's residue" retires the
 // TestMultiServer* names together.)
 func TestMultiServerPlaceCacheConcurrent(t *testing.T) {
-	_, c := startServer(t, Config{
+	hammerSharded(t, Config{
 		Spec: specArg(t, "minsky:8/domains[hash:4]"), Policy: schedcore.TopoAwareP,
 		Discipline: "priority", Preemption: true,
 	})
+}
+
+// TestMultiServerPlaceCacheConcurrentDurable is the same load on a
+// durable server that fsyncs every third batch, so the pooled response
+// encoders of concurrent handlers race each other and every domain's
+// per-batch Flush, and the restarted server recovers what the load left.
+func TestMultiServerPlaceCacheConcurrentDurable(t *testing.T) {
+	cfg := Config{
+		Spec: specArg(t, "minsky:8/domains[hash:4]"), Policy: schedcore.TopoAwareP,
+		Discipline: "priority", Preemption: true,
+		LogPath: filepath.Join(t.TempDir(), "events.log"), FsyncEvery: 3,
+	}
+	srv, c := hammerSharded(t, cfg)
+	_, want := pinnedState(t, c)
+	srv.Kill()
+	_, c2 := startServer(t, cfg)
+	if _, got := pinnedState(t, c2); string(got) != string(want) {
+		t.Fatalf("/v1/state after the restart:\n %s\nbefore it:\n %s", got, want)
+	}
+}
+
+// hammerSharded runs concurrent submits, releases and state polls against
+// a server started with cfg and checks that every job is accounted for.
+func hammerSharded(t *testing.T, cfg Config) (*Server, *client.Client) {
+	srv, c := startServer(t, cfg)
 	ctx := ctxT(t)
 
 	const workers = 8
@@ -454,4 +479,5 @@ func TestMultiServerPlaceCacheConcurrent(t *testing.T) {
 		t.Fatalf("%d placements - %d evictions + %d queued + %d withdrawn = %d, want the %d jobs submitted",
 			st.Stats.Placements, st.Stats.Evictions, len(st.Queue), withdrawn.Load(), got, workers*perWorker)
 	}
+	return srv, c
 }

@@ -169,6 +169,9 @@ func (d *domain) maybeSnapshot(now float64) {
 	}
 	if d.log.SinceRewrite() >= d.cfg.SnapshotEvery {
 		d.writeSnapshot(now)
+		if d.readOnly != nil {
+			d.publishFree()
+		}
 	}
 }
 

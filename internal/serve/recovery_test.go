@@ -501,9 +501,9 @@ func TestRecoveryMonotonicClock(t *testing.T) {
 // TestFsyncEveryBatchesSyncs pins the group-commit relaxation: with
 // FsyncEvery=4, eight sequential submits (one batch each) pay exactly
 // two fsyncs where the default pays eight — that IS the durability
-// trade the flag documents, counted rather than simulated. Graceful
-// close still syncs the tail, so a restart recovers every job either
-// way.
+// trade the flag documents, counted rather than simulated. Either way
+// every acked batch's records are already written to the file, and
+// graceful close still syncs the tail, so a restart recovers every job.
 func TestFsyncEveryBatchesSyncs(t *testing.T) {
 	syncsAfter := func(fsyncEvery int) (int, Config) {
 		logPath := filepath.Join(t.TempDir(), "events.log")
@@ -522,6 +522,16 @@ func TestFsyncEveryBatchesSyncs(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			if _, err := c.SubmitJob(ctx, serveapi.JobRequest{ID: fmt.Sprintf("s%d", i), GPUs: 1}); err != nil {
 				t.Fatal(err)
+			}
+			dom := srv.doms[0]
+			var appended int64
+			dom.do(func() { appended = dom.log.Size() })
+			info, err := os.Stat(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Size() != appended {
+				t.Fatalf("FsyncEvery=%d: submit %d acked with %d bytes appended but %d in the file", fsyncEvery, i, appended, info.Size())
 			}
 		}
 		st, err := c.State(ctx)

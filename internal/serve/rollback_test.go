@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -269,4 +270,48 @@ func TestFailedRollbackLosesDomain(t *testing.T) {
 	_, err = c.ReleaseJob(ctx, "a")
 	wantReadOnly(t, "a later release", err)
 	srv.Kill()
+}
+
+// TestReadOnlyDomainRoutesNoSubmissions rolls domain 0 of an empty
+// minsky:4/domains[hash:2] back (its log closed under it, then a submit
+// routed there): the router then seats every submission on domain 1 while
+// it has room and queues there once it is full, and only when domain 1
+// is read-only as well does a submission answer 503 read_only — never
+// 400, though no domain takes it.
+func TestReadOnlyDomainRoutesNoSubmissions(t *testing.T) {
+	ctx := ctxT(t)
+	srv, c := startServer(t, Config{Spec: specArg(t, "minsky:4/domains[hash:2]"), Policy: schedcore.TopoAwareP,
+		LogPath: filepath.Join(t.TempDir(), "events.log"), SnapshotEvery: -1})
+	d0 := srv.doms[0]
+	d0.do(func() { d0.log.Close() })
+	_, err := c.SubmitJob(ctx, serveapi.JobRequest{ID: "first", GPUs: 1})
+	wantReadOnly(t, "the submit that rolls domain 0 back", err)
+
+	homeOf := func(id string) int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		d, ok := srv.home[id]
+		if !ok {
+			t.Fatalf("job %s has no home", id)
+		}
+		return d
+	}
+	for i := 0; i < 8; i++ {
+		id := fmt.Sprintf("j%d", i)
+		jr, err := c.SubmitJob(ctx, serveapi.JobRequest{ID: id, GPUs: 1})
+		if err != nil || jr.Status != "placed" || homeOf(id) != 1 {
+			t.Fatalf("submit %s with domain 0 read-only: %+v %v", id, jr, err)
+		}
+	}
+	jr, err := c.SubmitJob(ctx, serveapi.JobRequest{ID: "queued", GPUs: 1})
+	if err != nil || jr.Status != "queued" || homeOf("queued") != 1 {
+		t.Fatalf("submit to a full live domain beside a read-only one: %+v %v", jr, err)
+	}
+
+	d1 := srv.doms[1]
+	d1.do(func() { d1.log.Close() })
+	_, err = c.ReleaseJob(ctx, "j0")
+	wantReadOnly(t, "the release that rolls domain 1 back", err)
+	_, err = c.SubmitJob(ctx, serveapi.JobRequest{ID: "last", GPUs: 1})
+	wantReadOnly(t, "a submit with every domain read-only", err)
 }

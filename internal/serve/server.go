@@ -94,9 +94,11 @@ type Config struct {
 	SnapshotEvery int
 	// FsyncEvery relaxes group commit: the log is fsynced once every N
 	// batches instead of every batch, trading the durability of up to
-	// N-1 acked batches for lower tail latency under bursty load. 0 or 1
-	// keeps the default (every batch durable before its acks). Draining,
-	// snapshots and Close always sync regardless.
+	// N-1 acked batches against a machine crash for lower tail latency
+	// under bursty load. Every batch's records are still written to the
+	// OS in one write before its acks, so a crash of the process alone
+	// loses none. 0 or 1 keeps the default (every batch durable before its
+	// acks). Draining, snapshots and Close always sync regardless.
 	FsyncEvery int
 	// Now overrides the server's time source (seconds, monotonic) for
 	// tests. The served clock is Now() plus the base recovered from the
